@@ -13,10 +13,12 @@
  * paying the LLM only for the cases that never produced a verified
  * rewrite (there is nothing to catalog for those).
  *
- * Emits BENCH_persist.json; tools/ci.sh gates warm_speedup against the
- * committed baseline (>20% regression fails). The binary itself fails
- * on broken invariants: result divergence, cold catalog, cold cache,
- * or a warm run no faster than the cold one.
+ * Emits BENCH_persist.json; tools/ci.sh gates its deterministic
+ * counters (warm cache and catalog hit rates, warm LLM calls) against
+ * the committed baseline. The binary itself fails on broken
+ * invariants: result divergence, a finding not replayed from the
+ * catalog, a warm cache miss, or a warm run no faster than the cold
+ * one.
  */
 #include <algorithm>
 #include <chrono>
@@ -184,16 +186,22 @@ main()
     json.field("warm_cache_hit_rate", warm_cache_hit_rate, 3);
     json.field("verdicts_loaded", warm.store_loaded);
     json.field("rewrites_loaded", warm.catalog_loaded);
+    json.field("found", warm.found);
+    json.field("found_by_catalog", warm.found_by_catalog);
+    json.field("cold_llm_calls", cold.llm_calls);
+    json.field("warm_llm_calls", warm.llm_calls);
     json.endObject();
     std::ofstream out("BENCH_persist.json");
     out << json.str() << "\n";
     std::printf("wrote BENCH_persist.json\n");
 
     bool fail = false;
-    if (warm.found_by_catalog == 0) {
+    if (warm.found == 0 || warm.found_by_catalog != warm.found) {
         std::fprintf(stderr,
-                     "FAIL: warm run replayed nothing from the "
-                     "catalog\n");
+                     "FAIL: warm run replayed %llu of %llu findings from "
+                     "the catalog\n",
+                     static_cast<unsigned long long>(warm.found_by_catalog),
+                     static_cast<unsigned long long>(warm.found));
         fail = true;
     }
     if (warm.cache_hits == 0 || warm.cache_misses != 0) {

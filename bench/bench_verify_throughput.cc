@@ -1,26 +1,23 @@
 /**
  * @file
- * Verification throughput: the pre-PR proving path (no structural
- * hashing, no result cache) vs the accelerated one, measured as
- * verified candidates/sec over the full missed-optimization corpus
- * (RQ1 + RQ2 pairs), plus the incremental-session mode over a
- * multi-candidate stream per case.
+ * Verification throughput over the full missed-optimization corpus
+ * (RQ1 + RQ2 pairs): verified candidates/sec through the production
+ * path (hash-consed circuits plus a shared result cache), and the
+ * incremental-session mode over a multi-candidate stream per case.
  *
  * The workload verifies every (src, tgt) pair kRounds times — the
  * shape the rewrite library actually produces, where structurally
- * identical candidates recur across sites and rounds. The baseline
- * re-proves each recurrence from scratch; the accelerated path proves
- * once and hits the verification cache afterwards, and its first
- * proof is itself cheaper because hash-consed circuits are smaller.
+ * identical candidates recur across sites and rounds. The first round
+ * proves each pair; later rounds hit the verification cache.
  *
  * Also records, for every SAT-fragment pair, the encoded query size
- * (variables/clauses) with and without structural hashing — the
- * variable count must shrink on every pair, since src and tgt share
- * argument structure at minimum. Emits BENCH_verify.json; tools/ci.sh
- * gates on geomean_speedup against the committed baseline.
+ * (variables, clauses, unique-table hits). Query sizes and cache hits
+ * are deterministic work counters: tools/ci.sh gates their sums
+ * against bench/BENCH_verify.baseline.json, which also keeps the
+ * numbers of the retired unhashed encoder as history. Emits
+ * BENCH_verify.json.
  */
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -65,11 +62,10 @@ struct QuerySize
 
 /** Size of the production SAT query (verify::encodeRefinementQuery). */
 QuerySize
-encodeQuery(const ir::Function &src, const ir::Function &tgt,
-            bool structural_hashing)
+encodeQuery(const ir::Function &src, const ir::Function &tgt)
 {
     smt::SatSolver solver;
-    smt::CircuitBuilder builder(solver, structural_hashing);
+    smt::CircuitBuilder builder(solver);
     if (!verify::encodeRefinementQuery(builder, src, tgt))
         return {};
     return {solver.numVars(), solver.clausesAdded(),
@@ -80,17 +76,15 @@ struct CaseResult
 {
     std::string name;
     std::string backend;
-    double baseline_seconds = 0;
-    double optimized_seconds = 0;
-    QuerySize size_before;
-    QuerySize size_after;
+    double seconds = 0;
+    QuerySize size;
 };
 
 /**
  * The incremental-session comparison: each SAT-fragment case presents
  * a stream of distinct candidate targets — the expected target, the
  * identity, and the opt pipeline's rewrites of both, the shape LLM
- * feedback retries and hybrid fallback produce. The PR 2 path proves
+ * feedback retries and hybrid fallback produce. The fresh path proves
  * each candidate in a fresh hash-consed solver; the session path
  * bit-blasts the source once and solves every candidate under an
  * activation-literal assumption in one persistent solver. No cache in
@@ -139,64 +133,36 @@ main()
     verify::VerifyCache::Stats cache_stats;
     for (unsigned rep = 0; rep < kReps; ++rep) {
         verify::VerifyCache cache;
+        verify::RefineOptions options;
+        options.num_threads = 1;
+        options.cache = &cache;
         for (size_t i = 0; i < catalog.size(); ++i) {
-            // Pre-PR path: no unique table, every recurrence
-            // re-proved.
-            verify::RefineOptions baseline_options;
-            baseline_options.num_threads = 1;
-            baseline_options.structural_hashing = false;
             auto start = Clock::now();
             for (unsigned round = 0; round < kRounds; ++round) {
-                auto verdict = verify::checkRefinement(
-                    *srcs[i], *tgts[i], baseline_options);
+                auto verdict =
+                    verify::checkRefinement(*srcs[i], *tgts[i], options);
                 results[i].backend = verdict.backend;
             }
-            double baseline_seconds = secondsSince(start);
-
-            // Accelerated path: hash-consed circuits + shared cache.
-            verify::RefineOptions optimized_options;
-            optimized_options.num_threads = 1;
-            optimized_options.cache = &cache;
-            start = Clock::now();
-            for (unsigned round = 0; round < kRounds; ++round)
-                verify::checkRefinement(*srcs[i], *tgts[i],
-                                        optimized_options);
-            double optimized_seconds = secondsSince(start);
-
-            if (rep == 0 ||
-                baseline_seconds < results[i].baseline_seconds)
-                results[i].baseline_seconds = baseline_seconds;
-            if (rep == 0 ||
-                optimized_seconds < results[i].optimized_seconds)
-                results[i].optimized_seconds = optimized_seconds;
+            double seconds = secondsSince(start);
+            if (rep == 0 || seconds < results[i].seconds)
+                results[i].seconds = seconds;
         }
         // Hit/miss counts are identical every rep (deterministic);
         // keep the last rep's.
         cache_stats = cache.stats();
     }
 
-    double baseline_total = 0, optimized_total = 0;
-    bool all_sat_queries_shrank = true;
+    double total_seconds = 0;
+    uint64_t sat_queries = 0, sat_vars_total = 0, sat_clauses_total = 0;
     for (size_t i = 0; i < catalog.size(); ++i) {
         // Query-size accounting for the SAT fragment.
         if (verify::usesSatBackend(*srcs[i], *tgts[i])) {
-            results[i].size_before = encodeQuery(*srcs[i], *tgts[i],
-                                                 false);
-            results[i].size_after = encodeQuery(*srcs[i], *tgts[i],
-                                                true);
-            // Any unique-table hit is a gate that would otherwise
-            // have allocated a variable, so queries WITH repeated
-            // subcircuits must strictly shrink; those without must at
-            // least not grow.
-            bool has_repetition = results[i].size_after.unique_hits > 0;
-            if (results[i].size_after.vars >
-                    results[i].size_before.vars ||
-                (has_repetition && results[i].size_after.vars >=
-                                       results[i].size_before.vars))
-                all_sat_queries_shrank = false;
+            results[i].size = encodeQuery(*srcs[i], *tgts[i]);
+            ++sat_queries;
+            sat_vars_total += results[i].size.vars;
+            sat_clauses_total += results[i].size.clauses;
         }
-        baseline_total += results[i].baseline_seconds;
-        optimized_total += results[i].optimized_seconds;
+        total_seconds += results[i].seconds;
     }
 
     // ----------------------------------------------------------------
@@ -278,82 +244,62 @@ main()
     std::printf("session geomean speedup: %.2fx\n", session_geomean);
 
     const uint64_t candidates = catalog.size() * kRounds;
-    double baseline_cps = candidates / baseline_total;
-    double optimized_cps = candidates / optimized_total;
+    double cands_per_sec = candidates / total_seconds;
 
-    std::printf("%-14s %-10s %12s %12s %9s %8s %8s\n", "case", "backend",
-                "base cand/s", "opt cand/s", "speedup", "vars-",
-                "vars+");
-    std::vector<double> speedups;
+    std::printf("\n%-14s %-10s %10s %8s %9s %7s\n", "case", "backend",
+                "cand/s", "vars", "clauses", "hits");
     core::JsonWriter json;
     json.beginObject();
     json.key("benchmarks").beginArray();
     for (const CaseResult &r : results) {
-        double speedup = r.baseline_seconds / r.optimized_seconds;
-        speedups.push_back(speedup);
-        std::printf("%-14s %-10s %12.0f %12.0f %8.1fx %8d %8d\n",
+        std::printf("%-14s %-10s %10.0f %8d %9llu %7llu\n",
                     r.name.c_str(), r.backend.c_str(),
-                    kRounds / r.baseline_seconds,
-                    kRounds / r.optimized_seconds, speedup,
-                    r.size_before.vars, r.size_after.vars);
+                    kRounds / r.seconds, r.size.vars,
+                    static_cast<unsigned long long>(r.size.clauses),
+                    static_cast<unsigned long long>(r.size.unique_hits));
         json.beginObject(core::JsonWriter::Layout::Inline);
         json.field("name", r.name);
         json.field("backend", r.backend);
-        json.field("baseline_cands_per_sec",
-                   kRounds / r.baseline_seconds, 1);
-        json.field("optimized_cands_per_sec",
-                   kRounds / r.optimized_seconds, 1);
-        json.field("speedup", speedup, 2);
-        json.field("sat_vars_before", r.size_before.vars);
-        json.field("sat_vars_after", r.size_after.vars);
-        json.field("sat_clauses_before", r.size_before.clauses);
-        json.field("sat_clauses_after", r.size_after.clauses);
-        json.field("unique_table_hits", r.size_after.unique_hits);
+        json.field("cands_per_sec", kRounds / r.seconds, 1);
+        json.field("sat_vars", r.size.vars);
+        json.field("sat_clauses", r.size.clauses);
+        json.field("unique_table_hits", r.size.unique_hits);
         json.endObject();
     }
     json.endArray();
 
-    double geomean_speedup = core::geomean(speedups);
     double hit_rate = cache_stats.hitRate();
     std::printf("\ncorpus: %llu candidates over %u rounds\n",
                 static_cast<unsigned long long>(candidates), kRounds);
-    std::printf("baseline:  %10.1f verified candidates/sec\n",
-                baseline_cps);
-    std::printf("optimized: %10.1f verified candidates/sec\n",
-                optimized_cps);
-    std::printf("geomean speedup: %.2fx\n", geomean_speedup);
+    std::printf("throughput: %10.1f verified candidates/sec\n",
+                cands_per_sec);
     std::printf("verify cache: %s\n",
                 core::cacheSummary(cache_stats.hits, cache_stats.misses)
                     .c_str());
-    std::printf("SAT vars reduced on every repeated-subcircuit query: "
-                "%s\n",
-                all_sat_queries_shrank ? "yes" : "NO");
+    std::printf("SAT queries: %llu, %llu vars, %llu clauses\n",
+                static_cast<unsigned long long>(sat_queries),
+                static_cast<unsigned long long>(sat_vars_total),
+                static_cast<unsigned long long>(sat_clauses_total));
 
     json.field("rounds", kRounds);
-    json.field("baseline_cands_per_sec", baseline_cps, 1);
-    json.field("optimized_cands_per_sec", optimized_cps, 1);
+    json.field("cands_per_sec", cands_per_sec, 1);
     json.field("cache_hits", cache_stats.hits);
     json.field("cache_misses", cache_stats.misses);
     json.field("cache_hit_rate", hit_rate, 4);
-    json.field("sat_vars_reduced_on_all_queries", all_sat_queries_shrank);
+    json.field("sat_queries", sat_queries);
+    json.field("sat_vars_total", sat_vars_total);
+    json.field("sat_clauses_total", sat_clauses_total);
     json.field("stream_cases", static_cast<uint64_t>(streams.size()));
     json.field("stream_candidates", stream_candidates);
     json.field("stream_fresh_cands_per_sec", stream_fresh_cps, 1);
     json.field("stream_session_cands_per_sec", stream_session_cps, 1);
     json.field("session_geomean_speedup", session_geomean, 2);
-    json.field("geomean_speedup", geomean_speedup, 2);
     json.endObject();
 
     std::ofstream out("BENCH_verify.json");
     out << json.str() << "\n";
     std::printf("wrote BENCH_verify.json\n");
 
-    if (!all_sat_queries_shrank) {
-        std::fprintf(stderr,
-                     "FAIL: structural hashing did not shrink every "
-                     "SAT query\n");
-        return 1;
-    }
     if (cache_stats.hits == 0) {
         std::fprintf(stderr, "FAIL: cache hit rate is zero\n");
         return 1;

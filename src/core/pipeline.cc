@@ -7,7 +7,6 @@
 #include "ir/printer.h"
 #include "opt/opt_driver.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace lpo::core {
@@ -471,7 +470,7 @@ Pipeline::processSequences(
 {
     unsigned threads = config_.num_threads
                            ? config_.num_threads
-                           : ThreadPool::hardwareThreads();
+                           : TaskScheduler::hardwareThreads();
     std::vector<CaseOutcome> outcomes(sequences.size());
 
     if (threads <= 1 || sequences.size() <= 1) {
@@ -496,8 +495,8 @@ Pipeline::processSequences(
         texts[i] = ir::printFunction(*sequences[i]);
 
     // The pipeline-level fan-out already saturates the machine, so
-    // each worker runs its verification sweeps serially rather than
-    // nesting a second hardware-wide pool per candidate.
+    // each case task runs its verification sweeps serially rather than
+    // nesting a second hardware-wide scheduler per candidate.
     verify::RefineOptions worker_refine = config_.refine;
     worker_refine.num_threads = 1;
 

@@ -331,9 +331,10 @@ class Pipeline
   private:
     /**
      * One sequence's trip through the loop, accounted into @p stats,
-     * verifying with @p refine (processModule workers pass a serial
-     * copy so per-case sweeps don't nest thread pools; by the
-     * deterministic-parallelism contract this cannot change results).
+     * verifying with @p refine (case tasks pass a serial copy so
+     * per-case sweeps don't fan out a second hardware-wide scheduler;
+     * by the deterministic-parallelism contract this cannot change
+     * results).
      * Dispatches to the configured proposer; in Hybrid mode runs the
      * LLM attempt loop and falls back to the e-graph on
      * NoCandidate/Incorrect. Owns the case's incremental verification

@@ -1,8 +1,10 @@
 #include "llm/mock_model.h"
 
-#include <cctype>
-#include <cstring>
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cstring>
+#include <limits>
 
 #include "ir/parser.h"
 #include "ir/pattern.h"
@@ -27,6 +29,19 @@ hasVectorType(const ir::Function &fn)
             if (inst->type()->isVector())
                 return true;
     return false;
+}
+
+/** @p digits (a decimal magnitude too large for long) minus one. */
+std::string
+decrementDigits(std::string digits)
+{
+    size_t i = digits.size();
+    while (digits[--i] == '0')
+        digits[i] = '9';
+    --digits[i];
+    if (digits.size() > 1 && digits[0] == '0')
+        digits.erase(0, 1);
+    return digits;
 }
 
 } // namespace
@@ -86,7 +101,9 @@ injectSyntaxError(const std::string &text)
 std::string
 injectSemanticError(const std::string &text)
 {
-    // Perturb the last integer constant in the body (+1); if none,
+    // Perturb the last integer constant in the body: +1, or -1 in
+    // magnitude where +1 would leave long's range (e.g. i64's sign-bit
+    // constant); the result still parses. If there is no constant,
     // drop a poison-flag keyword, silently changing semantics.
     size_t body = text.find('{');
     if (body == std::string::npos)
@@ -114,9 +131,16 @@ injectSemanticError(const std::string &text)
             continue;
         if (begin >= 6 && text.substr(begin - 6, 6) == "align ")
             continue;
-        long value = std::stol(text.substr(begin, end - begin));
-        return text.substr(0, begin) + std::to_string(value + 1) +
-               text.substr(end);
+        std::string digits = text.substr(begin, end - begin);
+        long value = 0;
+        bool fits = std::from_chars(digits.data(),
+                                    digits.data() + digits.size(), value)
+                        .ec == std::errc();
+        std::string perturbed =
+            fits && value < std::numeric_limits<long>::max()
+                ? std::to_string(value + 1)
+                : decrementDigits(std::move(digits));
+        return text.substr(0, begin) + perturbed + text.substr(end);
     }
     for (const char *flag : {" nuw", " nsw", " disjoint", " exact"}) {
         size_t pos = text.find(flag);

@@ -8,8 +8,6 @@ namespace lpo::smt {
 CLit
 CircuitBuilder::lookupNode(const NodeKey &key)
 {
-    if (!hashing_)
-        return 0;
     auto it = unique_.find(key);
     if (it == unique_.end())
         return 0;
@@ -20,8 +18,7 @@ CircuitBuilder::lookupNode(const NodeKey &key)
 void
 CircuitBuilder::insertNode(const NodeKey &key, CLit out)
 {
-    if (hashing_)
-        unique_.emplace(key, out);
+    unique_.emplace(key, out);
 }
 
 CLit
@@ -63,11 +60,8 @@ CircuitBuilder::andGate(CLit a, CLit b)
         return kFalse;
     // Canonical operand order; AND nodes cannot normalize negation
     // (and(a,b) and and(-a,b) are distinct functions), but orGate's
-    // De Morgan lowering shares through this table. All
-    // canonicalization is gated on hashing_ so disabling the unique
-    // table reproduces the pre-hashing encoding exactly (the
-    // benchmark's baseline mode).
-    if (hashing_ && b < a)
+    // De Morgan lowering shares through this table.
+    if (b < a)
         std::swap(a, b);
     NodeKey key{0, a, b, 0};
     if (CLit hit = lookupNode(key))
@@ -104,20 +98,17 @@ CircuitBuilder::xorGate(CLit a, CLit b)
         return kTrue;
     // Negation normalization: xor(-a, b) == -xor(a, b), so the node
     // is stored over positive literals and the phase returned on top.
-    // Gated on hashing_ (see andGate).
     bool negate = false;
-    if (hashing_) {
-        if (a < 0) {
-            a = -a;
-            negate = !negate;
-        }
-        if (b < 0) {
-            b = -b;
-            negate = !negate;
-        }
-        if (b < a)
-            std::swap(a, b);
+    if (a < 0) {
+        a = -a;
+        negate = !negate;
     }
+    if (b < 0) {
+        b = -b;
+        negate = !negate;
+    }
+    if (b < a)
+        std::swap(a, b);
     NodeKey key{1, a, b, 0};
     CLit out = lookupNode(key);
     if (!out) {
@@ -141,39 +132,36 @@ CircuitBuilder::muxGate(CLit sel, CLit t, CLit f)
         return f;
     if (t == f)
         return t;
-    if (hashing_) {
-        // Selector normalization: mux(-s, t, f) == mux(s, f, t).
-        if (sel < 0) {
-            sel = -sel;
-            std::swap(t, f);
-        }
-        // Constant/complement arms reduce to single (hashed) gates.
-        if (t == kTrue)
-            return orGate(sel, f);
-        if (t == kFalse)
-            return andGate(-sel, f);
-        if (f == kFalse)
-            return andGate(sel, t);
-        if (f == kTrue)
-            return orGate(-sel, t);
-        if (t == -f)
-            return xorGate(sel, f);
-        if (t == sel)
-            return orGate(sel, f);
-        if (t == -sel)
-            return andGate(-sel, f);
-        if (f == sel)
-            return andGate(sel, t);
-        if (f == -sel)
-            return orGate(-sel, t);
-        NodeKey key{2, sel, t, f};
-        if (CLit hit = lookupNode(key))
-            return hit;
-        CLit out = orGate(andGate(sel, t), andGate(-sel, f));
-        insertNode(key, out);
-        return out;
+    // Selector normalization: mux(-s, t, f) == mux(s, f, t).
+    if (sel < 0) {
+        sel = -sel;
+        std::swap(t, f);
     }
-    return orGate(andGate(sel, t), andGate(-sel, f));
+    // Constant/complement arms reduce to single (hashed) gates.
+    if (t == kTrue)
+        return orGate(sel, f);
+    if (t == kFalse)
+        return andGate(-sel, f);
+    if (f == kFalse)
+        return andGate(sel, t);
+    if (f == kTrue)
+        return orGate(-sel, t);
+    if (t == -f)
+        return xorGate(sel, f);
+    if (t == sel)
+        return orGate(sel, f);
+    if (t == -sel)
+        return andGate(-sel, f);
+    if (f == sel)
+        return andGate(sel, t);
+    if (f == -sel)
+        return orGate(-sel, t);
+    NodeKey key{2, sel, t, f};
+    if (CLit hit = lookupNode(key))
+        return hit;
+    CLit out = orGate(andGate(sel, t), andGate(-sel, f));
+    insertNode(key, out);
+    return out;
 }
 
 CLit

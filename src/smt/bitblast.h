@@ -44,23 +44,9 @@ class CircuitBuilder
     static constexpr CLit kTrue = 1 << 30;
     static constexpr CLit kFalse = -(1 << 30);
 
-    /**
-     * @param structural_hashing enables the unique table. Disabled
-     *        only by the throughput benchmark to measure the pre-PR
-     *        encoding cost; production callers leave it on.
-     */
-    explicit CircuitBuilder(SatSolver &solver,
-                            bool structural_hashing = true)
-        : solver_(solver), hashing_(structural_hashing)
-    {}
+    explicit CircuitBuilder(SatSolver &solver) : solver_(solver) {}
 
     SatSolver &solver() { return solver_; }
-
-    /**
-     * Whether the unique table (and with it all canonicalization that
-     * is conditioned on it, here and in the encoder) is enabled.
-     */
-    bool hashing() const { return hashing_; }
 
     /** Gate constructions answered from the unique table. */
     uint64_t uniqueTableHits() const { return unique_hits_; }
@@ -188,7 +174,6 @@ class CircuitBuilder
     void insertNode(const NodeKey &key, CLit out);
 
     SatSolver &solver_;
-    bool hashing_;
     std::unordered_map<NodeKey, CLit, NodeKeyHash> unique_;
     uint64_t unique_hits_ = 0;
 };

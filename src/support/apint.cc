@@ -192,8 +192,9 @@ APInt::addOverflowsUnsigned(const APInt &rhs) const
 bool
 APInt::addOverflowsSigned(const APInt &rhs) const
 {
-    int64_t r = sext() + rhs.sext();
-    return r != add(rhs).sext();
+    // Exact in 128 bits: at i64 the sum itself can overflow int64_t.
+    __int128 wide = static_cast<__int128>(sext()) + rhs.sext();
+    return wide != static_cast<__int128>(add(rhs).sext());
 }
 
 bool
@@ -205,8 +206,10 @@ APInt::subOverflowsUnsigned(const APInt &rhs) const
 bool
 APInt::subOverflowsSigned(const APInt &rhs) const
 {
-    int64_t r = sext() - rhs.sext();
-    return r != sub(rhs).sext();
+    // Exact in 128 bits: at i64 the difference itself can overflow
+    // int64_t.
+    __int128 wide = static_cast<__int128>(sext()) - rhs.sext();
+    return wide != static_cast<__int128>(sub(rhs).sext());
 }
 
 bool

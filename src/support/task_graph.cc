@@ -164,11 +164,8 @@ TaskScheduler::TaskScheduler() : TaskScheduler(Options()) {}
 
 TaskScheduler::TaskScheduler(const Options &options)
 {
-    unsigned n = options.num_threads != 0
-                     ? options.num_threads
-                     : std::thread::hardware_concurrency();
-    if (n == 0)
-        n = 1;
+    unsigned n =
+        options.num_threads != 0 ? options.num_threads : hardwareThreads();
     num_threads_ = n;
     steal_seed_ = options.steal_seed;
     workers_.reserve(n);
@@ -192,6 +189,12 @@ TaskScheduler::~TaskScheduler()
 }
 
 uint64_t TaskScheduler::currentTaskBudget() { return tls_budget; }
+
+unsigned TaskScheduler::hardwareThreads()
+{
+    unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : n;
+}
 
 void TaskScheduler::workerLoop(unsigned index)
 {
@@ -280,13 +283,18 @@ bool TaskScheduler::runOneTask(TaskScope &scope, unsigned index)
             }
         }
         if (task == kInvalidTask) {
-            // Steal from randomized victims; a couple of full sweeps
-            // before declaring this slot idle.
+            // Steal: two full sweeps over every other slot, each from a
+            // randomized start, before declaring this slot idle. (Pure
+            // random picks could miss the one loaded deque and idle a
+            // worker for a whole wait period while work sits queued.)
+            unsigned start = 0;
             for (unsigned probe = 0;
                  probe < 2 * num_threads_ && task == kInvalidTask;
                  ++probe) {
-                unsigned victim = static_cast<unsigned>(
-                    xorshift64star(self.rng) % num_threads_);
+                if (probe % num_threads_ == 0)
+                    start = static_cast<unsigned>(
+                        xorshift64star(self.rng) % num_threads_);
+                unsigned victim = (start + probe) % num_threads_;
                 if (victim == index)
                     continue;
                 counters_.steal_attempts.fetch_add(
@@ -426,6 +434,10 @@ TaskScope::TaskScope(TaskScheduler &scheduler) : scheduler_(scheduler)
         scheduler_.counters_.idle_ns.load(std::memory_order_relaxed);
     // The creating thread is slot 0 for the scope's lifetime, so
     // submit() routes ready tasks into slot 0's deque (it owns it).
+    // Its previous slot — a worker of an enclosing scheduler when this
+    // scope opens inside a task — comes back in wait().
+    outer_scheduler_ = tls_scheduler;
+    outer_worker_ = tls_worker;
     tls_scheduler = &scheduler_;
     tls_worker = 0;
     scheduler_.work_ready_.notify_all();
@@ -534,8 +546,8 @@ void TaskScope::wait()
         std::lock_guard<std::mutex> lk(graph_mutex_);
         waited_ = true;
     }
-    tls_scheduler = nullptr;
-    tls_worker = 0;
+    tls_scheduler = outer_scheduler_;
+    tls_worker = outer_worker_;
     if (internal_error)
         std::rethrow_exception(internal_error);
     if (first_error_) {

@@ -1,17 +1,18 @@
 /**
  * @file
- * Work-stealing streaming task-graph scheduler.
+ * Work-stealing streaming task-graph scheduler: the one concurrency
+ * runtime. The module pipeline fans its cases out on it, and the
+ * verifier's concrete-testing sweep runs its input chunks on it.
  *
- * The module pipeline's original fan-out (ThreadPool::parallelFor over
- * static chunks with hard phase barriers) lets one adversarial SAT
- * query idle a worker's whole share of the module while every other
- * phase waits. This scheduler replaces the barriers with a dependency
- * graph: tasks become ready when their dependency count reaches zero,
- * ready tasks go to the enqueuing worker's own Chase-Lev-style deque
- * (owner pushes and pops the bottom without contention; thieves CAS
- * the top), and idle workers steal from deterministically seeded
- * randomized victims. One pathological task now stalls only the
- * chain behind it.
+ * A fan-out over static chunks with hard phase barriers lets one
+ * adversarial SAT query idle a worker's whole share of the module
+ * while every other phase waits. This scheduler has no barriers, only
+ * a dependency graph: tasks become ready when their dependency count
+ * reaches zero, ready tasks go to the enqueuing worker's own
+ * Chase-Lev-style deque (owner pushes and pops the bottom without
+ * contention; thieves CAS the top), and idle workers steal from
+ * deterministically seeded randomized victims. One pathological task
+ * stalls only the chain behind it.
  *
  * Structure and determinism contract:
  *
@@ -34,8 +35,15 @@
  *  - Per-task conflict budgets: submit() records a budget with each
  *    task; the running task can read it via currentTaskBudget(). The
  *    pipeline maps it onto the verifier's budget ladder.
+ *  - Scopes nest across schedulers: a task may open a TaskScope on a
+ *    second scheduler (the verifier's sweep does, inside pipeline case
+ *    tasks). The inner scope borrows the calling thread as its slot 0
+ *    and hands it back on wait(), so the outer task's later enqueues
+ *    still reach its own deque and its budget still reads the outer
+ *    value.
  *
- * Victim selection is a per-worker xorshift stream seeded from
+ * An idle worker sweeps every other deque twice, each sweep starting
+ * at a victim drawn from a per-worker xorshift stream seeded from
  * (options.steal_seed, worker index), so two runs of the same build
  * probe victims in the same order; actual steal outcomes still depend
  * on timing, which is why the scheduler's counters are telemetry, not
@@ -107,6 +115,9 @@ class TaskScheduler
 
     /** Total parallelism, counting the calling thread. */
     unsigned size() const { return num_threads_; }
+
+    /** std::thread::hardware_concurrency(), never zero. */
+    static unsigned hardwareThreads();
 
     /** Counters folded over every completed scope (quiescent reads
      *  only: call between scopes, not while one is running). */
@@ -245,6 +256,10 @@ class TaskScope
     std::priority_queue<TaskId, std::vector<TaskId>, std::greater<TaskId>>
         serial_ready_; // guarded by graph_mutex_
     bool waited_ = false;
+    /** The creating thread's scheduler slot before this scope claimed
+     *  it (null/0 outside any scope); restored by wait(). */
+    TaskScheduler *outer_scheduler_ = nullptr;
+    unsigned outer_worker_ = 0;
     TaskGraphStats counters_base_; ///< scheduler counters at scope entry
     TaskGraphStats stats_;
 };

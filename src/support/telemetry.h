@@ -15,9 +15,10 @@
  *     independent of which thread recorded what and of fold order.
  *     Metric names are kept sorted, so the rendered JSON is
  *     byte-stable whenever the recorded values are.
- *  3. Thread churn must not leak. Worker pools are created per
- *     parallel region; when a thread exits, its shards are folded
- *     into a per-registry retired accumulator and freed.
+ *  3. Thread churn must not leak. Worker threads are created per
+ *     parallel region (one TaskScheduler each); when a thread exits,
+ *     its shards are folded into a per-registry retired accumulator
+ *     and freed.
  *
  * Histograms use fixed 1-2-5 decade bucket bounds (1ns .. 1e11ns
  * ~100s, plus overflow) so two histograms are always mergeable and

@@ -248,14 +248,10 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
 
     switch (inst->op()) {
       case Opcode::Add: {
-        if (b_.hashing()) {
-            std::vector<AddLeaf> leaves = addLeavesOf(x);
-            std::vector<AddLeaf> more = addLeavesOf(y);
-            leaves.insert(leaves.end(), more.begin(), more.end());
-            bits = canonicalAdd(std::move(leaves), width);
-        } else {
-            bits = b_.bvAdd(x, y);
-        }
+        std::vector<AddLeaf> leaves = addLeavesOf(x);
+        std::vector<AddLeaf> more = addLeavesOf(y);
+        leaves.insert(leaves.end(), more.begin(), more.end());
+        bits = canonicalAdd(std::move(leaves), width);
         if (flags.nuw)
             poison = b_.orGate(poison, b_.addOverflowsU(x, y));
         if (flags.nsw)
@@ -263,16 +259,12 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         break;
       }
       case Opcode::Sub: {
-        if (b_.hashing()) {
-            std::vector<AddLeaf> leaves = addLeavesOf(x);
-            for (AddLeaf leaf : addLeavesOf(y)) {
-                leaf.neg = !leaf.neg;
-                leaves.push_back(std::move(leaf));
-            }
-            bits = canonicalAdd(std::move(leaves), width);
-        } else {
-            bits = b_.bvSub(x, y);
+        std::vector<AddLeaf> leaves = addLeavesOf(x);
+        for (AddLeaf leaf : addLeavesOf(y)) {
+            leaf.neg = !leaf.neg;
+            leaves.push_back(std::move(leaf));
         }
+        bits = canonicalAdd(std::move(leaves), width);
         if (flags.nuw)
             poison = b_.orGate(poison, b_.subOverflowsU(x, y));
         if (flags.nsw)
@@ -282,9 +274,9 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
       case Opcode::Mul: {
         // The shift-add array is asymmetric in its operands; encode
         // in canonical operand order so commuted candidates share the
-        // multiplier cone (gated on hashing like all canonicalization).
+        // multiplier cone.
         const BitVec *p = &x, *q = &y;
-        if (b_.hashing() && laneOrderedBefore(y, x))
+        if (laneOrderedBefore(y, x))
             std::swap(p, q);
         bits = b_.bvMul(*p, *q);
         if (flags.nuw)
@@ -332,7 +324,7 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         bool amount_is_one = width > 0 && y[0] == CircuitBuilder::kTrue;
         for (unsigned i = 1; amount_is_one && i < width; ++i)
             amount_is_one = y[i] == CircuitBuilder::kFalse;
-        if (b_.hashing() && amount_is_one) {
+        if (amount_is_one) {
             std::vector<AddLeaf> leaves = addLeavesOf(x);
             std::vector<AddLeaf> twice = leaves;
             leaves.insert(leaves.end(), twice.begin(), twice.end());
@@ -383,16 +375,13 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
             poison = b_.orGate(poison,
                                b_.bvNonZero(b_.bvAnd(x, y)));
         break;
-      case Opcode::Xor:
-        if (b_.hashing()) {
-            std::vector<BitVec> leaves = xorLeavesOf(x);
-            std::vector<BitVec> more = xorLeavesOf(y);
-            leaves.insert(leaves.end(), more.begin(), more.end());
-            bits = canonicalXor(std::move(leaves), width);
-        } else {
-            bits = b_.bvXor(x, y);
-        }
+      case Opcode::Xor: {
+        std::vector<BitVec> leaves = xorLeavesOf(x);
+        std::vector<BitVec> more = xorLeavesOf(y);
+        leaves.insert(leaves.end(), more.begin(), more.end());
+        bits = canonicalXor(std::move(leaves), width);
         break;
+      }
       default:
         assert(false);
     }
@@ -517,7 +506,7 @@ Encoder::intrinsicLane(const Instruction *inst,
       case Intrinsic::UMin: {
         poison = b_.orGate(poison, args[1].poison);
         const BitVec *p = &x, *q = &args[1].bits;
-        if (b_.hashing() && laneOrderedBefore(*q, *p))
+        if (laneOrderedBefore(*q, *p))
             std::swap(p, q);
         bits = b_.bvMux(b_.bvULt(*p, *q), *p, *q);
         break;
@@ -525,7 +514,7 @@ Encoder::intrinsicLane(const Instruction *inst,
       case Intrinsic::UMax: {
         poison = b_.orGate(poison, args[1].poison);
         const BitVec *p = &x, *q = &args[1].bits;
-        if (b_.hashing() && laneOrderedBefore(*q, *p))
+        if (laneOrderedBefore(*q, *p))
             std::swap(p, q);
         bits = b_.bvMux(b_.bvULt(*p, *q), *q, *p);
         break;
@@ -533,7 +522,7 @@ Encoder::intrinsicLane(const Instruction *inst,
       case Intrinsic::SMin: {
         poison = b_.orGate(poison, args[1].poison);
         const BitVec *p = &x, *q = &args[1].bits;
-        if (b_.hashing() && laneOrderedBefore(*q, *p))
+        if (laneOrderedBefore(*q, *p))
             std::swap(p, q);
         bits = b_.bvMux(b_.bvSLt(*p, *q), *p, *q);
         break;
@@ -541,7 +530,7 @@ Encoder::intrinsicLane(const Instruction *inst,
       case Intrinsic::SMax: {
         poison = b_.orGate(poison, args[1].poison);
         const BitVec *p = &x, *q = &args[1].bits;
-        if (b_.hashing() && laneOrderedBefore(*q, *p))
+        if (laneOrderedBefore(*q, *p))
             std::swap(p, q);
         bits = b_.bvMux(b_.bvSLt(*p, *q), *q, *p);
         break;

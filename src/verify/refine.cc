@@ -1,5 +1,6 @@
 #include "verify/refine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -11,7 +12,7 @@
 #include "ir/printer.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
+#include "support/task_graph.h"
 #include "support/trace.h"
 #include "verify/cache.h"
 #include "verify/encoder.h"
@@ -249,7 +250,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
 
     SatSolver solver;
     solver.setInterrupt(options.interrupt);
-    CircuitBuilder builder(solver, options.structural_hashing);
+    CircuitBuilder builder(solver);
 
     std::vector<ValueEnc> args;
     {
@@ -522,16 +523,12 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
     SpecialPatternCache special_cache =
         exhaustive ? SpecialPatternCache{} : buildSpecialPatterns(src);
 
-    // The sweep is chunked over the pool. first_bad converges on the
+    // The sweep runs one task per chunk. first_bad converges on the
     // LOWEST violating input index, so the reported counterexample is
     // independent of thread count and scheduling.
     std::atomic<uint64_t> first_bad{kNoViolation};
     const uint64_t chunk = exhaustive ? 1024 : 256;
-    // Sweeps that fit in one chunk gain nothing from workers; skip
-    // the thread spawn entirely (parallelFor runs inline on a
-    // single-thread pool).
-    ThreadPool pool(total > chunk ? options.num_threads : 1);
-    pool.parallelFor(0, total, chunk, [&](uint64_t lo, uint64_t hi) {
+    auto sweep = [&](uint64_t lo, uint64_t hi) {
         ExecFrame src_frame = src_plan.makeFrame();
         ExecFrame tgt_frame = tgt_plan.makeFrame();
         for (uint64_t index = lo; index < hi; ++index) {
@@ -554,7 +551,20 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
                 return;
             }
         }
-    });
+    };
+    // Sweeps that fit in one chunk gain nothing from workers, so they
+    // get a one-thread scheduler (no threads spawned; its single task
+    // runs on this thread). A one-thread scheduler runs chunks in
+    // submission order, i.e. in increasing index order.
+    TaskScheduler::Options sched_options;
+    sched_options.num_threads = total > chunk ? options.num_threads : 1;
+    TaskScheduler scheduler(sched_options);
+    TaskScope scope(scheduler);
+    for (uint64_t lo = 0; lo < total; lo += chunk) {
+        uint64_t hi = std::min(total, lo + chunk);
+        scope.submit([&sweep, lo, hi] { sweep(lo, hi); });
+    }
+    scope.wait();
 
     uint64_t bad = first_bad.load();
     if (bad == kNoViolation) {
@@ -622,7 +632,9 @@ cacheKey(const ir::Function &src, const ir::Function &tgt,
     key += ',';
     key += std::to_string(options.seed);
     key += ',';
-    key += options.structural_hashing ? '1' : '0';
+    // Former encoder-selection flag, kept as a literal so keys (and the
+    // persisted verify stores they index) stay byte-identical.
+    key += '1';
     // The escalation ladder changes which verdict a query can reach
     // (Timeout vs Correct-at-a-higher-tier vs Degraded), so the tier
     // list is part of the key. An empty ladder leaves the key in the
@@ -848,8 +860,7 @@ RefinementSession::Impl::initialize()
     LPO_TRACE_SPAN(span, "encode", "sat");
     telemetry::ScopedTimer timer(encodeHistogram());
     solver.setInterrupt(options.interrupt);
-    builder = std::make_unique<CircuitBuilder>(
-        solver, options.structural_hashing);
+    builder = std::make_unique<CircuitBuilder>(solver);
     args = encodeSharedArgs(*builder, src);
     src_enc = encodeFunction(*builder, src, &args);
     assert(src_enc && "sat_possible checked canEncode");

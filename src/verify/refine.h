@@ -148,18 +148,16 @@ struct RefineOptions
     uint64_t seed = 0xA11CE;
     /**
      * Threads for the concrete-testing sweep (0 = hardware
-     * concurrency, 1 = serial). Results are bit-identical for every
-     * thread count: inputs are derived from their index alone and the
-     * lowest violating input index always wins (see DESIGN.md,
-     * "Deterministic parallelism").
+     * concurrency, 1 = serial). The sweep runs one task per input
+     * chunk on a TaskScheduler local to the call; a sweep that fits in
+     * one chunk always runs serially. The pipeline passes 1 inside its
+     * case tasks (they already fill the machine); serial callers
+     * (lpo_cli verify, a one-thread pipeline) leave the default.
+     * Results are bit-identical for every thread count: inputs are
+     * derived from their index alone and the lowest violating input
+     * index always wins (see DESIGN.md, "Deterministic parallelism").
      */
     unsigned num_threads = 0;
-    /**
-     * Structural hashing in the SAT circuit builder. A benchmark-only
-     * knob for measuring the pre-hashing encoding cost; production
-     * callers leave it on.
-     */
-    bool structural_hashing = true;
     /**
      * Optional cross-query result cache (not owned; may be shared by
      * concurrent callers). Results are bit-identical with and without

@@ -92,6 +92,27 @@ TEST(APIntTest, OverflowPredicatesSigned)
     EXPECT_FALSE(APInt(8, 11).mulOverflowsSigned(APInt(8, 11)));
 }
 
+TEST(APIntTest, OverflowPredicatesSignedAtWidth64)
+{
+    // At i64 the exact sum of two operands leaves int64_t's range, so
+    // the predicates must not compute it in 64 bits.
+    APInt max = APInt::signedMax(64);
+    APInt min = APInt::signedMin(64);
+    APInt one(64, 1);
+    APInt minus_one = APInt::allOnes(64);
+    EXPECT_TRUE(max.addOverflowsSigned(one));
+    EXPECT_TRUE(min.addOverflowsSigned(minus_one));
+    EXPECT_TRUE(min.addOverflowsSigned(min));
+    EXPECT_TRUE(max.addOverflowsSigned(max));
+    EXPECT_FALSE(max.addOverflowsSigned(minus_one));
+    EXPECT_FALSE(min.addOverflowsSigned(max));
+    EXPECT_TRUE(min.subOverflowsSigned(one));
+    EXPECT_TRUE(max.subOverflowsSigned(minus_one));
+    EXPECT_TRUE(APInt(64, 0).subOverflowsSigned(min));
+    EXPECT_FALSE(minus_one.subOverflowsSigned(min));
+    EXPECT_FALSE(min.subOverflowsSigned(minus_one));
+}
+
 TEST(APIntTest, ShlOverflow)
 {
     EXPECT_TRUE(APInt(8, 0x80).shlOverflowsUnsigned(1));
@@ -154,14 +175,13 @@ TEST_P(APIntWidthProperty, ArithmeticMatchesReference)
 TEST_P(APIntWidthProperty, OverflowPredicatesConsistent)
 {
     unsigned width = GetParam();
-    if (width >= 63)
-        return; // reference arithmetic would itself overflow
     Rng rng(width * 104729 + 7);
     for (int i = 0; i < 300; ++i) {
         APInt a(width, rng.next()), b(width, rng.next());
-        int64_t sa = a.sext(), sb = b.sext();
-        int64_t lo = APInt::signedMin(width).sext();
-        int64_t hi = APInt::signedMax(width).sext();
+        // 128-bit reference arithmetic is exact at every width.
+        __int128 sa = a.sext(), sb = b.sext();
+        __int128 lo = APInt::signedMin(width).sext();
+        __int128 hi = APInt::signedMax(width).sext();
         EXPECT_EQ(a.addOverflowsSigned(b),
                   sa + sb < lo || sa + sb > hi);
         EXPECT_EQ(a.subOverflowsSigned(b),
@@ -169,7 +189,8 @@ TEST_P(APIntWidthProperty, OverflowPredicatesConsistent)
         EXPECT_EQ(a.mulOverflowsSigned(b),
                   sa * sb < lo || sa * sb > hi);
         EXPECT_EQ(a.addOverflowsUnsigned(b),
-                  a.zext() + b.zext() > APInt::allOnes(width).zext());
+                  static_cast<unsigned __int128>(a.zext()) + b.zext() >
+                      APInt::allOnes(width).zext());
     }
 }
 

@@ -110,28 +110,6 @@ TEST(BitblastTest, RepeatedSubcircuitAddsNoVarsOrClauses)
     EXPECT_EQ(sat.numVars(), vars_after_sum);
 }
 
-TEST(BitblastTest, HashingDisabledStillCorrectButLarger)
-{
-    // The benchmark knob: same circuit, no unique table.
-    SatSolver sat_plain;
-    CircuitBuilder plain(sat_plain, /*structural_hashing=*/false);
-    BitVec a = plain.freshBV(8);
-    BitVec b = plain.freshBV(8);
-    plain.bvMul(a, b);
-    int plain_once = sat_plain.numVars();
-    plain.bvMul(a, b);
-    EXPECT_GT(sat_plain.numVars(), plain_once) << "no sharing expected";
-    EXPECT_EQ(plain.uniqueTableHits(), 0u);
-
-    SatSolver sat_hashed;
-    CircuitBuilder hashed(sat_hashed);
-    BitVec ha = hashed.freshBV(8);
-    BitVec hb = hashed.freshBV(8);
-    hashed.bvMul(ha, hb);
-    hashed.bvMul(ha, hb);
-    EXPECT_LT(sat_hashed.numVars(), sat_plain.numVars());
-}
-
 class BitblastOpProperty : public testing::TestWithParam<unsigned>
 {
 };

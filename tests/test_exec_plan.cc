@@ -2,7 +2,9 @@
 // engine against the legacy tree-walking interpreter over the full
 // benchmark corpus (values, poison lanes, UB, memory), plus the
 // deterministic-parallelism contract of the verification sweep and the
-// pipeline (num_threads=1 and num_threads=8 must agree bit-for-bit).
+// pipeline (num_threads=1 and num_threads=8 must agree bit-for-bit),
+// including sweeps whose only violation sits in the last chunk and a
+// 0-bit input space.
 
 #include <gtest/gtest.h>
 
@@ -345,6 +347,47 @@ TEST(ExecPlanDifferential, FrameIsReusableAcrossRuns)
     EXPECT_EQ(c.ret[0].bits.zext(), 0u);
 }
 
+TEST(ExecPlanDifferential, NswOverflowAtWidth64IsPoison)
+{
+    // i64 add/sub nsw overflow must be poison, in both engines.
+    ir::Context ctx;
+    auto fn = ir::parseFunction(ctx,
+        "define i64 @f(i64 %x, i64 %y) {\n"
+        "  %a = add nsw i64 %x, %y\n"
+        "  %s = sub nsw i64 %a, %y\n"
+        "  ret i64 %s\n}\n");
+    ASSERT_TRUE(fn.ok());
+    ExecPlan plan = ExecPlan::compile(**fn);
+    ExecFrame frame = plan.makeFrame();
+    auto run = [&](int64_t x, int64_t y) {
+        ExecutionInput input;
+        input.args.push_back(
+            RtValue{{LaneValue::ofInt(APInt::fromSigned(64, x))}});
+        input.args.push_back(
+            RtValue{{LaneValue::ofInt(APInt::fromSigned(64, y))}});
+        ExecutionResult legacy = executeLegacy(**fn, input);
+        ExecutionResult planned =
+            plan.materialize(frame, plan.run(frame, input));
+        expectSameResult(legacy, planned, "nsw i64");
+        return planned;
+    };
+    const int64_t max = std::numeric_limits<int64_t>::max();
+    const int64_t min = std::numeric_limits<int64_t>::min();
+    // add nsw i64 INT64_MAX, 1 overflows.
+    ExecutionResult r = run(max, 1);
+    ASSERT_TRUE(r.ret.has_value());
+    EXPECT_TRUE(r.ret->lanes[0].poison);
+    // add nsw i64 INT64_MIN, -1 overflows.
+    r = run(min, -1);
+    ASSERT_TRUE(r.ret.has_value());
+    EXPECT_TRUE(r.ret->lanes[0].poison);
+    // In range both ways: x + y - y == x, not poison.
+    r = run(max, -1);
+    ASSERT_TRUE(r.ret.has_value());
+    EXPECT_FALSE(r.ret->lanes[0].poison);
+    EXPECT_EQ(r.ret->lanes[0].bits.sext(), max);
+}
+
 // ---------------------------------------------------------------------
 // Deterministic parallelism
 // ---------------------------------------------------------------------
@@ -353,13 +396,12 @@ namespace {
 
 verify::RefinementResult
 checkWithThreads(const std::string &src_text, const std::string &tgt_text,
-                 unsigned num_threads)
+                 unsigned num_threads, verify::RefineOptions options = {})
 {
     ir::Context ctx;
     auto src = ir::parseFunction(ctx, src_text);
     auto tgt = ir::parseFunction(ctx, tgt_text);
     EXPECT_TRUE(src.ok() && tgt.ok());
-    verify::RefineOptions options;
     options.num_threads = num_threads;
     return verify::checkRefinement(**src, **tgt, options);
 }
@@ -464,6 +506,130 @@ TEST(DeterministicParallelism, CorrectVerdictThreadInvariant)
     auto parallel = checkWithThreads(kBranchySrc, kBranchySrc, 8);
     EXPECT_EQ(serial.verdict, verify::Verdict::Correct);
     expectSameRefinement(serial, parallel);
+}
+
+// The sweep runs one task per input chunk (1024 exhaustive inputs, 256
+// samples) on a call-local TaskScheduler. Each shape below runs at 1,
+// 2 and 8 threads and must report the same verdict and counterexample
+// at all of them.
+
+namespace {
+
+/** Checks at 1, 2 and 8 threads; returns the serial result after
+ *  pinning the other two to it. */
+verify::RefinementResult
+checkAtEveryThreadCount(const std::string &src, const std::string &tgt,
+                        const verify::RefineOptions &options = {})
+{
+    verify::RefinementResult serial = checkWithThreads(src, tgt, 1, options);
+    for (unsigned threads : {2u, 8u}) {
+        SCOPED_TRACE(threads);
+        expectSameRefinement(serial,
+                             checkWithThreads(src, tgt, threads, options));
+    }
+    return serial;
+}
+
+/** i16 identity, except 0 where @p condition (which defines %c)
+ *  holds; branchy, so the concrete backend decides it. */
+std::string
+patchedIdentitySrc(const char *condition)
+{
+    return std::string("define i16 @src(i16 %x) {\n"
+                       "entry:\n") +
+           condition +
+           "  br i1 %c, label %hit, label %join\n"
+           "hit:\n"
+           "  br label %join\n"
+           "join:\n"
+           "  %r = phi i16 [ 0, %hit ], [ %x, %entry ]\n"
+           "  ret i16 %r\n}\n";
+}
+
+const char *kIdentityTgt16 = "define i16 @tgt(i16 %x) {\n"
+                             "entry:\n"
+                             "  ret i16 %x\n}\n";
+
+} // namespace
+
+TEST(DeterministicParallelism, ExhaustiveViolationOnlyInLastChunk)
+{
+    // x = 0xFFFF is the last of 65536 inputs: the last chunk is the
+    // only one that can see it.
+    std::string src = patchedIdentitySrc("  %c = icmp eq i16 %x, -1\n");
+    auto r = checkAtEveryThreadCount(src, kIdentityTgt16);
+    ASSERT_EQ(r.verdict, verify::Verdict::Incorrect);
+    EXPECT_EQ(r.backend, "exhaustive");
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_EQ(r.counterexample->input.args[0].lanes[0].bits.zext(),
+              0xFFFFu);
+
+    // Without the violation every chunk runs to the end.
+    r = checkAtEveryThreadCount(src, src);
+    EXPECT_EQ(r.verdict, verify::Verdict::Correct);
+    EXPECT_EQ(r.detail, "exhaustive over 65536 inputs");
+}
+
+TEST(DeterministicParallelism, SampledViolationOnlyInLastChunk)
+{
+    // Sampled over i16 inputs; about one random sample in 2048 hits
+    // the residue. Find the first violating sample index serially,
+    // then size the sweep so that index is its very last input.
+    std::string src = patchedIdentitySrc("  %m = and i16 %x, 1023\n"
+                                         "  %c = icmp eq i16 %m, 711\n");
+    verify::RefineOptions options;
+    options.exhaustive_bit_limit = 8;
+    auto violates = [&](unsigned samples) {
+        options.sample_count = samples;
+        return checkWithThreads(src, kIdentityTgt16, 1, options).verdict ==
+               verify::Verdict::Incorrect;
+    };
+    unsigned lo = 0, hi = 256; // invariant: !violates(lo), violates(hi)
+    while (!violates(hi)) {
+        lo = hi;
+        hi *= 2;
+        ASSERT_LE(hi, 1u << 22) << "residue never sampled";
+    }
+    while (lo + 1 < hi) {
+        unsigned mid = lo + (hi - lo) / 2;
+        (violates(mid) ? hi : lo) = mid;
+    }
+    const unsigned first_bad = hi - 1;
+    ASSERT_GE(first_bad, 256u) << "violation must not sit in chunk 0";
+
+    options.sample_count = first_bad + 1;
+    auto r = checkAtEveryThreadCount(src, kIdentityTgt16, options);
+    ASSERT_EQ(r.verdict, verify::Verdict::Incorrect);
+    EXPECT_EQ(r.backend, "sampled");
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_EQ(r.counterexample->input.args[0].lanes[0].bits.zext() & 1023,
+              711u);
+
+    options.sample_count = first_bad;
+    r = checkAtEveryThreadCount(src, kIdentityTgt16, options);
+    EXPECT_EQ(r.verdict, verify::Verdict::Correct);
+    EXPECT_EQ(r.backend, "sampled");
+}
+
+TEST(DeterministicParallelism, ZeroBitInputSpaceIsOneInput)
+{
+    const char *one = "define i8 @src() {\n"
+                      "entry:\n"
+                      "  br label %exit\n"
+                      "exit:\n"
+                      "  ret i8 1\n}\n";
+    const char *two = "define i8 @tgt() {\n"
+                      "entry:\n"
+                      "  ret i8 2\n}\n";
+    auto r = checkAtEveryThreadCount(one, two);
+    ASSERT_EQ(r.verdict, verify::Verdict::Incorrect);
+    EXPECT_EQ(r.backend, "exhaustive");
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_TRUE(r.counterexample->input.args.empty());
+
+    r = checkAtEveryThreadCount(one, one);
+    EXPECT_EQ(r.verdict, verify::Verdict::Correct);
+    EXPECT_EQ(r.detail, "exhaustive over 1 inputs");
 }
 
 namespace {

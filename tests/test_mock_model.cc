@@ -106,6 +106,45 @@ TEST(MockModelTest, SemanticErrorInjectionStillParses)
     EXPECT_FALSE(result.failed) << result.error_message;
 }
 
+TEST(MockModelTest, SemanticErrorInjectionPerturbsInRangeConstantByOne)
+{
+    std::string text =
+        "define i8 @f(i8 %x) {\n"
+        "  %m = add i8 %x, -5\n"
+        "  %n = and i8 %m, 15\n"
+        "  ret i8 %n\n}\n";
+    EXPECT_EQ(llm::injectSemanticError(text),
+              "define i8 @f(i8 %x) {\n"
+              "  %m = add i8 %x, -5\n"
+              "  %n = and i8 %m, 16\n"
+              "  ret i8 %n\n}\n");
+}
+
+TEST(MockModelTest, SemanticErrorInjectionHandlesI64SignBitConstant)
+{
+    // The digits of INT64_MIN do not fit a long; the constant is
+    // perturbed by one in magnitude instead, and still parses.
+    std::string text =
+        "define i64 @f(i64 %x) {\n"
+        "  %m = xor i64 %x, -9223372036854775808\n"
+        "  ret i64 %m\n}\n";
+    std::string wrong = llm::injectSemanticError(text);
+    EXPECT_EQ(wrong,
+              "define i64 @f(i64 %x) {\n"
+              "  %m = xor i64 %x, -9223372036854775807\n"
+              "  ret i64 %m\n}\n");
+    ir::Context ctx;
+    auto result = opt::runOpt(ctx, wrong);
+    EXPECT_FALSE(result.failed) << result.error_message;
+    // INT64_MAX itself cannot take +1 either.
+    EXPECT_NE(llm::injectSemanticError(
+                  "define i64 @f(i64 %x) {\n"
+                  "  %m = xor i64 %x, 9223372036854775807\n"
+                  "  ret i64 %m\n}\n")
+                  .find(", 9223372036854775806\n"),
+              std::string::npos);
+}
+
 TEST(MockModelTest, FeedbackEnablesRepair)
 {
     const auto &bench = *corpus::findBenchmark("122235"); // clamp

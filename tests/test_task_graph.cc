@@ -1,8 +1,9 @@
 // TaskScheduler/TaskScope tests: every submitted task runs exactly
 // once, dependencies order execution, the single-threaded scheduler is
 // deterministic, cancellation drains to quiescence with zero leaked
-// tasks, work stealing actually happens under a skewed queue, and
-// per-task budgets are visible to the running body.
+// tasks, work stealing actually happens under a skewed queue, per-task
+// budgets are visible to the running body, and a scope nested on a
+// second scheduler hands its thread back to the outer one.
 
 #include <gtest/gtest.h>
 
@@ -318,4 +319,97 @@ TEST(TaskGraphTest, DependencyOnLaterTaskThrows)
     EXPECT_THROW(scope.submit([] {}, {static_cast<TaskId>(first + 5)}),
                  std::logic_error);
     scope.wait();
+}
+
+// A task may open a scope on a second scheduler (the verifier's sweep
+// does, inside pipeline case tasks). The outer graph must still run
+// every task exactly once, and the outer task's budget must read the
+// outer value again once the inner scope is done.
+TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
+{
+    for (unsigned outer_threads : {1u, 2u, 8u}) {
+        for (unsigned inner_threads : {1u, 4u}) {
+            TaskScheduler scheduler(options(outer_threads));
+            constexpr size_t kOuter = 16, kInner = 8, kFollowUps = 3;
+            std::vector<std::atomic<uint32_t>> hits(kOuter);
+            std::atomic<uint64_t> inner_ran{0}, follow_ups{0};
+            std::atomic<uint64_t> budget_mismatches{0};
+            TaskScope scope(scheduler);
+            for (size_t i = 0; i < kOuter; ++i) {
+                const uint64_t budget = 1000 + i;
+                scope.submit(
+                    [&, i, budget] {
+                        hits[i].fetch_add(1);
+                        TaskScheduler inner(options(inner_threads));
+                        TaskScope nested(inner);
+                        for (size_t j = 0; j < kInner; ++j)
+                            nested.submit(
+                                [&] {
+                                    if (TaskScheduler::currentTaskBudget() !=
+                                        7)
+                                        budget_mismatches.fetch_add(1);
+                                    inner_ran.fetch_add(1);
+                                },
+                                {}, 7);
+                        nested.wait();
+                        if (TaskScheduler::currentTaskBudget() != budget)
+                            budget_mismatches.fetch_add(1);
+                        for (size_t k = 0; k < kFollowUps; ++k)
+                            scope.submit([&] { follow_ups.fetch_add(1); });
+                    },
+                    {}, budget);
+            }
+            scope.wait();
+            for (size_t i = 0; i < kOuter; ++i)
+                ASSERT_EQ(hits[i].load(), 1u)
+                    << "task " << i << " outer " << outer_threads
+                    << " inner " << inner_threads;
+            EXPECT_EQ(inner_ran.load(), kOuter * kInner);
+            EXPECT_EQ(follow_ups.load(), kOuter * kFollowUps);
+            EXPECT_EQ(budget_mismatches.load(), 0u)
+                << "outer " << outer_threads << " inner " << inner_threads;
+            EXPECT_EQ(scope.stats().tasks_run, kOuter * (1 + kFollowUps));
+            EXPECT_EQ(TaskScheduler::currentTaskBudget(), 0u);
+        }
+    }
+}
+
+// After a nested scope the thread is the outer scheduler's slot again,
+// so its enqueues land on its own deque, not the overflow injector.
+// The blocker holds the only other worker, so nothing is stolen while
+// the follow-ups are pushed: the owner's deque must reach their count.
+TEST(TaskGraphTest, NestedScopeHandsTheThreadBack)
+{
+    TaskScheduler scheduler(options(2));
+    constexpr size_t kFollowUps = 50;
+    std::atomic<bool> pushed{false};
+    std::atomic<uint64_t> ran{0};
+    TaskScope scope(scheduler);
+    // Submitted first, so it sits at the top of slot 0's deque: the
+    // worker steals it, while slot 0 pops the nesting task.
+    scope.submit([&] {
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!pushed.load() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    scope.submit([&] {
+        TaskScheduler inner(options(1));
+        TaskScope nested(inner);
+        nested.submit([] {});
+        nested.wait();
+        for (size_t k = 0; k < kFollowUps; ++k)
+            scope.submit([&] { ran.fetch_add(1); });
+        pushed.store(true);
+    });
+    scope.wait();
+    EXPECT_EQ(ran.load(), kFollowUps);
+    EXPECT_GE(scope.stats().max_queue_depth, kFollowUps);
+}
+
+TEST(TaskGraphTest, HardwareThreadsNonZero)
+{
+    EXPECT_GE(TaskScheduler::hardwareThreads(), 1u);
+    TaskScheduler scheduler; // default: hardware threads
+    EXPECT_EQ(scheduler.size(), TaskScheduler::hardwareThreads());
 }

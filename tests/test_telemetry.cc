@@ -15,7 +15,6 @@
 #include "llm/mock_model.h"
 #include "support/failpoint.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 using namespace lpo;
@@ -427,28 +426,4 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
     }
     telemetry::MetricsRegistry::instance().setEnabled(true);
     telemetry::MetricsRegistry::instance().reset();
-}
-
-TEST(TelemetryTest, PoolMetricsAccumulate)
-{
-    auto &registry = telemetry::MetricsRegistry::instance();
-    registry.reset();
-    registry.setEnabled(true);
-    ThreadPool pool(4);
-    std::atomic<uint64_t> sum{0};
-    pool.parallelFor(0, 4096, 64, [&](uint64_t lo, uint64_t hi) {
-        uint64_t local = 0;
-        for (uint64_t i = lo; i < hi; ++i)
-            local += i;
-        sum.fetch_add(local);
-    });
-    EXPECT_EQ(sum.load(), 4096u * 4095u / 2);
-    telemetry::MetricsSnapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.counter("pool.chunks"), 64u);
-    EXPECT_EQ(snap.counter("pool.jobs"), 1u);
-    const telemetry::HistogramSnapshot *runs =
-        snap.histogram("pool.chunk_run_ns");
-    ASSERT_NE(runs, nullptr);
-    EXPECT_EQ(runs->count, 64u);
-    registry.reset();
 }
