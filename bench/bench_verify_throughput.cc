@@ -2,8 +2,7 @@
  * @file
  * Verification throughput over the full missed-optimization corpus
  * (RQ1 + RQ2 pairs): verified candidates/sec through the production
- * path (hash-consed circuits plus a shared result cache), and the
- * incremental-session mode over a multi-candidate stream per case.
+ * path (hash-consed circuits plus a shared result cache).
  *
  * The workload verifies every (src, tgt) pair kRounds times — the
  * shape the rewrite library actually produces, where structurally
@@ -11,9 +10,10 @@
  * proves each pair; later rounds hit the verification cache.
  *
  * Also records, for every SAT-fragment pair, the encoded query size
- * (variables, clauses, unique-table hits). Query sizes and cache hits
- * are deterministic work counters: tools/ci.sh gates their sums
- * against bench/BENCH_verify.baseline.json, which also keeps the
+ * (variables, clauses, unique-table hits) and the conflicts one solve
+ * of it takes under the default budget. Query sizes, conflicts and
+ * cache hits are deterministic work counters: tools/ci.sh gates their
+ * sums against bench/BENCH_verify.baseline.json, which also keeps the
  * numbers of the retired unhashed encoder as history. Emits
  * BENCH_verify.json.
  */
@@ -28,7 +28,6 @@
 #include "core/json_writer.h"
 #include "core/report.h"
 #include "ir/parser.h"
-#include "opt/opt_driver.h"
 #include "smt/bitblast.h"
 #include "smt/sat.h"
 #include "verify/cache.h"
@@ -58,18 +57,24 @@ struct QuerySize
     int vars = 0;
     uint64_t clauses = 0;
     uint64_t unique_hits = 0;
+    uint64_t conflicts = 0;
 };
 
-/** Size of the production SAT query (verify::encodeRefinementQuery). */
+/** Size of the production SAT query (verify::encodeRefinementQuery)
+ *  and the conflicts one solve of it spends under @p budget. */
 QuerySize
-encodeQuery(const ir::Function &src, const ir::Function &tgt)
+encodeQuery(const ir::Function &src, const ir::Function &tgt,
+            uint64_t budget)
 {
     smt::SatSolver solver;
     smt::CircuitBuilder builder(solver);
     if (!verify::encodeRefinementQuery(builder, src, tgt))
         return {};
-    return {solver.numVars(), solver.clausesAdded(),
-            builder.uniqueTableHits()};
+    QuerySize size{solver.numVars(), solver.clausesAdded(),
+                   builder.uniqueTableHits()};
+    solver.solve(budget);
+    size.conflicts = solver.conflicts();
+    return size;
 }
 
 struct CaseResult
@@ -78,26 +83,6 @@ struct CaseResult
     std::string backend;
     double seconds = 0;
     QuerySize size;
-};
-
-/**
- * The incremental-session comparison: each SAT-fragment case presents
- * a stream of distinct candidate targets — the expected target, the
- * identity, and the opt pipeline's rewrites of both, the shape LLM
- * feedback retries and hybrid fallback produce. The fresh path proves
- * each candidate in a fresh hash-consed solver; the session path
- * bit-blasts the source once and solves every candidate under an
- * activation-literal assumption in one persistent solver. No cache in
- * either mode: every candidate is distinct, so this measures raw
- * proving throughput.
- */
-struct StreamResult
-{
-    std::string name;
-    size_t catalog_index = 0;
-    size_t candidates = 0;
-    double fresh_seconds = 0;
-    double session_seconds = 0;
 };
 
 } // namespace
@@ -154,109 +139,36 @@ main()
 
     double total_seconds = 0;
     uint64_t sat_queries = 0, sat_vars_total = 0, sat_clauses_total = 0;
+    uint64_t sat_conflicts_total = 0;
+    const uint64_t budget = verify::RefineOptions{}.conflict_budget;
     for (size_t i = 0; i < catalog.size(); ++i) {
-        // Query-size accounting for the SAT fragment.
+        // Query-size and search accounting for the SAT fragment.
         if (verify::usesSatBackend(*srcs[i], *tgts[i])) {
-            results[i].size = encodeQuery(*srcs[i], *tgts[i]);
+            results[i].size = encodeQuery(*srcs[i], *tgts[i], budget);
             ++sat_queries;
             sat_vars_total += results[i].size.vars;
             sat_clauses_total += results[i].size.clauses;
+            sat_conflicts_total += results[i].size.conflicts;
         }
         total_seconds += results[i].seconds;
     }
 
-    // ----------------------------------------------------------------
-    // Incremental-session mode over the multi-candidate stream.
-    // ----------------------------------------------------------------
-    std::vector<StreamResult> streams;
-    std::vector<std::vector<std::unique_ptr<ir::Function>>> stream_cands;
-    for (size_t i = 0; i < catalog.size(); ++i) {
-        if (!verify::usesSatBackend(*srcs[i], *tgts[i]))
-            continue;
-        StreamResult stream;
-        stream.name = results[i].name;
-        stream.catalog_index = i;
-        std::vector<std::unique_ptr<ir::Function>> cands;
-        cands.push_back(ir::parseFunction(
-            *contexts[i], catalog[i].tgt_text).take());
-        cands.push_back(ir::parseFunction(
-            *contexts[i], catalog[i].src_text).take());
-        cands.push_back(opt::optimizeFunction(*srcs[i]));
-        cands.push_back(opt::optimizeFunction(*tgts[i]));
-        stream.candidates = cands.size();
-        streams.push_back(std::move(stream));
-        stream_cands.push_back(std::move(cands));
-    }
-    verify::RefineOptions stream_options;
-    stream_options.num_threads = 1;
-    for (unsigned rep = 0; rep < kReps; ++rep) {
-        for (size_t s = 0; s < streams.size(); ++s) {
-            size_t i = streams[s].catalog_index;
-
-            verify::RefineOptions fresh_options = stream_options;
-            fresh_options.incremental_sat = false;
-            auto start = Clock::now();
-            for (const auto &cand : stream_cands[s])
-                verify::checkRefinement(*srcs[i], *cand, fresh_options);
-            double fresh_seconds = secondsSince(start);
-
-            verify::RefineOptions session_options = stream_options;
-            session_options.incremental_sat = true;
-            start = Clock::now();
-            verify::RefinementSession session(*srcs[i], session_options);
-            for (const auto &cand : stream_cands[s])
-                session.check(*cand);
-            double session_seconds = secondsSince(start);
-
-            if (rep == 0 || fresh_seconds < streams[s].fresh_seconds)
-                streams[s].fresh_seconds = fresh_seconds;
-            if (rep == 0 || session_seconds < streams[s].session_seconds)
-                streams[s].session_seconds = session_seconds;
-        }
-    }
-
-    double stream_fresh_total = 0, stream_session_total = 0;
-    uint64_t stream_candidates = 0;
-    std::vector<double> session_speedups;
-    std::printf("\n%-14s %5s %14s %16s %9s\n", "stream", "cands",
-                "fresh cand/s", "session cand/s", "speedup");
-    for (const StreamResult &stream : streams) {
-        double speedup = stream.fresh_seconds / stream.session_seconds;
-        session_speedups.push_back(speedup);
-        stream_fresh_total += stream.fresh_seconds;
-        stream_session_total += stream.session_seconds;
-        stream_candidates += stream.candidates;
-        std::printf("%-14s %5zu %14.0f %16.0f %8.1fx\n",
-                    stream.name.c_str(), stream.candidates,
-                    stream.candidates / stream.fresh_seconds,
-                    stream.candidates / stream.session_seconds, speedup);
-    }
-    double session_geomean = core::geomean(session_speedups);
-    double stream_fresh_cps = stream_candidates / stream_fresh_total;
-    double stream_session_cps = stream_candidates / stream_session_total;
-    std::printf("stream: %llu candidates over %zu cases\n",
-                static_cast<unsigned long long>(stream_candidates),
-                streams.size());
-    std::printf("fresh per-candidate: %10.1f verified candidates/sec\n",
-                stream_fresh_cps);
-    std::printf("incremental session: %10.1f verified candidates/sec\n",
-                stream_session_cps);
-    std::printf("session geomean speedup: %.2fx\n", session_geomean);
-
     const uint64_t candidates = catalog.size() * kRounds;
     double cands_per_sec = candidates / total_seconds;
 
-    std::printf("\n%-14s %-10s %10s %8s %9s %7s\n", "case", "backend",
-                "cand/s", "vars", "clauses", "hits");
+    std::printf("\n%-14s %-10s %10s %8s %9s %7s %9s\n", "case",
+                "backend", "cand/s", "vars", "clauses", "hits",
+                "conflicts");
     core::JsonWriter json;
     json.beginObject();
     json.key("benchmarks").beginArray();
     for (const CaseResult &r : results) {
-        std::printf("%-14s %-10s %10.0f %8d %9llu %7llu\n",
+        std::printf("%-14s %-10s %10.0f %8d %9llu %7llu %9llu\n",
                     r.name.c_str(), r.backend.c_str(),
                     kRounds / r.seconds, r.size.vars,
                     static_cast<unsigned long long>(r.size.clauses),
-                    static_cast<unsigned long long>(r.size.unique_hits));
+                    static_cast<unsigned long long>(r.size.unique_hits),
+                    static_cast<unsigned long long>(r.size.conflicts));
         json.beginObject(core::JsonWriter::Layout::Inline);
         json.field("name", r.name);
         json.field("backend", r.backend);
@@ -264,6 +176,7 @@ main()
         json.field("sat_vars", r.size.vars);
         json.field("sat_clauses", r.size.clauses);
         json.field("unique_table_hits", r.size.unique_hits);
+        json.field("sat_conflicts", r.size.conflicts);
         json.endObject();
     }
     json.endArray();
@@ -276,10 +189,12 @@ main()
     std::printf("verify cache: %s\n",
                 core::cacheSummary(cache_stats.hits, cache_stats.misses)
                     .c_str());
-    std::printf("SAT queries: %llu, %llu vars, %llu clauses\n",
+    std::printf("SAT queries: %llu, %llu vars, %llu clauses, "
+                "%llu conflicts\n",
                 static_cast<unsigned long long>(sat_queries),
                 static_cast<unsigned long long>(sat_vars_total),
-                static_cast<unsigned long long>(sat_clauses_total));
+                static_cast<unsigned long long>(sat_clauses_total),
+                static_cast<unsigned long long>(sat_conflicts_total));
 
     json.field("rounds", kRounds);
     json.field("cands_per_sec", cands_per_sec, 1);
@@ -289,11 +204,7 @@ main()
     json.field("sat_queries", sat_queries);
     json.field("sat_vars_total", sat_vars_total);
     json.field("sat_clauses_total", sat_clauses_total);
-    json.field("stream_cases", static_cast<uint64_t>(streams.size()));
-    json.field("stream_candidates", stream_candidates);
-    json.field("stream_fresh_cands_per_sec", stream_fresh_cps, 1);
-    json.field("stream_session_cands_per_sec", stream_session_cps, 1);
-    json.field("session_geomean_speedup", session_geomean, 2);
+    json.field("sat_conflicts_total", sat_conflicts_total);
     json.endObject();
 
     std::ofstream out("BENCH_verify.json");
@@ -302,13 +213,6 @@ main()
 
     if (cache_stats.hits == 0) {
         std::fprintf(stderr, "FAIL: cache hit rate is zero\n");
-        return 1;
-    }
-    if (session_geomean < 1.5) {
-        std::fprintf(stderr,
-                     "FAIL: incremental sessions delivered only %.2fx "
-                     "geomean over the per-candidate path (need 1.5x)\n",
-                     session_geomean);
         return 1;
     }
     return 0;

@@ -169,8 +169,6 @@ parseRunOptions(int argc, char **argv, int first, RunOptions *out)
             out->config.num_threads = static_cast<unsigned>(threads);
         } else if (!std::strcmp(arg, "--no-verify-cache")) {
             out->config.enable_verify_cache = false;
-        } else if (!std::strcmp(arg, "--no-incremental-sat")) {
-            out->config.refine.incremental_sat = false;
         } else if (!std::strcmp(arg, "--sat-stats")) {
             out->sat_stats = true;
         } else if (!std::strcmp(arg, "--degradation-stats")) {
@@ -349,8 +347,7 @@ cmdRun(const char *path, const RunOptions &options)
     std::fprintf(stderr, "%s",
                  core::moduleSummary(
                      pipeline.stats(), outcomes,
-                     options.config.enable_verify_cache,
-                     options.config.refine.incremental_sat).c_str());
+                     options.config.enable_verify_cache).c_str());
     if (options.sat_stats)
         std::fprintf(stderr, "%s",
                      core::satStatsLine(pipeline.stats()).c_str());
@@ -429,8 +426,7 @@ cmdOptimizeModule(const char *path, const RunOptions &options)
     std::fprintf(stderr, "%s",
                  core::moduleSummary(
                      result.pipeline, result.outcomes,
-                     options.config.enable_verify_cache,
-                     options.config.refine.incremental_sat).c_str());
+                     options.config.enable_verify_cache).c_str());
     if (options.sat_stats)
         std::fprintf(stderr, "%s",
                      core::satStatsLine(result.pipeline).c_str());
@@ -665,17 +661,9 @@ usage()
         "  --no-verify-cache          disable the shared verification\n"
         "                             result cache (results are\n"
         "                             identical; only speed changes)\n"
-        "  --no-incremental-sat       verify every candidate with a\n"
-        "                             fresh SAT solver instead of the\n"
-        "                             per-case incremental session\n"
-        "                             (results are identical except\n"
-        "                             that a warm session may prove\n"
-        "                             queries the fresh path would\n"
-        "                             abandon at the conflict budget)\n"
         "  --sat-stats                print the per-run solver stat\n"
         "                             line (decisions / conflicts /\n"
-        "                             propagations / restarts /\n"
-        "                             learnts carried)\n"
+        "                             propagations / restarts)\n"
         "  --degradation-stats        print the degradation telemetry\n"
         "                             line (budget-ladder escalations,\n"
         "                             concrete fallbacks, degraded\n"

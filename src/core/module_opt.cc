@@ -155,8 +155,8 @@ ModuleOptimizer::optimize(ir::Module &module, uint64_t round_seed)
 
         // Extract with sites (fresh dedup per module — see the class
         // comment), then shard the unique wrapped sequences through
-        // the pipeline (shared verify cache, per-worker SAT sessions,
-        // sequence-order stat folding — see Pipeline).
+        // the pipeline (shared verify cache, sequence-order stat
+        // folding — see Pipeline).
         sequences = extractor.extractDetailed(module);
         wrapped.reserve(sequences.size());
         for (const auto &seq : sequences)

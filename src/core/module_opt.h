@@ -7,9 +7,9 @@
  * layer that credits its findings back to the program they came from.
  * ModuleOptimizer runs extract::Extractor over an input module (with
  * occurrence sites recorded), shards the unique wrapped sequences
- * through core::Pipeline — one shared verification cache, per-worker
- * SAT sessions, deterministic sequence-order stat folding — and then
- * splices every verified improvement back into its source functions:
+ * through core::Pipeline — one shared verification cache and
+ * deterministic sequence-order stat folding — and then splices every
+ * verified improvement back into its source functions:
  * the rewrite's body is cloned at the sequence anchor with its
  * arguments remapped to the original outside-sequence operands, all
  * users of the sequence tail are redirected to the new result, and a

@@ -151,7 +151,7 @@ Pipeline::refreshCacheStats()
 CaseOutcome
 Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
                          uint64_t round_seed, PipelineStats &stats,
-                         verify::RefinementSession &session)
+                         const verify::RefineOptions &refine)
 {
     const Proposer::Backend backend = proposer.backend();
     CaseOutcome outcome;
@@ -225,17 +225,14 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
             break; // abandon this sequence (Algorithm 1 line 16)
         }
 
-        // Step 5: correctness via the translation validator. The
-        // case-lifetime session amortizes the source encoding and the
-        // solver's learnt clauses over every candidate this loop (and
-        // the hybrid fallback's) produces.
+        // Step 5: correctness via the translation validator.
         verify::RefinementResult verdict;
         {
             LPO_TRACE_SPAN(span, "verify", "pipeline");
             static const telemetry::Histogram verify_hist =
                 telemetry::histogram("phase.verify_ns");
             telemetry::ScopedTimer timer(verify_hist);
-            verdict = session.check(*opted.function);
+            verdict = verify::checkRefinement(seq, *opted.function, refine);
             stats.timings.verify_ns += timer.stopNanos();
             if (span.active()) {
                 span.arg("fn", std::string(seq.name()));
@@ -309,10 +306,10 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
 CaseOutcome
 Pipeline::runLegContained(Proposer &proposer, const ir::Function &seq,
                           uint64_t round_seed, PipelineStats &stats,
-                          verify::RefinementSession &session)
+                          const verify::RefineOptions &refine)
 {
     try {
-        return runAttemptLoop(proposer, seq, round_seed, stats, session);
+        return runAttemptLoop(proposer, seq, round_seed, stats, refine);
     } catch (const std::exception &e) {
         ++stats.contained_exceptions;
         CaseOutcome outcome;
@@ -345,20 +342,15 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     refine_opts.sat_telemetry = &telemetry;
     refine_opts.degradation = &degradation;
 
-    // One incremental session per case: every candidate the proposers
-    // emit for this sequence — feedback retries and the hybrid
-    // fallback leg included — shares one persistent solver.
-    verify::RefinementSession session(seq, refine_opts);
-
     CaseOutcome outcome;
     switch (config_.proposer) {
       case ProposerKind::Llm:
         outcome = runLegContained(llm_proposer_, seq, round_seed, stats,
-                                  session);
+                                  refine_opts);
         break;
       case ProposerKind::EGraph:
         outcome = runLegContained(egraph_proposer_, seq, round_seed,
-                                  stats, session);
+                                  stats, refine_opts);
         break;
       case ProposerKind::Hybrid: {
         // Zero-SAT-cost first leg: replay a catalog rewrite learned in
@@ -369,14 +361,14 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
         // absent (its lookup is free, so no time is charged).
         if (catalog_proposer_.enabled()) {
             CaseOutcome replayed = runLegContained(
-                catalog_proposer_, seq, round_seed, stats, session);
+                catalog_proposer_, seq, round_seed, stats, refine_opts);
             if (replayed.found()) {
                 outcome = std::move(replayed);
                 break;
             }
         }
         outcome = runLegContained(llm_proposer_, seq, round_seed, stats,
-                                  session);
+                                  refine_opts);
         // Fall back whenever the LLM leg failed for a reason the
         // e-graph could overcome: nothing proposed, refuted, never
         // parsed, not an improvement, undecidable within the budget
@@ -391,7 +383,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
             outcome.status == CaseStatus::Error) {
             ++stats.hybrid_fallbacks;
             CaseOutcome fallback = runLegContained(
-                egraph_proposer_, seq, round_seed, stats, session);
+                egraph_proposer_, seq, round_seed, stats, refine_opts);
             if (fallback.found()) {
                 // The combined record keeps the e-graph's result but
                 // accounts for the failed LLM attempts too.
@@ -438,16 +430,21 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     stats.sat_conflicts += telemetry.conflicts;
     stats.sat_propagations += telemetry.propagations;
     stats.sat_restarts += telemetry.restarts;
-    stats.sat_sessions += telemetry.sessions;
-    stats.session_reuses += telemetry.session_reuses;
-    stats.learnts_carried += telemetry.learnts_carried;
-    stats.session_vars_saved += telemetry.session_vars_saved;
-    stats.session_clauses_saved += telemetry.session_clauses_saved;
-    stats.session_fallbacks += telemetry.session_fallbacks;
 
     stats.total_seconds += outcome.total_seconds;
     stats.total_cost_usd += outcome.cost_usd;
     return outcome;
+}
+
+void
+recordSchedulerMetrics(const TaskGraphStats &stats)
+{
+    telemetry::counter("sched.tasks_run").add(stats.tasks_run);
+    telemetry::counter("sched.steals").add(stats.steals);
+    telemetry::counter("sched.steal_attempts").add(stats.steal_attempts);
+    telemetry::histogram("sched.queue_depth_max")
+        .record(stats.max_queue_depth);
+    telemetry::counter("sched.idle_ns").add(stats.idle_ns);
 }
 
 std::vector<CaseOutcome>
@@ -574,13 +571,7 @@ Pipeline::processSequences(
     scope.wait();
 
     stats_.scheduler += scope.stats();
-    telemetry::counter("sched.tasks_run").add(scope.stats().tasks_run);
-    telemetry::counter("sched.steals").add(scope.stats().steals);
-    telemetry::counter("sched.steal_attempts")
-        .add(scope.stats().steal_attempts);
-    telemetry::counter("sched.queue_depth_max")
-        .add(scope.stats().max_queue_depth);
-    telemetry::counter("sched.idle_ns").add(scope.stats().idle_ns);
+    recordSchedulerMetrics(scope.stats());
 
     refreshCacheStats();
     return outcomes;
@@ -609,12 +600,6 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.sat_conflicts += delta.sat_conflicts;
     stats_.sat_propagations += delta.sat_propagations;
     stats_.sat_restarts += delta.sat_restarts;
-    stats_.sat_sessions += delta.sat_sessions;
-    stats_.session_reuses += delta.session_reuses;
-    stats_.learnts_carried += delta.learnts_carried;
-    stats_.session_vars_saved += delta.session_vars_saved;
-    stats_.session_clauses_saved += delta.session_clauses_saved;
-    stats_.session_fallbacks += delta.session_fallbacks;
     stats_.sat_escalations += delta.sat_escalations;
     stats_.concrete_fallbacks += delta.concrete_fallbacks;
     stats_.exhaustive_rescues += delta.exhaustive_rescues;

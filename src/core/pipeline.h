@@ -177,13 +177,13 @@ struct PipelineStats
     uint64_t sat_conflicts = 0;
     uint64_t sat_propagations = 0;
     uint64_t sat_restarts = 0;
-    /** Incremental-session accounting (see verify::RefinementSession). */
-    uint64_t sat_sessions = 0;
+    /**
+     * Always 0: every candidate is verified by its own one-shot
+     * verify::checkRefinement call, so no solver is ever reused. Kept
+     * only because the benchmark's smt.session_reuses metric still
+     * reads it; both go away in the next change to the benchmark.
+     */
     uint64_t session_reuses = 0;
-    uint64_t learnts_carried = 0;
-    uint64_t session_vars_saved = 0;
-    uint64_t session_clauses_saved = 0;
-    uint64_t session_fallbacks = 0;
     // Per-proposer accounting (surfaced by core::moduleSummary).
     uint64_t egraph_consults = 0;   ///< propose() calls on the e-graph
                                     ///< backend (a consult may decline
@@ -337,9 +337,7 @@ class Pipeline
      * results).
      * Dispatches to the configured proposer; in Hybrid mode runs the
      * LLM attempt loop and falls back to the e-graph on
-     * NoCandidate/Incorrect. Owns the case's incremental verification
-     * session: one verify::RefinementSession spans every candidate the
-     * case produces, across both hybrid legs.
+     * NoCandidate/Incorrect.
      */
     CaseOutcome runCase(const ir::Function &seq, uint64_t round_seed,
                         PipelineStats &stats,
@@ -347,18 +345,18 @@ class Pipeline
 
     /** The propose -> opt -> gate -> verify attempt loop over one
      *  backend (Algorithm 1's body, proposer-agnostic), verifying
-     *  every candidate through the case's @p session. */
+     *  every candidate with verify::checkRefinement under @p refine. */
     CaseOutcome runAttemptLoop(Proposer &proposer,
                                const ir::Function &seq,
                                uint64_t round_seed, PipelineStats &stats,
-                               verify::RefinementSession &session);
+                               const verify::RefineOptions &refine);
 
     /** runAttemptLoop behind crash isolation: an escaping exception
      *  becomes a CaseStatus::Error outcome, never a lost run. */
     CaseOutcome runLegContained(Proposer &proposer,
                                 const ir::Function &seq,
                                 uint64_t round_seed, PipelineStats &stats,
-                                verify::RefinementSession &session);
+                                const verify::RefineOptions &refine);
 
     /** Copy the shared cache's and store's counters into stats_. */
     void refreshCacheStats();
@@ -390,6 +388,15 @@ class Pipeline
     std::unique_ptr<verify::PersistentStore> store_;
     CatalogProposer catalog_proposer_{nullptr};
 };
+
+/**
+ * Publish one fan-out's scheduler counters to the metrics registry.
+ * Counts (tasks, steals, idle time) add up across fan-outs;
+ * sched.queue_depth_max is a maximum, so each fan-out's depth is
+ * recorded into a histogram whose snapshot max is the deepest single
+ * fan-out.
+ */
+void recordSchedulerMetrics(const TaskGraphStats &stats);
 
 } // namespace lpo::core
 

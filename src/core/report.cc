@@ -80,13 +80,12 @@ satStatsLine(const PipelineStats &stats)
     std::snprintf(
         line, sizeof(line),
         "sat: %llu solves, %llu decisions, %llu conflicts, "
-        "%llu propagations, %llu restarts, %llu learnts carried\n",
+        "%llu propagations, %llu restarts\n",
         static_cast<unsigned long long>(stats.sat_solves),
         static_cast<unsigned long long>(stats.sat_decisions),
         static_cast<unsigned long long>(stats.sat_conflicts),
         static_cast<unsigned long long>(stats.sat_propagations),
-        static_cast<unsigned long long>(stats.sat_restarts),
-        static_cast<unsigned long long>(stats.learnts_carried));
+        static_cast<unsigned long long>(stats.sat_restarts));
     return line;
 }
 
@@ -215,7 +214,7 @@ profileSummary(const PipelineStats &stats,
 std::string
 moduleSummary(const PipelineStats &stats,
               const std::vector<CaseOutcome> &outcomes,
-              bool verify_cache_enabled, bool incremental_sat_enabled)
+              bool verify_cache_enabled)
 {
     static constexpr CaseStatus kStatuses[] = {
         CaseStatus::Found,         CaseStatus::NotInteresting,
@@ -298,20 +297,6 @@ moduleSummary(const PipelineStats &stats,
         out += cacheSummary(stats.verify_cache_hits,
                             stats.verify_cache_misses);
         out += "\n";
-    }
-    // Same rationale for the session line: only meaningful when the
-    // incremental solver actually ran.
-    if (incremental_sat_enabled) {
-        std::snprintf(
-            line, sizeof(line),
-            "incremental sat: %llu sessions, %llu reuses, "
-            "%llu learnts carried, %llu vars / %llu clauses saved\n",
-            static_cast<unsigned long long>(stats.sat_sessions),
-            static_cast<unsigned long long>(stats.session_reuses),
-            static_cast<unsigned long long>(stats.learnts_carried),
-            static_cast<unsigned long long>(stats.session_vars_saved),
-            static_cast<unsigned long long>(stats.session_clauses_saved));
-        out += line;
     }
     // Degradation telemetry only matters when something degraded;
     // fault-free runs keep the summary unchanged (and byte-compatible

@@ -50,21 +50,18 @@ struct CaseOutcome;
 /**
  * The standard module-run summary: a per-proposer outcome breakdown
  * table (one row per backend that produced attempts, one column per
- * CaseStatus), the aggregate counters, and — only when the respective
- * feature was actually enabled — the verify-cache summary line and
- * the incremental-SAT session line. Used by the lpo CLI's `run`
- * command and the proposer-comparison benchmark.
+ * CaseStatus), the aggregate counters, and — only when the cache was
+ * actually enabled — the verify-cache summary line. Used by the lpo
+ * CLI's `run` command and the proposer-comparison benchmark.
  */
 std::string moduleSummary(const PipelineStats &stats,
                           const std::vector<CaseOutcome> &outcomes,
-                          bool verify_cache_enabled,
-                          bool incremental_sat_enabled = false);
+                          bool verify_cache_enabled);
 
 /**
  * The one-line solver work summary backing `lpo run --sat-stats`:
  * decisions / conflicts / propagations / restarts across every SAT
- * verification performed, plus the learnt clauses reused sessions
- * carried into their solves.
+ * verification performed.
  */
 std::string satStatsLine(const PipelineStats &stats);
 

@@ -34,7 +34,7 @@ lubyTerm(uint64_t x)
 } // namespace
 
 int
-SatSolver::newVarImpl(bool decision)
+SatSolver::newVar()
 {
     ++num_vars_;
     assigns_.push_back(Assign::Unassigned);
@@ -42,24 +42,11 @@ SatSolver::newVarImpl(bool decision)
     reasons_.push_back(-1);
     activities_.push_back(0.0);
     polarity_.push_back(false);
-    decision_.push_back(decision);
     heap_pos_.push_back(-1);
     seen_.push_back(0);
     watches_.resize((num_vars_ + 1) * 2);
     heapInsert(num_vars_);
     return num_vars_;
-}
-
-int
-SatSolver::newVar()
-{
-    return newVarImpl(true);
-}
-
-int
-SatSolver::newActivationVar()
-{
-    return newVarImpl(false);
 }
 
 // ---------------------------------------------------------------------
@@ -109,10 +96,6 @@ SatSolver::heapDown(size_t i)
 void
 SatSolver::heapInsert(int var)
 {
-    // Activation vars never join the decision order; their values come
-    // from assumptions or release units only.
-    if (!decision_[var])
-        return;
     if (heap_pos_[var] != -1)
         return;
     heap_pos_[var] = static_cast<int>(order_heap_.size());
@@ -480,50 +463,6 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
 }
 
 void
-SatSolver::analyzeFinal(int failed_enc)
-{
-    // Final-conflict analysis (MiniSat analyzeFinal): compute which
-    // assumptions imply the negation of the failed assumption
-    // @p failed_enc. During the assumption phase every decision on the
-    // trail IS an assumption, so reason-less marked vars above level 0
-    // are exactly the core members.
-    conflict_core_.clear();
-    conflict_core_.push_back(decode(failed_enc));
-    if (trail_limits_.empty())
-        return;
-    seen_clear_.clear();
-    seen_[litVar(failed_enc)] = 1;
-    seen_clear_.push_back(litVar(failed_enc));
-    size_t bottom = static_cast<size_t>(trail_limits_[0]);
-    for (size_t i = trail_.size(); i > bottom; --i) {
-        int enc = trail_[i - 1];
-        int var = litVar(enc);
-        if (!seen_[var])
-            continue;
-        if (reasons_[var] == -1) {
-            assert(levels_[var] > 0);
-            conflict_core_.push_back(decode(enc));
-        } else {
-            const Clause &reason = clauses_[reasons_[var]];
-            const int *lits = clauseLits(reason);
-            for (uint32_t j = 0; j < reason.size; ++j) {
-                int qvar = litVar(lits[j]);
-                if (qvar != var && levels_[qvar] > 0) {
-                    seen_[qvar] = 1;
-                    seen_clear_.push_back(qvar);
-                }
-            }
-        }
-        seen_[var] = 0;
-    }
-    // Marks below the scanned trail range (e.g. the failed literal
-    // when it was falsified at the root) must be wiped explicitly to
-    // restore the all-zero invariant.
-    for (int var : seen_clear_)
-        seen_[var] = 0;
-}
-
-void
 SatSolver::backtrack(int level)
 {
     if (static_cast<int>(trail_limits_.size()) <= level)
@@ -625,83 +564,6 @@ SatSolver::reduceLearnts()
 }
 
 void
-SatSolver::simplifyAtRoot()
-{
-    assert(trail_limits_.empty());
-    if (unsat_)
-        return;
-    if (propagate() != -1) {
-        unsat_ = true;
-        return;
-    }
-    for (int enc : trail_)
-        reasons_[litVar(enc)] = -1;
-
-    // Root assignments are permanent, so clauses they satisfy are
-    // dead weight (this is how released activation groups and the
-    // learnt clauses they tainted get reclaimed) and false literals
-    // can be stripped in place. After a clean root propagation no
-    // surviving clause can have fewer than two free literals.
-    std::vector<Clause> kept;
-    kept.reserve(clauses_.size());
-    std::vector<int> new_pool;
-    new_pool.reserve(pool_.size());
-    uint64_t removed_learnts = 0;
-    uint64_t removed_total = 0;
-    for (const Clause &clause : clauses_) {
-        const int *lits = clauseLits(clause);
-        bool satisfied = false;
-        size_t start = new_pool.size();
-        for (uint32_t k = 0; k < clause.size; ++k) {
-            Assign value = valueOf(lits[k]);
-            if (value == Assign::True) {
-                satisfied = true;
-                break;
-            }
-            if (value == Assign::False)
-                continue;
-            new_pool.push_back(lits[k]);
-        }
-        if (satisfied) {
-            new_pool.resize(start);
-            ++removed_total;
-            if (clause.learnt)
-                ++removed_learnts;
-            continue;
-        }
-        assert(new_pool.size() - start >= 2 &&
-               "unit/empty clause survived root propagation");
-        Clause stripped = clause;
-        stripped.offset = static_cast<uint32_t>(start);
-        stripped.size = static_cast<uint32_t>(new_pool.size() - start);
-        kept.push_back(stripped);
-    }
-    clauses_ = std::move(kept);
-    pool_ = std::move(new_pool);
-    num_learnts_ -= removed_learnts;
-    clauses_reclaimed_ += removed_total;
-    rebuildWatches();
-}
-
-void
-SatSolver::releaseVar(int var)
-{
-    assert(var >= 1 && var <= num_vars_);
-    assert(trail_limits_.empty() &&
-           "releaseVar must be called between solve calls");
-    if (unsat_)
-        return;
-    // The release unit retires the selector; the root sweep then
-    // reclaims its guarded group and every learnt clause that picked
-    // the selector up (all satisfied by -var now). Selector-free
-    // learnt clauses — the ones derived purely from the shared
-    // encoding — survive and keep their watches.
-    if (!addUnit(-var))
-        return;
-    simplifyAtRoot();
-}
-
-void
 SatSolver::snapshotModel()
 {
     model_ = assigns_;
@@ -710,26 +572,10 @@ SatSolver::snapshotModel()
 SatResult
 SatSolver::solve(uint64_t conflict_budget)
 {
-    return solveAssuming({}, conflict_budget);
-}
-
-SatResult
-SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
-                         uint64_t conflict_budget)
-{
     // Chaos-test injection: pretend the conflict budget was exhausted
     // immediately, exactly the answer an adversarial instance forces.
     if (LPO_FAILPOINT("sat.exhaust"))
         return SatResult::Unknown;
-    // Encode before clearing the core: callers may legitimately pass
-    // unsatCore() itself back in (core-guided retries).
-    std::vector<int> assumption_encs;
-    assumption_encs.reserve(assumptions.size());
-    for (Lit lit : assumptions) {
-        assert(lit != 0 && std::abs(lit) <= num_vars_);
-        assumption_encs.push_back(encode(lit));
-    }
-    conflict_core_.clear();
     if (unsat_)
         return SatResult::Unsat;
     assert(trail_limits_.empty() &&
@@ -797,36 +643,6 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
                     reduceLearnts();
                     reduce_limit_ += reduce_limit_ / 2;
                 }
-                continue;
-            }
-            // Assumption phase: every level up to assumptions.size()
-            // is pinned to an assumption (re-established after each
-            // restart or deep backjump before any free decision).
-            int next_assumption = -1;
-            while (trail_limits_.size() < assumption_encs.size()) {
-                int a = assumption_encs[trail_limits_.size()];
-                Assign value = valueOf(a);
-                if (value == Assign::True) {
-                    // Already implied: open an empty pseudo-level so
-                    // assumption index i always lives at level i+1.
-                    trail_limits_.push_back(
-                        static_cast<int>(trail_.size()));
-                    continue;
-                }
-                if (value == Assign::False) {
-                    // The formula refutes this assumption given the
-                    // earlier ones: extract the final conflict. The
-                    // solver itself stays consistent.
-                    analyzeFinal(a);
-                    backtrack(0);
-                    return SatResult::Unsat;
-                }
-                next_assumption = a;
-                break;
-            }
-            if (next_assumption != -1) {
-                trail_limits_.push_back(static_cast<int>(trail_.size()));
-                enqueue(next_assumption, -1);
                 continue;
             }
             int var = pickBranchVar();

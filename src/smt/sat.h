@@ -11,15 +11,11 @@
  * per-call conflict budget so callers can bound verification time
  * (Alive2-style timeouts).
  *
- * The solver is *incremental* in the MiniSat sense: clauses may be
- * added between solve calls, @ref solveAssuming solves under a set of
- * assumption literals (with @ref unsatCore final-conflict extraction),
- * and @ref newActivationVar / @ref releaseVar implement the standard
- * selector-literal protocol for retractable clause groups — release
- * permanently falsifies the selector and reclaims every clause the
- * selector guarded, learnt or original, while all selector-free learnt
- * clauses survive into the next call. See DESIGN.md, "Incremental SAT
- * sessions".
+ * Clauses may be added between solve calls, and a solver may be
+ * solved again after any answer: learnt clauses, activities and saved
+ * phases carry over, which is what lets the budget-escalation ladder
+ * resume an exhausted proof under the next tier instead of restarting
+ * it (see DESIGN.md, "Budget-escalation ladder").
  *
  * Storage layout: clause literals live in one flat arena (`pool_`)
  * indexed by small fixed-size headers, and each watch entry carries a
@@ -62,7 +58,6 @@ class SatSolver
         reasons_.push_back(-1);
         activities_.push_back(0.0);
         polarity_.push_back(false);
-        decision_.push_back(false);
         heap_pos_.push_back(-1);
         seen_.push_back(0);
     }
@@ -70,26 +65,6 @@ class SatSolver
     /** Allocate and return a fresh variable (1-based). */
     int newVar();
     int numVars() const { return num_vars_; }
-
-    /**
-     * Allocate a fresh *activation* (selector) variable. It never
-     * enters the decision heap — its value comes only from assumptions
-     * or from @ref releaseVar — so stale selectors cannot distract the
-     * search. Guard a clause group as (-act OR C...) and pass +act to
-     * solveAssuming to activate the group for one call.
-     */
-    int newActivationVar();
-
-    /**
-     * Permanently retire the selector @p var: asserts -var at the root
-     * and sweeps the clause database, deleting every clause the
-     * selector satisfied (the guarded group plus all learnt clauses
-     * that picked up -var during its solves) and reclaiming their
-     * watches. Learnt clauses free of the selector are untouched and
-     * keep accelerating later calls. Must be called at decision level
-     * 0 (i.e. between solve calls).
-     */
-    void releaseVar(int var);
 
     /**
      * Add a clause (non-empty literals over existing vars).
@@ -107,31 +82,10 @@ class SatSolver
      */
     SatResult solve(uint64_t conflict_budget = 0);
 
-    /**
-     * Solve under @p assumptions (each forced true for this call
-     * only). Unsat answers distinguish two cases: if the formula is
-     * unsatisfiable on its own the solver latches permanently unsat;
-     * if only the assumptions are refuted, @ref unsatCore holds the
-     * failing subset and the solver remains usable — clauses and
-     * assumptions may differ on the next call, and every learnt clause
-     * (which never depends on assumptions, only on the clause
-     * database) carries over.
-     */
-    SatResult solveAssuming(const std::vector<Lit> &assumptions,
-                            uint64_t conflict_budget = 0);
-
-    /**
-     * After solveAssuming returns Unsat because of the assumptions:
-     * the subset of the assumptions (in as-passed polarity) whose
-     * conjunction the formula refutes. Empty when the formula itself
-     * is unsat.
-     */
-    const std::vector<Lit> &unsatCore() const { return conflict_core_; }
-
     /** After Sat: the value assigned to @p var in the model. */
     bool modelValue(int var) const;
 
-    /** True once the formula is unsatisfiable without assumptions. */
+    /** True once the formula is known unsatisfiable (latched). */
     bool inconsistent() const { return unsat_; }
 
     /**
@@ -150,14 +104,10 @@ class SatSolver
     uint64_t propagations() const { return propagations_; }
     /** Completed restarts (Luby schedule). */
     uint64_t restarts() const { return restarts_; }
-    /** Learnt clauses currently alive (units excluded). */
-    uint64_t learnts() const { return num_learnts_; }
     /** Problem clauses accepted (stored or enqueued as units). */
     uint64_t clausesAdded() const { return clauses_added_; }
     /** Learnt clauses dropped by database reduction. */
     uint64_t learntsRemoved() const { return learnts_removed_; }
-    /** Clauses (problem + learnt) reclaimed by releaseVar sweeps. */
-    uint64_t clausesReclaimed() const { return clauses_reclaimed_; }
     /**
      * Learnt-clause count that triggers database reduction at the
      * next restart (grows geometrically afterwards). Exposed so tests
@@ -177,10 +127,6 @@ class SatSolver
     {
         int v = lit > 0 ? lit : -lit;
         return v * 2 + (lit < 0 ? 1 : 0);
-    }
-    static Lit decode(int enc)
-    {
-        return (enc & 1) ? -(enc / 2) : enc / 2;
     }
     static int litVar(int enc) { return enc / 2; }
     static int litNeg(int enc) { return enc ^ 1; }
@@ -230,13 +176,11 @@ class SatSolver
         return pool_.data() + c.offset;
     }
 
-    int newVarImpl(bool decision);
     bool enqueue(int enc, int reason);
     int propagate(); // returns conflicting clause index or -1
     int analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd);
     bool litRedundant(int enc, uint32_t abstract_levels,
                       std::vector<int> &to_clear);
-    void analyzeFinal(int failed_enc);
     void backtrack(int level);
     void bumpVar(int var);
     void bumpClause(Clause &clause);
@@ -246,9 +190,6 @@ class SatSolver
                     uint32_t lbd, double activity);
     void attachClause(int index);
     void reduceLearnts();
-    /** Root-level clause sweep: drop satisfied clauses, strip false
-     *  literals, rebuild watches. Requires decision level 0. */
-    void simplifyAtRoot();
     void rebuildWatches();
     void snapshotModel();
 
@@ -279,12 +220,10 @@ class SatSolver
     std::vector<int> reasons_;              // per var, clause index or -1
     std::vector<double> activities_;        // per var
     std::vector<bool> polarity_;            // per var, phase saving
-    std::vector<bool> decision_;            // per var, heap-eligible
     std::vector<int> order_heap_;           // vars, heap-ordered
     std::vector<int> heap_pos_;             // var -> index or -1
     std::vector<int> trail_;                // encoded lits
     std::vector<int> trail_limits_;
-    std::vector<Lit> conflict_core_;        // last failing assumptions
     size_t propagate_head_ = 0;
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
@@ -311,7 +250,6 @@ class SatSolver
     uint64_t restarts_ = 0;
     uint64_t clauses_added_ = 0;
     uint64_t learnts_removed_ = 0;
-    uint64_t clauses_reclaimed_ = 0;
 };
 
 } // namespace lpo::smt

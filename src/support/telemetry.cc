@@ -353,7 +353,10 @@ HistogramSnapshot::percentile(double q) const
                           static_cast<double>(buckets[i]);
             if (frac < 0)
                 frac = 0;
-            return lo + (hi - lo) * frac;
+            // Interpolating inside a wide bucket can overshoot every
+            // recorded sample; no percentile may exceed the max.
+            return std::min(lo + (hi - lo) * frac,
+                            static_cast<double>(max));
         }
         cumulative = next;
     }

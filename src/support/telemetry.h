@@ -121,8 +121,9 @@ struct HistogramSnapshot
 
     /**
      * Quantile in [0, 1], linearly interpolated within the owning
-     * bucket (overflow bucket interpolates toward the observed max).
-     * Deterministic given deterministic counts. 0 when empty.
+     * bucket (overflow bucket interpolates toward the observed max)
+     * and clamped to [0, max], so no percentile exceeds a recorded
+     * sample. Deterministic given deterministic counts. 0 when empty.
      */
     double percentile(double q) const;
     double p50() const { return percentile(0.50); }

@@ -769,11 +769,13 @@ encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
     return encoder.run(fn, shared_args);
 }
 
+namespace {
+
+/** Fresh, non-poison argument encodings for @p fn's signature, so src
+ *  and tgt range over identical inputs. */
 std::vector<ValueEnc>
 encodeSharedArgs(smt::CircuitBuilder &builder, const ir::Function &fn)
 {
-    // Shared, non-poison arguments so src and tgt range over
-    // identical inputs.
     std::vector<ValueEnc> args;
     for (unsigned i = 0; i < fn.numArgs(); ++i) {
         const Type *type = fn.arg(i)->type();
@@ -788,6 +790,13 @@ encodeSharedArgs(smt::CircuitBuilder &builder, const ir::Function &fn)
     return args;
 }
 
+/**
+ * The refinement-violation literal over two encodings that share
+ * their arguments:
+ *
+ *   !src.ub && (tgt.ub || exists lane:
+ *               !src.poison[l] && (tgt.poison[l] || bits differ))
+ */
 CLit
 refinementViolation(smt::CircuitBuilder &builder,
                     const EncodedFunction &src_enc,
@@ -806,6 +815,8 @@ refinementViolation(smt::CircuitBuilder &builder,
                                     builder.orMany(lane_violations));
     return builder.andGate(-src_enc.ub, violation);
 }
+
+} // namespace
 
 bool
 encodeRefinementQuery(smt::CircuitBuilder &builder,

@@ -54,31 +54,6 @@ encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
                const std::vector<ValueEnc> *shared_args = nullptr);
 
 /**
- * Fresh, non-poison argument encodings for @p fn's signature — the
- * shared inputs both sides of a refinement query range over. Exposed
- * separately from encodeRefinementQuery so an incremental
- * RefinementSession can create them once and encode many candidate
- * targets against them.
- */
-std::vector<ValueEnc> encodeSharedArgs(smt::CircuitBuilder &builder,
-                                       const ir::Function &fn);
-
-/**
- * The refinement-violation literal over two encodings that share
- * their arguments:
- *
- *   !src.ub && (tgt.ub || exists lane:
- *               !src.poison[l] && (tgt.poison[l] || bits differ))
- *
- * encodeRefinementQuery asserts it outright; a RefinementSession
- * guards it behind an activation literal instead so the candidate can
- * be retracted.
- */
-smt::CLit refinementViolation(smt::CircuitBuilder &builder,
-                              const EncodedFunction &src_enc,
-                              const EncodedFunction &tgt_enc);
-
-/**
  * Build the complete refinement-violation query for (src, tgt) into
  * @p builder: fresh shared non-poison arguments, both encodings over
  * them, and the asserted miter

@@ -29,7 +29,6 @@ using interp::PlanResult;
 using interp::RtValue;
 using ir::Type;
 using smt::CircuitBuilder;
-using smt::CLit;
 using smt::SatResult;
 using smt::SatSolver;
 
@@ -164,7 +163,7 @@ solveHistogram()
     return h;
 }
 
-/** Conflicts spent by one solve call (fresh and session paths). */
+/** Conflicts spent by one solve call (one budget-ladder tier). */
 telemetry::Histogram
 conflictsPerSolveHistogram()
 {
@@ -173,8 +172,7 @@ conflictsPerSolveHistogram()
     return h;
 }
 
-/** Add @p solver's whole-lifetime counters into the telemetry (valid
- *  for fresh single-shot solvers). */
+/** Add @p solver's whole-lifetime counters into the telemetry. */
 void
 recordSolverWork(const RefineOptions &options, const SatSolver &solver)
 {
@@ -687,57 +685,6 @@ rederiveFromCache(const ir::Function &src, const ir::Function &tgt,
     return result;
 }
 
-/**
- * The precheck + cache skeleton shared by checkRefinement and
- * RefinementSession::check: signature gates first, then either a plain
- * @p compute or the cache's compute-once protocol around it. Keeping
- * both callers on this one path is what makes session-on/session-off
- * results byte-identical outside the solver itself.
- */
-RefinementResult
-checkCommon(const ir::Function &src, const ir::Function &tgt,
-            const RefineOptions &options,
-            const std::function<RefinementResult(CachedVerdict *)> &compute)
-{
-    RefinementResult result;
-    if (!signaturesMatch(src, tgt)) {
-        result.verdict = Verdict::BadSignature;
-        result.detail = "source and target signatures differ";
-        return result;
-    }
-    if (src.returnType()->isVoid()) {
-        result.verdict = Verdict::Unsupported;
-        result.detail = "void functions are not checked";
-        return result;
-    }
-    // Encodable functions never take pointers, so this check is
-    // equivalent to the pre-dispatch position it used to occupy.
-    if (pointerArgCount(src) != pointerArgCount(tgt)) {
-        result.verdict = Verdict::BadSignature;
-        result.detail = "pointer argument mismatch";
-        return result;
-    }
-
-    if (!options.cache) {
-        CachedVerdict scratch;
-        return compute(&scratch);
-    }
-    // Cache path: key on the alpha-renamed pair + verdict-affecting
-    // options; compute at most once per key, re-derive the
-    // counterexample on hits (see verify/cache.h).
-    std::string key = cacheKey(src, tgt, options);
-    return options.cache->lookupOrCompute(
-        key,
-        [&] {
-            VerifyCache::Computed computed;
-            computed.result = compute(&computed.cached);
-            return computed;
-        },
-        [&](const CachedVerdict &cached) {
-            return rederiveFromCache(src, tgt, options, cached);
-        });
-}
-
 } // namespace
 
 std::string
@@ -812,203 +759,44 @@ RefinementResult
 checkRefinement(const ir::Function &src, const ir::Function &tgt,
                 const RefineOptions &options)
 {
-    return checkCommon(src, tgt, options, [&](CachedVerdict *cached) {
-        return dispatchBackends(src, tgt, options, cached);
-    });
-}
-
-// ---------------------------------------------------------------------
-// Incremental session
-// ---------------------------------------------------------------------
-
-struct RefinementSession::Impl
-{
-    const ir::Function &src;
-    RefineOptions options;
-    /** Source is SAT-eligible and the session is allowed to persist. */
-    bool sat_possible;
-    bool initialized = false;
-    /** Solver latched inconsistent or another invariant broke; every
-     *  later check takes the fresh path (defensive — the session
-     *  formula is satisfiable by construction). */
-    bool dead = false;
-    SatSolver solver;
-    std::unique_ptr<CircuitBuilder> builder;
-    std::vector<ValueEnc> args;
-    std::optional<EncodedFunction> src_enc;
-    /** Cost of the source + argument encoding, credited as savings on
-     *  every reuse (the fresh path re-pays it per candidate). */
-    int src_vars = 0;
-    uint64_t src_clauses = 0;
-    uint64_t checks = 0;
-
-    Impl(const ir::Function &src_fn, const RefineOptions &opts)
-        : src(src_fn), options(opts),
-          sat_possible(opts.incremental_sat && canEncode(src_fn) &&
-                       inputSpaceBits(src_fn) <= 128)
-    {}
-
-    void initialize();
-    RefinementResult dispatch(const ir::Function &tgt,
-                              CachedVerdict *cached);
-};
-
-void
-RefinementSession::Impl::initialize()
-{
-    initialized = true;
-    LPO_TRACE_SPAN(span, "encode", "sat");
-    telemetry::ScopedTimer timer(encodeHistogram());
-    solver.setInterrupt(options.interrupt);
-    builder = std::make_unique<CircuitBuilder>(solver);
-    args = encodeSharedArgs(*builder, src);
-    src_enc = encodeFunction(*builder, src, &args);
-    assert(src_enc && "sat_possible checked canEncode");
-    src_vars = solver.numVars();
-    src_clauses = solver.clausesAdded();
-    if (options.sat_telemetry)
-        ++options.sat_telemetry->sessions;
-}
-
-RefinementResult
-RefinementSession::Impl::dispatch(const ir::Function &tgt,
-                                  CachedVerdict *cached)
-{
-    if (!sat_possible || dead || !usesSatBackend(src, tgt))
-        return dispatchBackends(src, tgt, options, cached);
-    if (!initialized) {
-        // A throw mid-initialize (the injected bitblast.throw site, or
-        // a genuine encoder bug) leaves src_enc unset while
-        // `initialized` is already latched; poison the session so no
-        // later check dereferences the half-built encoding.
-        try {
-            initialize();
-        } catch (...) {
-            dead = true;
-            throw;
-        }
+    RefinementResult result;
+    if (!signaturesMatch(src, tgt)) {
+        result.verdict = Verdict::BadSignature;
+        result.detail = "source and target signatures differ";
+        return result;
     }
-    if (solver.inconsistent()) {
-        dead = true;
-        return dispatchBackends(src, tgt, options, cached);
+    if (src.returnType()->isVoid()) {
+        result.verdict = Verdict::Unsupported;
+        result.detail = "void functions are not checked";
+        return result;
     }
-
-    SatTelemetry *telemetry = options.sat_telemetry;
-    ++checks;
-    if (checks > 1 && telemetry) {
-        ++telemetry->session_reuses;
-        telemetry->learnts_carried += solver.learnts();
-        telemetry->session_vars_saved +=
-            static_cast<uint64_t>(src_vars);
-        telemetry->session_clauses_saved += src_clauses;
-    }
-
-    // Encode only the candidate's cone over the shared arguments; the
-    // persistent unique table answers every subcircuit the candidate
-    // shares with the source or with earlier candidates.
-    int act;
-    {
-        LPO_TRACE_SPAN(span, "encode", "sat");
-        telemetry::ScopedTimer timer(encodeHistogram());
-        std::optional<EncodedFunction> tgt_enc =
-            encodeFunction(*builder, tgt, &args);
-        assert(tgt_enc && "usesSatBackend checked canEncode");
-        CLit violation =
-            refinementViolation(*builder, *src_enc, *tgt_enc);
-
-        // Guard the miter behind a fresh selector: assuming it
-        // activates this candidate's query; releasing it afterwards
-        // retires the query and reclaims its clauses while keeping
-        // every selector-free learnt clause for the next candidate.
-        act = solver.newActivationVar();
-        builder->requireImplies(act, violation);
-    }
-
-    // The same escalation ladder as the fresh path, except the warm
-    // session's carried learnts make each tier strictly stronger than
-    // its cold counterpart (the documented budget-edge asymmetry).
-    const std::vector<uint64_t> tiers = budgetLadder(options);
-    SatResult sat = SatResult::Unknown;
-    size_t solves_run = 0;
-    for (uint64_t tier_budget : tiers) {
-        if (solves_run > 0 && options.degradation)
-            ++options.degradation->escalations;
-        uint64_t decisions_before = solver.decisions();
-        uint64_t conflicts_before = solver.conflicts();
-        uint64_t propagations_before = solver.propagations();
-        uint64_t restarts_before = solver.restarts();
-        {
-            LPO_TRACE_SPAN(span, "solve", "sat");
-            telemetry::ScopedTimer timer(solveHistogram());
-            sat = solver.solveAssuming({act}, tier_budget);
-            if (span.active())
-                span.arg("conflicts",
-                         solver.conflicts() - conflicts_before);
-        }
-        conflictsPerSolveHistogram().record(solver.conflicts() -
-                                            conflicts_before);
-        ++solves_run;
-        if (telemetry) {
-            ++telemetry->solves;
-            telemetry->decisions += solver.decisions() - decisions_before;
-            telemetry->conflicts += solver.conflicts() - conflicts_before;
-            telemetry->propagations +=
-                solver.propagations() - propagations_before;
-            telemetry->restarts += solver.restarts() - restarts_before;
-        }
-        if (sat != SatResult::Unknown)
-            break;
-    }
-    solver.releaseVar(act);
-    if (solver.inconsistent())
-        dead = true; // cannot happen for well-formed encodings
-
-    if (sat == SatResult::Unsat) {
-        RefinementResult result;
-        result.backend = "sat";
-        result.verdict = Verdict::Correct;
-        result.detail = "proved by bit-blasting";
-        recordVerdict(cached, result);
+    // Encodable functions never take pointers, so this check is
+    // equivalent to the pre-dispatch position it used to occupy.
+    if (pointerArgCount(src) != pointerArgCount(tgt)) {
+        result.verdict = Verdict::BadSignature;
+        result.detail = "pointer argument mismatch";
         return result;
     }
 
-    // Ladder exhausted inside the session: degrade exactly as the
-    // fresh path would. The concrete backend is a pure function of
-    // (pair, options) — no solver state involved — so going there
-    // directly is byte-identical to the fresh path's degradation and
-    // skips re-burning the whole ladder.
-    if (sat == SatResult::Unknown && !options.budget_tiers.empty())
-        return degradeToTesting(src, tgt, options, cached);
-
-    // Sat or budget exhaustion: the *verdict* is already known, but a
-    // counterexample model depends on solver state (phase saving,
-    // carried learnts), so re-prove through the one-shot oracle — the
-    // exact code the session-off path runs — for byte-identical
-    // output. Sat instances are the cheap direction, so this keeps
-    // the expensive Unsat proofs incremental without giving up the
-    // determinism contract. Budget exhaustion is the pathological
-    // case — the re-proof burns up to a second full budget — but a
-    // query that hard is going to be reported Timeout either way and
-    // the fresh run is what makes its detail string byte-identical.
-    if (telemetry)
-        ++telemetry->session_fallbacks;
-    return checkWithSat(src, tgt, options, cached);
-}
-
-RefinementSession::RefinementSession(const ir::Function &src,
-                                     const RefineOptions &options)
-    : impl_(std::make_unique<Impl>(src, options))
-{}
-
-RefinementSession::~RefinementSession() = default;
-
-RefinementResult
-RefinementSession::check(const ir::Function &tgt)
-{
-    return checkCommon(impl_->src, tgt, impl_->options,
-                       [&](CachedVerdict *cached) {
-                           return impl_->dispatch(tgt, cached);
-                       });
+    if (!options.cache) {
+        CachedVerdict scratch;
+        return dispatchBackends(src, tgt, options, &scratch);
+    }
+    // Cache path: key on the alpha-renamed pair + verdict-affecting
+    // options; compute at most once per key, re-derive the
+    // counterexample on hits (see verify/cache.h).
+    std::string key = cacheKey(src, tgt, options);
+    return options.cache->lookupOrCompute(
+        key,
+        [&] {
+            VerifyCache::Computed computed;
+            computed.result =
+                dispatchBackends(src, tgt, options, &computed.cached);
+            return computed;
+        },
+        [&](const CachedVerdict &cached) {
+            return rederiveFromCache(src, tgt, options, cached);
+        });
 }
 
 } // namespace lpo::verify

@@ -21,7 +21,6 @@
 #define LPO_VERIFY_REFINE_H
 
 #include <atomic>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,30 +35,19 @@ class VerifyCache;
 /**
  * Counters for the SAT work a verification run actually performed
  * (cache hits perform none). Callers hang one off RefineOptions; the
- * SAT backend and the incremental sessions add their solver deltas
- * after every solve. Totals depend on which queries missed the shared
- * cache, so in parallel runs they describe work done, not a
- * scheduling-independent quantity — verdicts stay byte-identical
- * regardless (see DESIGN.md, "Incremental SAT sessions").
+ * SAT backend adds each solver's counters after its solves. Totals
+ * depend on which queries missed the shared cache, so in parallel runs
+ * they describe work done, not a scheduling-independent quantity —
+ * verdicts stay byte-identical regardless (see DESIGN.md,
+ * "Verification result cache").
  */
 struct SatTelemetry
 {
-    uint64_t solves = 0;       ///< SAT solver runs (fresh + session)
+    uint64_t solves = 0;       ///< SAT solver runs (one per ladder tier)
     uint64_t decisions = 0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
     uint64_t restarts = 0;
-    // Incremental-session accounting.
-    uint64_t sessions = 0;         ///< sessions that bit-blasted a source
-    uint64_t session_reuses = 0;   ///< session checks after the first
-    uint64_t learnts_carried = 0;  ///< learnt clauses alive entering a
-                                   ///< reused session solve
-    uint64_t session_vars_saved = 0;    ///< source-encoding vars not
-                                        ///< re-created thanks to reuse
-    uint64_t session_clauses_saved = 0; ///< ditto for clauses
-    uint64_t session_fallbacks = 0;     ///< Sat/Unknown answers re-proved
-                                        ///< fresh for byte-identical
-                                        ///< counterexamples
 };
 
 /** The verifier's verdict for a candidate transformation. */
@@ -165,13 +153,6 @@ struct RefineOptions
      */
     VerifyCache *cache = nullptr;
     /**
-     * Let RefinementSession keep one incremental solver per source
-     * (assumption-based solving with learnt-clause reuse). Verdicts
-     * and counterexamples are byte-identical with the session on or
-     * off; off forces the fresh-solver path everywhere.
-     */
-    bool incremental_sat = true;
-    /**
      * Optional cooperative-cancellation flag (not owned). When it
      * becomes true, in-flight SAT solves return at the next conflict
      * boundary and the query reports Timeout; the scheduler's
@@ -191,56 +172,6 @@ struct RefineOptions
 RefinementResult checkRefinement(const ir::Function &src,
                                  const ir::Function &tgt,
                                  const RefineOptions &options = {});
-
-/**
- * An incremental verification session over one source function.
- *
- * When a case presents a stream of candidate targets (LLM feedback
- * retries, hybrid fallback, e-graph top-k), the one-shot path
- * re-bit-blasts the same source and cold-starts a fresh SatSolver for
- * every candidate. A session instead encodes the shared arguments and
- * the source once into a persistent solver, then, per candidate,
- * encodes only the candidate's cone (through the same hash-consed
- * CircuitBuilder unique table, so subcircuits shared with the source
- * or with earlier candidates cost nothing), guards the refinement
- * miter behind a fresh activation literal, solves under that single
- * assumption, and releases the literal afterwards. Candidate N+1
- * therefore inherits every variable, clause, and selector-free learnt
- * clause from candidates 1..N.
- *
- * Determinism contract: check() returns byte-identical verdicts and
- * counterexamples to checkRefinement on the same pair. Unsat answers
- * are state-independent (learnt clauses are consequences of the
- * formula, so they can never flip satisfiability); Sat and
- * budget-exhausted answers are re-proved through the one-shot path so
- * the counterexample model — which *does* depend on solver state —
- * comes from the exact code the fresh path runs. Queries outside the
- * SAT fragment fall through to the one-shot backends unchanged, as
- * does everything when options.incremental_sat is false. One
- * deliberate asymmetry at the conflict-budget boundary: a proof the
- * fresh path would abandon as Timeout can complete as Correct under a
- * warm session (carried learnts shorten it) — the session is strictly
- * more accurate there, never less (see DESIGN.md, "Incremental SAT
- * sessions").
- */
-class RefinementSession
-{
-  public:
-    /** @p src must outlive the session; @p options is copied. */
-    RefinementSession(const ir::Function &src,
-                      const RefineOptions &options);
-    ~RefinementSession();
-
-    RefinementSession(const RefinementSession &) = delete;
-    RefinementSession &operator=(const RefinementSession &) = delete;
-
-    /** Check one candidate; equivalent to checkRefinement(src, tgt). */
-    RefinementResult check(const ir::Function &tgt);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 /**
  * True if checkRefinement would decide (src, tgt) with the SAT

@@ -203,9 +203,9 @@ addAdversarialFunction(ir::Context &ctx, ir::Module &module)
 // Steal-heavy skew: one heavyweight sequence among many cheap ones.
 // The patched module text AND the deterministic metric counters must
 // be identical at 1, 2, and 8 threads. Scheduling telemetry
-// ("sched.*", "pool.*") and every nanosecond-valued metric are
-// excluded by construction — they measure timing, which is exactly
-// what work stealing randomizes.
+// ("sched.*") and every nanosecond-valued metric are excluded by
+// construction — they measure timing, which is exactly what work
+// stealing randomizes.
 TEST(ModuleOptTest, SkewedModuleDeterministicAcrossThreadCounts)
 {
     auto &registry = telemetry::MetricsRegistry::instance();
@@ -226,8 +226,7 @@ TEST(ModuleOptTest, SkewedModuleDeterministicAcrossThreadCounts)
         telemetry::MetricsSnapshot snap = registry.snapshot();
         std::vector<std::pair<std::string, uint64_t>> kept;
         for (const auto &[name, value] : snap.counters) {
-            if (name.rfind("sched.", 0) == 0 ||
-                name.rfind("pool.", 0) == 0)
+            if (name.rfind("sched.", 0) == 0)
                 continue;
             if (name.size() >= 3 &&
                 name.compare(name.size() - 3, 3, "_ns") == 0)

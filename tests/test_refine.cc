@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/parser.h"
+#include "verify/cache.h"
 #include "verify/refine.h"
 
 using namespace lpo;
@@ -364,8 +365,11 @@ TEST(RefineLadderTest, ExhaustedLadderOverWideInputsIsDegraded)
     EXPECT_NE(feedback.find("degraded"), std::string::npos);
 }
 
-TEST(RefineLadderTest, SessionLadderMatchesOneShot)
+TEST(RefineLadderTest, LadderVerdictsSurviveTheCache)
 {
+    // A repeated candidate (an LLM retry, a recurring site) is served
+    // by the shared cache; a cache hit must replay the ladder's
+    // verdict, not re-run a shorter or longer search.
     static ir::Context ctx;
     auto src8 = ir::parseFunction(ctx, kMulCommSrc8);
     auto tgt8 = ir::parseFunction(ctx, kMulCommTgt8);
@@ -373,27 +377,27 @@ TEST(RefineLadderTest, SessionLadderMatchesOneShot)
     auto tgt32 = ir::parseFunction(ctx, kMulCommTgt32);
     ASSERT_TRUE(src8.ok() && tgt8.ok() && src32.ok() && tgt32.ok());
 
-    // Escalated proof through a session.
+    VerifyCache cache;
     RefineOptions options;
     options.budget_tiers = {1, 0};
+    options.cache = &cache;
     DegradationStats degradation;
     options.degradation = &degradation;
-    RefinementSession session8(**src8, options);
-    auto r8 = session8.check(**tgt8);
-    EXPECT_EQ(r8.verdict, Verdict::Correct);
-    EXPECT_EQ(r8.backend, "sat");
-    EXPECT_GE(degradation.escalations, 1u);
+    for (int round = 0; round < 2; ++round) {
+        auto r8 = checkRefinement(**src8, **tgt8, options);
+        EXPECT_EQ(r8.verdict, Verdict::Correct) << "round " << round;
+        EXPECT_EQ(r8.backend, "sat") << "round " << round;
+    }
+    EXPECT_EQ(degradation.escalations, 1u) << "the hit re-ran the ladder";
 
-    // Degraded verdicts are byte-identical to the one-shot path
-    // (the concrete backend has no solver state to diverge on).
     RefineOptions short_ladder;
     short_ladder.budget_tiers = {1};
-    RefinementSession session32(**src32, short_ladder);
-    auto session_result = session32.check(**tgt32);
-    auto fresh_result =
-        checkRefinement(**src32, **tgt32, short_ladder);
-    EXPECT_EQ(session_result.verdict, Verdict::Degraded);
-    EXPECT_EQ(session_result.verdict, fresh_result.verdict);
-    EXPECT_EQ(session_result.backend, fresh_result.backend);
-    EXPECT_EQ(session_result.detail, fresh_result.detail);
+    short_ladder.cache = &cache;
+    auto computed = checkRefinement(**src32, **tgt32, short_ladder);
+    auto replayed = checkRefinement(**src32, **tgt32, short_ladder);
+    EXPECT_EQ(computed.verdict, Verdict::Degraded);
+    EXPECT_EQ(replayed.verdict, computed.verdict);
+    EXPECT_EQ(replayed.backend, computed.backend);
+    EXPECT_EQ(replayed.detail, computed.detail);
+    EXPECT_EQ(cache.stats().hits, 2u);
 }

@@ -85,6 +85,38 @@ TEST(SatTest, DuplicateAndTautologyClauses)
     EXPECT_EQ(s.solve(), SatResult::Sat);
 }
 
+TEST(SatTest, SolverStaysUsableAfterSatAnswers)
+{
+    // Model snapshots survive the return to level 0, and clauses can
+    // keep arriving between solves.
+    SatSolver s;
+    int x = s.newVar(), y = s.newVar();
+    ASSERT_TRUE(s.addBinary(x, y));
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_TRUE(s.modelValue(x) || s.modelValue(y));
+    ASSERT_TRUE(s.addUnit(-x));
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_FALSE(s.modelValue(x));
+    EXPECT_TRUE(s.modelValue(y));
+}
+
+TEST(SatTest, FormulaUnsatLatches)
+{
+    SatSolver s;
+    int x = s.newVar(), y = s.newVar();
+    ASSERT_TRUE(s.addUnit(x));
+    ASSERT_TRUE(s.addBinary(-y, x)); // redundant
+    EXPECT_FALSE(s.inconsistent());
+    EXPECT_FALSE(s.addUnit(-x));
+    EXPECT_TRUE(s.inconsistent());
+    EXPECT_EQ(s.solve(), SatResult::Unsat);
+    // Latched: later clauses are refused and every later solve
+    // answers Unsat without searching.
+    EXPECT_FALSE(s.addUnit(y));
+    EXPECT_EQ(s.solve(), SatResult::Unsat);
+    EXPECT_TRUE(s.inconsistent());
+}
+
 TEST(SatTest, LearntDatabaseReductionKeepsAnswersCorrect)
 {
     // PHP(7,6) is unsat and conflict-heavy enough to restart several

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/module_opt.h"
+#include "core/pipeline.h"
 #include "corpus/generator.h"
 #include "ir/printer.h"
 #include "llm/mock_model.h"
@@ -168,6 +169,63 @@ TEST(TelemetryTest, HistogramPercentiles)
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->max, 500'000'000'000ull);
     EXPECT_LE(h->percentile(1.0), 500'000'000'000.0);
+    registry.reset();
+}
+
+TEST(TelemetryTest, PercentilesNeverExceedTheObservedMax)
+{
+    auto &registry = telemetry::MetricsRegistry::instance();
+    registry.reset();
+    registry.setEnabled(true);
+
+    // One 6.9 ms sample: interpolating inside its (5 ms, 10 ms] bucket
+    // would report p50 = 7.5 ms and p99 = 9.95 ms, a time never seen.
+    telemetry::Histogram single = registry.histogram("test.single");
+    single.record(6'900'000);
+    // 98 x 1 us + 2 x 28.9 ms: p99 sits halfway into the (20 ms,
+    // 50 ms] bucket, i.e. 35 ms against a 28.9 ms max.
+    telemetry::Histogram tail = registry.histogram("test.tail");
+    for (int i = 0; i < 98; ++i)
+        tail.record(1'000);
+    tail.record(28'900'000);
+    tail.record(28'900'000);
+
+    telemetry::MetricsSnapshot snap = registry.snapshot();
+    const telemetry::HistogramSnapshot *h = snap.histogram("test.single");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->max, 6'900'000u);
+    EXPECT_DOUBLE_EQ(h->p50(), 6'900'000.0);
+    EXPECT_DOUBLE_EQ(h->p99(), 6'900'000.0);
+
+    h = snap.histogram("test.tail");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->max, 28'900'000u);
+    EXPECT_DOUBLE_EQ(h->p99(), 28'900'000.0);
+    EXPECT_LE(h->p50(), 1'000.0);
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.98, 0.99, 0.999, 1.0}) {
+        EXPECT_GE(h->percentile(q), 0.0) << "q=" << q;
+        EXPECT_LE(h->percentile(q), static_cast<double>(h->max))
+            << "q=" << q;
+    }
+    registry.reset();
+}
+
+TEST(TelemetryTest, QueueDepthMaxFoldsWithMaxNotSum)
+{
+    auto &registry = telemetry::MetricsRegistry::instance();
+    registry.reset();
+    registry.setEnabled(true);
+    TaskGraphStats first, second;
+    first.max_queue_depth = 5;
+    second.max_queue_depth = 3;
+    core::recordSchedulerMetrics(first);
+    core::recordSchedulerMetrics(second);
+    telemetry::MetricsSnapshot snap = registry.snapshot();
+    const telemetry::HistogramSnapshot *h =
+        snap.histogram("sched.queue_depth_max");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->max, 5u) << "the deepest single fan-out, not 5 + 3";
+    EXPECT_EQ(h->count, 2u);
     registry.reset();
 }
 
