@@ -128,15 +128,14 @@ struct RunOptions
 {
     std::string model = "Gemini2.0T";
     core::PipelineConfig config;
-    bool sat_stats = false;
-    bool degradation_stats = false;
     /** optimize-module only: write the patched module here. */
     std::string emit_path;
     /** --trace=FILE: Chrome trace-event JSON of the run. */
     std::string trace_path;
     /** --metrics[=FILE]: metrics registry snapshot as JSON. */
     std::string metrics_path;
-    /** --profile: per-phase wall-time table on stderr. */
+    /** --profile: per-phase wall-time table, scheduler counters and
+     *  the sat:/degradation: work lines on stderr. */
     bool profile = false;
 };
 
@@ -169,10 +168,6 @@ parseRunOptions(int argc, char **argv, int first, RunOptions *out)
             out->config.num_threads = static_cast<unsigned>(threads);
         } else if (!std::strcmp(arg, "--no-verify-cache")) {
             out->config.enable_verify_cache = false;
-        } else if (!std::strcmp(arg, "--sat-stats")) {
-            out->sat_stats = true;
-        } else if (!std::strcmp(arg, "--degradation-stats")) {
-            out->degradation_stats = true;
         } else if (!std::strncmp(arg, "--store=", 8)) {
             if (!arg[8]) {
                 std::fprintf(stderr,
@@ -310,16 +305,6 @@ finishObservability(const RunOptions &options,
     return rc;
 }
 
-/** moduleSummary already prints the degradation line when any counter
- * is nonzero; --degradation-stats only needs to cover the all-zero
- * case, so the line appears exactly once either way. */
-bool
-anyDegradation(const core::PipelineStats &stats)
-{
-    return stats.sat_escalations || stats.concrete_fallbacks ||
-           stats.degraded_verdicts || stats.contained_exceptions;
-}
-
 int
 cmdRun(const char *path, const RunOptions &options)
 {
@@ -348,12 +333,6 @@ cmdRun(const char *path, const RunOptions &options)
                  core::moduleSummary(
                      pipeline.stats(), outcomes,
                      options.config.enable_verify_cache).c_str());
-    if (options.sat_stats)
-        std::fprintf(stderr, "%s",
-                     core::satStatsLine(pipeline.stats()).c_str());
-    if (options.degradation_stats && !anyDegradation(pipeline.stats()))
-        std::fprintf(stderr, "%s",
-                     core::degradationStatsLine(pipeline.stats()).c_str());
     return finishObservability(options, pipeline.stats());
 }
 
@@ -427,12 +406,6 @@ cmdOptimizeModule(const char *path, const RunOptions &options)
                  core::moduleSummary(
                      result.pipeline, result.outcomes,
                      options.config.enable_verify_cache).c_str());
-    if (options.sat_stats)
-        std::fprintf(stderr, "%s",
-                     core::satStatsLine(result.pipeline).c_str());
-    if (options.degradation_stats && !anyDegradation(result.pipeline))
-        std::fprintf(stderr, "%s",
-                     core::degradationStatsLine(result.pipeline).c_str());
     if (!options.emit_path.empty()) {
         std::ofstream out(options.emit_path);
         if (!out) {
@@ -661,14 +634,6 @@ usage()
         "  --no-verify-cache          disable the shared verification\n"
         "                             result cache (results are\n"
         "                             identical; only speed changes)\n"
-        "  --sat-stats                print the per-run solver stat\n"
-        "                             line (decisions / conflicts /\n"
-        "                             propagations / restarts)\n"
-        "  --degradation-stats        print the degradation telemetry\n"
-        "                             line (budget-ladder escalations,\n"
-        "                             concrete fallbacks, degraded\n"
-        "                             verdicts, contained exceptions)\n"
-        "                             even when all counters are zero\n"
         "  --store=DIR                persist verified verdicts and\n"
         "                             learned rewrites in DIR (created\n"
         "                             if missing); warm runs replay\n"
@@ -687,8 +652,16 @@ usage()
         "                             metrics.lpo.json)\n"
         "  --profile                  print the per-phase wall-time\n"
         "                             table (share of the run plus\n"
-        "                             per-invocation percentiles) on\n"
-        "                             stderr after the summary\n");
+        "                             per-invocation percentiles), the\n"
+        "                             scheduler counters, the solver\n"
+        "                             work line (sat: solves /\n"
+        "                             decisions / conflicts /\n"
+        "                             propagations / restarts) and the\n"
+        "                             degradation line (budget-ladder\n"
+        "                             escalations, concrete fallbacks,\n"
+        "                             degraded verdicts, contained\n"
+        "                             exceptions) on stderr after the\n"
+        "                             summary\n");
 }
 
 } // namespace

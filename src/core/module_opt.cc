@@ -238,48 +238,43 @@ ModuleOptimizer::optimize(ir::Module &module, uint64_t round_seed)
         timings.patch_ns += patch_timer.stopNanos();
     };
 
-    if (options_.step_budget == 0) {
-        // No deadline: one batch, exactly the pre-deadline behavior.
-        result.outcomes =
-            pipeline_.processSequences(wrapped, round_seed, patchSequence);
-        for (const CaseOutcome &outcome : result.outcomes)
-            result.steps_used += outcome.step_cost;
-    } else {
-        // Deterministic deadline: process fixed-size waves (the wave
-        // size never depends on the thread count) and compare the
-        // cumulative step cost against the budget at each boundary.
-        // The wave in flight always completes — everything verified
-        // so far is patched below — and the remainder is reported
-        // Skipped, which patch-back naturally ignores.
-        const uint64_t wave =
-            options_.deadline_wave ? options_.deadline_wave : 64;
-        result.outcomes.resize(wrapped.size());
-        size_t done = 0;
-        while (done < wrapped.size()) {
-            if (result.steps_used >= options_.step_budget) {
-                result.deadline_skipped = wrapped.size() - done;
-                for (size_t i = done; i < wrapped.size(); ++i) {
-                    result.outcomes[i].status = CaseStatus::Skipped;
-                    result.outcomes[i].last_feedback =
-                        "step-budget deadline reached";
-                }
-                break;
+    // Deterministic deadline: process fixed-size waves (the wave size
+    // never depends on the thread count) and compare the cumulative
+    // step cost against the budget at each boundary. The wave in
+    // flight always completes — everything verified so far is patched
+    // below — and the remainder is reported Skipped, which patch-back
+    // naturally ignores. Without a budget one wave covers every
+    // sequence and the budget is never checked.
+    const size_t wave =
+        options_.step_budget == 0 ? wrapped.size()
+        : options_.deadline_wave  ? options_.deadline_wave
+                                  : 64;
+    result.outcomes.resize(wrapped.size());
+    size_t done = 0;
+    while (done < wrapped.size()) {
+        if (options_.step_budget &&
+            result.steps_used >= options_.step_budget) {
+            result.deadline_skipped = wrapped.size() - done;
+            for (size_t i = done; i < wrapped.size(); ++i) {
+                result.outcomes[i].status = CaseStatus::Skipped;
+                result.outcomes[i].last_feedback =
+                    "step-budget deadline reached";
             }
-            size_t count = std::min<size_t>(wave, wrapped.size() - done);
-            std::vector<const ir::Function *> batch(
-                wrapped.begin() + done, wrapped.begin() + done + count);
-            std::vector<CaseOutcome> outcomes = pipeline_.processSequences(
-                batch, round_seed,
-                [&patchSequence, done](size_t i,
-                                       const CaseOutcome &outcome) {
-                    patchSequence(done + i, outcome);
-                });
-            for (size_t i = 0; i < outcomes.size(); ++i) {
-                result.steps_used += outcomes[i].step_cost;
-                result.outcomes[done + i] = std::move(outcomes[i]);
-            }
-            done += count;
+            break;
         }
+        size_t count = std::min<size_t>(wave, wrapped.size() - done);
+        std::vector<const ir::Function *> batch(
+            wrapped.begin() + done, wrapped.begin() + done + count);
+        std::vector<CaseOutcome> outcomes = pipeline_.processSequences(
+            batch, round_seed,
+            [&patchSequence, done](size_t i, const CaseOutcome &outcome) {
+                patchSequence(done + i, outcome);
+            });
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            result.steps_used += outcomes[i].step_cost;
+            result.outcomes[done + i] = std::move(outcomes[i]);
+        }
+        done += count;
     }
     result.unique_sequences = sequences.size();
     // Patch-back already streamed from the commit chain above. The
@@ -310,24 +305,9 @@ ModuleOptimizer::optimize(ir::Module &module, uint64_t round_seed)
             continue;
         }
         ir::Function &fn = *module.functions()[i];
-        unsigned removed = 0;
-        unsigned insts_after;
-        double cycles_after;
-        if (options_.run_dce) {
-            removed = opt::removeDeadInstructions(fn);
-            insts_after = fn.instructionCount();
-            cycles_after = mca::analyzeFunction(fn).total_cycles;
-        } else {
-            // No in-place sweep requested; the profit decision AND
-            // the reported savings still price the function as-if
-            // swept (the dead originals' issue-bound cost would
-            // otherwise roll back every patch / report regressions
-            // for verified-profitable rewrites).
-            auto probe = fn.clone(fn.name());
-            opt::removeDeadInstructions(*probe);
-            insts_after = probe->instructionCount();
-            cycles_after = mca::analyzeFunction(*probe).total_cycles;
-        }
+        unsigned removed = opt::removeDeadInstructions(fn);
+        unsigned insts_after = fn.instructionCount();
+        double cycles_after = mca::analyzeFunction(fn).total_cycles;
         bool valid = ir::isValid(fn);
         if (!valid) {
             ++result.invalid_functions;

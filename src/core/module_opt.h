@@ -39,17 +39,12 @@ struct ModuleOptOptions
     PipelineConfig pipeline;
     /** Extraction window and memory policy. */
     extract::ExtractorOptions extractor;
-    /** Sweep dead originals out of patched functions afterwards.
-     *  When off, only the in-place sweep is skipped: rollback
-     *  decisions and the reported per-function savings still price
-     *  each patched function as-if swept (via a throwaway clone), so
-     *  the monotone-savings invariant holds in both modes. */
-    bool run_dce = true;
     /**
      * Deterministic deadline for the whole run, measured in case step
      * costs (SAT conflicts performed + candidate attempts — never
      * wall-clock, so the cut point reproduces across machines). 0
-     * disables the deadline (the default: one batch, no extra cost).
+     * disables the deadline (the default: one wave covering every
+     * sequence, no extra cost).
      * When positive, sequences are processed in fixed-size waves; once
      * the cumulative step cost crosses the budget at a wave boundary,
      * every remaining sequence is reported CaseStatus::Skipped and the

@@ -13,6 +13,27 @@ namespace lpo::core {
 
 namespace {
 
+/** Fixed non-LLM overhead per proposer leg (opt + checks), in
+ *  simulated seconds. */
+constexpr double kOverheadSeconds = 0.5;
+/** Additional simulated seconds per verifier invocation. */
+constexpr double kVerifySeconds = 0.4;
+
+/** Add one verdict's verifier work into a case's stats. */
+void
+addVerifyWork(PipelineStats &stats, const verify::VerifyWork &work)
+{
+    stats.sat_solves += work.solves;
+    stats.sat_decisions += work.decisions;
+    stats.sat_conflicts += work.conflicts;
+    stats.sat_propagations += work.propagations;
+    stats.sat_restarts += work.restarts;
+    stats.sat_escalations += work.escalations;
+    stats.concrete_fallbacks += work.concrete_fallbacks;
+    stats.exhaustive_rescues += work.exhaustive_rescues;
+    stats.degraded_verdicts += work.degraded;
+}
+
 const char *
 verdictLabel(verify::Verdict verdict)
 {
@@ -156,7 +177,7 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
     const Proposer::Backend backend = proposer.backend();
     CaseOutcome outcome;
     outcome.proposer = proposer.name();
-    outcome.total_seconds = config_.overhead_seconds;
+    outcome.total_seconds = kOverheadSeconds;
 
     std::string seq_text = ir::printFunction(seq);
     std::string feedback;
@@ -241,7 +262,8 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
             }
         }
         ++stats.verifier_calls;
-        outcome.total_seconds += config_.verify_seconds;
+        addVerifyWork(stats, verdict.work);
+        outcome.total_seconds += kVerifySeconds;
         outcome.verifier_backend = verdict.backend;
 
         if (verdict.verdict == verify::Verdict::Unsupported) {
@@ -317,7 +339,7 @@ Pipeline::runLegContained(Proposer &proposer, const ir::Function &seq,
         outcome.status = CaseStatus::Error;
         outcome.last_feedback =
             std::string("contained exception: ") + e.what();
-        outcome.total_seconds = config_.overhead_seconds;
+        outcome.total_seconds = kOverheadSeconds;
         return outcome;
     }
 }
@@ -329,18 +351,16 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
 {
     ++stats.cases;
     LPO_TRACE_SPAN(case_span, "case", "pipeline");
+    // runAttemptLoop adds every verdict's work into @p stats, which on
+    // the serial path is the pipeline-wide total; the difference is
+    // this case's share.
+    const uint64_t conflicts_before = stats.sat_conflicts;
 
     // All workers share the pipeline-lifetime cache; the RefineOptions
-    // copy just points at it. The SAT telemetry and degradation
-    // counters are per-case and folded into the worker's stats delta
-    // below.
-    verify::SatTelemetry telemetry;
-    verify::DegradationStats degradation;
+    // copy just points at it.
     verify::RefineOptions refine_opts = refine;
     refine_opts.cache =
         config_.enable_verify_cache ? &verify_cache_ : nullptr;
-    refine_opts.sat_telemetry = &telemetry;
-    refine_opts.degradation = &degradation;
 
     CaseOutcome outcome;
     switch (config_.proposer) {
@@ -411,25 +431,15 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
                                  outcome.candidate_text);
 
     // The deadline currency: deterministic work units, not seconds.
-    outcome.step_cost = telemetry.conflicts + outcome.attempts;
+    const uint64_t case_conflicts = stats.sat_conflicts - conflicts_before;
+    outcome.step_cost = case_conflicts + outcome.attempts;
 
     if (case_span.active()) {
         case_span.arg("fn", std::string(seq.name()));
         case_span.arg("verdict", caseStatusName(outcome.status));
         case_span.arg("proposer", outcome.proposer);
-        case_span.arg("sat_conflicts", telemetry.conflicts);
+        case_span.arg("sat_conflicts", case_conflicts);
     }
-
-    stats.sat_escalations += degradation.escalations;
-    stats.concrete_fallbacks += degradation.concrete_fallbacks;
-    stats.exhaustive_rescues += degradation.exhaustive_rescues;
-    stats.degraded_verdicts += degradation.degraded;
-
-    stats.sat_solves += telemetry.solves;
-    stats.sat_decisions += telemetry.decisions;
-    stats.sat_conflicts += telemetry.conflicts;
-    stats.sat_propagations += telemetry.propagations;
-    stats.sat_restarts += telemetry.restarts;
 
     stats.total_seconds += outcome.total_seconds;
     stats.total_cost_usd += outcome.cost_usd;
@@ -497,17 +507,6 @@ Pipeline::processSequences(
     verify::RefineOptions worker_refine = config_.refine;
     worker_refine.num_threads = 1;
 
-    // The advisory per-task conflict budget is the most SAT work one
-    // case can possibly perform per query (the whole ladder, or the
-    // single-shot budget when no ladder is configured).
-    uint64_t case_budget = 0;
-    if (worker_refine.budget_tiers.empty()) {
-        case_budget = worker_refine.conflict_budget;
-    } else {
-        for (uint64_t tier : worker_refine.budget_tiers)
-            case_budget += tier;
-    }
-
     static const telemetry::Histogram chain_hist =
         telemetry::histogram("pipeline.chain_latency_ns");
 
@@ -545,14 +544,13 @@ Pipeline::processSequences(
                     outcomes[i].status = CaseStatus::SyntaxError;
                     outcomes[i].last_feedback =
                         parsed.error().toString();
-                    outcomes[i].total_seconds = config_.overhead_seconds;
+                    outcomes[i].total_seconds = kOverheadSeconds;
                     deltas[i].total_seconds += outcomes[i].total_seconds;
                     return;
                 }
                 outcomes[i] = runCase(**parsed, round_seed, deltas[i],
                                       worker_refine);
-            },
-            {}, case_budget);
+            });
     }
     TaskId prev_commit = kInvalidTask;
     for (size_t i = 0; i < sequences.size(); ++i) {

@@ -37,10 +37,6 @@ struct PipelineConfig
     /** False selects the LPO- ablation (no feedback, single shot). */
     bool enable_feedback = true;
     verify::RefineOptions refine;
-    /** Fixed non-LLM overhead (opt + checks) in simulated seconds. */
-    double overhead_seconds = 0.5;
-    /** Additional simulated seconds per verifier invocation. */
-    double verify_seconds = 0.4;
     /**
      * Threads for processModule's per-sequence fan-out (0 = hardware
      * concurrency; 1 reproduces the original serial behavior). Every
@@ -65,8 +61,6 @@ struct PipelineConfig
      * findings are always a superset of the LLM's at equal settings.
      */
     ProposerKind proposer = ProposerKind::Llm;
-    /** E-graph saturation budgets (egraph / hybrid modes). */
-    egraph::SaturationLimits egraph_limits;
     /**
      * Directory of the crash-safe persistent verify store (empty =
      * no persistence; see verify/persist.h). On construction the
@@ -166,11 +160,11 @@ struct PipelineStats
     uint64_t verify_cache_misses = 0;
     uint64_t verify_cache_evictions = 0;
     /**
-     * SAT work counters (verify::SatTelemetry folded per case in
-     * sequence order). They count solving actually performed, so with
-     * the shared cache on in a parallel run the per-case attribution
-     * of a shared query can move between workers; verdicts and
-     * outcomes stay byte-identical regardless.
+     * SAT work counters (each verdict's verify::VerifyWork, summed per
+     * case and folded in sequence order). They count solving actually
+     * performed, so with the shared cache on in a parallel run the
+     * per-case attribution of a shared query can move between
+     * workers; verdicts and outcomes stay byte-identical regardless.
      */
     uint64_t sat_solves = 0;
     uint64_t sat_decisions = 0;
@@ -214,10 +208,9 @@ struct PipelineStats
     uint64_t store_rejected_files = 0;
     uint64_t store_decode_skipped = 0;
     /**
-     * Degradation-ladder accounting (verify::DegradationStats folded
-     * per case in sequence order; work-done semantics like the SAT
-     * counters above). See DESIGN.md, "Fault containment and
-     * degradation ladder".
+     * Degradation-ladder accounting (from the same verify::VerifyWork
+     * sums; work-done semantics like the SAT counters above). See
+     * DESIGN.md, "Fault containment and degradation ladder".
      */
     uint64_t sat_escalations = 0;      ///< budget-tier bumps
     uint64_t concrete_fallbacks = 0;   ///< SAT queries degraded to the
@@ -371,10 +364,10 @@ class Pipeline
     PipelineConfig config_;
     PipelineStats stats_;
     /** Proposer backends (shared by all workers; see the Proposer
-     *  thread-safety contract). Declared after config_: the e-graph
-     *  proposer copies its budgets from it. */
+     *  thread-safety contract). The e-graph runs with its default
+     *  saturation limits. */
     LlmProposer llm_proposer_{client_};
-    EGraphProposer egraph_proposer_{config_.egraph_limits};
+    EGraphProposer egraph_proposer_;
     /** Shared across every case and worker thread for the lifetime
      *  of the pipeline, so repeat candidates across modules hit. The
      *  entry cap bounds memory on long-running deployments (oldest

@@ -73,6 +73,9 @@ cacheSummary(uint64_t hits, uint64_t misses)
     return buffer;
 }
 
+namespace {
+
+/** "sat: ..." — the solver work line profileSummary appends. */
 std::string
 satStatsLine(const PipelineStats &stats)
 {
@@ -88,6 +91,8 @@ satStatsLine(const PipelineStats &stats)
         static_cast<unsigned long long>(stats.sat_restarts));
     return line;
 }
+
+} // namespace
 
 std::string
 degradationStatsLine(const PipelineStats &stats)
@@ -208,6 +213,10 @@ profileSummary(const PipelineStats &stats,
                         ms(sched.idle_ns)});
     rendered += "scheduler (work-stealing task graph):\n" +
                 sched_table.render();
+    // The verifier's work behind the verify phase, always printed (even
+    // all-zero) so a profile alone explains where the proofs went.
+    rendered += satStatsLine(stats);
+    rendered += degradationStatsLine(stats);
     return rendered;
 }
 

@@ -59,33 +59,31 @@ std::string moduleSummary(const PipelineStats &stats,
                           bool verify_cache_enabled);
 
 /**
- * The one-line solver work summary backing `lpo run --sat-stats`:
- * decisions / conflicts / propagations / restarts across every SAT
- * verification performed.
- */
-std::string satStatsLine(const PipelineStats &stats);
-
-/**
- * The one-line degradation summary backing `lpo run
- * --degradation-stats` and the CI chaos artifact: budget-ladder
- * escalations, concrete fallbacks (with the soundly-concluded
- * exhaustive rescues called out), Degraded verdicts, and contained
- * per-case exceptions. moduleSummary appends it automatically whenever
- * any of those counters is nonzero.
+ * The one-line degradation summary ("degradation: ...") behind the
+ * CI chaos artifact: budget-ladder escalations, concrete fallbacks
+ * (with the soundly-concluded exhaustive rescues called out),
+ * Degraded verdicts, and contained per-case exceptions.
+ * moduleSummary appends it whenever any of those counters is
+ * nonzero; profileSummary always does.
  */
 std::string degradationStatsLine(const PipelineStats &stats);
 
 /**
- * The per-phase wall-time table backing `lpo run --profile`: one row
- * per pipeline phase (extract, propose, verify, patch, dce) with its
- * total wall time from PipelineStats::timings, its share of the
- * optimize run, and the p50/p90/p99 per-invocation latency from the
- * matching `phase.*_ns` histogram in @p metrics; the closing total row
- * carries the per-module latency percentiles (module.latency_ns).
- * propose/verify fold per-case times across every worker thread (CPU
- * time, not wall), so their share can exceed 100% on threaded runs.
- * Purely additive — never part of moduleSummary's default output, so
- * existing pinned summaries stay byte-identical.
+ * The report backing `lpo run --profile`. First the per-phase
+ * wall-time table: one row per pipeline phase (extract, propose,
+ * verify, patch, dce) with its total wall time from
+ * PipelineStats::timings, its share of the optimize run, and the
+ * p50/p90/p99 per-invocation latency from the matching `phase.*_ns`
+ * histogram in @p metrics; the closing total row carries the
+ * per-module latency percentiles (module.latency_ns). propose/verify
+ * fold per-case times across every worker thread (CPU time, not
+ * wall), so their share can exceed 100% on threaded runs. Then the
+ * scheduler counters, the one-line solver work summary ("sat:
+ * solves / decisions / conflicts / propagations / restarts" across
+ * every SAT verification performed) and degradationStatsLine, both
+ * printed even when all-zero. Purely additive — never part of
+ * moduleSummary's default output, so existing pinned summaries stay
+ * byte-identical.
  */
 std::string profileSummary(const PipelineStats &stats,
                            const telemetry::MetricsSnapshot &metrics);

@@ -30,7 +30,6 @@ uint64_t xorshift64star(uint64_t &state)
  *  tasks to the enqueuing thread's own deque. */
 thread_local TaskScheduler *tls_scheduler = nullptr;
 thread_local unsigned tls_worker = 0;
-thread_local uint64_t tls_budget = 0;
 
 void atomicMax(std::atomic<uint64_t> &slot, uint64_t value)
 {
@@ -188,8 +187,6 @@ TaskScheduler::~TaskScheduler()
         t.join();
 }
 
-uint64_t TaskScheduler::currentTaskBudget() { return tls_budget; }
-
 unsigned TaskScheduler::hardwareThreads()
 {
     unsigned n = std::thread::hardware_concurrency();
@@ -330,8 +327,6 @@ void TaskScheduler::executeTask(TaskScope &scope, TaskId task)
         }
     }
     if (run) {
-        uint64_t saved_budget = tls_budget;
-        tls_budget = node->conflict_budget;
         try {
             node->fn();
         } catch (...) {
@@ -342,7 +337,6 @@ void TaskScheduler::executeTask(TaskScope &scope, TaskId task)
             }
             scope.cancel();
         }
-        tls_budget = saved_budget;
         node->fn = nullptr; // drop the closure at completion, not at
                             // scope destruction
     }
@@ -454,8 +448,7 @@ TaskScope::~TaskScope()
 }
 
 TaskId TaskScope::submit(std::function<void()> fn,
-                         const std::vector<TaskId> &deps,
-                         uint64_t conflict_budget)
+                         const std::vector<TaskId> &deps)
 {
     TaskId id;
     bool ready = false;
@@ -467,7 +460,6 @@ TaskId TaskScope::submit(std::function<void()> fn,
         id = static_cast<TaskId>(nodes_.size());
         auto node = std::make_unique<Node>();
         node->fn = std::move(fn);
-        node->conflict_budget = conflict_budget;
         // The +1 guard count keeps the node from firing while its
         // dependents links are still being written.
         int32_t outstanding = 1;

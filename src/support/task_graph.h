@@ -32,15 +32,11 @@
  *    cancellation flag (wired into SatSolver::setInterrupt by the
  *    verification layer) and finish early at the next conflict
  *    boundary. wait() still drains to quiescence.
- *  - Per-task conflict budgets: submit() records a budget with each
- *    task; the running task can read it via currentTaskBudget(). The
- *    pipeline maps it onto the verifier's budget ladder.
  *  - Scopes nest across schedulers: a task may open a TaskScope on a
  *    second scheduler (the verifier's sweep does, inside pipeline case
  *    tasks). The inner scope borrows the calling thread as its slot 0
  *    and hands it back on wait(), so the outer task's later enqueues
- *    still reach its own deque and its budget still reads the outer
- *    value.
+ *    still reach its own deque.
  *
  * An idle worker sweeps every other deque twice, each sweep starting
  * at a victim drawn from a per-worker xorshift stream seeded from
@@ -123,12 +119,6 @@ class TaskScheduler
      *  only: call between scopes, not while one is running). */
     const TaskGraphStats &stats() const { return stats_; }
 
-    /**
-     * Conflict budget of the task currently executing on this thread
-     * (0 when none, or when the task was submitted without one).
-     */
-    static uint64_t currentTaskBudget();
-
   private:
     friend class TaskScope;
     class Deque;
@@ -191,12 +181,9 @@ class TaskScope
      * Add a task. @p deps must be ids returned by earlier submit()
      * calls on this scope; the task runs only after all of them have
      * completed. Submitting after wait() returned is invalid.
-     * @p conflict_budget is advisory metadata readable by the running
-     * task via TaskScheduler::currentTaskBudget().
      */
     TaskId submit(std::function<void()> fn,
-                  const std::vector<TaskId> &deps = {},
-                  uint64_t conflict_budget = 0);
+                  const std::vector<TaskId> &deps = {});
 
     /**
      * Cancel the scope: no not-yet-started task will run (each is
@@ -233,7 +220,6 @@ class TaskScope
     struct Node
     {
         std::function<void()> fn;
-        uint64_t conflict_budget = 0;
         /** Dependencies not yet completed; the node becomes ready at
          *  zero. Starts at deps.size() + 1: the extra count is the
          *  submission itself, dropped once the dependents lists are

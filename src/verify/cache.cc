@@ -168,8 +168,9 @@ VerifyCache::lookupOrCompute(
         // Chaos-test injection: publication fails after a successful
         // compute. Reuse the owner-threw teardown — the entry is
         // erased and waiters recompute uncached — but hand the caller
-        // its (perfectly good) result.
-        if (LPO_FAILPOINT("verify.cache.store")) {
+        // its (perfectly good) result. An uncacheable answer takes
+        // the same path.
+        if (LPO_FAILPOINT("verify.cache.store") || !computed.cacheable) {
             {
                 std::lock_guard<std::mutex> lock(shard.mutex);
                 shard.map.erase(key);

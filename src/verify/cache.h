@@ -108,6 +108,10 @@ class VerifyCache
     {
         RefinementResult result;
         CachedVerdict cached;
+        /** False for an answer that must not be remembered (a solve
+         *  cut short by the caller's interrupt): it is returned but
+         *  neither stored nor published, and waiters recompute. */
+        bool cacheable = true;
     };
 
     /**

@@ -34,6 +34,9 @@ using smt::SatSolver;
 
 namespace {
 
+/** Byte size of the object backing each pointer argument. */
+constexpr unsigned kMemoryObjectBytes = 64;
+
 unsigned
 laneCount(const Type *type)
 {
@@ -172,18 +175,12 @@ conflictsPerSolveHistogram()
     return h;
 }
 
-/** Add @p solver's whole-lifetime counters into the telemetry. */
-void
-recordSolverWork(const RefineOptions &options, const SatSolver &solver)
+/** Has the caller's cooperative-cancellation flag been raised? */
+bool
+interrupted(const RefineOptions &options)
 {
-    SatTelemetry *telemetry = options.sat_telemetry;
-    if (!telemetry)
-        return;
-    ++telemetry->solves;
-    telemetry->decisions += solver.decisions();
-    telemetry->conflicts += solver.conflicts();
-    telemetry->propagations += solver.propagations();
-    telemetry->restarts += solver.restarts();
+    return options.interrupt &&
+           options.interrupt->load(std::memory_order_relaxed);
 }
 
 /**
@@ -216,24 +213,22 @@ RefinementResult checkWithTesting(const ir::Function &src,
  */
 RefinementResult
 degradeToTesting(const ir::Function &src, const ir::Function &tgt,
-                 const RefineOptions &options, CachedVerdict *cached)
+                 const RefineOptions &options, CachedVerdict *cached,
+                 const VerifyWork &sat_work)
 {
-    DegradationStats *degradation = options.degradation;
-    if (degradation)
-        ++degradation->concrete_fallbacks;
     RefinementResult result = checkWithTesting(src, tgt, options, cached);
+    result.work = sat_work;
+    ++result.work.concrete_fallbacks;
     if (result.verdict != Verdict::Correct)
         return result; // counterexample: sound, stands as-is
     if (result.backend == "exhaustive") {
-        if (degradation)
-            ++degradation->exhaustive_rescues;
+        ++result.work.exhaustive_rescues;
         result.detail += " (after SAT budget ladder exhausted)";
     } else {
         result.verdict = Verdict::Degraded;
         result.detail = "SAT budget ladder exhausted; survived " +
                         result.detail + " (not a proof)";
-        if (degradation)
-            ++degradation->degraded;
+        ++result.work.degraded;
     }
     recordVerdict(cached, result);
     return result;
@@ -261,10 +256,10 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
 
     const std::vector<uint64_t> tiers = budgetLadder(options);
     SatResult sat = SatResult::Unknown;
-    size_t solves_run = 0;
+    VerifyWork &work = result.work;
     for (uint64_t tier_budget : tiers) {
-        if (solves_run > 0 && options.degradation)
-            ++options.degradation->escalations;
+        if (work.solves > 0)
+            ++work.escalations;
         uint64_t conflicts_before = solver.conflicts();
         {
             LPO_TRACE_SPAN(span, "solve", "sat");
@@ -276,18 +271,26 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         }
         conflictsPerSolveHistogram().record(solver.conflicts() -
                                             conflicts_before);
-        ++solves_run;
-        if (sat != SatResult::Unknown)
+        ++work.solves;
+        if (sat != SatResult::Unknown || interrupted(options))
             break;
     }
-    // The solver's lifetime counters already span every tier; only the
-    // solve count needs the extra calls added.
-    recordSolverWork(options, solver);
-    if (options.sat_telemetry && solves_run > 1)
-        options.sat_telemetry->solves += solves_run - 1;
+    // The solver's lifetime counters already span every tier.
+    work.decisions = solver.decisions();
+    work.conflicts = solver.conflicts();
+    work.propagations = solver.propagations();
+    work.restarts = solver.restarts();
+    if (sat == SatResult::Unknown && interrupted(options)) {
+        // The caller gave up on this query: answer at once, without
+        // escalating or falling back. checkRefinement keeps the
+        // answer out of the cache.
+        result.verdict = Verdict::Timeout;
+        result.detail = "SAT solve interrupted";
+        return result;
+    }
     if (sat == SatResult::Unknown) {
         if (!options.budget_tiers.empty())
-            return degradeToTesting(src, tgt, options, cached);
+            return degradeToTesting(src, tgt, options, cached, work);
         result.verdict = Verdict::Timeout;
         result.detail = "SAT conflict budget exhausted";
         recordVerdict(cached, result);
@@ -452,8 +455,7 @@ sampledInputAt(const ir::Function &fn, const RefineOptions &options,
                uint64_t index, const SpecialPatternCache &special_cache)
 {
     Rng rng(options.seed ^ ((index + 1) * 0x9e3779b97f4a7c15ull));
-    return randomInput(fn, rng, options.memory_object_bytes,
-                       special_cache);
+    return randomInput(fn, rng, kMemoryObjectBytes, special_cache);
 }
 
 /** violatesRefinement over in-frame plan results (no allocation). */
@@ -626,13 +628,13 @@ cacheKey(const ir::Function &src, const ir::Function &tgt,
     key += ',';
     key += std::to_string(options.sample_count);
     key += ',';
-    key += std::to_string(options.memory_object_bytes);
+    // Former per-option slots (pointer-argument object size, encoder
+    // selection), kept as literals so keys (and the persisted verify
+    // stores they index) stay byte-identical.
+    key += std::to_string(kMemoryObjectBytes);
     key += ',';
     key += std::to_string(options.seed);
-    key += ',';
-    // Former encoder-selection flag, kept as a literal so keys (and the
-    // persisted verify stores they index) stay byte-identical.
-    key += '1';
+    key += ",1";
     // The escalation ladder changes which verdict a query can reach
     // (Timeout vs Correct-at-a-higher-tier vs Degraded), so the tier
     // list is part of the key. An empty ladder leaves the key in the
@@ -792,6 +794,9 @@ checkRefinement(const ir::Function &src, const ir::Function &tgt,
             VerifyCache::Computed computed;
             computed.result =
                 dispatchBackends(src, tgt, options, &computed.cached);
+            // An answer reached after the caller raised its interrupt
+            // may be a cut-short Timeout; never remember it.
+            computed.cacheable = !interrupted(options);
             return computed;
         },
         [&](const CachedVerdict &cached) {

@@ -32,46 +32,34 @@ namespace lpo::verify {
 
 class VerifyCache;
 
-/**
- * Counters for the SAT work a verification run actually performed
- * (cache hits perform none). Callers hang one off RefineOptions; the
- * SAT backend adds each solver's counters after its solves. Totals
- * depend on which queries missed the shared cache, so in parallel runs
- * they describe work done, not a scheduling-independent quantity —
- * verdicts stay byte-identical regardless (see DESIGN.md,
- * "Verification result cache").
- */
-struct SatTelemetry
-{
-    uint64_t solves = 0;       ///< SAT solver runs (one per ladder tier)
-    uint64_t decisions = 0;
-    uint64_t conflicts = 0;
-    uint64_t propagations = 0;
-    uint64_t restarts = 0;
-};
-
 /** The verifier's verdict for a candidate transformation. */
 enum class Verdict {
     Correct,      ///< target refines source (within backend bounds)
     Incorrect,    ///< counterexample found
     Unsupported,  ///< function outside every backend's fragment
     BadSignature, ///< src/tgt signatures differ (fixable LLM mistake)
-    Timeout,      ///< solver budget exhausted (no escalation ladder)
+    Timeout,      ///< solver budget exhausted (no escalation ladder),
+                  ///< or the solve was interrupted
     Degraded,     ///< every SAT tier exhausted; the candidate merely
                   ///< survived bounded concrete testing — explicitly
                   ///< NOT a proof, so it can never patch
 };
 
 /**
- * Counters for the budget-escalation ladder and its fallbacks (see
- * DESIGN.md, "Fault containment and degradation ladder"). Like
- * SatTelemetry these describe work actually performed — hang one off
- * RefineOptions per worker and fold in sequence order. The
- * contained_exceptions field is filled by the core layer's per-case
- * containment, not by refine.cc.
+ * The SAT and ladder work one checkRefinement call performed. A cache
+ * hit performs none and reports all zeros, so totals describe work
+ * done, not a scheduling-independent quantity: with a shared cache in
+ * a parallel run the work of a shared query lands on whichever caller
+ * computed it. Verdicts stay byte-identical regardless (see DESIGN.md,
+ * "Verification result cache").
  */
-struct DegradationStats
+struct VerifyWork
 {
+    uint64_t solves = 0;       ///< SAT solver runs (one per ladder tier)
+    uint64_t decisions = 0;
+    uint64_t conflicts = 0;
+    uint64_t propagations = 0;
+    uint64_t restarts = 0;
     uint64_t escalations = 0;        ///< tier bumps after an exhausted
                                      ///< solve (learnt clauses kept)
     uint64_t concrete_fallbacks = 0; ///< SAT queries degraded to the
@@ -80,8 +68,6 @@ struct DegradationStats
                                      ///< soundly (full input-space
                                      ///< enumeration)
     uint64_t degraded = 0;           ///< queries ending in Degraded
-    uint64_t contained_exceptions = 0; ///< case-level exceptions caught
-                                       ///< and converted to failures
 };
 
 /** A concrete input violating refinement. */
@@ -99,6 +85,8 @@ struct RefinementResult
     std::string backend;        ///< "sat", "exhaustive", or "sampled"
     std::string detail;         ///< human-readable explanation
     std::optional<Counterexample> counterexample;
+    /** Work this call performed (all zero on a cache hit). */
+    VerifyWork work;
 
     bool correct() const { return verdict == Verdict::Correct; }
 
@@ -123,15 +111,13 @@ struct RefineOptions
      * reports Timeout: it degrades to the bounded concrete backend,
      * whose outcome is either sound (counterexample, or exhaustive
      * enumeration) or Verdict::Degraded. Every step is counted in
-     * DegradationStats.
+     * RefinementResult::work.
      */
     std::vector<uint64_t> budget_tiers;
     /** Max total input bits for exhaustive concrete testing. */
     unsigned exhaustive_bit_limit = 16;
     /** Number of random inputs for the sampled backend. */
     unsigned sample_count = 20'000;
-    /** Byte size of the object backing each pointer argument. */
-    unsigned memory_object_bytes = 64;
     /** Seed for the sampled backend. */
     uint64_t seed = 0xA11CE;
     /**
@@ -155,17 +141,14 @@ struct RefineOptions
     /**
      * Optional cooperative-cancellation flag (not owned). When it
      * becomes true, in-flight SAT solves return at the next conflict
-     * boundary and the query reports Timeout; the scheduler's
+     * boundary and the query reports Timeout at once: no further
+     * ladder tier, no concrete fallback, and nothing recorded in the
+     * cache (or the store behind it), so the same query asked again
+     * without the flag is computed afresh. The scheduler's
      * TaskScope::cancelFlag() plugs in here so a cancelled scope
      * drains instead of finishing multi-million-conflict proofs.
      */
     const std::atomic<bool> *interrupt = nullptr;
-    /** Optional SAT work counters (not owned, not thread-safe: give
-     *  each worker its own and fold). */
-    SatTelemetry *sat_telemetry = nullptr;
-    /** Optional escalation/degradation counters (same ownership and
-     *  threading contract as sat_telemetry). */
-    DegradationStats *degradation = nullptr;
 };
 
 /** Check whether @p tgt refines @p src. */

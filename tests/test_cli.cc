@@ -115,11 +115,14 @@ TEST(CliTest, ValidModuleOptimizesCleanly)
     EXPECT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("patched"), std::string::npos);
 
-    CommandResult with_stats =
-        run("optimize-module " + path + " --degradation-stats");
-    EXPECT_EQ(with_stats.exit_code, 0) << with_stats.output;
-    EXPECT_NE(with_stats.output.find("degradation:"), std::string::npos)
-        << with_stats.output;
+    // --profile alone explains the run: the solver work and the
+    // degradation ladder are reported even when all-zero.
+    CommandResult profiled = run("optimize-module " + path + " --profile");
+    EXPECT_EQ(profiled.exit_code, 0) << profiled.output;
+    EXPECT_NE(profiled.output.find("\nsat: "), std::string::npos)
+        << profiled.output;
+    EXPECT_NE(profiled.output.find("\ndegradation: "), std::string::npos)
+        << profiled.output;
 }
 
 TEST(CliTest, UnusableStorePathDegradesGracefully)
@@ -367,10 +370,14 @@ TEST(CliTest, EnvFailpointsDegradeGracefully)
     // run still exits 0 and reports its failures instead of crashing.
     std::string path = fixture("envfp", kValidModule);
     CommandResult result =
-        run("optimize-module " + path + " --degradation-stats",
+        run("optimize-module " + path + " --profile",
             "LPO_FAILPOINTS=patchback.fail=always ");
     EXPECT_EQ(result.exit_code, 0) << result.output;
     EXPECT_NE(result.output.find("patched 0 rewrite"), std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("\nsat: "), std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("\ndegradation: "), std::string::npos)
         << result.output;
 
     // A bad spec is reported and ignored, never fatal.

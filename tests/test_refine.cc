@@ -253,8 +253,6 @@ checkWithOptions(const char *src, const char *tgt,
 TEST(RefineTest, ReassociatedChainsProveCheaply)
 {
     RefineOptions options;
-    SatTelemetry telemetry;
-    options.sat_telemetry = &telemetry;
     // add(add(v, y), y)  ==  add(v, shl(y, 1)): flattening the add
     // chain and merging the doubled operand makes both cones equal.
     auto r = checkWithOptions(
@@ -269,13 +267,12 @@ TEST(RefineTest, ReassociatedChainsProveCheaply)
         options);
     EXPECT_EQ(r.verdict, Verdict::Correct);
     EXPECT_EQ(r.backend, "sat");
-    EXPECT_LT(telemetry.conflicts, 1000u);
+    EXPECT_EQ(r.work.solves, 1u);
+    EXPECT_LT(r.work.conflicts, 1000u);
 
     // Cancelling pairs under a multiply: xor %z twice and add/sub %m
     // are identities the canonicalizer strips before the multiplier
     // cone is ever encoded.
-    SatTelemetry cancel_telemetry;
-    options.sat_telemetry = &cancel_telemetry;
     r = checkWithOptions(
         "define i32 @src(i32 %x, i32 %z, i32 %m) {\n"
         "  %a = xor i32 %x, %z\n"
@@ -290,7 +287,8 @@ TEST(RefineTest, ReassociatedChainsProveCheaply)
         options);
     EXPECT_EQ(r.verdict, Verdict::Correct);
     EXPECT_EQ(r.backend, "sat");
-    EXPECT_LT(cancel_telemetry.conflicts, 1000u);
+    EXPECT_EQ(r.work.solves, 1u);
+    EXPECT_LT(r.work.conflicts, 1000u);
 }
 
 TEST(RefineLadderTest, SingleShotBudgetStillTimesOut)
@@ -301,6 +299,10 @@ TEST(RefineLadderTest, SingleShotBudgetStillTimesOut)
     auto r = checkWithOptions(kMulCommSrc8, kMulCommTgt8, options);
     EXPECT_EQ(r.verdict, Verdict::Timeout);
     EXPECT_EQ(r.backend, "sat");
+    EXPECT_EQ(r.work.solves, 1u);
+    EXPECT_EQ(r.work.conflicts, 1u);
+    EXPECT_EQ(r.work.escalations, 0u);
+    EXPECT_EQ(r.work.concrete_fallbacks, 0u);
 }
 
 TEST(RefineLadderTest, EscalationProvesWhatTierOneAbandons)
@@ -310,17 +312,14 @@ TEST(RefineLadderTest, EscalationProvesWhatTierOneAbandons)
     // same solver — learnt clauses intact — and completes the proof.
     RefineOptions options;
     options.budget_tiers = {1, 0}; // 0 = unlimited final tier
-    DegradationStats degradation;
-    SatTelemetry telemetry;
-    options.degradation = &degradation;
-    options.sat_telemetry = &telemetry;
     auto r = checkWithOptions(kMulCommSrc8, kMulCommTgt8, options);
     EXPECT_EQ(r.verdict, Verdict::Correct);
     EXPECT_EQ(r.backend, "sat");
-    EXPECT_EQ(degradation.escalations, 1u);
-    EXPECT_EQ(degradation.concrete_fallbacks, 0u);
-    EXPECT_EQ(degradation.degraded, 0u);
-    EXPECT_EQ(telemetry.solves, 2u);
+    EXPECT_EQ(r.work.escalations, 1u);
+    EXPECT_EQ(r.work.concrete_fallbacks, 0u);
+    EXPECT_EQ(r.work.degraded, 0u);
+    EXPECT_EQ(r.work.solves, 2u);
+    EXPECT_GT(r.work.conflicts, 1u);
 }
 
 TEST(RefineLadderTest, ExhaustedLadderRescuedByExhaustiveTesting)
@@ -329,17 +328,18 @@ TEST(RefineLadderTest, ExhaustedLadderRescuedByExhaustiveTesting)
     // whole space, so the degraded query still concludes soundly.
     RefineOptions options;
     options.budget_tiers = {1};
-    DegradationStats degradation;
-    options.degradation = &degradation;
     auto r = checkWithOptions(kMulCommSrc8, kMulCommTgt8, options);
     EXPECT_EQ(r.verdict, Verdict::Correct);
     EXPECT_EQ(r.backend, "exhaustive");
     EXPECT_NE(r.detail.find("after SAT budget ladder exhausted"),
               std::string::npos);
-    EXPECT_EQ(degradation.escalations, 0u);
-    EXPECT_EQ(degradation.concrete_fallbacks, 1u);
-    EXPECT_EQ(degradation.exhaustive_rescues, 1u);
-    EXPECT_EQ(degradation.degraded, 0u);
+    // The SAT work before the fallback is still reported.
+    EXPECT_EQ(r.work.solves, 1u);
+    EXPECT_EQ(r.work.conflicts, 1u);
+    EXPECT_EQ(r.work.escalations, 0u);
+    EXPECT_EQ(r.work.concrete_fallbacks, 1u);
+    EXPECT_EQ(r.work.exhaustive_rescues, 1u);
+    EXPECT_EQ(r.work.degraded, 0u);
 }
 
 TEST(RefineLadderTest, ExhaustedLadderOverWideInputsIsDegraded)
@@ -348,15 +348,13 @@ TEST(RefineLadderTest, ExhaustedLadderOverWideInputsIsDegraded)
     // Degraded — never Correct, never Timeout — and says why.
     RefineOptions options;
     options.budget_tiers = {1};
-    DegradationStats degradation;
-    options.degradation = &degradation;
     auto r = checkWithOptions(kMulCommSrc32, kMulCommTgt32, options);
     EXPECT_EQ(r.verdict, Verdict::Degraded);
     EXPECT_EQ(r.backend, "sampled");
     EXPECT_NE(r.detail.find("not a proof"), std::string::npos);
-    EXPECT_EQ(degradation.concrete_fallbacks, 1u);
-    EXPECT_EQ(degradation.exhaustive_rescues, 0u);
-    EXPECT_EQ(degradation.degraded, 1u);
+    EXPECT_EQ(r.work.concrete_fallbacks, 1u);
+    EXPECT_EQ(r.work.exhaustive_rescues, 0u);
+    EXPECT_EQ(r.work.degraded, 1u);
     // The feedback path must not pretend this was a counterexample.
     static ir::Context ctx;
     auto src = ir::parseFunction(ctx, kMulCommSrc32);
@@ -369,7 +367,8 @@ TEST(RefineLadderTest, LadderVerdictsSurviveTheCache)
 {
     // A repeated candidate (an LLM retry, a recurring site) is served
     // by the shared cache; a cache hit must replay the ladder's
-    // verdict, not re-run a shorter or longer search.
+    // verdict, not re-run a shorter or longer search, and does no
+    // SAT work at all.
     static ir::Context ctx;
     auto src8 = ir::parseFunction(ctx, kMulCommSrc8);
     auto tgt8 = ir::parseFunction(ctx, kMulCommTgt8);
@@ -381,14 +380,17 @@ TEST(RefineLadderTest, LadderVerdictsSurviveTheCache)
     RefineOptions options;
     options.budget_tiers = {1, 0};
     options.cache = &cache;
-    DegradationStats degradation;
-    options.degradation = &degradation;
-    for (int round = 0; round < 2; ++round) {
-        auto r8 = checkRefinement(**src8, **tgt8, options);
-        EXPECT_EQ(r8.verdict, Verdict::Correct) << "round " << round;
-        EXPECT_EQ(r8.backend, "sat") << "round " << round;
+    auto computed8 = checkRefinement(**src8, **tgt8, options);
+    auto replayed8 = checkRefinement(**src8, **tgt8, options);
+    for (const RefinementResult *r : {&computed8, &replayed8}) {
+        EXPECT_EQ(r->verdict, Verdict::Correct);
+        EXPECT_EQ(r->backend, "sat");
     }
-    EXPECT_EQ(degradation.escalations, 1u) << "the hit re-ran the ladder";
+    EXPECT_EQ(computed8.work.solves, 2u);
+    EXPECT_EQ(computed8.work.escalations, 1u);
+    EXPECT_EQ(replayed8.work.solves, 0u) << "the hit re-ran the ladder";
+    EXPECT_EQ(replayed8.work.conflicts, 0u);
+    EXPECT_EQ(replayed8.work.escalations, 0u);
 
     RefineOptions short_ladder;
     short_ladder.budget_tiers = {1};
@@ -399,5 +401,45 @@ TEST(RefineLadderTest, LadderVerdictsSurviveTheCache)
     EXPECT_EQ(replayed.verdict, computed.verdict);
     EXPECT_EQ(replayed.backend, computed.backend);
     EXPECT_EQ(replayed.detail, computed.detail);
+    EXPECT_EQ(computed.work.degraded, 1u);
+    EXPECT_EQ(replayed.work.solves, 0u);
+    EXPECT_EQ(replayed.work.concrete_fallbacks, 0u);
+    EXPECT_EQ(replayed.work.degraded, 0u);
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(RefineLadderTest, InterruptedQueryTimesOutUncached)
+{
+    // A raised interrupt cuts the query short on both budget paths:
+    // Timeout at once, no escalation, no concrete fallback, and no
+    // cache entry, so the same provable query asked again after the
+    // flag clears is computed afresh (a miss) and proved by SAT.
+    static ir::Context ctx;
+    auto src = ir::parseFunction(ctx, kMulCommSrc8);
+    auto tgt = ir::parseFunction(ctx, kMulCommTgt8);
+    ASSERT_TRUE(src.ok() && tgt.ok());
+
+    RefineOptions single_shot;
+    RefineOptions ladder;
+    ladder.budget_tiers = {50'000, 200'000, 2'000'000};
+    for (RefineOptions options : {single_shot, ladder}) {
+        VerifyCache cache;
+        std::atomic<bool> interrupt{true};
+        options.cache = &cache;
+        options.interrupt = &interrupt;
+        auto cut = checkRefinement(**src, **tgt, options);
+        EXPECT_EQ(cut.verdict, Verdict::Timeout);
+        EXPECT_EQ(cut.backend, "sat");
+        EXPECT_EQ(cut.work.solves, 1u);
+        EXPECT_EQ(cut.work.escalations, 0u);
+        EXPECT_EQ(cut.work.concrete_fallbacks, 0u);
+        EXPECT_EQ(cache.size(), 0u);
+
+        interrupt = false;
+        auto proved = checkRefinement(**src, **tgt, options);
+        EXPECT_EQ(proved.verdict, Verdict::Correct);
+        EXPECT_EQ(proved.backend, "sat");
+        EXPECT_EQ(cache.stats().hits, 0u);
+        EXPECT_EQ(cache.stats().misses, 2u);
+    }
 }

@@ -1,9 +1,9 @@
 // TaskScheduler/TaskScope tests: every submitted task runs exactly
 // once, dependencies order execution, the single-threaded scheduler is
 // deterministic, cancellation drains to quiescence with zero leaked
-// tasks, work stealing actually happens under a skewed queue, per-task
-// budgets are visible to the running body, and a scope nested on a
-// second scheduler hands its thread back to the outer one.
+// tasks, work stealing actually happens under a skewed queue, and a
+// scope nested on a second scheduler hands its thread back to the
+// outer one.
 
 #include <gtest/gtest.h>
 
@@ -237,28 +237,6 @@ TEST(TaskGraphTest, StealsOccurUnderSkewedQueues)
     EXPECT_GT(scope.stats().max_queue_depth, 1u);
 }
 
-TEST(TaskGraphTest, PerTaskBudgetVisibleToBody)
-{
-    for (unsigned threads : {1u, 4u}) {
-        TaskScheduler scheduler(options(threads));
-        TaskScope scope(scheduler);
-        std::atomic<uint64_t> seen_a{0}, seen_b{0}, seen_none{1};
-        scope.submit(
-            [&] { seen_a = TaskScheduler::currentTaskBudget(); }, {},
-            2'000'000);
-        scope.submit(
-            [&] { seen_b = TaskScheduler::currentTaskBudget(); }, {},
-            777);
-        scope.submit(
-            [&] { seen_none = TaskScheduler::currentTaskBudget(); });
-        scope.wait();
-        EXPECT_EQ(seen_a.load(), 2'000'000u) << "threads " << threads;
-        EXPECT_EQ(seen_b.load(), 777u) << "threads " << threads;
-        EXPECT_EQ(seen_none.load(), 0u) << "threads " << threads;
-        EXPECT_EQ(TaskScheduler::currentTaskBudget(), 0u);
-    }
-}
-
 // Tasks may submit follow-up tasks into their own scope (the
 // streaming shape: discovery spawns work). All of it completes before
 // wait() returns.
@@ -323,8 +301,8 @@ TEST(TaskGraphTest, DependencyOnLaterTaskThrows)
 
 // A task may open a scope on a second scheduler (the verifier's sweep
 // does, inside pipeline case tasks). The outer graph must still run
-// every task exactly once, and the outer task's budget must read the
-// outer value again once the inner scope is done.
+// every task exactly once, follow-ups submitted after the inner scope
+// included.
 TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
 {
     for (unsigned outer_threads : {1u, 2u, 8u}) {
@@ -333,31 +311,18 @@ TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
             constexpr size_t kOuter = 16, kInner = 8, kFollowUps = 3;
             std::vector<std::atomic<uint32_t>> hits(kOuter);
             std::atomic<uint64_t> inner_ran{0}, follow_ups{0};
-            std::atomic<uint64_t> budget_mismatches{0};
             TaskScope scope(scheduler);
             for (size_t i = 0; i < kOuter; ++i) {
-                const uint64_t budget = 1000 + i;
-                scope.submit(
-                    [&, i, budget] {
-                        hits[i].fetch_add(1);
-                        TaskScheduler inner(options(inner_threads));
-                        TaskScope nested(inner);
-                        for (size_t j = 0; j < kInner; ++j)
-                            nested.submit(
-                                [&] {
-                                    if (TaskScheduler::currentTaskBudget() !=
-                                        7)
-                                        budget_mismatches.fetch_add(1);
-                                    inner_ran.fetch_add(1);
-                                },
-                                {}, 7);
-                        nested.wait();
-                        if (TaskScheduler::currentTaskBudget() != budget)
-                            budget_mismatches.fetch_add(1);
-                        for (size_t k = 0; k < kFollowUps; ++k)
-                            scope.submit([&] { follow_ups.fetch_add(1); });
-                    },
-                    {}, budget);
+                scope.submit([&, i] {
+                    hits[i].fetch_add(1);
+                    TaskScheduler inner(options(inner_threads));
+                    TaskScope nested(inner);
+                    for (size_t j = 0; j < kInner; ++j)
+                        nested.submit([&] { inner_ran.fetch_add(1); });
+                    nested.wait();
+                    for (size_t k = 0; k < kFollowUps; ++k)
+                        scope.submit([&] { follow_ups.fetch_add(1); });
+                });
             }
             scope.wait();
             for (size_t i = 0; i < kOuter; ++i)
@@ -366,10 +331,7 @@ TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
                     << " inner " << inner_threads;
             EXPECT_EQ(inner_ran.load(), kOuter * kInner);
             EXPECT_EQ(follow_ups.load(), kOuter * kFollowUps);
-            EXPECT_EQ(budget_mismatches.load(), 0u)
-                << "outer " << outer_threads << " inner " << inner_threads;
             EXPECT_EQ(scope.stats().tasks_run, kOuter * (1 + kFollowUps));
-            EXPECT_EQ(TaskScheduler::currentTaskBudget(), 0u);
         }
     }
 }

@@ -285,6 +285,41 @@ TEST(VerifyCacheTest, PublishHookSeesFreshVerdictsOnly)
     EXPECT_EQ(published.size(), 1u);
 }
 
+// Pins the exact key bytes: persisted verify stores are indexed by
+// them, so any change (including to the literal slots that replaced
+// retired options) silently turns every stored verdict into a miss.
+TEST(VerifyCacheTest, KeyBytesArePinned)
+{
+    ir::Context ctx;
+    auto src = ir::parseFunction(ctx, kSatSrc);
+    auto tgt = ir::parseFunction(ctx, kSatTgt);
+    ASSERT_TRUE(src.ok() && tgt.ok());
+    auto keyFor = [&](RefineOptions options) {
+        VerifyCache cache;
+        std::string key;
+        cache.setPublishHook(
+            [&](const std::string &k, const CachedVerdict &) { key = k; });
+        options.cache = &cache;
+        checkRefinement(**src, **tgt, options);
+        return key;
+    };
+    const std::string pair =
+        "v1\x01"
+        "define i8 @f(i8 %0) {\n  %1 = add i8 %0, 1\n  ret i8 %1\n}\n"
+        "\x02"
+        "define i8 @f(i8 %0) {\n  %1 = add i8 %0, 2\n  ret i8 %1\n}\n"
+        "\x03";
+
+    EXPECT_EQ(keyFor(RefineOptions{}), pair + "2000000,16,20000,64,659918,1");
+
+    // The module pipeline's ladder (core::ModuleOptOptions).
+    RefineOptions ladder;
+    ladder.conflict_budget = 200'000;
+    ladder.budget_tiers = {50'000, 200'000, 2'000'000};
+    EXPECT_EQ(keyFor(ladder), pair + "200000,16,20000,64,659918,1"
+                                     ",t50000,t200000,t2000000");
+}
+
 TEST(VerifyCacheTest, ComputeOncePerKeyUnderConcurrency)
 {
     // All threads race on ONE key: exactly one computes (miss), the

@@ -79,7 +79,8 @@ echo "=== Observability: traced module run (Release) ==="
 # One end-to-end optimize-module run over a generated 48-function
 # module with tracing, metrics, and the profile table on. The trace
 # and metrics files must be valid JSON (json.tool is the arbiter),
-# the trace must contain a span for every pipeline phase, and — the
+# the trace must contain a span for every pipeline phase, the profile
+# must carry the solver-work (sat:) and degradation lines, and — the
 # hard invariant — the emitted module must be byte-identical with and
 # without observability, serial and threaded.
 obs_dir=build-release/observability
@@ -91,13 +92,15 @@ rm -rf "${obs_dir}" && mkdir -p "${obs_dir}"
 ./build-release/lpo_cli optimize-module "${obs_dir}/module.ll" \
     --proposer=hybrid --threads=1 --emit="${obs_dir}/traced_t1.ll" \
     --trace="${obs_dir}/trace.lpo.json" \
-    --metrics="${obs_dir}/metrics.lpo.json" --profile
+    --metrics="${obs_dir}/metrics.lpo.json" --profile \
+    2> "${obs_dir}/profile_t1.txt"
 ./build-release/lpo_cli optimize-module "${obs_dir}/module.ll" \
     --proposer=hybrid --threads=8 --emit="${obs_dir}/plain_t8.ll"
 ./build-release/lpo_cli optimize-module "${obs_dir}/module.ll" \
     --proposer=hybrid --threads=8 --emit="${obs_dir}/traced_t8.ll" \
     --trace="${obs_dir}/trace_t8.lpo.json" \
-    --metrics="${obs_dir}/metrics_t8.lpo.json" --profile
+    --metrics="${obs_dir}/metrics_t8.lpo.json" --profile \
+    2> "${obs_dir}/profile_t8.txt"
 
 for f in trace.lpo.json metrics.lpo.json trace_t8.lpo.json \
          metrics_t8.lpo.json; do
@@ -117,6 +120,17 @@ grep -q '"module.latency_ns"' "${obs_dir}/metrics.lpo.json" || {
     echo "FAIL: metrics JSON is missing module.latency_ns"
     exit 1
 }
+for threads in 1 8; do
+    cat "${obs_dir}/profile_t${threads}.txt"
+    for line in sat degradation; do
+        grep -q "^${line}: " "${obs_dir}/profile_t${threads}.txt" || {
+            echo "FAIL: --profile at ${threads} thread(s) is missing" \
+                 "the ${line}: line"
+            exit 1
+        }
+    done
+done
+echo "observability: --profile reports sat: and degradation: at 1 and 8 threads"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/traced_t1.ll"
 cmp "${obs_dir}/plain_t8.ll" "${obs_dir}/traced_t8.ll"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/plain_t8.ll"
