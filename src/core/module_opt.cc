@@ -172,7 +172,7 @@ ModuleOptimizer::optimize(ir::Module &module, uint64_t round_seed)
     }
     // Patch-back state, set up before the pipeline runs: verified
     // improvements are spliced back *while later sequences are still
-    // verifying*, from the pipeline's ordered commit chain (see
+    // verifying*, from the pipeline's in-order reorder drain (see
     // Pipeline::processSequences). Commits arrive strictly in
     // sequence index order — the extraction order — and one at a
     // time, so the rewritten module is byte-identical to the old
@@ -277,7 +277,7 @@ ModuleOptimizer::optimize(ir::Module &module, uint64_t round_seed)
         done += count;
     }
     result.unique_sequences = sequences.size();
-    // Patch-back already streamed from the commit chain above. The
+    // Patch-back already streamed from the reorder drain above. The
     // "patch" phase therefore no longer exists as its own wall-clock
     // interval — its cost lives inside the pipeline span, attributed
     // via timings.patch_ns (summed commit-callback time) and the

@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <atomic>
+#include <cassert>
 #include <cstdio>
 
 #include "core/interestingness.h"
@@ -477,7 +479,7 @@ Pipeline::processSequences(
 {
     unsigned threads = config_.num_threads
                            ? config_.num_threads
-                           : TaskScheduler::hardwareThreads();
+                           : TaskScope::hardwareThreads();
     std::vector<CaseOutcome> outcomes(sequences.size());
 
     if (threads <= 1 || sequences.size() <= 1) {
@@ -489,7 +491,7 @@ Pipeline::processSequences(
         return outcomes;
     }
 
-    // Parallel fan-out on the work-stealing task graph. The extracted
+    // Parallel fan-out on the work-stealing task scope. The extracted
     // sequences all live in the module's shared ir::Context, which is
     // not safe to mutate concurrently (runOpt parses candidates into
     // it), so each case task re-parses its sequence's text into a
@@ -503,40 +505,64 @@ Pipeline::processSequences(
 
     // The pipeline-level fan-out already saturates the machine, so
     // each case task runs its verification sweeps serially rather than
-    // nesting a second hardware-wide scheduler per candidate.
+    // nesting a second hardware-wide scope per candidate.
     verify::RefineOptions worker_refine = config_.refine;
     worker_refine.num_threads = 1;
 
     static const telemetry::Histogram chain_hist =
         telemetry::histogram("pipeline.chain_latency_ns");
 
+    // Reorder drain: a finished case marks done[i], then whichever
+    // case task wins `committing` folds deltas[next] and streams
+    // outcomes[next] out for as long as done[next] holds — the exact
+    // accumulation order of the serial path, so totals (including the
+    // doubles) are bit-identical for any thread count, while later
+    // cases are still running. A task that finds a committer active
+    // goes back to running cases; the committer re-checks done[next]
+    // after releasing, so no finished case is left uncommitted. The
+    // done/committing accesses are sequentially consistent: the
+    // committer's release-then-check and a finisher's mark-then-try
+    // cannot both miss each other. A throw out of on_commit leaves
+    // `committing` set, so nothing after the failing index commits.
     std::vector<PipelineStats> deltas(sequences.size());
+    std::vector<std::atomic<bool>> done(sequences.size());
+    std::atomic<bool> committing{false};
+    size_t next = 0; // owned by the task holding `committing`
+    auto drain = [&] {
+        for (;;) {
+            bool expected = false;
+            if (!committing.compare_exchange_strong(expected, true))
+                return;
+            while (next < sequences.size() && done[next].load()) {
+                foldStats(deltas[next]);
+                if (on_commit)
+                    on_commit(next, outcomes[next]);
+                ++next;
+            }
+            const size_t stop = next;
+            committing.store(false);
+            if (stop == sequences.size() || !done[stop].load())
+                return;
+        }
+    };
 
-    TaskScheduler::Options sched_options;
-    sched_options.num_threads = threads;
-    sched_options.steal_seed = round_seed ^ 0x9E3779B97F4A7C15ull;
-    TaskScheduler scheduler(sched_options);
-    TaskScope scope(scheduler);
+    TaskScope scope(threads);
     // A cancelled scope (first task exception) interrupts in-flight
     // SAT solves at the next conflict boundary instead of finishing
     // multi-million-conflict proofs nobody will read.
     worker_refine.interrupt = scope.cancelFlag();
 
-    // Each sequence is one case task; a chain of commit tasks (commit
-    // i depends on case i and commit i-1) folds its stat delta and
-    // streams the outcome out in sequence order — the exact
-    // accumulation order of the serial path, so totals (including the
-    // doubles) are bit-identical for any thread count, while later
-    // cases are still running.
-    std::vector<TaskId> case_ids(sequences.size());
     for (size_t i = 0; i < sequences.size(); ++i) {
-        case_ids[i] = scope.submit(
-            [this, i, round_seed, &texts, &outcomes, &deltas,
-             &worker_refine] {
+        scope.submit([this, i, round_seed, &texts, &outcomes, &deltas,
+                      &worker_refine, &done, &drain] {
+            {
                 telemetry::ScopedTimer timer(chain_hist);
                 ir::Context context;
                 auto parsed = ir::parseFunction(context, texts[i]);
-                if (!parsed.ok()) {
+                if (parsed.ok()) {
+                    outcomes[i] = runCase(**parsed, round_seed, deltas[i],
+                                          worker_refine);
+                } else {
                     // Cannot happen for printer output; recorded
                     // rather than silently dropped if it ever does.
                     ++deltas[i].cases;
@@ -546,27 +572,14 @@ Pipeline::processSequences(
                         parsed.error().toString();
                     outcomes[i].total_seconds = kOverheadSeconds;
                     deltas[i].total_seconds += outcomes[i].total_seconds;
-                    return;
                 }
-                outcomes[i] = runCase(**parsed, round_seed, deltas[i],
-                                      worker_refine);
-            });
-    }
-    TaskId prev_commit = kInvalidTask;
-    for (size_t i = 0; i < sequences.size(); ++i) {
-        std::vector<TaskId> deps;
-        deps.push_back(case_ids[i]);
-        if (prev_commit != kInvalidTask)
-            deps.push_back(prev_commit);
-        prev_commit = scope.submit(
-            [this, i, &deltas, &outcomes, &on_commit] {
-                foldStats(deltas[i]);
-                if (on_commit)
-                    on_commit(i, outcomes[i]);
-            },
-            deps);
+            }
+            done[i].store(true);
+            drain();
+        });
     }
     scope.wait();
+    assert(next == sequences.size() && "reorder drain left a case");
 
     stats_.scheduler += scope.stats();
     recordSchedulerMetrics(scope.stats());

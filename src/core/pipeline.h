@@ -268,15 +268,17 @@ class Pipeline
      * sequence order; each parallel worker re-parses its sequence
      * into a private Context).
      *
-     * The parallel fan-out runs on a work-stealing task graph: each
-     * sequence is one case task, and a chain of commit tasks — commit
-     * i depends on case i and commit i-1 — folds stat deltas and
-     * streams results out strictly in sequence order while later
-     * cases are still running. @p on_commit, when set, is invoked
-     * from that chain, once per sequence in index order, after the
-     * case's stats have been folded; ModuleOptimizer patches results
-     * back into the module from it. The callback must not call back
-     * into this Pipeline. On the serial path it is invoked inline
+     * The parallel fan-out runs on a work-stealing TaskScope: each
+     * sequence is one case task, and an in-order reorder drain — run
+     * by whichever finished case task becomes the single committer —
+     * folds stat deltas and streams results out strictly in sequence
+     * order while later cases are still running. @p on_commit, when
+     * set, is invoked from that drain, once per sequence in index
+     * order and one call at a time, after the case's stats have been
+     * folded; ModuleOptimizer patches results back into the module
+     * from it. The callback must not call back into this Pipeline. A
+     * throw out of it cancels the run and is rethrown here; no later
+     * index is committed. On the serial path it is invoked inline
      * after each case, preserving identical observable order.
      */
     std::vector<CaseOutcome>
@@ -325,7 +327,7 @@ class Pipeline
     /**
      * One sequence's trip through the loop, accounted into @p stats,
      * verifying with @p refine (case tasks pass a serial copy so
-     * per-case sweeps don't fan out a second hardware-wide scheduler;
+     * per-case sweeps don't fan out a second hardware-wide scope;
      * by the deterministic-parallelism contract this cannot change
      * results).
      * Dispatches to the configured proposer; in Hybrid mode runs the
@@ -356,8 +358,8 @@ class Pipeline
 
     /** Fold one case's stat delta into stats_. Field-by-field in a
      *  fixed order so parallel totals (including the doubles) are
-     *  bit-identical to serial accumulation; called from the ordered
-     *  commit chain, never concurrently. */
+     *  bit-identical to serial accumulation; called from the
+     *  in-order reorder drain, never concurrently. */
     void foldStats(const PipelineStats &delta);
 
     llm::LlmClient &client_;

@@ -25,20 +25,14 @@ uint64_t xorshift64star(uint64_t &state)
     return state * 0x2545F4914F6CDD1Dull;
 }
 
-/** The slot this thread occupies in the scheduler it is serving (the
- *  scope owner is slot 0, workers are 1..n-1). Used to route ready
- *  tasks to the enqueuing thread's own deque. */
-thread_local TaskScheduler *tls_scheduler = nullptr;
-thread_local unsigned tls_worker = 0;
+/** Base of the per-worker victim-selection streams. */
+constexpr uint64_t kStealSeed = 0x9E3779B97F4A7C15ull;
 
-void atomicMax(std::atomic<uint64_t> &slot, uint64_t value)
-{
-    uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (seen < value &&
-           !slot.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed))
-        ;
-}
+/** The slot this thread occupies in the scope it is serving (the
+ *  scope owner is slot 0, workers are 1..n-1). Routes a submit to the
+ *  submitting thread's own deque. */
+thread_local TaskScope *tls_scope = nullptr;
+thread_local unsigned tls_worker = 0;
 
 } // namespace
 
@@ -52,7 +46,7 @@ void atomicMax(std::atomic<uint64_t> &slot, uint64_t value)
  * pointer (it will then lose its CAS and retry — reading retired
  * memory is harmless, freeing it would not be).
  */
-class TaskScheduler::Deque
+class TaskScope::Deque
 {
   public:
     Deque()
@@ -63,7 +57,7 @@ class TaskScheduler::Deque
     }
 
     /** Owner only. Returns the depth after the push. */
-    int64_t pushBottom(TaskId task)
+    int64_t pushBottom(Task *task)
     {
         int64_t b = bottom_.load(std::memory_order_relaxed);
         int64_t t = top_.load(std::memory_order_acquire);
@@ -71,20 +65,21 @@ class TaskScheduler::Deque
         if (b - t > buf->capacity - 1)
             buf = grow(buf, t, b);
         buf->at(b).store(task, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        bottom_.store(b + 1, std::memory_order_relaxed);
+        // Release: a thief that sees the new bottom also sees the slot
+        // and the task it points to.
+        bottom_.store(b + 1, std::memory_order_release);
         return b + 1 - t;
     }
 
-    /** Owner only. */
-    TaskId popBottom()
+    /** Owner only; null when empty. */
+    Task *popBottom()
     {
         int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
         Buffer *buf = buffer_.load(std::memory_order_relaxed);
         bottom_.store(b, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         int64_t t = top_.load(std::memory_order_relaxed);
-        TaskId task = kInvalidTask;
+        Task *task = nullptr;
         if (t <= b) {
             task = buf->at(b).load(std::memory_order_relaxed);
             if (t == b) {
@@ -92,7 +87,7 @@ class TaskScheduler::Deque
                 if (!top_.compare_exchange_strong(
                         t, t + 1, std::memory_order_seq_cst,
                         std::memory_order_relaxed))
-                    task = kInvalidTask;
+                    task = nullptr;
                 bottom_.store(b + 1, std::memory_order_relaxed);
             }
         } else {
@@ -101,20 +96,20 @@ class TaskScheduler::Deque
         return task;
     }
 
-    /** Any thread. */
-    TaskId stealTop()
+    /** Any thread; null when empty or the race was lost. */
+    Task *stealTop()
     {
         int64_t t = top_.load(std::memory_order_acquire);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         int64_t b = bottom_.load(std::memory_order_acquire);
         if (t >= b)
-            return kInvalidTask;
+            return nullptr;
         Buffer *buf = buffer_.load(std::memory_order_acquire);
-        TaskId task = buf->at(t).load(std::memory_order_relaxed);
+        Task *task = buf->at(t).load(std::memory_order_relaxed);
         if (!top_.compare_exchange_strong(t, t + 1,
                                           std::memory_order_seq_cst,
                                           std::memory_order_relaxed))
-            return kInvalidTask;
+            return nullptr;
         return task;
     }
 
@@ -124,14 +119,14 @@ class TaskScheduler::Deque
     struct Buffer
     {
         explicit Buffer(int64_t cap)
-            : capacity(cap), slots(new std::atomic<TaskId>[cap])
+            : capacity(cap), slots(new std::atomic<Task *>[cap])
         {}
-        std::atomic<TaskId> &at(int64_t i)
+        std::atomic<Task *> &at(int64_t i)
         {
             return slots[i & (capacity - 1)];
         }
         int64_t capacity;
-        std::unique_ptr<std::atomic<TaskId>[]> slots;
+        std::unique_ptr<std::atomic<Task *>[]> slots;
     };
 
     Buffer *grow(Buffer *old, int64_t t, int64_t b)
@@ -152,289 +147,39 @@ class TaskScheduler::Deque
     std::vector<std::unique_ptr<Buffer>> buffers_; // owner only
 };
 
-struct TaskScheduler::Worker
+struct TaskScope::Worker
 {
     explicit Worker(uint64_t rng_seed) : rng(rng_seed) {}
     Deque deque;
-    uint64_t rng; ///< victim-selection stream, owner only
+    uint64_t rng;            ///< victim-selection stream
+    TaskGraphStats counters; ///< this slot's share, folded by wait()
 };
 
-TaskScheduler::TaskScheduler() : TaskScheduler(Options()) {}
-
-TaskScheduler::TaskScheduler(const Options &options)
+TaskScope::TaskScope(unsigned num_threads)
+    : num_threads_(num_threads != 0 ? num_threads : hardwareThreads())
 {
-    unsigned n =
-        options.num_threads != 0 ? options.num_threads : hardwareThreads();
-    num_threads_ = n;
-    steal_seed_ = options.steal_seed;
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    workers_.reserve(num_threads_);
+    for (unsigned i = 0; i < num_threads_; ++i)
         workers_.push_back(
-            std::make_unique<Worker>(splitmix64(steal_seed_ ^ i)));
-    threads_.reserve(n > 0 ? n - 1 : 0);
-    for (unsigned i = 1; i < n; ++i)
-        threads_.emplace_back(&TaskScheduler::workerLoop, this, i);
-}
-
-TaskScheduler::~TaskScheduler()
-{
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        stop_ = true;
-    }
-    work_ready_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-unsigned TaskScheduler::hardwareThreads()
-{
-    unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-}
-
-void TaskScheduler::workerLoop(unsigned index)
-{
-    std::unique_lock<std::mutex> lk(mutex_);
-    for (;;) {
-        work_ready_.wait(
-            lk, [&] { return stop_ || active_scope_ != nullptr; });
-        if (stop_)
-            return;
-        TaskScope *scope = active_scope_;
-        ++workers_in_scope_;
-        lk.unlock();
-
-        tls_scheduler = this;
-        tls_worker = index;
-        runScopeTasks(*scope, index, /*is_worker=*/true);
-        tls_scheduler = nullptr;
-        tls_worker = 0;
-
-        lk.lock();
-        if (--workers_in_scope_ == 0)
-            scope_done_.notify_all();
-        // Do not respin on the same scope: wait until it is detached
-        // (runScopeTasks only returns once it saw that happen, so the
-        // predicate above will not re-trigger spuriously).
-    }
-}
-
-void TaskScheduler::runScopeTasks(TaskScope &scope, unsigned index,
-                                  bool is_worker)
-{
-    using Clock = std::chrono::steady_clock;
-    for (;;) {
-        if (!is_worker &&
-            scope.unfinished_.load(std::memory_order_acquire) == 0)
-            return; // caller exits at quiescence
-        if (runOneTask(scope, index))
-            continue;
-        // Single-threaded scheduler: no other thread can make
-        // progress, so an empty ready queue with unfinished tasks is a
-        // stalled graph (cannot be reached through submit()'s
-        // backward-dependency check; purely defensive).
-        if (num_threads_ <= 1)
-            throw std::logic_error(
-                "TaskScope: dependency graph stalled");
-        // Nothing runnable right now: sleep until new work arrives.
-        // The wait is timed so a lost notification costs a
-        // millisecond, never a deadlock.
-        Clock::time_point idle_start = Clock::now();
-        std::unique_lock<std::mutex> lk(mutex_);
-        if (is_worker && active_scope_ != &scope)
-            return; // scope detached while we were idle
-        if (!is_worker &&
-            scope.unfinished_.load(std::memory_order_acquire) == 0)
-            return;
-        work_ready_.wait_for(lk, std::chrono::milliseconds(1));
-        lk.unlock();
-        counters_.idle_ns.fetch_add(
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - idle_start)
-                    .count()),
-            std::memory_order_relaxed);
-    }
-}
-
-bool TaskScheduler::runOneTask(TaskScope &scope, unsigned index)
-{
-    Worker &self = *workers_[index];
-    TaskId task = kInvalidTask;
-
-    if (num_threads_ <= 1) {
-        // Serial mode: pull the lowest ready id — submission order.
-        std::lock_guard<std::mutex> lk(scope.graph_mutex_);
-        if (!scope.serial_ready_.empty()) {
-            task = scope.serial_ready_.top();
-            scope.serial_ready_.pop();
-        }
-    } else {
-        task = self.deque.popBottom();
-        if (task == kInvalidTask) {
-            std::lock_guard<std::mutex> lk(mutex_);
-            if (!injector_.empty()) {
-                task = injector_.front();
-                injector_.pop_front();
-            }
-        }
-        if (task == kInvalidTask) {
-            // Steal: two full sweeps over every other slot, each from a
-            // randomized start, before declaring this slot idle. (Pure
-            // random picks could miss the one loaded deque and idle a
-            // worker for a whole wait period while work sits queued.)
-            unsigned start = 0;
-            for (unsigned probe = 0;
-                 probe < 2 * num_threads_ && task == kInvalidTask;
-                 ++probe) {
-                if (probe % num_threads_ == 0)
-                    start = static_cast<unsigned>(
-                        xorshift64star(self.rng) % num_threads_);
-                unsigned victim = (start + probe) % num_threads_;
-                if (victim == index)
-                    continue;
-                counters_.steal_attempts.fetch_add(
-                    1, std::memory_order_relaxed);
-                task = workers_[victim]->deque.stealTop();
-                if (task != kInvalidTask)
-                    counters_.steals.fetch_add(
-                        1, std::memory_order_relaxed);
-            }
-        }
-    }
-
-    if (task == kInvalidTask)
-        return false;
-    executeTask(scope, task);
-    return true;
-}
-
-void TaskScheduler::executeTask(TaskScope &scope, TaskId task)
-{
-    TaskScope::Node *node = nullptr;
-    bool run = false;
-    {
-        std::lock_guard<std::mutex> lk(scope.graph_mutex_);
-        node = scope.nodes_[task].get();
-        if (node->state != TaskScope::State::Ready)
-            return; // stale id (already executed or discarded)
-        if (scope.cancelled()) {
-            // finishNode() below flips it to Discarded.
-        } else {
-            node->state = TaskScope::State::Running;
-            run = true;
-        }
-    }
-    if (run) {
-        try {
-            node->fn();
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lk(scope.graph_mutex_);
-                if (!scope.first_error_)
-                    scope.first_error_ = std::current_exception();
-            }
-            scope.cancel();
-        }
-        node->fn = nullptr; // drop the closure at completion, not at
-                            // scope destruction
-    }
-    finishNode(scope, task, run);
-}
-
-void TaskScheduler::finishNode(TaskScope &scope, TaskId task, bool ran)
-{
-    std::vector<TaskId> now_ready;
-    {
-        std::lock_guard<std::mutex> lk(scope.graph_mutex_);
-        TaskScope::Node &node = *scope.nodes_[task];
-        node.state = ran ? TaskScope::State::Done
-                         : TaskScope::State::Discarded;
-        if (!ran)
-            node.fn = nullptr;
-        for (TaskId dep : node.dependents) {
-            TaskScope::Node &child = *scope.nodes_[dep];
-            // A discarded dependency still unblocks its dependents:
-            // they flow through the ready queues and are themselves
-            // discarded on sight (the scope is cancelled by then),
-            // which is what drains a cancelled graph to quiescence.
-            if (child.pending.fetch_sub(1, std::memory_order_acq_rel) ==
-                    1 &&
-                child.state == TaskScope::State::Pending) {
-                child.state = TaskScope::State::Ready;
-                now_ready.push_back(dep);
-            }
-        }
-    }
-    if (ran)
-        counters_.tasks_run.fetch_add(1, std::memory_order_relaxed);
-    else
-        counters_.tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    for (TaskId id : now_ready)
-        enqueueReady(scope, id);
-    if (scope.unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Quiescent: wake the waiter (and idle workers, so they can
-        // re-check for detachment promptly).
-        std::lock_guard<std::mutex> lk(mutex_);
-        work_ready_.notify_all();
-        scope_done_.notify_all();
-    }
-}
-
-void TaskScheduler::enqueueReady(TaskScope &scope, TaskId task)
-{
-    if (num_threads_ <= 1) {
-        std::lock_guard<std::mutex> lk(scope.graph_mutex_);
-        scope.serial_ready_.push(task);
-        return;
-    }
-    if (tls_scheduler == this) {
-        int64_t depth = workers_[tls_worker]->deque.pushBottom(task);
-        noteQueueDepth(static_cast<uint64_t>(depth));
-    } else {
-        std::lock_guard<std::mutex> lk(mutex_);
-        injector_.push_back(task);
-    }
-    work_ready_.notify_one();
-}
-
-void TaskScheduler::noteQueueDepth(uint64_t depth)
-{
-    atomicMax(counters_.max_queue_depth, depth);
-}
-
-TaskScope::TaskScope(TaskScheduler &scheduler) : scheduler_(scheduler)
-{
-    std::lock_guard<std::mutex> lk(scheduler_.mutex_);
-    if (scheduler_.active_scope_ != nullptr)
-        throw std::logic_error(
-            "TaskScope: scheduler already has an active scope");
-    scheduler_.active_scope_ = this;
-    counters_base_.tasks_run =
-        scheduler_.counters_.tasks_run.load(std::memory_order_relaxed);
-    counters_base_.tasks_cancelled =
-        scheduler_.counters_.tasks_cancelled.load(
-            std::memory_order_relaxed);
-    counters_base_.steals =
-        scheduler_.counters_.steals.load(std::memory_order_relaxed);
-    counters_base_.steal_attempts =
-        scheduler_.counters_.steal_attempts.load(
-            std::memory_order_relaxed);
-    counters_base_.max_queue_depth =
-        scheduler_.counters_.max_queue_depth.load(
-            std::memory_order_relaxed);
-    counters_base_.idle_ns =
-        scheduler_.counters_.idle_ns.load(std::memory_order_relaxed);
+            std::make_unique<Worker>(splitmix64(kStealSeed ^ i)));
     // The creating thread is slot 0 for the scope's lifetime, so
-    // submit() routes ready tasks into slot 0's deque (it owns it).
-    // Its previous slot — a worker of an enclosing scheduler when this
-    // scope opens inside a task — comes back in wait().
-    outer_scheduler_ = tls_scheduler;
+    // submit() routes its tasks into slot 0's deque (it owns it). Its
+    // previous slot — a worker of an enclosing scope when this scope
+    // opens inside a task — comes back in wait().
+    outer_scope_ = tls_scope;
     outer_worker_ = tls_worker;
-    tls_scheduler = &scheduler_;
+    tls_scope = this;
     tls_worker = 0;
-    scheduler_.work_ready_.notify_all();
+    threads_.reserve(num_threads_ - 1);
+    try {
+        for (unsigned i = 1; i < num_threads_; ++i)
+            threads_.emplace_back(&TaskScope::workerLoop, this, i);
+    } catch (...) {
+        // No destructor runs for a half-built scope: stop and join the
+        // workers already started and hand the thread's slot back.
+        wait();
+        throw;
+    }
 }
 
 TaskScope::~TaskScope()
@@ -447,101 +192,146 @@ TaskScope::~TaskScope()
     }
 }
 
-TaskId TaskScope::submit(std::function<void()> fn,
-                         const std::vector<TaskId> &deps)
+unsigned TaskScope::hardwareThreads()
 {
-    TaskId id;
-    bool ready = false;
+    unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : n;
+}
+
+void TaskScope::workerLoop(unsigned index)
+{
+    tls_scope = this;
+    tls_worker = index;
+    Worker &self = *workers_[index];
+    for (;;) {
+        if (runOneTask(index))
+            continue;
+        if (!idle(self, /*owner=*/false))
+            return;
+    }
+}
+
+bool TaskScope::idle(Worker &self, bool owner)
+{
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point idle_start = Clock::now();
     {
-        std::lock_guard<std::mutex> lk(graph_mutex_);
-        if (waited_)
-            throw std::logic_error(
-                "TaskScope::submit: scope already waited");
-        id = static_cast<TaskId>(nodes_.size());
-        auto node = std::make_unique<Node>();
-        node->fn = std::move(fn);
-        // The +1 guard count keeps the node from firing while its
-        // dependents links are still being written.
-        int32_t outstanding = 1;
-        for (TaskId dep : deps) {
-            if (dep >= id)
-                throw std::logic_error(
-                    "TaskScope::submit: dependency on a later task");
-            Node &parent = *nodes_[dep];
-            if (parent.state == State::Done ||
-                parent.state == State::Discarded)
-                continue; // already satisfied (or moot)
-            parent.dependents.push_back(id);
-            ++outstanding;
-        }
-        node->pending.store(outstanding, std::memory_order_relaxed);
-        nodes_.push_back(std::move(node));
-        unfinished_.fetch_add(1, std::memory_order_acq_rel);
-        Node &placed = *nodes_[id];
-        if (placed.pending.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-            placed.state = State::Ready;
-            ready = true;
+        std::unique_lock<std::mutex> lk(mutex_);
+        if (owner ? unfinished_.load(std::memory_order_acquire) == 0
+                  : stop_)
+            return false;
+        work_ready_.wait_for(lk, std::chrono::milliseconds(1));
+    }
+    self.counters.idle_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - idle_start)
+            .count());
+    return true;
+}
+
+bool TaskScope::runOneTask(unsigned index)
+{
+    Worker &self = *workers_[index];
+    Task *task = nullptr;
+
+    if (num_threads_ <= 1) {
+        // One thread: take from the top of its own deque, a plain
+        // FIFO, so tasks run in submission order.
+        task = self.deque.stealTop();
+    } else {
+        task = self.deque.popBottom();
+        // Steal: two full sweeps over every other slot, each from a
+        // randomized start, before declaring this slot idle. (Pure
+        // random picks could miss the one loaded deque and idle a
+        // worker for a whole wait period while work sits queued.)
+        unsigned start = 0;
+        for (unsigned probe = 0; probe < 2 * num_threads_ && !task;
+             ++probe) {
+            if (probe % num_threads_ == 0)
+                start = static_cast<unsigned>(xorshift64star(self.rng) %
+                                              num_threads_);
+            unsigned victim = (start + probe) % num_threads_;
+            if (victim == index)
+                continue;
+            ++self.counters.steal_attempts;
+            task = workers_[victim]->deque.stealTop();
+            if (task)
+                ++self.counters.steals;
         }
     }
-    if (ready)
-        scheduler_.enqueueReady(*this, id);
-    return id;
+    if (!task)
+        return false;
+
+    std::unique_ptr<Task> owned(task);
+    if (cancelled()) {
+        ++self.counters.tasks_cancelled;
+    } else {
+        try {
+            (*owned)();
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lk(mutex_);
+                if (!first_error_)
+                    first_error_ = std::current_exception();
+            }
+            cancel();
+        }
+        ++self.counters.tasks_run;
+    }
+    owned.reset(); // drop the closure at completion, not at scope exit
+    if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Quiescent: wake the owner if it is idling.
+        std::lock_guard<std::mutex> lk(mutex_);
+        work_ready_.notify_all();
+    }
+    return true;
+}
+
+void TaskScope::submit(std::function<void()> fn)
+{
+    if (tls_scope != this)
+        throw std::logic_error("TaskScope::submit: caller is not the "
+                               "scope's owner or one of its tasks");
+    auto task = std::make_unique<Task>(std::move(fn));
+    unfinished_.fetch_add(1, std::memory_order_acq_rel);
+    Worker &self = *workers_[tls_worker];
+    uint64_t depth = static_cast<uint64_t>(
+        self.deque.pushBottom(task.release()));
+    if (depth > self.counters.max_queue_depth)
+        self.counters.max_queue_depth = depth;
+    if (num_threads_ > 1)
+        work_ready_.notify_one();
 }
 
 void TaskScope::cancel()
 {
     cancel_flag_.store(true, std::memory_order_release);
     // Wake idle participants so the drain makes progress immediately.
-    std::lock_guard<std::mutex> lk(scheduler_.mutex_);
-    scheduler_.work_ready_.notify_all();
+    std::lock_guard<std::mutex> lk(mutex_);
+    work_ready_.notify_all();
 }
 
 void TaskScope::wait()
 {
     if (waited_)
         return;
-    std::exception_ptr internal_error;
-    try {
-        scheduler_.runScopeTasks(*this, 0, /*is_worker=*/false);
-    } catch (...) {
-        // Internal failure on the caller slot (not a task exception —
-        // those are captured). Cancel so workers drain, then detach.
-        internal_error = std::current_exception();
-        cancel();
+    while (unfinished_.load(std::memory_order_acquire) != 0) {
+        if (!runOneTask(0) && !idle(*workers_[0], /*owner=*/true))
+            break;
     }
     {
-        std::unique_lock<std::mutex> lk(scheduler_.mutex_);
-        scheduler_.active_scope_ = nullptr;
-        scheduler_.work_ready_.notify_all();
-        scheduler_.scope_done_.wait(
-            lk, [&] { return scheduler_.workers_in_scope_ == 0; });
-        const TaskScheduler::Counters &c = scheduler_.counters_;
-        stats_.tasks_run =
-            c.tasks_run.load(std::memory_order_relaxed) -
-            counters_base_.tasks_run;
-        stats_.tasks_cancelled =
-            c.tasks_cancelled.load(std::memory_order_relaxed) -
-            counters_base_.tasks_cancelled;
-        stats_.steals = c.steals.load(std::memory_order_relaxed) -
-                        counters_base_.steals;
-        stats_.steal_attempts =
-            c.steal_attempts.load(std::memory_order_relaxed) -
-            counters_base_.steal_attempts;
-        stats_.max_queue_depth =
-            c.max_queue_depth.load(std::memory_order_relaxed);
-        stats_.idle_ns = c.idle_ns.load(std::memory_order_relaxed) -
-                         counters_base_.idle_ns;
-        scheduler_.stats_ += stats_;
+        std::lock_guard<std::mutex> lk(mutex_);
+        stop_ = true;
     }
-    {
-        std::lock_guard<std::mutex> lk(graph_mutex_);
-        waited_ = true;
-    }
-    tls_scheduler = outer_scheduler_;
+    work_ready_.notify_all();
+    for (std::thread &t : threads_)
+        t.join();
+    threads_.clear();
+    for (const auto &worker : workers_)
+        stats_ += worker->counters;
+    waited_ = true;
+    tls_scope = outer_scope_;
     tls_worker = outer_worker_;
-    if (internal_error)
-        std::rethrow_exception(internal_error);
     if (first_error_) {
         std::exception_ptr err = first_error_;
         first_error_ = nullptr;

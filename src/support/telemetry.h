@@ -16,7 +16,7 @@
  *     Metric names are kept sorted, so the rendered JSON is
  *     byte-stable whenever the recorded values are.
  *  3. Thread churn must not leak. Worker threads are created per
- *     parallel region (one TaskScheduler each); when a thread exits,
+ *     parallel region (one TaskScope each); when a thread exits,
  *     its shards are folded into a per-registry retired accumulator
  *     and freed.
  *

@@ -55,49 +55,44 @@ signaturesMatch(const ir::Function &src, const ir::Function &tgt)
     return true;
 }
 
-/** Does one concrete execution pair violate refinement? */
-bool
-violatesRefinement(const ExecutionResult &src, const ExecutionResult &tgt,
-                   std::string *why)
+/**
+ * Why one concrete (source, target) execution pair violates
+ * refinement, or null when the target refines the source. Null lane
+ * arrays mean "no return value". Both the sweep (over in-frame plan
+ * results) and the counterexample renderer call this one comparison.
+ */
+const char *
+refinementViolation(bool src_ub, bool tgt_ub, const LaneValue *src_ret,
+                    const LaneValue *tgt_ret, size_t lanes)
 {
-    if (src.ub)
-        return false; // source UB: anything goes
-    if (tgt.ub) {
-        *why = "target triggers UB where source is defined";
-        return true;
-    }
-    if (!src.ret || !tgt.ret)
-        return false;
-    for (size_t lane = 0; lane < src.ret->lanes.size(); ++lane) {
-        const LaneValue &s = src.ret->lanes[lane];
-        const LaneValue &t = tgt.ret->lanes[lane];
+    if (src_ub)
+        return nullptr; // source UB: anything goes
+    if (tgt_ub)
+        return "target triggers UB where source is defined";
+    if (!src_ret || !tgt_ret)
+        return nullptr;
+    for (size_t lane = 0; lane < lanes; ++lane) {
+        const LaneValue &s = src_ret[lane];
+        const LaneValue &t = tgt_ret[lane];
         if (s.poison)
             continue; // target may refine poison to anything
-        if (t.poison) {
-            *why = "target is more poisonous than source";
-            return true;
-        }
+        if (t.poison)
+            return "target is more poisonous than source";
         if (s.is_fp) {
-            bool both_nan = std::isnan(s.fp) && std::isnan(t.fp);
+            if (std::isnan(s.fp) && std::isnan(t.fp))
+                continue;
             // Compare bit patterns so -0.0 != +0.0 is caught.
-            if (!both_nan) {
-                double sf = s.fp;
-                double tf = t.fp;
-                uint64_t sb, tb;
-                static_assert(sizeof(sb) == sizeof(sf));
-                std::memcpy(&sb, &sf, 8);
-                std::memcpy(&tb, &tf, 8);
-                if (sb != tb) {
-                    *why = "value mismatch";
-                    return true;
-                }
-            }
+            uint64_t sb, tb;
+            static_assert(sizeof(sb) == sizeof(s.fp));
+            std::memcpy(&sb, &s.fp, 8);
+            std::memcpy(&tb, &t.fp, 8);
+            if (sb != tb)
+                return "value mismatch";
         } else if (s.bits.zext() != t.bits.zext()) {
-            *why = "value mismatch";
-            return true;
+            return "value mismatch";
         }
     }
-    return false;
+    return nullptr;
 }
 
 /** Memory objects needed by pointer arguments of @p fn. */
@@ -127,10 +122,13 @@ fillCounterexample(RefinementResult &result, const ir::Function &src,
     Counterexample cex;
     cex.source_value = interp::describeResult(src_run);
     cex.target_value = interp::describeResult(tgt_run);
-    std::string why;
-    if (!violatesRefinement(src_run, tgt_run, &why))
-        why = "value mismatch"; // defensive: model disagrees with interp
-    result.detail = why;
+    const char *why = refinementViolation(
+        src_run.ub, tgt_run.ub,
+        src_run.ret ? src_run.ret->lanes.data() : nullptr,
+        tgt_run.ret ? tgt_run.ret->lanes.data() : nullptr,
+        src_run.ret ? src_run.ret->lanes.size() : 0);
+    // Defensive fallback: the model disagrees with the interpreter.
+    result.detail = why ? why : "value mismatch";
     cex.input = std::move(input);
     result.counterexample = std::move(cex);
 }
@@ -458,39 +456,6 @@ sampledInputAt(const ir::Function &fn, const RefineOptions &options,
     return randomInput(fn, rng, kMemoryObjectBytes, special_cache);
 }
 
-/** violatesRefinement over in-frame plan results (no allocation). */
-bool
-violatesPlanRefinement(const PlanResult &src, const PlanResult &tgt)
-{
-    if (src.ub)
-        return false; // source UB: anything goes
-    if (tgt.ub)
-        return true;
-    if (!src.has_ret || !tgt.has_ret)
-        return false;
-    for (uint32_t lane = 0; lane < src.ret_lanes; ++lane) {
-        const LaneValue &s = src.ret[lane];
-        const LaneValue &t = tgt.ret[lane];
-        if (s.poison)
-            continue; // target may refine poison to anything
-        if (t.poison)
-            return true;
-        if (s.is_fp) {
-            bool both_nan = std::isnan(s.fp) && std::isnan(t.fp);
-            if (!both_nan) {
-                uint64_t sb, tb;
-                std::memcpy(&sb, &s.fp, 8);
-                std::memcpy(&tb, &t.fp, 8);
-                if (sb != tb)
-                    return true;
-            }
-        } else if (s.bits.zext() != t.bits.zext()) {
-            return true;
-        }
-    }
-    return false;
-}
-
 constexpr uint64_t kNoViolation = std::numeric_limits<uint64_t>::max();
 
 /** Lower @p candidate into @p lowest (atomic min). */
@@ -546,20 +511,20 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
                 s = src_plan.run(src_frame, input);
                 t = tgt_plan.run(tgt_frame, input);
             }
-            if (violatesPlanRefinement(s, t)) {
+            if (refinementViolation(s.ub, t.ub,
+                                    s.has_ret ? s.ret : nullptr,
+                                    t.has_ret ? t.ret : nullptr,
+                                    s.ret_lanes)) {
                 recordViolation(first_bad, index);
                 return;
             }
         }
     };
     // Sweeps that fit in one chunk gain nothing from workers, so they
-    // get a one-thread scheduler (no threads spawned; its single task
-    // runs on this thread). A one-thread scheduler runs chunks in
-    // submission order, i.e. in increasing index order.
-    TaskScheduler::Options sched_options;
-    sched_options.num_threads = total > chunk ? options.num_threads : 1;
-    TaskScheduler scheduler(sched_options);
-    TaskScope scope(scheduler);
+    // get a one-thread scope (no threads spawned; its single task runs
+    // on this thread). A one-thread scope runs chunks in submission
+    // order, i.e. in increasing index order.
+    TaskScope scope(total > chunk ? options.num_threads : 1);
     for (uint64_t lo = 0; lo < total; lo += chunk) {
         uint64_t hi = std::min(total, lo + chunk);
         scope.submit([&sweep, lo, hi] { sweep(lo, hi); });

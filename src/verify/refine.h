@@ -123,8 +123,8 @@ struct RefineOptions
     /**
      * Threads for the concrete-testing sweep (0 = hardware
      * concurrency, 1 = serial). The sweep runs one task per input
-     * chunk on a TaskScheduler local to the call; a sweep that fits in
-     * one chunk always runs serially. The pipeline passes 1 inside its
+     * chunk on a TaskScope local to the call; a sweep that fits in one
+     * chunk always runs serially. The pipeline passes 1 inside its
      * case tasks (they already fill the machine); serial callers
      * (lpo_cli verify, a one-thread pipeline) leave the default.
      * Results are bit-identical for every thread count: inputs are
@@ -144,9 +144,9 @@ struct RefineOptions
      * boundary and the query reports Timeout at once: no further
      * ladder tier, no concrete fallback, and nothing recorded in the
      * cache (or the store behind it), so the same query asked again
-     * without the flag is computed afresh. The scheduler's
-     * TaskScope::cancelFlag() plugs in here so a cancelled scope
-     * drains instead of finishing multi-million-conflict proofs.
+     * without the flag is computed afresh. TaskScope::cancelFlag()
+     * plugs in here so a cancelled scope drains instead of finishing
+     * multi-million-conflict proofs.
      */
     const std::atomic<bool> *interrupt = nullptr;
 };

@@ -288,7 +288,7 @@ TEST(CliTest, TracedRunIsByteIdenticalAndEmitsArtifacts)
     std::string trace = slurp(trace_json);
     ASSERT_FALSE(trace.empty());
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-    // Patch-back streams inside the pipeline's commit chain (timed by
+    // Patch-back streams inside the pipeline's reorder drain (timed by
     // phase.patch_ns), so there is no standalone "patch" span.
     for (const char *span : {"\"optimize-module\"", "\"extract\"",
                              "\"propose\"", "\"verify\"", "\"dce\""})

@@ -509,7 +509,7 @@ TEST(DeterministicParallelism, CorrectVerdictThreadInvariant)
 }
 
 // The sweep runs one task per input chunk (1024 exhaustive inputs, 256
-// samples) on a call-local TaskScheduler. Each shape below runs at 1,
+// samples) on a call-local TaskScope. Each shape below runs at 1,
 // 2 and 8 threads and must report the same verdict and counterexample
 // at all of them.
 
@@ -641,7 +641,8 @@ struct PipelineRun
 };
 
 PipelineRun
-runPipelineWithThreads(unsigned num_threads, bool enable_cache = true)
+runPipelineWithThreads(unsigned num_threads, bool enable_cache = true,
+                       core::ProposerKind proposer = core::ProposerKind::Llm)
 {
     ir::Context ctx;
     corpus::CorpusOptions opts;
@@ -658,6 +659,7 @@ runPipelineWithThreads(unsigned num_threads, bool enable_cache = true)
     core::PipelineConfig config;
     config.num_threads = num_threads;
     config.enable_verify_cache = enable_cache;
+    config.proposer = proposer;
     core::Pipeline pipeline(model, config);
     extract::Extractor extractor;
 
@@ -667,10 +669,17 @@ runPipelineWithThreads(unsigned num_threads, bool enable_cache = true)
     return run;
 }
 
-/** Everything observable must match; cache counters are compared
- *  separately because on-vs-off runs legitimately differ there. */
+/**
+ * Everything observable must match: every outcome field, and every
+ * deterministic PipelineStats field Pipeline::foldStats sums. The SAT
+ * work and ladder counters count solving actually performed, which the
+ * shared verify cache legitimately changes, so they are compared only
+ * when @p same_work (both runs uncached). Cache counters are compared
+ * separately because on-vs-off runs legitimately differ there.
+ */
 void
-expectSamePipelineRun(const PipelineRun &a, const PipelineRun &b)
+expectSamePipelineRun(const PipelineRun &a, const PipelineRun &b,
+                      bool same_work = false)
 {
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (size_t i = 0; i < a.outcomes.size(); ++i) {
@@ -686,15 +695,37 @@ expectSamePipelineRun(const PipelineRun &a, const PipelineRun &b)
         EXPECT_EQ(x.total_seconds, y.total_seconds) << "case " << i;
         EXPECT_EQ(x.cost_usd, y.cost_usd) << "case " << i;
     }
-    EXPECT_EQ(a.stats.cases, b.stats.cases);
-    EXPECT_EQ(a.stats.found, b.stats.found);
-    EXPECT_EQ(a.stats.llm_calls, b.stats.llm_calls);
-    EXPECT_EQ(a.stats.verifier_calls, b.stats.verifier_calls);
-    EXPECT_EQ(a.stats.syntax_errors, b.stats.syntax_errors);
-    EXPECT_EQ(a.stats.incorrect_candidates, b.stats.incorrect_candidates);
-    EXPECT_EQ(a.stats.not_interesting, b.stats.not_interesting);
-    EXPECT_EQ(a.stats.total_seconds, b.stats.total_seconds);
-    EXPECT_EQ(a.stats.total_cost_usd, b.stats.total_cost_usd);
+    const core::PipelineStats &x = a.stats;
+    const core::PipelineStats &y = b.stats;
+    EXPECT_EQ(x.cases, y.cases);
+    EXPECT_EQ(x.found, y.found);
+    EXPECT_EQ(x.llm_calls, y.llm_calls);
+    EXPECT_EQ(x.verifier_calls, y.verifier_calls);
+    EXPECT_EQ(x.syntax_errors, y.syntax_errors);
+    EXPECT_EQ(x.incorrect_candidates, y.incorrect_candidates);
+    EXPECT_EQ(x.not_interesting, y.not_interesting);
+    EXPECT_EQ(x.egraph_consults, y.egraph_consults);
+    EXPECT_EQ(x.egraph_proposals, y.egraph_proposals);
+    EXPECT_EQ(x.found_by_llm, y.found_by_llm);
+    EXPECT_EQ(x.found_by_egraph, y.found_by_egraph);
+    EXPECT_EQ(x.hybrid_fallbacks, y.hybrid_fallbacks);
+    EXPECT_EQ(x.catalog_consults, y.catalog_consults);
+    EXPECT_EQ(x.catalog_proposals, y.catalog_proposals);
+    EXPECT_EQ(x.found_by_catalog, y.found_by_catalog);
+    EXPECT_EQ(x.contained_exceptions, y.contained_exceptions);
+    EXPECT_EQ(x.total_seconds, y.total_seconds);
+    EXPECT_EQ(x.total_cost_usd, y.total_cost_usd);
+    if (!same_work)
+        return;
+    EXPECT_EQ(x.sat_solves, y.sat_solves);
+    EXPECT_EQ(x.sat_decisions, y.sat_decisions);
+    EXPECT_EQ(x.sat_conflicts, y.sat_conflicts);
+    EXPECT_EQ(x.sat_propagations, y.sat_propagations);
+    EXPECT_EQ(x.sat_restarts, y.sat_restarts);
+    EXPECT_EQ(x.sat_escalations, y.sat_escalations);
+    EXPECT_EQ(x.concrete_fallbacks, y.concrete_fallbacks);
+    EXPECT_EQ(x.exhaustive_rescues, y.exhaustive_rescues);
+    EXPECT_EQ(x.degraded_verdicts, y.degraded_verdicts);
 }
 
 } // namespace
@@ -715,6 +746,31 @@ TEST(DeterministicParallelism, PipelineThreadInvariant)
               parallel.stats.verify_cache_misses);
 }
 
+// Hybrid puts the e-graph leg and the fallback counters through the
+// reorder drain too (the catalog leg needs a store, so its counters
+// stay zero here, on both sides).
+TEST(DeterministicParallelism, HybridPipelineThreadInvariant)
+{
+    PipelineRun serial =
+        runPipelineWithThreads(1, true, core::ProposerKind::Hybrid);
+    PipelineRun parallel =
+        runPipelineWithThreads(8, true, core::ProposerKind::Hybrid);
+
+    ASSERT_GT(serial.outcomes.size(), 1u);
+    EXPECT_GT(serial.stats.hybrid_fallbacks, 0u);
+    EXPECT_GT(serial.stats.egraph_consults, 0u);
+    expectSamePipelineRun(serial, parallel);
+    EXPECT_EQ(serial.stats.verify_cache_misses,
+              parallel.stats.verify_cache_misses);
+
+    PipelineRun uncached_serial =
+        runPipelineWithThreads(1, false, core::ProposerKind::Hybrid);
+    PipelineRun uncached_parallel =
+        runPipelineWithThreads(8, false, core::ProposerKind::Hybrid);
+    expectSamePipelineRun(uncached_serial, uncached_parallel,
+                          /*same_work=*/true);
+}
+
 TEST(DeterministicParallelism, PipelineCacheInvariant)
 {
     // The verification cache must be a pure accelerator: outcomes,
@@ -730,6 +786,10 @@ TEST(DeterministicParallelism, PipelineCacheInvariant)
     expectSamePipelineRun(cached_serial, uncached_serial);
     expectSamePipelineRun(cached_serial, cached_parallel);
     expectSamePipelineRun(cached_serial, uncached_parallel);
+    // With the cache off on both sides, the solving work itself (SAT
+    // and ladder counters) is thread-count-invariant too.
+    expectSamePipelineRun(uncached_serial, uncached_parallel,
+                          /*same_work=*/true);
 
     // Off means off: no cache traffic at all.
     EXPECT_EQ(uncached_serial.stats.verify_cache_hits, 0u);

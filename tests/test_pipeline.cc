@@ -1,7 +1,10 @@
 // LPO pipeline (Algorithm 1) tests: success paths, feedback paths,
-// the LPO- ablation, and statistics.
+// the LPO- ablation, statistics, and processSequences' in-order
+// commits at 1/2/8 threads.
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "core/pipeline.h"
 #include "corpus/benchmarks.h"
@@ -163,4 +166,148 @@ TEST(PipelineTest, FeedbackImprovesDetectionStatistically)
         }
     }
     EXPECT_GT(lpo, lpo_minus);
+}
+
+namespace {
+
+/** The RQ1 benchmark sources, parsed into @p ctx. */
+std::vector<std::unique_ptr<ir::Function>>
+parseRq1(ir::Context &ctx)
+{
+    std::vector<std::unique_ptr<ir::Function>> fns;
+    for (const auto &bench : corpus::rq1Benchmarks())
+        fns.push_back(ir::parseFunction(ctx, bench.src_text).take());
+    return fns;
+}
+
+std::vector<const ir::Function *>
+pointers(const std::vector<std::unique_ptr<ir::Function>> &fns)
+{
+    std::vector<const ir::Function *> ptrs;
+    for (const auto &fn : fns)
+        ptrs.push_back(fn.get());
+    return ptrs;
+}
+
+/** What one on_commit call saw. */
+struct Commit
+{
+    size_t index;
+    CaseStatus status;
+    std::string candidate_text;
+    std::string last_feedback;
+    uint64_t cases_folded; ///< pipeline stats().cases at the commit
+};
+
+void
+expectCommitsMatch(const std::vector<Commit> &commits,
+                   const std::vector<core::CaseOutcome> &outcomes,
+                   uint64_t cases_before, unsigned threads)
+{
+    ASSERT_EQ(commits.size(), outcomes.size()) << "threads " << threads;
+    for (size_t i = 0; i < commits.size(); ++i) {
+        EXPECT_EQ(commits[i].index, i)
+            << "commit out of order, threads " << threads;
+        EXPECT_EQ(commits[i].status, outcomes[i].status) << "case " << i;
+        EXPECT_EQ(commits[i].candidate_text, outcomes[i].candidate_text)
+            << "case " << i;
+        EXPECT_EQ(commits[i].last_feedback, outcomes[i].last_feedback)
+            << "case " << i;
+        // The case's stats were folded before its commit, and no
+        // later case's were.
+        EXPECT_EQ(commits[i].cases_folded, cases_before + i + 1)
+            << "case " << i << " threads " << threads;
+    }
+}
+
+} // namespace
+
+// processSequences commits every case exactly once, in index order,
+// after folding its stats, at any thread count; on_commit sees the
+// outcome that is later returned. (The callback reads stats() only to
+// pin the fold order; commits run one at a time, so the read is safe.)
+TEST(PipelineOrderedCommit, CommitsEveryIndexInOrder)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        ir::Context ctx;
+        auto fns = parseRq1(ctx);
+        MockModel model(llm::modelByName("Gemini2.0T"), 11);
+        PipelineConfig config;
+        config.num_threads = threads;
+        Pipeline pipeline(model, config);
+        std::vector<Commit> commits;
+        auto outcomes = pipeline.processSequences(
+            pointers(fns), 5,
+            [&](size_t i, const core::CaseOutcome &outcome) {
+                commits.push_back({i, outcome.status,
+                                   outcome.candidate_text,
+                                   outcome.last_feedback,
+                                   pipeline.stats().cases});
+            });
+        ASSERT_EQ(outcomes.size(), fns.size());
+        expectCommitsMatch(commits, outcomes, 0, threads);
+        EXPECT_EQ(pipeline.stats().cases, fns.size());
+    }
+}
+
+// A throw out of on_commit at index k cancels the run: it propagates
+// out of processSequences, nothing above k is committed, and the same
+// Pipeline runs the next batch normally, with the outcomes of a run
+// that never failed.
+TEST(PipelineOrderedCommit, ThrowingCommitStopsTheDrain)
+{
+    std::vector<core::CaseOutcome> reference;
+    {
+        ir::Context ctx;
+        auto fns = parseRq1(ctx);
+        MockModel model(llm::modelByName("Gemini2.0T"), 11);
+        PipelineConfig config;
+        config.num_threads = 1;
+        Pipeline pipeline(model, config);
+        reference = pipeline.processSequences(pointers(fns), 5);
+    }
+    constexpr size_t kFailAt = 5;
+    for (unsigned threads : {1u, 2u, 8u}) {
+        ir::Context ctx;
+        auto fns = parseRq1(ctx);
+        ASSERT_GT(fns.size(), kFailAt + 1);
+        MockModel model(llm::modelByName("Gemini2.0T"), 11);
+        PipelineConfig config;
+        config.num_threads = threads;
+        Pipeline pipeline(model, config);
+
+        std::vector<size_t> committed;
+        EXPECT_THROW(pipeline.processSequences(
+                         pointers(fns), 5,
+                         [&](size_t i, const core::CaseOutcome &) {
+                             committed.push_back(i);
+                             if (i == kFailAt)
+                                 throw std::runtime_error("commit fails");
+                         }),
+                     std::runtime_error)
+            << "threads " << threads;
+        ASSERT_EQ(committed.size(), kFailAt + 1) << "threads " << threads;
+        for (size_t i = 0; i < committed.size(); ++i)
+            EXPECT_EQ(committed[i], i) << "threads " << threads;
+
+        const uint64_t cases_before = pipeline.stats().cases;
+        std::vector<Commit> commits;
+        auto outcomes = pipeline.processSequences(
+            pointers(fns), 5,
+            [&](size_t i, const core::CaseOutcome &outcome) {
+                commits.push_back({i, outcome.status,
+                                   outcome.candidate_text,
+                                   outcome.last_feedback,
+                                   pipeline.stats().cases});
+            });
+        expectCommitsMatch(commits, outcomes, cases_before, threads);
+        ASSERT_EQ(outcomes.size(), reference.size());
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            EXPECT_EQ(outcomes[i].status, reference[i].status)
+                << "case " << i << " threads " << threads;
+            EXPECT_EQ(outcomes[i].candidate_text,
+                      reference[i].candidate_text)
+                << "case " << i << " threads " << threads;
+        }
+    }
 }

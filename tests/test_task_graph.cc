@@ -1,9 +1,10 @@
-// TaskScheduler/TaskScope tests: every submitted task runs exactly
-// once, dependencies order execution, the single-threaded scheduler is
-// deterministic, cancellation drains to quiescence with zero leaked
-// tasks, work stealing actually happens under a skewed queue, and a
-// scope nested on a second scheduler hands its thread back to the
-// outer one.
+// TaskScope tests: every submitted task runs exactly once, a
+// one-thread scope runs tasks in submission order, cancellation drains
+// to quiescence with zero leaked tasks, work stealing actually happens
+// under a skewed queue, only the scope's members may submit, and a
+// scope nested inside a task hands its thread back to the outer scope.
+// The pipeline's in-order reorder drain on top of the scope is pinned
+// in test_pipeline (PipelineOrderedCommit).
 
 #include <gtest/gtest.h>
 
@@ -15,32 +16,15 @@
 
 #include "support/task_graph.h"
 
-using lpo::kInvalidTask;
-using lpo::TaskId;
-using lpo::TaskScheduler;
 using lpo::TaskScope;
-
-namespace {
-
-TaskScheduler::Options
-options(unsigned threads, uint64_t seed = 42)
-{
-    TaskScheduler::Options o;
-    o.num_threads = threads;
-    o.steal_seed = seed;
-    return o;
-}
-
-} // namespace
 
 TEST(TaskGraphTest, RunsEveryTaskExactlyOnce)
 {
     for (unsigned threads : {1u, 2u, 8u}) {
-        TaskScheduler scheduler(options(threads));
         constexpr size_t kTasks = 500;
         std::vector<std::atomic<uint32_t>> hits(kTasks);
         {
-            TaskScope scope(scheduler);
+            TaskScope scope(threads);
             for (size_t i = 0; i < kTasks; ++i)
                 scope.submit([&hits, i] { hits[i].fetch_add(1); });
             scope.wait();
@@ -54,147 +38,70 @@ TEST(TaskGraphTest, RunsEveryTaskExactlyOnce)
     }
 }
 
-TEST(TaskGraphTest, DependenciesOrderExecution)
+// With one thread the scope runs tasks in submission order — the
+// reproducibility baseline the pipeline's determinism contract and the
+// verifier's lowest-index-first sweep lean on. Tasks submitted by a
+// running task queue behind everything submitted before them.
+TEST(TaskGraphTest, SerialExecutionFollowsSubmissionOrder)
 {
-    for (unsigned threads : {1u, 2u, 8u}) {
-        TaskScheduler scheduler(options(threads));
-        // A chain of 100 commits plus fan-in: commit i depends on
-        // case i and commit i-1, the pipeline's exact shape.
-        constexpr size_t kCases = 100;
-        std::atomic<uint64_t> clock{0};
-        std::vector<uint64_t> case_stamp(kCases), commit_stamp(kCases);
-        TaskScope scope(scheduler);
-        std::vector<TaskId> case_ids(kCases);
-        for (size_t i = 0; i < kCases; ++i)
-            case_ids[i] = scope.submit(
-                [&, i] { case_stamp[i] = clock.fetch_add(1); });
-        TaskId prev = kInvalidTask;
-        for (size_t i = 0; i < kCases; ++i) {
-            std::vector<TaskId> deps{case_ids[i]};
-            if (prev != kInvalidTask)
-                deps.push_back(prev);
-            prev = scope.submit(
-                [&, i] { commit_stamp[i] = clock.fetch_add(1); }, deps);
-        }
-        scope.wait();
-        for (size_t i = 0; i < kCases; ++i) {
-            EXPECT_GT(commit_stamp[i], case_stamp[i])
-                << "commit " << i << " ran before its case, threads "
-                << threads;
-            if (i > 0)
-                EXPECT_GT(commit_stamp[i], commit_stamp[i - 1])
-                    << "commit chain out of order at " << i
-                    << ", threads " << threads;
-        }
-    }
-}
-
-// With one thread the scheduler runs ready tasks in submission order —
-// the reproducibility baseline the pipeline's determinism contract
-// leans on. Two identical runs must produce the identical sequence.
-TEST(TaskGraphTest, SerialExecutionIsDeterministic)
-{
-    std::vector<std::vector<int>> orders;
-    for (int run = 0; run < 2; ++run) {
-        TaskScheduler scheduler(options(1));
-        TaskScope scope(scheduler);
-        std::vector<int> order;
-        // 0..4 independent, 5 joins {4, 3}, 6 hangs off 0.
-        std::vector<TaskId> ids;
-        for (int i = 0; i < 5; ++i)
-            ids.push_back(
-                scope.submit([&order, i] { order.push_back(i); }));
-        scope.submit([&order] { order.push_back(5); },
-                     {ids[4], ids[3]});
-        scope.submit([&order] { order.push_back(6); }, {ids[0]});
-        scope.wait();
-        orders.push_back(std::move(order));
-    }
-    const std::vector<int> expected{0, 1, 2, 3, 4, 5, 6};
-    EXPECT_EQ(orders[0], expected);
-    EXPECT_EQ(orders[1], expected);
+    TaskScope scope(1);
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i)
+        scope.submit([&, i] {
+            order.push_back(i);
+            if (i == 1)
+                scope.submit([&] { order.push_back(5); });
+        });
+    scope.wait();
+    const std::vector<int> expected{0, 1, 2, 3, 4, 5};
+    EXPECT_EQ(order, expected);
 }
 
 // cancel() stops unstarted work and wait() still drains to
 // quiescence: every submitted task is accounted run-or-cancelled, a
-// running task observes the flag and finishes early, and nothing
-// executes after wait() returns (no detached work survives the scope).
+// running task observes the flag, and nothing executes after wait()
+// returns (no detached work survives the scope).
 TEST(TaskGraphTest, CancellationDrainsToQuiescence)
 {
     for (unsigned threads : {1u, 4u}) {
-        TaskScheduler scheduler(options(threads));
         constexpr size_t kTasks = 200;
         std::atomic<uint64_t> ran{0};
         std::atomic<bool> after_wait{false};
         std::atomic<bool> saw_cancel{false};
-        TaskScope scope(scheduler);
-        // The canceller cancels the scope, then spins until it
-        // observes its own cancellation flag — proving running tasks
-        // see it. Everything else waits behind a gate that depends on
-        // the canceller, so by the time any victim could start, the
-        // scope is already cancelled: the whole gated subgraph must
-        // drain as discarded, deterministically.
-        TaskId canceller = scope.submit([&] {
+        TaskScope scope(threads);
+        // The canceller cancels the scope, observes its own
+        // cancellation flag — proving running tasks see it — and only
+        // then submits the victims, so every one of them must drain as
+        // discarded, deterministically.
+        scope.submit([&] {
             scope.cancel();
-            const std::atomic<bool> *flag = scope.cancelFlag();
-            for (int spin = 0; spin < 1'000'000; ++spin)
-                if (flag->load(std::memory_order_relaxed)) {
-                    saw_cancel.store(true);
-                    break;
-                }
-        });
-        TaskId gate = scope.submit([] {}, {canceller});
-        for (size_t i = 0; i < kTasks; ++i)
-            scope.submit(
-                [&] {
+            saw_cancel.store(scope.cancelFlag()->load());
+            for (size_t i = 0; i < kTasks; ++i)
+                scope.submit([&] {
                     ASSERT_FALSE(after_wait.load())
                         << "task executed after wait() returned";
                     ran.fetch_add(1);
-                },
-                {gate});
+                });
+        });
         scope.wait();
         after_wait.store(true);
         EXPECT_TRUE(saw_cancel.load());
         EXPECT_TRUE(scope.cancelled());
-        // Quiescence accounting: every task finished as a run or a
-        // cancellation — zero leaked; only the canceller ever ran.
-        EXPECT_EQ(scope.stats().tasks_run + scope.stats().tasks_cancelled,
-                  kTasks + 2)
-            << "threads " << threads;
-        EXPECT_EQ(scope.stats().tasks_cancelled, kTasks + 1)
+        // Quiescence accounting: only the canceller ran, every victim
+        // was cancelled — zero leaked.
+        EXPECT_EQ(scope.stats().tasks_run, 1u) << "threads " << threads;
+        EXPECT_EQ(scope.stats().tasks_cancelled, kTasks)
             << "threads " << threads;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         EXPECT_EQ(ran.load(), 0u);
     }
 }
 
-// A cancelled dependency chain drains transitively: children of a
-// discarded task are discarded, not stranded (wait() would hang
-// otherwise, so completing at all is most of the assertion).
-TEST(TaskGraphTest, CancelledChainDrainsTransitively)
-{
-    TaskScheduler scheduler(options(4));
-    TaskScope scope(scheduler);
-    std::atomic<uint64_t> ran{0};
-    TaskId gate = scope.submit([&] {
-        scope.cancel();
-        ran.fetch_add(1);
-    });
-    // A 50-deep chain hanging off the cancelling task.
-    TaskId prev = gate;
-    for (int i = 0; i < 50; ++i)
-        prev = scope.submit([&] { ran.fetch_add(1); }, {prev});
-    scope.wait();
-    EXPECT_EQ(ran.load(), 1u); // only the gate ran
-    EXPECT_EQ(scope.stats().tasks_cancelled, 50u);
-}
-
 TEST(TaskGraphTest, ExceptionCancelsRemainderAndPropagates)
 {
     for (unsigned threads : {1u, 4u}) {
-        TaskScheduler scheduler(options(threads));
         constexpr size_t kTasks = 300;
-        TaskScope scope(scheduler);
+        TaskScope scope(threads);
         for (size_t i = 0; i < kTasks; ++i)
             scope.submit([i] {
                 if (i == 7)
@@ -218,10 +125,9 @@ TEST(TaskGraphTest, ExceptionCancelsRemainderAndPropagates)
 // themselves sleep, so other workers can only get work by stealing.
 TEST(TaskGraphTest, StealsOccurUnderSkewedQueues)
 {
-    TaskScheduler scheduler(options(4, /*seed=*/7));
     constexpr size_t kTasks = 400;
     std::atomic<uint64_t> ran{0};
-    TaskScope scope(scheduler);
+    TaskScope scope(4);
     for (size_t i = 0; i < kTasks; ++i)
         scope.submit([&ran] {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -243,9 +149,8 @@ TEST(TaskGraphTest, StealsOccurUnderSkewedQueues)
 TEST(TaskGraphTest, TasksCanSubmitSubtasks)
 {
     for (unsigned threads : {1u, 4u}) {
-        TaskScheduler scheduler(options(threads));
         std::atomic<uint64_t> ran{0};
-        TaskScope scope(scheduler);
+        TaskScope scope(threads);
         for (int i = 0; i < 20; ++i)
             scope.submit([&] {
                 ran.fetch_add(1);
@@ -258,65 +163,51 @@ TEST(TaskGraphTest, TasksCanSubmitSubtasks)
     }
 }
 
-// One active scope per scheduler, enforced loudly; sequential scopes
-// reuse the scheduler (and its worker threads) cleanly.
-TEST(TaskGraphTest, OneActiveScopePerScheduler)
-{
-    TaskScheduler scheduler(options(2));
-    {
-        TaskScope first(scheduler);
-        first.submit([] {});
-        EXPECT_THROW(TaskScope second(scheduler), std::logic_error);
-        first.wait();
-    }
-    // After the first scope completes, a new one attaches fine.
-    std::atomic<uint64_t> ran{0};
-    TaskScope second(scheduler);
-    for (int i = 0; i < 50; ++i)
-        second.submit([&] { ran.fetch_add(1); });
-    second.wait();
-    EXPECT_EQ(ran.load(), 50u);
-    // Scheduler-lifetime stats folded both scopes.
-    EXPECT_GE(scheduler.stats().tasks_run, 51u);
-}
-
 TEST(TaskGraphTest, SubmitAfterWaitThrows)
 {
-    TaskScheduler scheduler(options(2));
-    TaskScope scope(scheduler);
+    TaskScope scope(2);
     scope.submit([] {});
     scope.wait();
     EXPECT_THROW(scope.submit([] {}), std::logic_error);
 }
 
-TEST(TaskGraphTest, DependencyOnLaterTaskThrows)
+// Every deque has exactly one pushing thread, so a thread that is
+// neither the owner nor running one of the scope's tasks is refused.
+TEST(TaskGraphTest, SubmitFromOutsideTheScopeThrows)
 {
-    TaskScheduler scheduler(options(1));
-    TaskScope scope(scheduler);
-    TaskId first = scope.submit([] {});
-    EXPECT_THROW(scope.submit([] {}, {static_cast<TaskId>(first + 5)}),
-                 std::logic_error);
-    scope.wait();
+    for (unsigned threads : {1u, 2u}) {
+        TaskScope scope(threads);
+        bool threw = false;
+        std::thread outsider([&] {
+            try {
+                scope.submit([] {});
+            } catch (const std::logic_error &) {
+                threw = true;
+            }
+        });
+        outsider.join();
+        EXPECT_TRUE(threw) << "threads " << threads;
+        scope.wait();
+        EXPECT_EQ(scope.stats().tasks_run, 0u);
+    }
 }
 
-// A task may open a scope on a second scheduler (the verifier's sweep
-// does, inside pipeline case tasks). The outer graph must still run
-// every task exactly once, follow-ups submitted after the inner scope
+// A task may open a scope of its own (the verifier's sweep does,
+// inside pipeline case tasks). The outer scope must still run every
+// task exactly once, follow-ups submitted after the inner scope
 // included.
-TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
+TEST(TaskGraphTest, NestedScopes)
 {
     for (unsigned outer_threads : {1u, 2u, 8u}) {
         for (unsigned inner_threads : {1u, 4u}) {
-            TaskScheduler scheduler(options(outer_threads));
             constexpr size_t kOuter = 16, kInner = 8, kFollowUps = 3;
             std::vector<std::atomic<uint32_t>> hits(kOuter);
             std::atomic<uint64_t> inner_ran{0}, follow_ups{0};
-            TaskScope scope(scheduler);
+            TaskScope scope(outer_threads);
             for (size_t i = 0; i < kOuter; ++i) {
                 scope.submit([&, i] {
                     hits[i].fetch_add(1);
-                    TaskScheduler inner(options(inner_threads));
-                    TaskScope nested(inner);
+                    TaskScope nested(inner_threads);
                     for (size_t j = 0; j < kInner; ++j)
                         nested.submit([&] { inner_ran.fetch_add(1); });
                     nested.wait();
@@ -336,17 +227,17 @@ TEST(TaskGraphTest, NestedScopeOnSecondScheduler)
     }
 }
 
-// After a nested scope the thread is the outer scheduler's slot again,
-// so its enqueues land on its own deque, not the overflow injector.
-// The blocker holds the only other worker, so nothing is stolen while
-// the follow-ups are pushed: the owner's deque must reach their count.
+// After a nested scope the thread is the outer scope's slot again, so
+// its submits land on its own deque (a submit from a non-member would
+// throw). The blocker holds the only other worker, so nothing is
+// stolen while the follow-ups are pushed: the owner's deque must reach
+// their count.
 TEST(TaskGraphTest, NestedScopeHandsTheThreadBack)
 {
-    TaskScheduler scheduler(options(2));
     constexpr size_t kFollowUps = 50;
     std::atomic<bool> pushed{false};
     std::atomic<uint64_t> ran{0};
-    TaskScope scope(scheduler);
+    TaskScope scope(2);
     // Submitted first, so it sits at the top of slot 0's deque: the
     // worker steals it, while slot 0 pops the nesting task.
     scope.submit([&] {
@@ -356,8 +247,7 @@ TEST(TaskGraphTest, NestedScopeHandsTheThreadBack)
             std::this_thread::yield();
     });
     scope.submit([&] {
-        TaskScheduler inner(options(1));
-        TaskScope nested(inner);
+        TaskScope nested(1);
         nested.submit([] {});
         nested.wait();
         for (size_t k = 0; k < kFollowUps; ++k)
@@ -371,7 +261,11 @@ TEST(TaskGraphTest, NestedScopeHandsTheThreadBack)
 
 TEST(TaskGraphTest, HardwareThreadsNonZero)
 {
-    EXPECT_GE(TaskScheduler::hardwareThreads(), 1u);
-    TaskScheduler scheduler; // default: hardware threads
-    EXPECT_EQ(scheduler.size(), TaskScheduler::hardwareThreads());
+    EXPECT_GE(TaskScope::hardwareThreads(), 1u);
+    TaskScope scope(0); // 0 = hardware threads
+    std::atomic<uint64_t> ran{0};
+    for (int i = 0; i < 10; ++i)
+        scope.submit([&] { ran.fetch_add(1); });
+    scope.wait();
+    EXPECT_EQ(ran.load(), 10u);
 }

@@ -24,12 +24,12 @@ done
 echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # Lifetime bugs hide in exactly two places: the work-stealing deques
 # (racing thieves reading retired ring buffers, scope teardown vs
-# worker handshake, cancellation drains, scopes nested across
-# schedulers) and the fault containment / rollback paths. Build those
-# tests with -fsanitize=address,undefined and run them —
+# worker handshake, cancellation drains, nested scopes) and the fault
+# containment / rollback paths. Build those tests with
+# -fsanitize=address,undefined and run them —
 # test_task_graph's cancellation tests double as the zero-leaked-tasks
 # check (a leaked task node is an ASan leak report). test_refine and
-# test_exec_plan drive the verifier's concrete sweep on the scheduler
+# test_exec_plan drive the verifier's concrete sweep on the task scope
 # at 1/2/8 threads, and the i64 overflow predicates under UBSan.
 # test_sat covers the solver's clause arena, watch-list rebuilds and
 # learnt-clause reduction.
@@ -50,6 +50,24 @@ for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
         > /dev/null
     echo "sanitize chaos site ${site}: OK"
 done
+
+echo "=== ThreadSanitizer job: task scope and the pipeline's reorder drain ==="
+# The task scope's owner/worker handshake, cancellation, exception
+# capture and nested-scope slot hand-back, and the pipeline's in-order
+# reorder drain (done flags, the single-committer handoff, stats
+# folding and patch-back from whichever worker commits) run under
+# -fsanitize=thread. A report makes the test binary exit nonzero.
+# GCC does not instrument atomic_thread_fence under TSan (it warns at
+# build time), so this job checks the scope and drain code, not the
+# Chase-Lev deque's fences; the ASan job above stays for those.
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
+cmake --build build-tsan -j "${jobs}" \
+    --target test_task_graph test_exec_plan test_pipeline test_module_opt
+./build-tsan/test_task_graph
+./build-tsan/test_exec_plan --gtest_filter='DeterministicParallelism.*'
+./build-tsan/test_pipeline
+./build-tsan/test_module_opt
 
 echo "=== Chaos sweep: every failpoint site, one at a time (Release) ==="
 # Each site is forced to fire on every hit while the end-to-end module
@@ -107,7 +125,7 @@ for f in trace.lpo.json metrics.lpo.json trace_t8.lpo.json \
     python3 -m json.tool "${obs_dir}/${f}" > /dev/null
     echo "observability: ${f} is valid JSON"
 done
-# Patch-back streams inside the pipeline's commit chain now (timed via
+# Patch-back streams inside the pipeline's reorder drain (timed via
 # phase.patch_ns, attributed to the per-sequence spans), so the trace
 # has no standalone "patch" phase span anymore.
 for span in extract propose verify dce; do
@@ -141,7 +159,7 @@ echo "=== Scheduler skew determinism (Release) ==="
 # case tasks, all pushed onto the scope owner's deque, so threaded
 # runs only make progress by stealing. The emitted module must be
 # byte-identical to the serial reference at 2 and 8 workers, with the
-# verify cache on and off — the ordered commit chain, not scheduling
+# verify cache on and off — the in-order reorder drain, not scheduling
 # luck, decides every byte.
 skew_dir=build-release/skew
 rm -rf "${skew_dir}" && mkdir -p "${skew_dir}"
