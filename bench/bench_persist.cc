@@ -9,13 +9,13 @@
  * text both times, as a crash-recovered or nightly re-run would see it.
  * The warm run must (a) find exactly what the cold run found, (b) emit
  * a byte-identical patched module, (c) serve every verification from
- * the seeded cache, and (d) route every finding through the catalog,
- * paying the LLM only for the cases that never produced a verified
- * rewrite (there is nothing to catalog for those).
+ * the seeded cache, (d) route every finding through the catalog, and
+ * (e) answer every case that found nothing cold from its remembered
+ * miss, so it asks neither the LLM nor the e-graph.
  *
  * Emits BENCH_persist.json; tools/ci.sh gates its deterministic
- * counters (warm cache and catalog hit rates, warm LLM calls) against
- * the committed baseline. The binary itself fails on broken
+ * counters (warm cache and catalog hit rates, warm LLM calls and
+ * e-graph consults) against the committed baseline. The binary itself fails on broken
  * invariants: result divergence, a finding not replayed from the
  * catalog, a warm cache miss, or a warm run no faster than the cold
  * one.
@@ -54,10 +54,13 @@ struct PhaseResult
     uint64_t found = 0;
     uint64_t found_by_catalog = 0;
     uint64_t llm_calls = 0;
+    uint64_t egraph_consults = 0;
+    uint64_t miss_replays = 0;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
     uint64_t store_loaded = 0;
     uint64_t catalog_loaded = 0;
+    uint64_t misses_loaded = 0;
     std::string module_text;
 };
 
@@ -84,10 +87,13 @@ runPhase()
         phase.found = result.pipeline.found;
         phase.found_by_catalog = result.pipeline.found_by_catalog;
         phase.llm_calls = result.pipeline.llm_calls;
+        phase.egraph_consults = result.pipeline.egraph_consults;
+        phase.miss_replays = result.pipeline.miss_replays;
         phase.cache_hits = result.pipeline.verify_cache_hits;
         phase.cache_misses = result.pipeline.verify_cache_misses;
         phase.store_loaded = result.pipeline.store_cache_loaded;
         phase.catalog_loaded = result.pipeline.store_catalog_loaded;
+        phase.misses_loaded = result.pipeline.store_misses_loaded;
         // Destruction flushes the store (timed: a real run pays it).
     }
     phase.seconds =
@@ -162,8 +168,9 @@ main()
         "  warm: %.0f sequences/sec, %.1fx speedup\n"
         "  warm verify cache: %s\n"
         "  catalog: %llu/%llu findings replayed (%.0f%%), "
-        "%llu LLM calls\n"
-        "  loaded on warm open: %llu verdicts, %llu rewrites\n",
+        "%llu misses replayed, %llu LLM calls, %llu e-graph consults\n"
+        "  loaded on warm open: %llu verdicts, %llu rewrites, %llu "
+        "misses\n",
         kFunctions, kBlocks, cold_seq_per_sec,
         static_cast<unsigned long long>(cold.cache_misses),
         warm_seq_per_sec, warm_speedup,
@@ -171,9 +178,12 @@ main()
         static_cast<unsigned long long>(warm.found_by_catalog),
         static_cast<unsigned long long>(warm.found),
         100.0 * catalog_hit_rate,
+        static_cast<unsigned long long>(warm.miss_replays),
         static_cast<unsigned long long>(warm.llm_calls),
+        static_cast<unsigned long long>(warm.egraph_consults),
         static_cast<unsigned long long>(warm.store_loaded),
-        static_cast<unsigned long long>(warm.catalog_loaded));
+        static_cast<unsigned long long>(warm.catalog_loaded),
+        static_cast<unsigned long long>(warm.misses_loaded));
 
     core::JsonWriter json;
     json.beginObject();
@@ -186,10 +196,12 @@ main()
     json.field("warm_cache_hit_rate", warm_cache_hit_rate, 3);
     json.field("verdicts_loaded", warm.store_loaded);
     json.field("rewrites_loaded", warm.catalog_loaded);
+    json.field("misses_loaded", warm.misses_loaded);
     json.field("found", warm.found);
     json.field("found_by_catalog", warm.found_by_catalog);
     json.field("cold_llm_calls", cold.llm_calls);
     json.field("warm_llm_calls", warm.llm_calls);
+    json.field("warm_egraph_consults", warm.egraph_consults);
     json.endObject();
     std::ofstream out("BENCH_persist.json");
     out << json.str() << "\n";
@@ -212,9 +224,9 @@ main()
                      static_cast<unsigned long long>(warm.cache_misses));
         fail = true;
     }
-    // Cataloged findings skip the LLM leg entirely; only the cases
-    // that never produced a verified rewrite (nothing to catalog)
-    // still consult it, so warm strictly undercuts cold.
+    // Cataloged findings and remembered misses skip the LLM leg
+    // entirely, so warm strictly undercuts cold (tools/ci.sh gates the
+    // exact count).
     if (warm.llm_calls >= cold.llm_calls) {
         std::fprintf(stderr,
                      "FAIL: warm run paid %llu LLM calls (cold: %llu)\n",

@@ -12,7 +12,9 @@
  * rename, response fsync, flush).
  *
  * Emits BENCH_serve.json; tools/ci.sh gates sustained_modules_per_sec
- * against the committed baseline (>20% regression fails). The binary
+ * against the committed baseline (>20% regression fails), and the
+ * deterministic warm_catalog_hit_rate and warm_llm_calls (the warm
+ * pass replays every remembered miss, so it asks the model nothing). The binary
  * itself fails on broken invariants: any non-ok response, a warm
  * response not byte-identical to its cold counterpart, or a warm run
  * that replayed nothing from the catalog.
@@ -177,6 +179,8 @@ main()
     json.field("sustained_modules_per_sec", warm_rate, 1);
     json.field("cold_modules_per_sec", cold_rate, 1);
     json.field("warm_catalog_hit_rate", catalog_hit_rate, 3);
+    json.field("warm_llm_calls", warm.llm_calls);
+    json.field("cold_llm_calls", cold.llm_calls);
     json.field("p99_request_ms", warm.p99_request_ms, 2);
     json.field("cold_p99_request_ms", cold.p99_request_ms, 2);
     json.endObject();

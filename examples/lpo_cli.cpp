@@ -454,13 +454,24 @@ cmdStore(const char *action, const char *dir)
             }
             KvLoadStats stats;
             std::string error;
-            KvOpen status = KvStore::inspect(path, file.options, nullptr,
-                                             &stats, &error);
-            std::printf("%s: %s, %llu record(s), %llu corrupt, "
+            // catalog.lpo holds two record kinds; count the misses.
+            uint64_t misses = 0;
+            KvOpen status = KvStore::inspect(
+                path, file.options,
+                [&](std::string &&key, std::string &&) {
+                    misses += verify::isMissKey(key) ? 1 : 0;
+                },
+                &stats, &error);
+            std::string kinds;
+            if (file.name == std::string(verify::kCatalogStoreFile))
+                kinds = " (" + std::to_string(stats.records - misses) +
+                        " rewrite(s), " + std::to_string(misses) +
+                        " miss(es))";
+            std::printf("%s: %s, %llu record(s)%s, %llu corrupt, "
                         "%llu torn byte(s), quarantine sidecar "
                         "%llu byte(s)\n",
                         file.name, kvOpenName(status),
-                        (unsigned long long)stats.records,
+                        (unsigned long long)stats.records, kinds.c_str(),
                         (unsigned long long)stats.quarantined,
                         (unsigned long long)stats.torn_bytes,
                         (unsigned long long)
@@ -498,11 +509,12 @@ cmdStore(const char *action, const char *dir)
             return 1;
         }
         verify::StoreStats stats = store->stats();
-        std::printf("compacted: %llu verdict(s) + %llu rewrite(s) kept, "
-                    "%llu recover%s, %llu quarantined, %llu undecodable "
-                    "dropped\n",
+        std::printf("compacted: %llu verdict(s) + %llu rewrite(s) + "
+                    "%llu miss(es) kept, %llu recover%s, %llu quarantined, "
+                    "%llu undecodable dropped\n",
                     (unsigned long long)stats.cache_loaded,
                     (unsigned long long)stats.catalog_loaded,
+                    (unsigned long long)stats.misses_loaded,
                     (unsigned long long)stats.recoveries,
                     stats.recoveries == 1 ? "y" : "ies",
                     (unsigned long long)stats.quarantined,
@@ -634,10 +646,11 @@ usage()
         "  --no-verify-cache          disable the shared verification\n"
         "                             result cache (results are\n"
         "                             identical; only speed changes)\n"
-        "  --store=DIR                persist verified verdicts and\n"
-        "                             learned rewrites in DIR (created\n"
-        "                             if missing); warm runs replay\n"
-        "                             them for free. An unusable path\n"
+        "  --store=DIR                persist verified verdicts,\n"
+        "                             learned rewrites and misses in\n"
+        "                             DIR (created if missing); warm\n"
+        "                             runs replay them without asking\n"
+        "                             the model again. An unusable path\n"
         "                             warns once and runs memory-only\n"
         "  --emit=FILE                optimize-module only: write the\n"
         "                             patched module text to FILE\n"

@@ -8,6 +8,8 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "opt/opt_driver.h"
+#include "support/failpoint.h"
+#include "support/string_utils.h"
 #include "support/telemetry.h"
 #include "support/trace.h"
 
@@ -68,6 +70,62 @@ proposerHistogram(Proposer::Backend backend)
     return llm;
 }
 
+/** The final statuses a miss may remember: each is the deterministic
+ *  result of seeded proposers and a budgeted verifier. */
+constexpr CaseStatus kMissStatuses[] = {
+    CaseStatus::NoCandidate,
+    CaseStatus::Incorrect,
+    CaseStatus::NotInteresting,
+    CaseStatus::SyntaxError,
+};
+
+bool
+isMissStatus(CaseStatus status)
+{
+    for (CaseStatus miss : kMissStatuses)
+        if (status == miss)
+            return true;
+    return false;
+}
+
+/** A miss record's payload: "<status> <final leg>". */
+std::string
+encodeMiss(const CaseOutcome &outcome)
+{
+    return std::string(caseStatusName(outcome.status)) + ' ' +
+           outcome.proposer;
+}
+
+/** Decode a miss payload into @p out; false (nothing replayed) on
+ *  anything this build would not have recorded. */
+bool
+decodeMiss(const std::string &payload, CaseOutcome *out)
+{
+    size_t space = payload.find(' ');
+    if (space == std::string::npos)
+        return false;
+    std::string leg = payload.substr(space + 1);
+    if (leg != "llm" && leg != "egraph")
+        return false;
+    for (CaseStatus status : kMissStatuses) {
+        if (payload.compare(0, space, caseStatusName(status)) == 0) {
+            out->status = status;
+            out->proposer = std::move(leg);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** True while any failpoint is armed. Resolves the registry first:
+ *  anyArmed() reads true until the environment has been applied. */
+bool
+faultsArmed()
+{
+    FailPoints::instance();
+    return FailPoints::anyArmed();
+}
+
 } // namespace
 
 Pipeline::Pipeline(llm::LlmClient &client, PipelineConfig config)
@@ -82,8 +140,20 @@ Pipeline::Pipeline(llm::LlmClient &client, PipelineConfig config)
         // Once, at construction: persistence problems degrade to
         // in-memory operation, they never abort or fail the run.
         std::fprintf(stderr, "lpo: warning: %s\n", warning.c_str());
-    if (store_)
+    if (store_) {
         catalog_proposer_ = CatalogProposer(&store_->catalog());
+        // Everything besides the sequence and the round seed that
+        // decides a case's outcome (see missKey()).
+        const egraph::SaturationLimits &limits = egraph_proposer_.limits();
+        miss_fingerprint_ =
+            std::string(proposerKindName(config_.proposer)) + ";attempts=" +
+            std::to_string(config_.attempt_limit) + ";feedback=" +
+            (config_.enable_feedback ? "1" : "0") + ";egraph=" +
+            std::to_string(limits.max_iterations) + "," +
+            std::to_string(limits.max_nodes) + ";model=" +
+            client_.identity() + ";verify=" +
+            verify::verifyOptionsKey(config_.refine) + ";seed=";
+    }
     refreshCacheStats();
 }
 
@@ -162,8 +232,10 @@ Pipeline::refreshCacheStats()
     verify::StoreStats store_stats = store_->stats();
     stats_.store_cache_loaded = store_stats.cache_loaded;
     stats_.store_catalog_loaded = store_stats.catalog_loaded;
+    stats_.store_misses_loaded = store_stats.misses_loaded;
     stats_.store_cache_flushed = store_stats.cache_flushed;
     stats_.store_catalog_flushed = store_stats.catalog_flushed;
+    stats_.store_misses_flushed = store_stats.misses_flushed;
     stats_.store_flush_failures = store_stats.flush_failures;
     stats_.store_recoveries = store_stats.recoveries;
     stats_.store_quarantined = store_stats.quarantined;
@@ -173,7 +245,8 @@ Pipeline::refreshCacheStats()
 
 CaseOutcome
 Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
-                         uint64_t round_seed, PipelineStats &stats,
+                         const std::string &seq_text, uint64_t round_seed,
+                         PipelineStats &stats,
                          const verify::RefineOptions &refine)
 {
     const Proposer::Backend backend = proposer.backend();
@@ -181,7 +254,6 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
     outcome.proposer = proposer.name();
     outcome.total_seconds = kOverheadSeconds;
 
-    std::string seq_text = ir::printFunction(seq);
     std::string feedback;
     unsigned counter = 0;
 
@@ -329,11 +401,13 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
  */
 CaseOutcome
 Pipeline::runLegContained(Proposer &proposer, const ir::Function &seq,
-                          uint64_t round_seed, PipelineStats &stats,
+                          const std::string &seq_text, uint64_t round_seed,
+                          PipelineStats &stats,
                           const verify::RefineOptions &refine)
 {
     try {
-        return runAttemptLoop(proposer, seq, round_seed, stats, refine);
+        return runAttemptLoop(proposer, seq, seq_text, round_seed, stats,
+                              refine);
     } catch (const std::exception &e) {
         ++stats.contained_exceptions;
         CaseOutcome outcome;
@@ -344,6 +418,59 @@ Pipeline::runLegContained(Proposer &proposer, const ir::Function &seq,
         outcome.total_seconds = kOverheadSeconds;
         return outcome;
     }
+}
+
+CaseOutcome
+Pipeline::runLegs(const ir::Function &seq, uint64_t round_seed,
+                  PipelineStats &stats, const verify::RefineOptions &refine,
+                  bool *rememberable)
+{
+    if (config_.proposer == ProposerKind::EGraph) {
+        // The e-graph reads the function itself, not its text.
+        CaseOutcome outcome = runLegContained(egraph_proposer_, seq, {},
+                                              round_seed, stats, refine);
+        *rememberable = isMissStatus(outcome.status);
+        return outcome;
+    }
+    const std::string seq_text = ir::printFunction(seq);
+    CaseOutcome outcome = runLegContained(llm_proposer_, seq, seq_text,
+                                          round_seed, stats, refine);
+    *rememberable = isMissStatus(outcome.status);
+    if (config_.proposer == ProposerKind::Llm)
+        return outcome;
+
+    // Hybrid: fall back whenever the LLM leg failed for a reason the
+    // e-graph could overcome: nothing proposed, refuted, never parsed,
+    // not an improvement, undecidable within the budget ladder, or
+    // lost to a contained fault. Unsupported is excluded — the
+    // verifier cannot handle the function regardless of who proposes.
+    if (outcome.status == CaseStatus::NoCandidate ||
+        outcome.status == CaseStatus::Incorrect ||
+        outcome.status == CaseStatus::SyntaxError ||
+        outcome.status == CaseStatus::NotInteresting ||
+        outcome.status == CaseStatus::Degraded ||
+        outcome.status == CaseStatus::Error) {
+        ++stats.hybrid_fallbacks;
+        CaseOutcome fallback = runLegContained(egraph_proposer_, seq, seq_text,
+                                               round_seed, stats, refine);
+        // The final status is the LLM's, so the e-graph leg must have
+        // ended in a rememberable status too.
+        *rememberable = *rememberable && isMissStatus(fallback.status);
+        if (fallback.found()) {
+            // The combined record keeps the e-graph's result but
+            // accounts for the failed LLM attempts too.
+            fallback.attempts += outcome.attempts;
+            fallback.llm_seconds += outcome.llm_seconds;
+            fallback.total_seconds += outcome.total_seconds;
+            fallback.cost_usd += outcome.cost_usd;
+            outcome = std::move(fallback);
+        } else {
+            // Keep the LLM outcome (richer feedback) but charge the
+            // extra e-graph pass.
+            outcome.total_seconds += fallback.total_seconds;
+        }
+    }
+    return outcome;
 }
 
 CaseOutcome
@@ -364,73 +491,62 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     refine_opts.cache =
         config_.enable_verify_cache ? &verify_cache_ : nullptr;
 
-    CaseOutcome outcome;
-    switch (config_.proposer) {
-      case ProposerKind::Llm:
-        outcome = runLegContained(llm_proposer_, seq, round_seed, stats,
-                                  refine_opts);
-        break;
-      case ProposerKind::EGraph:
-        outcome = runLegContained(egraph_proposer_, seq, round_seed,
-                                  stats, refine_opts);
-        break;
-      case ProposerKind::Hybrid: {
-        // Zero-SAT-cost first leg: replay a catalog rewrite learned in
-        // a previous run (verify/persist.h). A hit verifies against
-        // the seeded cache and skips the LLM entirely; any failure —
-        // miss, stale candidate refuted, gate rejection — falls
-        // through to the ordinary LLM leg as if the catalog were
-        // absent (its lookup is free, so no time is charged).
-        if (catalog_proposer_.enabled()) {
-            CaseOutcome replayed = runLegContained(
-                catalog_proposer_, seq, round_seed, stats, refine_opts);
-            if (replayed.found()) {
-                outcome = std::move(replayed);
-                break;
-            }
-        }
-        outcome = runLegContained(llm_proposer_, seq, round_seed, stats,
-                                  refine_opts);
-        // Fall back whenever the LLM leg failed for a reason the
-        // e-graph could overcome: nothing proposed, refuted, never
-        // parsed, not an improvement, undecidable within the budget
-        // ladder, or lost to a contained fault. Unsupported is
-        // excluded — the verifier cannot handle the function
-        // regardless of who proposes.
-        if (outcome.status == CaseStatus::NoCandidate ||
-            outcome.status == CaseStatus::Incorrect ||
-            outcome.status == CaseStatus::SyntaxError ||
-            outcome.status == CaseStatus::NotInteresting ||
-            outcome.status == CaseStatus::Degraded ||
-            outcome.status == CaseStatus::Error) {
-            ++stats.hybrid_fallbacks;
-            CaseOutcome fallback = runLegContained(
-                egraph_proposer_, seq, round_seed, stats, refine_opts);
-            if (fallback.found()) {
-                // The combined record keeps the e-graph's result but
-                // accounts for the failed LLM attempts too.
-                fallback.attempts += outcome.attempts;
-                fallback.llm_seconds += outcome.llm_seconds;
-                fallback.total_seconds += outcome.total_seconds;
-                fallback.cost_usd += outcome.cost_usd;
-                outcome = std::move(fallback);
-            } else {
-                // Keep the LLM outcome (richer feedback) but charge
-                // the extra e-graph pass.
-                outcome.total_seconds += fallback.total_seconds;
-            }
-        }
-        break;
-      }
+    // The one canonical print of this case: the catalog key and the
+    // tail of the miss key (store runs only).
+    std::string canonical, miss_key;
+    if (store_) {
+        canonical = ir::printFunctionCanonical(seq);
+        char fingerprint[17];
+        std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                      static_cast<unsigned long long>(fnv1a64(
+                          miss_fingerprint_ + std::to_string(round_seed))));
+        miss_key = verify::missKey(fingerprint, canonical);
     }
 
-    // Learn every verified rewrite (any mode, any backend except the
-    // catalog itself — re-recording a replay would be a no-op). The
-    // record is a pending entry flushed with the store; it never
-    // becomes visible to lookups within this run (determinism).
-    if (store_ && outcome.found() && outcome.proposer != "catalog")
-        store_->catalog().record(ir::printFunctionCanonical(seq),
-                                 outcome.candidate_text);
+    CaseOutcome outcome;
+    bool answered = false;
+    // Zero-SAT-cost first hybrid leg: replay a catalog rewrite learned
+    // in a previous run (verify/persist.h). A hit verifies against the
+    // seeded cache and skips the LLM entirely; any failure — miss,
+    // stale candidate refuted, gate rejection — falls through as if
+    // the catalog were absent (its lookup is free, so no time is
+    // charged).
+    if (config_.proposer == ProposerKind::Hybrid &&
+        catalog_proposer_.enabled()) {
+        CaseOutcome replayed = runLegContained(
+            catalog_proposer_, seq, canonical, round_seed, stats, refine_opts);
+        if (replayed.found()) {
+            outcome = std::move(replayed);
+            answered = true;
+        }
+    }
+    // A remembered miss: the same legs under the same fingerprint
+    // found nothing before, and would find nothing again.
+    if (!answered && store_) {
+        const std::string *miss = store_->catalog().lookupMiss(miss_key);
+        if (miss && decodeMiss(*miss, &outcome)) {
+            outcome.miss_replay = true;
+            ++stats.miss_replays;
+            answered = true;
+        }
+    }
+    if (!answered) {
+        bool rememberable = false;
+        outcome = runLegs(seq, round_seed, stats, refine_opts, &rememberable);
+        // Learn every verified rewrite (any mode; a catalog replay
+        // never reaches here). Remember a final no-find outcome as a
+        // miss unless something outside the fingerprint may have
+        // shaped it: an interrupt, or an armed failpoint (an injected
+        // proposer.llm.none would otherwise persist a fake
+        // NoCandidate). Both records stay pending until the next
+        // open (determinism).
+        if (store_ && outcome.found())
+            store_->catalog().record(canonical, outcome.candidate_text);
+        else if (store_ && rememberable &&
+                 !(refine.interrupt && refine.interrupt->load()) &&
+                 !faultsArmed())
+            store_->catalog().recordMiss(miss_key, encodeMiss(outcome));
+    }
 
     // The deadline currency: deterministic work units, not seconds.
     const uint64_t case_conflicts = stats.sat_conflicts - conflicts_before;
@@ -606,6 +722,7 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.catalog_consults += delta.catalog_consults;
     stats_.catalog_proposals += delta.catalog_proposals;
     stats_.found_by_catalog += delta.found_by_catalog;
+    stats_.miss_replays += delta.miss_replays;
     stats_.sat_solves += delta.sat_solves;
     stats_.sat_decisions += delta.sat_decisions;
     stats_.sat_conflicts += delta.sat_conflicts;

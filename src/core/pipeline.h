@@ -68,8 +68,11 @@ struct PipelineConfig
      * learned rewrite catalog from `catalog.lpo`; fresh verdicts and
      * rewrites are journaled back on flushStore()/destruction. In
      * hybrid mode the catalog runs as a zero-SAT-cost first proposer
-     * leg. An unusable path degrades to in-memory operation with one
-     * stderr warning — persistence never fails a run.
+     * leg. Final no-find outcomes are remembered as misses and
+     * replayed on later runs with no proposer or verifier call (see
+     * Pipeline::runCase). An unusable path degrades to in-memory
+     * operation with one stderr warning — persistence never fails a
+     * run.
      */
     std::string store_path;
 };
@@ -113,6 +116,9 @@ struct CaseOutcome
      * reproduce across machines (see core/module_opt.h).
      */
     uint64_t step_cost = 0;
+    /** Replayed from a remembered miss: status and proposer are the
+     *  recorded ones, and no proposer or verifier ran. */
+    bool miss_replay = false;
 
     bool found() const { return status == CaseStatus::Found; }
 };
@@ -193,6 +199,8 @@ struct PipelineStats
     uint64_t catalog_consults = 0;  ///< propose() calls on the catalog
     uint64_t catalog_proposals = 0; ///< candidates the catalog offered
     uint64_t found_by_catalog = 0;  ///< findings replayed from it
+    uint64_t miss_replays = 0;      ///< cases answered from a
+                                    ///< remembered miss
     /**
      * Persistent-store accounting (absolute snapshots of the store's
      * StoreStats, like the cache counters above; all zero when no
@@ -200,8 +208,10 @@ struct PipelineStats
      */
     uint64_t store_cache_loaded = 0;
     uint64_t store_catalog_loaded = 0;
+    uint64_t store_misses_loaded = 0;
     uint64_t store_cache_flushed = 0;
     uint64_t store_catalog_flushed = 0;
+    uint64_t store_misses_flushed = 0;
     uint64_t store_flush_failures = 0;
     uint64_t store_recoveries = 0;
     uint64_t store_quarantined = 0;
@@ -330,19 +340,39 @@ class Pipeline
      * per-case sweeps don't fan out a second hardware-wide scope;
      * by the deterministic-parallelism contract this cannot change
      * results).
-     * Dispatches to the configured proposer; in Hybrid mode runs the
-     * LLM attempt loop and falls back to the e-graph on
-     * NoCandidate/Incorrect.
+     *
+     * With a store, the case first tries the catalog (Hybrid only),
+     * then a remembered miss: a record keyed by missKey() on the
+     * canonical print plus a fingerprint of the proposer kind, round
+     * seed, attempt limit, feedback flag, e-graph limits, model
+     * identity and verifyOptionsKey(). A hit answers with the
+     * recorded status and leg, zero attempts and zero step cost.
+     * Otherwise runLegs() runs, and a final NoCandidate, Incorrect,
+     * NotInteresting or SyntaxError outcome is recorded as a miss —
+     * unless the case was interrupted or a failpoint is armed.
      */
     CaseOutcome runCase(const ir::Function &seq, uint64_t round_seed,
                         PipelineStats &stats,
                         const verify::RefineOptions &refine);
 
+    /**
+     * The configured proposer legs: the LLM or e-graph alone, or in
+     * Hybrid mode the LLM with an e-graph fallback on failure.
+     * @p rememberable is set when every leg that ran ended in a
+     * status a miss may record.
+     */
+    CaseOutcome runLegs(const ir::Function &seq, uint64_t round_seed,
+                        PipelineStats &stats,
+                        const verify::RefineOptions &refine,
+                        bool *rememberable);
+
     /** The propose -> opt -> gate -> verify attempt loop over one
      *  backend (Algorithm 1's body, proposer-agnostic), verifying
-     *  every candidate with verify::checkRefinement under @p refine. */
+     *  every candidate with verify::checkRefinement under @p refine.
+     *  @p seq_text is what the backend reads (see Proposer). */
     CaseOutcome runAttemptLoop(Proposer &proposer,
                                const ir::Function &seq,
+                               const std::string &seq_text,
                                uint64_t round_seed, PipelineStats &stats,
                                const verify::RefineOptions &refine);
 
@@ -350,6 +380,7 @@ class Pipeline
      *  becomes a CaseStatus::Error outcome, never a lost run. */
     CaseOutcome runLegContained(Proposer &proposer,
                                 const ir::Function &seq,
+                                const std::string &seq_text,
                                 uint64_t round_seed, PipelineStats &stats,
                                 const verify::RefineOptions &refine);
 
@@ -382,6 +413,9 @@ class Pipeline
      *  before catalog_proposer_ (which reads its catalog). */
     std::unique_ptr<verify::PersistentStore> store_;
     CatalogProposer catalog_proposer_{nullptr};
+    /** Miss-key fingerprint text, less the round seed (store runs
+     *  only; see runCase). */
+    std::string miss_fingerprint_;
 };
 
 /**

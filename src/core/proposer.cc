@@ -114,7 +114,7 @@ EGraphProposer::propose(const ir::Function &seq, const std::string &,
 }
 
 std::optional<Proposal>
-CatalogProposer::propose(const ir::Function &seq, const std::string &,
+CatalogProposer::propose(const ir::Function &, const std::string &seq_text,
                          const std::string &feedback, uint64_t)
 {
     if (!catalog_)
@@ -124,8 +124,7 @@ CatalogProposer::propose(const ir::Function &seq, const std::string &,
     // offer (same contract as the e-graph backend).
     if (!feedback.empty())
         return std::nullopt;
-    const std::string *text =
-        catalog_->lookup(ir::printFunctionCanonical(seq));
+    const std::string *text = catalog_->lookup(seq_text);
     if (!text)
         return std::nullopt;
     Proposal proposal;

@@ -44,7 +44,11 @@ struct Proposal
  * Contract:
  *  - propose() MUST be safe to call concurrently (the pipeline shares
  *    one instance across its worker pool) and MUST be deterministic
- *    in (seq_text, feedback, attempt_seed);
+ *    in (seq, seq_text, feedback, attempt_seed);
+ *  - seq_text is the sequence's text in the form the backend reads:
+ *    ir::printFunction for the LLM, ir::printFunctionCanonical (the
+ *    catalog key) for the catalog; the e-graph reads seq and ignores
+ *    it. The pipeline prints each form once per case;
  *  - returning nullopt means the backend has nothing (more) to offer
  *    for this sequence — the loop stops instead of burning attempts;
  *  - a returned proposal is *text*, not trusted IR: the pipeline
@@ -120,7 +124,8 @@ class EGraphProposer : public Proposer
  * catalog entry degrades to an ordinary failed attempt, never an
  * unproved patch. Deterministic: lookups see only open-time catalog
  * state. Feedback-free like the e-graph — its one candidate already
- * failed if feedback is non-empty.
+ * failed if feedback is non-empty. @p seq_text is the sequence's
+ * canonical print.
  */
 class CatalogProposer : public Proposer
 {

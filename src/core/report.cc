@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/pipeline.h"
 #include "support/telemetry.h"
@@ -114,16 +115,18 @@ degradationStatsLine(const PipelineStats &stats)
 std::string
 storeStatsLine(const PipelineStats &stats)
 {
-    char line[320];
+    char line[384];
     std::snprintf(
         line, sizeof(line),
-        "store: %llu verdicts + %llu rewrites loaded, %llu + %llu "
-        "flushed, %llu recoveries, %llu quarantined, %llu undecodable, "
-        "%llu rejected files, %llu dropped writes\n",
+        "store: %llu verdicts + %llu rewrites + %llu misses loaded, "
+        "%llu + %llu + %llu flushed, %llu recoveries, %llu quarantined, "
+        "%llu undecodable, %llu rejected files, %llu dropped writes\n",
         static_cast<unsigned long long>(stats.store_cache_loaded),
         static_cast<unsigned long long>(stats.store_catalog_loaded),
+        static_cast<unsigned long long>(stats.store_misses_loaded),
         static_cast<unsigned long long>(stats.store_cache_flushed),
         static_cast<unsigned long long>(stats.store_catalog_flushed),
+        static_cast<unsigned long long>(stats.store_misses_flushed),
         static_cast<unsigned long long>(stats.store_recoveries),
         static_cast<unsigned long long>(stats.store_quarantined),
         static_cast<unsigned long long>(stats.store_decode_skipped),
@@ -217,6 +220,19 @@ profileSummary(const PipelineStats &stats,
     // all-zero) so a profile alone explains where the proofs went.
     rendered += satStatsLine(stats);
     rendered += degradationStatsLine(stats);
+    // What the store answered without a proposer: catalog rewrites
+    // (verified again, from the seeded cache) and remembered misses
+    // (no proposer, no verifier).
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "replay: %llu of %llu cases (%llu catalog rewrites, "
+                  "%llu remembered misses)\n",
+                  static_cast<unsigned long long>(stats.found_by_catalog +
+                                                  stats.miss_replays),
+                  static_cast<unsigned long long>(stats.cases),
+                  static_cast<unsigned long long>(stats.found_by_catalog),
+                  static_cast<unsigned long long>(stats.miss_replays));
+    rendered += line;
     return rendered;
 }
 
@@ -236,17 +252,21 @@ moduleSummary(const PipelineStats &stats,
         sizeof(kStatuses) / sizeof(kStatuses[0]);
 
     // Per-proposer outcome breakdown. Rows appear in the fixed order
-    // llm, egraph so reports diff cleanly between runs.
+    // catalog, miss-replay, llm, egraph so reports diff cleanly between
+    // runs. Replayed misses get their own row: no proposer ran.
     std::vector<std::string> headers{"proposer"};
     for (CaseStatus status : kStatuses)
         headers.push_back(caseStatusName(status));
     TextTable table(std::move(headers));
     bool any_rows = false;
-    for (const char *backend : {"catalog", "llm", "egraph"}) {
+    for (const char *backend : {"catalog", "miss-replay", "llm", "egraph"}) {
         uint64_t counts[kNumStatuses] = {};
         uint64_t total = 0;
         for (const CaseOutcome &outcome : outcomes) {
-            if (outcome.proposer != backend)
+            const char *row = outcome.miss_replay
+                                  ? "miss-replay"
+                                  : outcome.proposer.c_str();
+            if (std::strcmp(row, backend) != 0)
                 continue;
             ++total;
             for (size_t s = 0; s < kNumStatuses; ++s)
@@ -266,12 +286,13 @@ moduleSummary(const PipelineStats &stats,
     // render as an orphaned header + underline; skip the table.
     std::string out = any_rows ? table.render() : std::string();
     char line[320];
-    if (stats.catalog_consults || stats.found_by_catalog) {
+    if (stats.catalog_consults || stats.found_by_catalog ||
+        stats.miss_replays) {
         std::snprintf(
             line, sizeof(line),
             "cases=%llu found=%llu (catalog %llu, llm %llu, egraph "
             "%llu) llm-calls=%llu egraph-consults=%llu "
-            "catalog-consults=%llu hybrid-fallbacks=%llu "
+            "catalog-consults=%llu miss-replays=%llu hybrid-fallbacks=%llu "
             "verifier-calls=%llu\n",
             static_cast<unsigned long long>(stats.cases),
             static_cast<unsigned long long>(stats.found),
@@ -281,6 +302,7 @@ moduleSummary(const PipelineStats &stats,
             static_cast<unsigned long long>(stats.llm_calls),
             static_cast<unsigned long long>(stats.egraph_consults),
             static_cast<unsigned long long>(stats.catalog_consults),
+            static_cast<unsigned long long>(stats.miss_replays),
             static_cast<unsigned long long>(stats.hybrid_fallbacks),
             static_cast<unsigned long long>(stats.verifier_calls));
     } else {
@@ -316,6 +338,7 @@ moduleSummary(const PipelineStats &stats,
     // Store telemetry only when persistence actually did something —
     // store-less runs keep the summary byte-identical to before.
     if (stats.store_cache_loaded || stats.store_catalog_loaded ||
+        stats.store_misses_loaded || stats.store_misses_flushed ||
         stats.store_cache_flushed || stats.store_catalog_flushed ||
         stats.store_recoveries || stats.store_quarantined ||
         stats.store_rejected_files || stats.store_flush_failures ||

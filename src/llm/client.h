@@ -46,6 +46,16 @@ class LlmClient
     virtual const std::string &name() const = 0;
 
     /**
+     * Everything that decides what complete() answers for a given
+     * request, as one string: two clients with equal identities must
+     * give equal responses. The pipeline keys remembered misses on it
+     * (see core/pipeline.h). The default is name(); a client whose
+     * answers depend on more (calibration, a session seed) overrides
+     * it.
+     */
+    virtual std::string identity() const { return name(); }
+
+    /**
      * Run one completion.
      *
      * MUST be safe to call concurrently from multiple threads:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -148,6 +149,23 @@ injectSemanticError(const std::string &text)
             return text.substr(0, pos) + text.substr(pos + strlen(flag));
     }
     return text;
+}
+
+std::string
+MockModel::identity() const
+{
+    // %.17g round-trips every double, so distinct calibrations never
+    // print alike.
+    char buffer[512];
+    std::snprintf(buffer, sizeof(buffer),
+                  ";skill=%.17g;syntax=%.17g;semantic=%.17g;repair=%.17g;"
+                  "latency=%.17g;local=%d;in=%.17g;out=%.17g;session=%llu",
+                  profile_.skill, profile_.syntax_error_rate,
+                  profile_.semantic_error_rate, profile_.repair_skill,
+                  profile_.latency_seconds, profile_.local ? 1 : 0,
+                  profile_.usd_per_mtok_in, profile_.usd_per_mtok_out,
+                  static_cast<unsigned long long>(session_seed_));
+    return profile_.name + buffer;
 }
 
 LlmResponse

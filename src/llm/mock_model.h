@@ -34,6 +34,10 @@ class MockModel : public LlmClient
 
     const std::string &name() const override { return profile_.name; }
     const ModelProfile &profile() const { return profile_; }
+    /** The profile name, every profile field complete() reads, and
+     *  the session seed: tests build custom profiles under stock
+     *  names, so the name alone is not unique. */
+    std::string identity() const override;
 
     LlmResponse complete(const LlmRequest &request) override;
 

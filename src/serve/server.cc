@@ -343,13 +343,19 @@ Server::writeStatus(bool stopping)
     json.field("flush_failures", stats_.flush_failures);
     json.field("compactions", stats_.compactions);
     json.field("recovered", stats_.recovered);
+    // Cases answered from a remembered miss (no proposer, no verifier)
+    // over this optimizer's life.
+    if (optimizer_)
+        json.field("miss_replays", optimizer_->pipelineStats().miss_replays);
     if (optimizer_ && optimizer_->store()) {
         const verify::StoreStats store = optimizer_->store()->stats();
         json.key("store").beginObject(core::JsonWriter::Layout::Inline);
         json.field("cache_loaded", store.cache_loaded);
         json.field("catalog_loaded", store.catalog_loaded);
+        json.field("misses_loaded", store.misses_loaded);
         json.field("cache_flushed", store.cache_flushed);
         json.field("catalog_flushed", store.catalog_flushed);
+        json.field("misses_flushed", store.misses_flushed);
         json.field("flush_failures", store.flush_failures);
         json.field("recoveries", store.recoveries);
         json.field("quarantined", store.quarantined);

@@ -32,22 +32,33 @@ constexpr size_t kRecordHeaderSize = 16;
 // triggering a multi-gigabyte allocation.
 constexpr uint32_t kMaxFieldSize = 1u << 28;
 
-// crc32 lookup table, built once (IEEE 802.3 reflected polynomial).
-const uint32_t *
-crcTable()
+// Slicing-by-8 CRC32 tables (IEEE 802.3 reflected polynomial), built
+// once: t[0] is the classic bytewise table, and t[k][i] is the CRC of
+// byte i followed by k zero bytes, so eight input bytes fold in with
+// eight independent lookups.
+struct CrcTables
 {
-    static uint32_t table[256];
-    static bool built = [] {
+    uint32_t t[8][256];
+
+    CrcTables()
+    {
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            t[0][i] = c;
         }
-        return true;
-    }();
-    (void)built;
-    return table;
+        for (uint32_t i = 0; i < 256; ++i)
+            for (int k = 1; k < 8; ++k)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+};
+
+const CrcTables &
+crcTables()
+{
+    static const CrcTables tables;
+    return tables;
 }
 
 void
@@ -146,21 +157,31 @@ writeAll(int fd, const char *data, size_t size)
     return true;
 }
 
+/** Read @p fd to EOF. The buffer is sized from fstat, so a file that
+ *  does not grow meanwhile arrives in one read (the next returns 0). */
 bool
 readAll(int fd, std::string *out)
 {
-    char buf[1 << 16];
-    out->clear();
+    struct stat st;
+    size_t size = ::fstat(fd, &st) == 0 && st.st_size > 0
+                      ? static_cast<size_t>(st.st_size)
+                      : 0;
+    out->resize(size + 1);
+    size_t done = 0;
     for (;;) {
-        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (done == out->size())
+            out->resize(2 * out->size());
+        ssize_t n = ::read(fd, out->data() + done, out->size() - done);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             return false;
         }
-        if (n == 0)
+        if (n == 0) {
+            out->resize(done);
             return true;
-        out->append(buf, static_cast<size_t>(n));
+        }
+        done += static_cast<size_t>(n);
     }
 }
 
@@ -233,13 +254,16 @@ quarantineBytes(const std::string &path, const char *bytes, size_t size)
  * @p repair  when true, corrupt bytes go to the sidecar and the
  *            caller is told (via @p needs_rewrite / @p truncate_at)
  *            how to make the file clean again.
+ * @p valid_offsets  when non-null, receives the file offset of every
+ *            valid record (the repair snapshot is rebuilt from these).
  * Returns a usable status iff the header matched @p options.
  */
 KvOpen
 scanFile(const std::string &path, const std::string &contents,
          const KvOpenOptions &options, const KvStore::RecordFn &on_record,
          KvLoadStats *stats, bool repair, bool *needs_rewrite,
-         size_t *truncate_at, std::string *error)
+         size_t *truncate_at, std::vector<size_t> *valid_offsets,
+         std::string *error)
 {
     *needs_rewrite = false;
     *truncate_at = contents.size();
@@ -387,6 +411,8 @@ scanFile(const std::string &path, const std::string &contents,
         if (on_record)
             on_record(std::string(body, klen),
                       std::string(body + klen, vlen));
+        if (valid_offsets)
+            valid_offsets->push_back(off);
         stats->records += 1;
         off += kRecordHeaderSize + payload;
     }
@@ -398,11 +424,20 @@ scanFile(const std::string &path, const std::string &contents,
 uint32_t
 crc32(const void *data, size_t size, uint32_t seed)
 {
-    const uint32_t *table = crcTable();
+    const auto &t = crcTables().t;
     const unsigned char *p = static_cast<const unsigned char *>(data);
     uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        uint32_t lo = c ^ (static_cast<uint32_t>(p[0]) |
+                           static_cast<uint32_t>(p[1]) << 8 |
+                           static_cast<uint32_t>(p[2]) << 16 |
+                           static_cast<uint32_t>(p[3]) << 24);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; size; ++p, --size)
+        c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -461,19 +496,16 @@ KvStore::open(const std::string &path, const KvOpenOptions &options,
     bool empty = contents.empty();
     bool needs_rewrite = false;
     size_t truncate_at = contents.size();
-    std::vector<std::pair<std::string, std::string>> kept;
+    // Corruption later in the file flips needs_rewrite retroactively,
+    // and the repair snapshot must carry the records seen before it:
+    // remember where each valid record starts, and copy them out only
+    // if a rewrite is actually needed.
+    std::vector<size_t> valid_offsets;
     const bool repair = !options.read_only;
-    KvOpen status = scanFile(
-        path, contents, options,
-        [&](std::string &&key, std::string &&value) {
-            // Keep a copy of every valid record: corruption later in
-            // the file flips needs_rewrite retroactively, and the
-            // repair snapshot must carry the records seen before it.
-            kept.emplace_back(key, value);
-            if (on_record)
-                on_record(std::move(key), std::move(value));
-        },
-        &load_stats_, repair, &needs_rewrite, &truncate_at, error);
+    KvOpen status = scanFile(path, contents, options, on_record,
+                             &load_stats_, repair, &needs_rewrite,
+                             &truncate_at, repair ? &valid_offsets : nullptr,
+                             error);
 
     if (!kvOpenUsable(status)) {
         ::close(fd);
@@ -488,6 +520,16 @@ KvStore::open(const std::string &path, const KvOpenOptions &options,
     if (needs_rewrite && status == KvOpen::Loaded) {
         // Some record was quarantined mid-file: rewrite a clean copy
         // atomically so the corruption can never be re-read.
+        std::vector<std::pair<std::string, std::string>> kept;
+        kept.reserve(valid_offsets.size());
+        for (size_t off : valid_offsets) {
+            const char *frame = contents.data() + off;
+            uint32_t klen = getU32(frame);
+            uint32_t vlen = getU32(frame + 4);
+            const char *body = frame + kRecordHeaderSize;
+            kept.emplace_back(std::string(body, klen),
+                              std::string(body + klen, vlen));
+        }
         std::string snap_error;
         if (!snapshot(kept, &snap_error)) {
             // Keep running on the truncated original; quarantined
@@ -639,7 +681,8 @@ KvStore::inspect(const std::string &path, const KvOpenOptions &options,
     size_t truncate_at = 0;
     KvOpen status =
         scanFile(path, contents, options, on_record, &local,
-                 /*repair=*/false, &needs_rewrite, &truncate_at, error);
+                 /*repair=*/false, &needs_rewrite, &truncate_at,
+                 /*valid_offsets=*/nullptr, error);
     if (status == KvOpen::Fresh && !contents.empty())
         // Read-only view of a torn-creation file: report it as
         // recovery-pending rather than pretending it is pristine.

@@ -48,7 +48,8 @@
 
 namespace lpo {
 
-/** CRC-32 (IEEE 802.3 polynomial, the zlib convention). */
+/** CRC-32 (IEEE 802.3 polynomial, the zlib convention), computed
+ *  slicing-by-8. */
 uint32_t crc32(const void *data, size_t size, uint32_t seed = 0);
 
 /** Identity a store file is opened against; any mismatch rejects. */

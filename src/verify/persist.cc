@@ -199,6 +199,15 @@ normalizeCandidateText(const std::string &text)
     return ir::printFunction(fn);
 }
 
+std::string
+missKey(const std::string &fingerprint, const std::string &src_canonical)
+{
+    std::string key(1, kMissKeyTag);
+    key += fingerprint;
+    key += src_canonical;
+    return key;
+}
+
 // --- RewriteCatalog --------------------------------------------------
 
 const std::string *
@@ -214,18 +223,38 @@ RewriteCatalog::record(const std::string &src_canonical,
 {
     if (loaded_.count(src_canonical))
         return false;
-    std::string normalized = normalizeCandidateText(candidate_text);
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    if (flushed_.count(src_canonical))
+    return addPending(src_canonical, normalizeCandidateText(candidate_text));
+}
+
+const std::string *
+RewriteCatalog::lookupMiss(const std::string &miss_key) const
+{
+    auto it = loaded_misses_.find(miss_key);
+    return it == loaded_misses_.end() ? nullptr : &it->second;
+}
+
+bool
+RewriteCatalog::recordMiss(const std::string &miss_key, std::string outcome)
+{
+    if (loaded_misses_.count(miss_key))
         return false;
-    return pending_.emplace(src_canonical, std::move(normalized)).second;
+    return addPending(miss_key, std::move(outcome));
+}
+
+bool
+RewriteCatalog::addPending(const std::string &key, std::string value)
+{
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    if (flushed_.count(key))
+        return false;
+    return pending_.emplace(key, std::move(value)).second;
 }
 
 void
-RewriteCatalog::addLoaded(std::string src_canonical,
-                          std::string candidate_text)
+RewriteCatalog::addLoaded(std::string key, std::string value)
 {
-    loaded_.emplace(std::move(src_canonical), std::move(candidate_text));
+    (isMissKey(key) ? loaded_misses_ : loaded_)
+        .emplace(std::move(key), std::move(value));
 }
 
 size_t
@@ -270,6 +299,7 @@ std::map<std::string, std::string>
 RewriteCatalog::snapshotAll() const
 {
     std::map<std::string, std::string> all = loaded_;
+    all.insert(loaded_misses_.begin(), loaded_misses_.end());
     std::lock_guard<std::mutex> lock(pending_mutex_);
     for (const auto &[key, value] : flushed_)
         all.emplace(key, value);
@@ -360,8 +390,9 @@ PersistentStore::open(const std::string &dir, VerifyCache *cache,
     status = store->catalog_kv_.open(
         dir + "/" + kCatalogStoreFile, catalogStoreFileOptions(read_only),
         [&](std::string &&key, std::string &&value) {
+            (isMissKey(key) ? store->stats_.misses_loaded
+                            : store->stats_.catalog_loaded) += 1;
             store->catalog_.addLoaded(std::move(key), std::move(value));
-            store->stats_.catalog_loaded += 1;
         },
         &error);
     {
@@ -433,7 +464,8 @@ PersistentStore::flush()
         pending_verdicts_.clear();
         stats_.flushes += 1;
     }
-    uint64_t flushed_cache = 0, flushed_catalog = 0, failures = 0;
+    uint64_t flushed_cache = 0, flushed_catalog = 0, flushed_misses = 0;
+    uint64_t failures = 0;
     bool ok = true;
     // Failed appends are kept for the next flush (re-queued below):
     // a transient write fault delays durability, it does not silently
@@ -452,26 +484,27 @@ PersistentStore::flush()
         if (!verdicts.empty() && !cache_kv_.sync())
             ok = false;
     }
-    std::map<std::string, std::string> rewrites = catalog_.takePending();
+    std::map<std::string, std::string> records = catalog_.takePending();
     if (catalog_kv_.isOpen()) {
-        std::map<std::string, std::string> failed_rewrites;
-        for (const auto &[key, text] : rewrites) {
-            if (catalog_kv_.append(key, text)) {
-                ++flushed_catalog;
+        std::map<std::string, std::string> failed_records;
+        for (const auto &[key, value] : records) {
+            if (catalog_kv_.append(key, value)) {
+                ++(isMissKey(key) ? flushed_misses : flushed_catalog);
             } else {
                 ++failures;
-                failed_rewrites.emplace(key, text);
+                failed_records.emplace(key, value);
             }
         }
-        if (!rewrites.empty() && !catalog_kv_.sync())
+        if (!records.empty() && !catalog_kv_.sync())
             ok = false;
-        if (!failed_rewrites.empty())
-            catalog_.requeuePending(failed_rewrites);
+        if (!failed_records.empty())
+            catalog_.requeuePending(failed_records);
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.cache_flushed += flushed_cache;
         stats_.catalog_flushed += flushed_catalog;
+        stats_.misses_flushed += flushed_misses;
         stats_.flush_failures += failures;
         for (auto &[key, payload] : failed_verdicts)
             pending_verdicts_.emplace(key, std::move(payload));

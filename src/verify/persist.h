@@ -25,11 +25,20 @@
  *    match, making the replay cheap; when they don't, it re-proves).
  *    The catalog can therefore never introduce an unproved rewrite.
  *
+ *    The same file holds a second record kind, the remembered miss:
+ *    a case's final no-find outcome, keyed by missKey() on everything
+ *    that decided it (see core::Pipeline). A miss replays its status
+ *    with no proposer and no verifier call. It can only withhold an
+ *    optimization, never patch one, so it adds nothing to the trust
+ *    root. Miss keys open with kMissKeyTag, a byte no canonical print
+ *    starts with, so a pre-miss catalog file opens unchanged and
+ *    lookup() never sees a miss.
+ *
  * Determinism: proposers must be deterministic in their inputs, so
- * catalog lookups only ever see the state loaded at open time;
- * verdicts recorded mid-run go to a pending set that becomes visible
- * on the NEXT open. Flush order is sorted by key, so the file bytes
- * are reproducible regardless of worker scheduling.
+ * catalog lookups (rewrites and misses alike) only ever see the state
+ * loaded at open time; records made mid-run go to a pending set that
+ * becomes visible on the NEXT open. Flush order is sorted by key, so
+ * the file bytes are reproducible regardless of worker scheduling.
  *
  * Failure policy: persistence is strictly best-effort — any open,
  * append, or fsync failure degrades to in-memory operation (counted
@@ -61,6 +70,26 @@ constexpr const char *kCatalogStoreFile = "catalog.lpo";
 KvOpenOptions verifyStoreFileOptions(bool read_only = false);
 KvOpenOptions catalogStoreFileOptions(bool read_only = false);
 
+/**
+ * First byte of every miss key in catalog.lpo. Canonical prints start
+ * with "define", so no rewrite key can begin with it. A change to the
+ * miss key or payload layout takes a new tag byte; records under the
+ * old one then simply never match.
+ */
+constexpr char kMissKeyTag = '\x01';
+
+/** A miss record's key: the tag, @p fingerprint (everything besides
+ *  the sequence that decides the case's outcome), then the sequence's
+ *  canonical print. */
+std::string missKey(const std::string &fingerprint,
+                    const std::string &src_canonical);
+
+inline bool
+isMissKey(const std::string &key)
+{
+    return !key.empty() && key[0] == kMissKeyTag;
+}
+
 /** Serialize a CachedVerdict for the verify.lpo record payload. */
 std::string encodeVerdict(const CachedVerdict &verdict);
 /** Decode; false (no partial output) on any malformed payload. */
@@ -82,8 +111,10 @@ struct StoreStats
 {
     uint64_t cache_loaded = 0;    ///< verdicts seeded from verify.lpo
     uint64_t catalog_loaded = 0;  ///< rewrites loaded from catalog.lpo
+    uint64_t misses_loaded = 0;   ///< misses loaded from catalog.lpo
     uint64_t cache_flushed = 0;   ///< verdict records appended
     uint64_t catalog_flushed = 0; ///< rewrite records appended
+    uint64_t misses_flushed = 0;  ///< miss records appended
     uint64_t flushes = 0;         ///< flush() calls that ran
     uint64_t flush_failures = 0;  ///< append/fsync failures (records
                                   ///< are retained and retried)
@@ -97,9 +128,10 @@ struct StoreStats
 };
 
 /**
- * The learned rewrite catalog. Lookups are lock-free reads of the
- * open-time snapshot (immutable once workers run); record() collects
- * into a pending set flushed with the store. Thread-safe.
+ * The learned rewrite catalog and the remembered misses. Lookups are
+ * lock-free reads of the open-time snapshot (immutable once workers
+ * run); record()/recordMiss() collect into one pending set flushed
+ * with the store. Thread-safe.
  */
 class RewriteCatalog
 {
@@ -121,14 +153,23 @@ class RewriteCatalog
     bool record(const std::string &src_canonical,
                 const std::string &candidate_text);
 
-    /** Load-time population (before workers run; not thread-safe). */
-    void addLoaded(std::string src_canonical, std::string candidate_text);
+    /** The outcome remembered under @p miss_key (see missKey), or
+     *  null. Open-time entries only, like lookup(). */
+    const std::string *lookupMiss(const std::string &miss_key) const;
 
-    size_t loadedSize() const { return loaded_.size(); }
+    /** Remember @p outcome under @p miss_key; first recording wins.
+     *  Returns whether a new pending record was created. */
+    bool recordMiss(const std::string &miss_key, std::string outcome);
+
+    /** Load-time population (before workers run; not thread-safe).
+     *  Routes miss keys to the miss map. */
+    void addLoaded(std::string key, std::string value);
+
     size_t pendingSize() const;
 
-    /** Drain the pending records, sorted by key (flush path); the
-     *  drained entries stay remembered for dedup and compaction. */
+    /** Drain the pending records of both kinds, sorted by key (flush
+     *  path); the drained entries stay remembered for dedup and
+     *  compaction. */
     std::map<std::string, std::string> takePending();
 
     /** Return records whose append failed to the pending set (and
@@ -140,12 +181,16 @@ class RewriteCatalog
      *  quarantine: see PersistentStore::discardPending). */
     void discardPending();
 
-    /** Every known rewrite — loaded, flushed, and pending — merged
-     *  (first recording wins), for compaction snapshots. */
+    /** Every known record of both kinds — loaded, flushed, and
+     *  pending — merged (first recording wins), for compaction
+     *  snapshots. */
     std::map<std::string, std::string> snapshotAll() const;
 
   private:
+    bool addPending(const std::string &key, std::string value);
+
     std::map<std::string, std::string> loaded_;
+    std::map<std::string, std::string> loaded_misses_;
     mutable std::mutex pending_mutex_;
     std::map<std::string, std::string> pending_;
     std::map<std::string, std::string> flushed_; ///< drained batches
@@ -180,9 +225,10 @@ class PersistentStore
     PersistentStore &operator=(const PersistentStore &) = delete;
 
     RewriteCatalog &catalog() { return catalog_; }
+    const RewriteCatalog &catalog() const { return catalog_; }
 
     /**
-     * Append every pending verdict and catalog record (sorted by key)
+     * Append every pending verdict, rewrite and miss (sorted by key)
      * and fsync both files. Safe to call repeatedly; a record that
      * fails to append is counted in flush_failures and kept pending,
      * so a later flush retries it (transient faults lose nothing; see
@@ -194,15 +240,16 @@ class PersistentStore
 
     /**
      * Rewrite both files as deduplicated snapshots of current
-     * in-memory state (cache contents + catalog), dropping dead
+     * in-memory state (cache contents + catalog rewrites and misses),
+     * dropping dead
      * journal growth. Implies flush of pending state. Fails (with
      * @p error) on a read-only store.
      */
     bool compact(std::string *error = nullptr);
 
     /**
-     * Drop every pending (not yet journaled) verdict and catalog
-     * record. Fault quarantine for callers that detect an injected or
+     * Drop every pending (not yet journaled) verdict, rewrite and
+     * miss. Fault quarantine for callers that detect an injected or
      * contained fault mid-run (lpo_serve's replay path): anything
      * recorded during the faulty window is distrusted and discarded
      * before it can reach disk; already-journaled state is untouched.

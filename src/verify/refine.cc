@@ -573,10 +573,7 @@ dispatchBackends(const ir::Function &src, const ir::Function &tgt,
 
 /**
  * The cache key: a version tag, the canonical alpha-renamed prints of
- * the pair, and every option that can change the verdict or its
- * rendering. num_threads is deliberately excluded — results are
- * bit-identical at any thread count by the deterministic-parallelism
- * contract.
+ * the pair, and verifyOptionsKey.
  */
 std::string
 cacheKey(const ir::Function &src, const ir::Function &tgt,
@@ -587,27 +584,7 @@ cacheKey(const ir::Function &src, const ir::Function &tgt,
     key += '\x02';
     key += ir::printFunctionCanonical(tgt);
     key += '\x03';
-    key += std::to_string(options.conflict_budget);
-    key += ',';
-    key += std::to_string(options.exhaustive_bit_limit);
-    key += ',';
-    key += std::to_string(options.sample_count);
-    key += ',';
-    // Former per-option slots (pointer-argument object size, encoder
-    // selection), kept as literals so keys (and the persisted verify
-    // stores they index) stay byte-identical.
-    key += std::to_string(kMemoryObjectBytes);
-    key += ',';
-    key += std::to_string(options.seed);
-    key += ",1";
-    // The escalation ladder changes which verdict a query can reach
-    // (Timeout vs Correct-at-a-higher-tier vs Degraded), so the tier
-    // list is part of the key. An empty ladder leaves the key in the
-    // pre-ladder format.
-    for (uint64_t tier : options.budget_tiers) {
-        key += ",t";
-        key += std::to_string(tier);
-    }
+    key += verifyOptionsKey(options);
     return key;
 }
 
@@ -653,6 +630,33 @@ rederiveFromCache(const ir::Function &src, const ir::Function &tgt,
 }
 
 } // namespace
+
+std::string
+verifyOptionsKey(const RefineOptions &options)
+{
+    std::string key = std::to_string(options.conflict_budget);
+    key += ',';
+    key += std::to_string(options.exhaustive_bit_limit);
+    key += ',';
+    key += std::to_string(options.sample_count);
+    key += ',';
+    // Former per-option slots (pointer-argument object size, encoder
+    // selection), kept as literals so keys (and the persisted verify
+    // stores they index) stay byte-identical.
+    key += std::to_string(kMemoryObjectBytes);
+    key += ',';
+    key += std::to_string(options.seed);
+    key += ",1";
+    // The escalation ladder changes which verdict a query can reach
+    // (Timeout vs Correct-at-a-higher-tier vs Degraded), so the tier
+    // list is part of the key. An empty ladder leaves the key in the
+    // pre-ladder format.
+    for (uint64_t tier : options.budget_tiers) {
+        key += ",t";
+        key += std::to_string(tier);
+    }
+    return key;
+}
 
 std::string
 RefinementResult::feedbackMessage(const ir::Function &src) const

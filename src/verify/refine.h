@@ -157,6 +157,16 @@ RefinementResult checkRefinement(const ir::Function &src,
                                  const RefineOptions &options = {});
 
 /**
+ * Every option that can change a verdict or its rendering, as the
+ * suffix of the verification cache key; the pipeline's miss records
+ * embed it too, so the two keys cannot drift apart. num_threads,
+ * cache and interrupt are deliberately excluded: results are
+ * bit-identical at any thread count and with the cache on or off, and
+ * an interrupted answer is never remembered.
+ */
+std::string verifyOptionsKey(const RefineOptions &options);
+
+/**
  * True if checkRefinement would decide (src, tgt) with the SAT
  * backend (both in the encodable fragment, input space small enough
  * to bit-blast). Exposed so the throughput benchmark measures exactly

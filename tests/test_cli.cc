@@ -191,6 +191,46 @@ TEST(CliTest, StoreRoundTripReplaysFromCatalog)
         << check.output;
 }
 
+// One function with a missed optimization, one where nothing is
+// found: the cold run learns a rewrite and remembers a miss, and every
+// surface reports the two kinds apart.
+TEST(CliTest, StoreReportsRewritesAndMissesSeparately)
+{
+    std::string path = fixture(
+        "storemiss", std::string(kMissedModule) +
+                         "\ndefine i32 @g(i32 %x, i32 %y) {\n"
+                         "  %a = add i32 %x, %y\n"
+                         "  %b = mul i32 %a, %y\n"
+                         "  %c = xor i32 %b, %x\n"
+                         "  ret i32 %c\n"
+                         "}\n");
+    std::string dir = ::testing::TempDir() + "lpo_cli_store_miss";
+    std::string cmd = "rm -rf '" + dir + "'";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    const std::string args =
+        "optimize-module " + path + " --proposer=hybrid --store=" + dir;
+    CommandResult cold = run(args);
+    ASSERT_EQ(cold.exit_code, 0) << cold.output;
+    EXPECT_NE(cold.output.find("1 + 1 + 1 flushed"), std::string::npos)
+        << cold.output;
+
+    CommandResult info = run("store info " + dir);
+    EXPECT_EQ(info.exit_code, 0) << info.output;
+    EXPECT_NE(info.output.find("2 record(s) (1 rewrite(s), 1 miss(es))"),
+              std::string::npos)
+        << info.output;
+
+    CommandResult warm = run(args + " --profile");
+    ASSERT_EQ(warm.exit_code, 0) << warm.output;
+    for (const char *expect :
+         {"1 verdicts + 1 rewrites + 1 misses loaded", "llm-calls=0",
+          "egraph-consults=0", "miss-replays=1", "\nmiss-replay ",
+          "replay: 2 of 2 cases (1 catalog rewrites, 1 remembered misses)"})
+        EXPECT_NE(warm.output.find(expect), std::string::npos)
+            << expect << "\n"
+            << warm.output;
+}
+
 TEST(CliTest, StoreInfoReportsQuarantineSidecarBytes)
 {
     std::string path = fixture("storequar", kMissedModule);

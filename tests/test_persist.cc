@@ -991,3 +991,158 @@ TEST(KvStoreTest, QuarantineSidecarRotatesOldestFirstUnderCap)
 
     KvStore::setQuarantineCap(KvStore::kDefaultQuarantineCap);
 }
+
+// ---------------------------------------------------------------------
+// CRC32: the sliced implementation against a bitwise reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The textbook bit-at-a-time CRC-32 (reflected 0xEDB88320). */
+uint32_t
+bitwiseCrc32(const unsigned char *data, size_t size, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(Crc32Test, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+    // Chaining through the seed equals one pass over the whole input.
+    EXPECT_EQ(crc32("56789", 5, crc32("1234", 4)), 0xCBF43926u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    unsigned char buffer[64 + 8];
+    uint64_t state = 0x9E3779B97F4A7C15ull;
+    auto next = [&] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (unsigned char &byte : buffer)
+        byte = static_cast<unsigned char>(next());
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len <= 64; ++len) {
+            const uint32_t seed = static_cast<uint32_t>(next());
+            const unsigned char *p = buffer + align;
+            EXPECT_EQ(crc32(p, len, seed), bitwiseCrc32(p, len, seed))
+                << "len " << len << " align " << align;
+            EXPECT_EQ(crc32(p, len), bitwiseCrc32(p, len, 0))
+                << "len " << len << " align " << align;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Remembered misses: the second catalog.lpo record kind
+// ---------------------------------------------------------------------
+
+TEST(PersistentStoreTest, MissRecordsRoundTripBesideRewrites)
+{
+    std::string dir = scratchDir("misses");
+    const std::string src_key = "define i8 @0(i8 %0) {...}";
+    const std::string miss = missKey("0123456789abcdef", src_key);
+    ASSERT_TRUE(isMissKey(miss));
+    ASSERT_FALSE(isMissKey(src_key));
+    {
+        VerifyCache cache;
+        auto store = PersistentStore::open(dir, &cache);
+        ASSERT_NE(store, nullptr);
+        EXPECT_TRUE(store->catalog().record(src_key, kCorrectTgt));
+        EXPECT_TRUE(store->catalog().recordMiss(miss, "no-candidate llm"));
+        EXPECT_FALSE(store->catalog().recordMiss(miss, "incorrect llm"));
+        // Same-run records are invisible to lookups (determinism).
+        EXPECT_EQ(store->catalog().lookupMiss(miss), nullptr);
+        EXPECT_TRUE(store->flush());
+        EXPECT_EQ(store->stats().catalog_flushed, 1u);
+        EXPECT_EQ(store->stats().misses_flushed, 1u);
+    }
+    {
+        VerifyCache cache;
+        auto store = PersistentStore::open(dir, &cache);
+        ASSERT_NE(store, nullptr);
+        // catalog_loaded stays a count of rewrites.
+        EXPECT_EQ(store->stats().catalog_loaded, 1u);
+        EXPECT_EQ(store->stats().misses_loaded, 1u);
+        const std::string *hit = store->catalog().lookupMiss(miss);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(*hit, "no-candidate llm");
+        // Neither kind answers the other's lookup.
+        EXPECT_EQ(store->catalog().lookup(miss), nullptr);
+        EXPECT_EQ(store->catalog().lookupMiss(src_key), nullptr);
+        EXPECT_NE(store->catalog().lookup(src_key), nullptr);
+        // A loaded miss is not recorded again.
+        EXPECT_FALSE(store->catalog().recordMiss(miss, "no-candidate llm"));
+        // Pending misses die with discardPending...
+        const std::string other = missKey("fedcba9876543210", src_key);
+        EXPECT_TRUE(store->catalog().recordMiss(other, "incorrect egraph"));
+        store->discardPending();
+        EXPECT_EQ(store->catalog().pendingSize(), 0u);
+        // ...and compaction keeps both kinds.
+        std::string error;
+        EXPECT_TRUE(store->compact(&error)) << error;
+    }
+    VerifyCache cache;
+    auto store = PersistentStore::open(dir, &cache);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->stats().catalog_loaded, 1u);
+    EXPECT_EQ(store->stats().misses_loaded, 1u);
+    EXPECT_EQ(store->stats().recoveries, 0u);
+}
+
+// A store written before miss records existed, by the bytewise-CRC
+// build (tests/fixtures/pre_miss_store: three rewrites and three
+// verdicts from `lpo_cli gen-module 5 3 1` optimized hybrid with a
+// store) still verifies under the sliced CRC, opens Loaded with the
+// same counts, and is left byte-untouched.
+TEST(PersistentStoreTest, StoreWrittenBeforeMissRecordsOpensUnchanged)
+{
+    const std::string fixture =
+        std::string(LPO_FIXTURE_DIR) + "/pre_miss_store";
+    for (const auto &[name, options] :
+         {std::make_pair(kVerifyStoreFile, verifyStoreFileOptions(true)),
+          std::make_pair(kCatalogStoreFile, catalogStoreFileOptions(true))}) {
+        KvLoadStats stats;
+        std::string error;
+        EXPECT_EQ(KvStore::inspect(fixture + "/" + name, options, nullptr,
+                                   &stats, &error),
+                  KvOpen::Loaded)
+            << name << ": " << error;
+        EXPECT_EQ(stats.records, 3u) << name;
+        EXPECT_EQ(stats.quarantined, 0u) << name;
+        EXPECT_EQ(stats.torn_bytes, 0u) << name;
+        EXPECT_FALSE(stats.recovered) << name;
+    }
+
+    // Open a copy for write: nothing to repair, nothing rewritten.
+    std::string dir = scratchDir("pre_miss_store");
+    for (const char *name : {kVerifyStoreFile, kCatalogStoreFile})
+        spit(dir + "/" + name, slurp(fixture + "/" + name));
+    {
+        VerifyCache cache;
+        std::string warning;
+        auto store = PersistentStore::open(dir, &cache, &warning);
+        ASSERT_NE(store, nullptr);
+        EXPECT_TRUE(warning.empty()) << warning;
+        EXPECT_EQ(store->stats().cache_loaded, 3u);
+        EXPECT_EQ(store->stats().catalog_loaded, 3u);
+        EXPECT_EQ(store->stats().misses_loaded, 0u);
+        EXPECT_EQ(store->stats().recoveries, 0u);
+        EXPECT_EQ(store->stats().decode_skipped, 0u);
+    }
+    for (const char *name : {kVerifyStoreFile, kCatalogStoreFile})
+        EXPECT_EQ(slurp(dir + "/" + name), slurp(fixture + "/" + name))
+            << name;
+}

@@ -1,15 +1,21 @@
 // LPO pipeline (Algorithm 1) tests: success paths, feedback paths,
-// the LPO- ablation, statistics, and processSequences' in-order
-// commits at 1/2/8 threads.
+// the LPO- ablation, statistics, processSequences' in-order commits at
+// 1/2/8 threads, and remembered misses.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 
+#include "core/module_opt.h"
 #include "core/pipeline.h"
 #include "corpus/benchmarks.h"
+#include "corpus/generator.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
 #include "llm/mock_model.h"
+#include "support/failpoint.h"
 
 using namespace lpo;
 using core::CaseStatus;
@@ -309,5 +315,268 @@ TEST(PipelineOrderedCommit, ThrowingCommitStopsTheDrain)
                       reference[i].candidate_text)
                 << "case " << i << " threads " << threads;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Remembered misses (final no-find outcomes persisted in catalog.lpo)
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Fresh per-test store directory (removed first). */
+std::string
+freshStoreDir(const char *name)
+{
+    std::string dir = ::testing::TempDir() + "lpo_pipeline_" + name;
+    std::string cmd = "rm -rf '" + dir + "'";
+    [[maybe_unused]] int rc = std::system(cmd.c_str());
+    return dir;
+}
+
+// Nothing in the model's library or the e-graph's rules applies: every
+// leg ends NoCandidate.
+const char *kNoFindSeq = "define i32 @seq(i32 %x, i32 %y) {\n"
+                         "  %r = add i32 %x, %y\n"
+                         "  ret i32 %r\n}\n";
+
+struct MissRun
+{
+    core::CaseOutcome outcome;
+    core::PipelineStats stats;
+};
+
+/** One optimizeSequence of @p text in a fresh pipeline over @p dir. */
+MissRun
+runOnce(llm::LlmClient &model, PipelineConfig config, const std::string &dir,
+        const std::string &text = kNoFindSeq, uint64_t round_seed = 3)
+{
+    config.store_path = dir;
+    config.num_threads = 1;
+    ir::Context ctx;
+    auto seq = ir::parseFunction(ctx, text).take();
+    Pipeline pipeline(model, config);
+    MissRun run;
+    run.outcome = pipeline.optimizeSequence(*seq, round_seed);
+    pipeline.flushStore();
+    run.stats = pipeline.stats();
+    return run;
+}
+
+PipelineConfig
+hybridConfig()
+{
+    PipelineConfig config;
+    config.proposer = core::ProposerKind::Hybrid;
+    return config;
+}
+
+/** An LLM whose every completion throws (a contained provider fault,
+ *  not an injected one). */
+class ThrowingClient : public llm::LlmClient
+{
+  public:
+    const std::string &name() const override { return name_; }
+    llm::LlmResponse complete(const llm::LlmRequest &) override
+    {
+        throw std::runtime_error("provider down");
+    }
+
+  private:
+    std::string name_ = "throwing";
+};
+
+/** An LLM that always proposes @p text. */
+class FixedClient : public llm::LlmClient
+{
+  public:
+    explicit FixedClient(std::string text) : text_(std::move(text)) {}
+    const std::string &name() const override { return name_; }
+    llm::LlmResponse complete(const llm::LlmRequest &) override
+    {
+        llm::LlmResponse response;
+        response.text = text_;
+        return response;
+    }
+
+  private:
+    std::string name_ = "fixed";
+    std::string text_;
+};
+
+} // namespace
+
+// A no-find case is remembered; the next run over the same store
+// replays it with no proposer and no verifier call, and reports the
+// recorded status and leg.
+TEST(PipelineMissTest, WarmRunReplaysRememberedMiss)
+{
+    std::string dir = freshStoreDir("miss_replay");
+    MockModel model(llm::modelByName("Gemini2.0T"), 1);
+    MissRun cold = runOnce(model, hybridConfig(), dir);
+    EXPECT_EQ(cold.outcome.status, CaseStatus::NoCandidate);
+    EXPECT_EQ(cold.outcome.proposer, "llm");
+    EXPECT_GT(cold.stats.llm_calls, 0u);
+    EXPECT_EQ(cold.stats.store_misses_flushed, 1u);
+    EXPECT_EQ(cold.stats.store_catalog_flushed, 0u);
+
+    MissRun warm = runOnce(model, hybridConfig(), dir);
+    EXPECT_EQ(warm.stats.store_misses_loaded, 1u);
+    EXPECT_EQ(warm.stats.store_catalog_loaded, 0u);
+    EXPECT_EQ(warm.stats.miss_replays, 1u);
+    EXPECT_EQ(warm.stats.llm_calls, 0u);
+    EXPECT_EQ(warm.stats.egraph_consults, 0u);
+    EXPECT_EQ(warm.stats.verifier_calls, 0u);
+    EXPECT_EQ(warm.stats.store_misses_flushed, 0u);
+    EXPECT_TRUE(warm.outcome.miss_replay);
+    EXPECT_EQ(warm.outcome.status, CaseStatus::NoCandidate);
+    EXPECT_EQ(warm.outcome.proposer, "llm");
+    EXPECT_EQ(warm.outcome.attempts, 0u);
+    EXPECT_EQ(warm.outcome.step_cost, 0u);
+}
+
+// Each part of the outcome fingerprint, changed alone, asks again.
+TEST(PipelineMissTest, AnyFingerprintChangeAsksAgain)
+{
+    std::string dir = freshStoreDir("miss_fingerprint");
+    MockModel model(llm::modelByName("Gemini2.0T"), 1);
+    ASSERT_GT(runOnce(model, hybridConfig(), dir).stats.llm_calls, 0u);
+    ASSERT_EQ(runOnce(model, hybridConfig(), dir).stats.llm_calls, 0u);
+
+    auto expectAsked = [&](const MissRun &run, const char *what) {
+        EXPECT_EQ(run.stats.miss_replays, 0u) << what;
+        EXPECT_GT(run.stats.llm_calls, 0u) << what;
+    };
+    expectAsked(runOnce(model, hybridConfig(), dir, kNoFindSeq, 4),
+                "round seed");
+    ModelProfile recalibrated = llm::modelByName("Gemini2.0T");
+    recalibrated.skill += 0.01; // same name, different model
+    MockModel other_model(recalibrated, 1);
+    expectAsked(runOnce(other_model, hybridConfig(), dir), "model identity");
+    MockModel other_session(llm::modelByName("Gemini2.0T"), 2);
+    expectAsked(runOnce(other_session, hybridConfig(), dir), "session seed");
+    PipelineConfig attempts = hybridConfig();
+    attempts.attempt_limit = 3;
+    expectAsked(runOnce(model, attempts, dir), "attempt_limit");
+    PipelineConfig no_feedback = hybridConfig();
+    no_feedback.enable_feedback = false;
+    expectAsked(runOnce(model, no_feedback, dir), "feedback flag");
+    PipelineConfig tiers = hybridConfig();
+    tiers.refine.budget_tiers = {1000, 100000};
+    expectAsked(runOnce(model, tiers, dir), "budget_tiers");
+    PipelineConfig llm_only = hybridConfig();
+    llm_only.proposer = core::ProposerKind::Llm;
+    expectAsked(runOnce(model, llm_only, dir), "proposer kind");
+}
+
+// Outcomes something outside the fingerprint may have shaped are
+// never remembered: contained errors, degraded verdicts, interrupted
+// cases, and any case run while a failpoint is armed. Pending misses
+// die with discardPending.
+TEST(PipelineMissTest, NonFinalOutcomesAreNeverRemembered)
+{
+    {
+        std::string dir = freshStoreDir("miss_error");
+        ThrowingClient client;
+        PipelineConfig config;
+        MissRun run = runOnce(client, config, dir);
+        EXPECT_EQ(run.outcome.status, CaseStatus::Error);
+        EXPECT_EQ(run.stats.store_misses_flushed, 0u);
+    }
+    {
+        // A correct i64 rewrite under a one-conflict ladder: the SAT
+        // tiers run out and sampled testing cannot conclude.
+        std::string dir = freshStoreDir("miss_degraded");
+        FixedClient client("define i64 @seq(i64 %x, i64 %y) {\n"
+                           "  %r = add i64 %x, %y\n  ret i64 %r\n}\n");
+        PipelineConfig config;
+        config.refine.budget_tiers = {1};
+        MissRun run = runOnce(client, config, dir,
+                              "define i64 @seq(i64 %x, i64 %y) {\n"
+                              "  %a = and i64 %x, %y\n"
+                              "  %o = or i64 %x, %y\n"
+                              "  %r = add i64 %a, %o\n  ret i64 %r\n}\n");
+        EXPECT_EQ(run.outcome.status, CaseStatus::Degraded);
+        EXPECT_EQ(run.stats.store_misses_flushed, 0u);
+    }
+    {
+        std::string dir = freshStoreDir("miss_interrupted");
+        MockModel model(llm::modelByName("Gemini2.0T"), 1);
+        std::atomic<bool> interrupt{true};
+        PipelineConfig config = hybridConfig();
+        config.refine.interrupt = &interrupt;
+        MissRun run = runOnce(model, config, dir);
+        EXPECT_EQ(run.outcome.status, CaseStatus::NoCandidate);
+        EXPECT_EQ(run.stats.store_misses_flushed, 0u);
+    }
+    {
+        // An injected proposer.llm.none looks exactly like a model
+        // with nothing to say; persisting it would replay a fake
+        // NoCandidate into clean runs.
+        std::string dir = freshStoreDir("miss_failpoint");
+        MockModel model(llm::modelByName("Gemini2.0T"), 1);
+        ASSERT_TRUE(
+            FailPoints::instance().configure("proposer.llm.none=always"));
+        MissRun faulty = runOnce(model, hybridConfig(), dir);
+        FailPoints::instance().clear();
+        EXPECT_EQ(faulty.outcome.status, CaseStatus::NoCandidate);
+        EXPECT_EQ(faulty.stats.llm_calls, 0u);
+        EXPECT_EQ(faulty.stats.store_misses_flushed, 0u);
+        MissRun clean = runOnce(model, hybridConfig(), dir);
+        EXPECT_EQ(clean.stats.miss_replays, 0u);
+        EXPECT_GT(clean.stats.llm_calls, 0u);
+    }
+    {
+        std::string dir = freshStoreDir("miss_discard");
+        MockModel model(llm::modelByName("Gemini2.0T"), 1);
+        PipelineConfig config = hybridConfig();
+        config.store_path = dir;
+        config.num_threads = 1;
+        {
+            ir::Context ctx;
+            auto seq = ir::parseFunction(ctx, kNoFindSeq).take();
+            Pipeline pipeline(model, config);
+            pipeline.optimizeSequence(*seq, 3);
+            ASSERT_EQ(pipeline.store()->catalog().pendingSize(), 1u);
+            pipeline.discardPendingStore();
+        }
+        MissRun warm = runOnce(model, hybridConfig(), dir);
+        EXPECT_EQ(warm.stats.store_misses_loaded, 0u);
+        EXPECT_EQ(warm.stats.miss_replays, 0u);
+    }
+}
+
+// The module-scale contract: a warm hybrid run over the store of a
+// cold one asks neither the LLM nor the e-graph, and every emitted
+// module is byte-identical to a store-less run, at 1 and 8 threads.
+TEST(PipelineMissTest, WarmModuleRunAsksNoProposerByteIdentical)
+{
+    auto optimize = [](unsigned threads, const std::string &store,
+                       core::PipelineStats *stats) {
+        ir::Context ctx;
+        corpus::CorpusGenerator generator(ctx);
+        auto module = generator.largeModule(7, 24, 2);
+        MockModel model(llm::modelByName("Gemini2.0T"), 1);
+        core::ModuleOptOptions options;
+        options.pipeline.proposer = core::ProposerKind::Hybrid;
+        options.pipeline.num_threads = threads;
+        options.pipeline.store_path = store;
+        core::ModuleOptimizer optimizer(model, options);
+        *stats = optimizer.optimize(*module, 1).pipeline;
+        return ir::printModule(*module);
+    };
+    core::PipelineStats reference_stats;
+    const std::string reference = optimize(1, "", &reference_stats);
+    for (unsigned threads : {1u, 8u}) {
+        std::string dir = freshStoreDir("miss_module");
+        core::PipelineStats cold, warm;
+        EXPECT_EQ(optimize(threads, dir, &cold), reference) << threads;
+        EXPECT_EQ(optimize(threads, dir, &warm), reference) << threads;
+        EXPECT_GT(cold.store_misses_flushed, 0u) << threads;
+        EXPECT_EQ(warm.store_misses_loaded, cold.store_misses_flushed);
+        EXPECT_EQ(warm.miss_replays, cold.store_misses_flushed);
+        EXPECT_EQ(warm.llm_calls, 0u) << threads;
+        EXPECT_EQ(warm.egraph_consults, 0u) << threads;
+        EXPECT_EQ(warm.found, reference_stats.found) << threads;
     }
 }

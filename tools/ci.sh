@@ -301,9 +301,10 @@ cat BENCH_persist.json
 
 # Regression gates on deterministic counters: the warm run serves
 # every verification from the seeded cache, replays every finding from
-# the catalog, and pays no more LLM calls than the committed baseline.
-# (warm_speedup is printed, not gated: cold got fast enough that the
-# ratio mostly measures process-life overheads.)
+# the catalog and every no-find case from its remembered miss, and
+# pays no more LLM calls or e-graph consults than the committed
+# baseline (both 0). (warm_speedup is printed, not gated: cold got fast
+# enough that the ratio mostly measures process-life overheads.)
 for rate in warm_cache_hit_rate catalog_hit_rate; do
     current=$(grep -o "\"${rate}\": [0-9.]*" \
         BENCH_persist.json | awk '{print $2}')
@@ -315,18 +316,20 @@ for rate in warm_cache_hit_rate catalog_hit_rate; do
         printf "persistent-store %s %.3f: OK\n", n, c
     }'
 done
-baseline=$(grep -o '"warm_llm_calls": [0-9]*' \
-    bench/BENCH_persist.baseline.json | awk '{print $2}')
-current=$(grep -o '"warm_llm_calls": [0-9]*' \
-    BENCH_persist.json | awk '{print $2}')
-awk -v c="$current" -v b="$baseline" 'BEGIN {
-    if (c + 0 > b + 0) {
-        printf "FAIL: persistent-store warm run paid %d LLM calls, " \
-               "more than the committed baseline %d\n", c, b
-        exit 1
-    }
-    printf "persistent-store warm LLM calls %d vs baseline %d: OK\n", c, b
-}'
+for counter in warm_llm_calls warm_egraph_consults; do
+    baseline=$(grep -o "\"${counter}\": [0-9]*" \
+        bench/BENCH_persist.baseline.json | awk '{print $2}')
+    current=$(grep -o "\"${counter}\": [0-9]*" \
+        BENCH_persist.json | awk '{print $2}')
+    awk -v c="$current" -v b="$baseline" -v n="$counter" 'BEGIN {
+        if (c == "" || b == "" || c + 0 > b + 0) {
+            printf "FAIL: persistent-store %s %s exceeds the committed " \
+                   "baseline %s\n", n, c, b
+            exit 1
+        }
+        printf "persistent-store %s %d vs baseline %d: OK\n", n, c, b
+    }'
+done
 
 echo "=== Durability sweep (Release) ==="
 # End-to-end crash-safety drill against the real CLI: a cold and a
@@ -418,6 +421,20 @@ awk -v c="$current" -v b="$baseline" 'BEGIN {
         exit 1
     }
     printf "serve warm catalog hit rate %.3f vs baseline %.3f: OK\n", c, b
+}'
+# Deterministic (seeded model, remembered misses replayed): the warm
+# pass must ask the model exactly as often as the baseline says.
+baseline=$(grep -o '"warm_llm_calls": [0-9]*' \
+    bench/BENCH_serve.baseline.json | awk '{print $2}')
+current=$(grep -o '"warm_llm_calls": [0-9]*' \
+    BENCH_serve.json | awk '{print $2}')
+awk -v c="$current" -v b="$baseline" 'BEGIN {
+    if (c == "" || b == "" || c + 0 != b + 0) {
+        printf "FAIL: serve warm pass paid %s LLM calls, the committed " \
+               "baseline is exactly %s\n", c, b
+        exit 1
+    }
+    printf "serve warm LLM calls %d vs baseline %d: OK\n", c, b
 }'
 
 echo "=== Serve soak: kill -9 mid-stream, restart, byte-identity (Release) ==="
