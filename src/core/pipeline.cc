@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -328,7 +329,14 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
                 telemetry::histogram("phase.verify_ns");
             telemetry::ScopedTimer timer(verify_hist);
             verdict = verify::checkRefinement(seq, *opted.function, refine);
-            stats.timings.verify_ns += timer.stopNanos();
+            uint64_t verify_ns = timer.stopNanos();
+            stats.timings.verify_ns += verify_ns;
+            if (verify_ns) // 0: telemetry is off
+                stats.timings.noteVerifyCall(
+                    {std::string(seq.name()), seq.returnType()->toString(),
+                     proposer.name(), verdict.backend,
+                     verdict.work.conflicts, verdict.work.encode_ns,
+                     verdict.work.solve_ns, verify_ns});
             if (span.active()) {
                 span.arg("fn", std::string(seq.name()));
                 span.arg("backend", verdict.backend);
@@ -737,6 +745,23 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.total_cost_usd += delta.total_cost_usd;
     stats_.timings.propose_ns += delta.timings.propose_ns;
     stats_.timings.verify_ns += delta.timings.verify_ns;
+    for (const StageTimings::VerifyCall &call :
+         delta.timings.slowest_verifies)
+        stats_.timings.noteVerifyCall(call);
+}
+
+void
+StageTimings::noteVerifyCall(VerifyCall call)
+{
+    auto pos = std::upper_bound(
+        slowest_verifies.begin(), slowest_verifies.end(), call.total_ns,
+        [](uint64_t ns, const VerifyCall &kept) { return ns > kept.total_ns; });
+    if (static_cast<size_t>(pos - slowest_verifies.begin()) >=
+        kSlowestVerifies)
+        return;
+    slowest_verifies.insert(pos, std::move(call));
+    if (slowest_verifies.size() > kSlowestVerifies)
+        slowest_verifies.pop_back();
 }
 
 void

@@ -138,12 +138,33 @@ struct CaseOutcome
  */
 struct StageTimings
 {
+    /** One verifier call, as the --profile slowest-calls table shows
+     *  it. */
+    struct VerifyCall
+    {
+        std::string fn;      ///< the sequence's function name
+        std::string width;   ///< its return type, e.g. "i64"
+        std::string leg;     ///< proposer leg of the candidate
+        std::string backend; ///< verifier backend ("sat", ...)
+        uint64_t conflicts = 0;
+        uint64_t encode_ns = 0;
+        uint64_t solve_ns = 0;
+        uint64_t total_ns = 0; ///< the whole checkRefinement call
+    };
+    static constexpr size_t kSlowestVerifies = 10;
+
     uint64_t extract_ns = 0;
     uint64_t propose_ns = 0;
     uint64_t verify_ns = 0;
     uint64_t patch_ns = 0;
     uint64_t dce_ns = 0;
     uint64_t total_ns = 0;
+    /** The kSlowestVerifies slowest verifier calls, slowest first
+     *  (earlier calls first among equals). */
+    std::vector<VerifyCall> slowest_verifies;
+
+    /** Keep @p call if it ranks among the slowest. */
+    void noteVerifyCall(VerifyCall call);
 };
 
 /** Aggregate statistics over a run. */

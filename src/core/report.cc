@@ -203,6 +203,20 @@ profileSummary(const PipelineStats &stats,
     std::string rendered =
         "profile (wall time per phase):\n" + table.render();
 
+    // The tail behind the verify phase, call by call.
+    if (!t.slowest_verifies.empty()) {
+        TextTable slow({"fn", "width", "leg", "backend", "conflicts",
+                        "encode us", "solve us", "verify us"});
+        auto us = [&](uint64_t ns) {
+            return fmt("%.1f", static_cast<double>(ns) / 1e3);
+        };
+        for (const StageTimings::VerifyCall &call : t.slowest_verifies)
+            slow.addRow({call.fn, call.width, call.leg, call.backend,
+                         std::to_string(call.conflicts), us(call.encode_ns),
+                         us(call.solve_ns), us(call.total_ns)});
+        rendered += "slowest verify calls:\n" + slow.render();
+    }
+
     // Scheduler behaviour behind those phases. Work-done telemetry,
     // not results: steal counts and queue depths vary run to run even
     // though the emitted module never does.

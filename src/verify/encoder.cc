@@ -50,11 +50,389 @@ laneOrderedBefore(const BitVec &a, const BitVec &b)
     return a < b;
 }
 
-/** Per-function encoding pass. */
+bool
+isConstBV(const BitVec &v)
+{
+    return std::all_of(v.begin(), v.end(), [](CLit bit) {
+        return bit == CircuitBuilder::kTrue || bit == CircuitBuilder::kFalse;
+    });
+}
+
+/** The value of a constant word. */
+APInt
+constValue(const BitVec &v)
+{
+    uint64_t value = 0;
+    for (size_t i = 0; i < v.size(); ++i)
+        if (v[i] == CircuitBuilder::kTrue)
+            value |= uint64_t(1) << i;
+    return APInt(v.size(), value);
+}
+
+/**
+ * Hash-consed word-level terms between the IR walk and CircuitBuilder.
+ *
+ * One table serves a whole refinement query, source and target alike,
+ * so both sides of the miter meet in the same nodes. A constructor
+ * normalizes its term by bit-vector identities, then looks it up; only
+ * a miss bit-blasts. The bits a term produced are its identity: @c
+ * defs_ maps them back to the normalized definition, so constructors
+ * see through their operands. Leaves (arguments, constants, and every
+ * operation without rules here) have no definition. The rules:
+ *
+ * - add/sub chains flatten to a signed multiset of leaves (shl x, 1 is
+ *   x + x) with +x/-x pairs and zeros dropped, and xor chains to a
+ *   multiset with x ^ x pairs and zeros dropped; both fold their sorted
+ *   leaves left to right, so any reassociation or cancellation of one
+ *   chain rebuilds the same gates;
+ * - constant factors fold: (x * c1) * c2 = x * (c1 * c2);
+ * - min/max flatten to a sorted operand set (associativity,
+ *   commutativity, idempotence: umin(umin(a, b), a) = umin(a, b)) and
+ *   drop an operand absorbed by the dual (umin(a, umax(a, b)) = a);
+ * - comparators are ult/slt nodes: ugt(x, y) = ult(y, x) and
+ *   uge(x, y) = !ult(x, y), so a select sees through its condition;
+ * - select(ult(p, q), p, q) is umin(p, q), and likewise umax and the
+ *   signed pair;
+ * - usub.sat and uadd.sat are one node each, reached from the
+ *   intrinsic, the select forms select(x >u y, x - y, 0) and
+ *   select(x + y <u x, -1, x + y), and umax(x, y) - y (or
+ *   y - umin(x, y)).
+ *
+ * Every rule is an identity on bits alone: it holds for all operand
+ * values. Poison and UB never pass through this table — the encoder
+ * computes them from each instruction's own operands — so a rule is
+ * sound iff its bit identity is (tests/test_word_rules.cc checks each
+ * one exhaustively through ExecPlan and proves it at i64).
+ */
+class TermTable
+{
+  public:
+    enum class Op : uint8_t
+    {
+        Add, Xor, Mul, UMin, UMax, SMin, SMax, ULt, SLt, USubSat, UAddSat
+    };
+
+    explicit TermTable(CircuitBuilder &builder) : b_(builder) {}
+
+    /** The add (@p negate_y: sub) or xor chain of @p x and @p y. */
+    BitVec chain(Op op, const BitVec &x, const BitVec &y,
+                 bool negate_y = false);
+    BitVec mul(const BitVec &x, const BitVec &y);
+    /** @p op is one of UMin, UMax, SMin, SMax. */
+    BitVec minMax(Op op, const BitVec &x, const BitVec &y);
+    /** @p op is ULt or SLt. */
+    CLit compare(Op op, const BitVec &x, const BitVec &y);
+    BitVec select(CLit sel, const BitVec &t, const BitVec &f);
+    BitVec usubSat(const BitVec &x, const BitVec &y);
+    BitVec uaddSat(const BitVec &x, const BitVec &y);
+
+  private:
+    /** One operand of a term; @c neg marks a subtracted add leaf. */
+    struct Leaf
+    {
+        BitVec bits;
+        bool neg = false;
+
+        auto operator<=>(const Leaf &) const = default;
+    };
+    using Leaves = std::vector<Leaf>;
+
+    struct Term
+    {
+        Op op;
+        Leaves args;
+
+        auto operator<=>(const Term &) const = default;
+    };
+
+    /** The definition of @p bits with operator @p op, or null. */
+    const Term *def(const BitVec &bits, Op op) const;
+    /** The operands @p bits contributes to an @p op node: its own
+     *  operands when it is one, else itself. */
+    Leaves operandsOf(Op op, const BitVec &bits) const;
+    /** Sort, cancel inverse pairs (x + -x, x ^ x) and drop zeros. */
+    static Leaves normalize(Op op, Leaves leaves);
+    /** Normalized leaves of the @p op chain of @p x and @p y. */
+    Leaves combine(Op op, const BitVec &x, const BitVec &y,
+                   bool negate_y) const;
+    BitVec minMax2(Op op, const BitVec &x, const BitVec &y);
+
+    /** Look @p term up; on a miss, bit-blast it with @p build. */
+    template <typename Build>
+    BitVec
+    intern(Term term, Build build)
+    {
+        auto it = unique_.find(term);
+        if (it != unique_.end())
+            return it->second;
+        BitVec bits = build();
+        unique_.emplace(term, bits);
+        // First definition wins. Constants stay leaves, and so does a
+        // term that folded to one of its own operands (umax(x, 0) = x).
+        bool collapsed = std::any_of(
+            term.args.begin(), term.args.end(),
+            [&](const Leaf &arg) { return arg.bits == bits; });
+        if (!isConstBV(bits) && !collapsed)
+            defs_.emplace(bits, std::move(term));
+        return bits;
+    }
+
+    CircuitBuilder &b_;
+    std::map<Term, BitVec> unique_;
+    std::map<BitVec, Term> defs_;
+};
+
+const TermTable::Term *
+TermTable::def(const BitVec &bits, Op op) const
+{
+    auto it = defs_.find(bits);
+    return it != defs_.end() && it->second.op == op ? &it->second : nullptr;
+}
+
+TermTable::Leaves
+TermTable::operandsOf(Op op, const BitVec &bits) const
+{
+    if (const Term *t = def(bits, op))
+        return t->args;
+    return {Leaf{bits}};
+}
+
+TermTable::Leaves
+TermTable::normalize(Op op, Leaves leaves)
+{
+    std::sort(leaves.begin(), leaves.end());
+    // Inverse pairs are adjacent after the sort; zeros contribute no
+    // gates to the fold.
+    Leaves kept;
+    for (size_t i = 0; i < leaves.size();) {
+        if (i + 1 < leaves.size() && leaves[i].bits == leaves[i + 1].bits &&
+            leaves[i + 1].neg == (op == Op::Add && !leaves[i].neg)) {
+            i += 2;
+            continue;
+        }
+        if (!std::all_of(leaves[i].bits.begin(), leaves[i].bits.end(),
+                         [](CLit bit) {
+                             return bit == CircuitBuilder::kFalse;
+                         }))
+            kept.push_back(leaves[i]);
+        ++i;
+    }
+    return kept;
+}
+
+TermTable::Leaves
+TermTable::combine(Op op, const BitVec &x, const BitVec &y,
+                   bool negate_y) const
+{
+    Leaves leaves = operandsOf(op, x);
+    for (Leaf leaf : operandsOf(op, y)) {
+        leaf.neg = leaf.neg != negate_y;
+        leaves.push_back(std::move(leaf));
+    }
+    return normalize(op, std::move(leaves));
+}
+
+BitVec
+TermTable::chain(Op op, const BitVec &x, const BitVec &y, bool negate_y)
+{
+    Leaves kept = combine(op, x, y, negate_y);
+    if (kept.empty())
+        return CircuitBuilder::constBV(APInt::zero(x.size()));
+    if (kept.size() == 1 && !kept[0].neg)
+        return kept[0].bits;
+    // umax(p, q) - q and q - umin(p, q) are usub.sat(p, q): one leaf is
+    // the min/max, and the rest of the chain is exactly -q or +q.
+    for (size_t i = 0; op == Op::Add && i < kept.size(); ++i) {
+        const Leaf &leaf = kept[i];
+        const Term *mm = def(leaf.bits, leaf.neg ? Op::UMin : Op::UMax);
+        if (!mm || mm->args.size() != 2)
+            continue;
+        Leaves rest = kept;
+        rest.erase(rest.begin() + i);
+        for (int k = 0; k < 2; ++k) {
+            const BitVec &p = mm->args[1 - k].bits;
+            const BitVec &q = mm->args[k].bits;
+            Leaves want = operandsOf(Op::Add, q);
+            for (Leaf &w : want)
+                w.neg = w.neg == leaf.neg;
+            if (normalize(Op::Add, std::move(want)) == rest)
+                return leaf.neg ? usubSat(q, p) : usubSat(p, q);
+        }
+    }
+    return intern(Term{op, kept}, [&] {
+        BitVec acc = kept[0].neg ? b_.bvNeg(kept[0].bits) : kept[0].bits;
+        for (size_t i = 1; i < kept.size(); ++i)
+            acc = op == Op::Xor     ? b_.bvXor(acc, kept[i].bits)
+                  : kept[i].neg ? b_.bvSub(acc, kept[i].bits)
+                                : b_.bvAdd(acc, kept[i].bits);
+        return acc;
+    });
+}
+
+BitVec
+TermTable::mul(const BitVec &x, const BitVec &y)
+{
+    // The shift-add array is asymmetric in its operands; build it in
+    // canonical operand order so commuted products share the cone.
+    auto product = [&](const BitVec &a, const BitVec &b) {
+        return laneOrderedBefore(b, a) ? b_.bvMul(b, a) : b_.bvMul(a, b);
+    };
+    const BitVec *v = &x, *c = &y;
+    if (isConstBV(*v))
+        std::swap(v, c);
+    if (isConstBV(*v) || !isConstBV(*c))
+        return product(x, y);
+    if (const Term *t = def(*v, Op::Mul)) {
+        APInt folded = constValue(t->args[1].bits).mul(constValue(*c));
+        return mul(t->args[0].bits, CircuitBuilder::constBV(folded));
+    }
+    return intern(Term{Op::Mul, {Leaf{*v}, Leaf{*c}}},
+                  [&] { return product(*v, *c); });
+}
+
+/** The two-operand min/max circuit, in canonical operand order. */
+BitVec
+TermTable::minMax2(Op op, const BitVec &x, const BitVec &y)
+{
+    const BitVec *p = &x, *q = &y;
+    if (laneOrderedBefore(*q, *p))
+        std::swap(p, q);
+    bool is_signed = op == Op::SMin || op == Op::SMax;
+    CLit lt = is_signed ? b_.bvSLt(*p, *q) : b_.bvULt(*p, *q);
+    bool is_min = op == Op::UMin || op == Op::SMin;
+    return is_min ? b_.bvMux(lt, *p, *q) : b_.bvMux(lt, *q, *p);
+}
+
+BitVec
+TermTable::minMax(Op op, const BitVec &x, const BitVec &y)
+{
+    Leaves kept = operandsOf(op, x);
+    Leaves more = operandsOf(op, y);
+    kept.insert(kept.end(), more.begin(), more.end());
+    std::sort(kept.begin(), kept.end());
+    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    // Absorption: drop an operand that is the dual of operands one of
+    // which is still in the set, since that one is on its side of it
+    // (umin(a, umax(a, b)) = a). Each drop is justified by an operand
+    // present at the time, so the extreme never changes.
+    Op dual = op == Op::UMin   ? Op::UMax
+              : op == Op::UMax ? Op::UMin
+              : op == Op::SMin ? Op::SMax
+                               : Op::SMin;
+    for (size_t i = 0; i < kept.size();) {
+        const Term *d = def(kept[i].bits, dual);
+        bool absorbed =
+            d && std::any_of(d->args.begin(), d->args.end(),
+                             [&](const Leaf &inner) {
+                                 return inner != kept[i] &&
+                                        std::binary_search(kept.begin(),
+                                                           kept.end(),
+                                                           inner);
+                             });
+        if (absorbed)
+            kept.erase(kept.begin() + i);
+        else
+            ++i;
+    }
+    if (kept.size() == 1)
+        return kept[0].bits;
+    return intern(Term{op, kept}, [&] {
+        BitVec acc = kept[0].bits;
+        for (size_t i = 1; i < kept.size(); ++i)
+            acc = minMax2(op, acc, kept[i].bits);
+        return acc;
+    });
+}
+
+CLit
+TermTable::compare(Op op, const BitVec &x, const BitVec &y)
+{
+    return intern(Term{op, {Leaf{x}, Leaf{y}}}, [&] {
+        return BitVec{op == Op::ULt ? b_.bvULt(x, y) : b_.bvSLt(x, y)};
+    })[0];
+}
+
+BitVec
+TermTable::select(CLit sel, const BitVec &t, const BitVec &f)
+{
+    // Normalize the condition to a positive comparator node.
+    const BitVec *tv = &t, *fv = &f;
+    const Term *cmp = nullptr;
+    for (Op op : {Op::ULt, Op::SLt}) {
+        if ((cmp = def(BitVec{sel}, op)))
+            break;
+        if ((cmp = def(BitVec{-sel}, op))) {
+            std::swap(tv, fv);
+            break;
+        }
+    }
+    if (!cmp)
+        return b_.bvMux(sel, t, f);
+    const BitVec &p = cmp->args[0].bits;
+    const BitVec &q = cmp->args[1].bits;
+    // select(p < q, p, q) = min(p, q); select(p < q, q, p) = max(p, q).
+    bool is_signed = cmp->op == Op::SLt;
+    if (*tv == p && *fv == q)
+        return minMax(is_signed ? Op::SMin : Op::UMin, p, q);
+    if (*tv == q && *fv == p)
+        return minMax(is_signed ? Op::SMax : Op::UMax, p, q);
+    if (is_signed)
+        return b_.bvMux(sel, t, f);
+
+    const unsigned width = t.size();
+    const BitVec zero = CircuitBuilder::constBV(APInt::zero(width));
+    auto leavesOf = [&](const BitVec &v) {
+        return normalize(Op::Add, operandsOf(Op::Add, v));
+    };
+    // select(p <u q, 0, p - q) = usub.sat(p, q);
+    // select(p <u q, q - p, 0) = usub.sat(q, p).
+    if (*tv == zero && leavesOf(*fv) == combine(Op::Add, p, q, true))
+        return usubSat(p, q);
+    if (*fv == zero && leavesOf(*tv) == combine(Op::Add, q, p, true))
+        return usubSat(q, p);
+    // select(q + r <u q, -1, q + r) = uadd.sat(q, r): the wrapped sum
+    // is below an addend exactly when the addition overflows.
+    if (*tv == CircuitBuilder::constBV(APInt::allOnes(width)) && *fv == p) {
+        Leaves r = combine(Op::Add, p, q, true);
+        if (r.size() == 1 && !r[0].neg)
+            return uaddSat(q, r[0].bits);
+    }
+    return b_.bvMux(sel, t, f);
+}
+
+BitVec
+TermTable::usubSat(const BitVec &x, const BitVec &y)
+{
+    return intern(Term{Op::USubSat, {Leaf{x}, Leaf{y}}}, [&] {
+        return b_.bvMux(compare(Op::ULt, x, y),
+                        CircuitBuilder::constBV(APInt::zero(x.size())),
+                        b_.bvSub(x, y));
+    });
+}
+
+BitVec
+TermTable::uaddSat(const BitVec &x, const BitVec &y)
+{
+    const BitVec *p = &x, *q = &y;
+    if (laneOrderedBefore(*q, *p))
+        std::swap(p, q);
+    return intern(Term{Op::UAddSat, {Leaf{*p}, Leaf{*q}}}, [&] {
+        return b_.bvMux(b_.addOverflowsU(*p, *q),
+                        CircuitBuilder::constBV(APInt::allOnes(x.size())),
+                        b_.bvAdd(*p, *q));
+    });
+}
+
+using Op = TermTable::Op;
+
+/** Per-function encoding pass over a query's shared term table. */
 class Encoder
 {
   public:
-    Encoder(CircuitBuilder &builder) : b_(builder) {}
+    Encoder(CircuitBuilder &builder, TermTable &terms)
+        : b_(builder), t_(terms)
+    {
+    }
 
     std::optional<EncodedFunction> run(const ir::Function &fn,
                                        const std::vector<ValueEnc> *shared);
@@ -71,23 +449,6 @@ class Encoder
     LaneEnc intrinsicLane(const Instruction *inst,
                           const std::vector<LaneEnc> &args);
 
-    /** One operand of a flattened modular add chain; @p neg marks a
-     *  subtracted leaf (x + -x cancels exactly mod 2^w). */
-    struct AddLeaf
-    {
-        BitVec bits;
-        bool neg;
-        bool operator<(const AddLeaf &o) const
-        {
-            return bits < o.bits || (bits == o.bits && neg < o.neg);
-        }
-    };
-
-    std::vector<AddLeaf> addLeavesOf(const BitVec &v);
-    BitVec canonicalAdd(std::vector<AddLeaf> leaves, unsigned width);
-    std::vector<BitVec> xorLeavesOf(const BitVec &v);
-    BitVec canonicalXor(std::vector<BitVec> leaves, unsigned width);
-
     BitVec countLeadingZeros(const BitVec &x);
     BitVec countTrailingZeros(const BitVec &x);
     BitVec popCount(const BitVec &x);
@@ -99,99 +460,10 @@ class Encoder
     }
 
     CircuitBuilder &b_;
+    TermTable &t_;
     std::map<const Value *, ValueEnc> env_;
     CLit ub_ = CircuitBuilder::kFalse;
-    /**
-     * Word-level chain flattening: maps the bits of a value produced
-     * by an add/sub chain (or shl-by-one, which is x+x mod 2^w) to
-     * the flattened signed multiset of leaf operands whose sum it
-     * equals, and likewise for xor chains. Chain instructions fold
-     * their combined sorted leaves left-to-right after cancelling
-     * inverse pairs (x + -x = 0 mod 2^w; x ^ x = 0), so any
-     * reassociation, commutation, or cancellation-based rewrite of
-     * the same chain rebuilds the same gates and lands on the same
-     * unique-table nodes — turning adder reassociation and sub/add
-     * round-trip proofs (the most expensive miter classes in the
-     * module benchmark) into structural sharing. Sound because both
-     * operations are associative and commutative with exact inverses
-     * mod 2^w, and overflow poison is still computed from the
-     * instruction's own operands.
-     */
-    std::map<BitVec, std::vector<AddLeaf>> add_leaves_;
-    std::map<BitVec, std::vector<BitVec>> xor_leaves_;
 };
-
-std::vector<Encoder::AddLeaf>
-Encoder::addLeavesOf(const BitVec &v)
-{
-    auto it = add_leaves_.find(v);
-    if (it != add_leaves_.end())
-        return it->second;
-    return {AddLeaf{v, false}};
-}
-
-BitVec
-Encoder::canonicalAdd(std::vector<AddLeaf> leaves, unsigned width)
-{
-    std::sort(leaves.begin(), leaves.end());
-    // Cancel +x / -x pairs: sorted order puts them adjacent.
-    std::vector<AddLeaf> kept;
-    for (size_t i = 0; i < leaves.size();) {
-        if (i + 1 < leaves.size() && leaves[i].bits == leaves[i + 1].bits &&
-            !leaves[i].neg && leaves[i + 1].neg) {
-            i += 2;
-            continue;
-        }
-        kept.push_back(leaves[i]);
-        ++i;
-    }
-    BitVec acc;
-    if (kept.empty()) {
-        acc = CircuitBuilder::constBV(APInt::zero(width));
-    } else {
-        acc = kept[0].neg ? b_.bvNeg(kept[0].bits) : kept[0].bits;
-        for (size_t i = 1; i < kept.size(); ++i)
-            acc = kept[i].neg ? b_.bvSub(acc, kept[i].bits)
-                              : b_.bvAdd(acc, kept[i].bits);
-    }
-    add_leaves_[acc] = std::move(kept);
-    return acc;
-}
-
-std::vector<BitVec>
-Encoder::xorLeavesOf(const BitVec &v)
-{
-    auto it = xor_leaves_.find(v);
-    if (it != xor_leaves_.end())
-        return it->second;
-    return {v};
-}
-
-BitVec
-Encoder::canonicalXor(std::vector<BitVec> leaves, unsigned width)
-{
-    std::sort(leaves.begin(), leaves.end());
-    // x ^ x = 0: drop equal pairs (adjacent after the sort).
-    std::vector<BitVec> kept;
-    for (size_t i = 0; i < leaves.size();) {
-        if (i + 1 < leaves.size() && leaves[i] == leaves[i + 1]) {
-            i += 2;
-            continue;
-        }
-        kept.push_back(leaves[i]);
-        ++i;
-    }
-    BitVec acc;
-    if (kept.empty()) {
-        acc = CircuitBuilder::constBV(APInt::zero(width));
-    } else {
-        acc = kept[0];
-        for (size_t i = 1; i < kept.size(); ++i)
-            acc = b_.bvXor(acc, kept[i]);
-    }
-    xor_leaves_[acc] = std::move(kept);
-    return acc;
-}
 
 ValueEnc
 Encoder::valueOf(const Value *v)
@@ -248,10 +520,7 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
 
     switch (inst->op()) {
       case Opcode::Add: {
-        std::vector<AddLeaf> leaves = addLeavesOf(x);
-        std::vector<AddLeaf> more = addLeavesOf(y);
-        leaves.insert(leaves.end(), more.begin(), more.end());
-        bits = canonicalAdd(std::move(leaves), width);
+        bits = t_.chain(Op::Add, x, y);
         if (flags.nuw)
             poison = b_.orGate(poison, b_.addOverflowsU(x, y));
         if (flags.nsw)
@@ -259,12 +528,7 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         break;
       }
       case Opcode::Sub: {
-        std::vector<AddLeaf> leaves = addLeavesOf(x);
-        for (AddLeaf leaf : addLeavesOf(y)) {
-            leaf.neg = !leaf.neg;
-            leaves.push_back(std::move(leaf));
-        }
-        bits = canonicalAdd(std::move(leaves), width);
+        bits = t_.chain(Op::Add, x, y, true);
         if (flags.nuw)
             poison = b_.orGate(poison, b_.subOverflowsU(x, y));
         if (flags.nsw)
@@ -272,13 +536,12 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         break;
       }
       case Opcode::Mul: {
-        // The shift-add array is asymmetric in its operands; encode
-        // in canonical operand order so commuted candidates share the
-        // multiplier cone.
+        bits = t_.mul(x, y);
+        // Overflow poison from the instruction's own operands, in the
+        // same canonical order as the product.
         const BitVec *p = &x, *q = &y;
         if (laneOrderedBefore(y, x))
             std::swap(p, q);
-        bits = b_.bvMul(*p, *q);
         if (flags.nuw)
             poison = b_.orGate(poison, b_.mulOverflowsU(*p, *q));
         if (flags.nsw)
@@ -315,21 +578,14 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         break;
       }
       case Opcode::Shl: {
-        BitVec amount_ok_bits = y;
         CLit oversize = b_.bvULe(
             CircuitBuilder::constBV(APInt(width, width)), y);
         poison = b_.orGate(poison, oversize);
-        // shl x, 1 is x + x mod 2^w: route it through the add-chain
-        // canonicalizer so `v + y + y` and `v + (y << 1)` share cones.
-        bool amount_is_one = width > 0 && y[0] == CircuitBuilder::kTrue;
-        for (unsigned i = 1; amount_is_one && i < width; ++i)
-            amount_is_one = y[i] == CircuitBuilder::kFalse;
-        if (amount_is_one) {
-            std::vector<AddLeaf> leaves = addLeavesOf(x);
-            std::vector<AddLeaf> twice = leaves;
-            leaves.insert(leaves.end(), twice.begin(), twice.end());
-            bits = canonicalAdd(std::move(leaves), width);
-        } else
+        // shl x, 1 is x + x mod 2^w: route it through the add chain so
+        // `v + y + y` and `v + (y << 1)` share cones.
+        if (y == CircuitBuilder::constBV(APInt(width, 1)))
+            bits = t_.chain(Op::Add, x, x);
+        else
             bits = b_.bvShl(x, y);
         if (flags.nuw) {
             // Some set bit shifted out: (x >> (width - amount)) != 0,
@@ -341,7 +597,6 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
             BitVec back = b_.bvAShr(bits, y);
             poison = b_.orGate(poison, -b_.bvEq(back, x));
         }
-        (void)amount_ok_bits;
         break;
       }
       case Opcode::LShr: {
@@ -375,13 +630,9 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
             poison = b_.orGate(poison,
                                b_.bvNonZero(b_.bvAnd(x, y)));
         break;
-      case Opcode::Xor: {
-        std::vector<BitVec> leaves = xorLeavesOf(x);
-        std::vector<BitVec> more = xorLeavesOf(y);
-        leaves.insert(leaves.end(), more.begin(), more.end());
-        bits = canonicalXor(std::move(leaves), width);
+      case Opcode::Xor:
+        bits = t_.chain(Op::Xor, x, y);
         break;
-      }
       default:
         assert(false);
     }
@@ -398,14 +649,16 @@ Encoder::icmpLane(const Instruction *inst, const LaneEnc &a,
     switch (inst->icmpPred()) {
       case ir::ICmpPred::EQ: r = b_.bvEq(x, y); break;
       case ir::ICmpPred::NE: r = -b_.bvEq(x, y); break;
-      case ir::ICmpPred::UGT: r = b_.bvULt(y, x); break;
-      case ir::ICmpPred::UGE: r = b_.bvULe(y, x); break;
-      case ir::ICmpPred::ULT: r = b_.bvULt(x, y); break;
-      case ir::ICmpPred::ULE: r = b_.bvULe(x, y); break;
-      case ir::ICmpPred::SGT: r = b_.bvSLt(y, x); break;
-      case ir::ICmpPred::SGE: r = b_.bvSLe(y, x); break;
-      case ir::ICmpPred::SLT: r = b_.bvSLt(x, y); break;
-      case ir::ICmpPred::SLE: r = b_.bvSLe(x, y); break;
+      // Canonical comparators: everything is an ult/slt node or its
+      // negation.
+      case ir::ICmpPred::UGT: r = t_.compare(Op::ULt, y, x); break;
+      case ir::ICmpPred::UGE: r = -t_.compare(Op::ULt, x, y); break;
+      case ir::ICmpPred::ULT: r = t_.compare(Op::ULt, x, y); break;
+      case ir::ICmpPred::ULE: r = -t_.compare(Op::ULt, y, x); break;
+      case ir::ICmpPred::SGT: r = t_.compare(Op::SLt, y, x); break;
+      case ir::ICmpPred::SGE: r = -t_.compare(Op::SLt, x, y); break;
+      case ir::ICmpPred::SLT: r = t_.compare(Op::SLt, x, y); break;
+      case ir::ICmpPred::SLE: r = -t_.compare(Op::SLt, y, x); break;
     }
     return LaneEnc{BitVec{r}, b_.orGate(a.poison, b.poison)};
 }
@@ -499,42 +752,22 @@ Encoder::intrinsicLane(const Instruction *inst,
     CLit poison = args[0].poison;
     BitVec bits;
     switch (inst->intrinsic()) {
-      // min/max comparator-mux circuits are asymmetric; encode in
-      // canonical operand order so commuted candidates share the cone
-      // (the mux picks the same *value* either way: on ties both
-      // operands are bit-equal in every model).
-      case Intrinsic::UMin: {
+      case Intrinsic::UMin:
         poison = b_.orGate(poison, args[1].poison);
-        const BitVec *p = &x, *q = &args[1].bits;
-        if (laneOrderedBefore(*q, *p))
-            std::swap(p, q);
-        bits = b_.bvMux(b_.bvULt(*p, *q), *p, *q);
+        bits = t_.minMax(Op::UMin, x, args[1].bits);
         break;
-      }
-      case Intrinsic::UMax: {
+      case Intrinsic::UMax:
         poison = b_.orGate(poison, args[1].poison);
-        const BitVec *p = &x, *q = &args[1].bits;
-        if (laneOrderedBefore(*q, *p))
-            std::swap(p, q);
-        bits = b_.bvMux(b_.bvULt(*p, *q), *q, *p);
+        bits = t_.minMax(Op::UMax, x, args[1].bits);
         break;
-      }
-      case Intrinsic::SMin: {
+      case Intrinsic::SMin:
         poison = b_.orGate(poison, args[1].poison);
-        const BitVec *p = &x, *q = &args[1].bits;
-        if (laneOrderedBefore(*q, *p))
-            std::swap(p, q);
-        bits = b_.bvMux(b_.bvSLt(*p, *q), *p, *q);
+        bits = t_.minMax(Op::SMin, x, args[1].bits);
         break;
-      }
-      case Intrinsic::SMax: {
+      case Intrinsic::SMax:
         poison = b_.orGate(poison, args[1].poison);
-        const BitVec *p = &x, *q = &args[1].bits;
-        if (laneOrderedBefore(*q, *p))
-            std::swap(p, q);
-        bits = b_.bvMux(b_.bvSLt(*p, *q), *q, *p);
+        bits = t_.minMax(Op::SMax, x, args[1].bits);
         break;
-      }
       case Intrinsic::Abs: {
         CLit is_min = b_.bvEq(
             x, CircuitBuilder::constBV(APInt::signedMin(width)));
@@ -559,21 +792,14 @@ Encoder::intrinsicLane(const Instruction *inst,
         bits = countTrailingZeros(x);
         break;
       }
-      case Intrinsic::USubSat: {
+      case Intrinsic::USubSat:
         poison = b_.orGate(poison, args[1].poison);
-        CLit lt = b_.bvULt(x, args[1].bits);
-        bits = b_.bvMux(lt, CircuitBuilder::constBV(APInt::zero(width)),
-                        b_.bvSub(x, args[1].bits));
+        bits = t_.usubSat(x, args[1].bits);
         break;
-      }
-      case Intrinsic::UAddSat: {
+      case Intrinsic::UAddSat:
         poison = b_.orGate(poison, args[1].poison);
-        CLit ovf = b_.addOverflowsU(x, args[1].bits);
-        bits = b_.bvMux(ovf,
-                        CircuitBuilder::constBV(APInt::allOnes(width)),
-                        b_.bvAdd(x, args[1].bits));
+        bits = t_.uaddSat(x, args[1].bits);
         break;
-      }
       case Intrinsic::SSubSat: {
         poison = b_.orGate(poison, args[1].poison);
         CLit ovf = b_.subOverflowsS(x, args[1].bits);
@@ -631,7 +857,7 @@ Encoder::encodeInstruction(const Instruction *inst)
             const LaneEnc &c = scalar_cond ? cond[0] : cond[i];
             CLit sel = c.bits[0];
             LaneEnc lane;
-            lane.bits = b_.bvMux(sel, tval[i].bits, fval[i].bits);
+            lane.bits = t_.select(sel, tval[i].bits, fval[i].bits);
             CLit chosen_poison =
                 b_.muxGate(sel, tval[i].poison, fval[i].poison);
             lane.poison = b_.orGate(c.poison, chosen_poison);
@@ -754,9 +980,11 @@ canEncode(const ir::Function &fn)
            fn.entry()->terminator()->op() == Opcode::Ret;
 }
 
+namespace {
+
 std::optional<EncodedFunction>
-encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
-               const std::vector<ValueEnc> *shared_args)
+encodeWith(TermTable &terms, smt::CircuitBuilder &builder,
+           const ir::Function &fn, const std::vector<ValueEnc> *shared_args)
 {
     // Chaos-test injection: the bit-blaster blowing up mid-encoding
     // (resource exhaustion in real deployments). The per-case
@@ -765,8 +993,18 @@ encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
     if (LPO_FAILPOINT("bitblast.throw"))
         throw FailPointError("injected bit-blaster failure "
                              "(failpoint bitblast.throw)");
-    Encoder encoder(builder);
+    Encoder encoder(builder, terms);
     return encoder.run(fn, shared_args);
+}
+
+} // namespace
+
+std::optional<EncodedFunction>
+encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
+               const std::vector<ValueEnc> *shared_args)
+{
+    TermTable terms(builder);
+    return encodeWith(terms, builder, fn, shared_args);
 }
 
 namespace {
@@ -825,10 +1063,12 @@ encodeRefinementQuery(smt::CircuitBuilder &builder,
 {
     std::vector<ValueEnc> args = encodeSharedArgs(builder, src);
 
+    // One term table for both sides, so they meet in the same nodes.
+    TermTable terms(builder);
     std::optional<EncodedFunction> src_enc =
-        encodeFunction(builder, src, &args);
+        encodeWith(terms, builder, src, &args);
     std::optional<EncodedFunction> tgt_enc =
-        encodeFunction(builder, tgt, &args);
+        encodeWith(terms, builder, tgt, &args);
     if (!src_enc || !tgt_enc)
         return false;
 

@@ -243,6 +243,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
     solver.setInterrupt(options.interrupt);
     CircuitBuilder builder(solver);
 
+    VerifyWork &work = result.work;
     std::vector<ValueEnc> args;
     {
         LPO_TRACE_SPAN(span, "encode", "sat");
@@ -250,11 +251,11 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         bool encoded = encodeRefinementQuery(builder, src, tgt, &args);
         assert(encoded && "caller checked canEncode");
         (void)encoded;
+        work.encode_ns = timer.stopNanos();
     }
 
     const std::vector<uint64_t> tiers = budgetLadder(options);
     SatResult sat = SatResult::Unknown;
-    VerifyWork &work = result.work;
     for (uint64_t tier_budget : tiers) {
         if (work.solves > 0)
             ++work.escalations;
@@ -263,6 +264,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
             LPO_TRACE_SPAN(span, "solve", "sat");
             telemetry::ScopedTimer timer(solveHistogram());
             sat = solver.solve(tier_budget);
+            work.solve_ns += timer.stopNanos();
             if (span.active())
                 span.arg("conflicts",
                          solver.conflicts() - conflicts_before);

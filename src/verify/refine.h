@@ -68,6 +68,10 @@ struct VerifyWork
                                      ///< soundly (full input-space
                                      ///< enumeration)
     uint64_t degraded = 0;           ///< queries ending in Degraded
+    /** Wall time spent encoding the query and in the solver: real
+     *  time, reported by --profile, never compared for determinism. */
+    uint64_t encode_ns = 0;
+    uint64_t solve_ns = 0;
 };
 
 /** A concrete input violating refinement. */

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/module_opt.h"
 #include "core/pipeline.h"
+#include "core/report.h"
 #include "corpus/generator.h"
 #include "ir/printer.h"
 #include "llm/mock_model.h"
@@ -473,7 +475,21 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
             EXPECT_GT(timings.total_ns, 0u);
             EXPECT_GT(timings.extract_ns, 0u);
             EXPECT_GT(timings.verify_ns, 0u);
+            // The slowest verifier calls, each timed around its own
+            // encode and solve.
+            ASSERT_FALSE(timings.slowest_verifies.empty());
+            EXPECT_LE(timings.slowest_verifies.size(),
+                      core::StageTimings::kSlowestVerifies);
+            for (const auto &call : timings.slowest_verifies)
+                EXPECT_GE(call.total_ns, call.encode_ns + call.solve_ns);
+            std::string profile = core::profileSummary(
+                result.pipeline,
+                telemetry::MetricsRegistry::instance().snapshot());
+            EXPECT_NE(profile.find("slowest verify calls:\n"),
+                      std::string::npos)
+                << profile;
         } else {
+            EXPECT_TRUE(timings.slowest_verifies.empty());
             EXPECT_EQ(timings.total_ns, 0u);
             EXPECT_EQ(timings.extract_ns, 0u);
             EXPECT_EQ(timings.propose_ns, 0u);
@@ -484,4 +500,28 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
     }
     telemetry::MetricsRegistry::instance().setEnabled(true);
     telemetry::MetricsRegistry::instance().reset();
+}
+
+// The profile's slowest-calls table keeps the kSlowestVerifies slowest
+// verifier calls, slowest first and earlier calls first among equals,
+// however the calls arrive.
+TEST(TelemetryTest, SlowestVerifyCallsKeepTheSlowestInOrder)
+{
+    core::StageTimings timings;
+    std::vector<core::StageTimings::VerifyCall> all;
+    for (unsigned i = 0; i < 25; ++i) {
+        core::StageTimings::VerifyCall call;
+        call.fn = "seq" + std::to_string(i);
+        call.total_ns = (i * 7919) % 13; // ties included
+        all.push_back(call);
+        timings.noteVerifyCall(call);
+    }
+    std::stable_sort(all.begin(), all.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.total_ns > b.total_ns;
+                     });
+    ASSERT_EQ(timings.slowest_verifies.size(),
+              core::StageTimings::kSlowestVerifies);
+    for (size_t i = 0; i < timings.slowest_verifies.size(); ++i)
+        EXPECT_EQ(timings.slowest_verifies[i].fn, all[i].fn) << i;
 }

@@ -1,0 +1,640 @@
+// Soundness of the encoder's word-level rules (verify/encoder.cc,
+// TermTable). Every rule there is a bit-vector identity, so each is
+// checked three ways:
+//
+//  - Exhaustive agreement: each rule shape (and near misses that must
+//    not match) is encoded symbolically, over fresh argument variables
+//    so that every rule fires (constant inputs would fold first), at
+//    i1-i8 with at most 16 input bits. Each input is then fixed by
+//    unit clauses, and the model's value, poison and UB must equal
+//    ExecPlan's for every input.
+//  - Firing: at i64 each shape and its canonical form meet in the same
+//    nodes, so their refinement query is Unsat with zero conflicts.
+//  - Identity proofs at i64: each identity, as a miter built directly
+//    from CircuitBuilder primitives, is Unsat. No rule takes part, so
+//    no rule discharges its own proof.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <thread>
+
+#include "interp/exec_plan.h"
+#include "ir/parser.h"
+#include "smt/bitblast.h"
+#include "smt/sat.h"
+#include "verify/encoder.h"
+
+using namespace lpo;
+using namespace lpo::verify;
+using smt::BitVec;
+using smt::CircuitBuilder;
+using smt::CLit;
+
+namespace {
+
+/** @p shape with every "T" replaced by "i<width>". */
+std::string
+atWidth(const std::string &shape, unsigned width)
+{
+    std::string out;
+    const std::string type = "i" + std::to_string(width);
+    for (char c : shape) {
+        if (c == 'T')
+            out += type;
+        else
+            out += c;
+    }
+    return out;
+}
+
+std::unique_ptr<ir::Function>
+parse(ir::Context &ctx, const std::string &text)
+{
+    auto r = ir::parseFunction(ctx, text);
+    EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().toString()) << "\n"
+                        << text;
+    return r.ok() ? r.take() : nullptr;
+}
+
+struct Shape
+{
+    const char *name;
+    unsigned args;
+    const char *body; ///< function text over T
+};
+
+// Two-argument shapes are "f(T %a, T %b)", three-argument shapes add
+// "T %c". Near misses (marked) look like a rule but must not match.
+const Shape kShapes[] = {
+    {"umin_idempotent", 2,
+     "  %m = call T @llvm.umin.T(T %a, T %b)\n"
+     "  %r = call T @llvm.umin.T(T %m, T %a)\n"},
+    {"umax_idempotent", 2,
+     "  %m = call T @llvm.umax.T(T %b, T %a)\n"
+     "  %r = call T @llvm.umax.T(T %b, T %m)\n"},
+    {"smin_idempotent", 2,
+     "  %m = call T @llvm.smin.T(T %a, T %b)\n"
+     "  %r = call T @llvm.smin.T(T %m, T %b)\n"},
+    {"smax_idempotent", 2,
+     "  %m = call T @llvm.smax.T(T %a, T %b)\n"
+     "  %r = call T @llvm.smax.T(T %a, T %m)\n"},
+    // Near miss: a third operand is no absorption.
+    {"umin_three_operands", 3,
+     "  %m = call T @llvm.umin.T(T %a, T %b)\n"
+     "  %r = call T @llvm.umin.T(T %m, T %c)\n"},
+    {"umax_reassociated", 3,
+     "  %m = call T @llvm.umax.T(T %b, T %c)\n"
+     "  %n = call T @llvm.umax.T(T %a, T %m)\n"
+     "  %r = call T @llvm.umax.T(T %n, T %c)\n"},
+    {"umin_absorbs_umax", 2,
+     "  %m = call T @llvm.umax.T(T %a, T %b)\n"
+     "  %r = call T @llvm.umin.T(T %m, T %a)\n"},
+    {"umax_absorbs_umin", 2,
+     "  %m = call T @llvm.umin.T(T %b, T %a)\n"
+     "  %r = call T @llvm.umax.T(T %b, T %m)\n"},
+    {"smin_absorbs_smax", 2,
+     "  %m = call T @llvm.smax.T(T %a, T %b)\n"
+     "  %r = call T @llvm.smin.T(T %a, T %m)\n"},
+    {"smax_absorbs_smin", 2,
+     "  %m = call T @llvm.smin.T(T %a, T %b)\n"
+     "  %r = call T @llvm.smax.T(T %m, T %b)\n"},
+    // Near miss: the dual's operands are not in the set.
+    {"umin_of_foreign_umax", 3,
+     "  %m = call T @llvm.umax.T(T %b, T %c)\n"
+     "  %r = call T @llvm.umin.T(T %a, T %m)\n"},
+    {"select_ugt_is_umax", 2,
+     "  %c = icmp ugt T %a, %b\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"select_uge_is_umin", 2,
+     "  %c = icmp uge T %a, %b\n"
+     "  %r = select i1 %c, T %b, T %a\n"},
+    {"select_ule_is_umin", 2,
+     "  %c = icmp ule T %a, %b\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"select_slt_is_smin", 2,
+     "  %c = icmp slt T %a, %b\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"select_sge_is_smax", 2,
+     "  %c = icmp sge T %a, %b\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"select_sgt_is_smin", 2,
+     "  %c = icmp sgt T %a, %b\n"
+     "  %r = select i1 %c, T %b, T %a\n"},
+    {"select_min_then_umin", 2,
+     "  %c = icmp ult T %b, %a\n"
+     "  %s = select i1 %c, T %b, T %a\n"
+     "  %r = call T @llvm.umin.T(T %s, T %a)\n"},
+    {"usub_sat_intrinsic", 2,
+     "  %r = call T @llvm.usub.sat.T(T %a, T %b)\n"},
+    {"usub_sat_from_umax", 2,
+     "  %m = call T @llvm.umax.T(T %a, T %b)\n"
+     "  %r = sub T %m, %b\n"},
+    {"usub_sat_from_umin", 2,
+     "  %m = call T @llvm.umin.T(T %b, T %a)\n"
+     "  %r = sub T %b, %m\n"},
+    {"usub_sat_from_umax_nuw", 2,
+     "  %m = call T @llvm.umax.T(T %a, T %b)\n"
+     "  %r = sub nuw T %m, %a\n"},
+    {"usub_sat_select_ugt", 2,
+     "  %c = icmp ugt T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T %d, T 0\n"},
+    {"usub_sat_select_uge", 2,
+     "  %c = icmp uge T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T %d, T 0\n"},
+    {"usub_sat_select_ult", 2,
+     "  %c = icmp ult T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T 0, T %d\n"},
+    {"usub_sat_select_nsw", 2,
+     "  %c = icmp ugt T %a, %b\n"
+     "  %d = sub nsw T %a, %b\n"
+     "  %r = select i1 %c, T %d, T 0\n"},
+    // Near misses: the comparison faces the wrong way.
+    {"sub_select_ult_near_miss", 2,
+     "  %c = icmp ult T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T %d, T 0\n"},
+    {"sub_select_ugt_swapped_near_miss", 2,
+     "  %c = icmp ugt T %a, %b\n"
+     "  %d = sub T %b, %a\n"
+     "  %r = select i1 %c, T %d, T 0\n"},
+    {"usub_sat_select_chain", 3,
+     "  %x = add T %a, %c\n"
+     "  %y = add T %b, %c\n"
+     "  %g = icmp ugt T %x, %y\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %g, T %d, T 0\n"},
+    {"uadd_sat_intrinsic", 2,
+     "  %r = call T @llvm.uadd.sat.T(T %b, T %a)\n"},
+    {"uadd_sat_select_ult", 2,
+     "  %s = add T %a, %b\n"
+     "  %c = icmp ult T %s, %a\n"
+     "  %r = select i1 %c, T -1, T %s\n"},
+    {"uadd_sat_select_ugt", 2,
+     "  %s = add T %a, %b\n"
+     "  %c = icmp ugt T %b, %s\n"
+     "  %r = select i1 %c, T -1, T %s\n"},
+    {"uadd_sat_select_uge", 2,
+     "  %s = add T %b, %a\n"
+     "  %c = icmp uge T %s, %a\n"
+     "  %r = select i1 %c, T %s, T -1\n"},
+    {"uadd_sat_select_nuw", 2,
+     "  %s = add nuw T %a, %b\n"
+     "  %c = icmp ult T %s, %a\n"
+     "  %r = select i1 %c, T -1, T %s\n"},
+    {"uadd_sat_select_chain", 3,
+     "  %s = add T %a, %b\n"
+     "  %t = add T %s, %c\n"
+     "  %g = icmp ult T %t, %s\n"
+     "  %r = select i1 %g, T -1, T %t\n"},
+    // Near misses: ule is not overflow; a sum compared against a
+    // non-addend is not overflow.
+    {"uadd_select_ule_near_miss", 2,
+     "  %s = add T %a, %b\n"
+     "  %c = icmp ule T %s, %a\n"
+     "  %r = select i1 %c, T -1, T %s\n"},
+    {"uadd_select_foreign_near_miss", 3,
+     "  %s = add T %a, %b\n"
+     "  %g = icmp ult T %s, %c\n"
+     "  %r = select i1 %g, T -1, T %s\n"},
+    {"mul_constants_fold", 2,
+     "  %m = mul T %a, 3\n"
+     "  %n = mul T 7, %m\n"
+     "  %r = xor T %n, %b\n"},
+    {"mul_constants_fold_flags", 2,
+     "  %m = mul nuw T %a, 3\n"
+     "  %n = mul nsw T %m, 3\n"
+     "  %r = xor T %n, %b\n"},
+    // Near miss: only constant factors fold.
+    {"mul_variable_factor", 2,
+     "  %c = and T %b, 1\n"
+     "  %m = mul T %a, 3\n"
+     "  %r = mul T %m, %c\n"},
+    {"add_chain_cancels", 3,
+     "  %s = add T %a, %b\n"
+     "  %t = sub T %s, %c\n"
+     "  %u = add T %c, %a\n"
+     "  %r = sub T %t, %u\n"},
+    {"add_chain_flags", 2,
+     "  %s = add nuw T %a, %b\n"
+     "  %r = sub nsw T %s, %b\n"},
+    {"shl_one_is_double", 2,
+     "  %s = shl T %a, 1\n"
+     "  %t = sub T %s, %a\n"
+     "  %r = sub T %t, %b\n"},
+    {"xor_chain_cancels", 3,
+     "  %s = xor T %a, %b\n"
+     "  %t = xor T %c, %s\n"
+     "  %r = xor T %t, %a\n"},
+    {"xor_with_zero", 2,
+     "  %s = xor T %a, 0\n"
+     "  %t = xor T %s, %b\n"
+     "  %r = xor T %t, %b\n"},
+};
+
+std::string
+shapeText(const Shape &shape, unsigned width)
+{
+    std::string params = shape.args == 2 ? "T %a, T %b" : "T %a, T %b, T %c";
+    return atWidth("define T @f(" + params + ") {\n" + shape.body +
+                       "  ret T %r\n}\n",
+                   width);
+}
+
+/**
+ * Every @p arity-argument shape at @p width, encoded over one set of
+ * fresh argument variables in one circuit (each shape with its own
+ * term table), checked against ExecPlan on every input. Sharing the
+ * circuit shares the gates common to the shapes, so each input costs
+ * one solve for all of them; the inputs are split across a few
+ * threads.
+ */
+void
+checkShapes(unsigned arity, unsigned width)
+{
+    struct Case
+    {
+        const char *name;
+        std::unique_ptr<ir::Function> fn;
+        EncodedFunction enc;
+        std::unique_ptr<interp::ExecPlan> plan;
+    };
+    ir::Context ctx;
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    std::vector<ValueEnc> args;
+    for (unsigned i = 0; i < arity; ++i)
+        args.push_back({LaneEnc{cb.freshBV(width), CircuitBuilder::kFalse}});
+    std::vector<Case> cases;
+    for (const Shape &shape : kShapes) {
+        if (shape.args != arity)
+            continue;
+        Case c{shape.name, parse(ctx, shapeText(shape, width)), {}, {}};
+        ASSERT_TRUE(c.fn && canEncode(*c.fn)) << shape.name;
+        auto enc = encodeFunction(cb, *c.fn, &args);
+        ASSERT_TRUE(enc.has_value()) << shape.name;
+        c.enc = std::move(*enc);
+        c.plan = std::make_unique<interp::ExecPlan>(
+            interp::ExecPlan::compile(*c.fn));
+        ASSERT_EQ(c.plan->inputBits(), arity * width);
+        cases.push_back(std::move(c));
+    }
+
+    const uint64_t inputs = uint64_t(1) << (arity * width);
+    const unsigned threads =
+        std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
+    std::vector<std::vector<std::string>> failures(threads);
+    auto sweep = [&](unsigned t) {
+        std::vector<interp::ExecFrame> frames;
+        for (const Case &c : cases)
+            frames.push_back(c.plan->makeFrame());
+        // Assigning over one solver per thread reuses its storage, so
+        // an input costs no allocation.
+        smt::SatSolver fixed;
+        for (uint64_t index = t; index < inputs && failures[t].size() < 8;
+             index += threads) {
+            // Fix the fresh argument variables by unit clauses, in the
+            // bit order runExhaustive decodes.
+            fixed = sat;
+            uint64_t rest = index;
+            for (const ValueEnc &arg : args) {
+                for (CLit bit : arg[0].bits) {
+                    fixed.addUnit((rest & 1) ? bit : -bit);
+                    rest >>= 1;
+                }
+            }
+            if (fixed.solve() != smt::SatResult::Sat) {
+                failures[t].push_back("fixed inputs are unsatisfiable");
+                return;
+            }
+            CircuitBuilder model(fixed);
+            for (size_t i = 0; i < cases.size(); ++i) {
+                const EncodedFunction &enc = cases[i].enc;
+                interp::PlanResult run =
+                    cases[i].plan->runExhaustive(frames[i], index);
+                bool ub = model.modelLit(enc.ub);
+                bool poison = !ub && model.modelLit(enc.ret[0].poison);
+                uint64_t value = model.modelBV(enc.ret[0].bits).zext();
+                bool run_poison = !run.ub && run.ret[0].poison;
+                uint64_t run_value = run.ub ? 0 : run.ret[0].bits.zext();
+                if (ub == run.ub && poison == run_poison &&
+                    (ub || poison || value == run_value))
+                    continue;
+                failures[t].push_back(
+                    std::string(cases[i].name) + " at i" +
+                    std::to_string(width) + ", input index " +
+                    std::to_string(index) + ": encoder ub=" +
+                    std::to_string(ub) + " poison=" +
+                    std::to_string(poison) + " value=" +
+                    std::to_string(value) + "; ExecPlan ub=" +
+                    std::to_string(run.ub) + " poison=" +
+                    std::to_string(run_poison) + " value=" +
+                    std::to_string(run_value));
+            }
+        }
+    };
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back(sweep, t);
+    for (std::thread &thread : pool)
+        thread.join();
+    for (const auto &list : failures)
+        for (const std::string &failure : list)
+            ADD_FAILURE() << failure;
+}
+
+TEST(WordRuleExhaustive, TwoArgumentShapesMatchExecPlan)
+{
+    for (unsigned width = 1; width <= 8; ++width)
+        checkShapes(2, width);
+}
+
+TEST(WordRuleExhaustive, ThreeArgumentShapesMatchExecPlan)
+{
+    for (unsigned width = 1; width <= 5; ++width)
+        checkShapes(3, width);
+}
+
+// A rule shape and its canonical form, at i64.
+struct Firing
+{
+    const char *name;
+    const char *src;
+    const char *tgt;
+};
+
+const Firing kFirings[] = {
+    {"umin_idempotent",
+     "  %m = call T @llvm.umin.T(T %a, T %b)\n"
+     "  %r = call T @llvm.umin.T(T %m, T %a)\n",
+     "  %r = call T @llvm.umin.T(T %b, T %a)\n"},
+    {"umin_absorbs_umax",
+     "  %m = call T @llvm.umax.T(T %a, T %b)\n"
+     "  %r = call T @llvm.umin.T(T %m, T %a)\n",
+     "  %r = add T %a, 0\n"},
+    {"smax_reassociated",
+     "  %m = call T @llvm.smax.T(T %a, T %b)\n"
+     "  %n = call T @llvm.smax.T(T %m, T %a)\n"
+     "  %r = call T @llvm.smax.T(T %b, T %n)\n",
+     "  %r = call T @llvm.smax.T(T %a, T %b)\n"},
+    {"select_uge_is_umax",
+     "  %c = icmp uge T %b, %a\n"
+     "  %r = select i1 %c, T %b, T %a\n",
+     "  %r = call T @llvm.umax.T(T %a, T %b)\n"},
+    {"usub_sat_from_umax",
+     "  %m = call T @llvm.umax.T(T %a, T %b)\n"
+     "  %r = sub T %m, %b\n",
+     "  %r = call T @llvm.usub.sat.T(T %a, T %b)\n"},
+    {"usub_sat_from_umin",
+     "  %m = call T @llvm.umin.T(T %a, T %b)\n"
+     "  %r = sub T %a, %m\n",
+     "  %r = call T @llvm.usub.sat.T(T %a, T %b)\n"},
+    {"usub_sat_select_ugt",
+     "  %c = icmp ugt T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T %d, T 0\n",
+     "  %r = call T @llvm.usub.sat.T(T %a, T %b)\n"},
+    {"usub_sat_select_ult",
+     "  %c = icmp ult T %a, %b\n"
+     "  %d = sub T %a, %b\n"
+     "  %r = select i1 %c, T 0, T %d\n",
+     "  %m = call T @llvm.umax.T(T %b, T %a)\n"
+     "  %r = sub T %m, %b\n"},
+    {"uadd_sat_select_ult",
+     "  %s = add T %a, %b\n"
+     "  %c = icmp ult T %s, %a\n"
+     "  %r = select i1 %c, T -1, T %s\n",
+     "  %r = call T @llvm.uadd.sat.T(T %b, T %a)\n"},
+    {"uadd_sat_select_uge",
+     "  %s = add T %a, %b\n"
+     "  %c = icmp uge T %s, %b\n"
+     "  %r = select i1 %c, T %s, T -1\n",
+     "  %r = call T @llvm.uadd.sat.T(T %a, T %b)\n"},
+    {"mul_constants_fold",
+     "  %m = mul T %a, 17\n"
+     "  %r = mul T %m, 63\n",
+     "  %r = mul T 1071, %a\n"},
+    {"add_chain_reassociated",
+     "  %s = add T %a, %b\n"
+     "  %t = sub T %s, %a\n"
+     "  %r = add T %t, %b\n",
+     "  %r = shl T %b, 1\n"},
+    {"xor_chain_cancels",
+     "  %s = xor T %a, %b\n"
+     "  %r = xor T %s, %a\n",
+     "  %r = xor T %b, 0\n"},
+};
+
+class WordRuleFiring : public testing::TestWithParam<Firing>
+{
+};
+
+TEST_P(WordRuleFiring, CanonicalFormsMeetWithoutSearch)
+{
+    const Firing &firing = GetParam();
+    auto text = [](const char *body) {
+        return atWidth(std::string("define T @f(T %a, T %b) {\n") + body +
+                           "  ret T %r\n}\n",
+                       64);
+    };
+    ir::Context ctx;
+    auto src = parse(ctx, text(firing.src));
+    auto tgt = parse(ctx, text(firing.tgt));
+    ASSERT_TRUE(src && tgt);
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    ASSERT_TRUE(encodeRefinementQuery(cb, *src, *tgt));
+    EXPECT_EQ(sat.solve(), smt::SatResult::Unsat);
+    EXPECT_EQ(sat.conflicts(), 0u) << firing.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, WordRuleFiring, testing::ValuesIn(kFirings),
+    [](const testing::TestParamInfo<Firing> &info) {
+        return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------
+// The identities themselves, proved at i64 from raw primitives.
+// ---------------------------------------------------------------------
+
+struct Words
+{
+    CircuitBuilder &b;
+    BitVec a, x, c;
+
+    BitVec umin(const BitVec &p, const BitVec &q)
+    {
+        return b.bvMux(b.bvULt(p, q), p, q);
+    }
+    BitVec umax(const BitVec &p, const BitVec &q)
+    {
+        return b.bvMux(b.bvULt(p, q), q, p);
+    }
+    BitVec smin(const BitVec &p, const BitVec &q)
+    {
+        return b.bvMux(b.bvSLt(p, q), p, q);
+    }
+    BitVec smax(const BitVec &p, const BitVec &q)
+    {
+        return b.bvMux(b.bvSLt(p, q), q, p);
+    }
+    BitVec usubSat(const BitVec &p, const BitVec &q)
+    {
+        return b.bvMux(b.bvULt(p, q),
+                       CircuitBuilder::constBV(APInt::zero(64)),
+                       b.bvSub(p, q));
+    }
+    BitVec uaddSat(const BitVec &p, const BitVec &q)
+    {
+        CLit carry = CircuitBuilder::kFalse;
+        BitVec sum = b.bvAdd(p, q, &carry);
+        return b.bvMux(carry, CircuitBuilder::constBV(APInt::allOnes(64)),
+                       sum);
+    }
+};
+
+struct Identity
+{
+    const char *name;
+    /** Builds (lhs, rhs) over a, b (x here) and c. */
+    std::function<std::pair<BitVec, BitVec>(Words &)> sides;
+};
+
+const Identity kIdentities[] = {
+    {"umin_idempotent",
+     [](Words &w) {
+         return std::make_pair(w.umin(w.umin(w.a, w.x), w.a),
+                               w.umin(w.a, w.x));
+     }},
+    {"umin_associative_commutative",
+     [](Words &w) {
+         return std::make_pair(w.umin(w.umin(w.a, w.x), w.c),
+                               w.umin(w.c, w.umin(w.x, w.a)));
+     }},
+    {"smax_idempotent",
+     [](Words &w) {
+         return std::make_pair(w.smax(w.x, w.smax(w.a, w.x)),
+                               w.smax(w.x, w.a));
+     }},
+    {"umin_absorbs_umax",
+     [](Words &w) {
+         return std::make_pair(w.umin(w.a, w.umax(w.a, w.x)), w.a);
+     }},
+    {"umax_absorbs_umin",
+     [](Words &w) {
+         return std::make_pair(w.umax(w.a, w.umin(w.x, w.a)), w.a);
+     }},
+    {"smin_absorbs_smax",
+     [](Words &w) {
+         return std::make_pair(w.smin(w.smax(w.x, w.a), w.a), w.a);
+     }},
+    {"smax_absorbs_smin",
+     [](Words &w) {
+         return std::make_pair(w.smax(w.smin(w.a, w.x), w.a), w.a);
+     }},
+    {"select_ult_is_umin",
+     [](Words &w) {
+         return std::make_pair(w.b.bvMux(w.b.bvULt(w.a, w.x), w.a, w.x),
+                               w.umin(w.x, w.a));
+     }},
+    {"select_ult_is_umax",
+     [](Words &w) {
+         return std::make_pair(w.b.bvMux(w.b.bvULt(w.a, w.x), w.x, w.a),
+                               w.umax(w.x, w.a));
+     }},
+    {"select_slt_is_smin",
+     [](Words &w) {
+         return std::make_pair(w.b.bvMux(w.b.bvSLt(w.a, w.x), w.a, w.x),
+                               w.smin(w.x, w.a));
+     }},
+    {"uge_is_not_ult",
+     [](Words &w) {
+         CLit uge = w.b.orGate(w.b.bvEq(w.a, w.x), w.b.bvULt(w.x, w.a));
+         return std::make_pair(BitVec{uge}, BitVec{-w.b.bvULt(w.a, w.x)});
+     }},
+    {"sge_is_not_slt",
+     [](Words &w) {
+         CLit sge = w.b.orGate(w.b.bvEq(w.a, w.x), w.b.bvSLt(w.x, w.a));
+         return std::make_pair(BitVec{sge}, BitVec{-w.b.bvSLt(w.a, w.x)});
+     }},
+    {"umax_minus_operand_is_usub_sat",
+     [](Words &w) {
+         return std::make_pair(w.b.bvSub(w.umax(w.a, w.x), w.x),
+                               w.usubSat(w.a, w.x));
+     }},
+    {"operand_minus_umin_is_usub_sat",
+     [](Words &w) {
+         return std::make_pair(w.b.bvSub(w.x, w.umin(w.a, w.x)),
+                               w.usubSat(w.x, w.a));
+     }},
+    {"select_ugt_sub_is_usub_sat",
+     [](Words &w) {
+         return std::make_pair(
+             w.b.bvMux(w.b.bvULt(w.x, w.a), w.b.bvSub(w.a, w.x),
+                       CircuitBuilder::constBV(APInt::zero(64))),
+             w.usubSat(w.a, w.x));
+     }},
+    {"select_wrapped_sum_is_uadd_sat",
+     [](Words &w) {
+         BitVec sum = w.b.bvAdd(w.a, w.x);
+         return std::make_pair(
+             w.b.bvMux(w.b.bvULt(sum, w.a),
+                       CircuitBuilder::constBV(APInt::allOnes(64)), sum),
+             w.uaddSat(w.x, w.a));
+     }},
+    {"add_reassociates_and_cancels",
+     [](Words &w) {
+         BitVec lhs = w.b.bvSub(w.b.bvAdd(w.b.bvAdd(w.a, w.x), w.c), w.a);
+         return std::make_pair(lhs, w.b.bvAdd(w.c, w.x));
+     }},
+    {"mul_constant_factors_fold",
+     [](Words &w) {
+         auto c = [](uint64_t v) { return CircuitBuilder::constBV(APInt(64, v)); };
+         return std::make_pair(w.b.bvMul(w.b.bvMul(w.a, c(3)), c(3)),
+                               w.b.bvMul(w.a, c(9)));
+     }},
+    {"shl_one_is_double",
+     [](Words &w) {
+         return std::make_pair(
+             w.b.bvShl(w.a, CircuitBuilder::constBV(APInt(64, 1))),
+             w.b.bvAdd(w.a, w.a));
+     }},
+    {"negated_leaf_first",
+     [](Words &w) {
+         return std::make_pair(w.b.bvAdd(w.b.bvNeg(w.x), w.a),
+                               w.b.bvSub(w.a, w.x));
+     }},
+    {"xor_reassociates_and_cancels",
+     [](Words &w) {
+         BitVec lhs = w.b.bvXor(w.b.bvXor(w.a, w.c), w.b.bvXor(w.x, w.a));
+         return std::make_pair(lhs, w.b.bvXor(w.x, w.c));
+     }},
+};
+
+class WordRuleIdentity : public testing::TestWithParam<Identity>
+{
+};
+
+TEST_P(WordRuleIdentity, HoldsAtI64)
+{
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    Words w{cb, cb.freshBV(64), cb.freshBV(64), cb.freshBV(64)};
+    auto [lhs, rhs] = GetParam().sides(w);
+    cb.require(-cb.bvEq(lhs, rhs));
+    EXPECT_EQ(sat.solve(), smt::SatResult::Unsat) << GetParam().name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Identities, WordRuleIdentity, testing::ValuesIn(kIdentities),
+    [](const testing::TestParamInfo<Identity> &info) {
+        return std::string(info.param.name);
+    });
+
+} // namespace

@@ -32,12 +32,17 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # test_exec_plan drive the verifier's concrete sweep on the task scope
 # at 1/2/8 threads, and the i64 overflow predicates under UBSan.
 # test_sat covers the solver's clause arena, watch-list rebuilds and
-# learnt-clause reduction.
+# learnt-clause reduction; test_bitblast, test_encoder and
+# test_word_rules cover the circuit builder's unique table and the
+# encoder's word-level term table.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
-    test_sat
+    test_sat test_bitblast test_encoder test_word_rules
 ./build-sanitize/test_sat
+./build-sanitize/test_bitblast
+./build-sanitize/test_encoder
+./build-sanitize/test_word_rules
 ./build-sanitize/test_task_graph
 ./build-sanitize/test_refine
 ./build-sanitize/test_exec_plan
@@ -98,9 +103,10 @@ echo "=== Observability: traced module run (Release) ==="
 # module with tracing, metrics, and the profile table on. The trace
 # and metrics files must be valid JSON (json.tool is the arbiter),
 # the trace must contain a span for every pipeline phase, the profile
-# must carry the solver-work (sat:) and degradation lines, and — the
-# hard invariant — the emitted module must be byte-identical with and
-# without observability, serial and threaded.
+# must carry the solver-work (sat:) and degradation lines and the
+# slowest-verify-calls table, and — the hard invariant — the emitted
+# module must be byte-identical with and without observability,
+# serial and threaded.
 obs_dir=build-release/observability
 rm -rf "${obs_dir}" && mkdir -p "${obs_dir}"
 ./build-release/lpo_cli gen-module > "${obs_dir}/module.ll"
@@ -147,8 +153,13 @@ for threads in 1 8; do
             exit 1
         }
     done
+    grep -q '^slowest verify calls:$' "${obs_dir}/profile_t${threads}.txt" || {
+        echo "FAIL: --profile at ${threads} thread(s) is missing the" \
+             "slowest verify calls table"
+        exit 1
+    }
 done
-echo "observability: --profile reports sat: and degradation: at 1 and 8 threads"
+echo "observability: --profile reports sat:, degradation: and the slowest verify calls at 1 and 8 threads"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/traced_t1.ll"
 cmp "${obs_dir}/plain_t8.ll" "${obs_dir}/traced_t8.ll"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/plain_t8.ll"
@@ -193,23 +204,35 @@ echo "BENCH_verify.json:"
 cat BENCH_verify.json
 
 # Regression gates on deterministic counters against the committed
-# baseline: the summed size of every SAT query (the encoder's output)
-# and the summed conflicts of solving each one (the solver's search)
-# must not grow, and the cache must hit at least as often.
-for counter in sat_vars_total sat_clauses_total sat_conflicts_total; do
-    baseline=$(grep -o "\"${counter}\": [0-9]*" \
-        bench/BENCH_verify.baseline.json | awk '{print $2}')
-    current=$(grep -o "\"${counter}\": [0-9]*" \
-        BENCH_verify.json | awk '{print $2}')
-    awk -v c="$current" -v b="$baseline" -v n="$counter" 'BEGIN {
-        if (c + 0 > b + 0) {
-            printf "FAIL: verify %s %d grew past the committed " \
-                   "baseline %d\n", n, c, b
-            exit 1
-        }
-        printf "verify %s %d vs baseline %d: OK\n", n, c, b
-    }'
-done
+# baseline, per query: each SAT query's size (vars and clauses, the
+# encoder's output) and the conflicts of solving it (the solver's
+# search) must not grow past that query's baseline, so a change that
+# shrinks nine queries cannot hide growth in a tenth behind the sums.
+# The cache must hit at least as often.
+python3 - bench/BENCH_verify.baseline.json BENCH_verify.json <<'EOF'
+import json
+import sys
+
+baseline = {q["name"]: q for q in json.load(open(sys.argv[1]))["benchmarks"]}
+current = json.load(open(sys.argv[2]))["benchmarks"]
+failures = 0
+for query in current:
+    base = baseline.get(query["name"])
+    if base is None:
+        print("FAIL: verify query %s has no committed baseline"
+              % query["name"])
+        failures += 1
+        continue
+    for counter in ("sat_vars", "sat_clauses", "sat_conflicts"):
+        if query[counter] > base[counter]:
+            print("FAIL: verify query %s %s %d grew past the committed "
+                  "baseline %d" % (query["name"], counter, query[counter],
+                                   base[counter]))
+            failures += 1
+print("verify per-query gate: %d queries x 3 counters, %d failures"
+      % (len(current), failures))
+sys.exit(1 if failures else 0)
+EOF
 baseline=$(grep -o '"cache_hits": [0-9]*' \
     bench/BENCH_verify.baseline.json | awk '{print $2}')
 current=$(grep -o '"cache_hits": [0-9]*' \
