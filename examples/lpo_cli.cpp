@@ -669,8 +669,11 @@ usage()
         "                             scheduler counters, the solver\n"
         "                             work line (sat: solves /\n"
         "                             decisions / conflicts /\n"
-        "                             propagations / restarts) and the\n"
-        "                             degradation line (budget-ladder\n"
+        "                             propagations / restarts), the\n"
+        "                             circuit builder line (circuit:\n"
+        "                             merges / window checks / failed\n"
+        "                             checks) and the degradation line\n"
+        "                             (budget-ladder\n"
         "                             escalations, concrete fallbacks,\n"
         "                             degraded verdicts, contained\n"
         "                             exceptions) on stderr after the\n"

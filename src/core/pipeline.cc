@@ -37,6 +37,9 @@ addVerifyWork(PipelineStats &stats, const verify::VerifyWork &work)
     stats.concrete_fallbacks += work.concrete_fallbacks;
     stats.exhaustive_rescues += work.exhaustive_rescues;
     stats.degraded_verdicts += work.degraded;
+    stats.circuit_merges += work.circuit_merges;
+    stats.window_checks += work.window_checks;
+    stats.failed_checks += work.failed_checks;
 }
 
 const char *
@@ -736,6 +739,9 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.sat_conflicts += delta.sat_conflicts;
     stats_.sat_propagations += delta.sat_propagations;
     stats_.sat_restarts += delta.sat_restarts;
+    stats_.circuit_merges += delta.circuit_merges;
+    stats_.window_checks += delta.window_checks;
+    stats_.failed_checks += delta.failed_checks;
     stats_.sat_escalations += delta.sat_escalations;
     stats_.concrete_fallbacks += delta.concrete_fallbacks;
     stats_.exhaustive_rescues += delta.exhaustive_rescues;

@@ -198,6 +198,11 @@ struct PipelineStats
     uint64_t sat_conflicts = 0;
     uint64_t sat_propagations = 0;
     uint64_t sat_restarts = 0;
+    /** Circuit builder work behind the same verdicts (functional
+     *  hashing merges, window proofs, failed window proofs). */
+    uint64_t circuit_merges = 0;
+    uint64_t window_checks = 0;
+    uint64_t failed_checks = 0;
     /**
      * Always 0: every candidate is verified by its own one-shot
      * verify::checkRefinement call, so no solver is ever reused. Kept

@@ -93,6 +93,20 @@ satStatsLine(const PipelineStats &stats)
     return line;
 }
 
+/** "circuit: ..." — the circuit builder's functional-hashing work. */
+std::string
+circuitStatsLine(const PipelineStats &stats)
+{
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "circuit: %llu merges, %llu window checks, "
+                  "%llu failed checks\n",
+                  static_cast<unsigned long long>(stats.circuit_merges),
+                  static_cast<unsigned long long>(stats.window_checks),
+                  static_cast<unsigned long long>(stats.failed_checks));
+    return line;
+}
+
 } // namespace
 
 std::string
@@ -233,6 +247,7 @@ profileSummary(const PipelineStats &stats,
     // The verifier's work behind the verify phase, always printed (even
     // all-zero) so a profile alone explains where the proofs went.
     rendered += satStatsLine(stats);
+    rendered += circuitStatsLine(stats);
     rendered += degradationStatsLine(stats);
     // What the store answered without a proposer: catalog rewrites
     // (verified again, from the seeded cache) and remembered misses

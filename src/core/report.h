@@ -80,10 +80,11 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * wall), so their share can exceed 100% on threaded runs. Then the
  * scheduler counters, the one-line solver work summary ("sat:
  * solves / decisions / conflicts / propagations / restarts" across
- * every SAT verification performed) and degradationStatsLine, both
- * printed even when all-zero. Purely additive — never part of
- * moduleSummary's default output, so existing pinned summaries stay
- * byte-identical.
+ * every SAT verification performed), the circuit builder's line
+ * ("circuit: merges / window checks / failed checks") and
+ * degradationStatsLine, all printed even when all-zero. Purely
+ * additive — never part of moduleSummary's default output, so
+ * existing pinned summaries stay byte-identical.
  */
 std::string profileSummary(const PipelineStats &stats,
                            const telemetry::MetricsSnapshot &metrics);

@@ -10,6 +10,7 @@
 #ifndef LPO_SMT_BITBLAST_H
 #define LPO_SMT_BITBLAST_H
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -35,8 +36,14 @@ using BitVec = std::vector<CLit>;
  * identical subcircuit built twice — e.g. the re-encoded source
  * function shared by every candidate of one extraction site, or the
  * shared prefix of a src/tgt pair — costs one variable and one clause
- * set, not two. See DESIGN.md, "Structural hashing in the circuit
- * builder" for the invariants.
+ * set, not two.
+ *
+ * Gates are also functionally hashed: every variable carries a
+ * 256-pattern simulation signature, and a gate that misses the unique
+ * table but simulates like an existing node (or a constant) is proved
+ * equal to it by exhaustive evaluation over a window of at most six
+ * leaves, then answered with that node's literal. See DESIGN.md,
+ * "Structural hashing in the circuit builder" for the invariants.
  */
 class CircuitBuilder
 {
@@ -52,6 +59,11 @@ class CircuitBuilder
     uint64_t uniqueTableHits() const { return unique_hits_; }
     /** Distinct hashed nodes created so far. */
     uint64_t uniqueTableSize() const { return unique_.size(); }
+    /** Gates answered with an existing node or constant proved equal. */
+    uint64_t merges() const { return merges_; }
+    /** Window proofs attempted, and those that found no equality. */
+    uint64_t windowChecks() const { return window_checks_; }
+    uint64_t failedChecks() const { return failed_checks_; }
 
     /** A fresh unconstrained literal. */
     CLit freshLit();
@@ -173,9 +185,66 @@ class CircuitBuilder
     CLit lookupNode(const NodeKey &key);
     void insertNode(const NodeKey &key, CLit out);
 
+    /** Simulation values of a literal under 256 input patterns. */
+    using Sig = std::array<uint64_t, 4>;
+    /** A variable's definition: a free input, or a gate over two
+     *  literals (xor operands are positive). */
+    struct Gate
+    {
+        uint8_t kind = kFree;
+        CLit a = 0;
+        CLit b = 0;
+    };
+    static constexpr uint8_t kFree = 0, kAnd = 1, kXor = 2;
+
+    /** Register variables up to @p var (created by this builder or by
+     *  the solver's other clients) as free inputs. */
+    void track(int var);
+    Sig sigOf(CLit lit);
+    /** Invert @p sig if pattern 0 is true, so a node and its complement
+     *  share one key; returns whether it inverted. */
+    static bool normalize(Sig &sig);
+    /** True if @p lit's signature is all 0s or all 1s. */
+    bool simulatesConst(CLit lit) const;
+    /**
+     * Functional hashing for a gate that missed the unique table: the
+     * literal of an existing node or constant that simulates like
+     * @p kind(@p a, @p b) under @p sig and is proved equal to it over
+     * a window, or 0. On 0, newGate enters the gate under @p sig if no
+     * node holds that signature yet.
+     */
+    CLit sweep(uint8_t kind, CLit a, CLit b, const Sig &sig);
+    /** True if @p kind(@p a, @p b) equals @p cand on every assignment
+     *  of a cut of at most six leaves under both cones. */
+    bool windowEqual(uint8_t kind, CLit a, CLit b, CLit cand);
+    /** A fresh gate variable defined as @p kind(@p a, @p b). */
+    CLit newGate(uint8_t kind, CLit a, CLit b, const Sig &sig);
+    /** The carry out of one full-adder bit, given a ^ b. */
+    CLit carryGate(CLit a, CLit b, CLit axb, CLit carry);
+    /** The signature table slot holding phase-normalised @p norm, or
+     *  the empty slot where it would go. */
+    size_t sigSlot(const Sig &norm) const;
+    /** Grow the signature table so one more entry keeps it half empty. */
+    void reserveSigSlot();
+    /** Enter @p lit under its phase-normalised signature unless a node
+     *  already holds that signature. */
+    void addToSigTable(CLit lit);
+
     SatSolver &solver_;
     std::unordered_map<NodeKey, CLit, NodeKeyHash> unique_;
     uint64_t unique_hits_ = 0;
+    std::vector<Gate> gates_; ///< indexed by variable
+    std::vector<Sig> sigs_;   ///< indexed by variable
+    /** Open-addressed: phase-normalised signature (pattern 0 false)
+     *  -> the first node with it, as the literal carrying that phase. */
+    std::vector<CLit> sig_table_;
+    size_t sig_entries_ = 0;
+    static constexpr size_t kNoSlot = ~size_t(0);
+    size_t pending_slot_ = kNoSlot; ///< set by a sweep that found none
+    bool pending_flip_ = false;
+    uint64_t merges_ = 0;
+    uint64_t window_checks_ = 0;
+    uint64_t failed_checks_ = 0;
 };
 
 } // namespace lpo::smt

@@ -91,12 +91,19 @@ constValue(const BitVec &v)
  *   drop an operand absorbed by the dual (umin(a, umax(a, b)) = a);
  * - comparators are ult/slt nodes: ugt(x, y) = ult(y, x) and
  *   uge(x, y) = !ult(x, y), so a select sees through its condition;
+ *   slt(x, y) is the sign of the add chain x - y xor its overflow, so
+ *   shared leaves of x and y cancel; min/max compare through the same
+ *   nodes, a constant operand second;
  * - select(ult(p, q), p, q) is umin(p, q), and likewise umax and the
  *   signed pair;
  * - usub.sat and uadd.sat are one node each, reached from the
  *   intrinsic, the select forms select(x >u y, x - y, 0) and
  *   select(x + y <u x, -1, x + y), and umax(x, y) - y (or
- *   y - umin(x, y)).
+ *   y - umin(x, y));
+ * - abs is one node, reached from llvm.abs (either poison flag: the
+ *   bits agree), smax(x, 0 - x) and the sign-test selects
+ *   select(x <s 0, 0 - x, x) and select(x >s -1, x, 0 - x), with the
+ *   bounds 1 and 0 as well (the arms agree at x = 0).
  *
  * Every rule is an identity on bits alone: it holds for all operand
  * values. Poison and UB never pass through this table — the encoder
@@ -109,7 +116,8 @@ class TermTable
   public:
     enum class Op : uint8_t
     {
-        Add, Xor, Mul, UMin, UMax, SMin, SMax, ULt, SLt, USubSat, UAddSat
+        Add, Xor, Mul, UMin, UMax, SMin, SMax, ULt, SLt, USubSat, UAddSat,
+        Abs
     };
 
     explicit TermTable(CircuitBuilder &builder) : b_(builder) {}
@@ -125,6 +133,7 @@ class TermTable
     BitVec select(CLit sel, const BitVec &t, const BitVec &f);
     BitVec usubSat(const BitVec &x, const BitVec &y);
     BitVec uaddSat(const BitVec &x, const BitVec &y);
+    BitVec abs(const BitVec &x);
 
   private:
     /** One operand of a term; @c neg marks a subtracted add leaf. */
@@ -156,6 +165,8 @@ class TermTable
     Leaves combine(Op op, const BitVec &x, const BitVec &y,
                    bool negate_y) const;
     BitVec minMax2(Op op, const BitVec &x, const BitVec &y);
+    /** True if @p v is 0 - @p x. */
+    bool isNegationOf(const BitVec &v, const BitVec &x) const;
 
     /** Look @p term up; on a miss, bit-blast it with @p build. */
     template <typename Build>
@@ -294,11 +305,14 @@ TermTable::mul(const BitVec &x, const BitVec &y)
 BitVec
 TermTable::minMax2(Op op, const BitVec &x, const BitVec &y)
 {
+    // A constant goes second: p <u C folds the borrow chain below C's
+    // lowest set bit, and p <s 0 is p's sign bit.
     const BitVec *p = &x, *q = &y;
-    if (laneOrderedBefore(*q, *p))
+    bool p_const = isConstBV(*p), q_const = isConstBV(*q);
+    if (p_const != q_const ? p_const : laneOrderedBefore(*q, *p))
         std::swap(p, q);
     bool is_signed = op == Op::SMin || op == Op::SMax;
-    CLit lt = is_signed ? b_.bvSLt(*p, *q) : b_.bvULt(*p, *q);
+    CLit lt = compare(is_signed ? Op::SLt : Op::ULt, *p, *q);
     bool is_min = op == Op::UMin || op == Op::SMin;
     return is_min ? b_.bvMux(lt, *p, *q) : b_.bvMux(lt, *q, *p);
 }
@@ -336,6 +350,10 @@ TermTable::minMax(Op op, const BitVec &x, const BitVec &y)
     }
     if (kept.size() == 1)
         return kept[0].bits;
+    // smax(x, 0 - x) is abs(x), INT_MIN included (both are INT_MIN).
+    for (size_t k = 0; op == Op::SMax && kept.size() == 2 && k < 2; ++k)
+        if (isNegationOf(kept[1 - k].bits, kept[k].bits))
+            return abs(kept[k].bits);
     return intern(Term{op, kept}, [&] {
         BitVec acc = kept[0].bits;
         for (size_t i = 1; i < kept.size(); ++i)
@@ -348,7 +366,15 @@ CLit
 TermTable::compare(Op op, const BitVec &x, const BitVec &y)
 {
     return intern(Term{op, {Leaf{x}, Leaf{y}}}, [&] {
-        return BitVec{op == Op::ULt ? b_.bvULt(x, y) : b_.bvSLt(x, y)};
+        if (op == Op::ULt)
+            return BitVec{b_.bvULt(x, y)};
+        // x <s y is the sign of x - y unless the subtraction overflows.
+        // The difference is an add chain, so it cancels shared leaves:
+        // (a + b) <s (a - b) reads the sign of b + b.
+        BitVec d = chain(Op::Add, x, y, true);
+        CLit overflow = b_.andGate(b_.xorGate(x.back(), y.back()),
+                                   b_.xorGate(d.back(), x.back()));
+        return BitVec{b_.xorGate(d.back(), overflow)};
     })[0];
 }
 
@@ -376,11 +402,20 @@ TermTable::select(CLit sel, const BitVec &t, const BitVec &f)
         return minMax(is_signed ? Op::SMin : Op::UMin, p, q);
     if (*tv == q && *fv == p)
         return minMax(is_signed ? Op::SMax : Op::UMax, p, q);
-    if (is_signed)
-        return b_.bvMux(sel, t, f);
 
     const unsigned width = t.size();
     const BitVec zero = CircuitBuilder::constBV(APInt::zero(width));
+    if (is_signed) {
+        // Sign tests: x <s 0 and x <s 1 pick 0 - x; 0 <s x and -1 <s x
+        // pick x.
+        const BitVec one = CircuitBuilder::constBV(APInt(width, 1));
+        const BitVec ones = CircuitBuilder::constBV(APInt::allOnes(width));
+        if ((q == zero || q == one) && *fv == p && isNegationOf(*tv, p))
+            return abs(p);
+        if ((p == zero || p == ones) && *tv == q && isNegationOf(*fv, q))
+            return abs(q);
+        return b_.bvMux(sel, t, f);
+    }
     auto leavesOf = [&](const BitVec &v) {
         return normalize(Op::Add, operandsOf(Op::Add, v));
     };
@@ -407,6 +442,22 @@ TermTable::usubSat(const BitVec &x, const BitVec &y)
         return b_.bvMux(compare(Op::ULt, x, y),
                         CircuitBuilder::constBV(APInt::zero(x.size())),
                         b_.bvSub(x, y));
+    });
+}
+
+bool
+TermTable::isNegationOf(const BitVec &v, const BitVec &x) const
+{
+    return normalize(Op::Add, operandsOf(Op::Add, v)) ==
+           Leaves{Leaf{x, true}};
+}
+
+BitVec
+TermTable::abs(const BitVec &x)
+{
+    return intern(Term{Op::Abs, {Leaf{x}}}, [&] {
+        BitVec zero = CircuitBuilder::constBV(APInt::zero(x.size()));
+        return b_.bvMux(x.back(), chain(Op::Add, zero, x, true), x);
     });
 }
 
@@ -438,6 +489,7 @@ class Encoder
                                        const std::vector<ValueEnc> *shared);
 
   private:
+    void computeDemand(const ir::Function &fn);
     ValueEnc valueOf(const Value *v);
     void encodeInstruction(const Instruction *inst);
 
@@ -462,8 +514,103 @@ class Encoder
     CircuitBuilder &b_;
     TermTable &t_;
     std::map<const Value *, ValueEnc> env_;
+    /** Low bits of each instruction's value that some use reads. */
+    std::map<const Instruction *, unsigned> demand_;
     CLit ub_ = CircuitBuilder::kFalse;
 };
+
+/** True for add, sub, mul, and, or and xor without flags: the low d
+ *  result bits depend on the low d operand bits alone. */
+bool
+lowBitsOnly(const Instruction *inst)
+{
+    switch (inst->op()) {
+      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+      case Opcode::And: case Opcode::Or: case Opcode::Xor:
+        return inst->flags() == ir::InstFlags{};
+      default:
+        return false;
+    }
+}
+
+/** Bits up to the highest set bit of any lane of constant @p v, or
+ *  nullopt if @p v is not an integer constant. */
+std::optional<unsigned>
+maskBits(const Value *v)
+{
+    auto bits = [](const Value *c) {
+        const APInt &value = static_cast<const ir::ConstantInt *>(c)->value();
+        return value.width() - value.countLeadingZeros();
+    };
+    if (v->kind() == Value::Kind::ConstInt)
+        return bits(v);
+    if (v->kind() != Value::Kind::ConstVector)
+        return std::nullopt;
+    unsigned most = 0;
+    for (const Value *e : static_cast<const ir::ConstantVector *>(v)
+                              ->elements()) {
+        if (e->kind() != Value::Kind::ConstInt)
+            return std::nullopt;
+        most = std::max(most, bits(e));
+    }
+    return most;
+}
+
+/**
+ * Demanded width, one backward pass: an instruction's demand is the
+ * widest its uses read. add, sub, mul, and, or and xor without flags
+ * read only their own demand of their operands (low result bits depend
+ * on low operand bits alone), and of that, `and` with a constant reads
+ * no operand bit above the mask's highest set bit. trunc without flags
+ * and select arms pass their demand through. Everything else — ret,
+ * icmp, shifts, division, casts, intrinsics, select conditions and any
+ * flagged operation (whose poison reads every bit) — reads its
+ * operands in full.
+ */
+void
+Encoder::computeDemand(const ir::Function &fn)
+{
+    auto need = [&](const Value *v, unsigned bits) {
+        if (v->kind() != Value::Kind::Instruction)
+            return;
+        unsigned &d = demand_[static_cast<const Instruction *>(v)];
+        d = std::max(d, bits);
+    };
+    auto full = [](const Value *v) {
+        return v->type()->scalarType()->intWidth();
+    };
+    const auto &insts = fn.entry()->instructions();
+    for (auto it = insts.rbegin(); it != insts.rend(); ++it) {
+        const Instruction *inst = it->get();
+        const unsigned d = demand_[inst];
+        if (lowBitsOnly(inst)) {
+            for (unsigned i = 0; i < 2; ++i) {
+                std::optional<unsigned> mask =
+                    inst->op() == Opcode::And ? maskBits(inst->operand(1 - i))
+                                              : std::nullopt;
+                need(inst->operand(i), mask ? std::min(d, *mask) : d);
+            }
+            continue;
+        }
+        switch (inst->op()) {
+          case Opcode::Trunc:
+            if (inst->flags() != ir::InstFlags{})
+                break;
+            need(inst->operand(0), d);
+            continue;
+          case Opcode::Select:
+            need(inst->operand(0), 1);
+            need(inst->operand(1), d);
+            need(inst->operand(2), d);
+            continue;
+          default:
+            break;
+        }
+        for (const Value *operand : inst->operands())
+            if (operand->type()->isIntOrIntVector())
+                need(operand, full(operand));
+    }
+}
 
 ValueEnc
 Encoder::valueOf(const Value *v)
@@ -774,7 +921,7 @@ Encoder::intrinsicLane(const Instruction *inst,
         // args[1] is a constant immarg.
         if (args[1].bits[0] == CircuitBuilder::kTrue)
             poison = b_.orGate(poison, is_min);
-        bits = b_.bvMux(x.back(), b_.bvNeg(x), x);
+        bits = t_.abs(x);
         break;
       }
       case Intrinsic::CtPop:
@@ -835,8 +982,19 @@ Encoder::encodeInstruction(const Instruction *inst)
     if (inst->isIntBinaryOp()) {
         ValueEnc a = valueOf(inst->operand(0));
         ValueEnc b = valueOf(inst->operand(1));
-        for (unsigned i = 0; i < lanes; ++i)
+        // Below full demand, build the low bits alone; the rest are
+        // never read.
+        const unsigned width = inst->type()->scalarType()->intWidth();
+        const unsigned demand =
+            lowBitsOnly(inst) ? std::max(demand_[inst], 1u) : width;
+        for (unsigned i = 0; i < lanes; ++i) {
+            if (demand < width) {
+                a[i].bits.resize(demand);
+                b[i].bits.resize(demand);
+            }
             out.push_back(intBinaryLane(inst, a[i], b[i]));
+            out.back().bits.resize(width, CircuitBuilder::kFalse);
+        }
         env_[inst] = out;
         return;
     }
@@ -908,6 +1066,7 @@ Encoder::run(const ir::Function &fn, const std::vector<ValueEnc> *shared)
     if (!canEncode(fn))
         return std::nullopt;
 
+    computeDemand(fn);
     EncodedFunction result;
     for (unsigned i = 0; i < fn.numArgs(); ++i) {
         const Type *type = fn.arg(i)->type();

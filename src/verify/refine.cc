@@ -253,6 +253,9 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         (void)encoded;
         work.encode_ns = timer.stopNanos();
     }
+    work.circuit_merges = builder.merges();
+    work.window_checks = builder.windowChecks();
+    work.failed_checks = builder.failedChecks();
 
     const std::vector<uint64_t> tiers = budgetLadder(options);
     SatResult sat = SatResult::Unknown;
@@ -693,7 +696,7 @@ usesSatBackend(const ir::Function &src, const ir::Function &tgt)
 {
     // Vector-heavy circuits can be large; fall back to testing when
     // the total bit count is excessive.
-    return canEncode(src) && canEncode(tgt) && inputSpaceBits(src) <= 128;
+    return canEncode(src) && canEncode(tgt) && inputSpaceBits(src) <= 256;
 }
 
 std::vector<uint64_t>

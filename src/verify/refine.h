@@ -68,6 +68,12 @@ struct VerifyWork
                                      ///< soundly (full input-space
                                      ///< enumeration)
     uint64_t degraded = 0;           ///< queries ending in Degraded
+    /** Circuit builder work (smt::CircuitBuilder): gates answered by
+     *  an existing node proved equal over a window, window proofs
+     *  attempted, and those that found no equality. */
+    uint64_t circuit_merges = 0;
+    uint64_t window_checks = 0;
+    uint64_t failed_checks = 0;
     /** Wall time spent encoding the query and in the solver: real
      *  time, reported by --profile, never compared for determinism. */
     uint64_t encode_ns = 0;

@@ -485,17 +485,29 @@ TEST(PipelineMissTest, NonFinalOutcomesAreNeverRemembered)
     }
     {
         // A correct i64 rewrite under a one-conflict ladder: the SAT
-        // tiers run out and sampled testing cannot conclude.
+        // tiers run out and sampled testing cannot conclude. It holds
+        // only without signed overflow, so no circuit rewrite proves it
+        // and the solver must search.
         std::string dir = freshStoreDir("miss_degraded");
-        FixedClient client("define i64 @seq(i64 %x, i64 %y) {\n"
-                           "  %r = add i64 %x, %y\n  ret i64 %r\n}\n");
+        const std::string src = "define i1 @seq(i64 %a, i64 %b) {\n"
+                                "  %s = sub nsw i64 %a, %b\n"
+                                "  %t = add nsw i64 %a, %b\n"
+                                "  %c = icmp sgt i64 %s, %t\n"
+                                "  ret i1 %c\n}\n";
+        const std::string tgt = "define i1 @seq(i64 %a, i64 %b) {\n"
+                                "  %c = icmp slt i64 %b, 0\n"
+                                "  ret i1 %c\n}\n";
+        ir::Context ctx;
+        verify::RefinementResult unbudgeted = verify::checkRefinement(
+            *ir::parseFunction(ctx, src).take(),
+            *ir::parseFunction(ctx, tgt).take());
+        ASSERT_EQ(unbudgeted.verdict, verify::Verdict::Correct);
+        ASSERT_GE(unbudgeted.work.conflicts, 2u)
+            << "the fixture must need more than the one-conflict ladder";
+        FixedClient client(tgt);
         PipelineConfig config;
         config.refine.budget_tiers = {1};
-        MissRun run = runOnce(client, config, dir,
-                              "define i64 @seq(i64 %x, i64 %y) {\n"
-                              "  %a = and i64 %x, %y\n"
-                              "  %o = or i64 %x, %y\n"
-                              "  %r = add i64 %a, %o\n  ret i64 %r\n}\n");
+        MissRun run = runOnce(client, config, dir, src);
         EXPECT_EQ(run.outcome.status, CaseStatus::Degraded);
         EXPECT_EQ(run.stats.store_misses_flushed, 0u);
     }

@@ -178,6 +178,50 @@ TEST(RefineTest, ExhaustiveBackendForSmallInputs)
     EXPECT_EQ(r.verdict, Verdict::Correct);
 }
 
+// Scalar queries of up to 256 input bits go to SAT. An xor chain over
+// a zext'd i1 and two i64s (129 bits) proves there, and a wrong
+// variant gets a SAT counterexample that really distinguishes the two
+// functions when run through the interpreter.
+TEST(RefineTest, WideScalarQueriesUseSat)
+{
+    const char *src =
+        "define i64 @src(i1 %c, i64 %a, i64 %b) {\n"
+        "  %z = zext i1 %c to i64\n"
+        "  %x = xor i64 %a, %z\n"
+        "  %r = xor i64 %x, %b\n"
+        "  ret i64 %r\n}\n";
+    auto r = check(src,
+                   "define i64 @tgt(i1 %c, i64 %a, i64 %b) {\n"
+                   "  %z = zext i1 %c to i64\n"
+                   "  %x = xor i64 %b, %z\n"
+                   "  %r = xor i64 %a, %x\n"
+                   "  ret i64 %r\n}\n");
+    EXPECT_EQ(r.verdict, Verdict::Correct);
+    EXPECT_EQ(r.backend, "sat");
+
+    const char *wrong = "define i64 @tgt(i1 %c, i64 %a, i64 %b) {\n"
+                        "  %r = xor i64 %a, %b\n"
+                        "  ret i64 %r\n}\n";
+    r = check(src, wrong);
+    ASSERT_EQ(r.verdict, Verdict::Incorrect);
+    EXPECT_EQ(r.backend, "sat");
+    ASSERT_TRUE(r.counterexample.has_value());
+    ir::Context ctx;
+    auto s = ir::parseFunction(ctx, src);
+    auto t = ir::parseFunction(ctx, wrong);
+    ASSERT_TRUE(s.ok() && t.ok());
+    interp::ExecutionResult src_run =
+        interp::execute(**s, r.counterexample->input);
+    interp::ExecutionResult tgt_run =
+        interp::execute(**t, r.counterexample->input);
+    ASSERT_FALSE(src_run.ub);
+    ASSERT_FALSE(tgt_run.ub);
+    ASSERT_TRUE(src_run.ret && tgt_run.ret);
+    EXPECT_FALSE(src_run.ret->anyPoison());
+    EXPECT_NE(src_run.ret->scalar().bits.zext(),
+              tgt_run.ret->scalar().bits.zext());
+}
+
 TEST(RefineTest, VectorRefinement)
 {
     auto r = check(

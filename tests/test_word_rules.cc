@@ -1,6 +1,7 @@
 // Soundness of the encoder's word-level rules (verify/encoder.cc,
-// TermTable). Every rule there is a bit-vector identity, so each is
-// checked three ways:
+// TermTable) and of its demanded widths. Every rule there is a
+// bit-vector identity, so each is checked three ways (demanded widths
+// the first way only):
 //
 //  - Exhaustive agreement: each rule shape (and near misses that must
 //    not match) is encoded symbolically, over fresh argument variables
@@ -63,7 +64,8 @@ struct Shape
 {
     const char *name;
     unsigned args;
-    const char *body; ///< function text over T
+    const char *body;        ///< function text over T
+    unsigned min_width = 1;  ///< narrowest T the body is valid at
 };
 
 // Two-argument shapes are "f(T %a, T %b)", three-argument shapes add
@@ -235,6 +237,120 @@ const Shape kShapes[] = {
      "  %s = xor T %a, 0\n"
      "  %t = xor T %s, %b\n"
      "  %r = xor T %t, %b\n"},
+    {"abs_intrinsic", 2,
+     "  %r = call T @llvm.abs.T(T %a, i1 false)\n"},
+    {"abs_intrinsic_int_min_poison", 2,
+     "  %r = call T @llvm.abs.T(T %b, i1 true)\n"},
+    {"smax_negation_is_abs", 2,
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %a, T %n)\n"},
+    {"smax_negation_first_is_abs", 2,
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %n, T %a)\n"},
+    {"smax_negation_nsw_is_abs", 2,
+     "  %n = sub nsw T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %a, T %n)\n"},
+    {"select_slt_zero_is_abs", 2,
+     "  %c = icmp slt T %a, 0\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %n, T %a\n"},
+    {"select_sle_zero_is_abs", 2,
+     "  %c = icmp sle T %a, 0\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %n, T %a\n"},
+    {"select_sgt_minus_one_is_abs", 2,
+     "  %c = icmp sgt T %a, -1\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %a, T %n\n"},
+    {"select_sgt_zero_is_abs", 2,
+     "  %c = icmp sgt T %a, 0\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %a, T %n\n"},
+    // Near misses: smin is the negated abs, the arms face the wrong
+    // way, the bound is another value, the negation is of another
+    // value.
+    {"smin_negation_near_miss", 2,
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smin.T(T %a, T %n)\n"},
+    {"select_slt_swapped_arms_near_miss", 2,
+     "  %c = icmp slt T %a, 0\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %a, T %n\n"},
+    {"select_slt_foreign_bound_near_miss", 2,
+     "  %c = icmp slt T %a, %b\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %n, T %a\n"},
+    {"smax_foreign_negation_near_miss", 2,
+     "  %n = sub T 0, %b\n"
+     "  %r = call T @llvm.smax.T(T %a, T %n)\n"},
+    // Demanded width: operations whose uses read only low bits are
+    // built at that width (DESIGN.md, "Word-level term layer").
+    {"demand_square_parity", 2,
+     "  %m = mul T %a, %a\n"
+     "  %r = and T %m, 1\n"},
+    {"demand_mask_through_chain", 2,
+     "  %x = xor T %a, %b\n"
+     "  %m = mul T %x, %b\n"
+     "  %s = sub T %m, %a\n"
+     "  %o = or T %s, %b\n"
+     "  %r = and T %o, 3\n"},
+    {"demand_select_arm", 2,
+     "  %c = icmp ult T %a, %b\n"
+     "  %m = mul T %a, %b\n"
+     "  %s = select i1 %c, T %m, T %a\n"
+     "  %r = and T 1, %s\n"},
+    {"demand_trunc", 2,
+     "  %m = mul T %a, %b\n"
+     "  %t = trunc T %m to i1\n"
+     "  %r = select i1 %t, T %a, T %b\n", 2},
+    // Near misses: flags make poison read every operand bit; shifts,
+    // compares and division read their operands in full; a high-bit
+    // mask demands the high bits; a second use reads the full width.
+    {"demand_mul_nsw_near_miss", 2,
+     "  %m = mul nsw T %a, %b\n"
+     "  %r = and T %m, 1\n"},
+    {"demand_mul_nuw_near_miss", 2,
+     "  %m = mul nuw T %a, %b\n"
+     "  %r = and T %m, 1\n"},
+    {"demand_add_nsw_near_miss", 2,
+     "  %s = add nsw T %a, %b\n"
+     "  %r = and T %s, 1\n"},
+    {"demand_lshr_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %s = lshr T %m, 1\n"
+     "  %r = and T %s, 1\n"},
+    {"demand_ashr_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %s = ashr T %m, 1\n"
+     "  %r = and T %s, 1\n"},
+    {"demand_icmp_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %c = icmp ult T %m, %a\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"demand_udiv_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %q = udiv T %m, %b\n"
+     "  %r = and T %q, 1\n"},
+    {"demand_high_mask_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %r = and T %m, -2\n"},
+    {"demand_second_use_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %l = and T %m, 1\n"
+     "  %r = add T %l, %m\n"},
+    {"demand_earlier_full_use_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %h = add T %m, %b\n"
+     "  %l = and T %m, 1\n"
+     "  %r = xor T %l, %h\n"},
+    {"demand_trunc_nuw_near_miss", 2,
+     "  %m = mul T %a, %b\n"
+     "  %t = trunc nuw T %m to i1\n"
+     "  %r = select i1 %t, T %a, T %b\n", 2},
+    {"demand_trunc_nsw_near_miss", 2,
+     "  %m = add T %a, %b\n"
+     "  %t = trunc nsw T %m to i1\n"
+     "  %r = select i1 %t, T %a, T %b\n", 2},
 };
 
 std::string
@@ -272,7 +388,7 @@ checkShapes(unsigned arity, unsigned width)
         args.push_back({LaneEnc{cb.freshBV(width), CircuitBuilder::kFalse}});
     std::vector<Case> cases;
     for (const Shape &shape : kShapes) {
-        if (shape.args != arity)
+        if (shape.args != arity || width < shape.min_width)
             continue;
         Case c{shape.name, parse(ctx, shapeText(shape, width)), {}, {}};
         ASSERT_TRUE(c.fn && canEncode(*c.fn)) << shape.name;
@@ -428,6 +544,25 @@ const Firing kFirings[] = {
      "  %s = xor T %a, %b\n"
      "  %r = xor T %s, %a\n",
      "  %r = xor T %b, 0\n"},
+    {"smax_negation_is_abs",
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %a, T %n)\n",
+     "  %r = call T @llvm.abs.T(T %a, i1 false)\n"},
+    {"smax_negation_first_is_abs",
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %n, T %a)\n",
+     "  %r = call T @llvm.abs.T(T %a, i1 false)\n"},
+    {"select_slt_zero_is_abs",
+     "  %c = icmp slt T %a, 0\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %n, T %a\n",
+     "  %n = sub T 0, %a\n"
+     "  %r = call T @llvm.smax.T(T %n, T %a)\n"},
+    {"select_sgt_minus_one_is_abs",
+     "  %c = icmp sgt T %a, -1\n"
+     "  %n = sub T 0, %a\n"
+     "  %r = select i1 %c, T %a, T %n\n",
+     "  %r = call T @llvm.abs.T(T %a, i1 false)\n"},
 };
 
 class WordRuleFiring : public testing::TestWithParam<Firing>
@@ -609,6 +744,20 @@ const Identity kIdentities[] = {
      [](Words &w) {
          return std::make_pair(w.b.bvAdd(w.b.bvNeg(w.x), w.a),
                                w.b.bvSub(w.a, w.x));
+     }},
+    {"smax_negation_is_abs",
+     [](Words &w) {
+         BitVec neg = w.b.bvNeg(w.a);
+         return std::make_pair(w.smax(w.a, neg),
+                               w.b.bvMux(w.a.back(), neg, w.a));
+     }},
+    {"select_sgt_minus_one_is_abs",
+     [](Words &w) {
+         BitVec neg = w.b.bvNeg(w.a);
+         CLit positive =
+             w.b.bvSLt(CircuitBuilder::constBV(APInt::allOnes(64)), w.a);
+         return std::make_pair(w.b.bvMux(positive, w.a, neg),
+                               w.b.bvMux(w.a.back(), neg, w.a));
      }},
     {"xor_reassociates_and_cancels",
      [](Words &w) {

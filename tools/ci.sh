@@ -32,17 +32,20 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # test_exec_plan drive the verifier's concrete sweep on the task scope
 # at 1/2/8 threads, and the i64 overflow predicates under UBSan.
 # test_sat covers the solver's clause arena, watch-list rebuilds and
-# learnt-clause reduction; test_bitblast, test_encoder and
-# test_word_rules cover the circuit builder's unique table and the
-# encoder's word-level term table.
+# learnt-clause reduction; test_bitblast, test_encoder,
+# test_word_rules and test_functional_hashing cover the circuit
+# builder's unique and signature tables, its window proofs, and the
+# encoder's word-level term table and demanded widths.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
-    test_sat test_bitblast test_encoder test_word_rules
+    test_sat test_bitblast test_encoder test_word_rules \
+    test_functional_hashing
 ./build-sanitize/test_sat
 ./build-sanitize/test_bitblast
 ./build-sanitize/test_encoder
 ./build-sanitize/test_word_rules
+./build-sanitize/test_functional_hashing
 ./build-sanitize/test_task_graph
 ./build-sanitize/test_refine
 ./build-sanitize/test_exec_plan
@@ -103,8 +106,8 @@ echo "=== Observability: traced module run (Release) ==="
 # module with tracing, metrics, and the profile table on. The trace
 # and metrics files must be valid JSON (json.tool is the arbiter),
 # the trace must contain a span for every pipeline phase, the profile
-# must carry the solver-work (sat:) and degradation lines and the
-# slowest-verify-calls table, and — the hard invariant — the emitted
+# must carry the solver-work (sat:), circuit builder (circuit:) and
+# degradation lines and the slowest-verify-calls table, and — the hard invariant — the emitted
 # module must be byte-identical with and without observability,
 # serial and threaded.
 obs_dir=build-release/observability
@@ -146,7 +149,7 @@ grep -q '"module.latency_ns"' "${obs_dir}/metrics.lpo.json" || {
 }
 for threads in 1 8; do
     cat "${obs_dir}/profile_t${threads}.txt"
-    for line in sat degradation; do
+    for line in sat circuit degradation; do
         grep -q "^${line}: " "${obs_dir}/profile_t${threads}.txt" || {
             echo "FAIL: --profile at ${threads} thread(s) is missing" \
                  "the ${line}: line"
@@ -159,7 +162,7 @@ for threads in 1 8; do
         exit 1
     }
 done
-echo "observability: --profile reports sat:, degradation: and the slowest verify calls at 1 and 8 threads"
+echo "observability: --profile reports sat:, circuit:, degradation: and the slowest verify calls at 1 and 8 threads"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/traced_t1.ll"
 cmp "${obs_dir}/plain_t8.ll" "${obs_dir}/traced_t8.ll"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/plain_t8.ll"
