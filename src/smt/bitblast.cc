@@ -24,7 +24,8 @@ constexpr uint64_t kLeafTables[kWindowLeaves] = {
     0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
 };
-/** Cone nodes a window may open before its proof is given up. */
+/** Cone nodes a window may open; past that it is evaluated as it
+ *  stands. */
 constexpr size_t kWindowExpansions = 16;
 
 int
