@@ -275,7 +275,6 @@ CLit
 CircuitBuilder::freshLit()
 {
     int var = solver_.newVar();
-    track(var);
     addToSigTable(var);
     return var;
 }
