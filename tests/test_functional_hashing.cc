@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -72,9 +73,10 @@ randomCircuit(Rng &rng, unsigned inputs, unsigned gates)
     auto pick = [&] {
         // Favour recent nodes so that cones grow deep.
         size_t n = exprs.size();
-        return static_cast<int>(rng.nextBelow(2) ? n - 1 - rng.nextBelow(
-                                                       std::min<size_t>(n, 8))
-                                                 : rng.nextBelow(n));
+        size_t recent = std::min<size_t>(n, 8);
+        return static_cast<int>(rng.nextBelow(2)
+                                    ? n - 1 - rng.nextBelow(recent)
+                                    : rng.nextBelow(n));
     };
     auto add = [&](Expr e) {
         exprs.push_back(e);
