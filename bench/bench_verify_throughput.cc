@@ -9,13 +9,14 @@
  * identical candidates recur across sites and rounds. The first round
  * proves each pair; later rounds hit the verification cache.
  *
- * Also records, for every SAT-fragment pair, the encoded query size
- * (variables, clauses, unique-table hits) and the conflicts one solve
- * of it takes under the default budget. Query sizes, conflicts and
- * cache hits are deterministic work counters: tools/ci.sh gates their
- * sums against bench/BENCH_verify.baseline.json, which also keeps the
- * numbers of the retired unhashed encoder as history. Emits
- * BENCH_verify.json.
+ * Also records, for every SAT-fragment pair, the circuit the builder
+ * made (its variables), the query the solver got (variables and
+ * clauses; none of the circuit when the miter folds to false),
+ * unique-table hits, and the conflicts one solve of it takes under the
+ * default budget. Query sizes, conflicts and cache hits are
+ * deterministic work counters: tools/ci.sh gates each query's against
+ * bench/BENCH_verify.baseline.json, which also keeps the numbers of
+ * the retired unhashed encoder as history. Emits BENCH_verify.json.
  */
 #include <chrono>
 #include <cstdio>
@@ -54,6 +55,7 @@ secondsSince(Clock::time_point start)
 
 struct QuerySize
 {
+    int nodes = 0;
     int vars = 0;
     uint64_t clauses = 0;
     uint64_t unique_hits = 0;
@@ -70,8 +72,8 @@ encodeQuery(const ir::Function &src, const ir::Function &tgt,
     smt::CircuitBuilder builder(solver);
     if (!verify::encodeRefinementQuery(builder, src, tgt))
         return {};
-    QuerySize size{solver.numVars(), solver.clausesAdded(),
-                   builder.uniqueTableHits()};
+    QuerySize size{builder.numNodes(), solver.numVars(),
+                   solver.clausesAdded(), builder.uniqueTableHits()};
     solver.solve(budget);
     size.conflicts = solver.conflicts();
     return size;
@@ -139,13 +141,14 @@ main()
 
     double total_seconds = 0;
     uint64_t sat_queries = 0, sat_vars_total = 0, sat_clauses_total = 0;
-    uint64_t sat_conflicts_total = 0;
+    uint64_t sat_conflicts_total = 0, circuit_nodes_total = 0;
     const uint64_t budget = verify::RefineOptions{}.conflict_budget;
     for (size_t i = 0; i < catalog.size(); ++i) {
         // Query-size and search accounting for the SAT fragment.
         if (verify::usesSatBackend(*srcs[i], *tgts[i])) {
             results[i].size = encodeQuery(*srcs[i], *tgts[i], budget);
             ++sat_queries;
+            circuit_nodes_total += results[i].size.nodes;
             sat_vars_total += results[i].size.vars;
             sat_clauses_total += results[i].size.clauses;
             sat_conflicts_total += results[i].size.conflicts;
@@ -156,16 +159,16 @@ main()
     const uint64_t candidates = catalog.size() * kRounds;
     double cands_per_sec = candidates / total_seconds;
 
-    std::printf("\n%-14s %-10s %10s %8s %9s %7s %9s\n", "case",
-                "backend", "cand/s", "vars", "clauses", "hits",
+    std::printf("\n%-14s %-10s %10s %8s %8s %9s %7s %9s\n", "case",
+                "backend", "cand/s", "nodes", "vars", "clauses", "hits",
                 "conflicts");
     core::JsonWriter json;
     json.beginObject();
     json.key("benchmarks").beginArray();
     for (const CaseResult &r : results) {
-        std::printf("%-14s %-10s %10.0f %8d %9llu %7llu %9llu\n",
+        std::printf("%-14s %-10s %10.0f %8d %8d %9llu %7llu %9llu\n",
                     r.name.c_str(), r.backend.c_str(),
-                    kRounds / r.seconds, r.size.vars,
+                    kRounds / r.seconds, r.size.nodes, r.size.vars,
                     static_cast<unsigned long long>(r.size.clauses),
                     static_cast<unsigned long long>(r.size.unique_hits),
                     static_cast<unsigned long long>(r.size.conflicts));
@@ -173,6 +176,7 @@ main()
         json.field("name", r.name);
         json.field("backend", r.backend);
         json.field("cands_per_sec", kRounds / r.seconds, 1);
+        json.field("circuit_nodes", r.size.nodes);
         json.field("sat_vars", r.size.vars);
         json.field("sat_clauses", r.size.clauses);
         json.field("unique_table_hits", r.size.unique_hits);
@@ -189,9 +193,10 @@ main()
     std::printf("verify cache: %s\n",
                 core::cacheSummary(cache_stats.hits, cache_stats.misses)
                     .c_str());
-    std::printf("SAT queries: %llu, %llu vars, %llu clauses, "
-                "%llu conflicts\n",
+    std::printf("SAT queries: %llu, %llu circuit nodes, %llu vars, "
+                "%llu clauses, %llu conflicts\n",
                 static_cast<unsigned long long>(sat_queries),
+                static_cast<unsigned long long>(circuit_nodes_total),
                 static_cast<unsigned long long>(sat_vars_total),
                 static_cast<unsigned long long>(sat_clauses_total),
                 static_cast<unsigned long long>(sat_conflicts_total));
@@ -202,6 +207,7 @@ main()
     json.field("cache_misses", cache_stats.misses);
     json.field("cache_hit_rate", hit_rate, 4);
     json.field("sat_queries", sat_queries);
+    json.field("circuit_nodes_total", circuit_nodes_total);
     json.field("sat_vars_total", sat_vars_total);
     json.field("sat_clauses_total", sat_clauses_total);
     json.field("sat_conflicts_total", sat_conflicts_total);

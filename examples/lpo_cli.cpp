@@ -671,9 +671,10 @@ usage()
         "                             decisions / conflicts /\n"
         "                             propagations / restarts), the\n"
         "                             circuit builder line (circuit:\n"
-        "                             merges / window checks / failed\n"
-        "                             checks) and the degradation line\n"
-        "                             (budget-ladder\n"
+        "                             nodes built (emitted to the\n"
+        "                             solver) / merges / window checks\n"
+        "                             / failed checks) and the\n"
+        "                             degradation line (budget-ladder\n"
         "                             escalations, concrete fallbacks,\n"
         "                             degraded verdicts, contained\n"
         "                             exceptions) on stderr after the\n"

@@ -37,6 +37,8 @@ addVerifyWork(PipelineStats &stats, const verify::VerifyWork &work)
     stats.concrete_fallbacks += work.concrete_fallbacks;
     stats.exhaustive_rescues += work.exhaustive_rescues;
     stats.degraded_verdicts += work.degraded;
+    stats.circuit_nodes += work.circuit_nodes;
+    stats.circuit_emitted += work.circuit_emitted;
     stats.circuit_merges += work.circuit_merges;
     stats.window_checks += work.window_checks;
     stats.failed_checks += work.failed_checks;
@@ -739,6 +741,8 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.sat_conflicts += delta.sat_conflicts;
     stats_.sat_propagations += delta.sat_propagations;
     stats_.sat_restarts += delta.sat_restarts;
+    stats_.circuit_nodes += delta.circuit_nodes;
+    stats_.circuit_emitted += delta.circuit_emitted;
     stats_.circuit_merges += delta.circuit_merges;
     stats_.window_checks += delta.window_checks;
     stats_.failed_checks += delta.failed_checks;

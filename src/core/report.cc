@@ -93,14 +93,17 @@ satStatsLine(const PipelineStats &stats)
     return line;
 }
 
-/** "circuit: ..." — the circuit builder's functional-hashing work. */
+/** "circuit: ..." — the circuit builder's size and functional-hashing
+ *  work. */
 std::string
 circuitStatsLine(const PipelineStats &stats)
 {
-    char line[160];
+    char line[224];
     std::snprintf(line, sizeof(line),
-                  "circuit: %llu merges, %llu window checks, "
-                  "%llu failed checks\n",
+                  "circuit: %llu nodes (%llu emitted), %llu merges, "
+                  "%llu window checks, %llu failed checks\n",
+                  static_cast<unsigned long long>(stats.circuit_nodes),
+                  static_cast<unsigned long long>(stats.circuit_emitted),
                   static_cast<unsigned long long>(stats.circuit_merges),
                   static_cast<unsigned long long>(stats.window_checks),
                   static_cast<unsigned long long>(stats.failed_checks));

@@ -81,9 +81,9 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * scheduler counters, the one-line solver work summary ("sat:
  * solves / decisions / conflicts / propagations / restarts" across
  * every SAT verification performed), the circuit builder's line
- * ("circuit: merges / window checks / failed checks") and
- * degradationStatsLine, all printed even when all-zero. Purely
- * additive — never part of moduleSummary's default output, so
+ * ("circuit: nodes (emitted) / merges / window checks / failed
+ * checks") and degradationStatsLine, all printed even when all-zero.
+ * Purely additive — never part of moduleSummary's default output, so
  * existing pinned summaries stay byte-identical.
  */
 std::string profileSummary(const PipelineStats &stats,

@@ -42,23 +42,10 @@ isConst(CLit lit)
 
 } // namespace
 
-void
-CircuitBuilder::track(int var)
-{
-    while (static_cast<int>(gates_.size()) <= var) {
-        int v = static_cast<int>(gates_.size());
-        gates_.push_back(Gate{});
-        sigs_.push_back({inputPattern(v, 0), inputPattern(v, 1),
-                         inputPattern(v, 2), inputPattern(v, 3)});
-    }
-}
-
 CircuitBuilder::Sig
-CircuitBuilder::sigOf(CLit lit)
+CircuitBuilder::sigOf(CLit lit) const
 {
-    int var = varOf(lit);
-    track(var);
-    Sig sig = sigs_[var];
+    Sig sig = sigs_[varOf(lit)];
     if (lit < 0)
         for (uint64_t &word : sig)
             word = ~word;
@@ -129,13 +116,18 @@ CircuitBuilder::addToSigTable(CLit lit)
     }
 }
 
+int
+CircuitBuilder::newVar(const Gate &gate, const Sig &sig)
+{
+    gates_.push_back(gate);
+    sigs_.push_back(sig);
+    return numNodes();
+}
+
 CLit
 CircuitBuilder::newGate(uint8_t kind, CLit a, CLit b, const Sig &sig)
 {
-    int var = solver_.newVar();
-    track(var - 1);
-    gates_.push_back(Gate{kind, a, b});
-    sigs_.push_back(sig);
+    int var = newVar(Gate{kind, a, b}, sig);
     // The slot the failed sweep found free for this signature.
     if (pending_slot_ != kNoSlot) {
         sig_table_[pending_slot_] = pending_flip_ ? -var : var;
@@ -274,7 +266,9 @@ CircuitBuilder::insertNode(const NodeKey &key, CLit out)
 CLit
 CircuitBuilder::freshLit()
 {
-    int var = solver_.newVar();
+    int var = numNodes() + 1;
+    newVar(Gate{}, {inputPattern(var, 0), inputPattern(var, 1),
+                    inputPattern(var, 2), inputPattern(var, 3)});
     addToSigTable(var);
     return var;
 }
@@ -323,13 +317,8 @@ CircuitBuilder::andGate(CLit a, CLit b)
     for (size_t i = 0; i < sig.size(); ++i)
         sig[i] &= sig_b[i];
     CLit out = sweep(kAnd, a, b, sig);
-    if (!out) {
+    if (!out)
         out = newGate(kAnd, a, b, sig);
-        // out <-> a & b
-        solver_.addBinary(-out, a);
-        solver_.addBinary(-out, b);
-        solver_.addTernary(out, -a, -b);
-    }
     insertNode(key, out);
     return out;
 }
@@ -376,14 +365,8 @@ CircuitBuilder::xorGate(CLit a, CLit b)
         for (size_t i = 0; i < sig.size(); ++i)
             sig[i] ^= sig_b[i];
         out = sweep(kXor, a, b, sig);
-        if (!out) {
+        if (!out)
             out = newGate(kXor, a, b, sig);
-            // out <-> a ^ b
-            solver_.addTernary(-out, a, b);
-            solver_.addTernary(-out, -a, -b);
-            solver_.addTernary(out, -a, b);
-            solver_.addTernary(out, a, -b);
-        }
         insertNode(key, out);
     }
     return negate ? -out : out;
@@ -449,17 +432,42 @@ CircuitBuilder::orMany(const std::vector<CLit> &lits)
 }
 
 void
+CircuitBuilder::emit()
+{
+    const int nodes = numNodes();
+    for (int var = emitted_; var < nodes; ++var)
+        solver_.newVar();
+    assert(solver_.numVars() == nodes &&
+           "the builder is the solver's only source of variables");
+    for (int out = emitted_ + 1; out <= nodes; ++out) {
+        const Gate &g = gates_[out];
+        if (g.kind == kAnd) {
+            // out <-> a & b
+            solver_.addBinary(-out, g.a);
+            solver_.addBinary(-out, g.b);
+            solver_.addTernary(out, -g.a, -g.b);
+        } else if (g.kind == kXor) {
+            // out <-> a ^ b
+            solver_.addTernary(-out, g.a, g.b);
+            solver_.addTernary(-out, -g.a, -g.b);
+            solver_.addTernary(out, -g.a, g.b);
+            solver_.addTernary(out, g.a, -g.b);
+        }
+    }
+    emitted_ = nodes;
+}
+
+void
 CircuitBuilder::require(CLit a)
 {
     if (a == kTrue)
         return;
     if (a == kFalse) {
-        // Assert an explicit contradiction.
-        int v = solver_.newVar();
-        solver_.addUnit(v);
-        solver_.addUnit(-v);
+        // Nothing built so far can matter: the formula is unsat.
+        solver_.addEmptyClause();
         return;
     }
+    emit();
     solver_.addUnit(a);
 }
 
@@ -476,6 +484,7 @@ CircuitBuilder::requireImplies(CLit guard, CLit a)
         require(-guard);
         return;
     }
+    emit();
     solver_.addBinary(-guard, a);
 }
 
@@ -854,7 +863,9 @@ CircuitBuilder::modelLit(CLit a) const
         return true;
     if (a == kFalse)
         return false;
-    bool value = solver_.modelValue(a > 0 ? a : -a);
+    assert(varOf(a) <= solver_.numVars() &&
+           "modelLit on a variable emit() has not handed to the solver");
+    bool value = solver_.modelValue(varOf(a));
     return a > 0 ? value : !value;
 }
 

@@ -4,8 +4,10 @@
  *
  * Together with SatSolver this forms the SMT(QF_BV) substrate the
  * translation validator runs on. Words are vectors of literals, LSB
- * first. Gate constructors fold constants so that circuits built over
- * constant inputs produce no clauses at all.
+ * first. Gate constructors fold constants and record each remaining
+ * gate in the builder; its clauses reach the solver only when a
+ * constraint over the circuit is asserted, so a circuit that folds to
+ * a constant, or a constraint that does, produces no clauses at all.
  */
 #ifndef LPO_SMT_BITBLAST_H
 #define LPO_SMT_BITBLAST_H
@@ -29,14 +31,22 @@ using BitVec = std::vector<CLit>;
 /**
  * Builds circuits over a SatSolver.
  *
+ * Every free input and gate is a builder variable, numbered in
+ * creation order; the builder keeps each one's definition and emits
+ * nothing while gates are built. require() and requireImplies() first
+ * emit(): the solver gets the same variables, and each pending gate's
+ * Tseitin clauses in variable order, so the CNF is clause for clause
+ * the one an eager encoding would give. A constraint that folds to
+ * false makes the solver unsat with the empty clause instead, and the
+ * circuit under it is never emitted.
+ *
  * Gate construction is structurally hashed (AIG-style unique table):
  * AND/XOR/MUX nodes are canonicalized (commutative operands ordered,
  * XOR negations pulled out of the node, MUX selector made positive)
- * and looked up before any variable or clause is emitted, so an
- * identical subcircuit built twice — e.g. the re-encoded source
- * function shared by every candidate of one extraction site, or the
- * shared prefix of a src/tgt pair — costs one variable and one clause
- * set, not two.
+ * and looked up before any variable is created, so an identical
+ * subcircuit built twice — e.g. the re-encoded source function shared
+ * by every candidate of one extraction site, or the shared prefix of a
+ * src/tgt pair — costs one variable and one clause set, not two.
  *
  * Gates are also functionally hashed: every variable carries a
  * 256-pattern simulation signature, and a gate that misses the unique
@@ -64,6 +74,19 @@ class CircuitBuilder
     /** Window proofs attempted, and those that found no equality. */
     uint64_t windowChecks() const { return window_checks_; }
     uint64_t failedChecks() const { return failed_checks_; }
+    /** Variables (free inputs and gates) built so far. */
+    int numNodes() const { return static_cast<int>(gates_.size()) - 1; }
+    /** Variables already handed to the solver by emit(). */
+    int numEmitted() const { return emitted_; }
+
+    /**
+     * Hand the solver every variable built since the last emit, then
+     * each new gate's Tseitin clauses in variable order. Constraints
+     * call this themselves; call it directly before solving to read
+     * a literal no constraint mentions from the model, or to inspect
+     * or copy the solver's formula.
+     */
+    void emit();
 
     /** A fresh unconstrained literal. */
     CLit freshLit();
@@ -82,9 +105,10 @@ class CircuitBuilder
     CLit andMany(const std::vector<CLit> &lits);
     CLit orMany(const std::vector<CLit> &lits);
 
-    /** Assert @p a at the top level. */
+    /** Assert @p a at the top level (emits the circuit first, unless
+     *  @p a is a constant). */
     void require(CLit a);
-    /** Assert (guard -> a). */
+    /** Assert (guard -> a), likewise. */
     void requireImplies(CLit guard, CLit a);
 
     // Bit-vector logic.
@@ -146,7 +170,8 @@ class CircuitBuilder
     CLit mulOverflowsU(const BitVec &a, const BitVec &b);
     CLit mulOverflowsS(const BitVec &a, const BitVec &b);
 
-    /** Read a literal from the model after Sat. */
+    /** Read a literal from the model after Sat; its variable must
+     *  have been emitted. */
     bool modelLit(CLit a) const;
     /** Read a bit-vector value from the model after Sat. */
     APInt modelBV(const BitVec &a) const;
@@ -197,10 +222,7 @@ class CircuitBuilder
     };
     static constexpr uint8_t kFree = 0, kAnd = 1, kXor = 2;
 
-    /** Register variables up to @p var (created by this builder or by
-     *  the solver's other clients) as free inputs. */
-    void track(int var);
-    Sig sigOf(CLit lit);
+    Sig sigOf(CLit lit) const;
     /** Invert @p sig if pattern 0 is true, so a node and its complement
      *  share one key; returns whether it inverted. */
     static bool normalize(Sig &sig);
@@ -217,6 +239,8 @@ class CircuitBuilder
     /** True if @p kind(@p a, @p b) equals @p cand on every assignment
      *  of a cut of at most six leaves under both cones. */
     bool windowEqual(uint8_t kind, CLit a, CLit b, CLit cand);
+    /** A fresh variable defined as @p gate, simulating as @p sig. */
+    int newVar(const Gate &gate, const Sig &sig);
     /** A fresh gate variable defined as @p kind(@p a, @p b). */
     CLit newGate(uint8_t kind, CLit a, CLit b, const Sig &sig);
     /** The carry out of one full-adder bit, given a ^ b. */
@@ -233,8 +257,11 @@ class CircuitBuilder
     SatSolver &solver_;
     std::unordered_map<NodeKey, CLit, NodeKeyHash> unique_;
     uint64_t unique_hits_ = 0;
-    std::vector<Gate> gates_; ///< indexed by variable
-    std::vector<Sig> sigs_;   ///< indexed by variable
+    /** Indexed by variable; slot 0 is unused (variables are 1-based,
+     *  like the solver's). */
+    std::vector<Gate> gates_ = std::vector<Gate>(1);
+    std::vector<Sig> sigs_ = std::vector<Sig>(1); ///< indexed by variable
+    int emitted_ = 0; ///< variables 1..emitted_ are in the solver
     /** Open-addressed: phase-normalised signature (pattern 0 false)
      *  -> the first node with it, as the literal carrying that phase. */
     std::vector<CLit> sig_table_;

@@ -185,6 +185,15 @@ SatSolver::addClause(std::vector<Lit> lits)
     return true;
 }
 
+void
+SatSolver::addEmptyClause()
+{
+    if (unsat_)
+        return;
+    ++clauses_added_;
+    unsat_ = true;
+}
+
 bool
 SatSolver::enqueue(int enc, int reason)
 {

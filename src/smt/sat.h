@@ -74,6 +74,12 @@ class SatSolver
     bool addUnit(Lit a) { return addClause({a}); }
     bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
     bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+    /**
+     * Add the empty clause: the formula becomes unsatisfiable (latched,
+     * see inconsistent()) without a variable or a propagation. Counted
+     * in clausesAdded() unless the formula was already known unsat.
+     */
+    void addEmptyClause();
 
     /**
      * Solve the current formula.

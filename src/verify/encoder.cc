@@ -1231,7 +1231,13 @@ encodeRefinementQuery(smt::CircuitBuilder &builder,
     if (!src_enc || !tgt_enc)
         return false;
 
-    builder.require(refinementViolation(builder, *src_enc, *tgt_enc));
+    CLit violation = refinementViolation(builder, *src_enc, *tgt_enc);
+    builder.require(violation);
+    // A miter that folds to true constrains nothing, so require()
+    // emitted nothing; emit the circuit anyway, since a counterexample
+    // is read from the argument variables.
+    if (violation == CircuitBuilder::kTrue)
+        builder.emit();
     if (shared_args_out)
         *shared_args_out = std::move(args);
     return true;

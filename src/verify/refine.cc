@@ -253,6 +253,8 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         (void)encoded;
         work.encode_ns = timer.stopNanos();
     }
+    work.circuit_nodes = builder.numNodes();
+    work.circuit_emitted = builder.numEmitted();
     work.circuit_merges = builder.merges();
     work.window_checks = builder.windowChecks();
     work.failed_checks = builder.failedChecks();

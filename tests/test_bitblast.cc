@@ -30,7 +30,7 @@ TEST(BitblastTest, ConstantsFoldWithoutClauses)
     BitVec a = CircuitBuilder::constBV(APInt(8, 200));
     BitVec b = CircuitBuilder::constBV(APInt(8, 100));
     BitVec sum = cb.bvAdd(a, b);
-    EXPECT_EQ(sat.numVars(), 0) << "constant circuit allocated vars";
+    EXPECT_EQ(cb.numNodes(), 0) << "constant circuit allocated vars";
     // Read the folded value directly from the literals.
     uint64_t value = 0;
     for (size_t i = 0; i < sum.size(); ++i)
@@ -53,7 +53,7 @@ TEST(BitblastTest, GateIdentities)
     EXPECT_EQ(cb.xorGate(x, -x), CircuitBuilder::kTrue);
     EXPECT_EQ(cb.muxGate(CircuitBuilder::kTrue, x, -x), x);
     // Constant folding allocates no variables at all.
-    EXPECT_EQ(sat.numVars(), 1);
+    EXPECT_EQ(cb.numNodes(), 1);
 }
 
 TEST(BitblastTest, HashConsingReturnsIdenticalLiterals)
@@ -95,19 +95,22 @@ TEST(BitblastTest, RepeatedSubcircuitAddsNoVarsOrClauses)
     BitVec b = cb.freshBV(8);
 
     BitVec first = cb.bvMul(a, b);
+    cb.emit();
     int vars_after_first = sat.numVars();
     uint64_t clauses_after_first = sat.clausesAdded();
+    EXPECT_EQ(vars_after_first, cb.numNodes());
 
     BitVec second = cb.bvMul(a, b);
+    cb.emit();
     EXPECT_EQ(sat.numVars(), vars_after_first);
     EXPECT_EQ(sat.clausesAdded(), clauses_after_first);
     EXPECT_EQ(first, second); // literal-for-literal identical
 
     // A third structure mixing shared pieces still reuses them.
     BitVec sum = cb.bvAdd(a, b);
-    int vars_after_sum = sat.numVars();
+    int vars_after_sum = cb.numNodes();
     cb.bvAdd(b, a); // xor/and cons through commuted operands
-    EXPECT_EQ(sat.numVars(), vars_after_sum);
+    EXPECT_EQ(cb.numNodes(), vars_after_sum);
 }
 
 class BitblastOpProperty : public testing::TestWithParam<unsigned>
@@ -144,6 +147,8 @@ TEST_P(BitblastOpProperty, CircuitsMatchAPIntReference)
         CLit mul_ovf_u = cb.mulOverflowsU(a, b);
         CLit mul_ovf_s = cb.mulOverflowsS(a, b);
 
+        // No constraint mentions the outputs: emit their definitions.
+        cb.emit();
         ASSERT_EQ(sat.solve(), SatResult::Sat);
         EXPECT_EQ(cb.modelBV(sum).zext(), xa.add(xb).zext());
         EXPECT_EQ(cb.modelBV(diff).zext(), xa.sub(xb).zext());
@@ -195,6 +200,7 @@ TEST(BitblastTest, DivisionConstraints)
         bool overflow = xa.isSignedMin() && xb.isAllOnes();
         cb.bvSDivRem(a, b, overflow ? CircuitBuilder::kFalse
                                     : CircuitBuilder::kTrue, &sq, &sr);
+        cb.emit();
         ASSERT_EQ(sat.solve(), SatResult::Sat);
         EXPECT_EQ(cb.modelBV(q).zext(), xa.udiv(xb).zext());
         EXPECT_EQ(cb.modelBV(r).zext(), xa.urem(xb).zext());
@@ -203,4 +209,45 @@ TEST(BitblastTest, DivisionConstraints)
             EXPECT_EQ(cb.modelBV(sr).sext(), xa.srem(xb).sext());
         }
     }
+}
+
+TEST(BitblastTest, EmitsGatesInCreationOrderBeforeEachConstraint)
+{
+    // Gates add nothing to the solver until a constraint needs them;
+    // each constraint first emits every pending variable and gate, so
+    // the solver always holds a prefix of the builder's circuit.
+    SatSolver sat;
+    CircuitBuilder cb(sat);
+    BitVec x = cb.freshBV(6);
+    CLit g1 = cb.andGate(x[0], x[1]);
+    CLit g2 = cb.xorGate(x[2], x[3]);
+    EXPECT_EQ(sat.numVars(), 0);
+    EXPECT_EQ(sat.clausesAdded(), 0u);
+    ASSERT_EQ(cb.numNodes(), 8);
+
+    cb.requireImplies(g1, g2);
+    EXPECT_EQ(sat.numVars(), 8);
+    EXPECT_EQ(cb.numEmitted(), 8);
+    EXPECT_EQ(sat.clausesAdded(), 3u + 4u + 1u);
+
+    CLit g3 = cb.andGate(g2, x[4]);
+    CLit g4 = cb.xorGate(g3, x[5]);
+    ASSERT_EQ(cb.numNodes(), 10);
+    EXPECT_EQ(sat.numVars(), 8);
+    cb.require(g4);
+    EXPECT_EQ(sat.numVars(), cb.numNodes());
+    EXPECT_EQ(sat.clausesAdded(), 3u * 2 + 4u * 2 + 2);
+
+    // The emitted clauses define every gate: g4 holds, so g2 = x2^x3,
+    // g3 = g2 & x4 and x5 = !g3, and g1 = x0 & x1 implies g2.
+    ASSERT_EQ(sat.solve(), SatResult::Sat);
+    bool v[6] = {};
+    for (int i = 0; i < 6; ++i)
+        v[i] = cb.modelLit(x[i]);
+    EXPECT_EQ(cb.modelLit(g1), v[0] && v[1]);
+    EXPECT_EQ(cb.modelLit(g2), v[2] != v[3]);
+    EXPECT_EQ(cb.modelLit(g3), (v[2] != v[3]) && v[4]);
+    EXPECT_TRUE(cb.modelLit(g4));
+    EXPECT_NE(cb.modelLit(g3), v[5]);
+    EXPECT_TRUE(!cb.modelLit(g1) || cb.modelLit(g2));
 }

@@ -85,6 +85,9 @@ TEST_P(EncoderAgreement, MatchesInterpreter)
         interp::ExecutionResult run = interp::execute(*fn, input);
 
         // With constant inputs the circuit folds: solve() is trivial.
+        // What does not fold (division's quotient and remainder) is
+        // read back from the model, so emit it first.
+        cb.emit();
         ASSERT_NE(sat.solve(), smt::SatResult::Unsat);
         EXPECT_EQ(cb.modelLit(encoded->ub), run.ub);
         if (run.ub)

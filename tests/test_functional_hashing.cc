@@ -156,6 +156,7 @@ TEST(FunctionalHashing, RandomCircuitsMatchReferenceEvaluator)
 
         // Fix the inputs by unit clauses and read every node back from
         // the model: the clauses define each literal's function.
+        cb.emit();
         smt::SatSolver fixed;
         size_t mismatches = 0;
         for (uint64_t assignment = 0; assignment < (uint64_t(1) << inputs);
@@ -194,7 +195,7 @@ atWidth(const std::string &shape, unsigned width)
 struct Query
 {
     uint64_t conflicts;
-    int vars;
+    int nodes; ///< circuit builder variables
     smt::SatResult result;
 };
 
@@ -211,7 +212,7 @@ solveQuery(const std::string &src, const std::string &tgt)
     CircuitBuilder cb(sat);
     EXPECT_TRUE(verify::encodeRefinementQuery(cb, **s, **t));
     smt::SatResult result = sat.solve();
-    return {sat.conflicts(), sat.numVars(), result};
+    return {sat.conflicts(), cb.numNodes(), result};
 }
 
 const char *kAddAndOrSrc = "define T @src(T %x, T %y) {\n"
@@ -233,6 +234,46 @@ TEST(FunctionalHashing, AddAndOrProvesWithoutSearch)
     }
 }
 
+TEST(FunctionalHashing, FoldedMiterEmitsNothing)
+{
+    // The builder folds this miter to false while building it, so the
+    // solver gets one empty clause and none of the circuit.
+    ir::Context ctx;
+    auto s = ir::parseFunction(ctx, atWidth(kAddAndOrSrc, 64));
+    auto t = ir::parseFunction(ctx, atWidth(kAddAndOrTgt, 64));
+    ASSERT_TRUE(s.ok() && t.ok());
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    ASSERT_TRUE(verify::encodeRefinementQuery(cb, **s, **t));
+    EXPECT_GT(cb.numNodes(), 128);
+    EXPECT_EQ(cb.numEmitted(), 0);
+    EXPECT_EQ(sat.numVars(), 0);
+    EXPECT_EQ(sat.clausesAdded(), 1u);
+    EXPECT_EQ(sat.solve(), smt::SatResult::Unsat);
+    EXPECT_EQ(sat.propagations(), 0u);
+}
+
+TEST(FunctionalHashing, TrueMiterEmitsTheArguments)
+{
+    // Every input violates refinement, so the miter folds to true and
+    // constrains nothing; the counterexample is still read from the
+    // arguments, so they must reach the solver.
+    ir::Context ctx;
+    auto s = ir::parseFunction(ctx, "define i8 @src(i8 %x) {\n"
+                                    "  ret i8 1\n}\n");
+    auto t = ir::parseFunction(ctx, "define i8 @tgt(i8 %x) {\n"
+                                    "  ret i8 2\n}\n");
+    ASSERT_TRUE(s.ok() && t.ok());
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    std::vector<verify::ValueEnc> args;
+    ASSERT_TRUE(verify::encodeRefinementQuery(cb, **s, **t, &args));
+    EXPECT_EQ(cb.numNodes(), 8);
+    EXPECT_EQ(cb.numEmitted(), 8);
+    ASSERT_EQ(sat.solve(), smt::SatResult::Sat);
+    EXPECT_EQ(cb.modelBV(args[0][0].bits).zext(), 0u);
+}
+
 TEST(FunctionalHashing, SquareParityBuildsOneBit)
 {
     // (x * x) & 1 reads bit 0 of the product, which is x0 & x0: the
@@ -248,7 +289,7 @@ TEST(FunctionalHashing, SquareParityBuildsOneBit)
                                  64));
     EXPECT_EQ(q.result, smt::SatResult::Unsat);
     EXPECT_EQ(q.conflicts, 0u);
-    EXPECT_LT(q.vars, 200);
+    EXPECT_LT(q.nodes, 200);
 }
 
 TEST(FunctionalHashing, VerifyWorkReportsTheBuilder)

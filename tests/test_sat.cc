@@ -26,6 +26,34 @@ TEST(SatTest, TrivialSatAndUnsat)
     EXPECT_EQ(unsat.solve(), SatResult::Unsat);
 }
 
+TEST(SatTest, EmptyClauseLatchesUnsat)
+{
+    // No variable, no propagation: the empty clause alone is unsat.
+    SatSolver sat;
+    sat.addEmptyClause();
+    EXPECT_TRUE(sat.inconsistent());
+    EXPECT_EQ(sat.numVars(), 0);
+    EXPECT_EQ(sat.clausesAdded(), 1u);
+    EXPECT_EQ(sat.solve(), SatResult::Unsat);
+    EXPECT_EQ(sat.propagations(), 0u);
+
+    // Latched: later clauses are refused and not counted, and the
+    // answer stays Unsat.
+    int a = sat.newVar();
+    EXPECT_FALSE(sat.addUnit(a));
+    sat.addEmptyClause();
+    EXPECT_EQ(sat.clausesAdded(), 1u);
+    EXPECT_EQ(sat.solve(), SatResult::Unsat);
+
+    // After satisfiable clauses it still wins.
+    SatSolver later;
+    int b = later.newVar();
+    later.addUnit(b);
+    later.addEmptyClause();
+    EXPECT_EQ(later.clausesAdded(), 2u);
+    EXPECT_EQ(later.solve(), SatResult::Unsat);
+}
+
 TEST(SatTest, PropagationChain)
 {
     SatSolver s;

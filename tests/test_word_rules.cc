@@ -401,6 +401,8 @@ checkShapes(unsigned arity, unsigned width)
         cases.push_back(std::move(c));
     }
 
+    // Every case is read back from the model: emit all of them.
+    cb.emit();
     const uint64_t inputs = uint64_t(1) << (arity * width);
     const unsigned threads =
         std::max(1u, std::min(4u, std::thread::hardware_concurrency()));

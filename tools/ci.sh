@@ -207,11 +207,12 @@ echo "BENCH_verify.json:"
 cat BENCH_verify.json
 
 # Regression gates on deterministic counters against the committed
-# baseline, per query: each SAT query's size (vars and clauses, the
-# encoder's output) and the conflicts of solving it (the solver's
-# search) must not grow past that query's baseline, so a change that
-# shrinks nine queries cannot hide growth in a tenth behind the sums.
-# The cache must hit at least as often.
+# baseline, per query: each SAT query's circuit (the builder's
+# variables), the CNF the solver got (vars and clauses; none of the
+# circuit when the miter folds to false) and the conflicts of solving
+# it (the solver's search) must not grow past that query's baseline,
+# so a change that shrinks nine queries cannot hide growth in a tenth
+# behind the sums. The cache must hit at least as often.
 python3 - bench/BENCH_verify.baseline.json BENCH_verify.json <<'EOF'
 import json
 import sys
@@ -226,13 +227,14 @@ for query in current:
               % query["name"])
         failures += 1
         continue
-    for counter in ("sat_vars", "sat_clauses", "sat_conflicts"):
+    for counter in ("circuit_nodes", "sat_vars", "sat_clauses",
+                    "sat_conflicts"):
         if query[counter] > base[counter]:
             print("FAIL: verify query %s %s %d grew past the committed "
                   "baseline %d" % (query["name"], counter, query[counter],
                                    base[counter]))
             failures += 1
-print("verify per-query gate: %d queries x 3 counters, %d failures"
+print("verify per-query gate: %d queries x 4 counters, %d failures"
       % (len(current), failures))
 sys.exit(1 if failures else 0)
 EOF
@@ -275,20 +277,27 @@ awk -v c="$current" -v b="$baseline" 'BEGIN {
            c, b
 }'
 
-# Patched-rewrite count is deterministic (seeded mock model,
-# deterministic saturation), so any sizable drop is a real regression.
-baseline=$(grep -o '"patched_rewrites": [0-9]*' \
-    bench/BENCH_module.baseline.json | awk '{print $2}')
-current=$(grep -o '"patched_rewrites": [0-9]*' \
-    BENCH_module.json | awk '{print $2}')
-awk -v c="$current" -v b="$baseline" 'BEGIN {
-    if (c + 0 < 0.8 * b) {
-        printf "FAIL: module pipeline patched %d rewrites, more than " \
-               "20%% below the committed baseline %d\n", c, b
-        exit 1
-    }
-    printf "module pipeline patched %d vs baseline %d: OK\n", c, b
-}'
+# Deterministic counters (seeded generator and mock model,
+# deterministic saturation, same results at any thread count): the
+# unique sequences and patched rewrites must equal the committed
+# baseline, and the patched modules' mca cycles must not exceed it.
+for counter in unique_sequences patched_rewrites cycles_after; do
+    baseline=$(grep -o "\"${counter}\": [0-9.]*" \
+        bench/BENCH_module.baseline.json | awk '{print $2}')
+    current=$(grep -o "\"${counter}\": [0-9.]*" \
+        BENCH_module.json | awk '{print $2}')
+    awk -v c="$current" -v b="$baseline" -v n="$counter" 'BEGIN {
+        bad = c == "" || b == "" ||
+              (n == "cycles_after" ? c + 0 > b + 0 : c + 0 != b + 0)
+        if (bad) {
+            printf "FAIL: module pipeline %s %s, the committed " \
+                   "baseline is %s%s\n", n, c,
+                   n == "cycles_after" ? "at most " : "exactly ", b
+            exit 1
+        }
+        printf "module pipeline %s %s vs baseline %s: OK\n", n, c, b
+    }'
+done
 
 echo "=== Proposer comparison benchmark (Release) ==="
 # Exits nonzero itself if hybrid's findings are not a strict superset
