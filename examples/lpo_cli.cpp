@@ -349,17 +349,7 @@ cmdOptimizeModule(const char *path, const RunOptions &options)
     }
     llm::MockModel model(llm::modelByName(options.model), 1);
     core::ModuleOptOptions mod_options;
-    // Adopt the shared run options but keep the module-scale
-    // verification budgets — both the conflict budget and the
-    // escalation ladder (the whole-config assignment would restore the
-    // one-shot defaults, letting a single adversarial sequence stall
-    // the run or Timeout instead of degrading).
-    uint64_t module_budget = mod_options.pipeline.refine.conflict_budget;
-    std::vector<uint64_t> module_tiers =
-        mod_options.pipeline.refine.budget_tiers;
-    mod_options.pipeline = options.config;
-    mod_options.pipeline.refine.conflict_budget = module_budget;
-    mod_options.pipeline.refine.budget_tiers = std::move(module_tiers);
+    mod_options.adoptPipeline(options.config);
     core::ModuleOptimizer optimizer(model, mod_options);
     core::ModuleOptResult result = optimizer.optimize(**module, 1);
 

@@ -71,6 +71,16 @@ struct ModuleOptOptions
         pipeline.refine.conflict_budget = 200'000;
         pipeline.refine.budget_tiers = {50'000, 200'000, 2'000'000};
     }
+
+    /** Adopt @p config but keep the module-scale budgets above (the
+     *  one-shot defaults would let one adversarial sequence stall the
+     *  run). They feed verifyOptionsKey, hence cache and miss keys. */
+    void adoptPipeline(PipelineConfig config)
+    {
+        config.refine.conflict_budget = pipeline.refine.conflict_budget;
+        config.refine.budget_tiers = std::move(pipeline.refine.budget_tiers);
+        pipeline = std::move(config);
+    }
 };
 
 /** Before/after accounting for one source function. */

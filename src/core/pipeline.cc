@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "core/interestingness.h"
-#include "ir/parser.h"
 #include "ir/printer.h"
 #include "opt/opt_driver.h"
 #include "support/failpoint.h"
@@ -221,9 +220,7 @@ caseStatusName(CaseStatus status)
 CaseOutcome
 Pipeline::optimizeSequence(const ir::Function &seq, uint64_t round_seed)
 {
-    CaseOutcome outcome = runCase(seq, round_seed, stats_, config_.refine);
-    refreshCacheStats();
-    return outcome;
+    return processSequences({&seq}, round_seed)[0];
 }
 
 void
@@ -493,16 +490,6 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
 {
     ++stats.cases;
     LPO_TRACE_SPAN(case_span, "case", "pipeline");
-    // runAttemptLoop adds every verdict's work into @p stats, which on
-    // the serial path is the pipeline-wide total; the difference is
-    // this case's share.
-    const uint64_t conflicts_before = stats.sat_conflicts;
-
-    // All workers share the pipeline-lifetime cache; the RefineOptions
-    // copy just points at it.
-    verify::RefineOptions refine_opts = refine;
-    refine_opts.cache =
-        config_.enable_verify_cache ? &verify_cache_ : nullptr;
 
     // The one canonical print of this case: the catalog key and the
     // tail of the miss key (store runs only).
@@ -527,7 +514,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     if (config_.proposer == ProposerKind::Hybrid &&
         catalog_proposer_.enabled()) {
         CaseOutcome replayed = runLegContained(
-            catalog_proposer_, seq, canonical, round_seed, stats, refine_opts);
+            catalog_proposer_, seq, canonical, round_seed, stats, refine);
         if (replayed.found()) {
             outcome = std::move(replayed);
             answered = true;
@@ -545,7 +532,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     }
     if (!answered) {
         bool rememberable = false;
-        outcome = runLegs(seq, round_seed, stats, refine_opts, &rememberable);
+        outcome = runLegs(seq, round_seed, stats, refine, &rememberable);
         // Learn every verified rewrite (any mode; a catalog replay
         // never reaches here). Remember a final no-find outcome as a
         // miss unless something outside the fingerprint may have
@@ -562,14 +549,13 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     }
 
     // The deadline currency: deterministic work units, not seconds.
-    const uint64_t case_conflicts = stats.sat_conflicts - conflicts_before;
-    outcome.step_cost = case_conflicts + outcome.attempts;
+    outcome.step_cost = stats.sat_conflicts + outcome.attempts;
 
     if (case_span.active()) {
         case_span.arg("fn", std::string(seq.name()));
         case_span.arg("verdict", caseStatusName(outcome.status));
         case_span.arg("proposer", outcome.proposer);
-        case_span.arg("sat_conflicts", case_conflicts);
+        case_span.arg("sat_conflicts", stats.sat_conflicts);
     }
 
     stats.total_seconds += outcome.total_seconds;
@@ -606,49 +592,26 @@ Pipeline::processSequences(
     uint64_t round_seed,
     const std::function<void(size_t, const CaseOutcome &)> &on_commit)
 {
-    unsigned threads = config_.num_threads
-                           ? config_.num_threads
-                           : TaskScope::hardwareThreads();
+    const unsigned fanout = static_cast<unsigned>(std::clamp<size_t>(
+        sequences.size(), 1,
+        config_.num_threads ? config_.num_threads
+                            : TaskScope::hardwareThreads()));
     std::vector<CaseOutcome> outcomes(sequences.size());
-
-    if (threads <= 1 || sequences.size() <= 1) {
-        for (size_t i = 0; i < sequences.size(); ++i) {
-            outcomes[i] = optimizeSequence(*sequences[i], round_seed);
-            if (on_commit)
-                on_commit(i, outcomes[i]);
-        }
-        return outcomes;
-    }
-
-    // Parallel fan-out on the work-stealing task scope. The extracted
-    // sequences all live in the module's shared ir::Context, which is
-    // not safe to mutate concurrently (runOpt parses candidates into
-    // it), so each case task re-parses its sequence's text into a
-    // private Context and runs the whole loop there.
-    // print(parse(print(f))) is stable, so the prompt text — and
-    // therefore the mock model's seeded RNG stream — is byte-identical
-    // to the serial path.
-    std::vector<std::string> texts(sequences.size());
-    for (size_t i = 0; i < sequences.size(); ++i)
-        texts[i] = ir::printFunction(*sequences[i]);
-
-    // The pipeline-level fan-out already saturates the machine, so
-    // each case task runs its verification sweeps serially rather than
-    // nesting a second hardware-wide scope per candidate.
-    verify::RefineOptions worker_refine = config_.refine;
-    worker_refine.num_threads = 1;
+    // Every case shares the pipeline-lifetime verify cache.
+    verify::RefineOptions case_refine = config_.refine;
+    case_refine.cache = config_.enable_verify_cache ? &verify_cache_ : nullptr;
 
     static const telemetry::Histogram chain_hist =
         telemetry::histogram("pipeline.chain_latency_ns");
 
     // Reorder drain: a finished case marks done[i], then whichever
     // case task wins `committing` folds deltas[next] and streams
-    // outcomes[next] out for as long as done[next] holds — the exact
-    // accumulation order of the serial path, so totals (including the
-    // doubles) are bit-identical for any thread count, while later
-    // cases are still running. A task that finds a committer active
-    // goes back to running cases; the committer re-checks done[next]
-    // after releasing, so no finished case is left uncommitted. The
+    // outcomes[next] out for as long as done[next] holds — one fixed
+    // accumulation order, so totals (including the doubles) are
+    // bit-identical for any thread count, while later cases are still
+    // running. A task that finds a committer active goes back to
+    // running cases; the committer re-checks done[next] after
+    // releasing, so no finished case is left uncommitted. The
     // done/committing accesses are sequentially consistent: the
     // committer's release-then-check and a finisher's mark-then-try
     // cannot both miss each other. A throw out of on_commit leaves
@@ -675,33 +638,25 @@ Pipeline::processSequences(
         }
     };
 
-    TaskScope scope(threads);
-    // A cancelled scope (first task exception) interrupts in-flight
-    // SAT solves at the next conflict boundary instead of finishing
-    // multi-million-conflict proofs nobody will read.
-    worker_refine.interrupt = scope.cancelFlag();
-
+    // One task per case; one thread runs them on the caller, in order.
+    // Wider fan-outs verify serially per case (they fill the machine)
+    // and let a cancelled scope interrupt in-flight SAT solves.
+    TaskScope scope(fanout);
+    if (fanout > 1) {
+        case_refine.num_threads = 1;
+        case_refine.interrupt = scope.cancelFlag();
+    }
     for (size_t i = 0; i < sequences.size(); ++i) {
-        scope.submit([this, i, round_seed, &texts, &outcomes, &deltas,
-                      &worker_refine, &done, &drain] {
+        scope.submit([this, i, round_seed, &sequences, &outcomes, &deltas,
+                      &case_refine, &done, &drain] {
             {
+                // runOpt parses candidates into the sequence's Context,
+                // so each case runs on a clone in a private one.
                 telemetry::ScopedTimer timer(chain_hist);
                 ir::Context context;
-                auto parsed = ir::parseFunction(context, texts[i]);
-                if (parsed.ok()) {
-                    outcomes[i] = runCase(**parsed, round_seed, deltas[i],
-                                          worker_refine);
-                } else {
-                    // Cannot happen for printer output; recorded
-                    // rather than silently dropped if it ever does.
-                    ++deltas[i].cases;
-                    ++deltas[i].syntax_errors;
-                    outcomes[i].status = CaseStatus::SyntaxError;
-                    outcomes[i].last_feedback =
-                        parsed.error().toString();
-                    outcomes[i].total_seconds = kOverheadSeconds;
-                    deltas[i].total_seconds += outcomes[i].total_seconds;
-                }
+                auto seq = sequences[i]->clone(sequences[i]->name(), &context);
+                outcomes[i] =
+                    runCase(*seq, round_seed, deltas[i], case_refine);
             }
             done[i].store(true);
             drain();

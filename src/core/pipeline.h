@@ -38,13 +38,12 @@ struct PipelineConfig
     bool enable_feedback = true;
     verify::RefineOptions refine;
     /**
-     * Threads for processModule's per-sequence fan-out (0 = hardware
-     * concurrency; 1 reproduces the original serial behavior). Every
+     * Threads for processSequences' per-sequence fan-out (0 = hardware
+     * concurrency; never more than the batch has sequences). Every
      * thread count produces bit-identical outcomes and stats: each
-     * case's seed depends only on its position, workers run cases in
-     * isolated per-thread IR contexts, and per-case stat deltas are
-     * merged in sequence order (see DESIGN.md, "Deterministic
-     * parallelism").
+     * case's seed depends only on its position, every case runs in a
+     * private IR context, and per-case stat deltas are merged in
+     * sequence order (see DESIGN.md, "Deterministic parallelism").
      */
     unsigned num_threads = 0;
     /**
@@ -264,8 +263,8 @@ struct PipelineStats
     /** Real-time phase attribution (never compared for determinism). */
     StageTimings timings;
     /**
-     * Work-stealing scheduler counters folded over every parallel
-     * processSequences fan-out. Pure scheduling telemetry: steal and
+     * Work-stealing scheduler counters folded over every
+     * processSequences batch. Pure scheduling telemetry: steal and
      * queue-depth figures depend on thread timing, so — like timings —
      * they are never part of any determinism comparison.
      */
@@ -285,7 +284,7 @@ class Pipeline
     Pipeline(llm::LlmClient &client, PipelineConfig config = {});
     ~Pipeline();
 
-    /** Run the loop on one wrapped instruction sequence. */
+    /** Run the loop on one sequence (a one-element batch). */
     CaseOutcome optimizeSequence(const ir::Function &seq,
                                  uint64_t round_seed = 0);
 
@@ -303,22 +302,20 @@ class Pipeline
      * core::ModuleOptimizer shards its unique wrapped sequences
      * through. Outcomes are returned in input order and, like
      * processModule, are bit-identical for every thread count and
-     * with the verify cache on or off (per-case stat deltas fold in
-     * sequence order; each parallel worker re-parses its sequence
-     * into a private Context).
+     * with the verify cache on or off.
      *
-     * The parallel fan-out runs on a work-stealing TaskScope: each
-     * sequence is one case task, and an in-order reorder drain — run
-     * by whichever finished case task becomes the single committer —
-     * folds stat deltas and streams results out strictly in sequence
-     * order while later cases are still running. @p on_commit, when
-     * set, is invoked from that drain, once per sequence in index
-     * order and one call at a time, after the case's stats have been
-     * folded; ModuleOptimizer patches results back into the module
-     * from it. The callback must not call back into this Pipeline. A
-     * throw out of it cancels the run and is rethrown here; no later
-     * index is committed. On the serial path it is invoked inline
-     * after each case, preserving identical observable order.
+     * Every batch runs on a work-stealing TaskScope of
+     * min(num_threads, batch size) threads: each sequence is one case
+     * task on a clone in a private Context, and an in-order reorder
+     * drain — run by whichever finished case task becomes the single
+     * committer — folds stat deltas and streams results out strictly
+     * in sequence order while later cases are still running.
+     * @p on_commit, when set, is invoked from that drain, once per
+     * sequence in index order and one call at a time, after the
+     * case's stats have been folded; ModuleOptimizer patches results
+     * back into the module from it. The callback must not call back
+     * into this Pipeline. A throw out of it cancels the run and is
+     * rethrown here; no later index is committed.
      */
     std::vector<CaseOutcome>
     processSequences(const std::vector<const ir::Function *> &sequences,
@@ -364,11 +361,10 @@ class Pipeline
 
   private:
     /**
-     * One sequence's trip through the loop, accounted into @p stats,
-     * verifying with @p refine (case tasks pass a serial copy so
-     * per-case sweeps don't fan out a second hardware-wide scope;
-     * by the deterministic-parallelism contract this cannot change
-     * results).
+     * One sequence's trip through the loop, accounted into @p stats
+     * (a fresh per-case delta), verifying with @p refine (serial
+     * sweeps under a multi-thread fan-out; by the deterministic-
+     * parallelism contract this cannot change results).
      *
      * With a store, the case first tries the catalog (Hybrid only),
      * then a remembered miss: a record keyed by missKey() on the
@@ -417,9 +413,9 @@ class Pipeline
     void refreshCacheStats();
 
     /** Fold one case's stat delta into stats_. Field-by-field in a
-     *  fixed order so parallel totals (including the doubles) are
-     *  bit-identical to serial accumulation; called from the
-     *  in-order reorder drain, never concurrently. */
+     *  fixed order so totals (including the doubles) are
+     *  bit-identical at any thread count; called from the in-order
+     *  reorder drain, never concurrently. */
     void foldStats(const PipelineStats &delta);
 
     llm::LlmClient &client_;

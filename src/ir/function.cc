@@ -122,23 +122,70 @@ Function::replaceAllUses(const Value *from, Value *to)
                     inst->setOperand(i, to);
 }
 
+namespace {
+
+/** @p type as interned in @p into (null: a same-context copy). */
+const Type *
+mapType(Context *into, const Type *type)
+{
+    if (!into || !type)
+        return type;
+    TypeContext &types = into->types();
+    switch (type->kind()) {
+      case Type::Kind::Int: return types.intTy(type->intWidth());
+      case Type::Kind::Float: return types.floatTy();
+      case Type::Kind::Ptr: return types.ptrTy();
+      case Type::Kind::Vector:
+        return types.vectorTy(mapType(into, type->scalarType()),
+                              type->lanes());
+      default: return types.voidTy();
+    }
+}
+
+/** The constant @p c as interned in @p into. */
+Value *
+mapConstant(Context &into, const Value *c)
+{
+    const Type *type = mapType(&into, c->type());
+    switch (c->kind()) {
+      case Value::Kind::ConstInt:
+        return into.getInt(type, static_cast<const ConstantInt *>(c)->value());
+      case Value::Kind::ConstFP:
+        return into.getFP(static_cast<const ConstantFP *>(c)->value());
+      case Value::Kind::ConstVector: {
+        std::vector<const Value *> elements;
+        for (const Value *e : static_cast<const ConstantVector *>(c)->elements())
+            elements.push_back(mapConstant(into, e));
+        return into.getVector(type, std::move(elements));
+      }
+      default: return into.getPoison(type);
+    }
+}
+
+} // namespace
+
 std::unique_ptr<Instruction>
 cloneInstruction(const Instruction &inst,
-                 const std::map<const Value *, Value *> &remap)
+                 const std::map<const Value *, Value *> &remap,
+                 Context *into)
 {
     std::vector<Value *> operands;
     operands.reserve(inst.numOperands());
     for (Value *operand : inst.operands()) {
         auto it = remap.find(operand);
-        operands.push_back(it == remap.end() ? operand : it->second);
+        if (it != remap.end())
+            operand = it->second;
+        else if (into && operand->isConstant())
+            operand = mapConstant(*into, operand);
+        operands.push_back(operand);
     }
-    auto copy = std::make_unique<Instruction>(inst.op(), inst.type(),
-                                              std::move(operands));
+    auto copy = std::make_unique<Instruction>(
+        inst.op(), mapType(into, inst.type()), std::move(operands));
     copy->flags() = inst.flags();
     copy->setICmpPred(inst.icmpPred());
     copy->setFCmpPred(inst.fcmpPred());
     copy->setIntrinsic(inst.intrinsic());
-    copy->setAccessType(inst.accessType());
+    copy->setAccessType(mapType(into, inst.accessType()));
     copy->setAlign(inst.align());
     copy->setPhiLabels(inst.phiLabels());
     copy->setBrLabels(inst.brLabels());
@@ -146,12 +193,14 @@ cloneInstruction(const Instruction &inst,
 }
 
 std::unique_ptr<Function>
-Function::clone(const std::string &new_name) const
+Function::clone(const std::string &new_name, Context *into) const
 {
-    auto copy = std::make_unique<Function>(context_, new_name, return_type_);
+    auto copy = std::make_unique<Function>(into ? *into : context_, new_name,
+                                           mapType(into, return_type_));
     std::map<const Value *, Value *> remap;
     for (const auto &arg : args_) {
-        Argument *new_arg = copy->addArg(arg->type(), arg->name());
+        Argument *new_arg =
+            copy->addArg(mapType(into, arg->type()), arg->name());
         remap[arg.get()] = new_arg;
     }
     // First pass: clone instructions with original operands so that
@@ -159,7 +208,7 @@ Function::clone(const std::string &new_name) const
     for (const auto &bb : blocks_) {
         BasicBlock *new_bb = copy->addBlock(bb->label());
         for (const auto &inst : bb->instructions()) {
-            auto new_inst = cloneInstruction(*inst, {});
+            auto new_inst = cloneInstruction(*inst, {}, into);
             new_inst->setName(inst->name());
             remap[inst.get()] = new_bb->append(std::move(new_inst));
         }

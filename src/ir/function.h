@@ -92,8 +92,11 @@ class Function
     /** Replace every operand use of @p from with @p to. */
     void replaceAllUses(const Value *from, Value *to);
 
-    /** Deep copy (constants stay shared via the Context). */
-    std::unique_ptr<Function> clone(const std::string &new_name) const;
+    /** Deep copy into @p into (default: this function's Context),
+     *  re-interning every type and constant there, so the copy
+     *  outlives this function's Context. */
+    std::unique_ptr<Function> clone(const std::string &new_name,
+                                    Context *into = nullptr) const;
 
     /** Assign names %0, %1, ... to unnamed values (LLVM-style). */
     void numberValues();
@@ -110,14 +113,16 @@ class Function
  * Copy @p inst — opcode, type, flags, predicates, intrinsic, access
  * type, alignment, phi/br labels — rewriting each operand through
  * @p remap (operands absent from the map are kept as-is, which is
- * what constants and values that stay in scope want). The one clone
- * primitive shared by Function::clone, the extractor's sequence
+ * what constants and values that stay in scope want; @p into, when
+ * set, re-interns the copy's types and those constants). The one
+ * clone primitive shared by Function::clone, the extractor's sequence
  * wrapping, the corpus stitcher, and the module optimizer's
  * patch-back; the copy is unnamed and not yet attached to a block.
  */
 std::unique_ptr<Instruction>
 cloneInstruction(const Instruction &inst,
-                 const std::map<const Value *, Value *> &remap);
+                 const std::map<const Value *, Value *> &remap,
+                 Context *into = nullptr);
 
 } // namespace lpo::ir
 

@@ -71,22 +71,16 @@ Server::~Server() = default;
 core::ModuleOptOptions
 Server::optimizerOptions() const
 {
-    // Mirror lpo_cli's optimize-module construction exactly: adopt the
-    // service knobs but keep the module-scale verification budgets, so
-    // a served response is byte-identical to a one-shot run of the
-    // same module with the same proposer (the replay contract the CI
-    // soak asserts).
+    // Mirror lpo_cli's optimize-module construction exactly, so a
+    // served response is byte-identical to a one-shot run of the same
+    // module with the same proposer (the replay contract the CI soak
+    // asserts).
     core::ModuleOptOptions mod_options;
     core::PipelineConfig config;
     config.proposer = options_.proposer;
     config.num_threads = options_.threads;
     config.store_path = options_.store_path;
-    uint64_t module_budget = mod_options.pipeline.refine.conflict_budget;
-    std::vector<uint64_t> module_tiers =
-        mod_options.pipeline.refine.budget_tiers;
-    mod_options.pipeline = config;
-    mod_options.pipeline.refine.conflict_budget = module_budget;
-    mod_options.pipeline.refine.budget_tiers = std::move(module_tiers);
+    mod_options.adoptPipeline(std::move(config));
     mod_options.step_budget = options_.step_budget;
     return mod_options;
 }

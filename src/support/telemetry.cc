@@ -129,13 +129,16 @@ void
 MetricsRegistry::retireShard(Shard *shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Histogram max slots fold by max, everything else by wrapping
-    // sum — mirroring the snapshot fold, so a shard retired at thread
-    // exit is indistinguishable from one still live.
+    // Histogram max and inverted-min slots fold by max, everything
+    // else by wrapping sum — mirroring the snapshot fold, so a shard
+    // retired at thread exit is indistinguishable from one still live.
     std::vector<bool> is_max_slot(next_slot_, false);
-    for (const auto &[name, info] : metrics_)
-        if (info.kind == Kind::Histogram)
+    for (const auto &[name, info] : metrics_) {
+        if (info.kind == Kind::Histogram) {
             is_max_slot[info.slot + kHistogramBuckets + 1] = true;
+            is_max_slot[info.slot + kHistogramBuckets + 2] = true;
+        }
+    }
     for (uint32_t i = 0; i < next_slot_; ++i) {
         uint64_t v = shard->cells[i].load(std::memory_order_relaxed);
         if (!v)
@@ -208,7 +211,7 @@ MetricsRegistry::histogram(std::string_view name)
         return Histogram(this, it->second.slot);
     }
     return Histogram(this, allocateSlots(name, Kind::Histogram,
-                                         kHistogramBuckets + 2));
+                                         kHistogramBuckets + 3));
 }
 
 void
@@ -256,14 +259,18 @@ MetricsRegistry::snapshot() const
                     h.count += h.buckets[i];
                 }
                 h.sum = totals[info.slot + kHistogramBuckets];
-                uint32_t max_slot = info.slot + kHistogramBuckets + 1;
-                uint64_t max = retired_->cells[max_slot].load(
-                    std::memory_order_relaxed);
-                for (const auto &shard : shards_)
-                    max = std::max(max,
-                                   shard->cells[max_slot].load(
-                                       std::memory_order_relaxed));
-                h.max = max;
+                auto fold_max = [&](uint32_t slot) {
+                    uint64_t max = retired_->cells[slot].load(
+                        std::memory_order_relaxed);
+                    for (const auto &shard : shards_)
+                        max = std::max(max, shard->cells[slot].load(
+                                                std::memory_order_relaxed));
+                    return max;
+                };
+                h.max = fold_max(info.slot + kHistogramBuckets + 1);
+                if (h.count)
+                    h.min = UINT64_MAX -
+                            fold_max(info.slot + kHistogramBuckets + 2);
                 snap.histograms.push_back(std::move(h));
                 break;
             }
@@ -322,13 +329,18 @@ Histogram::record(uint64_t value) const
     cells[slot_ + bucket].fetch_add(1, std::memory_order_relaxed);
     cells[slot_ + kHistogramBuckets].fetch_add(
         value, std::memory_order_relaxed);
-    std::atomic<uint64_t> &max_cell =
-        cells[slot_ + kHistogramBuckets + 1];
-    uint64_t seen = max_cell.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !max_cell.compare_exchange_weak(seen, value,
+    // The min is kept as the max of UINT64_MAX - value, so every
+    // extra slot folds by max and 0 still means "unset" (reset() stays
+    // a zero fill).
+    auto raise = [](std::atomic<uint64_t> &cell, uint64_t v) {
+        uint64_t seen = cell.load(std::memory_order_relaxed);
+        while (v > seen &&
+               !cell.compare_exchange_weak(seen, v,
                                            std::memory_order_relaxed))
-        ;
+            ;
+    };
+    raise(cells[slot_ + kHistogramBuckets + 1], value);
+    raise(cells[slot_ + kHistogramBuckets + 2], UINT64_MAX - value);
 }
 
 double
@@ -353,10 +365,11 @@ HistogramSnapshot::percentile(double q) const
                           static_cast<double>(buckets[i]);
             if (frac < 0)
                 frac = 0;
-            // Interpolating inside a wide bucket can overshoot every
-            // recorded sample; no percentile may exceed the max.
-            return std::min(lo + (hi - lo) * frac,
-                            static_cast<double>(max));
+            // Interpolating inside a wide bucket can miss every
+            // recorded sample; no percentile may leave [min, max].
+            return std::clamp(lo + (hi - lo) * frac,
+                              static_cast<double>(min),
+                              static_cast<double>(max));
         }
         cumulative = next;
     }

@@ -93,7 +93,7 @@ class Gauge
     uint32_t slot_ = 0;
 };
 
-/** Handle to a histogram (buckets + sum + max slots). */
+/** Handle to a histogram (buckets + sum + max + min slots). */
 class Histogram
 {
   public:
@@ -108,7 +108,7 @@ class Histogram
         : registry_(registry), slot_(slot)
     {}
     MetricsRegistry *registry_ = nullptr;
-    uint32_t slot_ = 0; ///< first of kHistogramBuckets + 2 slots
+    uint32_t slot_ = 0; ///< first of kHistogramBuckets + 3 slots
 };
 
 struct HistogramSnapshot
@@ -117,13 +117,15 @@ struct HistogramSnapshot
     uint64_t count = 0;
     uint64_t sum = 0;
     uint64_t max = 0;
+    uint64_t min = 0; ///< smallest recorded sample (0 when empty)
     std::array<uint64_t, kHistogramBuckets> buckets{};
 
     /**
      * Quantile in [0, 1], linearly interpolated within the owning
      * bucket (overflow bucket interpolates toward the observed max)
-     * and clamped to [0, max], so no percentile exceeds a recorded
-     * sample. Deterministic given deterministic counts. 0 when empty.
+     * and clamped to [min, max], so no percentile lies outside the
+     * recorded samples. Deterministic given deterministic counts. 0
+     * when empty.
      */
     double percentile(double q) const;
     double p50() const { return percentile(0.50); }

@@ -138,9 +138,9 @@ struct RefineOptions
      * Threads for the concrete-testing sweep (0 = hardware
      * concurrency, 1 = serial). The sweep runs one task per input
      * chunk on a TaskScope local to the call; a sweep that fits in one
-     * chunk always runs serially. The pipeline passes 1 inside its
-     * case tasks (they already fill the machine); serial callers
-     * (lpo_cli verify, a one-thread pipeline) leave the default.
+     * chunk always runs serially. A pipeline whose case fan-out has
+     * more than one thread passes 1 to its case tasks (they already
+     * fill the machine); otherwise its configured value stands.
      * Results are bit-identical for every thread count: inputs are
      * derived from their index alone and the lowest violating input
      * index always wins (see DESIGN.md, "Deterministic parallelism").

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "corpus/benchmarks.h"
+#include "corpus/generator.h"
+#include "extract/extractor.h"
 #include "ir/module.h"
 #include "ir/parser.h"
 #include "ir/pattern.h"
@@ -15,6 +20,109 @@ std::unique_ptr<Function>
 parse(Context &ctx, const std::string &text)
 {
     return parseFunction(ctx, text).take();
+}
+
+using Functions = std::vector<std::unique_ptr<Function>>;
+
+/** @p type's interned counterpart in @p types (an oracle written
+ *  independently of the clone's own mapping). */
+const Type *
+internedIn(TypeContext &types, const Type *type)
+{
+    if (type->isInt())
+        return types.intTy(type->intWidth());
+    if (type->isVector())
+        return types.vectorTy(internedIn(types, type->scalarType()),
+                              type->lanes());
+    if (type->isFloat())
+        return types.floatTy();
+    if (type->isPtr())
+        return types.ptrTy();
+    return types.voidTy();
+}
+
+/** True if constant @p c is the one @p ctx interns for its value. */
+bool
+isInternedIn(Context &ctx, const Value *c)
+{
+    if (internedIn(ctx.types(), c->type()) != c->type())
+        return false;
+    switch (c->kind()) {
+      case Value::Kind::ConstInt:
+        return ctx.getInt(c->type(),
+                          static_cast<const ConstantInt *>(c)->value()) == c;
+      case Value::Kind::ConstFP:
+        return ctx.getFP(static_cast<const ConstantFP *>(c)->value()) == c;
+      case Value::Kind::ConstVector: {
+        const auto &elements =
+            static_cast<const ConstantVector *>(c)->elements();
+        for (const Value *element : elements)
+            if (!isInternedIn(ctx, element))
+                return false;
+        return ctx.getVector(c->type(), elements) == c;
+      }
+      case Value::Kind::Poison:
+        return ctx.getPoison(c->type()) == c;
+      default:
+        return false;
+    }
+}
+
+/** Every type and constant @p fn refers to is @p ctx's own. */
+void
+expectOwnedBy(Context &ctx, const Function &fn)
+{
+    EXPECT_EQ(&fn.context(), &ctx) << fn.name();
+    TypeContext &types = ctx.types();
+    EXPECT_EQ(fn.returnType(), internedIn(types, fn.returnType()))
+        << fn.name();
+    for (const auto &arg : fn.args())
+        EXPECT_EQ(arg->type(), internedIn(types, arg->type())) << fn.name();
+    for (const auto &bb : fn.blocks()) {
+        for (const auto &inst : bb->instructions()) {
+            EXPECT_EQ(inst->type(), internedIn(types, inst->type()))
+                << fn.name();
+            if (inst->accessType()) {
+                EXPECT_EQ(inst->accessType(),
+                          internedIn(types, inst->accessType()))
+                    << fn.name();
+            }
+            for (const Value *operand : inst->operands()) {
+                if (operand->isConstant()) {
+                    EXPECT_TRUE(isInternedIn(ctx, operand))
+                        << fn.name() << ": " << printInstruction(inst.get());
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Build functions with @p build into a scratch Context, clone each
+ * into a fresh one, destroy the scratch Context, and check that every
+ * clone prints as its source did and refers only to the destination's
+ * interned types and constants. Returns the number of clones.
+ */
+size_t
+expectClonesOutliveTheirSource(
+    const std::function<Functions(Context &)> &build)
+{
+    Context dst;
+    std::vector<std::string> expected;
+    Functions clones;
+    {
+        auto src = std::make_unique<Context>();
+        Functions fns = build(*src);
+        for (const auto &fn : fns) {
+            expected.push_back(printFunction(*fn));
+            clones.push_back(fn->clone(fn->name(), &dst));
+        }
+    } // the sources die first, then their Context
+    for (size_t i = 0; i < clones.size(); ++i) {
+        EXPECT_EQ(printFunction(*clones[i]), expected[i]);
+        expectOwnedBy(dst, *clones[i]);
+    }
+    return clones.size();
 }
 
 } // namespace
@@ -99,6 +207,55 @@ TEST(FunctionTest, CloneMapsPhiOperands)
     // The cloned phi's back-edge operand points at the cloned add.
     const Instruction *phi = copy->findBlock("loop")->at(0);
     EXPECT_EQ(phi->operand(1), copy->findBlock("loop")->at(1));
+}
+
+TEST(FunctionTest, CloneIntoAnotherContextCoversEveryKind)
+{
+    // A vector constant, a splat, poison, a float constant, load/store
+    // access types and a phi, all in one function.
+    size_t n = expectClonesOutliveTheirSource([](Context &ctx) {
+        Functions fns;
+        fns.push_back(parse(ctx,
+            "define <4 x i8> @f(<4 x i8> %x, ptr %p, i1 %c, double %d) {\n"
+            "entry:\n"
+            "  %a = add <4 x i8> %x, <i8 1, i8 2, i8 3, i8 poison>\n"
+            "  %s = shl <4 x i8> %a, splat (i8 1)\n"
+            "  store <4 x i8> %s, ptr %p, align 4\n"
+            "  %l = load <4 x i8>, ptr %p, align 4\n"
+            "  %e = fadd double %d, 1.5\n"
+            "  br i1 %c, label %t, label %j\n"
+            "t:\n"
+            "  br label %j\n"
+            "j:\n"
+            "  %m = phi <4 x i8> [ %l, %entry ], [ poison, %t ]\n"
+            "  ret <4 x i8> %m\n}\n"));
+        EXPECT_NE(fns.back(), nullptr);
+        return fns;
+    });
+    EXPECT_EQ(n, 1u);
+}
+
+TEST(FunctionTest, CloneIntoAnotherContextCoversTheCorpus)
+{
+    size_t n = expectClonesOutliveTheirSource([](Context &ctx) {
+        Functions fns;
+        for (const auto *catalog :
+             {&lpo::corpus::rq1Benchmarks(), &lpo::corpus::rq2Benchmarks()})
+            for (const auto &bench : *catalog)
+                fns.push_back(parse(ctx, bench.src_text));
+        return fns;
+    });
+    EXPECT_EQ(n, lpo::corpus::rq1Benchmarks().size() +
+                     lpo::corpus::rq2Benchmarks().size());
+
+    // Every sequence the module pipeline would hand its case tasks.
+    n = expectClonesOutliveTheirSource([](Context &ctx) {
+        lpo::corpus::CorpusGenerator generator(ctx);
+        auto module = generator.largeModule(7, 200, 3);
+        lpo::extract::Extractor extractor;
+        return extractor.extractFromModule(*module);
+    });
+    EXPECT_EQ(n, 311u);
 }
 
 TEST(BasicBlockTest, InsertEraseTerminator)

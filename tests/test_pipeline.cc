@@ -1,6 +1,7 @@
 // LPO pipeline (Algorithm 1) tests: success paths, feedback paths,
 // the LPO- ablation, statistics, processSequences' in-order commits at
-// 1/2/8 threads, and remembered misses.
+// 1/2/8 threads (optimizeSequence included, as a one-element batch),
+// and remembered misses.
 
 #include <gtest/gtest.h>
 
@@ -226,6 +227,37 @@ expectCommitsMatch(const std::vector<Commit> &commits,
     }
 }
 
+/** Every deterministic PipelineStats field (all but timings and the
+ *  scheduler's telemetry) is equal in @p a and @p b. */
+void
+expectSameDeterministicStats(const core::PipelineStats &a,
+                             const core::PipelineStats &b)
+{
+    using S = core::PipelineStats;
+    for (uint64_t S::*field :
+         {&S::cases, &S::found, &S::llm_calls, &S::verifier_calls,
+          &S::syntax_errors, &S::incorrect_candidates, &S::not_interesting,
+          &S::verify_cache_hits, &S::verify_cache_misses,
+          &S::verify_cache_evictions, &S::sat_solves, &S::sat_decisions,
+          &S::sat_conflicts, &S::sat_propagations, &S::sat_restarts,
+          &S::circuit_nodes, &S::circuit_emitted, &S::circuit_merges,
+          &S::window_checks, &S::failed_checks, &S::session_reuses,
+          &S::egraph_consults, &S::egraph_proposals, &S::found_by_llm,
+          &S::found_by_egraph, &S::hybrid_fallbacks, &S::catalog_consults,
+          &S::catalog_proposals, &S::found_by_catalog, &S::miss_replays,
+          &S::store_cache_loaded, &S::store_catalog_loaded,
+          &S::store_misses_loaded, &S::store_cache_flushed,
+          &S::store_catalog_flushed, &S::store_misses_flushed,
+          &S::store_flush_failures, &S::store_recoveries,
+          &S::store_quarantined, &S::store_rejected_files,
+          &S::store_decode_skipped, &S::sat_escalations,
+          &S::concrete_fallbacks, &S::exhaustive_rescues,
+          &S::degraded_verdicts, &S::contained_exceptions})
+        EXPECT_EQ(a.*field, b.*field);
+    EXPECT_EQ(a.total_seconds, b.total_seconds);
+    EXPECT_EQ(a.total_cost_usd, b.total_cost_usd);
+}
+
 } // namespace
 
 // processSequences commits every case exactly once, in index order,
@@ -253,7 +285,45 @@ TEST(PipelineOrderedCommit, CommitsEveryIndexInOrder)
         ASSERT_EQ(outcomes.size(), fns.size());
         expectCommitsMatch(commits, outcomes, 0, threads);
         EXPECT_EQ(pipeline.stats().cases, fns.size());
+        // One task per case at every thread count: one thread runs
+        // the same task path as eight.
+        EXPECT_EQ(pipeline.stats().scheduler.tasks_run, fns.size())
+            << "threads " << threads;
     }
+}
+
+// optimizeSequence is a one-element processSequences batch: the same
+// outcome and the same deterministic stats, case after case.
+TEST(PipelineOrderedCommit, OptimizeSequenceIsAOneElementBatch)
+{
+    ir::Context ctx;
+    auto fns = parseRq1(ctx);
+    MockModel single_model(llm::modelByName("Gemini2.0T"), 11);
+    MockModel batch_model(llm::modelByName("Gemini2.0T"), 11);
+    PipelineConfig config;
+    config.proposer = core::ProposerKind::Hybrid;
+    Pipeline single(single_model, config);
+    Pipeline batch(batch_model, config);
+    for (size_t i = 0; i < fns.size(); ++i) {
+        core::CaseOutcome a = single.optimizeSequence(*fns[i], 5);
+        core::CaseOutcome b = batch.processSequences({fns[i].get()}, 5)[0];
+        EXPECT_EQ(a.status, b.status) << "case " << i;
+        EXPECT_EQ(a.attempts, b.attempts) << "case " << i;
+        EXPECT_EQ(a.candidate_text, b.candidate_text) << "case " << i;
+        EXPECT_EQ(a.last_feedback, b.last_feedback) << "case " << i;
+        EXPECT_EQ(a.llm_seconds, b.llm_seconds) << "case " << i;
+        EXPECT_EQ(a.total_seconds, b.total_seconds) << "case " << i;
+        EXPECT_EQ(a.cost_usd, b.cost_usd) << "case " << i;
+        EXPECT_EQ(a.verifier_backend, b.verifier_backend) << "case " << i;
+        EXPECT_EQ(a.proposer, b.proposer) << "case " << i;
+        EXPECT_EQ(a.step_cost, b.step_cost) << "case " << i;
+        EXPECT_EQ(a.miss_replay, b.miss_replay) << "case " << i;
+        SCOPED_TRACE("after case " + std::to_string(i));
+        expectSameDeterministicStats(single.stats(), batch.stats());
+    }
+    EXPECT_GT(single.stats().found, 0u);
+    EXPECT_GT(single.stats().hybrid_fallbacks, 0u);
+    EXPECT_EQ(single.stats().scheduler.tasks_run, fns.size());
 }
 
 // A throw out of on_commit at index k cancels the run: it propagates

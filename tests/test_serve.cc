@@ -95,11 +95,7 @@ oneShotOptimize(const std::string &text, const ServeOptions &serve)
     core::PipelineConfig config;
     config.proposer = serve.proposer;
     config.num_threads = serve.threads;
-    uint64_t budget = options.pipeline.refine.conflict_budget;
-    std::vector<uint64_t> tiers = options.pipeline.refine.budget_tiers;
-    options.pipeline = config;
-    options.pipeline.refine.conflict_budget = budget;
-    options.pipeline.refine.budget_tiers = std::move(tiers);
+    options.adoptPipeline(std::move(config));
     options.step_budget = serve.step_budget;
     llm::MockModel model(llm::modelByName(serve.model), 1);
     core::ModuleOptimizer optimizer(model, options);

@@ -191,6 +191,11 @@ TEST(TelemetryTest, PercentilesNeverExceedTheObservedMax)
         tail.record(1'000);
     tail.record(28'900'000);
     tail.record(28'900'000);
+    // One 85 ms sample sits above the midpoint of its (50 ms, 100 ms]
+    // bucket: interpolation alone reads p50 = 75 ms, below every
+    // recorded sample, so the min clamps it.
+    telemetry::Histogram high = registry.histogram("test.high");
+    high.record(85'000'000);
 
     telemetry::MetricsSnapshot snap = registry.snapshot();
     const telemetry::HistogramSnapshot *h = snap.histogram("test.single");
@@ -199,13 +204,22 @@ TEST(TelemetryTest, PercentilesNeverExceedTheObservedMax)
     EXPECT_DOUBLE_EQ(h->p50(), 6'900'000.0);
     EXPECT_DOUBLE_EQ(h->p99(), 6'900'000.0);
 
+    h = snap.histogram("test.high");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->min, 85'000'000u);
+    EXPECT_EQ(h->max, 85'000'000u);
+    for (double q : {0.0, 0.5, 0.99, 1.0})
+        EXPECT_DOUBLE_EQ(h->percentile(q), 85'000'000.0) << "q=" << q;
+
     h = snap.histogram("test.tail");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->max, 28'900'000u);
     EXPECT_DOUBLE_EQ(h->p99(), 28'900'000.0);
     EXPECT_LE(h->p50(), 1'000.0);
+    EXPECT_EQ(h->min, 1'000u);
     for (double q : {0.0, 0.25, 0.5, 0.9, 0.98, 0.99, 0.999, 1.0}) {
-        EXPECT_GE(h->percentile(q), 0.0) << "q=" << q;
+        EXPECT_GE(h->percentile(q), static_cast<double>(h->min))
+            << "q=" << q;
         EXPECT_LE(h->percentile(q), static_cast<double>(h->max))
             << "q=" << q;
     }
@@ -270,6 +284,7 @@ TEST(TelemetryTest, SnapshotDeterministicAcrossThreadCounts)
     EXPECT_EQ(h1->count, h8->count);
     EXPECT_EQ(h1->sum, h8->sum);
     EXPECT_EQ(h1->max, h8->max);
+    EXPECT_EQ(h1->min, h8->min);
     EXPECT_EQ(h1->buckets, h8->buckets);
     // And the rendered documents are byte-identical (sorted names,
     // fixed formatting; no failpoint fired between the two runs, so

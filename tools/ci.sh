@@ -35,12 +35,14 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # learnt-clause reduction; test_bitblast, test_encoder,
 # test_word_rules and test_functional_hashing cover the circuit
 # builder's unique and signature tables, its window proofs, and the
-# encoder's word-level term table and demanded widths.
+# encoder's word-level term table and demanded widths. test_function
+# prints cross-context clones after their source Context is gone, and
+# test_pipeline runs every case on such a clone.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_bitblast test_encoder test_word_rules \
-    test_functional_hashing
+    test_functional_hashing test_function test_pipeline
 ./build-sanitize/test_sat
 ./build-sanitize/test_bitblast
 ./build-sanitize/test_encoder
@@ -50,6 +52,8 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_refine
 ./build-sanitize/test_exec_plan
 ./build-sanitize/test_chaos
+./build-sanitize/test_function
+./build-sanitize/test_pipeline
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
