@@ -1,17 +1,13 @@
 /**
  * @file
- * Interpreter throughput: legacy map-based engine vs the pre-compiled
- * ExecPlan engine, measured on 16-bit exhaustive verification sweeps
- * (the exact workload checkWithTesting runs per candidate).
- *
- * The legacy side is what checkWithTesting used to do per input:
- * build an ExecutionInput by decoding the sweep index, then re-walk
- * the ir::Function through interp::executeLegacy. The plan side
- * compiles once and runs the index-addressed loop over a reusable
- * frame. Emits BENCH_interp.json so CI tracks the trajectory.
+ * Interpreter throughput: ExecPlan's inputs per second on 16-bit
+ * exhaustive verification sweeps (the workload checkWithTesting runs
+ * per candidate), compiling once and reusing one frame. Each sweep's
+ * results (UB, each return lane's poison flag and bits) fold into a
+ * checksum that must equal the case's pinned value, so a wrong answer
+ * fails the benchmark. Emits BENCH_interp.json for CI.
  */
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -19,7 +15,6 @@
 
 #include "core/json_writer.h"
 #include "interp/exec_plan.h"
-#include "interp/interp.h"
 #include "ir/parser.h"
 
 using namespace lpo;
@@ -31,6 +26,9 @@ struct BenchCase
 {
     const char *name;
     const char *text;
+    /** Result checksum over the whole sweep, pinned at commit 33a5c89
+     *  where the tree-walking interpreter ExecPlan replaced agreed. */
+    uint64_t checksum;
 };
 
 // Representative straight-line sequences with a 16-bit input space,
@@ -43,14 +41,16 @@ const BenchCase kCases[] = {
      "  %s = sub i8 %m, %x\n"
      "  %o = or i8 %s, 1\n"
      "  %r = xor i8 %o, %y\n"
-     "  ret i8 %r\n}\n"},
+     "  ret i8 %r\n}\n",
+     0xd923025e04272325ull},
     {"i8x2_flags_poison",
      "define i8 @f(i8 %x, i8 %y) {\n"
      "  %a = add nsw i8 %x, 1\n"
      "  %s = shl nuw i8 %a, 1\n"
      "  %c = icmp slt i8 %s, %y\n"
      "  %r = select i1 %c, i8 %s, i8 %y\n"
-     "  ret i8 %r\n}\n"},
+     "  ret i8 %r\n}\n",
+     0x2208ad8fd7954225ull},
     {"i16_bit_tricks",
      "define i16 @f(i16 %x) {\n"
      "  %n = sub i16 0, %x\n"
@@ -58,7 +58,8 @@ const BenchCase kCases[] = {
      "  %p = tail call i16 @llvm.ctpop.i16(i16 %a)\n"
      "  %z = tail call i16 @llvm.ctlz.i16(i16 %x, i1 0)\n"
      "  %r = add i16 %p, %z\n"
-     "  ret i16 %r\n}\n"},
+     "  ret i16 %r\n}\n",
+     0xbb068779bd0eddfdull},
     {"v2i8_vector_clamp",
      "define <2 x i8> @f(<2 x i8> %x) {\n"
      "  %c = icmp slt <2 x i8> %x, zeroinitializer\n"
@@ -66,44 +67,21 @@ const BenchCase kCases[] = {
      "<2 x i8> splat (i8 100))\n"
      "  %r = select <2 x i1> %c, <2 x i8> zeroinitializer, "
      "<2 x i8> %m\n"
-     "  ret <2 x i8> %r\n}\n"},
+     "  ret <2 x i8> %r\n}\n",
+     0x4d0f741dc9fee47dull},
 };
 
-/** The sweep-index decoding the legacy checkWithTesting performed. */
-interp::ExecutionInput
-decodeExhaustive(const ir::Function &fn, uint64_t index)
+uint64_t
+fold(uint64_t hash, uint64_t word)
 {
-    interp::ExecutionInput input;
-    for (const auto &arg : fn.args()) {
-        const ir::Type *type = arg->type();
-        unsigned lanes = type->isVector() ? type->lanes() : 1;
-        unsigned width = type->scalarType()->intWidth();
-        interp::RtValue value;
-        for (unsigned lane = 0; lane < lanes; ++lane) {
-            uint64_t mask = width == 64 ? ~uint64_t(0)
-                                        : ((uint64_t(1) << width) - 1);
-            value.lanes.push_back(
-                interp::LaneValue::ofInt(APInt(width, index & mask)));
-            index >>= width;
-        }
-        input.args.push_back(value);
-    }
-    return input;
-}
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
+    return (hash ^ word) * 0x100000001b3ull;
 }
 
 struct CaseResult
 {
     std::string name;
     uint64_t inputs = 0;
-    double legacy_seconds = 0;
-    double plan_seconds = 0;
-    uint64_t check = 0; ///< fold of results, defeats dead-code elim
+    double seconds = 0;
 };
 
 CaseResult
@@ -117,50 +95,32 @@ runCase(const BenchCase &bench)
     }
     const ir::Function &fn = **parsed;
 
-    unsigned bits = 0;
-    for (const auto &arg : fn.args()) {
-        const ir::Type *t = arg->type();
-        unsigned lanes = t->isVector() ? t->lanes() : 1;
-        bits += lanes * t->scalarType()->intWidth();
-    }
     CaseResult result;
     result.name = bench.name;
-    result.inputs = uint64_t(1) << bits;
-
-    // Legacy: per-input ExecutionInput build + tree-walk execution.
-    {
-        auto start = Clock::now();
-        for (uint64_t i = 0; i < result.inputs; ++i) {
-            interp::ExecutionInput input = decodeExhaustive(fn, i);
-            interp::ExecutionResult r = interp::executeLegacy(fn, input);
-            result.check +=
-                r.ub ? 1
-                     : (r.ret ? r.ret->lanes[0].bits.zext() : 0);
-        }
-        result.legacy_seconds = secondsSince(start);
+    auto start = Clock::now();
+    interp::ExecPlan plan = interp::ExecPlan::compile(fn);
+    interp::ExecFrame frame = plan.makeFrame();
+    result.inputs = uint64_t(1) << plan.inputBits();
+    uint64_t checksum = 0xcbf29ce484222325ull;
+    for (uint64_t i = 0; i < result.inputs; ++i) {
+        interp::PlanResult r = plan.runExhaustive(frame, i);
+        checksum = fold(checksum, r.ub);
+        if (r.ub)
+            continue;
+        for (uint32_t lane = 0; lane < r.ret_lanes; ++lane)
+            checksum = fold(checksum, r.ret[lane].poison
+                                          ? ~uint64_t(0)
+                                          : r.ret[lane].bits.zext());
     }
-
-    // ExecPlan: compile once, reuse one frame, decode in place.
-    {
-        auto start = Clock::now();
-        interp::ExecPlan plan = interp::ExecPlan::compile(fn);
-        interp::ExecFrame frame = plan.makeFrame();
-        uint64_t check = 0;
-        for (uint64_t i = 0; i < result.inputs; ++i) {
-            interp::PlanResult r = plan.runExhaustive(frame, i);
-            check += r.ub ? 1
-                          : (r.has_ret ? r.ret[0].bits.zext() : 0);
-        }
-        result.plan_seconds = secondsSince(start);
-        if (check != result.check) {
-            std::fprintf(stderr,
-                         "ENGINE DISAGREEMENT on %s: legacy=%llu "
-                         "plan=%llu\n",
-                         bench.name,
-                         static_cast<unsigned long long>(result.check),
-                         static_cast<unsigned long long>(check));
-            std::exit(1);
-        }
+    result.seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    if (checksum != bench.checksum) {
+        std::fprintf(stderr,
+                     "WRONG RESULT on %s: checksum 0x%016llx, "
+                     "pinned 0x%016llx\n",
+                     bench.name, static_cast<unsigned long long>(checksum),
+                     static_cast<unsigned long long>(bench.checksum));
+        std::exit(1);
     }
     return result;
 }
@@ -171,37 +131,24 @@ int
 main()
 {
     std::vector<CaseResult> results;
-    double speedup_product = 1.0;
     for (const BenchCase &bench : kCases)
         results.push_back(runCase(bench));
 
-    std::printf("%-22s %10s %14s %14s %9s\n", "case", "inputs",
-                "legacy in/s", "plan in/s", "speedup");
+    std::printf("%-22s %10s %14s\n", "case", "inputs", "plan in/s");
     core::JsonWriter json;
     json.beginObject();
     json.key("benchmarks").beginArray();
     for (const CaseResult &r : results) {
-        double legacy_ips = r.inputs / r.legacy_seconds;
-        double plan_ips = r.inputs / r.plan_seconds;
-        double speedup = plan_ips / legacy_ips;
-        speedup_product *= speedup;
-        std::printf("%-22s %10llu %14.0f %14.0f %8.1fx\n",
-                    r.name.c_str(),
-                    static_cast<unsigned long long>(r.inputs),
-                    legacy_ips, plan_ips, speedup);
+        double ips = r.inputs / r.seconds;
+        std::printf("%-22s %10llu %14.0f\n", r.name.c_str(),
+                    static_cast<unsigned long long>(r.inputs), ips);
         json.beginObject(core::JsonWriter::Layout::Inline);
         json.field("name", r.name);
         json.field("inputs", r.inputs);
-        json.field("legacy_inputs_per_sec", legacy_ips, 0);
-        json.field("plan_inputs_per_sec", plan_ips, 0);
-        json.field("speedup", speedup, 2);
+        json.field("plan_inputs_per_sec", ips, 0);
         json.endObject();
     }
     json.endArray();
-    double geomean =
-        std::pow(speedup_product, 1.0 / results.size());
-    std::printf("geomean speedup: %.1fx\n", geomean);
-    json.field("geomean_speedup", geomean, 2);
     json.endObject();
 
     std::ofstream out("BENCH_interp.json");

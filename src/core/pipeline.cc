@@ -543,7 +543,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
         if (store_ && outcome.found())
             store_->catalog().record(canonical, outcome.candidate_text);
         else if (store_ && rememberable &&
-                 !(refine.interrupt && refine.interrupt->load()) &&
+                 !refine.interrupted() &&
                  !faultsArmed())
             store_->catalog().recordMiss(miss_key, encodeMiss(outcome));
     }
@@ -640,11 +640,12 @@ Pipeline::processSequences(
 
     // One task per case; one thread runs them on the caller, in order.
     // Wider fan-outs verify serially per case (they fill the machine)
-    // and let a cancelled scope interrupt in-flight SAT solves.
+    // and let a cancelled scope interrupt in-flight SAT solves, next
+    // to the caller's own interrupt.
     TaskScope scope(fanout);
     if (fanout > 1) {
         case_refine.num_threads = 1;
-        case_refine.interrupt = scope.cancelFlag();
+        case_refine.scope_interrupt = scope.cancelFlag();
     }
     for (size_t i = 0; i < sequences.size(); ++i) {
         scope.submit([this, i, round_seed, &sequences, &outcomes, &deltas,

@@ -25,9 +25,8 @@ laneCount(const Type *type)
 }
 
 // ---------------------------------------------------------------------
-// Lane evaluators. These mirror the legacy interpreter's semantics
-// exactly; the differential suite in test_exec_plan.cc pins the two
-// implementations against each other.
+// Lane evaluators: the LangRef rules listed in interp.h. Their
+// results over the corpus are pinned in test_exec_plan.cc.
 // ---------------------------------------------------------------------
 
 LaneValue
@@ -748,8 +747,8 @@ ExecPlan::exec(ExecFrame &frame) const
                 return trap("out-of-bounds store");
             for (uint32_t i = 0; i < inst.op_lanes[0]; ++i) {
                 const LaneValue &lane = val[i];
-                // Storing poison pins the bytes to zero (matches the
-                // freeze convention of the legacy interpreter).
+                // Storing poison pins the bytes to zero (the freeze
+                // convention).
                 uint64_t raw = 0;
                 if (!lane.poison) {
                     if (inst.elem_is_fp)

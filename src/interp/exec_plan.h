@@ -1,14 +1,12 @@
 /**
  * @file
- * Pre-compiled batch evaluation engine for the interpreter.
+ * Pre-compiled batch evaluation engine: the IR's one interpreter.
  *
- * The legacy interpreter (interp.cc) re-walks the ir::Function for
- * every input, resolving each operand through a std::map and
- * allocating a fresh RtValue per operand read. On the verification
- * sweep — up to 2^16 exhaustive or 20,000 sampled inputs per
- * candidate — that per-input overhead dominates the whole LPO loop.
- *
- * ExecPlan compiles a function ONCE into a flat program:
+ * The verification sweep runs up to 2^16 exhaustive or 20,000 sampled
+ * inputs per candidate, so per-input overhead (walking the
+ * ir::Function, looking operands up by pointer, allocating values)
+ * would dominate the whole LPO loop. ExecPlan compiles a function
+ * ONCE into a flat program:
  *
  *  - every SSA value (argument, constant, instruction result) gets a
  *    dense slot in a single lane arena; constants are evaluated at
@@ -22,9 +20,9 @@
  * Per-input execution is then an index-addressed loop over a reusable
  * ExecFrame: zero map lookups, zero steady-state allocation (the only
  * exception is copying input memory objects for functions that touch
- * memory). Semantics are identical to the legacy interpreter — the
- * test_exec_plan differential suite pins the two engines against each
- * other over the whole benchmark corpus.
+ * memory). test_exec_plan pins the engine's results over the whole
+ * benchmark corpus to digests, and test_verifier_fuzz checks it
+ * against the SAT encoder, an independent second semantics.
  */
 #ifndef LPO_INTERP_EXEC_PLAN_H
 #define LPO_INTERP_EXEC_PLAN_H

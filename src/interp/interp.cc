@@ -1,654 +1,10 @@
 #include "interp/interp.h"
 
 #include <cassert>
-#include <cmath>
-#include <cstring>
-#include <map>
 
 #include "interp/exec_plan.h"
-#include "ir/printer.h"
 
 namespace lpo::interp {
-
-using ir::FCmpPred;
-using ir::ICmpPred;
-using ir::Instruction;
-using ir::Intrinsic;
-using ir::Opcode;
-using ir::Type;
-using ir::Value;
-
-namespace {
-
-unsigned
-laneCount(const Type *type)
-{
-    return type->isVector() ? type->lanes() : 1;
-}
-
-/** Evaluation machinery for one execution. */
-class Machine
-{
-  public:
-    Machine(const ir::Function &fn, const ExecutionInput &input,
-            unsigned step_limit)
-        : fn_(fn), step_limit_(step_limit)
-    {
-        memory_ = input.memory;
-        for (unsigned i = 0; i < fn.numArgs(); ++i)
-            env_[fn.arg(i)] = input.args[i];
-    }
-
-    ExecutionResult run();
-
-  private:
-    RtValue valueOf(const Value *v);
-    bool evalInstruction(const Instruction *inst);
-
-    LaneValue evalIntBinary(const Instruction *inst, const LaneValue &a,
-                            const LaneValue &b);
-    LaneValue evalFPBinary(Opcode op, const LaneValue &a,
-                           const LaneValue &b);
-    LaneValue evalICmpLane(ICmpPred pred, const LaneValue &a,
-                           const LaneValue &b);
-    LaneValue evalFCmpLane(FCmpPred pred, const LaneValue &a,
-                           const LaneValue &b);
-    LaneValue evalCastLane(const Instruction *inst, const LaneValue &a);
-    LaneValue evalIntrinsicLane(const Instruction *inst,
-                                const std::vector<LaneValue> &args);
-
-    /** Raise immediate UB. */
-    bool
-    trap(std::string reason)
-    {
-        result_.ub = true;
-        result_.ub_reason = std::move(reason);
-        return false;
-    }
-
-    const ir::Function &fn_;
-    unsigned step_limit_;
-    std::map<const Value *, RtValue> env_;
-    std::vector<MemoryObject> memory_;
-    ExecutionResult result_;
-    const ir::BasicBlock *prev_block_ = nullptr;
-};
-
-RtValue
-Machine::valueOf(const Value *v)
-{
-    switch (v->kind()) {
-      case Value::Kind::Argument:
-      case Value::Kind::Instruction: {
-        auto it = env_.find(v);
-        assert(it != env_.end() && "value evaluated before definition");
-        return it->second;
-      }
-      case Value::Kind::ConstInt:
-        return RtValue::scalarInt(
-            static_cast<const ir::ConstantInt *>(v)->value());
-      case Value::Kind::ConstFP:
-        return RtValue::scalarFP(
-            static_cast<const ir::ConstantFP *>(v)->value());
-      case Value::Kind::Poison:
-        return RtValue::poison(laneCount(v->type()));
-      case Value::Kind::ConstVector: {
-        const auto *cv = static_cast<const ir::ConstantVector *>(v);
-        RtValue out;
-        for (const Value *e : cv->elements())
-            out.lanes.push_back(valueOf(e).scalar());
-        return out;
-      }
-    }
-    assert(false);
-    return {};
-}
-
-LaneValue
-Machine::evalIntBinary(const Instruction *inst, const LaneValue &a,
-                       const LaneValue &b)
-{
-    const Opcode op = inst->op();
-    const ir::InstFlags &flags = inst->flags();
-
-    // Division by a poison or zero divisor is immediate UB and handled
-    // by the caller before lane evaluation. Here poison just flows.
-    if (a.poison || b.poison)
-        return LaneValue::ofPoison();
-
-    const APInt &x = a.bits;
-    const APInt &y = b.bits;
-    unsigned width = x.width();
-
-    switch (op) {
-      case Opcode::Add:
-        if ((flags.nuw && x.addOverflowsUnsigned(y)) ||
-            (flags.nsw && x.addOverflowsSigned(y)))
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.add(y));
-      case Opcode::Sub:
-        if ((flags.nuw && x.subOverflowsUnsigned(y)) ||
-            (flags.nsw && x.subOverflowsSigned(y)))
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.sub(y));
-      case Opcode::Mul:
-        if ((flags.nuw && x.mulOverflowsUnsigned(y)) ||
-            (flags.nsw && x.mulOverflowsSigned(y)))
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.mul(y));
-      case Opcode::UDiv:
-        if (flags.exact && !x.urem(y).isZero())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.udiv(y));
-      case Opcode::SDiv:
-        if (flags.exact && !x.srem(y).isZero())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.sdiv(y));
-      case Opcode::URem:
-        return LaneValue::ofInt(x.urem(y));
-      case Opcode::SRem:
-        return LaneValue::ofInt(x.srem(y));
-      case Opcode::Shl: {
-        if (y.zext() >= width)
-            return LaneValue::ofPoison();
-        unsigned amount = static_cast<unsigned>(y.zext());
-        if ((flags.nuw && x.shlOverflowsUnsigned(amount)) ||
-            (flags.nsw && x.shlOverflowsSigned(amount)))
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.shl(amount));
-      }
-      case Opcode::LShr: {
-        if (y.zext() >= width)
-            return LaneValue::ofPoison();
-        unsigned amount = static_cast<unsigned>(y.zext());
-        if (flags.exact && x.lshr(amount).shl(amount).zext() != x.zext())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.lshr(amount));
-      }
-      case Opcode::AShr: {
-        if (y.zext() >= width)
-            return LaneValue::ofPoison();
-        unsigned amount = static_cast<unsigned>(y.zext());
-        if (flags.exact && x.ashr(amount).shl(amount).zext() != x.zext())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.ashr(amount));
-      }
-      case Opcode::And:
-        return LaneValue::ofInt(x.andOp(y));
-      case Opcode::Or:
-        if (flags.disjoint && !x.andOp(y).isZero())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.orOp(y));
-      case Opcode::Xor:
-        return LaneValue::ofInt(x.xorOp(y));
-      default:
-        assert(false && "not an integer binary op");
-        return LaneValue::ofPoison();
-    }
-}
-
-LaneValue
-Machine::evalFPBinary(Opcode op, const LaneValue &a, const LaneValue &b)
-{
-    if (a.poison || b.poison)
-        return LaneValue::ofPoison();
-    switch (op) {
-      case Opcode::FAdd: return LaneValue::ofFP(a.fp + b.fp);
-      case Opcode::FSub: return LaneValue::ofFP(a.fp - b.fp);
-      case Opcode::FMul: return LaneValue::ofFP(a.fp * b.fp);
-      case Opcode::FDiv: return LaneValue::ofFP(a.fp / b.fp);
-      default:
-        assert(false);
-        return LaneValue::ofPoison();
-    }
-}
-
-LaneValue
-Machine::evalICmpLane(ICmpPred pred, const LaneValue &a, const LaneValue &b)
-{
-    if (a.poison || b.poison)
-        return LaneValue::ofPoison();
-    const APInt &x = a.bits;
-    const APInt &y = b.bits;
-    bool r = false;
-    switch (pred) {
-      case ICmpPred::EQ: r = x.eq(y); break;
-      case ICmpPred::NE: r = x.ne(y); break;
-      case ICmpPred::UGT: r = x.ugt(y); break;
-      case ICmpPred::UGE: r = x.uge(y); break;
-      case ICmpPred::ULT: r = x.ult(y); break;
-      case ICmpPred::ULE: r = x.ule(y); break;
-      case ICmpPred::SGT: r = x.sgt(y); break;
-      case ICmpPred::SGE: r = x.sge(y); break;
-      case ICmpPred::SLT: r = x.slt(y); break;
-      case ICmpPred::SLE: r = x.sle(y); break;
-    }
-    return LaneValue::ofInt(APInt(1, r));
-}
-
-LaneValue
-Machine::evalFCmpLane(FCmpPred pred, const LaneValue &a, const LaneValue &b)
-{
-    if (a.poison || b.poison)
-        return LaneValue::ofPoison();
-    double x = a.fp;
-    double y = b.fp;
-    bool unordered = std::isnan(x) || std::isnan(y);
-    bool r = false;
-    switch (pred) {
-      case FCmpPred::False: r = false; break;
-      case FCmpPred::OEQ: r = !unordered && x == y; break;
-      case FCmpPred::OGT: r = !unordered && x > y; break;
-      case FCmpPred::OGE: r = !unordered && x >= y; break;
-      case FCmpPred::OLT: r = !unordered && x < y; break;
-      case FCmpPred::OLE: r = !unordered && x <= y; break;
-      case FCmpPred::ONE: r = !unordered && x != y; break;
-      case FCmpPred::ORD: r = !unordered; break;
-      case FCmpPred::UEQ: r = unordered || x == y; break;
-      case FCmpPred::UGT: r = unordered || x > y; break;
-      case FCmpPred::UGE: r = unordered || x >= y; break;
-      case FCmpPred::ULT: r = unordered || x < y; break;
-      case FCmpPred::ULE: r = unordered || x <= y; break;
-      case FCmpPred::UNE: r = unordered || x != y; break;
-      case FCmpPred::UNO: r = unordered; break;
-      case FCmpPred::True: r = true; break;
-    }
-    return LaneValue::ofInt(APInt(1, r));
-}
-
-LaneValue
-Machine::evalCastLane(const Instruction *inst, const LaneValue &a)
-{
-    if (a.poison)
-        return LaneValue::ofPoison();
-    unsigned dst = inst->type()->scalarType()->intWidth();
-    const ir::InstFlags &flags = inst->flags();
-    switch (inst->op()) {
-      case Opcode::Trunc: {
-        APInt t = a.bits.truncTo(dst);
-        if (flags.nuw && t.zextTo(a.bits.width()).zext() != a.bits.zext())
-            return LaneValue::ofPoison();
-        if (flags.nsw && t.sextTo(a.bits.width()).zext() != a.bits.zext())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(t);
-      }
-      case Opcode::ZExt:
-        if (flags.nneg && a.bits.isSignBitSet())
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(a.bits.zextTo(dst));
-      case Opcode::SExt:
-        return LaneValue::ofInt(a.bits.sextTo(dst));
-      default:
-        assert(false);
-        return LaneValue::ofPoison();
-    }
-}
-
-LaneValue
-Machine::evalIntrinsicLane(const Instruction *inst,
-                           const std::vector<LaneValue> &args)
-{
-    Intrinsic intr = inst->intrinsic();
-    if (intr == Intrinsic::FAbs) {
-        if (args[0].poison)
-            return LaneValue::ofPoison();
-        return LaneValue::ofFP(std::fabs(args[0].fp));
-    }
-    if (args[0].poison)
-        return LaneValue::ofPoison();
-    const APInt &x = args[0].bits;
-    unsigned w = x.width();
-    switch (intr) {
-      case Intrinsic::UMin:
-      case Intrinsic::UMax:
-      case Intrinsic::SMin:
-      case Intrinsic::SMax: {
-        if (args[1].poison)
-            return LaneValue::ofPoison();
-        const APInt &y = args[1].bits;
-        switch (intr) {
-          case Intrinsic::UMin: return LaneValue::ofInt(x.umin(y));
-          case Intrinsic::UMax: return LaneValue::ofInt(x.umax(y));
-          case Intrinsic::SMin: return LaneValue::ofInt(x.smin(y));
-          default: return LaneValue::ofInt(x.smax(y));
-        }
-      }
-      case Intrinsic::Abs: {
-        // args[1] is the is_int_min_poison immarg (i1 constant).
-        bool min_poison = !args[1].bits.isZero();
-        if (x.isSignedMin())
-            return min_poison ? LaneValue::ofPoison() : LaneValue::ofInt(x);
-        return LaneValue::ofInt(x.isSignBitSet() ? x.neg() : x);
-      }
-      case Intrinsic::CtPop:
-        return LaneValue::ofInt(APInt(w, x.popCount()));
-      case Intrinsic::CtLz: {
-        bool zero_poison = !args[1].bits.isZero();
-        if (x.isZero() && zero_poison)
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(APInt(w, x.countLeadingZeros()));
-      }
-      case Intrinsic::CtTz: {
-        bool zero_poison = !args[1].bits.isZero();
-        if (x.isZero() && zero_poison)
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(APInt(w, x.countTrailingZeros()));
-      }
-      case Intrinsic::USubSat: {
-        const APInt &y = args[1].bits;
-        if (args[1].poison)
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(x.ult(y) ? APInt::zero(w) : x.sub(y));
-      }
-      case Intrinsic::UAddSat: {
-        const APInt &y = args[1].bits;
-        if (args[1].poison)
-            return LaneValue::ofPoison();
-        return LaneValue::ofInt(
-            x.addOverflowsUnsigned(y) ? APInt::allOnes(w) : x.add(y));
-      }
-      case Intrinsic::SSubSat: {
-        const APInt &y = args[1].bits;
-        if (args[1].poison)
-            return LaneValue::ofPoison();
-        if (x.subOverflowsSigned(y))
-            return LaneValue::ofInt(x.sge(y) ? APInt::signedMax(w)
-                                             : APInt::signedMin(w));
-        return LaneValue::ofInt(x.sub(y));
-      }
-      case Intrinsic::SAddSat: {
-        const APInt &y = args[1].bits;
-        if (args[1].poison)
-            return LaneValue::ofPoison();
-        if (x.addOverflowsSigned(y))
-            return LaneValue::ofInt(x.isSignBitSet() ? APInt::signedMin(w)
-                                                     : APInt::signedMax(w));
-        return LaneValue::ofInt(x.add(y));
-      }
-      default:
-        assert(false && "unhandled intrinsic");
-        return LaneValue::ofPoison();
-    }
-}
-
-bool
-Machine::evalInstruction(const Instruction *inst)
-{
-    unsigned lanes = laneCount(inst->type());
-    RtValue out;
-
-    if (inst->isIntBinaryOp()) {
-        RtValue a = valueOf(inst->operand(0));
-        RtValue b = valueOf(inst->operand(1));
-        if (ir::isIntDivRem(inst->op())) {
-            for (unsigned i = 0; i < b.lanes.size(); ++i) {
-                if (b.lanes[i].poison)
-                    return trap("division by poison");
-                if (b.lanes[i].bits.isZero())
-                    return trap("division by zero");
-                bool is_signed = inst->op() == Opcode::SDiv ||
-                                 inst->op() == Opcode::SRem;
-                if (is_signed && !a.lanes[i].poison &&
-                    a.lanes[i].bits.isSignedMin() &&
-                    b.lanes[i].bits.isAllOnes())
-                    return trap("signed division overflow");
-            }
-        }
-        for (unsigned i = 0; i < lanes; ++i)
-            out.lanes.push_back(
-                evalIntBinary(inst, a.lanes[i], b.lanes[i]));
-        env_[inst] = out;
-        return true;
-    }
-
-    switch (inst->op()) {
-      case Opcode::FAdd: case Opcode::FSub:
-      case Opcode::FMul: case Opcode::FDiv: {
-        RtValue a = valueOf(inst->operand(0));
-        RtValue b = valueOf(inst->operand(1));
-        for (unsigned i = 0; i < lanes; ++i)
-            out.lanes.push_back(
-                evalFPBinary(inst->op(), a.lanes[i], b.lanes[i]));
-        break;
-      }
-      case Opcode::ICmp: {
-        RtValue a = valueOf(inst->operand(0));
-        RtValue b = valueOf(inst->operand(1));
-        for (unsigned i = 0; i < lanes; ++i)
-            out.lanes.push_back(
-                evalICmpLane(inst->icmpPred(), a.lanes[i], b.lanes[i]));
-        break;
-      }
-      case Opcode::FCmp: {
-        RtValue a = valueOf(inst->operand(0));
-        RtValue b = valueOf(inst->operand(1));
-        for (unsigned i = 0; i < lanes; ++i)
-            out.lanes.push_back(
-                evalFCmpLane(inst->fcmpPred(), a.lanes[i], b.lanes[i]));
-        break;
-      }
-      case Opcode::Select: {
-        RtValue cond = valueOf(inst->operand(0));
-        RtValue tval = valueOf(inst->operand(1));
-        RtValue fval = valueOf(inst->operand(2));
-        bool scalar_cond = inst->operand(0)->type()->isBool();
-        for (unsigned i = 0; i < lanes; ++i) {
-            const LaneValue &c = scalar_cond ? cond.lanes[0] : cond.lanes[i];
-            if (c.poison) {
-                out.lanes.push_back(LaneValue::ofPoison());
-                continue;
-            }
-            out.lanes.push_back(c.bits.isZero() ? fval.lanes[i]
-                                                : tval.lanes[i]);
-        }
-        break;
-      }
-      case Opcode::Trunc: case Opcode::ZExt: case Opcode::SExt: {
-        RtValue a = valueOf(inst->operand(0));
-        for (unsigned i = 0; i < lanes; ++i)
-            out.lanes.push_back(evalCastLane(inst, a.lanes[i]));
-        break;
-      }
-      case Opcode::Freeze: {
-        RtValue a = valueOf(inst->operand(0));
-        const Type *scalar = inst->type()->scalarType();
-        for (unsigned i = 0; i < lanes; ++i) {
-            LaneValue lane = a.lanes[i];
-            if (lane.poison) {
-                lane = scalar->isFloat()
-                    ? LaneValue::ofFP(0.0)
-                    : LaneValue::ofInt(APInt::zero(
-                          scalar->isInt() ? scalar->intWidth() : 64));
-            }
-            out.lanes.push_back(lane);
-        }
-        break;
-      }
-      case Opcode::Call: {
-        std::vector<RtValue> args;
-        for (const Value *operand : inst->operands())
-            args.push_back(valueOf(operand));
-        for (unsigned i = 0; i < lanes; ++i) {
-            std::vector<LaneValue> lane_args;
-            for (unsigned a = 0; a < args.size(); ++a) {
-                // Scalar immargs (abs/ctlz i1 flag) broadcast.
-                lane_args.push_back(args[a].lanes.size() == 1
-                                        ? args[a].lanes[0]
-                                        : args[a].lanes[i]);
-            }
-            out.lanes.push_back(evalIntrinsicLane(inst, lane_args));
-        }
-        break;
-      }
-      case Opcode::Gep: {
-        RtValue base = valueOf(inst->operand(0));
-        RtValue index = valueOf(inst->operand(1));
-        const LaneValue &b = base.lanes[0];
-        const LaneValue &idx = index.lanes[0];
-        if (b.poison || idx.poison) {
-            out.lanes.push_back(LaneValue::ofPoison());
-            break;
-        }
-        int64_t elem_size = inst->accessType()->storeSizeBytes();
-        int64_t offset = static_cast<int64_t>(b.bits.zext()) +
-                         idx.bits.sext() * elem_size;
-        LaneValue lane = LaneValue::ofPtr(b.object_id,
-                                          static_cast<uint64_t>(offset));
-        if (inst->flags().inbounds) {
-            int64_t size = b.object_id >= 0 &&
-                           b.object_id < static_cast<int>(memory_.size())
-                ? static_cast<int64_t>(memory_[b.object_id].bytes.size())
-                : 0;
-            if (offset < 0 || offset > size)
-                lane = LaneValue::ofPoison();
-        }
-        out.lanes.push_back(lane);
-        break;
-      }
-      case Opcode::Load: {
-        RtValue ptr = valueOf(inst->operand(0));
-        const LaneValue &p = ptr.lanes[0];
-        if (p.poison)
-            return trap("load from poison pointer");
-        if (p.object_id < 0 ||
-            p.object_id >= static_cast<int>(memory_.size()))
-            return trap("load from non-pointer value");
-        const std::vector<uint8_t> &bytes = memory_[p.object_id].bytes;
-        uint64_t offset = p.bits.zext();
-        unsigned size = inst->type()->storeSizeBytes();
-        if (offset + size > bytes.size())
-            return trap("out-of-bounds load");
-        const Type *scalar = inst->type()->scalarType();
-        unsigned elem_size = scalar->storeSizeBytes();
-        for (unsigned i = 0; i < lanes; ++i) {
-            uint64_t raw = 0;
-            std::memcpy(&raw, bytes.data() + offset + i * elem_size,
-                        elem_size);
-            if (scalar->isFloat()) {
-                double d;
-                std::memcpy(&d, bytes.data() + offset + i * elem_size, 8);
-                out.lanes.push_back(LaneValue::ofFP(d));
-            } else {
-                out.lanes.push_back(
-                    LaneValue::ofInt(APInt(scalar->intWidth(), raw)));
-            }
-        }
-        break;
-      }
-      case Opcode::Store: {
-        RtValue val = valueOf(inst->operand(0));
-        RtValue ptr = valueOf(inst->operand(1));
-        const LaneValue &p = ptr.lanes[0];
-        if (p.poison)
-            return trap("store to poison pointer");
-        if (p.object_id < 0 ||
-            p.object_id >= static_cast<int>(memory_.size()))
-            return trap("store to non-pointer value");
-        std::vector<uint8_t> &bytes = memory_[p.object_id].bytes;
-        uint64_t offset = p.bits.zext();
-        const Type *vt = inst->operand(0)->type();
-        unsigned size = vt->storeSizeBytes();
-        if (offset + size > bytes.size())
-            return trap("out-of-bounds store");
-        const Type *scalar = vt->scalarType();
-        unsigned elem_size = scalar->storeSizeBytes();
-        for (unsigned i = 0; i < val.lanes.size(); ++i) {
-            const LaneValue &lane = val.lanes[i];
-            // Storing poison is allowed; the bytes become arbitrary.
-            // We pin them to zero (matches the freeze convention).
-            uint64_t raw = 0;
-            if (!lane.poison) {
-                if (scalar->isFloat())
-                    std::memcpy(&raw, &lane.fp, 8);
-                else
-                    raw = lane.bits.zext();
-            }
-            std::memcpy(bytes.data() + offset + i * elem_size, &raw,
-                        elem_size);
-        }
-        env_[inst] = RtValue{};
-        return true;
-      }
-      default:
-        assert(false && "unhandled opcode in interpreter");
-        return trap("internal: unhandled opcode");
-    }
-    env_[inst] = out;
-    return true;
-}
-
-ExecutionResult
-Machine::run()
-{
-    const ir::BasicBlock *block = fn_.entry();
-    unsigned steps = 0;
-    size_t index = 0;
-    while (true) {
-        if (index >= block->size())
-            return result_; // malformed; verifier rejects this earlier
-        const Instruction *inst = block->at(index);
-        if (++steps > step_limit_) {
-            trap("step limit exceeded");
-            result_.memory = memory_;
-            return result_;
-        }
-        switch (inst->op()) {
-          case Opcode::Ret: {
-            if (inst->numOperands() == 1)
-                result_.ret = valueOf(inst->operand(0));
-            result_.memory = memory_;
-            return result_;
-          }
-          case Opcode::Br: {
-            const std::string *label;
-            if (inst->numOperands() == 0) {
-                label = &inst->brLabels()[0];
-            } else {
-                RtValue cond = valueOf(inst->operand(0));
-                if (cond.scalar().poison) {
-                    trap("branch on poison");
-                    result_.memory = memory_;
-                    return result_;
-                }
-                label = cond.scalar().bits.isZero() ? &inst->brLabels()[1]
-                                                    : &inst->brLabels()[0];
-            }
-            const ir::BasicBlock *next = fn_.findBlock(*label);
-            assert(next && "br to unknown label");
-            prev_block_ = block;
-            block = next;
-            index = 0;
-            continue;
-          }
-          case Opcode::Phi: {
-            assert(prev_block_ && "phi in entry block");
-            bool matched = false;
-            for (unsigned i = 0; i < inst->numOperands(); ++i) {
-                if (inst->phiLabels()[i] == prev_block_->label()) {
-                    env_[inst] = valueOf(inst->operand(i));
-                    matched = true;
-                    break;
-                }
-            }
-            if (!matched) {
-                trap("phi has no entry for predecessor");
-                result_.memory = memory_;
-                return result_;
-            }
-            ++index;
-            continue;
-          }
-          default:
-            if (!evalInstruction(inst)) {
-                result_.memory = memory_;
-                return result_;
-            }
-            ++index;
-        }
-    }
-}
-
-} // namespace
 
 ExecutionResult
 execute(const ir::Function &fn, const ExecutionInput &input,
@@ -660,16 +16,6 @@ execute(const ir::Function &fn, const ExecutionInput &input,
     ExecFrame frame = plan.makeFrame();
     PlanResult result = plan.run(frame, input);
     return plan.materialize(frame, result);
-}
-
-ExecutionResult
-executeLegacy(const ir::Function &fn, const ExecutionInput &input,
-              unsigned step_limit)
-{
-    assert(input.args.size() == fn.numArgs() &&
-           "argument count mismatch");
-    Machine machine(fn, input, step_limit);
-    return machine.run();
 }
 
 std::string

@@ -2,10 +2,11 @@
  * @file
  * Concrete IR interpreter with poison / immediate-UB semantics.
  *
- * This is the executable semantics of the IR: the bounded
- * translation-validation backend runs it on concrete inputs, and the
- * SAT encoder's correctness tests cross-check against it. The rules
- * follow the LLVM LangRef:
+ * This is the executable semantics of the IR, implemented once, by
+ * ExecPlan (interp/exec_plan.h): the bounded translation-validation
+ * backend runs it on concrete inputs, and the verifier fuzzer
+ * (tests/test_verifier_fuzz.cc) cross-checks the SAT encoder against
+ * it. The rules follow the LLVM LangRef:
  *
  *  - arithmetic is modular; nsw/nuw/exact/disjoint/nneg and
  *    trunc nuw/nsw produce poison when violated;
@@ -72,7 +73,6 @@ struct RtValue
 {
     std::vector<LaneValue> lanes;
 
-    bool isScalar() const { return lanes.size() == 1; }
     const LaneValue &scalar() const { return lanes.front(); }
     bool anyPoison() const
     {
@@ -87,10 +87,6 @@ struct RtValue
         return RtValue{{LaneValue::ofInt(v)}};
     }
     static RtValue scalarFP(double v) { return RtValue{{LaneValue::ofFP(v)}}; }
-    static RtValue poison(unsigned lanes = 1)
-    {
-        return RtValue{std::vector<LaneValue>(lanes, LaneValue::ofPoison())};
-    }
 };
 
 /** A memory object backing one pointer argument. */
@@ -120,27 +116,16 @@ struct ExecutionResult
 /**
  * Execute @p fn on @p input.
  *
- * Since the ExecPlan engine landed this is a thin wrapper that
- * compiles @p fn once and runs the plan (see interp/exec_plan.h), so
- * every caller — including the encoder cross-check tests — exercises
- * the production evaluation path. Batch callers should compile a plan
- * themselves and reuse an ExecFrame across inputs.
+ * A thin wrapper that compiles @p fn and runs the plan once (see
+ * interp/exec_plan.h), so every caller exercises the production
+ * evaluation path. Batch callers should compile a plan themselves and
+ * reuse an ExecFrame across inputs.
  *
  * @param step_limit aborts looping functions; exceeding it is
  *        reported as UB with reason "step limit".
  */
 ExecutionResult execute(const ir::Function &fn, const ExecutionInput &input,
                         unsigned step_limit = 100000);
-
-/**
- * The original tree-walking interpreter (map-based operand lookup,
- * per-run allocations). Retained as the reference implementation for
- * the ExecPlan differential suite and the throughput benchmark; new
- * code should call execute() or use ExecPlan directly.
- */
-ExecutionResult executeLegacy(const ir::Function &fn,
-                              const ExecutionInput &input,
-                              unsigned step_limit = 100000);
 
 /**
  * Render a counterexample input in the style Alive2 uses for feedback

@@ -615,29 +615,41 @@ CircuitBuilder::bvMulFull(const BitVec &a, const BitVec &b)
 }
 
 void
-CircuitBuilder::bvUDivRem(const BitVec &x, const BitVec &y, CLit guard,
-                          BitVec *quotient, BitVec *remainder)
+CircuitBuilder::bvDivRem(bool is_signed, const BitVec &x, const BitVec &y,
+                         CLit guard, BitVec *quotient, BitVec *remainder)
 {
+    auto [it, fresh] = divisions_.try_emplace(DivKey{is_signed, x, y});
+    Division &div = it->second;
+    if (!fresh) {
+        *quotient = div.q;
+        *remainder = div.r;
+        // The same division again: its constraints pin q and r wherever
+        // any of its guards holds, so assert them under this guard too.
+        for (CLit guarded : div.guards)
+            if (guarded == guard)
+                return;
+        div.guards.push_back(guard);
+        for (CLit constraint : div.constraints)
+            requireImplies(guard, constraint);
+        return;
+    }
     unsigned width = x.size();
-    BitVec q = freshBV(width);
-    BitVec r = freshBV(width);
-    // guard -> (zext(x) == zext(q)*zext(y) + zext(r)), using 2w bits so
-    // the product cannot wrap, plus guard -> r < y.
-    BitVec prod = bvMul(bvZext(q, width * 2), bvZext(y, width * 2));
-    BitVec sum = bvAdd(prod, bvZext(r, width * 2));
-    requireImplies(guard, bvEq(sum, bvZext(x, width * 2)));
-    requireImplies(guard, bvULt(r, y));
-    *quotient = q;
-    *remainder = r;
-}
-
-void
-CircuitBuilder::bvSDivRem(const BitVec &x, const BitVec &y, CLit guard,
-                          BitVec *quotient, BitVec *remainder)
-{
-    unsigned width = x.size();
-    BitVec q = freshBV(width);
-    BitVec r = freshBV(width);
+    const BitVec &q = div.q = *quotient = freshBV(width);
+    const BitVec &r = div.r = *remainder = freshBV(width);
+    div.guards.push_back(guard);
+    auto constrain = [&](CLit constraint) {
+        div.constraints.push_back(constraint);
+        requireImplies(guard, constraint);
+    };
+    if (!is_signed) {
+        // guard -> (zext(x) == zext(q)*zext(y) + zext(r)), using 2w
+        // bits so the product cannot wrap, plus guard -> r < y.
+        BitVec prod = bvMul(bvZext(q, width * 2), bvZext(y, width * 2));
+        BitVec sum = bvAdd(prod, bvZext(r, width * 2));
+        constrain(bvEq(sum, bvZext(x, width * 2)));
+        constrain(bvULt(r, y));
+        return;
+    }
     // Signed constraints in 2w bits: sext(x) == sext(q)*sext(y)+sext(r),
     // |r| < |y|, and r == 0 or sign(r) == sign(x). This pins down the
     // C-style truncating quotient for every case except INT_MIN / -1,
@@ -648,18 +660,16 @@ CircuitBuilder::bvSDivRem(const BitVec &x, const BitVec &y, CLit guard,
     BitVec rs = bvSext(r, width * 2);
     BitVec prod = bvMul(qs, ys);
     BitVec sum = bvAdd(prod, rs);
-    requireImplies(guard, bvEq(sum, xs));
+    constrain(bvEq(sum, xs));
     // |r| < |y| via absolute values in 2w bits (no overflow there).
     CLit r_negative = rs.back();
     CLit y_negative = ys.back();
     BitVec abs_r = bvMux(r_negative, bvNeg(rs), rs);
     BitVec abs_y = bvMux(y_negative, bvNeg(ys), ys);
-    requireImplies(guard, bvULt(abs_r, abs_y));
+    constrain(bvULt(abs_r, abs_y));
     CLit r_zero = -bvNonZero(r);
     CLit x_negative = x.back();
-    requireImplies(guard, orGate(r_zero, iffGate(r_negative, x_negative)));
-    *quotient = q;
-    *remainder = r;
+    constrain(orGate(r_zero, iffGate(r_negative, x_negative)));
 }
 
 BitVec

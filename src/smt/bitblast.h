@@ -14,6 +14,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -131,17 +133,22 @@ class CircuitBuilder
     BitVec bvMulFull(const BitVec &a, const BitVec &b);
 
     /**
-     * Unsigned division/remainder via auxiliary variables.
+     * Division and remainder (unsigned, or signed with C's truncating
+     * semantics) via auxiliary quotient and remainder variables.
      *
-     * The defining constraints (x == q*y + r, r < y) are only asserted
-     * under @p guard; callers pass the "divisor is nonzero" condition,
-     * matching the IR's UB rules.
+     * The defining constraints (x == q*y + r with |r| < |y|, and for
+     * signed division r == 0 or sign(r) == sign(x)) are asserted only
+     * under @p guard; callers pass "the divisor is nonzero and not
+     * poison" (and, signed, "not INT_MIN / -1"), matching the IR's UB
+     * rules. Divisions are memoized on (@p is_signed, @p x, @p y): a
+     * repeat returns the same q and r and asserts the same constraints
+     * under its own guard, so a division source and target share is
+     * one node. That is sound because where a caller's guard is false
+     * its division is UB or its result poison, so the value q and r
+     * take there is never observed.
      */
-    void bvUDivRem(const BitVec &x, const BitVec &y, CLit guard,
-                   BitVec *quotient, BitVec *remainder);
-    /** Signed division/remainder (C semantics, truncating). */
-    void bvSDivRem(const BitVec &x, const BitVec &y, CLit guard,
-                   BitVec *quotient, BitVec *remainder);
+    void bvDivRem(bool is_signed, const BitVec &x, const BitVec &y,
+                  CLit guard, BitVec *quotient, BitVec *remainder);
 
     // Shifts (barrel shifter for variable amounts).
     BitVec bvShl(const BitVec &a, const BitVec &amount);
@@ -177,6 +184,16 @@ class CircuitBuilder
     APInt modelBV(const BitVec &a) const;
 
   private:
+    /** One memoized division (see bvDivRem). */
+    struct Division
+    {
+        BitVec q;
+        BitVec r;
+        std::vector<CLit> constraints; ///< each asserted under every guard
+        std::vector<CLit> guards;
+    };
+    using DivKey = std::tuple<bool, BitVec, BitVec>; ///< signed, x, y
+
     /** Unique-table key: a canonicalized gate application. */
     struct NodeKey
     {
@@ -255,6 +272,7 @@ class CircuitBuilder
     void addToSigTable(CLit lit);
 
     SatSolver &solver_;
+    std::map<DivKey, Division> divisions_;
     std::unordered_map<NodeKey, CLit, NodeKeyHash> unique_;
     uint64_t unique_hits_ = 0;
     /** Indexed by variable; slot 0 is unused (variables are 1-based,

@@ -614,10 +614,12 @@ SatSolver::solve(uint64_t conflict_budget)
                 return SatResult::Unknown;
             }
             // Cooperative cancellation answers like an exhausted
-            // budget; an unset flag costs one predictable branch per
-            // conflict and changes nothing else.
-            if (interrupt_ &&
-                interrupt_->load(std::memory_order_relaxed)) {
+            // budget; unset flags cost two predictable branches per
+            // conflict and change nothing else.
+            if ((interrupt_[0] &&
+                 interrupt_[0]->load(std::memory_order_relaxed)) ||
+                (interrupt_[1] &&
+                 interrupt_[1]->load(std::memory_order_relaxed))) {
                 backtrack(0);
                 return SatResult::Unknown;
             }

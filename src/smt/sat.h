@@ -28,6 +28,7 @@
 #ifndef LPO_SMT_SAT_H
 #define LPO_SMT_SAT_H
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -95,14 +96,19 @@ class SatSolver
     bool inconsistent() const { return unsat_; }
 
     /**
-     * Cooperative cancellation: when @p flag becomes true, the current
-     * (and any later) solve call returns Unknown at the next conflict
-     * boundary. The solver stays consistent — exactly as if the
-     * conflict budget had been exhausted. A null or never-set flag
-     * leaves the search trajectory untouched, so cancellation wiring
-     * cannot perturb verdicts that complete normally.
+     * Cooperative cancellation: when @p flag or @p second becomes
+     * true, the current (and any later) solve call returns Unknown at
+     * the next conflict boundary. The solver stays consistent —
+     * exactly as if the conflict budget had been exhausted. Null or
+     * never-set flags leave the search trajectory untouched, so
+     * cancellation wiring cannot perturb verdicts that complete
+     * normally.
      */
-    void setInterrupt(const std::atomic<bool> *flag) { interrupt_ = flag; }
+    void setInterrupt(const std::atomic<bool> *flag,
+                      const std::atomic<bool> *second = nullptr)
+    {
+        interrupt_ = {flag, second};
+    }
 
     /** Statistics for the throughput benchmarks. */
     uint64_t conflicts() const { return conflicts_; }
@@ -237,7 +243,7 @@ class SatSolver
     uint64_t reduce_limit_ = 2000;
     uint64_t restart_unit_ = 100;
     bool unsat_ = false;
-    const std::atomic<bool> *interrupt_ = nullptr;
+    std::array<const std::atomic<bool> *, 2> interrupt_{};
 
     // Scratch state reused across conflicts so the hot loop never
     // allocates: the conflict-analysis marker array (cleared back to

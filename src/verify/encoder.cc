@@ -700,7 +700,7 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
         addUB(b_.orGate(b.poison, -b_.bvNonZero(y)));
         CLit guard = b_.andGate(-b.poison, b_.bvNonZero(y));
         BitVec q, r;
-        b_.bvUDivRem(x, y, guard, &q, &r);
+        b_.bvDivRem(false, x, y, guard, &q, &r);
         bits = inst->op() == Opcode::UDiv ? q : r;
         if (flags.exact && inst->op() == Opcode::UDiv)
             poison = b_.orGate(poison, b_.bvNonZero(r));
@@ -718,7 +718,7 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
             {-b.poison, b_.bvNonZero(y),
              -b_.andGate(x_is_min, y_is_m1)});
         BitVec q, r;
-        b_.bvSDivRem(x, y, guard, &q, &r);
+        b_.bvDivRem(true, x, y, guard, &q, &r);
         bits = inst->op() == Opcode::SDiv ? q : r;
         if (flags.exact && inst->op() == Opcode::SDiv)
             poison = b_.orGate(poison, b_.bvNonZero(r));

@@ -173,14 +173,6 @@ conflictsPerSolveHistogram()
     return h;
 }
 
-/** Has the caller's cooperative-cancellation flag been raised? */
-bool
-interrupted(const RefineOptions &options)
-{
-    return options.interrupt &&
-           options.interrupt->load(std::memory_order_relaxed);
-}
-
 /**
  * The per-query budget schedule: the escalation ladder when
  * configured, otherwise the legacy single-shot budget. Each entry is
@@ -240,7 +232,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
     result.backend = "sat";
 
     SatSolver solver;
-    solver.setInterrupt(options.interrupt);
+    solver.setInterrupt(options.interrupt, options.scope_interrupt);
     CircuitBuilder builder(solver);
 
     VerifyWork &work = result.work;
@@ -277,7 +269,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         conflictsPerSolveHistogram().record(solver.conflicts() -
                                             conflicts_before);
         ++work.solves;
-        if (sat != SatResult::Unknown || interrupted(options))
+        if (sat != SatResult::Unknown || options.interrupted())
             break;
     }
     // The solver's lifetime counters already span every tier.
@@ -285,7 +277,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
     work.conflicts = solver.conflicts();
     work.propagations = solver.propagations();
     work.restarts = solver.restarts();
-    if (sat == SatResult::Unknown && interrupted(options)) {
+    if (sat == SatResult::Unknown && options.interrupted()) {
         // The caller gave up on this query: answer at once, without
         // escalating or falling back. checkRefinement keeps the
         // answer out of the cache.
@@ -772,7 +764,7 @@ checkRefinement(const ir::Function &src, const ir::Function &tgt,
                 dispatchBackends(src, tgt, options, &computed.cached);
             // An answer reached after the caller raised its interrupt
             // may be a cut-short Timeout; never remember it.
-            computed.cacheable = !interrupted(options);
+            computed.cacheable = !options.interrupted();
             return computed;
         },
         [&](const CachedVerdict &cached) {

@@ -158,11 +158,26 @@ struct RefineOptions
      * boundary and the query reports Timeout at once: no further
      * ladder tier, no concrete fallback, and nothing recorded in the
      * cache (or the store behind it), so the same query asked again
-     * without the flag is computed afresh. TaskScope::cancelFlag()
-     * plugs in here so a cancelled scope drains instead of finishing
-     * multi-million-conflict proofs.
+     * without the flag is computed afresh.
      */
     const std::atomic<bool> *interrupt = nullptr;
+    /**
+     * A second flag with the same effect, honoured alongside
+     * @c interrupt. A pipeline with a case fan-out plugs its
+     * TaskScope::cancelFlag() in here, so a cancelled scope drains
+     * instead of finishing multi-million-conflict proofs while the
+     * caller's own interrupt still holds.
+     */
+    const std::atomic<bool> *scope_interrupt = nullptr;
+
+    /** True once either cancellation flag is raised. */
+    bool
+    interrupted() const
+    {
+        return (interrupt && interrupt->load(std::memory_order_relaxed)) ||
+               (scope_interrupt &&
+                scope_interrupt->load(std::memory_order_relaxed));
+    }
 };
 
 /** Check whether @p tgt refines @p src. */
@@ -174,7 +189,7 @@ RefinementResult checkRefinement(const ir::Function &src,
  * Every option that can change a verdict or its rendering, as the
  * suffix of the verification cache key; the pipeline's miss records
  * embed it too, so the two keys cannot drift apart. num_threads,
- * cache and interrupt are deliberately excluded: results are
+ * cache and the interrupt flags are deliberately excluded: results are
  * bit-identical at any thread count and with the cache on or off, and
  * an interrupted answer is never remembered.
  */

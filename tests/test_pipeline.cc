@@ -326,6 +326,39 @@ TEST(PipelineOrderedCommit, OptimizeSequenceIsAOneElementBatch)
     EXPECT_EQ(single.stats().scheduler.tasks_run, fns.size());
 }
 
+// A caller's interrupt holds at every thread count: a wider fan-out
+// adds its scope's cancel flag next to it rather than replacing it, so
+// a raised interrupt cuts the same proofs short at 1 and 8 threads.
+TEST(PipelineOrderedCommit, CallerInterruptHoldsAtEveryThreadCount)
+{
+    std::atomic<bool> interrupt{true};
+    auto run = [&](unsigned threads, std::vector<core::CaseOutcome> *out) {
+        ir::Context ctx;
+        auto fns = parseRq1(ctx);
+        MockModel model(llm::modelByName("Gemini2.0T"), 11);
+        PipelineConfig config;
+        config.num_threads = threads;
+        config.refine.interrupt = &interrupt;
+        Pipeline pipeline(model, config);
+        *out = pipeline.processSequences(pointers(fns), 5);
+        return pipeline.stats();
+    };
+    std::vector<core::CaseOutcome> serial, wide;
+    const core::PipelineStats serial_stats = run(1, &serial);
+    expectSameDeterministicStats(serial_stats, run(8, &wide));
+    ASSERT_EQ(serial.size(), wide.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].status, wide[i].status) << "case " << i;
+        EXPECT_EQ(serial[i].attempts, wide[i].attempts) << "case " << i;
+        EXPECT_EQ(serial[i].last_feedback, wide[i].last_feedback)
+            << "case " << i;
+        EXPECT_EQ(serial[i].step_cost, wide[i].step_cost) << "case " << i;
+    }
+    // The interrupt did decide something: uninterrupted, more is found.
+    interrupt = false;
+    EXPECT_LT(serial_stats.found, run(8, &wide).found);
+}
+
 // A throw out of on_commit at index k cancels the run: it propagates
 // out of processSequences, nothing above k is committed, and the same
 // Pipeline runs the next batch normally, with the outcomes of a run

@@ -21,6 +21,15 @@ for config in Release Debug; do
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 done
 
+echo "=== Verifier fuzz: a long budget with a fresh seed ==="
+# ctest runs a fixed-seed slice of 2,000 pairs; this run is ten times
+# longer, draws multiplication and division at every width, and
+# prints its seed, so a disagreement found here can be replayed with
+# the same LPO_VERIFIER_FUZZ value.
+fuzz_seed=$(date +%s)
+echo "LPO_VERIFIER_FUZZ=20000,${fuzz_seed}"
+LPO_VERIFIER_FUZZ="20000,${fuzz_seed}" ./build-release/test_verifier_fuzz
+
 echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # Lifetime bugs hide in exactly two places: the work-stealing deques
 # (racing thieves reading retired ring buffers, scope teardown vs
@@ -35,14 +44,15 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # learnt-clause reduction; test_bitblast, test_encoder,
 # test_word_rules and test_functional_hashing cover the circuit
 # builder's unique and signature tables, its window proofs, and the
-# encoder's word-level term table and demanded widths. test_function
+# encoder's word-level term table and demanded widths, and
+# test_verifier_fuzz drives all of them on fuzzed pairs. test_function
 # prints cross-context clones after their source Context is gone, and
 # test_pipeline runs every case on such a clone.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_bitblast test_encoder test_word_rules \
-    test_functional_hashing test_function test_pipeline
+    test_functional_hashing test_function test_pipeline test_verifier_fuzz
 ./build-sanitize/test_sat
 ./build-sanitize/test_bitblast
 ./build-sanitize/test_encoder
@@ -54,6 +64,7 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_chaos
 ./build-sanitize/test_function
 ./build-sanitize/test_pipeline
+./build-sanitize/test_verifier_fuzz
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
