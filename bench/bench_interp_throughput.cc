@@ -2,8 +2,9 @@
  * @file
  * Interpreter throughput: ExecPlan's inputs per second on 16-bit
  * exhaustive verification sweeps (the workload checkWithTesting runs
- * per candidate), compiling once and reusing one frame. Each sweep's
- * results (UB, each return lane's poison flag and bits) fold into a
+ * per candidate), compiling once and reusing one frame. The timed
+ * sweep folds only lane 0 of each result; an untimed second sweep
+ * folds UB and every return lane's poison flag and bits into a
  * checksum that must equal the case's pinned value, so a wrong answer
  * fails the benchmark. Emits BENCH_interp.json for CI.
  */
@@ -82,6 +83,7 @@ struct CaseResult
     std::string name;
     uint64_t inputs = 0;
     double seconds = 0;
+    uint64_t check = 0; ///< fold of results, defeats dead-code elim
 };
 
 CaseResult
@@ -101,6 +103,13 @@ runCase(const BenchCase &bench)
     interp::ExecPlan plan = interp::ExecPlan::compile(fn);
     interp::ExecFrame frame = plan.makeFrame();
     result.inputs = uint64_t(1) << plan.inputBits();
+    for (uint64_t i = 0; i < result.inputs; ++i) {
+        interp::PlanResult r = plan.runExhaustive(frame, i);
+        result.check += r.ub ? 1 : (r.has_ret ? r.ret[0].bits.zext() : 0);
+    }
+    result.seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+
     uint64_t checksum = 0xcbf29ce484222325ull;
     for (uint64_t i = 0; i < result.inputs; ++i) {
         interp::PlanResult r = plan.runExhaustive(frame, i);
@@ -112,8 +121,6 @@ runCase(const BenchCase &bench)
                                           ? ~uint64_t(0)
                                           : r.ret[lane].bits.zext());
     }
-    result.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
     if (checksum != bench.checksum) {
         std::fprintf(stderr,
                      "WRONG RESULT on %s: checksum 0x%016llx, "

@@ -733,26 +733,42 @@ expectSamePipelineRun(const PipelineRun &a, const PipelineRun &b,
         EXPECT_EQ(x.total_seconds, y.total_seconds) << "case " << i;
         EXPECT_EQ(x.cost_usd, y.cost_usd) << "case " << i;
     }
-    using S = core::PipelineStats;
-    for (uint64_t S::*field :
-         {&S::cases, &S::found, &S::llm_calls, &S::verifier_calls,
-          &S::syntax_errors, &S::incorrect_candidates, &S::not_interesting,
-          &S::egraph_consults, &S::egraph_proposals, &S::found_by_llm,
-          &S::found_by_egraph, &S::hybrid_fallbacks, &S::catalog_consults,
-          &S::catalog_proposals, &S::found_by_catalog,
-          &S::contained_exceptions})
-        EXPECT_EQ(a.stats.*field, b.stats.*field);
-    EXPECT_EQ(a.stats.total_seconds, b.stats.total_seconds);
-    EXPECT_EQ(a.stats.total_cost_usd, b.stats.total_cost_usd);
+    const core::PipelineStats &x = a.stats;
+    const core::PipelineStats &y = b.stats;
+    EXPECT_EQ(x.cases, y.cases);
+    EXPECT_EQ(x.found, y.found);
+    EXPECT_EQ(x.llm_calls, y.llm_calls);
+    EXPECT_EQ(x.verifier_calls, y.verifier_calls);
+    EXPECT_EQ(x.syntax_errors, y.syntax_errors);
+    EXPECT_EQ(x.incorrect_candidates, y.incorrect_candidates);
+    EXPECT_EQ(x.not_interesting, y.not_interesting);
+    EXPECT_EQ(x.egraph_consults, y.egraph_consults);
+    EXPECT_EQ(x.egraph_proposals, y.egraph_proposals);
+    EXPECT_EQ(x.found_by_llm, y.found_by_llm);
+    EXPECT_EQ(x.found_by_egraph, y.found_by_egraph);
+    EXPECT_EQ(x.hybrid_fallbacks, y.hybrid_fallbacks);
+    EXPECT_EQ(x.catalog_consults, y.catalog_consults);
+    EXPECT_EQ(x.catalog_proposals, y.catalog_proposals);
+    EXPECT_EQ(x.found_by_catalog, y.found_by_catalog);
+    EXPECT_EQ(x.contained_exceptions, y.contained_exceptions);
+    EXPECT_EQ(x.total_seconds, y.total_seconds);
+    EXPECT_EQ(x.total_cost_usd, y.total_cost_usd);
     if (!same_work)
         return;
-    for (uint64_t S::*field :
-         {&S::sat_solves, &S::sat_decisions, &S::sat_conflicts,
-          &S::sat_propagations, &S::sat_restarts, &S::circuit_nodes,
-          &S::circuit_emitted, &S::circuit_merges, &S::window_checks,
-          &S::failed_checks, &S::sat_escalations, &S::concrete_fallbacks,
-          &S::exhaustive_rescues, &S::degraded_verdicts})
-        EXPECT_EQ(a.stats.*field, b.stats.*field);
+    EXPECT_EQ(x.sat_solves, y.sat_solves);
+    EXPECT_EQ(x.sat_decisions, y.sat_decisions);
+    EXPECT_EQ(x.sat_conflicts, y.sat_conflicts);
+    EXPECT_EQ(x.sat_propagations, y.sat_propagations);
+    EXPECT_EQ(x.sat_restarts, y.sat_restarts);
+    EXPECT_EQ(x.circuit_nodes, y.circuit_nodes);
+    EXPECT_EQ(x.circuit_emitted, y.circuit_emitted);
+    EXPECT_EQ(x.circuit_merges, y.circuit_merges);
+    EXPECT_EQ(x.window_checks, y.window_checks);
+    EXPECT_EQ(x.failed_checks, y.failed_checks);
+    EXPECT_EQ(x.sat_escalations, y.sat_escalations);
+    EXPECT_EQ(x.concrete_fallbacks, y.concrete_fallbacks);
+    EXPECT_EQ(x.exhaustive_rescues, y.exhaustive_rescues);
+    EXPECT_EQ(x.degraded_verdicts, y.degraded_verdicts);
 }
 
 } // namespace

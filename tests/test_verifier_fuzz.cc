@@ -2,12 +2,13 @@
 // enumeration through ExecPlan (DESIGN.md, "Verifier cross-check").
 //
 // Each pair is a seeded straight-line function over at most 16 input
-// bits and a near-miss mutant of it. checkRefinement decides the pair
-// by bit-blasting; the oracle below, which shares no code with
-// verify/refine.cc, decides it by running both through ExecPlan on
-// every input. The verdicts must agree, every SAT counterexample must
-// replay, and every decision path and mutation kind must be exercised.
-// A Timeout is undecided: reported, bounded to 1% of the pairs, never
+// bits, built with ir::Builder, and a near-miss mutant of it: a clone
+// (or, for one kind, the original) edited in place. checkRefinement
+// decides the pair by bit-blasting; the oracle below, which shares no
+// code with verify/refine.cc, decides it by running both through
+// ExecPlan on every input. The verdicts must agree, every SAT
+// counterexample must replay, and every decision path and mutation
+// kind must be exercised. A Timeout is undecided: reported, bounded to 1% of the pairs, never
 // counted as agreement.
 //
 // ctest runs a fixed-seed slice of 2,000 pairs with multiplication and
@@ -24,12 +25,18 @@
 #include <vector>
 
 #include "interp/exec_plan.h"
-#include "ir/parser.h"
+#include "ir/builder.h"
+#include "ir/pattern.h"
+#include "ir/printer.h"
 #include "support/rng.h"
 #include "support/task_graph.h"
 #include "verify/refine.h"
 
 using namespace lpo;
+using ir::Instruction;
+using ir::Intrinsic;
+using ir::Opcode;
+using ir::Value;
 
 namespace {
 
@@ -37,222 +44,193 @@ namespace {
 // Straight-line functions over one integer width
 // ---------------------------------------------------------------------
 
-/** Argument i, then instruction i - #args; or a constant. */
-struct Operand
-{
-    int value = -1; ///< -1 for a constant
-    uint64_t constant = 0;
-};
-
-/**
- * One instruction; every result has the function's width. "select" is
- * an icmp of operands 0 and 1 choosing between operands 2 and 3, and
- * "abs" carries its int-min-is-poison flag in @c exact.
- */
-struct Inst
-{
-    std::string op;
-    std::vector<Operand> ops;
-    bool nsw = false;
-    bool nuw = false;
-    bool exact = false;
-    std::string pred;
-};
-
-struct Fn
-{
-    unsigned width = 0;
-    unsigned args = 0;
-    std::vector<Inst> insts;
-};
-
 /** {width, arguments}: at most 16 input bits each. */
 const unsigned kShapes[][2] = {{4, 1}, {4, 2}, {4, 3}, {4, 4},
                                {5, 3}, {8, 1}, {8, 2}, {16, 1}};
 
-const std::vector<std::string> kOps = {
-    "add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr",
-    "udiv", "sdiv", "urem", "srem", "select", "umin", "umax", "smin",
-    "smax", "uadd.sat", "sadd.sat", "usub.sat", "ssub.sat", "abs",
-    "freeze"};
+/** One operator the generator draws; Select is an icmp plus a select. */
+struct Op
+{
+    Opcode opcode;
+    Intrinsic intrinsic = Intrinsic::None;
 
-const std::vector<std::string> kPreds = {"eq",  "ne",  "ult", "ule", "ugt",
-                                         "uge", "slt", "sle", "sgt", "sge"};
-
-/** Operators an operator swap exchanges. */
-const std::vector<std::vector<std::string>> kSwapGroups = {
-    {"add", "sub", "mul", "and", "or", "xor"},
-    {"shl", "lshr", "ashr"},
-    {"udiv", "sdiv", "urem", "srem"},
-    {"umin", "umax", "smin", "smax"},
-    {"uadd.sat", "sadd.sat", "usub.sat", "ssub.sat"},
+    bool operator==(const Op &) const = default;
 };
 
-const std::vector<std::string> *
-swapGroup(const std::string &op)
+const Op kOps[] = {
+    {Opcode::Add},  {Opcode::Sub},  {Opcode::Mul},    {Opcode::And},
+    {Opcode::Or},   {Opcode::Xor},  {Opcode::Shl},    {Opcode::LShr},
+    {Opcode::AShr}, {Opcode::UDiv}, {Opcode::SDiv},   {Opcode::URem},
+    {Opcode::SRem}, {Opcode::Select}, {Opcode::Freeze},
+    {Opcode::Call, Intrinsic::UMin},    {Opcode::Call, Intrinsic::UMax},
+    {Opcode::Call, Intrinsic::SMin},    {Opcode::Call, Intrinsic::SMax},
+    {Opcode::Call, Intrinsic::UAddSat}, {Opcode::Call, Intrinsic::SAddSat},
+    {Opcode::Call, Intrinsic::USubSat}, {Opcode::Call, Intrinsic::SSubSat},
+    {Opcode::Call, Intrinsic::Abs}};
+
+const ir::ICmpPred kPreds[] = {
+    ir::ICmpPred::EQ,  ir::ICmpPred::NE,  ir::ICmpPred::ULT,
+    ir::ICmpPred::ULE, ir::ICmpPred::UGT, ir::ICmpPred::UGE,
+    ir::ICmpPred::SLT, ir::ICmpPred::SLE, ir::ICmpPred::SGT,
+    ir::ICmpPred::SGE};
+
+/** Operators an operator swap exchanges. */
+const std::vector<std::vector<Op>> kSwapGroups = {
+    {{Opcode::Add}, {Opcode::Sub}, {Opcode::Mul}, {Opcode::And},
+     {Opcode::Or}, {Opcode::Xor}},
+    {{Opcode::Shl}, {Opcode::LShr}, {Opcode::AShr}},
+    {{Opcode::UDiv}, {Opcode::SDiv}, {Opcode::URem}, {Opcode::SRem}},
+    {{Opcode::Call, Intrinsic::UMin}, {Opcode::Call, Intrinsic::UMax},
+     {Opcode::Call, Intrinsic::SMin}, {Opcode::Call, Intrinsic::SMax}},
+    {{Opcode::Call, Intrinsic::UAddSat}, {Opcode::Call, Intrinsic::SAddSat},
+     {Opcode::Call, Intrinsic::USubSat}, {Opcode::Call, Intrinsic::SSubSat}},
+};
+
+Op
+opOf(const Instruction &inst)
+{
+    return {inst.op(), inst.intrinsic()};
+}
+
+const std::vector<Op> *
+swapGroup(Op op)
 {
     for (const auto &group : kSwapGroups)
-        for (const std::string &member : group)
+        for (Op member : group)
             if (member == op)
                 return &group;
     return nullptr;
 }
 
 bool
-in(const std::string &op, std::initializer_list<const char *> set)
+hasWrapFlags(Opcode op)
 {
-    for (const char *member : set)
-        if (op == member)
-            return true;
-    return false;
+    return op == Opcode::Add || op == Opcode::Sub || op == Opcode::Mul ||
+           op == Opcode::Shl;
 }
 
-bool hasWrapFlags(const std::string &op)
+bool
+hasExactFlag(Opcode op)
 {
-    return in(op, {"add", "sub", "mul", "shl"});
+    return op == Opcode::LShr || op == Opcode::AShr || op == Opcode::UDiv ||
+           op == Opcode::SDiv;
 }
 
-/** abs's int-min-is-poison flag counts as its exact flag. */
-bool hasExactFlag(const std::string &op)
+bool
+isAbs(const Instruction &inst)
 {
-    return in(op, {"lshr", "ashr", "udiv", "sdiv", "abs"});
+    return inst.intrinsic() == Intrinsic::Abs;
 }
 
-std::string
-operandText(const Fn &fn, const Operand &o)
+/** Multiplication and division: slow to bit-blast at i16. */
+bool
+isHard(Opcode op)
 {
-    if (o.value < 0)
-        return std::to_string(APInt(fn.width, o.constant).sext());
-    if (o.value < static_cast<int>(fn.args))
-        return "%a" + std::to_string(o.value);
-    return "%v" + std::to_string(o.value - fn.args);
-}
-
-std::string
-print(const Fn &fn, const char *name)
-{
-    const std::string ty = "i" + std::to_string(fn.width);
-    std::string text = "define " + ty + " @" + name + "(";
-    for (unsigned i = 0; i < fn.args; ++i)
-        text += (i ? ", " : "") + ty + " %a" + std::to_string(i);
-    text += ") {\n";
-    for (size_t i = 0; i < fn.insts.size(); ++i) {
-        const Inst &inst = fn.insts[i];
-        const std::string id = std::to_string(i);
-        auto arg = [&](size_t k) {
-            return ty + " " + operandText(fn, inst.ops[k]);
-        };
-        const std::string def = "  %v" + id + " = ";
-        if (inst.op == "select") {
-            text += "  %c" + id + " = icmp " + inst.pred + " " + arg(0) +
-                    ", " + operandText(fn, inst.ops[1]) + "\n" + def +
-                    "select i1 %c" + id + ", " + arg(2) + ", " + arg(3);
-        } else if (inst.op == "freeze") {
-            text += def + "freeze " + arg(0);
-        } else if (inst.op == "abs") {
-            text += def + "call " + ty + " @llvm.abs." + ty + "(" + arg(0) +
-                    ", i1 " + (inst.exact ? "true" : "false") + ")";
-        } else if (in(inst.op, {"umin", "umax", "smin", "smax", "uadd.sat",
-                                "sadd.sat", "usub.sat", "ssub.sat"})) {
-            text += def + "call " + ty + " @llvm." + inst.op + "." + ty +
-                    "(" + arg(0) + ", " + arg(1) + ")";
-        } else {
-            text += def + inst.op + (inst.nuw ? " nuw" : "") +
-                    (inst.nsw ? " nsw" : "") + (inst.exact ? " exact" : "") +
-                    " " + arg(0) + ", " + operandText(fn, inst.ops[1]);
-        }
-        text += "\n";
-    }
-    return text + "  ret " + ty + " %v" +
-           std::to_string(fn.insts.size() - 1) + "\n}\n";
+    return op == Opcode::Mul || ir::isIntDivRem(op);
 }
 
 // ---------------------------------------------------------------------
 // Generation
 // ---------------------------------------------------------------------
 
-/** A value defined before instruction @p pos, recent ones likelier. */
-Operand
-pickValue(Rng &rng, const Fn &fn, size_t pos)
-{
-    const uint64_t defined = fn.args + pos;
-    const uint64_t back = rng.chance(0.3)
-                              ? rng.nextBelow(defined)
-                              : rng.nextBelow(std::min<uint64_t>(defined, 2));
-    return Operand{static_cast<int>(defined - 1 - back)};
-}
-
-Operand
-pickConstant(Rng &rng, unsigned width)
-{
-    const uint64_t mask = (uint64_t(1) << width) - 1;
-    static const int64_t kSpecial[] = {0, 1, 2, 3, -1, -2};
-    switch (rng.nextBelow(4)) {
-      case 0: return Operand{-1, rng.next() & mask};
-      case 1: return Operand{-1, uint64_t(1) << (width - 1)}; // INT_MIN
-      default: return Operand{-1, uint64_t(kSpecial[rng.nextBelow(6)]) & mask};
-    }
-}
-
-Operand
-pickOperand(Rng &rng, const Fn &fn, size_t pos)
-{
-    return rng.chance(0.3) ? pickConstant(rng, fn.width)
-                           : pickValue(rng, fn, pos);
-}
-
 /**
- * A function of 2–6 instructions. A quarter of them chain onto the
- * previous instruction with its own operator (reassociation sites, add
- * and sub chains for the term rules) and a tenth mask a value to its
- * low bits (demanded width). Multiplication and division are drawn
- * only at widths up to @p max_hard_width.
+ * A function of 2–6 operators. A quarter of them chain onto the
+ * previous operator with its own kind (reassociation sites, add and
+ * sub chains for the term rules) and a tenth mask a value to its low
+ * bits (demanded width). Multiplication and division are drawn only at
+ * widths up to @p max_hard_width.
  */
-Fn
-generate(Rng &rng, unsigned max_hard_width)
+std::unique_ptr<ir::Function>
+generate(ir::Context &ctx, Rng &rng, unsigned max_hard_width)
 {
     const unsigned *shape = kShapes[rng.nextBelow(std::size(kShapes))];
-    Fn fn{shape[0], shape[1], {}};
+    const unsigned width = shape[0];
+    const ir::Type *type = ctx.types().intTy(width);
+    auto fn = std::make_unique<ir::Function>(ctx, "src", type);
+    std::vector<Value *> values; ///< arguments, then results
+    for (unsigned i = 0; i < shape[1]; ++i)
+        values.push_back(fn->addArg(type, "a" + std::to_string(i)));
+    ir::Builder b(*fn, fn->addBlock("entry"));
+
+    // A defined value, recent ones likelier; a constant; either.
+    auto pickValue = [&] {
+        const size_t back =
+            rng.chance(0.3) ? rng.nextBelow(values.size())
+                            : rng.nextBelow(std::min<size_t>(values.size(), 2));
+        return values[values.size() - 1 - back];
+    };
+    auto pickConstant = [&] {
+        static const int64_t kSpecial[] = {0, 1, 2, 3, -1, -2};
+        const uint64_t mask = (uint64_t(1) << width) - 1;
+        switch (rng.nextBelow(4)) {
+          case 0: return ctx.getInt(width, rng.next() & mask);
+          case 1: return ctx.getInt(width, uint64_t(1) << (width - 1));
+          default:
+            return ctx.getInt(width, uint64_t(kSpecial[rng.nextBelow(6)]) &
+                                         mask);
+        }
+    };
+    auto pickOperand = [&]() -> Value * {
+        return rng.chance(0.3) ? pickConstant() : pickValue();
+    };
+
     const size_t count = 2 + rng.nextBelow(5);
+    Op prev{Opcode::Ret};
     for (size_t pos = 0; pos < count; ++pos) {
-        Inst inst;
-        const Inst *prev = pos ? &fn.insts.back() : nullptr;
-        if (prev && prev->ops.size() == 2 && rng.chance(0.25)) {
-            inst.op = prev->op;
-            inst.ops = {Operand{static_cast<int>(fn.args + pos - 1)},
-                        pickOperand(rng, fn, pos)};
+        Op op;
+        std::vector<Value *> ops;
+        const bool chainable = (prev.opcode == Opcode::Call &&
+                                prev.intrinsic != Intrinsic::Abs) ||
+                               (prev.opcode >= Opcode::Add &&
+                                prev.opcode <= Opcode::Xor);
+        if (chainable && rng.chance(0.25)) {
+            op = prev;
+            ops = {values.back(), pickOperand()};
         } else if (rng.chance(0.1)) {
-            const unsigned bits = 1 + rng.nextBelow(fn.width - 1);
-            inst.op = "and";
-            inst.ops = {pickValue(rng, fn, pos),
-                        Operand{-1, (uint64_t(1) << bits) - 1}};
+            op = {Opcode::And};
+            const unsigned bits = 1 + rng.nextBelow(width - 1);
+            ops = {pickValue(), ctx.getInt(width, (uint64_t(1) << bits) - 1)};
         } else {
             do
-                inst.op = kOps[rng.nextBelow(kOps.size())];
-            while (in(inst.op, {"mul", "udiv", "sdiv", "urem", "srem"}) &&
-                   fn.width > max_hard_width);
-            const size_t arity = inst.op == "select" ? 4
-                                 : in(inst.op, {"abs", "freeze"}) ? 1
-                                                                  : 2;
-            inst.ops.push_back(pickValue(rng, fn, pos));
-            while (inst.ops.size() < arity)
-                inst.ops.push_back(pickOperand(rng, fn, pos));
+                op = kOps[rng.nextBelow(std::size(kOps))];
+            while (isHard(op.opcode) && width > max_hard_width);
+            const size_t arity = op.opcode == Opcode::Select ? 4
+                                 : op.opcode == Opcode::Freeze ||
+                                         op.intrinsic == Intrinsic::Abs
+                                     ? 1
+                                     : 2;
+            ops.push_back(pickValue());
+            while (ops.size() < arity)
+                ops.push_back(pickOperand());
         }
-        if (inst.op == "select")
-            inst.pred = kPreds[rng.nextBelow(kPreds.size())];
-        if (hasWrapFlags(inst.op)) {
-            inst.nsw = rng.chance(0.25);
-            inst.nuw = rng.chance(0.25);
+        Value *result = nullptr;
+        if (op.opcode == Opcode::Select) {
+            Value *cond = b.icmp(kPreds[rng.nextBelow(std::size(kPreds))],
+                                 ops[0], ops[1]);
+            result = b.select(cond, ops[2], ops[3]);
+        } else if (op.opcode == Opcode::Freeze) {
+            result = b.freeze(ops[0]);
+        } else if (op.intrinsic == Intrinsic::Abs) {
+            result = b.intrinsic(op.intrinsic,
+                                 {ops[0], ctx.getBool(rng.chance(0.25))});
+        } else if (op.opcode == Opcode::Call) {
+            result = b.intrinsic(op.intrinsic, ops);
+        } else {
+            ir::InstFlags flags;
+            flags.nsw = hasWrapFlags(op.opcode) && rng.chance(0.25);
+            flags.nuw = hasWrapFlags(op.opcode) && rng.chance(0.25);
+            flags.exact = hasExactFlag(op.opcode) && rng.chance(0.25);
+            result = b.binary(op.opcode, ops[0], ops[1], flags);
         }
-        if (hasExactFlag(inst.op))
-            inst.exact = rng.chance(0.25);
-        fn.insts.push_back(std::move(inst));
+        values.push_back(result);
+        prev = op;
     }
+    b.ret(values.back());
     return fn;
 }
 
 // ---------------------------------------------------------------------
-// Near-miss mutations
+// Near-miss mutations, applied in place to a function or its clone
 // ---------------------------------------------------------------------
 
 enum Mutation {
@@ -273,37 +251,54 @@ const char *const kMutationNames[kNumMutations] = {
     "predicate change", "valid reassociation", "invalid reassociation",
     "cancelling pair under poison", "mask one bit narrower"};
 
-/** Insert @p inst before instruction @p pos, renumbering later uses. */
-void
-insertBefore(Fn &fn, size_t pos, Inst inst)
+/** Insert `op l, r` with @p flags before @p pos in @p fn's block. */
+Instruction *
+insertBinary(ir::Function &fn, const Instruction *pos, Opcode op, Value *l,
+             Value *r, ir::InstFlags flags)
 {
-    const int first_moved = static_cast<int>(fn.args + pos);
-    for (Inst &later : fn.insts)
-        for (Operand &o : later.ops)
-            if (o.value >= first_moved)
-                ++o.value;
-    fn.insts.insert(fn.insts.begin() + pos, std::move(inst));
+    ir::BasicBlock &block = *fn.entry();
+    size_t index = 0;
+    while (block.at(index) != pos)
+        ++index;
+    auto inst = std::make_unique<Instruction>(op, l->type(),
+                                              std::vector<Value *>{l, r});
+    inst->flags() = flags;
+    return block.insert(index, std::move(inst));
 }
 
-/** A random instruction index of @p fn accepted by @p accept, or -1. */
+/** A random instruction of @p fn accepted by @p accept, or nullptr. */
 template <typename Accept>
-int
-pickSite(Rng &rng, const Fn &fn, Accept accept)
+Instruction *
+pickSite(Rng &rng, const ir::Function &fn, Accept accept)
 {
-    std::vector<int> sites;
-    for (size_t i = 0; i < fn.insts.size(); ++i)
-        if (accept(fn.insts[i]))
-            sites.push_back(static_cast<int>(i));
-    return sites.empty() ? -1 : sites[rng.nextBelow(sites.size())];
+    std::vector<Instruction *> sites;
+    for (const auto &inst : fn.entry()->instructions())
+        if (!inst->isTerminator() && accept(*inst))
+            sites.push_back(inst.get());
+    return sites.empty() ? nullptr : sites[rng.nextBelow(sites.size())];
 }
 
-/** The instruction defining @p inst's first operand, if any. */
-const Inst *
-firstOperandDef(const Fn &fn, const Inst &inst)
+/** @p inst's first operand when an instruction of the same opcode
+ *  defines it: a reassociation site. */
+const Instruction *
+sameOpFirstOperand(const Instruction &inst)
 {
-    const int value = inst.ops[0].value;
-    return value >= static_cast<int>(fn.args) ? &fn.insts[value - fn.args]
-                                              : nullptr;
+    if (!inst.isIntBinaryOp() ||
+        inst.operand(0)->kind() != Value::Kind::Instruction)
+        return nullptr;
+    auto *def = static_cast<const Instruction *>(inst.operand(0));
+    return def->op() == inst.op() ? def : nullptr;
+}
+
+/** A low mask 2^k - 1 with k >= 1, or 0. */
+uint64_t
+lowMask(const Value *v)
+{
+    APInt c;
+    if (!ir::matchConstInt(v, &c))
+        return 0;
+    const uint64_t m = c.zext();
+    return m != 0 && (m & (m + 1)) == 0 ? m : 0;
 }
 
 /**
@@ -312,75 +307,96 @@ firstOperandDef(const Fn &fn, const Inst &inst)
  * either side, so it yields both valid and invalid pairs.
  */
 bool
-mutate(Rng &rng, Mutation kind, Fn &src, Fn &tgt)
+mutate(Rng &rng, Mutation kind, ir::Function &src, ir::Function &tgt)
 {
-    const uint64_t mask = (uint64_t(1) << tgt.width) - 1;
+    ir::Context &ctx = tgt.context();
+    const ir::Type *type = tgt.returnType();
+    const unsigned width = type->intWidth();
     switch (kind) {
       case kOpSwap: {
-        int i = pickSite(rng, tgt, [](const Inst &inst) {
-            return swapGroup(inst.op) != nullptr;
+        Instruction *inst = pickSite(rng, tgt, [](const Instruction &i) {
+            return swapGroup(opOf(i)) != nullptr;
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        Inst &inst = tgt.insts[i];
-        const std::vector<std::string> &group = *swapGroup(inst.op);
-        std::string op;
+        const std::vector<Op> &group = *swapGroup(opOf(*inst));
+        Op op;
         do
             op = group[rng.nextBelow(group.size())];
-        while (op == inst.op);
-        inst.op = op;
-        inst.nsw &= hasWrapFlags(op);
-        inst.nuw &= hasWrapFlags(op);
-        inst.exact &= hasExactFlag(op);
+        while (op == opOf(*inst));
+        if (op.opcode == Opcode::Call) {
+            inst->setIntrinsic(op.intrinsic);
+            return true;
+        }
+        ir::InstFlags flags = inst->flags();
+        flags.nsw &= hasWrapFlags(op.opcode);
+        flags.nuw &= hasWrapFlags(op.opcode);
+        flags.exact &= hasExactFlag(op.opcode);
+        Instruction *swapped = insertBinary(
+            tgt, inst, op.opcode, inst->operand(0), inst->operand(1), flags);
+        tgt.replaceAllUses(inst, swapped);
+        tgt.entry()->erase(inst);
         return true;
       }
       case kFlagFlip: {
-        int i = pickSite(rng, tgt, [](const Inst &inst) {
-            return hasWrapFlags(inst.op) || hasExactFlag(inst.op);
+        // abs's int-min-is-poison operand counts as its exact flag.
+        Instruction *inst = pickSite(rng, tgt, [](const Instruction &i) {
+            return hasWrapFlags(i.op()) || hasExactFlag(i.op()) || isAbs(i);
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        Inst &inst = tgt.insts[i];
-        bool &flag = hasExactFlag(inst.op) ? inst.exact
-                     : rng.chance(0.5)     ? inst.nsw
-                                           : inst.nuw;
+        if (isAbs(*inst)) {
+            inst->setOperand(
+                1, ctx.getBool(!ir::isConstIntValue(inst->operand(1), 1)));
+            return true;
+        }
+        ir::InstFlags &flags = inst->flags();
+        bool &flag = hasExactFlag(inst->op()) ? flags.exact
+                     : rng.chance(0.5)        ? flags.nsw
+                                              : flags.nuw;
         flag = !flag;
         return true;
       }
       case kConstOffByOne: {
-        std::vector<Operand *> constants;
-        for (Inst &inst : tgt.insts)
-            for (Operand &o : inst.ops)
-                if (o.value < 0)
-                    constants.push_back(&o);
+        std::vector<std::pair<Instruction *, unsigned>> constants;
+        for (const auto &inst : tgt.entry()->instructions())
+            for (unsigned k = 0; k < inst->numOperands(); ++k)
+                if (inst->operand(k)->kind() == Value::Kind::ConstInt &&
+                    inst->operand(k)->type() == type)
+                    constants.emplace_back(inst.get(), k);
         if (constants.empty())
             return false;
-        Operand &c = *constants[rng.nextBelow(constants.size())];
-        c.constant = (c.constant + (rng.chance(0.5) ? 1 : mask)) & mask;
+        auto [inst, k] = constants[rng.nextBelow(constants.size())];
+        const uint64_t c =
+            static_cast<const ir::ConstantInt *>(inst->operand(k))
+                ->value()
+                .zext();
+        inst->setOperand(k, ctx.getInt(width, c + (rng.chance(0.5) ? 1 : -1)));
         return true;
       }
       case kOperandSwap: {
-        int i = pickSite(rng, tgt, [](const Inst &inst) {
-            return inst.ops.size() >= 2;
+        Instruction *inst = pickSite(rng, tgt, [](const Instruction &i) {
+            return i.numOperands() >= 2 && !isAbs(i);
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        Inst &inst = tgt.insts[i];
-        const size_t first = inst.op == "select" && rng.chance(0.5) ? 2 : 0;
-        std::swap(inst.ops[first], inst.ops[first + 1]);
+        const unsigned first = inst->op() == Opcode::Select ? 1 : 0;
+        Value *lhs = inst->operand(first);
+        inst->setOperand(first, inst->operand(first + 1));
+        inst->setOperand(first + 1, lhs);
         return true;
       }
       case kPredicateChange: {
-        int i = pickSite(rng, tgt, [](const Inst &inst) {
-            return inst.op == "select";
+        Instruction *inst = pickSite(rng, tgt, [](const Instruction &i) {
+            return i.op() == Opcode::ICmp;
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        std::string &pred = tgt.insts[i].pred;
-        const std::string old = pred;
+        ir::ICmpPred pred;
         do
-            pred = kPreds[rng.nextBelow(kPreds.size())];
-        while (pred == old);
+            pred = kPreds[rng.nextBelow(std::size(kPreds))];
+        while (pred == inst->icmpPred());
+        inst->setICmpPred(pred);
         return true;
       }
       case kValidReassociation:
@@ -389,63 +405,57 @@ mutate(Rng &rng, Mutation kind, Fn &src, Fn &tgt)
         // op once its flags are dropped; invalid for sub, and for add
         // and mul with nsw asserted on the new pair.
         const bool valid = kind == kValidReassociation;
-        int i = pickSite(rng, tgt, [&](const Inst &inst) {
-            const Inst *def = inst.ops.size() == 2 && inst.op != "select"
-                                  ? firstOperandDef(tgt, inst)
-                                  : nullptr;
-            if (!def || def->op != inst.op)
-                return false;
-            return valid ? in(inst.op, {"add", "mul", "and", "or", "xor"})
-                         : in(inst.op, {"sub", "add", "mul"});
+        Instruction *outer = pickSite(rng, tgt, [&](const Instruction &i) {
+            const Opcode op = i.op();
+            return sameOpFirstOperand(i) &&
+                   (valid ? op == Opcode::Add || op == Opcode::Mul ||
+                                op == Opcode::And || op == Opcode::Or ||
+                                op == Opcode::Xor
+                          : op == Opcode::Sub || op == Opcode::Add ||
+                                op == Opcode::Mul);
         });
-        if (i < 0)
+        if (!outer)
             return false;
-        const Inst outer = tgt.insts[i];
-        const Inst inner = *firstOperandDef(tgt, outer);
-        Inst right{outer.op, {inner.ops[1], outer.ops[1]}};
-        right.nsw = !valid && outer.op != "sub";
-        insertBefore(tgt, i, right);
-        Inst &rewritten = tgt.insts[i + 1];
-        rewritten.ops = {inner.ops[0],
-                         Operand{static_cast<int>(tgt.args + i)}};
-        rewritten.nuw = false;
-        rewritten.nsw = right.nsw;
+        const Instruction *inner = sameOpFirstOperand(*outer);
+        ir::InstFlags flags;
+        flags.nsw = !valid && outer->op() != Opcode::Sub;
+        Instruction *right =
+            insertBinary(tgt, outer, outer->op(), inner->operand(1),
+                         outer->operand(1), flags);
+        outer->setOperand(0, inner->operand(0));
+        outer->setOperand(1, right);
+        outer->flags() = flags;
         return true;
       }
       case kCancellingPairUnderPoison: {
         // v  ->  (v + k) - k, each with the same (or no) wrap flag.
-        Fn &side = rng.chance(0.5) ? tgt : src;
-        int i = pickSite(rng, side, [](const Inst &inst) {
-            return inst.ops[0].value >= 0;
+        ir::Function &side = rng.chance(0.5) ? tgt : src;
+        Instruction *inst = pickSite(rng, side, [&](const Instruction &i) {
+            return i.operand(0)->type() == type &&
+                   !i.operand(0)->isConstant();
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        const uint64_t k = 1 + rng.nextBelow(mask);
+        Value *k = ctx.getInt(
+            width, 1 + rng.nextBelow((uint64_t(1) << width) - 1));
         const unsigned flag = rng.nextBelow(3);
-        Inst add{"add", {side.insts[i].ops[0], Operand{-1, k}}};
-        add.nsw = flag == 1;
-        add.nuw = flag == 2;
-        Inst sub = add;
-        sub.op = "sub";
-        sub.ops = {Operand{static_cast<int>(side.args + i)}, Operand{-1, k}};
-        insertBefore(side, i, add);
-        insertBefore(side, i + 1, sub);
-        side.insts[i + 2].ops[0] =
-            Operand{static_cast<int>(side.args + i + 1)};
+        ir::InstFlags flags;
+        flags.nsw = flag == 1;
+        flags.nuw = flag == 2;
+        Instruction *add =
+            insertBinary(side, inst, Opcode::Add, inst->operand(0), k, flags);
+        inst->setOperand(
+            0, insertBinary(side, inst, Opcode::Sub, add, k, flags));
         return true;
       }
       case kNarrowerMask: {
         // and v, 2^k - 1  ->  and v, 2^(k-1) - 1
-        int i = pickSite(rng, tgt, [](const Inst &inst) {
-            if (inst.op != "and")
-                return false;
-            const Operand &m = inst.ops[1];
-            return m.value < 0 && m.constant != 0 &&
-                   (m.constant & (m.constant + 1)) == 0;
+        Instruction *inst = pickSite(rng, tgt, [](const Instruction &i) {
+            return i.op() == Opcode::And && lowMask(i.operand(1));
         });
-        if (i < 0)
+        if (!inst)
             return false;
-        tgt.insts[i].ops[1].constant >>= 1;
+        inst->setOperand(1, ctx.getInt(width, lowMask(inst->operand(1)) >> 1));
         return true;
       }
       case kNumMutations:
@@ -499,26 +509,23 @@ runPair(uint64_t seed, uint64_t index, unsigned max_hard_width,
     Rng rng(seed * 0x9E3779B97F4A7C15ull + index);
     PairResult out;
     out.kind = static_cast<Mutation>(index % kNumMutations);
-    Fn src, tgt;
-    do {
-        src = tgt = generate(rng, max_hard_width);
-    } while (!mutate(rng, out.kind, src, tgt));
-    out.src_text = print(src, "src");
-    out.tgt_text = print(tgt, "tgt");
-
     ir::Context ctx;
-    auto s = ir::parseFunction(ctx, out.src_text);
-    auto t = ir::parseFunction(ctx, out.tgt_text);
-    if (!s.ok() || !t.ok()) {
-        out.error = "generated IR does not parse";
-        return out;
-    }
-    out.sat = verify::checkRefinement(**s, **t, options);
+    std::unique_ptr<ir::Function> src, tgt;
+    do {
+        src = generate(ctx, rng, max_hard_width);
+        tgt = src->clone("tgt");
+    } while (!mutate(rng, out.kind, *src, *tgt));
+    src->numberValues();
+    tgt->numberValues();
+    out.src_text = ir::printFunction(*src);
+    out.tgt_text = ir::printFunction(*tgt);
+
+    out.sat = verify::checkRefinement(*src, *tgt, options);
     if (out.sat.backend != "sat")
         out.error = "decided by the " + out.sat.backend + " backend";
 
-    const interp::ExecPlan sp = interp::ExecPlan::compile(**s);
-    const interp::ExecPlan tp = interp::ExecPlan::compile(**t);
+    const interp::ExecPlan sp = interp::ExecPlan::compile(*src);
+    const interp::ExecPlan tp = interp::ExecPlan::compile(*tgt);
     interp::ExecFrame sf = sp.makeFrame();
     interp::ExecFrame tf = tp.makeFrame();
     const uint64_t inputs = uint64_t(1) << sp.inputBits();
