@@ -17,7 +17,8 @@
  *
  * Emits BENCH_module.json; tools/ci.sh gates sequences_per_sec and
  * patched_rewrites against the committed baseline (>20% regression
- * fails). The binary itself fails on broken invariants: no patches,
+ * fails), and the verifier's deterministic work counters
+ * (circuit_nodes built, sat_conflicts spent) at or below it. The binary itself fails on broken invariants: no patches,
  * non-decreasing mca cycles, patch failures, invalid patched IR, or a
  * cold cache across duplicate modules.
  */
@@ -58,6 +59,8 @@ struct RepTotals
     double cycles_after = 0;
     double p99_module_latency_ms = 0;
     uint64_t steals = 0;
+    uint64_t circuit_nodes = 0;
+    uint64_t sat_conflicts = 0;
 };
 
 RepTotals
@@ -100,6 +103,8 @@ runOnce()
     totals.cache_hits = optimizer.pipelineStats().verify_cache_hits;
     totals.cache_misses = optimizer.pipelineStats().verify_cache_misses;
     totals.steals = optimizer.pipelineStats().scheduler.steals;
+    totals.circuit_nodes = optimizer.pipelineStats().circuit_nodes;
+    totals.sat_conflicts = optimizer.pipelineStats().sat_conflicts;
     auto snapshot = telemetry::MetricsRegistry::instance().snapshot();
     if (const auto *latency = snapshot.histogram("module.latency_ns"))
         totals.p99_module_latency_ms = latency->p99() / 1e6;
@@ -158,6 +163,8 @@ main()
     json.field("cycles_after", best.cycles_after, 1);
     json.field("p99_module_latency_ms", best.p99_module_latency_ms, 3);
     json.field("steals", best.steals);
+    json.field("circuit_nodes", best.circuit_nodes);
+    json.field("sat_conflicts", best.sat_conflicts);
     json.endObject();
     std::ofstream out("BENCH_module.json");
     out << json.str() << "\n";

@@ -70,7 +70,8 @@ encodeQuery(const ir::Function &src, const ir::Function &tgt,
 {
     smt::SatSolver solver;
     smt::CircuitBuilder builder(solver);
-    if (!verify::encodeRefinementQuery(builder, src, tgt))
+    if (verify::encodeRefinementQuery(builder, src, tgt) ==
+        verify::QueryEncoding::Unencodable)
         return {};
     QuerySize size{builder.numNodes(), solver.numVars(),
                    solver.clausesAdded(), builder.uniqueTableHits()};

@@ -655,15 +655,18 @@ usage()
         "                             metrics.lpo.json)\n"
         "  --profile                  print the per-phase wall-time\n"
         "                             table (share of the run plus\n"
-        "                             per-invocation percentiles), the\n"
-        "                             scheduler counters, the solver\n"
-        "                             work line (sat: solves /\n"
-        "                             decisions / conflicts /\n"
-        "                             propagations / restarts), the\n"
-        "                             circuit builder line (circuit:\n"
-        "                             nodes built (emitted to the\n"
-        "                             solver) / merges / window checks\n"
-        "                             / failed checks) and the\n"
+        "                             per-invocation percentiles, with\n"
+        "                             verify split into encode and\n"
+        "                             solve rows), the scheduler\n"
+        "                             counters, the solver work line\n"
+        "                             (sat: solves / decisions /\n"
+        "                             conflicts / propagations /\n"
+        "                             restarts), the circuit builder\n"
+        "                             line (circuit: nodes built\n"
+        "                             (emitted to the solver) / merges\n"
+        "                             / window checks / failed checks /\n"
+        "                             queries decided by word-level\n"
+        "                             terms without a circuit) and the\n"
         "                             degradation line (budget-ladder\n"
         "                             escalations, concrete fallbacks,\n"
         "                             degraded verdicts, contained\n"

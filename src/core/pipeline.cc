@@ -41,6 +41,8 @@ addVerifyWork(PipelineStats &stats, const verify::VerifyWork &work)
     stats.circuit_merges += work.circuit_merges;
     stats.window_checks += work.window_checks;
     stats.failed_checks += work.failed_checks;
+    stats.sat_queries += work.sat_queries;
+    stats.term_decided += work.term_decided;
 }
 
 const char *
@@ -491,6 +493,18 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     ++stats.cases;
     LPO_TRACE_SPAN(case_span, "case", "pipeline");
 
+    // A leg that parses a candidate (runOpt) parses it into the
+    // sequence's Context, which other cases share, so such a leg runs
+    // on a clone in a private Context, made on first need. Printing
+    // and catalog lookups only read the shared sequence.
+    ir::Context private_context;
+    std::unique_ptr<ir::Function> clone;
+    auto owned = [&]() -> const ir::Function & {
+        if (!clone)
+            clone = seq.clone(seq.name(), &private_context);
+        return *clone;
+    };
+
     // The one canonical print of this case: the catalog key and the
     // tail of the miss key (store runs only).
     std::string canonical, miss_key;
@@ -513,8 +527,10 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     // charged).
     if (config_.proposer == ProposerKind::Hybrid &&
         catalog_proposer_.enabled()) {
-        CaseOutcome replayed = runLegContained(
-            catalog_proposer_, seq, canonical, round_seed, stats, refine);
+        const bool hit = store_->catalog().lookup(canonical) != nullptr;
+        CaseOutcome replayed =
+            runLegContained(catalog_proposer_, hit ? owned() : seq,
+                            canonical, round_seed, stats, refine);
         if (replayed.found()) {
             outcome = std::move(replayed);
             answered = true;
@@ -532,7 +548,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     }
     if (!answered) {
         bool rememberable = false;
-        outcome = runLegs(seq, round_seed, stats, refine, &rememberable);
+        outcome = runLegs(owned(), round_seed, stats, refine, &rememberable);
         // Learn every verified rewrite (any mode; a catalog replay
         // never reaches here). Remember a final no-find outcome as a
         // miss unless something outside the fingerprint may have
@@ -651,13 +667,9 @@ Pipeline::processSequences(
         scope.submit([this, i, round_seed, &sequences, &outcomes, &deltas,
                       &case_refine, &done, &drain] {
             {
-                // runOpt parses candidates into the sequence's Context,
-                // so each case runs on a clone in a private one.
                 telemetry::ScopedTimer timer(chain_hist);
-                ir::Context context;
-                auto seq = sequences[i]->clone(sequences[i]->name(), &context);
-                outcomes[i] =
-                    runCase(*seq, round_seed, deltas[i], case_refine);
+                outcomes[i] = runCase(*sequences[i], round_seed, deltas[i],
+                                      case_refine);
             }
             done[i].store(true);
             drain();
@@ -702,6 +714,8 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.circuit_merges += delta.circuit_merges;
     stats_.window_checks += delta.window_checks;
     stats_.failed_checks += delta.failed_checks;
+    stats_.sat_queries += delta.sat_queries;
+    stats_.term_decided += delta.term_decided;
     stats_.sat_escalations += delta.sat_escalations;
     stats_.concrete_fallbacks += delta.concrete_fallbacks;
     stats_.exhaustive_rescues += delta.exhaustive_rescues;

@@ -205,6 +205,10 @@ struct PipelineStats
     uint64_t circuit_merges = 0;
     uint64_t window_checks = 0;
     uint64_t failed_checks = 0;
+    /** SAT-backend queries, and those decided over word-level terms
+     *  without building a circuit. */
+    uint64_t sat_queries = 0;
+    uint64_t term_decided = 0;
     /**
      * Always 0: every candidate is verified by its own one-shot
      * verify::checkRefinement call, so no solver is ever reused. Kept
@@ -364,7 +368,10 @@ class Pipeline
      * One sequence's trip through the loop, accounted into @p stats
      * (a fresh per-case delta), verifying with @p refine (serial
      * sweeps under a multi-thread fan-out; by the deterministic-
-     * parallelism contract this cannot change results).
+     * parallelism contract this cannot change results). @p seq may be
+     * shared with other cases: a leg that parses a candidate runs on
+     * a clone in a private Context, made only when a catalog entry
+     * exists or the proposer legs run; a remembered miss never clones.
      *
      * With a store, the case first tries the catalog (Hybrid only),
      * then a remembered miss: a record keyed by missKey() on the

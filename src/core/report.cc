@@ -94,19 +94,23 @@ satStatsLine(const PipelineStats &stats)
 }
 
 /** "circuit: ..." — the circuit builder's size and functional-hashing
- *  work. */
+ *  work, and how many queries the word-level terms decided without
+ *  any circuit. */
 std::string
 circuitStatsLine(const PipelineStats &stats)
 {
-    char line[224];
+    char line[288];
     std::snprintf(line, sizeof(line),
                   "circuit: %llu nodes (%llu emitted), %llu merges, "
-                  "%llu window checks, %llu failed checks\n",
+                  "%llu window checks, %llu failed checks, %llu of %llu "
+                  "queries decided by terms\n",
                   static_cast<unsigned long long>(stats.circuit_nodes),
                   static_cast<unsigned long long>(stats.circuit_emitted),
                   static_cast<unsigned long long>(stats.circuit_merges),
                   static_cast<unsigned long long>(stats.window_checks),
-                  static_cast<unsigned long long>(stats.failed_checks));
+                  static_cast<unsigned long long>(stats.failed_checks),
+                  static_cast<unsigned long long>(stats.term_decided),
+                  static_cast<unsigned long long>(stats.sat_queries));
     return line;
 }
 
@@ -202,16 +206,30 @@ profileSummary(const PipelineStats &stats,
         for (double q : {0.50, 0.90, 0.99})
             row.push_back(fmt("%.1f", hist->percentile(q) / 1e3));
     };
-    for (const Phase &phase : phases) {
-        std::vector<std::string> row{phase.name, ms(phase.total_ns)};
+    auto addRow = [&](const std::string &name, uint64_t total_ns,
+                      const char *histogram) {
+        std::vector<std::string> row{name, ms(total_ns)};
         row.push_back(
             denominator
-                ? fmt("%.1f%%", 100.0 *
-                                    static_cast<double>(phase.total_ns) /
+                ? fmt("%.1f%%", 100.0 * static_cast<double>(total_ns) /
                                     static_cast<double>(denominator))
                 : "-");
-        percentiles(phase.histogram, row);
+        percentiles(histogram, row);
         table.addRow(std::move(row));
+    };
+    for (const Phase &phase : phases) {
+        addRow(phase.name, phase.total_ns, phase.histogram);
+        if (std::string(phase.name) != "verify")
+            continue;
+        // Inside verify: the SAT backend's encoding and solving, whose
+        // totals only their histograms hold.
+        for (const char *part : {"encode", "solve"}) {
+            const std::string name = std::string("verify.") + part + "_ns";
+            const telemetry::HistogramSnapshot *hist =
+                metrics.histogram(name);
+            addRow(std::string("  ") + part, hist ? hist->sum : 0,
+                   name.c_str());
+        }
     }
     std::vector<std::string> total{"total", ms(denominator),
                                    denominator ? "100.0%" : "-"};

@@ -74,7 +74,12 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * verify, patch, dce) with its total wall time from
  * PipelineStats::timings, its share of the optimize run, and the
  * p50/p90/p99 per-invocation latency from the matching `phase.*_ns`
- * histogram in @p metrics; the closing total row carries the
+ * histogram in @p metrics. Under verify, an `encode` and a `solve`
+ * row split out the SAT backend's share, totals and percentiles both
+ * from the `verify.encode_ns` / `verify.solve_ns` histograms (encode
+ * counts every SAT query, solve every solver run; queries decided
+ * over terms encode in microseconds and solve nothing); the closing
+ * total row carries the
  * per-module latency percentiles (module.latency_ns). propose/verify
  * fold per-case times across every worker thread (CPU time, not
  * wall), so their share can exceed 100% on threaded runs. Then the
@@ -82,7 +87,9 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * solves / decisions / conflicts / propagations / restarts" across
  * every SAT verification performed), the circuit builder's line
  * ("circuit: nodes (emitted) / merges / window checks / failed
- * checks") and degradationStatsLine, all printed even when all-zero.
+ * checks, K of Q queries decided by terms" — the K SAT queries whose
+ * miter folded over word-level terms, building no circuit) and
+ * degradationStatsLine, all printed even when all-zero.
  * Purely additive — never part of moduleSummary's default output, so
  * existing pinned summaries stay byte-identical.
  */

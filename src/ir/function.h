@@ -37,6 +37,18 @@ class BasicBlock
     void erase(size_t index);
     /** Remove a specific instruction (must be present). */
     void erase(const Instruction *inst);
+    /** Remove every instruction @p dead holds for, in one pass that
+     *  keeps the order of the rest. */
+    template <typename Pred>
+    void
+    eraseIf(Pred dead)
+    {
+        std::erase_if(instructions_,
+                      [&](const std::unique_ptr<Instruction> &inst) {
+                          return dead(static_cast<const Instruction *>(
+                              inst.get()));
+                      });
+    }
 
     size_t size() const { return instructions_.size(); }
     bool empty() const { return instructions_.empty(); }

@@ -11,7 +11,11 @@ namespace lpo::opt {
 
 /**
  * Remove instructions whose results are unused and that have no side
- * effects. Iterates to a fixpoint. @returns number of removals.
+ * effects, and then those only they used, to a fixpoint. Linear: use
+ * counts are computed once, a worklist follows each erasure to its
+ * operands, and each block is compacted once. Instructions on a dead
+ * cycle (phis feeding each other) keep a use and stay. @returns number
+ * of removals.
  */
 unsigned removeDeadInstructions(ir::Function &fn);
 

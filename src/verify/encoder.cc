@@ -38,11 +38,9 @@ typeEncodable(const Type *type)
  * comparator-mux). Gate-level sorting inside CircuitBuilder already
  * canonicalizes add/and/or/xor; this extends the same idea one level
  * up so that a candidate that merely commutes `umin(a, b)` or
- * `mul(a, b)` hits the identical unique-table nodes as the source —
- * turning what would be a comparator/multiplier commutativity proof
- * into a structurally shared cone. Ordering is by the operand bit
- * literals (lexicographic), so it is a pure function of the circuit
- * and deterministic across runs.
+ * `mul(a, b)` builds the identical gates as the source. Ordering is by
+ * the operand bit literals (lexicographic), so it is a pure function
+ * of the circuit and deterministic across runs.
  */
 bool
 laneOrderedBefore(const BitVec &a, const BitVec &b)
@@ -58,42 +56,69 @@ isConstBV(const BitVec &v)
     });
 }
 
-/** The value of a constant word. */
-APInt
-constValue(const BitVec &v)
+using TermId = uint32_t;
+constexpr TermId kNoTerm = ~TermId(0);
+
+enum class Op : uint8_t
 {
-    uint64_t value = 0;
-    for (size_t i = 0; i < v.size(); ++i)
-        if (v[i] == CircuitBuilder::kTrue)
-            value |= uint64_t(1) << i;
-    return APInt(v.size(), value);
-}
+    // Leaves: a constant word, or one lane of an argument.
+    Const, Arg,
+    // Word operators (see TermDag for their rules).
+    Add, Xor, Mul, UMin, UMax, SMin, SMax, ULt, SLt, USubSat, UAddSat,
+    Abs, Div, And, Or, Not, Eq, NonZero, SignBit, Select, Shl, LShr,
+    AShr, Trunc, ZExt, SExt, CtPop, CtLz, CtTz, SSubSat, SAddSat,
+    // Overflow poison predicate of an Add, Sub, Mul or Trunc (payload;
+    // Sub names no node of its own).
+    Sub, Overflow,
+};
+
+/** Overflow flags: which overflow the predicate is for. */
+constexpr uint8_t kNuw = 1, kNsw = 2;
+/** Div flags. */
+constexpr uint8_t kSigned = 1, kRemainder = 2;
+
+/** One operand of a term; @c neg marks a subtracted add leaf. */
+struct Ref
+{
+    TermId id;
+    bool neg = false;
+
+    auto operator<=>(const Ref &) const = default;
+};
+using Refs = std::vector<Ref>;
 
 /**
- * Hash-consed word-level terms between the IR walk and CircuitBuilder.
+ * The word-level term DAG of one refinement query.
  *
- * One table serves a whole refinement query, source and target alike,
- * so both sides of the miter meet in the same nodes. A constructor
- * normalizes its term by bit-vector identities, then looks it up; only
- * a miss bit-blasts. The bits a term produced are its identity: @c
- * defs_ maps them back to the normalized definition, so constructors
- * see through their operands. Leaves (arguments, constants, and every
- * operation without rules here) have no definition. The rules:
+ * Every encodable instruction becomes a term node, hash-consed on
+ * (op, width, flags, payload, operand ids), and so do its poison and
+ * its UB: each is a 1-bit predicate term over the same nodes, e.g.
+ * poison(x +nsw y) = poison(x) | poison(y) | overflow_nsw(x, y). One
+ * DAG serves source and target alike, so both sides of the miter meet
+ * in the same nodes, and the miter itself is a term: when it folds to
+ * false the query is decided before a single circuit node exists.
+ * Constructors normalize by bit-vector identities and fold constants;
+ * a node's operands are other nodes, so rules see through operands by
+ * looking at their definitions. The rules:
  *
  * - add/sub chains flatten to a signed multiset of leaves (shl x, 1 is
  *   x + x) with +x/-x pairs and zeros dropped, and xor chains to a
- *   multiset with x ^ x pairs and zeros dropped; both fold their sorted
- *   leaves left to right, so any reassociation or cancellation of one
- *   chain rebuilds the same gates;
- * - constant factors fold: (x * c1) * c2 = x * (c1 * c2);
+ *   multiset with x ^ x pairs and zeros dropped, so any reassociation
+ *   or cancellation of one chain is one node; leaves x & y and x | y
+ *   of one sign become x and y;
+ * - mul flattens to a multiset of factors with the constant factors
+ *   folded into one: (x * x) * c = x * (x * c), x * 1 = x, x * 0 = 0;
+ *   a 1-bit product is an and;
  * - min/max flatten to a sorted operand set (associativity,
- *   commutativity, idempotence: umin(umin(a, b), a) = umin(a, b)) and
- *   drop an operand absorbed by the dual (umin(a, umax(a, b)) = a);
+ *   commutativity, idempotence: umin(umin(a, b), a) = umin(a, b)),
+ *   drop an operand absorbed by the dual (umin(a, umax(a, b)) = a) and
+ *   the identity element (umax(a, 0) = a) and a constant no zext
+ *   operand reaches (umin(zext(a), C) = zext(a)), and fold to an
+ *   absorbing element (umin(a, 0) = 0);
  * - comparators are ult/slt nodes: ugt(x, y) = ult(y, x) and
  *   uge(x, y) = !ult(x, y), so a select sees through its condition;
- *   slt(x, y) is the sign of the add chain x - y xor its overflow, so
- *   shared leaves of x and y cancel; min/max compare through the same
- *   nodes, a constant operand second;
+ *   slt(x, y) is blasted as the sign of the add chain x - y xor its
+ *   overflow, so shared leaves of x and y cancel;
  * - select(ult(p, q), p, q) is umin(p, q), and likewise umax and the
  *   signed pair;
  * - usub.sat and uadd.sat are one node each, reached from the
@@ -101,422 +126,1183 @@ constValue(const BitVec &v)
  *   select(x + y <u x, -1, x + y), and umax(x, y) - y (or
  *   y - umin(x, y));
  * - abs is one node, reached from llvm.abs (either poison flag: the
- *   bits agree), smax(x, 0 - x) and the sign-test selects
+ *   values agree), smax(x, 0 - x) and the sign-test selects
  *   select(x <s 0, 0 - x, x) and select(x >s -1, x, 0 - x), with the
- *   bounds 1 and 0 as well (the arms agree at x = 0).
+ *   bounds 1 and 0 as well (the arms agree at x = 0);
+ * - x udiv x and x sdiv x are 1, x urem x and x srem x are 0, and a
+ *   zero dividend divides to 0; the instruction keeps its
+ *   divide-by-zero (and INT_MIN / -1) UB term, so every input on which
+ *   the rule's value is wrong is UB;
+ * - truncation and extension compose (trunc(zext(x)) = x at x's
+ *   width); x & (2^k - 1) is zext(trunc(x, k)); and, or and eq of two
+ *   zexts from one width act on the narrow words, zext(a) == C on a,
+ *   a 1-bit word == 1 is the word, and (x >> k) == 0 is x <u 2^k.
  *
- * Every rule is an identity on bits alone: it holds for all operand
- * values. Poison and UB never pass through this table — the encoder
- * computes them from each instruction's own operands — so a rule is
- * sound iff its bit identity is (tests/test_word_rules.cc checks each
- * one exhaustively through ExecPlan and proves it at i64).
+ * Every rule is an identity on values alone: it holds for all operand
+ * values. Flags never enter a value term; they live in the poison
+ * predicates, which the encoder builds from each instruction's own
+ * operands, so a rule is sound iff its value identity is
+ * (tests/test_word_rules.cc checks each one exhaustively through
+ * ExecPlan at i1-i8, and proves it at i64 where the solver can).
+ *
+ * A query that does not fold is bit-blasted whole: blastRoots() builds
+ * the circuit of every term the encoder asked for, in the order it
+ * asked, each through a memoized TermId -> BitVec. A node blasts with
+ * the gates of the first instruction shape that created it, its
+ * leaves in circuit-literal order, so the CNF is a pure function of
+ * the query.
  */
-class TermTable
+class TermDag
 {
   public:
-    enum class Op : uint8_t
+    TermDag()
     {
-        Add, Xor, Mul, UMin, UMax, SMin, SMax, ULt, SLt, USubSat, UAddSat,
-        Abs
-    };
-
-    explicit TermTable(CircuitBuilder &builder) : b_(builder) {}
-
-    /** The add (@p negate_y: sub) or xor chain of @p x and @p y. */
-    BitVec chain(Op op, const BitVec &x, const BitVec &y,
-                 bool negate_y = false);
-    BitVec mul(const BitVec &x, const BitVec &y);
-    /** @p op is one of UMin, UMax, SMin, SMax. */
-    BitVec minMax(Op op, const BitVec &x, const BitVec &y);
-    /** @p op is ULt or SLt. */
-    CLit compare(Op op, const BitVec &x, const BitVec &y);
-    BitVec select(CLit sel, const BitVec &t, const BitVec &f);
-    BitVec usubSat(const BitVec &x, const BitVec &y);
-    BitVec uaddSat(const BitVec &x, const BitVec &y);
-    BitVec abs(const BitVec &x);
-
-  private:
-    /** One operand of a term; @c neg marks a subtracted add leaf. */
-    struct Leaf
-    {
-        BitVec bits;
-        bool neg = false;
-
-        auto operator<=>(const Leaf &) const = default;
-    };
-    using Leaves = std::vector<Leaf>;
-
-    struct Term
-    {
-        Op op;
-        Leaves args;
-
-        auto operator<=>(const Term &) const = default;
-    };
-
-    /** The definition of @p bits with operator @p op, or null. */
-    const Term *def(const BitVec &bits, Op op) const;
-    /** The operands @p bits contributes to an @p op node: its own
-     *  operands when it is one, else itself. */
-    Leaves operandsOf(Op op, const BitVec &bits) const;
-    /** Sort, cancel inverse pairs (x + -x, x ^ x) and drop zeros. */
-    static Leaves normalize(Op op, Leaves leaves);
-    /** Normalized leaves of the @p op chain of @p x and @p y. */
-    Leaves combine(Op op, const BitVec &x, const BitVec &y,
-                   bool negate_y) const;
-    BitVec minMax2(Op op, const BitVec &x, const BitVec &y);
-    /** True if @p v is 0 - @p x. */
-    bool isNegationOf(const BitVec &v, const BitVec &x) const;
-
-    /** Look @p term up; on a miss, bit-blast it with @p build. */
-    template <typename Build>
-    BitVec
-    intern(Term term, Build build)
-    {
-        auto it = unique_.find(term);
-        if (it != unique_.end())
-            return it->second;
-        BitVec bits = build();
-        unique_.emplace(term, bits);
-        // First definition wins. Constants stay leaves, and so does a
-        // term that folded to one of its own operands (umax(x, 0) = x).
-        bool collapsed = std::any_of(
-            term.args.begin(), term.args.end(),
-            [&](const Leaf &arg) { return arg.bits == bits; });
-        if (!isConstBV(bits) && !collapsed)
-            defs_.emplace(bits, std::move(term));
-        return bits;
+        nodes_.reserve(64);
+        refs_.reserve(128);
+        table_.assign(128, kNoTerm);
     }
 
-    CircuitBuilder &b_;
-    std::map<Term, BitVec> unique_;
-    std::map<BitVec, Term> defs_;
+    unsigned width(TermId t) const { return nodes_[t].width; }
+
+    TermId constant(const APInt &value);
+    TermId arg(unsigned slot, unsigned width);
+
+    /** The add (@p negate_y: sub) or xor chain of @p x and @p y. */
+    TermId chain(Op op, TermId x, TermId y, bool negate_y = false);
+    TermId mul(TermId x, TermId y);
+    /** @p op is one of UMin, UMax, SMin, SMax. */
+    TermId minMax(Op op, TermId x, TermId y);
+    /** @p op is ULt or SLt. */
+    TermId compare(Op op, TermId x, TermId y);
+    TermId select(TermId sel, TermId t, TermId f);
+    TermId usubSat(TermId x, TermId y);
+    TermId uaddSat(TermId x, TermId y);
+    TermId abs(TermId x);
+    /** Quotient (or, with @p remainder, remainder) of @p x by @p y,
+     *  defined where @p guard holds. */
+    TermId divRem(bool is_signed, bool remainder, TermId x, TermId y,
+                  TermId guard);
+    /** The @p flag (kNuw or kNsw) overflow of @p op (Add, Sub or Mul)
+     *  on @p x and @p y. */
+    TermId overflow(Op op, uint8_t flag, TermId x, TermId y);
+    /** The @p flag overflow of truncating @p x to @p dst bits. */
+    TermId truncOverflow(uint8_t flag, TermId x, unsigned dst);
+
+    /** Bitwise and/or; on 1-bit terms, the logic of poison and UB. */
+    TermId andOf(TermId x, TermId y);
+    TermId orOf(TermId x, TermId y);
+    TermId notOf(TermId x);
+    TermId eq(TermId x, TermId y);
+    TermId nonZero(TermId x);
+    TermId signBit(TermId x);
+    TermId mux(TermId sel, TermId t, TermId f);
+    TermId trunc(TermId x, unsigned width);
+    TermId zext(TermId x, unsigned width);
+    TermId sext(TermId x, unsigned width);
+    /** Shifts, bit counts and signed saturation: no rules. */
+    TermId opaque(Op op, std::initializer_list<TermId> args);
+
+    bool isFalse(TermId t) const { return isConst(t, 0); }
+
+    /**
+     * Bit-blast every term the encoder asked for, in the order it
+     * asked, over @p args (the bits of each argument slot).
+     */
+    void blastRoots(CircuitBuilder &builder, std::vector<BitVec> args);
+    /** A term's circuit; valid after blastRoots(). */
+    BitVec bits(TermId t) { return blast(t); }
+
+  private:
+    struct Node
+    {
+        Op op;
+        uint8_t flags = 0;
+        uint16_t width = 0;
+        uint32_t first = 0; ///< operands are refs_[first, first + count)
+        uint32_t count = 0;
+        uint64_t payload = 0; ///< Const value, Arg slot, Overflow op
+        /** Blasting inputs outside the identity (see blast()). */
+        TermId aux = kNoTerm;
+        TermId aux2 = kNoTerm;
+    };
+
+    /**
+     * Counts constructor nesting so that only the terms the encoder
+     * asks for directly become roots; terms a rule builds internally
+     * are blasted through the root that needs them.
+     */
+    class Top
+    {
+      public:
+        explicit Top(TermDag &dag) : dag_(dag) { ++dag_.depth_; }
+        ~Top() { --dag_.depth_; }
+        TermId
+        operator()(TermId t)
+        {
+            if (dag_.depth_ == 1)
+                dag_.roots_.push_back(t);
+            return t;
+        }
+
+      private:
+        TermDag &dag_;
+    };
+
+    Ref operand(TermId t, unsigned i) const
+    {
+        return refs_[nodes_[t].first + i];
+    }
+    TermId arg0(TermId t) const { return operand(t, 0).id; }
+    TermId arg1(TermId t) const { return operand(t, 1).id; }
+    bool isConst(TermId t) const { return nodes_[t].op == Op::Const; }
+    bool isConst(TermId t, uint64_t value) const
+    {
+        return isConst(t) && nodes_[t].payload == value;
+    }
+    bool isAllOnes(TermId t) const
+    {
+        return isConst(t, APInt::allOnes(width(t)).zext());
+    }
+    APInt value(TermId t) const { return APInt(width(t), nodes_[t].payload); }
+    TermId boolean(bool b) { return constant(APInt(1, b)); }
+
+    /** Look the node up; on a miss, add it. @p fresh says which. */
+    TermId intern(Op op, unsigned width, const Refs &refs, uint8_t flags = 0,
+                  uint64_t payload = 0, bool *fresh = nullptr);
+    size_t hashOf(Op op, unsigned width, const Ref *refs, size_t count,
+                  uint8_t flags, uint64_t payload) const;
+    void grow();
+
+    /** The operands @p t contributes to an @p op node: its own
+     *  operands when it is one, else itself. */
+    Refs operandsOf(Op op, TermId t) const;
+    /** Sort, cancel inverse pairs (x + -x, x ^ x) and drop zeros. */
+    Refs normalize(Op op, Refs leaves) const;
+    /** Normalized leaves of the @p op chain of @p x and @p y. */
+    Refs combine(Op op, TermId x, TermId y, bool negate_y) const;
+    /** True if @p v is 0 - @p x. */
+    bool isNegationOf(TermId v, TermId x) const;
+    TermId commutative(Op op, TermId x, TermId y);
+    /** Replace each pair of leaves +(x & y), +(x | y) by +x, +y. */
+    Refs splitAndOr(Refs leaves) const;
+    /** True if @p x and @p y zero-extend words of one width. */
+    bool sameExtension(TermId x, TermId y) const
+    {
+        return nodes_[x].op == Op::ZExt && nodes_[y].op == Op::ZExt &&
+               width(arg0(x)) == width(arg0(y));
+    }
+
+    const BitVec &blast(TermId t);
+    BitVec build(TermId t);
+    BitVec minMax2(Op op, TermId x, TermId y);
+    BitVec countLeadingZeros(const BitVec &x);
+    BitVec countTrailingZeros(const BitVec &x);
+    BitVec popCount(const BitVec &x);
+
+    std::vector<Node> nodes_;
+    std::vector<Ref> refs_;
+    std::vector<TermId> table_; ///< open-addressed, kNoTerm when empty
+    std::vector<TermId> roots_;
+    unsigned depth_ = 0;
+
+    // Blasting state.
+    CircuitBuilder *b_ = nullptr;
+    std::vector<BitVec> args_;
+    std::vector<BitVec> bits_; ///< by TermId; empty until blasted
 };
 
-const TermTable::Term *
-TermTable::def(const BitVec &bits, Op op) const
+size_t
+TermDag::hashOf(Op op, unsigned width, const Ref *refs, size_t count,
+                uint8_t flags, uint64_t payload) const
 {
-    auto it = defs_.find(bits);
-    return it != defs_.end() && it->second.op == op ? &it->second : nullptr;
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    mix(static_cast<uint64_t>(op) | uint64_t(flags) << 8 |
+        uint64_t(width) << 16);
+    mix(payload);
+    for (size_t i = 0; i < count; ++i)
+        mix(uint64_t(refs[i].id) << 1 | refs[i].neg);
+    return static_cast<size_t>(h ^ (h >> 29));
 }
 
-TermTable::Leaves
-TermTable::operandsOf(Op op, const BitVec &bits) const
+void
+TermDag::grow()
 {
-    if (const Term *t = def(bits, op))
-        return t->args;
-    return {Leaf{bits}};
+    std::vector<TermId> old = std::move(table_);
+    table_.assign(old.size() * 2, kNoTerm);
+    const size_t mask = table_.size() - 1;
+    for (TermId t : old) {
+        if (t == kNoTerm)
+            continue;
+        const Node &n = nodes_[t];
+        size_t slot = hashOf(n.op, n.width, refs_.data() + n.first, n.count,
+                             n.flags, n.payload) & mask;
+        while (table_[slot] != kNoTerm)
+            slot = (slot + 1) & mask;
+        table_[slot] = t;
+    }
 }
 
-TermTable::Leaves
-TermTable::normalize(Op op, Leaves leaves)
+TermId
+TermDag::intern(Op op, unsigned width, const Refs &refs, uint8_t flags,
+                uint64_t payload, bool *fresh)
+{
+    const size_t mask = table_.size() - 1;
+    size_t slot =
+        hashOf(op, width, refs.data(), refs.size(), flags, payload) & mask;
+    for (; table_[slot] != kNoTerm; slot = (slot + 1) & mask) {
+        const Node &n = nodes_[table_[slot]];
+        if (n.op == op && n.width == width && n.flags == flags &&
+            n.payload == payload && n.count == refs.size() &&
+            std::equal(refs.begin(), refs.end(), refs_.begin() + n.first)) {
+            if (fresh)
+                *fresh = false;
+            return table_[slot];
+        }
+    }
+    const TermId t = static_cast<TermId>(nodes_.size());
+    Node n;
+    n.op = op;
+    n.flags = flags;
+    n.width = static_cast<uint16_t>(width);
+    n.first = static_cast<uint32_t>(refs_.size());
+    n.count = static_cast<uint32_t>(refs.size());
+    n.payload = payload;
+    nodes_.push_back(n);
+    refs_.insert(refs_.end(), refs.begin(), refs.end());
+    table_[slot] = t;
+    if (nodes_.size() * 2 > table_.size())
+        grow();
+    if (fresh)
+        *fresh = true;
+    return t;
+}
+
+TermId
+TermDag::constant(const APInt &value)
+{
+    return intern(Op::Const, value.width(), {}, 0, value.zext());
+}
+
+TermId
+TermDag::arg(unsigned slot, unsigned width)
+{
+    return intern(Op::Arg, width, {}, 0, slot);
+}
+
+Refs
+TermDag::operandsOf(Op op, TermId t) const
+{
+    const Node &n = nodes_[t];
+    if (n.op == op)
+        return Refs(refs_.begin() + n.first,
+                    refs_.begin() + n.first + n.count);
+    return {Ref{t}};
+}
+
+Refs
+TermDag::normalize(Op op, Refs leaves) const
 {
     std::sort(leaves.begin(), leaves.end());
-    // Inverse pairs are adjacent after the sort; zeros contribute no
-    // gates to the fold.
-    Leaves kept;
+    // Inverse pairs are adjacent after the sort; zeros contribute
+    // nothing to the chain.
+    Refs kept;
     for (size_t i = 0; i < leaves.size();) {
-        if (i + 1 < leaves.size() && leaves[i].bits == leaves[i + 1].bits &&
+        if (i + 1 < leaves.size() && leaves[i].id == leaves[i + 1].id &&
             leaves[i + 1].neg == (op == Op::Add && !leaves[i].neg)) {
             i += 2;
             continue;
         }
-        if (!std::all_of(leaves[i].bits.begin(), leaves[i].bits.end(),
-                         [](CLit bit) {
-                             return bit == CircuitBuilder::kFalse;
-                         }))
+        if (!isConst(leaves[i].id, 0))
             kept.push_back(leaves[i]);
         ++i;
     }
     return kept;
 }
 
-TermTable::Leaves
-TermTable::combine(Op op, const BitVec &x, const BitVec &y,
-                   bool negate_y) const
+Refs
+TermDag::combine(Op op, TermId x, TermId y, bool negate_y) const
 {
-    Leaves leaves = operandsOf(op, x);
-    for (Leaf leaf : operandsOf(op, y)) {
+    Refs leaves = operandsOf(op, x);
+    for (Ref leaf : operandsOf(op, y)) {
         leaf.neg = leaf.neg != negate_y;
-        leaves.push_back(std::move(leaf));
+        leaves.push_back(leaf);
     }
     return normalize(op, std::move(leaves));
 }
 
-BitVec
-TermTable::chain(Op op, const BitVec &x, const BitVec &y, bool negate_y)
+TermId
+TermDag::chain(Op op, TermId x, TermId y, bool negate_y)
 {
-    Leaves kept = combine(op, x, y, negate_y);
+    Top top(*this);
+    Refs kept = combine(op, x, y, negate_y);
+    if (op == Op::Add)
+        kept = splitAndOr(std::move(kept));
     if (kept.empty())
-        return CircuitBuilder::constBV(APInt::zero(x.size()));
+        return top(constant(APInt::zero(width(x))));
     if (kept.size() == 1 && !kept[0].neg)
-        return kept[0].bits;
+        return top(kept[0].id);
     // umax(p, q) - q and q - umin(p, q) are usub.sat(p, q): one leaf is
     // the min/max, and the rest of the chain is exactly -q or +q.
     for (size_t i = 0; op == Op::Add && i < kept.size(); ++i) {
-        const Leaf &leaf = kept[i];
-        const Term *mm = def(leaf.bits, leaf.neg ? Op::UMin : Op::UMax);
-        if (!mm || mm->args.size() != 2)
+        const Ref leaf = kept[i];
+        const Node &mm = nodes_[leaf.id];
+        if (mm.op != (leaf.neg ? Op::UMin : Op::UMax) || mm.count != 2)
             continue;
-        Leaves rest = kept;
+        Refs rest = kept;
         rest.erase(rest.begin() + i);
-        for (int k = 0; k < 2; ++k) {
-            const BitVec &p = mm->args[1 - k].bits;
-            const BitVec &q = mm->args[k].bits;
-            Leaves want = operandsOf(Op::Add, q);
-            for (Leaf &w : want)
+        for (unsigned k = 0; k < 2; ++k) {
+            const TermId p = operand(leaf.id, 1 - k).id;
+            const TermId q = operand(leaf.id, k).id;
+            Refs want = operandsOf(Op::Add, q);
+            for (Ref &w : want)
                 w.neg = w.neg == leaf.neg;
             if (normalize(Op::Add, std::move(want)) == rest)
-                return leaf.neg ? usubSat(q, p) : usubSat(p, q);
+                return top(leaf.neg ? usubSat(q, p) : usubSat(p, q));
         }
     }
-    return intern(Term{op, kept}, [&] {
-        BitVec acc = kept[0].neg ? b_.bvNeg(kept[0].bits) : kept[0].bits;
-        for (size_t i = 1; i < kept.size(); ++i)
-            acc = op == Op::Xor     ? b_.bvXor(acc, kept[i].bits)
-                  : kept[i].neg ? b_.bvSub(acc, kept[i].bits)
-                                : b_.bvAdd(acc, kept[i].bits);
-        return acc;
-    });
+    return top(intern(op, width(x), kept));
 }
 
-BitVec
-TermTable::mul(const BitVec &x, const BitVec &y)
+Refs
+TermDag::splitAndOr(Refs leaves) const
 {
-    // The shift-add array is asymmetric in its operands; build it in
-    // canonical operand order so commuted products share the cone.
-    auto product = [&](const BitVec &a, const BitVec &b) {
-        return laneOrderedBefore(b, a) ? b_.bvMul(b, a) : b_.bvMul(a, b);
-    };
-    const BitVec *v = &x, *c = &y;
-    if (isConstBV(*v))
-        std::swap(v, c);
-    if (isConstBV(*v) || !isConstBV(*c))
-        return product(x, y);
-    if (const Term *t = def(*v, Op::Mul)) {
-        APInt folded = constValue(t->args[1].bits).mul(constValue(*c));
-        return mul(t->args[0].bits, CircuitBuilder::constBV(folded));
+    // (x & y) + (x | y) = x + y: each bit position adds x_i & y_i and
+    // x_i | y_i, which sum to x_i + y_i.
+    for (size_t i = 0; i < leaves.size(); ++i) {
+        const Node &a = nodes_[leaves[i].id];
+        if (a.op != Op::And)
+            continue;
+        for (size_t j = 0; j < leaves.size(); ++j) {
+            const Node &o = nodes_[leaves[j].id];
+            if (o.op != Op::Or || leaves[j].neg != leaves[i].neg ||
+                !std::equal(refs_.begin() + a.first,
+                            refs_.begin() + a.first + 2,
+                            refs_.begin() + o.first))
+                continue;
+            const bool neg = leaves[i].neg;
+            Refs rest;
+            for (size_t k = 0; k < leaves.size(); ++k)
+                if (k != i && k != j)
+                    rest.push_back(leaves[k]);
+            rest.push_back(Ref{refs_[a.first].id, neg});
+            rest.push_back(Ref{refs_[a.first + 1].id, neg});
+            return splitAndOr(normalize(Op::Add, std::move(rest)));
+        }
     }
-    return intern(Term{Op::Mul, {Leaf{*v}, Leaf{*c}}},
-                  [&] { return product(*v, *c); });
+    return leaves;
 }
 
-/** The two-operand min/max circuit, in canonical operand order. */
-BitVec
-TermTable::minMax2(Op op, const BitVec &x, const BitVec &y)
+TermId
+TermDag::mul(TermId x, TermId y)
 {
-    // A constant goes second: p <u C folds the borrow chain below C's
-    // lowest set bit, and p <s 0 is p's sign bit.
-    const BitVec *p = &x, *q = &y;
-    bool p_const = isConstBV(*p), q_const = isConstBV(*q);
-    if (p_const != q_const ? p_const : laneOrderedBefore(*q, *p))
-        std::swap(p, q);
-    bool is_signed = op == Op::SMin || op == Op::SMax;
-    CLit lt = compare(is_signed ? Op::SLt : Op::ULt, *p, *q);
-    bool is_min = op == Op::UMin || op == Op::SMin;
-    return is_min ? b_.bvMux(lt, *p, *q) : b_.bvMux(lt, *q, *p);
+    Top top(*this);
+    const unsigned w = width(x);
+    // A 1-bit product is the and of its factors.
+    if (w == 1)
+        return top(andOf(x, y));
+    APInt c = APInt::one(w);
+    Refs factors;
+    for (TermId side : {x, y}) {
+        for (Ref f : operandsOf(Op::Mul, side)) {
+            if (isConst(f.id))
+                c = c.mul(value(f.id));
+            else
+                factors.push_back(f);
+        }
+    }
+    if (c.isZero() || factors.empty())
+        return top(constant(c));
+    if (factors.size() == 1 && c.isOne())
+        return top(factors[0].id);
+    std::sort(factors.begin(), factors.end());
+    if (!c.isOne())
+        factors.push_back(Ref{constant(c)});
+    bool fresh = false;
+    const TermId t = intern(Op::Mul, w, factors, 0, 0, &fresh);
+    if (fresh) {
+        // Blast as this instruction's own product, constant factors
+        // folded: (v * c1) * c2 multiplies v by c1 * c2.
+        TermId v = x, k = y;
+        if (isConst(v))
+            std::swap(v, k);
+        if (isConst(k) && !isConst(v) && nodes_[v].op == Op::Mul &&
+            isConst(nodes_[v].aux2)) {
+            k = constant(value(nodes_[v].aux2).mul(value(k)));
+            v = nodes_[v].aux;
+        }
+        nodes_[t].aux = v;
+        nodes_[t].aux2 = k;
+    }
+    return top(t);
 }
 
-BitVec
-TermTable::minMax(Op op, const BitVec &x, const BitVec &y)
+TermId
+TermDag::minMax(Op op, TermId x, TermId y)
 {
-    Leaves kept = operandsOf(op, x);
-    Leaves more = operandsOf(op, y);
+    Top top(*this);
+    const unsigned w = width(x);
+    const bool is_min = op == Op::UMin || op == Op::SMin;
+    const bool is_signed = op == Op::SMin || op == Op::SMax;
+    const APInt lowest = is_signed ? APInt::signedMin(w) : APInt::zero(w);
+    const APInt highest =
+        is_signed ? APInt::signedMax(w) : APInt::allOnes(w);
+    const uint64_t identity = (is_min ? highest : lowest).zext();
+    const uint64_t absorbing = (is_min ? lowest : highest).zext();
+
+    Refs kept = operandsOf(op, x);
+    Refs more = operandsOf(op, y);
     kept.insert(kept.end(), more.begin(), more.end());
     std::sort(kept.begin(), kept.end());
     kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    for (const Ref &r : kept)
+        if (isConst(r.id, absorbing))
+            return top(r.id);
+    // A zero-extended operand never exceeds its source's maximum, so a
+    // constant at or above it is never below it: umin drops the
+    // constant, umax the extension.
+    if (!is_signed) {
+        auto below = [&](const Ref &z, const Ref &c) {
+            return nodes_[z.id].op == Op::ZExt && isConst(c.id) &&
+                   APInt::allOnes(width(arg0(z.id))).zextTo(w).ule(
+                       value(c.id));
+        };
+        Refs rest;
+        for (const Ref &r : kept) {
+            bool dominated = std::any_of(
+                kept.begin(), kept.end(), [&](const Ref &other) {
+                    return is_min ? below(other, r) : below(r, other);
+                });
+            if (!dominated)
+                rest.push_back(r);
+        }
+        kept = std::move(rest);
+    }
     // Absorption: drop an operand that is the dual of operands one of
     // which is still in the set, since that one is on its side of it
     // (umin(a, umax(a, b)) = a). Each drop is justified by an operand
-    // present at the time, so the extreme never changes.
+    // present at the time, so the extreme never changes. The identity
+    // element never decides the extreme.
     Op dual = op == Op::UMin   ? Op::UMax
               : op == Op::UMax ? Op::UMin
               : op == Op::SMin ? Op::SMax
                                : Op::SMin;
     for (size_t i = 0; i < kept.size();) {
-        const Term *d = def(kept[i].bits, dual);
-        bool absorbed =
-            d && std::any_of(d->args.begin(), d->args.end(),
-                             [&](const Leaf &inner) {
-                                 return inner != kept[i] &&
-                                        std::binary_search(kept.begin(),
-                                                           kept.end(),
-                                                           inner);
-                             });
+        const Node &d = nodes_[kept[i].id];
+        bool absorbed = isConst(kept[i].id, identity) && kept.size() > 1;
+        for (uint32_t j = 0; !absorbed && d.op == dual && j < d.count; ++j) {
+            const Ref inner = refs_[d.first + j];
+            absorbed = inner != kept[i] &&
+                       std::binary_search(kept.begin(), kept.end(), inner);
+        }
         if (absorbed)
             kept.erase(kept.begin() + i);
         else
             ++i;
     }
     if (kept.size() == 1)
-        return kept[0].bits;
+        return top(kept[0].id);
     // smax(x, 0 - x) is abs(x), INT_MIN included (both are INT_MIN).
     for (size_t k = 0; op == Op::SMax && kept.size() == 2 && k < 2; ++k)
-        if (isNegationOf(kept[1 - k].bits, kept[k].bits))
-            return abs(kept[k].bits);
-    return intern(Term{op, kept}, [&] {
-        BitVec acc = kept[0].bits;
-        for (size_t i = 1; i < kept.size(); ++i)
-            acc = minMax2(op, acc, kept[i].bits);
-        return acc;
-    });
+        if (isNegationOf(kept[1 - k].id, kept[k].id))
+            return top(abs(kept[k].id));
+    return top(intern(op, w, kept));
 }
 
-CLit
-TermTable::compare(Op op, const BitVec &x, const BitVec &y)
+TermId
+TermDag::compare(Op op, TermId x, TermId y)
 {
-    return intern(Term{op, {Leaf{x}, Leaf{y}}}, [&] {
-        if (op == Op::ULt)
-            return BitVec{b_.bvULt(x, y)};
-        // x <s y is the sign of x - y unless the subtraction overflows.
-        // The difference is an add chain, so it cancels shared leaves:
-        // (a + b) <s (a - b) reads the sign of b + b.
-        BitVec d = chain(Op::Add, x, y, true);
-        CLit overflow = b_.andGate(b_.xorGate(x.back(), y.back()),
-                                   b_.xorGate(d.back(), x.back()));
-        return BitVec{b_.xorGate(d.back(), overflow)};
-    })[0];
+    Top top(*this);
+    if (isConst(x) && isConst(y))
+        return top(boolean(op == Op::ULt ? value(x).ult(value(y))
+                                         : value(x).slt(value(y))));
+    bool fresh = false;
+    const TermId t = intern(op, 1, {Ref{x}, Ref{y}}, 0, 0, &fresh);
+    // x <s y is blasted from x - y, an add chain, so it cancels shared
+    // leaves: (a + b) <s (a - b) reads the sign of b + b.
+    if (fresh && op == Op::SLt) {
+        const TermId d = chain(Op::Add, x, y, true);
+        nodes_[t].aux = d;
+    }
+    return top(t);
 }
 
-BitVec
-TermTable::select(CLit sel, const BitVec &t, const BitVec &f)
+TermId
+TermDag::select(TermId sel, TermId t, TermId f)
 {
+    Top top(*this);
     // Normalize the condition to a positive comparator node.
-    const BitVec *tv = &t, *fv = &f;
-    const Term *cmp = nullptr;
-    for (Op op : {Op::ULt, Op::SLt}) {
-        if ((cmp = def(BitVec{sel}, op)))
-            break;
-        if ((cmp = def(BitVec{-sel}, op))) {
+    TermId tv = t, fv = f, cmp = kNoTerm;
+    if (nodes_[sel].op == Op::ULt || nodes_[sel].op == Op::SLt) {
+        cmp = sel;
+    } else if (nodes_[sel].op == Op::Not) {
+        const TermId inner = arg0(sel);
+        if (nodes_[inner].op == Op::ULt || nodes_[inner].op == Op::SLt) {
+            cmp = inner;
             std::swap(tv, fv);
-            break;
         }
     }
-    if (!cmp)
-        return b_.bvMux(sel, t, f);
-    const BitVec &p = cmp->args[0].bits;
-    const BitVec &q = cmp->args[1].bits;
+    if (cmp == kNoTerm)
+        return top(mux(sel, t, f));
+    const TermId p = arg0(cmp);
+    const TermId q = arg1(cmp);
     // select(p < q, p, q) = min(p, q); select(p < q, q, p) = max(p, q).
-    bool is_signed = cmp->op == Op::SLt;
-    if (*tv == p && *fv == q)
-        return minMax(is_signed ? Op::SMin : Op::UMin, p, q);
-    if (*tv == q && *fv == p)
-        return minMax(is_signed ? Op::SMax : Op::UMax, p, q);
+    const bool is_signed = nodes_[cmp].op == Op::SLt;
+    if (tv == p && fv == q)
+        return top(minMax(is_signed ? Op::SMin : Op::UMin, p, q));
+    if (tv == q && fv == p)
+        return top(minMax(is_signed ? Op::SMax : Op::UMax, p, q));
 
-    const unsigned width = t.size();
-    const BitVec zero = CircuitBuilder::constBV(APInt::zero(width));
     if (is_signed) {
         // Sign tests: x <s 0 and x <s 1 pick 0 - x; 0 <s x and -1 <s x
         // pick x.
-        const BitVec one = CircuitBuilder::constBV(APInt(width, 1));
-        const BitVec ones = CircuitBuilder::constBV(APInt::allOnes(width));
-        if ((q == zero || q == one) && *fv == p && isNegationOf(*tv, p))
-            return abs(p);
-        if ((p == zero || p == ones) && *tv == q && isNegationOf(*fv, q))
-            return abs(q);
-        return b_.bvMux(sel, t, f);
+        if ((isConst(q, 0) || isConst(q, 1)) && fv == p &&
+            isNegationOf(tv, p))
+            return top(abs(p));
+        if ((isConst(p, 0) || isAllOnes(p)) && tv == q &&
+            isNegationOf(fv, q))
+            return top(abs(q));
+        return top(mux(sel, t, f));
     }
-    auto leavesOf = [&](const BitVec &v) {
+    auto leavesOf = [&](TermId v) {
         return normalize(Op::Add, operandsOf(Op::Add, v));
     };
     // select(p <u q, 0, p - q) = usub.sat(p, q);
     // select(p <u q, q - p, 0) = usub.sat(q, p).
-    if (*tv == zero && leavesOf(*fv) == combine(Op::Add, p, q, true))
-        return usubSat(p, q);
-    if (*fv == zero && leavesOf(*tv) == combine(Op::Add, q, p, true))
-        return usubSat(q, p);
+    if (isConst(tv, 0) && leavesOf(fv) == combine(Op::Add, p, q, true))
+        return top(usubSat(p, q));
+    if (isConst(fv, 0) && leavesOf(tv) == combine(Op::Add, q, p, true))
+        return top(usubSat(q, p));
     // select(q + r <u q, -1, q + r) = uadd.sat(q, r): the wrapped sum
     // is below an addend exactly when the addition overflows.
-    if (*tv == CircuitBuilder::constBV(APInt::allOnes(width)) && *fv == p) {
-        Leaves r = combine(Op::Add, p, q, true);
+    if (isAllOnes(tv) && fv == p) {
+        Refs r = combine(Op::Add, p, q, true);
         if (r.size() == 1 && !r[0].neg)
-            return uaddSat(q, r[0].bits);
+            return top(uaddSat(q, r[0].id));
     }
-    return b_.bvMux(sel, t, f);
+    return top(mux(sel, t, f));
 }
 
-BitVec
-TermTable::usubSat(const BitVec &x, const BitVec &y)
+TermId
+TermDag::usubSat(TermId x, TermId y)
 {
-    return intern(Term{Op::USubSat, {Leaf{x}, Leaf{y}}}, [&] {
-        return b_.bvMux(compare(Op::ULt, x, y),
-                        CircuitBuilder::constBV(APInt::zero(x.size())),
-                        b_.bvSub(x, y));
-    });
+    Top top(*this);
+    bool fresh = false;
+    const TermId t =
+        intern(Op::USubSat, width(x), {Ref{x}, Ref{y}}, 0, 0, &fresh);
+    if (fresh) {
+        const TermId lt = compare(Op::ULt, x, y);
+        nodes_[t].aux = lt;
+    }
+    return top(t);
 }
 
 bool
-TermTable::isNegationOf(const BitVec &v, const BitVec &x) const
+TermDag::isNegationOf(TermId v, TermId x) const
 {
-    return normalize(Op::Add, operandsOf(Op::Add, v)) ==
-           Leaves{Leaf{x, true}};
+    return normalize(Op::Add, operandsOf(Op::Add, v)) == Refs{Ref{x, true}};
+}
+
+TermId
+TermDag::abs(TermId x)
+{
+    Top top(*this);
+    bool fresh = false;
+    const TermId t = intern(Op::Abs, width(x), {Ref{x}}, 0, 0, &fresh);
+    if (fresh) {
+        const TermId neg =
+            chain(Op::Add, constant(APInt::zero(width(x))), x, true);
+        nodes_[t].aux = neg;
+    }
+    return top(t);
+}
+
+TermId
+TermDag::uaddSat(TermId x, TermId y)
+{
+    Top top(*this);
+    return top(commutative(Op::UAddSat, x, y));
+}
+
+TermId
+TermDag::divRem(bool is_signed, bool remainder, TermId x, TermId y,
+                TermId guard)
+{
+    Top top(*this);
+    const unsigned w = width(x);
+    // x / x = 1 and x % x = 0 wherever the division is defined; so is
+    // 0 / y = 0 % y = 0. Where it is not, the caller's UB term holds.
+    if (x == y)
+        return top(constant(APInt(w, remainder ? 0 : 1)));
+    if (isConst(x, 0))
+        return top(x);
+    uint8_t flags = (is_signed ? kSigned : 0) | (remainder ? kRemainder : 0);
+    return top(intern(Op::Div, w, {Ref{x}, Ref{y}, Ref{guard}}, flags));
+}
+
+TermId
+TermDag::overflow(Op op, uint8_t flag, TermId x, TermId y)
+{
+    Top top(*this);
+    if (isConst(x) && isConst(y)) {
+        const APInt a = value(x), b = value(y);
+        const bool u = flag == kNuw;
+        switch (op) {
+          case Op::Add:
+            return top(boolean(u ? a.addOverflowsUnsigned(b)
+                                 : a.addOverflowsSigned(b)));
+          case Op::Sub:
+            return top(boolean(u ? a.subOverflowsUnsigned(b)
+                                 : a.subOverflowsSigned(b)));
+          default:
+            return top(boolean(u ? a.mulOverflowsUnsigned(b)
+                                 : a.mulOverflowsSigned(b)));
+        }
+    }
+    // Add and mul overflow are symmetric; the circuit keeps the
+    // operand order of the instruction that created the node.
+    Refs key{Ref{x}, Ref{y}};
+    if (op != Op::Sub && y < x)
+        std::swap(key[0], key[1]);
+    bool fresh = false;
+    const TermId t = intern(Op::Overflow, 1, key, flag,
+                            static_cast<uint64_t>(op), &fresh);
+    if (fresh) {
+        nodes_[t].aux = x;
+        nodes_[t].aux2 = y;
+    }
+    return top(t);
+}
+
+TermId
+TermDag::truncOverflow(uint8_t flag, TermId x, unsigned dst)
+{
+    Top top(*this);
+    if (isConst(x)) {
+        const APInt v = value(x);
+        const APInt back = flag == kNuw ? v.truncTo(dst).zextTo(v.width())
+                                        : v.truncTo(dst).sextTo(v.width());
+        return top(boolean(back.ne(v)));
+    }
+    return top(intern(Op::Overflow, 1, {Ref{x}}, flag,
+                      static_cast<uint64_t>(Op::Trunc) | uint64_t(dst) << 8));
+}
+
+TermId
+TermDag::commutative(Op op, TermId x, TermId y)
+{
+    if (y < x)
+        std::swap(x, y);
+    return intern(op, width(x), {Ref{x}, Ref{y}});
+}
+
+TermId
+TermDag::andOf(TermId x, TermId y)
+{
+    Top top(*this);
+    const unsigned w = width(x);
+    if (isConst(x) && isConst(y))
+        return top(constant(value(x).andOp(value(y))));
+    if (isConst(y))
+        std::swap(x, y);
+    if (isConst(x, 0) || x == y)
+        return top(isConst(x, 0) ? x : y);
+    if (isAllOnes(x))
+        return top(y);
+    // A low mask keeps the low bits: x & (2^k - 1) = zext(trunc(x)).
+    if (isConst(x) && value(x).add(APInt::one(w)).isPowerOf2())
+        return top(zext(trunc(y, w - value(x).countLeadingZeros()), w));
+    if (sameExtension(x, y))
+        return top(zext(andOf(arg0(x), arg0(y)), w));
+    if (w == 1 && ((nodes_[x].op == Op::Not && arg0(x) == y) ||
+                   (nodes_[y].op == Op::Not && arg0(y) == x)))
+        return top(boolean(false));
+    return top(commutative(Op::And, x, y));
+}
+
+TermId
+TermDag::orOf(TermId x, TermId y)
+{
+    Top top(*this);
+    const unsigned w = width(x);
+    if (isConst(x) && isConst(y))
+        return top(constant(value(x).orOp(value(y))));
+    if (isConst(y))
+        std::swap(x, y);
+    if (isConst(x, 0) || x == y)
+        return top(y);
+    if (isAllOnes(x))
+        return top(x);
+    if (sameExtension(x, y))
+        return top(zext(orOf(arg0(x), arg0(y)), w));
+    if (w == 1 && ((nodes_[x].op == Op::Not && arg0(x) == y) ||
+                   (nodes_[y].op == Op::Not && arg0(y) == x)))
+        return top(boolean(true));
+    return top(commutative(Op::Or, x, y));
+}
+
+TermId
+TermDag::notOf(TermId x)
+{
+    Top top(*this);
+    assert(width(x) == 1);
+    if (isConst(x))
+        return top(boolean(isConst(x, 0)));
+    if (nodes_[x].op == Op::Not)
+        return top(arg0(x));
+    return top(intern(Op::Not, 1, {Ref{x}}));
+}
+
+TermId
+TermDag::eq(TermId x, TermId y)
+{
+    Top top(*this);
+    if (x == y)
+        return top(boolean(true));
+    if (isConst(x) && isConst(y))
+        return top(boolean(false));
+    if (sameExtension(x, y))
+        return top(eq(arg0(x), arg0(y)));
+    if (isConst(x))
+        std::swap(x, y);
+    if (isConst(y)) {
+        const unsigned w = width(x);
+        const APInt c = value(y);
+        // A 1-bit word is its own test for 1.
+        if (w == 1)
+            return top(c.isZero() ? notOf(x) : x);
+        // zext(a) == c asks a == c when c fits in a, and never holds
+        // otherwise.
+        if (nodes_[x].op == Op::ZExt) {
+            const TermId a = arg0(x);
+            if (c.truncTo(width(a)).zextTo(w).ne(c))
+                return top(boolean(false));
+            return top(eq(a, constant(c.truncTo(width(a)))));
+        }
+        // (a >> k) == 0 asks a <u 2^k.
+        if (c.isZero() && nodes_[x].op == Op::LShr && isConst(arg1(x)) &&
+            nodes_[arg1(x)].payload < w)
+            return top(compare(
+                Op::ULt, arg0(x),
+                constant(APInt::one(w).shl(
+                    static_cast<unsigned>(nodes_[arg1(x)].payload)))));
+    }
+    if (y < x)
+        std::swap(x, y);
+    return top(intern(Op::Eq, 1, {Ref{x}, Ref{y}}));
+}
+
+TermId
+TermDag::nonZero(TermId x)
+{
+    Top top(*this);
+    if (isConst(x))
+        return top(boolean(!isConst(x, 0)));
+    return top(intern(Op::NonZero, 1, {Ref{x}}));
+}
+
+TermId
+TermDag::signBit(TermId x)
+{
+    Top top(*this);
+    if (isConst(x))
+        return top(boolean(value(x).isSignBitSet()));
+    return top(intern(Op::SignBit, 1, {Ref{x}}));
+}
+
+TermId
+TermDag::mux(TermId sel, TermId t, TermId f)
+{
+    Top top(*this);
+    if (isConst(sel))
+        return top(isConst(sel, 0) ? f : t);
+    if (t == f)
+        return top(t);
+    return top(intern(Op::Select, width(t), {Ref{sel}, Ref{t}, Ref{f}}));
+}
+
+TermId
+TermDag::trunc(TermId x, unsigned w)
+{
+    Top top(*this);
+    if (width(x) == w)
+        return top(x);
+    if (isConst(x))
+        return top(constant(value(x).truncTo(w)));
+    const Node &n = nodes_[x];
+    if (n.op == Op::Trunc || n.op == Op::ZExt || n.op == Op::SExt) {
+        // Resizing keeps the inner term's low bits, and above them the
+        // extension's fill.
+        const TermId inner = arg0(x);
+        if (n.op == Op::Trunc || w <= width(inner))
+            return top(trunc(inner, w));
+        return top(n.op == Op::ZExt ? zext(inner, w) : sext(inner, w));
+    }
+    return top(intern(Op::Trunc, w, {Ref{x}}));
+}
+
+TermId
+TermDag::zext(TermId x, unsigned w)
+{
+    Top top(*this);
+    if (width(x) == w)
+        return top(x);
+    if (isConst(x))
+        return top(constant(value(x).zextTo(w)));
+    if (nodes_[x].op == Op::ZExt)
+        return top(zext(arg0(x), w));
+    return top(intern(Op::ZExt, w, {Ref{x}}));
+}
+
+TermId
+TermDag::sext(TermId x, unsigned w)
+{
+    Top top(*this);
+    if (width(x) == w)
+        return top(x);
+    if (isConst(x))
+        return top(constant(value(x).sextTo(w)));
+    // A zero-extended word's sign bit is a zero fill bit.
+    if (nodes_[x].op == Op::ZExt)
+        return top(zext(arg0(x), w));
+    if (nodes_[x].op == Op::SExt)
+        return top(sext(arg0(x), w));
+    return top(intern(Op::SExt, w, {Ref{x}}));
+}
+
+TermId
+TermDag::opaque(Op op, std::initializer_list<TermId> args)
+{
+    Top top(*this);
+    Refs refs;
+    for (TermId a : args)
+        refs.push_back(Ref{a});
+    return top(intern(op, width(refs[0].id), refs));
+}
+
+// ---------------------------------------------------------------------
+// Bit-blasting
+// ---------------------------------------------------------------------
+
+void
+TermDag::blastRoots(CircuitBuilder &builder, std::vector<BitVec> args)
+{
+    b_ = &builder;
+    args_ = std::move(args);
+    // Terms a blast creates (a min/max fold's comparators) are not
+    // roots.
+    ++depth_;
+    for (size_t i = 0; i < roots_.size(); ++i)
+        blast(roots_[i]);
+}
+
+const BitVec &
+TermDag::blast(TermId t)
+{
+    // No term is 0 bits wide, so an empty entry is one not yet built.
+    if (t >= bits_.size() || bits_[t].empty()) {
+        BitVec out = build(t); // may add nodes
+        bits_.resize(nodes_.size());
+        bits_[t] = std::move(out);
+    }
+    return bits_[t];
+}
+
+/** The two-operand min/max circuit, in canonical operand order. */
+BitVec
+TermDag::minMax2(Op op, TermId x, TermId y)
+{
+    // A constant goes second: p <u C folds the borrow chain below C's
+    // lowest set bit, and p <s 0 is p's sign bit.
+    BitVec xb = blast(x), yb = blast(y);
+    bool x_const = isConstBV(xb), y_const = isConstBV(yb);
+    if (x_const != y_const ? x_const : laneOrderedBefore(yb, xb)) {
+        std::swap(x, y);
+        std::swap(xb, yb);
+    }
+    const bool is_signed = op == Op::SMin || op == Op::SMax;
+    const CLit lt = blast(compare(is_signed ? Op::SLt : Op::ULt, x, y))[0];
+    const bool is_min = op == Op::UMin || op == Op::SMin;
+    return is_min ? b_->bvMux(lt, xb, yb) : b_->bvMux(lt, yb, xb);
 }
 
 BitVec
-TermTable::abs(const BitVec &x)
+TermDag::popCount(const BitVec &x)
 {
-    return intern(Term{Op::Abs, {Leaf{x}}}, [&] {
-        BitVec zero = CircuitBuilder::constBV(APInt::zero(x.size()));
-        return b_.bvMux(x.back(), chain(Op::Add, zero, x, true), x);
-    });
+    unsigned width = x.size();
+    BitVec acc = CircuitBuilder::constBV(APInt::zero(width));
+    for (CLit bit : x) {
+        BitVec addend = CircuitBuilder::constBV(APInt::zero(width));
+        addend[0] = bit;
+        acc = b_->bvAdd(acc, addend);
+    }
+    return acc;
 }
 
 BitVec
-TermTable::uaddSat(const BitVec &x, const BitVec &y)
+TermDag::countLeadingZeros(const BitVec &x)
 {
-    const BitVec *p = &x, *q = &y;
-    if (laneOrderedBefore(*q, *p))
-        std::swap(p, q);
-    return intern(Term{Op::UAddSat, {Leaf{*p}, Leaf{*q}}}, [&] {
-        return b_.bvMux(b_.addOverflowsU(*p, *q),
-                        CircuitBuilder::constBV(APInt::allOnes(x.size())),
-                        b_.bvAdd(*p, *q));
-    });
+    unsigned width = x.size();
+    // Scan from the MSB: result = index of first set bit from the top.
+    BitVec result = CircuitBuilder::constBV(APInt(width, width));
+    for (unsigned i = 0; i < width; ++i) {
+        // If bit i set, leading zeros = width - 1 - i; later (higher)
+        // bits override earlier ones as we iterate upward.
+        result = b_->bvMux(x[i],
+                           CircuitBuilder::constBV(APInt(width,
+                                                         width - 1 - i)),
+                           result);
+    }
+    return result;
 }
 
-using Op = TermTable::Op;
+BitVec
+TermDag::countTrailingZeros(const BitVec &x)
+{
+    unsigned width = x.size();
+    BitVec result = CircuitBuilder::constBV(APInt(width, width));
+    for (int i = static_cast<int>(width) - 1; i >= 0; --i) {
+        result = b_->bvMux(x[i],
+                           CircuitBuilder::constBV(APInt(width, i)),
+                           result);
+    }
+    return result;
+}
 
-/** Per-function encoding pass over a query's shared term table. */
+/**
+ * The circuit of one node, from its operands' circuits (blasted first,
+ * in operand order). Chains and min/max sets fold their leaves in
+ * circuit-literal order; mul, overflow and the saturating adds build
+ * from the operands of the instruction that created the node.
+ */
+BitVec
+TermDag::build(TermId t)
+{
+    // Copies: blasting an operand may grow nodes_ and refs_.
+    const Node n = nodes_[t];
+    const Refs refs(refs_.begin() + n.first,
+                    refs_.begin() + n.first + n.count);
+    std::vector<BitVec> in;
+    for (const Ref &r : refs)
+        in.push_back(blast(r.id));
+    CircuitBuilder &b = *b_;
+    const unsigned w = n.width;
+
+    switch (n.op) {
+      case Op::Const:
+        return CircuitBuilder::constBV(APInt(w, n.payload));
+      case Op::Arg:
+        return args_[n.payload];
+      case Op::Add: case Op::Xor: {
+        std::vector<std::pair<BitVec, bool>> leaves;
+        for (size_t i = 0; i < refs.size(); ++i)
+            leaves.emplace_back(in[i], refs[i].neg);
+        std::sort(leaves.begin(), leaves.end());
+        BitVec acc = leaves[0].second ? b.bvNeg(leaves[0].first)
+                                      : leaves[0].first;
+        for (size_t i = 1; i < leaves.size(); ++i)
+            acc = n.op == Op::Xor      ? b.bvXor(acc, leaves[i].first)
+                  : leaves[i].second ? b.bvSub(acc, leaves[i].first)
+                                     : b.bvAdd(acc, leaves[i].first);
+        return acc;
+      }
+      case Op::Mul: {
+        // The shift-add array is asymmetric in its operands; build it
+        // in canonical operand order so commuted products share it.
+        BitVec p = blast(n.aux), q = blast(n.aux2);
+        return laneOrderedBefore(q, p) ? b.bvMul(q, p) : b.bvMul(p, q);
+      }
+      case Op::UMin: case Op::UMax: case Op::SMin: case Op::SMax: {
+        std::vector<std::pair<BitVec, TermId>> kept;
+        for (size_t i = 0; i < refs.size(); ++i)
+            kept.emplace_back(in[i], refs[i].id);
+        std::sort(kept.begin(), kept.end());
+        // Fold left to right; a prefix of the set is a node too, so
+        // its comparator can be shared.
+        TermId acc = kept[0].second;
+        BitVec bits = kept[0].first;
+        for (size_t i = 1; i < kept.size(); ++i) {
+            bits = minMax2(n.op, acc, kept[i].second);
+            if (i + 1 == kept.size())
+                break;
+            Refs prefix{Ref{acc}, Ref{kept[i].second}};
+            std::sort(prefix.begin(), prefix.end());
+            acc = intern(n.op, w, prefix);
+            bits_.resize(nodes_.size());
+            if (bits_[acc].empty())
+                bits_[acc] = bits;
+        }
+        return bits;
+      }
+      case Op::ULt:
+        return BitVec{b.bvULt(in[0], in[1])};
+      case Op::SLt: {
+        // x <s y is the sign of x - y unless the subtraction overflows.
+        const BitVec &x = in[0], &y = in[1];
+        BitVec d = blast(n.aux);
+        CLit overflow = b.andGate(b.xorGate(x.back(), y.back()),
+                                  b.xorGate(d.back(), x.back()));
+        return BitVec{b.xorGate(d.back(), overflow)};
+      }
+      case Op::USubSat:
+        return b.bvMux(blast(n.aux)[0],
+                       CircuitBuilder::constBV(APInt::zero(w)),
+                       b.bvSub(in[0], in[1]));
+      case Op::UAddSat: {
+        const BitVec *p = &in[0], *q = &in[1];
+        if (laneOrderedBefore(*q, *p))
+            std::swap(p, q);
+        return b.bvMux(b.addOverflowsU(*p, *q),
+                       CircuitBuilder::constBV(APInt::allOnes(w)),
+                       b.bvAdd(*p, *q));
+      }
+      case Op::Abs:
+        return b.bvMux(in[0].back(), blast(n.aux), in[0]);
+      case Op::Div: {
+        BitVec q, r;
+        b.bvDivRem(n.flags & kSigned, in[0], in[1], in[2][0], &q, &r);
+        return n.flags & kRemainder ? r : q;
+      }
+      case Op::And:
+        return b.bvAnd(in[0], in[1]);
+      case Op::Or:
+        return b.bvOr(in[0], in[1]);
+      case Op::Not:
+        return BitVec{-in[0][0]};
+      case Op::Eq:
+        return BitVec{b.bvEq(in[0], in[1])};
+      case Op::NonZero:
+        return BitVec{b.bvNonZero(in[0])};
+      case Op::SignBit:
+        return BitVec{in[0].back()};
+      case Op::Select:
+        return b.bvMux(in[0][0], in[1], in[2]);
+      case Op::Shl:
+        return b.bvShl(in[0], in[1]);
+      case Op::LShr:
+        return b.bvLShr(in[0], in[1]);
+      case Op::AShr:
+        return b.bvAShr(in[0], in[1]);
+      case Op::Trunc:
+        return CircuitBuilder::bvTrunc(in[0], w);
+      case Op::ZExt:
+        return CircuitBuilder::bvZext(in[0], w);
+      case Op::SExt:
+        return CircuitBuilder::bvSext(in[0], w);
+      case Op::CtPop:
+        return popCount(in[0]);
+      case Op::CtLz:
+        return countLeadingZeros(in[0]);
+      case Op::CtTz:
+        return countTrailingZeros(in[0]);
+      case Op::SSubSat: {
+        const BitVec &x = in[0], &y = in[1];
+        CLit ovf = b.subOverflowsS(x, y);
+        BitVec sat = b.bvMux(
+            b.bvSLe(y, x), CircuitBuilder::constBV(APInt::signedMax(w)),
+            CircuitBuilder::constBV(APInt::signedMin(w)));
+        return b.bvMux(ovf, sat, b.bvSub(x, y));
+      }
+      case Op::SAddSat: {
+        const BitVec &x = in[0], &y = in[1];
+        CLit ovf = b.addOverflowsS(x, y);
+        BitVec sat = b.bvMux(
+            x.back(), CircuitBuilder::constBV(APInt::signedMin(w)),
+            CircuitBuilder::constBV(APInt::signedMax(w)));
+        return b.bvMux(ovf, sat, b.bvAdd(x, y));
+      }
+      case Op::Overflow: {
+        const bool u = n.flags == kNuw;
+        const Op op = static_cast<Op>(n.payload & 0xff);
+        if (op == Op::Trunc) {
+            // Truncation to dst bits loses information when a high bit
+            // is set (nuw) or differs from the new sign bit (nsw).
+            const unsigned dst = static_cast<unsigned>(n.payload >> 8);
+            const BitVec &a = in[0];
+            if (u)
+                return BitVec{b.orMany(
+                    std::vector<CLit>(a.begin() + dst, a.end()))};
+            std::vector<CLit> mismatch;
+            for (size_t i = dst; i < a.size(); ++i)
+                mismatch.push_back(b.xorGate(a[i], a[dst - 1]));
+            return BitVec{b.orMany(mismatch)};
+        }
+        BitVec x = blast(n.aux), y = blast(n.aux2);
+        if (op == Op::Add)
+            return BitVec{u ? b.addOverflowsU(x, y) : b.addOverflowsS(x, y)};
+        if (op == Op::Sub)
+            return BitVec{u ? b.subOverflowsU(x, y) : b.subOverflowsS(x, y)};
+        // Mul: in the same canonical order as the product.
+        if (laneOrderedBefore(y, x))
+            std::swap(x, y);
+        return BitVec{u ? b.mulOverflowsU(x, y) : b.mulOverflowsS(x, y)};
+      }
+    }
+    assert(false);
+    return {};
+}
+
+// ---------------------------------------------------------------------
+// The encoder: IR to terms
+// ---------------------------------------------------------------------
+
+/** One encoded SSA lane as terms: value, and its poison predicate. */
+struct TermLane
+{
+    TermId value;
+    TermId poison;
+};
+using TermValue = std::vector<TermLane>;
+
+/** A function as terms. */
+struct TermFunction
+{
+    TermValue ret;
+    TermId ub;
+};
+
+/** Per-function encoding pass into a query's shared term DAG. */
 class Encoder
 {
   public:
-    Encoder(CircuitBuilder &builder, TermTable &terms)
-        : b_(builder), t_(terms)
-    {
-    }
+    explicit Encoder(TermDag &terms) : t_(terms) {}
 
-    std::optional<EncodedFunction> run(const ir::Function &fn,
-                                       const std::vector<ValueEnc> *shared);
+    TermFunction run(const ir::Function &fn,
+                     const std::vector<TermValue> &args);
 
   private:
     void computeDemand(const ir::Function &fn);
-    ValueEnc valueOf(const Value *v);
+    TermValue valueOf(const Value *v);
     void encodeInstruction(const Instruction *inst);
 
-    LaneEnc intBinaryLane(const Instruction *inst, const LaneEnc &a,
-                          const LaneEnc &b);
-    LaneEnc icmpLane(const Instruction *inst, const LaneEnc &a,
-                     const LaneEnc &b);
-    LaneEnc castLane(const Instruction *inst, const LaneEnc &a);
-    LaneEnc intrinsicLane(const Instruction *inst,
-                          const std::vector<LaneEnc> &args);
+    TermLane intBinaryLane(const Instruction *inst, const TermLane &a,
+                           const TermLane &b);
+    TermLane icmpLane(const Instruction *inst, const TermLane &a,
+                      const TermLane &b);
+    TermLane castLane(const Instruction *inst, const TermLane &a);
+    TermLane intrinsicLane(const Instruction *inst,
+                           const std::vector<TermLane> &args);
 
-    BitVec countLeadingZeros(const BitVec &x);
-    BitVec countTrailingZeros(const BitVec &x);
-    BitVec popCount(const BitVec &x);
-
-    void
-    addUB(CLit condition)
+    TermId
+    constant(const APInt &value)
     {
-        ub_ = b_.orGate(ub_, condition);
+        return t_.constant(value);
     }
 
-    CircuitBuilder &b_;
-    TermTable &t_;
-    std::map<const Value *, ValueEnc> env_;
+    void
+    addUB(TermId condition)
+    {
+        ub_ = t_.orOf(ub_, condition);
+    }
+
+    TermDag &t_;
+    std::map<const Value *, TermValue> env_;
     /** Low bits of each instruction's value that some use reads. */
     std::map<const Instruction *, unsigned> demand_;
-    CLit ub_ = CircuitBuilder::kFalse;
+    TermId ub_ = kNoTerm;
 };
 
 /** True for add, sub, mul, and, or and xor without flags: the low d
@@ -612,9 +1398,10 @@ Encoder::computeDemand(const ir::Function &fn)
     }
 }
 
-ValueEnc
+TermValue
 Encoder::valueOf(const Value *v)
 {
+    const TermId no_poison = constant(APInt(1, 0));
     switch (v->kind()) {
       case Value::Kind::Argument:
       case Value::Kind::Instruction: {
@@ -624,26 +1411,22 @@ Encoder::valueOf(const Value *v)
       }
       case Value::Kind::ConstInt: {
         const auto *ci = static_cast<const ir::ConstantInt *>(v);
-        return {LaneEnc{CircuitBuilder::constBV(ci->value()),
-                        CircuitBuilder::kFalse}};
+        return {TermLane{constant(ci->value()), no_poison}};
       }
       case Value::Kind::Poison: {
-        ValueEnc out;
+        TermValue out;
         unsigned lanes = laneCount(v->type());
         unsigned width = v->type()->scalarType()->intWidth();
         for (unsigned i = 0; i < lanes; ++i)
-            out.push_back(
-                LaneEnc{CircuitBuilder::constBV(APInt::zero(width)),
-                        CircuitBuilder::kTrue});
+            out.push_back(TermLane{constant(APInt::zero(width)),
+                                   constant(APInt(1, 1))});
         return out;
       }
       case Value::Kind::ConstVector: {
         const auto *cv = static_cast<const ir::ConstantVector *>(v);
-        ValueEnc out;
-        for (const Value *e : cv->elements()) {
-            ValueEnc lane = valueOf(e);
-            out.push_back(lane[0]);
-        }
+        TermValue out;
+        for (const Value *e : cv->elements())
+            out.push_back(valueOf(e)[0]);
         return out;
       }
       case Value::Kind::ConstFP:
@@ -654,128 +1437,107 @@ Encoder::valueOf(const Value *v)
     return {};
 }
 
-LaneEnc
-Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
-                       const LaneEnc &b)
+TermLane
+Encoder::intBinaryLane(const Instruction *inst, const TermLane &a,
+                       const TermLane &b)
 {
     const ir::InstFlags &flags = inst->flags();
-    const BitVec &x = a.bits;
-    const BitVec &y = b.bits;
-    unsigned width = x.size();
-    CLit poison = b_.orGate(a.poison, b.poison);
-    BitVec bits;
+    const TermId x = a.value;
+    const TermId y = b.value;
+    const unsigned width = t_.width(x);
+    TermId poison = t_.orOf(a.poison, b.poison);
+    TermId bits = kNoTerm;
 
     switch (inst->op()) {
-      case Opcode::Add: {
+      case Opcode::Add:
         bits = t_.chain(Op::Add, x, y);
         if (flags.nuw)
-            poison = b_.orGate(poison, b_.addOverflowsU(x, y));
+            poison = t_.orOf(poison, t_.overflow(Op::Add, kNuw, x, y));
         if (flags.nsw)
-            poison = b_.orGate(poison, b_.addOverflowsS(x, y));
+            poison = t_.orOf(poison, t_.overflow(Op::Add, kNsw, x, y));
         break;
-      }
-      case Opcode::Sub: {
+      case Opcode::Sub:
         bits = t_.chain(Op::Add, x, y, true);
         if (flags.nuw)
-            poison = b_.orGate(poison, b_.subOverflowsU(x, y));
+            poison = t_.orOf(poison, t_.overflow(Op::Sub, kNuw, x, y));
         if (flags.nsw)
-            poison = b_.orGate(poison, b_.subOverflowsS(x, y));
+            poison = t_.orOf(poison, t_.overflow(Op::Sub, kNsw, x, y));
         break;
-      }
-      case Opcode::Mul: {
+      case Opcode::Mul:
         bits = t_.mul(x, y);
-        // Overflow poison from the instruction's own operands, in the
-        // same canonical order as the product.
-        const BitVec *p = &x, *q = &y;
-        if (laneOrderedBefore(y, x))
-            std::swap(p, q);
+        // Overflow poison from the instruction's own operands, never
+        // the product's normalized factors.
         if (flags.nuw)
-            poison = b_.orGate(poison, b_.mulOverflowsU(*p, *q));
+            poison = t_.orOf(poison, t_.overflow(Op::Mul, kNuw, x, y));
         if (flags.nsw)
-            poison = b_.orGate(poison, b_.mulOverflowsS(*p, *q));
+            poison = t_.orOf(poison, t_.overflow(Op::Mul, kNsw, x, y));
         break;
-      }
       case Opcode::UDiv: case Opcode::URem: {
         // Divisor poison or zero is immediate UB.
-        addUB(b_.orGate(b.poison, -b_.bvNonZero(y)));
-        CLit guard = b_.andGate(-b.poison, b_.bvNonZero(y));
-        BitVec q, r;
-        b_.bvDivRem(false, x, y, guard, &q, &r);
-        bits = inst->op() == Opcode::UDiv ? q : r;
+        addUB(t_.orOf(b.poison, t_.notOf(t_.nonZero(y))));
+        const TermId not_poison = t_.notOf(b.poison);
+        const TermId guard = t_.andOf(not_poison, t_.nonZero(y));
+        bits = t_.divRem(false, inst->op() == Opcode::URem, x, y, guard);
         if (flags.exact && inst->op() == Opcode::UDiv)
-            poison = b_.orGate(poison, b_.bvNonZero(r));
+            poison = t_.orOf(poison,
+                             t_.nonZero(t_.divRem(false, true, x, y, guard)));
         break;
       }
       case Opcode::SDiv: case Opcode::SRem: {
-        addUB(b_.orGate(b.poison, -b_.bvNonZero(y)));
+        addUB(t_.orOf(b.poison, t_.notOf(t_.nonZero(y))));
         // INT_MIN / -1 overflow is UB (when the dividend is defined).
-        CLit x_is_min = b_.bvEq(x,
-            CircuitBuilder::constBV(APInt::signedMin(width)));
-        CLit y_is_m1 = b_.bvEq(y,
-            CircuitBuilder::constBV(APInt::allOnes(width)));
-        addUB(b_.andMany({-a.poison, x_is_min, y_is_m1}));
-        CLit guard = b_.andMany(
-            {-b.poison, b_.bvNonZero(y),
-             -b_.andGate(x_is_min, y_is_m1)});
-        BitVec q, r;
-        b_.bvDivRem(true, x, y, guard, &q, &r);
-        bits = inst->op() == Opcode::SDiv ? q : r;
+        const TermId x_is_min = t_.eq(x, constant(APInt::signedMin(width)));
+        const TermId y_is_m1 = t_.eq(y, constant(APInt::allOnes(width)));
+        const TermId defined = t_.notOf(a.poison);
+        addUB(t_.andOf(t_.andOf(defined, x_is_min), y_is_m1));
+        const TermId not_poison = t_.notOf(b.poison);
+        const TermId divisor = t_.nonZero(y);
+        const TermId no_overflow = t_.notOf(t_.andOf(x_is_min, y_is_m1));
+        const TermId guard =
+            t_.andOf(t_.andOf(not_poison, divisor), no_overflow);
+        bits = t_.divRem(true, inst->op() == Opcode::SRem, x, y, guard);
         if (flags.exact && inst->op() == Opcode::SDiv)
-            poison = b_.orGate(poison, b_.bvNonZero(r));
+            poison = t_.orOf(poison,
+                             t_.nonZero(t_.divRem(true, true, x, y, guard)));
         break;
       }
       case Opcode::Shl: {
-        CLit oversize = b_.bvULe(
-            CircuitBuilder::constBV(APInt(width, width)), y);
-        poison = b_.orGate(poison, oversize);
+        // Shift amount >= width is poison.
+        const TermId size = constant(APInt(width, width));
+        poison = t_.orOf(poison, t_.notOf(t_.compare(Op::ULt, y, size)));
         // shl x, 1 is x + x mod 2^w: route it through the add chain so
-        // `v + y + y` and `v + (y << 1)` share cones.
-        if (y == CircuitBuilder::constBV(APInt(width, 1)))
+        // `v + y + y` and `v + (y << 1)` meet.
+        if (y == constant(APInt(width, 1)))
             bits = t_.chain(Op::Add, x, x);
         else
-            bits = b_.bvShl(x, y);
-        if (flags.nuw) {
-            // Some set bit shifted out: (x >> (width - amount)) != 0,
-            // checked via round trip.
-            BitVec back = b_.bvLShr(bits, y);
-            poison = b_.orGate(poison, -b_.bvEq(back, x));
-        }
-        if (flags.nsw) {
-            BitVec back = b_.bvAShr(bits, y);
-            poison = b_.orGate(poison, -b_.bvEq(back, x));
-        }
+            bits = t_.opaque(Op::Shl, {x, y});
+        // A set bit shifted out (nuw) or a sign change (nsw): the
+        // round trip does not give x back.
+        if (flags.nuw)
+            poison = t_.orOf(poison, t_.notOf(t_.eq(
+                                         t_.opaque(Op::LShr, {bits, y}), x)));
+        if (flags.nsw)
+            poison = t_.orOf(poison, t_.notOf(t_.eq(
+                                         t_.opaque(Op::AShr, {bits, y}), x)));
         break;
       }
-      case Opcode::LShr: {
-        CLit oversize = b_.bvULe(
-            CircuitBuilder::constBV(APInt(width, width)), y);
-        poison = b_.orGate(poison, oversize);
-        bits = b_.bvLShr(x, y);
-        if (flags.exact) {
-            BitVec back = b_.bvShl(bits, y);
-            poison = b_.orGate(poison, -b_.bvEq(back, x));
-        }
-        break;
-      }
-      case Opcode::AShr: {
-        CLit oversize = b_.bvULe(
-            CircuitBuilder::constBV(APInt(width, width)), y);
-        poison = b_.orGate(poison, oversize);
-        bits = b_.bvAShr(x, y);
-        if (flags.exact) {
-            BitVec back = b_.bvShl(bits, y);
-            poison = b_.orGate(poison, -b_.bvEq(back, x));
-        }
+      case Opcode::LShr: case Opcode::AShr: {
+        const TermId size = constant(APInt(width, width));
+        poison = t_.orOf(poison, t_.notOf(t_.compare(Op::ULt, y, size)));
+        bits = t_.opaque(inst->op() == Opcode::LShr ? Op::LShr : Op::AShr,
+                         {x, y});
+        if (flags.exact)
+            poison = t_.orOf(poison, t_.notOf(t_.eq(
+                                         t_.opaque(Op::Shl, {bits, y}), x)));
         break;
       }
       case Opcode::And:
-        bits = b_.bvAnd(x, y);
+        bits = t_.andOf(x, y);
         break;
       case Opcode::Or:
-        bits = b_.bvOr(x, y);
+        bits = t_.orOf(x, y);
         if (flags.disjoint)
-            poison = b_.orGate(poison,
-                               b_.bvNonZero(b_.bvAnd(x, y)));
+            poison = t_.orOf(poison, t_.nonZero(t_.andOf(x, y)));
         break;
       case Opcode::Xor:
         bits = t_.chain(Op::Xor, x, y);
@@ -783,205 +1545,140 @@ Encoder::intBinaryLane(const Instruction *inst, const LaneEnc &a,
       default:
         assert(false);
     }
-    return LaneEnc{bits, poison};
+    return TermLane{bits, poison};
 }
 
-LaneEnc
-Encoder::icmpLane(const Instruction *inst, const LaneEnc &a,
-                  const LaneEnc &b)
+TermLane
+Encoder::icmpLane(const Instruction *inst, const TermLane &a,
+                  const TermLane &b)
 {
-    CLit r = CircuitBuilder::kFalse;
-    const BitVec &x = a.bits;
-    const BitVec &y = b.bits;
+    TermId r = kNoTerm;
+    const TermId x = a.value;
+    const TermId y = b.value;
     switch (inst->icmpPred()) {
-      case ir::ICmpPred::EQ: r = b_.bvEq(x, y); break;
-      case ir::ICmpPred::NE: r = -b_.bvEq(x, y); break;
+      case ir::ICmpPred::EQ: r = t_.eq(x, y); break;
+      case ir::ICmpPred::NE: r = t_.notOf(t_.eq(x, y)); break;
       // Canonical comparators: everything is an ult/slt node or its
       // negation.
       case ir::ICmpPred::UGT: r = t_.compare(Op::ULt, y, x); break;
-      case ir::ICmpPred::UGE: r = -t_.compare(Op::ULt, x, y); break;
+      case ir::ICmpPred::UGE:
+        r = t_.notOf(t_.compare(Op::ULt, x, y));
+        break;
       case ir::ICmpPred::ULT: r = t_.compare(Op::ULt, x, y); break;
-      case ir::ICmpPred::ULE: r = -t_.compare(Op::ULt, y, x); break;
+      case ir::ICmpPred::ULE:
+        r = t_.notOf(t_.compare(Op::ULt, y, x));
+        break;
       case ir::ICmpPred::SGT: r = t_.compare(Op::SLt, y, x); break;
-      case ir::ICmpPred::SGE: r = -t_.compare(Op::SLt, x, y); break;
+      case ir::ICmpPred::SGE:
+        r = t_.notOf(t_.compare(Op::SLt, x, y));
+        break;
       case ir::ICmpPred::SLT: r = t_.compare(Op::SLt, x, y); break;
-      case ir::ICmpPred::SLE: r = -t_.compare(Op::SLt, y, x); break;
+      case ir::ICmpPred::SLE:
+        r = t_.notOf(t_.compare(Op::SLt, y, x));
+        break;
     }
-    return LaneEnc{BitVec{r}, b_.orGate(a.poison, b.poison)};
+    return TermLane{r, t_.orOf(a.poison, b.poison)};
 }
 
-LaneEnc
-Encoder::castLane(const Instruction *inst, const LaneEnc &a)
+TermLane
+Encoder::castLane(const Instruction *inst, const TermLane &a)
 {
-    unsigned dst = inst->type()->scalarType()->intWidth();
+    const unsigned dst = inst->type()->scalarType()->intWidth();
     const ir::InstFlags &flags = inst->flags();
-    CLit poison = a.poison;
-    BitVec bits;
+    TermId poison = a.poison;
+    TermId bits = kNoTerm;
     switch (inst->op()) {
-      case Opcode::Trunc: {
-        bits = CircuitBuilder::bvTrunc(a.bits, dst);
-        if (flags.nuw) {
-            std::vector<CLit> high(a.bits.begin() + dst, a.bits.end());
-            poison = b_.orGate(poison, b_.orMany(high));
-        }
-        if (flags.nsw) {
-            CLit sign = bits.back();
-            std::vector<CLit> mismatch;
-            for (size_t i = dst; i < a.bits.size(); ++i)
-                mismatch.push_back(b_.xorGate(a.bits[i], sign));
-            poison = b_.orGate(poison, b_.orMany(mismatch));
-        }
+      case Opcode::Trunc:
+        bits = t_.trunc(a.value, dst);
+        if (flags.nuw)
+            poison = t_.orOf(poison, t_.truncOverflow(kNuw, a.value, dst));
+        if (flags.nsw)
+            poison = t_.orOf(poison, t_.truncOverflow(kNsw, a.value, dst));
         break;
-      }
       case Opcode::ZExt:
-        bits = CircuitBuilder::bvZext(a.bits, dst);
+        bits = t_.zext(a.value, dst);
         if (flags.nneg)
-            poison = b_.orGate(poison, a.bits.back());
+            poison = t_.orOf(poison, t_.signBit(a.value));
         break;
       case Opcode::SExt:
-        bits = CircuitBuilder::bvSext(a.bits, dst);
+        bits = t_.sext(a.value, dst);
         break;
       default:
         assert(false);
     }
-    return LaneEnc{bits, poison};
+    return TermLane{bits, poison};
 }
 
-BitVec
-Encoder::popCount(const BitVec &x)
-{
-    unsigned width = x.size();
-    BitVec acc = CircuitBuilder::constBV(APInt::zero(width));
-    for (CLit bit : x) {
-        BitVec addend = CircuitBuilder::constBV(APInt::zero(width));
-        addend[0] = bit;
-        acc = b_.bvAdd(acc, addend);
-    }
-    return acc;
-}
-
-BitVec
-Encoder::countLeadingZeros(const BitVec &x)
-{
-    unsigned width = x.size();
-    // Scan from the MSB: result = index of first set bit from the top.
-    BitVec result = CircuitBuilder::constBV(APInt(width, width));
-    for (unsigned i = 0; i < width; ++i) {
-        // If bit i set, leading zeros = width - 1 - i; later (higher)
-        // bits override earlier ones as we iterate upward.
-        result = b_.bvMux(x[i],
-                          CircuitBuilder::constBV(APInt(width,
-                                                        width - 1 - i)),
-                          result);
-    }
-    return result;
-}
-
-BitVec
-Encoder::countTrailingZeros(const BitVec &x)
-{
-    unsigned width = x.size();
-    BitVec result = CircuitBuilder::constBV(APInt(width, width));
-    for (int i = static_cast<int>(width) - 1; i >= 0; --i) {
-        result = b_.bvMux(x[i],
-                          CircuitBuilder::constBV(APInt(width, i)),
-                          result);
-    }
-    return result;
-}
-
-LaneEnc
+TermLane
 Encoder::intrinsicLane(const Instruction *inst,
-                       const std::vector<LaneEnc> &args)
+                       const std::vector<TermLane> &args)
 {
-    const BitVec &x = args[0].bits;
-    unsigned width = x.size();
-    CLit poison = args[0].poison;
-    BitVec bits;
+    const TermId x = args[0].value;
+    const unsigned width = t_.width(x);
+    TermId poison = args[0].poison;
+    TermId bits = kNoTerm;
+    // The immarg flag of abs, ctlz and cttz.
+    auto flagSet = [&] { return !t_.isFalse(args[1].value); };
     switch (inst->intrinsic()) {
-      case Intrinsic::UMin:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.minMax(Op::UMin, x, args[1].bits);
+      case Intrinsic::UMin: case Intrinsic::UMax:
+      case Intrinsic::SMin: case Intrinsic::SMax: {
+        poison = t_.orOf(poison, args[1].poison);
+        const Intrinsic i = inst->intrinsic();
+        const Op op = i == Intrinsic::UMin   ? Op::UMin
+                      : i == Intrinsic::UMax ? Op::UMax
+                      : i == Intrinsic::SMin ? Op::SMin
+                                             : Op::SMax;
+        bits = t_.minMax(op, x, args[1].value);
         break;
-      case Intrinsic::UMax:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.minMax(Op::UMax, x, args[1].bits);
-        break;
-      case Intrinsic::SMin:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.minMax(Op::SMin, x, args[1].bits);
-        break;
-      case Intrinsic::SMax:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.minMax(Op::SMax, x, args[1].bits);
-        break;
+      }
       case Intrinsic::Abs: {
-        CLit is_min = b_.bvEq(
-            x, CircuitBuilder::constBV(APInt::signedMin(width)));
-        // args[1] is a constant immarg.
-        if (args[1].bits[0] == CircuitBuilder::kTrue)
-            poison = b_.orGate(poison, is_min);
+        const TermId is_min = t_.eq(x, constant(APInt::signedMin(width)));
+        if (flagSet())
+            poison = t_.orOf(poison, is_min);
         bits = t_.abs(x);
         break;
       }
       case Intrinsic::CtPop:
-        bits = popCount(x);
+        bits = t_.opaque(Op::CtPop, {x});
         break;
-      case Intrinsic::CtLz: {
-        if (args[1].bits[0] == CircuitBuilder::kTrue)
-            poison = b_.orGate(poison, -b_.bvNonZero(x));
-        bits = countLeadingZeros(x);
+      case Intrinsic::CtLz: case Intrinsic::CtTz:
+        if (flagSet())
+            poison = t_.orOf(poison, t_.notOf(t_.nonZero(x)));
+        bits = t_.opaque(inst->intrinsic() == Intrinsic::CtLz ? Op::CtLz
+                                                              : Op::CtTz,
+                         {x});
         break;
-      }
-      case Intrinsic::CtTz: {
-        if (args[1].bits[0] == CircuitBuilder::kTrue)
-            poison = b_.orGate(poison, -b_.bvNonZero(x));
-        bits = countTrailingZeros(x);
-        break;
-      }
       case Intrinsic::USubSat:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.usubSat(x, args[1].bits);
+        poison = t_.orOf(poison, args[1].poison);
+        bits = t_.usubSat(x, args[1].value);
         break;
       case Intrinsic::UAddSat:
-        poison = b_.orGate(poison, args[1].poison);
-        bits = t_.uaddSat(x, args[1].bits);
+        poison = t_.orOf(poison, args[1].poison);
+        bits = t_.uaddSat(x, args[1].value);
         break;
-      case Intrinsic::SSubSat: {
-        poison = b_.orGate(poison, args[1].poison);
-        CLit ovf = b_.subOverflowsS(x, args[1].bits);
-        BitVec sat = b_.bvMux(
-            b_.bvSLe(args[1].bits, x),
-            CircuitBuilder::constBV(APInt::signedMax(width)),
-            CircuitBuilder::constBV(APInt::signedMin(width)));
-        bits = b_.bvMux(ovf, sat, b_.bvSub(x, args[1].bits));
+      case Intrinsic::SSubSat:
+        poison = t_.orOf(poison, args[1].poison);
+        bits = t_.opaque(Op::SSubSat, {x, args[1].value});
         break;
-      }
-      case Intrinsic::SAddSat: {
-        poison = b_.orGate(poison, args[1].poison);
-        CLit ovf = b_.addOverflowsS(x, args[1].bits);
-        BitVec sat = b_.bvMux(
-            x.back(),
-            CircuitBuilder::constBV(APInt::signedMin(width)),
-            CircuitBuilder::constBV(APInt::signedMax(width)));
-        bits = b_.bvMux(ovf, sat, b_.bvAdd(x, args[1].bits));
+      case Intrinsic::SAddSat:
+        poison = t_.orOf(poison, args[1].poison);
+        bits = t_.opaque(Op::SAddSat, {x, args[1].value});
         break;
-      }
       default:
         assert(false && "unencodable intrinsic");
     }
-    return LaneEnc{bits, poison};
+    return TermLane{bits, poison};
 }
 
 void
 Encoder::encodeInstruction(const Instruction *inst)
 {
-    unsigned lanes = laneCount(inst->type());
-    ValueEnc out;
+    const unsigned lanes = laneCount(inst->type());
+    TermValue out;
 
     if (inst->isIntBinaryOp()) {
-        ValueEnc a = valueOf(inst->operand(0));
-        ValueEnc b = valueOf(inst->operand(1));
+        TermValue a = valueOf(inst->operand(0));
+        TermValue b = valueOf(inst->operand(1));
         // Below full demand, build the low bits alone; the rest are
         // never read.
         const unsigned width = inst->type()->scalarType()->intWidth();
@@ -989,66 +1686,63 @@ Encoder::encodeInstruction(const Instruction *inst)
             lowBitsOnly(inst) ? std::max(demand_[inst], 1u) : width;
         for (unsigned i = 0; i < lanes; ++i) {
             if (demand < width) {
-                a[i].bits.resize(demand);
-                b[i].bits.resize(demand);
+                a[i].value = t_.trunc(a[i].value, demand);
+                b[i].value = t_.trunc(b[i].value, demand);
             }
-            out.push_back(intBinaryLane(inst, a[i], b[i]));
-            out.back().bits.resize(width, CircuitBuilder::kFalse);
+            TermLane lane = intBinaryLane(inst, a[i], b[i]);
+            lane.value = t_.zext(lane.value, width);
+            out.push_back(lane);
         }
         env_[inst] = out;
         return;
     }
     switch (inst->op()) {
       case Opcode::ICmp: {
-        ValueEnc a = valueOf(inst->operand(0));
-        ValueEnc b = valueOf(inst->operand(1));
+        TermValue a = valueOf(inst->operand(0));
+        TermValue b = valueOf(inst->operand(1));
         for (unsigned i = 0; i < lanes; ++i)
             out.push_back(icmpLane(inst, a[i], b[i]));
         break;
       }
       case Opcode::Select: {
-        ValueEnc cond = valueOf(inst->operand(0));
-        ValueEnc tval = valueOf(inst->operand(1));
-        ValueEnc fval = valueOf(inst->operand(2));
+        TermValue cond = valueOf(inst->operand(0));
+        TermValue tval = valueOf(inst->operand(1));
+        TermValue fval = valueOf(inst->operand(2));
         bool scalar_cond = inst->operand(0)->type()->isBool();
         for (unsigned i = 0; i < lanes; ++i) {
-            const LaneEnc &c = scalar_cond ? cond[0] : cond[i];
-            CLit sel = c.bits[0];
-            LaneEnc lane;
-            lane.bits = t_.select(sel, tval[i].bits, fval[i].bits);
-            CLit chosen_poison =
-                b_.muxGate(sel, tval[i].poison, fval[i].poison);
-            lane.poison = b_.orGate(c.poison, chosen_poison);
+            const TermLane &c = scalar_cond ? cond[0] : cond[i];
+            TermLane lane;
+            lane.value = t_.select(c.value, tval[i].value, fval[i].value);
+            TermId chosen_poison =
+                t_.mux(c.value, tval[i].poison, fval[i].poison);
+            lane.poison = t_.orOf(c.poison, chosen_poison);
             out.push_back(lane);
         }
         break;
       }
       case Opcode::Trunc: case Opcode::ZExt: case Opcode::SExt: {
-        ValueEnc a = valueOf(inst->operand(0));
+        TermValue a = valueOf(inst->operand(0));
         for (unsigned i = 0; i < lanes; ++i)
             out.push_back(castLane(inst, a[i]));
         break;
       }
       case Opcode::Freeze: {
-        ValueEnc a = valueOf(inst->operand(0));
-        unsigned width = inst->type()->scalarType()->intWidth();
-        for (unsigned i = 0; i < lanes; ++i) {
-            LaneEnc lane;
-            lane.bits = b_.bvMux(
-                a[i].poison,
-                CircuitBuilder::constBV(APInt::zero(width)), a[i].bits);
-            lane.poison = CircuitBuilder::kFalse;
-            out.push_back(lane);
-        }
+        TermValue a = valueOf(inst->operand(0));
+        const unsigned width = inst->type()->scalarType()->intWidth();
+        for (unsigned i = 0; i < lanes; ++i)
+            out.push_back(TermLane{
+                t_.mux(a[i].poison, constant(APInt::zero(width)),
+                       a[i].value),
+                constant(APInt(1, 0))});
         break;
       }
       case Opcode::Call: {
-        std::vector<ValueEnc> args;
+        std::vector<TermValue> args;
         for (const Value *operand : inst->operands())
             args.push_back(valueOf(operand));
         for (unsigned i = 0; i < lanes; ++i) {
-            std::vector<LaneEnc> lane_args;
-            for (const ValueEnc &arg : args)
+            std::vector<TermLane> lane_args;
+            for (const TermValue &arg : args)
                 lane_args.push_back(arg.size() == 1 ? arg[0] : arg[i]);
             out.push_back(intrinsicLane(inst, lane_args));
         }
@@ -1060,39 +1754,93 @@ Encoder::encodeInstruction(const Instruction *inst)
     env_[inst] = out;
 }
 
-std::optional<EncodedFunction>
-Encoder::run(const ir::Function &fn, const std::vector<ValueEnc> *shared)
+TermFunction
+Encoder::run(const ir::Function &fn, const std::vector<TermValue> &args)
 {
-    if (!canEncode(fn))
-        return std::nullopt;
-
     computeDemand(fn);
-    EncodedFunction result;
-    for (unsigned i = 0; i < fn.numArgs(); ++i) {
-        const Type *type = fn.arg(i)->type();
-        ValueEnc enc;
-        if (shared) {
-            enc = (*shared)[i];
-        } else {
-            unsigned lanes = laneCount(type);
-            unsigned width = type->scalarType()->intWidth();
-            for (unsigned lane = 0; lane < lanes; ++lane)
-                enc.push_back(LaneEnc{b_.freshBV(width),
-                                      CircuitBuilder::kFalse});
-        }
-        env_[fn.arg(i)] = enc;
-        result.args.push_back(enc);
-    }
-    const ir::BasicBlock *entry = fn.entry();
-    for (const auto &inst : entry->instructions()) {
-        if (inst->op() == Opcode::Ret) {
-            result.ret = valueOf(inst->operand(0));
-            result.ub = ub_;
-            return result;
-        }
+    ub_ = constant(APInt(1, 0));
+    for (unsigned i = 0; i < fn.numArgs(); ++i)
+        env_[fn.arg(i)] = args[i];
+    for (const auto &inst : fn.entry()->instructions()) {
+        if (inst->op() == Opcode::Ret)
+            return TermFunction{valueOf(inst->operand(0)), ub_};
         encodeInstruction(inst.get());
     }
-    return std::nullopt; // no ret found (unreachable for valid IR)
+    assert(false && "canEncode checked for a ret");
+    return {};
+}
+
+/** One argument leaf per lane of each of @p fn's arguments, numbered
+ *  in order. */
+std::vector<TermValue>
+argumentTerms(TermDag &terms, const ir::Function &fn)
+{
+    std::vector<TermValue> args;
+    const TermId no_poison = terms.constant(APInt(1, 0));
+    unsigned slot = 0;
+    for (unsigned i = 0; i < fn.numArgs(); ++i) {
+        const Type *type = fn.arg(i)->type();
+        const unsigned width = type->scalarType()->intWidth();
+        TermValue value;
+        for (unsigned lane = 0; lane < laneCount(type); ++lane)
+            value.push_back(TermLane{terms.arg(slot++, width), no_poison});
+        args.push_back(std::move(value));
+    }
+    return args;
+}
+
+/** Fresh non-poison circuit inputs for the argument leaves @p args. */
+std::vector<ValueEnc>
+freshArguments(CircuitBuilder &builder, const TermDag &terms,
+               const std::vector<TermValue> &args)
+{
+    std::vector<ValueEnc> out;
+    for (const TermValue &arg : args) {
+        ValueEnc enc;
+        for (const TermLane &lane : arg)
+            enc.push_back(LaneEnc{builder.freshBV(terms.width(lane.value)),
+                                  CircuitBuilder::kFalse});
+        out.push_back(std::move(enc));
+    }
+    return out;
+}
+
+/** Blast every root of @p terms with @p args as the argument leaves. */
+void
+blastOver(TermDag &terms, CircuitBuilder &builder,
+          const std::vector<ValueEnc> &args)
+{
+    std::vector<BitVec> slots;
+    for (const ValueEnc &arg : args)
+        for (const LaneEnc &lane : arg)
+            slots.push_back(lane.bits);
+    terms.blastRoots(builder, std::move(slots));
+}
+
+TermFunction
+encodeTerms(TermDag &terms, const ir::Function &fn,
+            const std::vector<TermValue> &args)
+{
+    // Chaos-test injection: the bit-blaster blowing up mid-encoding
+    // (resource exhaustion in real deployments). The per-case
+    // containment in core/pipeline.cc must convert this into a
+    // case-level failure, never a lost module run.
+    if (LPO_FAILPOINT("bitblast.throw"))
+        throw FailPointError("injected bit-blaster failure "
+                             "(failpoint bitblast.throw)");
+    Encoder encoder(terms);
+    return encoder.run(fn, args);
+}
+
+/** The circuit of @p value (after TermDag::blastRoots). */
+ValueEnc
+blastValue(TermDag &terms, const TermValue &value)
+{
+    ValueEnc out;
+    for (const TermLane &lane : value)
+        out.push_back(LaneEnc{terms.bits(lane.value),
+                              terms.bits(lane.poison)[0]});
+    return out;
 }
 
 } // namespace
@@ -1139,108 +1887,75 @@ canEncode(const ir::Function &fn)
            fn.entry()->terminator()->op() == Opcode::Ret;
 }
 
-namespace {
-
-std::optional<EncodedFunction>
-encodeWith(TermTable &terms, smt::CircuitBuilder &builder,
-           const ir::Function &fn, const std::vector<ValueEnc> *shared_args)
-{
-    // Chaos-test injection: the bit-blaster blowing up mid-encoding
-    // (resource exhaustion in real deployments). The per-case
-    // containment in core/pipeline.cc must convert this into a
-    // case-level failure, never a lost module run.
-    if (LPO_FAILPOINT("bitblast.throw"))
-        throw FailPointError("injected bit-blaster failure "
-                             "(failpoint bitblast.throw)");
-    Encoder encoder(builder, terms);
-    return encoder.run(fn, shared_args);
-}
-
-} // namespace
-
 std::optional<EncodedFunction>
 encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
                const std::vector<ValueEnc> *shared_args)
 {
-    TermTable terms(builder);
-    return encodeWith(terms, builder, fn, shared_args);
+    if (!canEncode(fn))
+        return std::nullopt;
+    TermDag terms;
+    std::vector<TermValue> arg_terms = argumentTerms(terms, fn);
+    TermFunction encoded = encodeTerms(terms, fn, arg_terms);
+
+    EncodedFunction result;
+    result.args = shared_args ? *shared_args
+                              : freshArguments(builder, terms, arg_terms);
+    blastOver(terms, builder, result.args);
+    result.ret = blastValue(terms, encoded.ret);
+    result.ub = terms.bits(encoded.ub)[0];
+    return result;
 }
 
-namespace {
-
-/** Fresh, non-poison argument encodings for @p fn's signature, so src
- *  and tgt range over identical inputs. */
-std::vector<ValueEnc>
-encodeSharedArgs(smt::CircuitBuilder &builder, const ir::Function &fn)
-{
-    std::vector<ValueEnc> args;
-    for (unsigned i = 0; i < fn.numArgs(); ++i) {
-        const Type *type = fn.arg(i)->type();
-        ValueEnc enc;
-        unsigned lanes = laneCount(type);
-        unsigned width = type->scalarType()->intWidth();
-        for (unsigned lane = 0; lane < lanes; ++lane)
-            enc.push_back(LaneEnc{builder.freshBV(width),
-                                  CircuitBuilder::kFalse});
-        args.push_back(enc);
-    }
-    return args;
-}
-
-/**
- * The refinement-violation literal over two encodings that share
- * their arguments:
- *
- *   !src.ub && (tgt.ub || exists lane:
- *               !src.poison[l] && (tgt.poison[l] || bits differ))
- */
-CLit
-refinementViolation(smt::CircuitBuilder &builder,
-                    const EncodedFunction &src_enc,
-                    const EncodedFunction &tgt_enc)
-{
-    std::vector<CLit> lane_violations;
-    for (size_t lane = 0; lane < src_enc.ret.size(); ++lane) {
-        const LaneEnc &s = src_enc.ret[lane];
-        const LaneEnc &t = tgt_enc.ret[lane];
-        CLit mismatch = builder.orGate(
-            t.poison, -builder.bvEq(s.bits, t.bits));
-        lane_violations.push_back(
-            builder.andGate(-s.poison, mismatch));
-    }
-    CLit violation = builder.orGate(tgt_enc.ub,
-                                    builder.orMany(lane_violations));
-    return builder.andGate(-src_enc.ub, violation);
-}
-
-} // namespace
-
-bool
-encodeRefinementQuery(smt::CircuitBuilder &builder,
-                      const ir::Function &src, const ir::Function &tgt,
+QueryEncoding
+encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
+                      const ir::Function &tgt,
                       std::vector<ValueEnc> *shared_args_out)
 {
-    std::vector<ValueEnc> args = encodeSharedArgs(builder, src);
+    if (!canEncode(src) || !canEncode(tgt))
+        return QueryEncoding::Unencodable;
 
-    // One term table for both sides, so they meet in the same nodes.
-    TermTable terms(builder);
-    std::optional<EncodedFunction> src_enc =
-        encodeWith(terms, builder, src, &args);
-    std::optional<EncodedFunction> tgt_enc =
-        encodeWith(terms, builder, tgt, &args);
-    if (!src_enc || !tgt_enc)
-        return false;
+    // One DAG for both sides over the same argument leaves, so they
+    // meet in the same nodes.
+    TermDag terms;
+    std::vector<TermValue> args = argumentTerms(terms, src);
+    TermFunction s = encodeTerms(terms, src, args);
+    TermFunction t = encodeTerms(terms, tgt, args);
 
-    CLit violation = refinementViolation(builder, *src_enc, *tgt_enc);
-    builder.require(violation);
+    // The refinement-violation predicate:
+    //   !src.ub && (tgt.ub || exists lane:
+    //               !src.poison[l] && (tgt.poison[l] || values differ))
+    std::vector<TermId> lane_violations;
+    for (size_t lane = 0; lane < s.ret.size(); ++lane) {
+        const TermLane &sl = s.ret[lane];
+        const TermLane &tl = t.ret[lane];
+        TermId mismatch =
+            terms.orOf(tl.poison, terms.notOf(terms.eq(sl.value, tl.value)));
+        lane_violations.push_back(
+            terms.andOf(terms.notOf(sl.poison), mismatch));
+    }
+    TermId lanes = terms.constant(APInt(1, 0));
+    for (TermId v : lane_violations)
+        lanes = terms.orOf(lanes, v);
+    TermId violation = terms.andOf(terms.notOf(s.ub), terms.orOf(t.ub, lanes));
+    if (terms.isFalse(violation)) {
+        // Decided: the sides met. The empty clause answers Unsat
+        // without a circuit.
+        builder.require(CircuitBuilder::kFalse);
+        return QueryEncoding::DecidedByTerms;
+    }
+
+    std::vector<ValueEnc> arg_bits = freshArguments(builder, terms, args);
+    blastOver(terms, builder, arg_bits);
+    CLit miter = terms.bits(violation)[0];
+    builder.require(miter);
     // A miter that folds to true constrains nothing, so require()
     // emitted nothing; emit the circuit anyway, since a counterexample
     // is read from the argument variables.
-    if (violation == CircuitBuilder::kTrue)
+    if (miter == CircuitBuilder::kTrue)
         builder.emit();
     if (shared_args_out)
-        *shared_args_out = std::move(args);
-    return true;
+        *shared_args_out = std::move(arg_bits);
+    return QueryEncoding::Blasted;
 }
 
 } // namespace lpo::verify

@@ -3,11 +3,15 @@
  * SAT encoding of IR functions for refinement checking.
  *
  * The encoder translates the pure integer fragment (scalar and vector,
- * no memory, no floating point, no control flow) into a circuit: each
- * SSA value becomes, per lane, a BitVec plus a poison literal, and the
- * function as a whole gets an undefined-behaviour literal. This is the
- * same fragment Souper reasons about; everything outside it falls back
- * to the bounded concrete backend in refine.cc.
+ * no memory, no floating point, no control flow) in two steps. First
+ * each SSA value becomes, per lane, a hash-consed word-level term plus
+ * a 1-bit poison term, and the function as a whole gets an
+ * undefined-behaviour term; rewrite rules normalize the terms as they
+ * are built, so source and target of a query meet in shared nodes.
+ * Only when the refinement miter does not fold to false over the terms
+ * is the query bit-blasted into a circuit (CircuitBuilder) for the SAT
+ * solver. This is the same fragment Souper reasons about; everything
+ * outside it falls back to the bounded concrete backend in refine.cc.
  */
 #ifndef LPO_VERIFY_ENCODER_H
 #define LPO_VERIFY_ENCODER_H
@@ -53,26 +57,36 @@ std::optional<EncodedFunction>
 encodeFunction(smt::CircuitBuilder &builder, const ir::Function &fn,
                const std::vector<ValueEnc> *shared_args = nullptr);
 
+/** How encodeRefinementQuery answered. */
+enum class QueryEncoding {
+    Unencodable,    ///< a function leaves the encodable fragment
+    DecidedByTerms, ///< the miter folded over terms: no circuit built,
+                    ///< the solver holds only the empty clause
+    Blasted,        ///< the query was bit-blasted into the solver
+};
+
 /**
  * Build the complete refinement-violation query for (src, tgt) into
- * @p builder: fresh shared non-poison arguments, both encodings over
- * them, and the asserted miter
+ * @p builder: shared non-poison arguments, both encodings over them,
+ * and the asserted miter
  *
  *   !src.ub && (tgt.ub || exists lane:
  *               !src.poison[l] && (tgt.poison[l] || bits differ))
  *
- * so Unsat means tgt refines src. This is the exact query the SAT
- * backend solves; the throughput benchmark reuses it to measure query
- * sizes.
+ * so Unsat means tgt refines src. The miter is first built over terms;
+ * when it folds to false there, the query is decided and @p builder
+ * gets no node, only the empty clause. Otherwise the whole query is
+ * bit-blasted. This is the exact query the SAT backend solves; the
+ * throughput benchmark reuses it to measure query sizes.
  *
  * @param shared_args_out when non-null, receives the argument
- *        encoding (for counterexample extraction from the model).
- * @returns false if either function leaves the encodable fragment.
+ *        encoding (for counterexample extraction from the model) of a
+ *        blasted query.
  */
-bool encodeRefinementQuery(smt::CircuitBuilder &builder,
-                           const ir::Function &src,
-                           const ir::Function &tgt,
-                           std::vector<ValueEnc> *shared_args_out = nullptr);
+QueryEncoding
+encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
+                      const ir::Function &tgt,
+                      std::vector<ValueEnc> *shared_args_out = nullptr);
 
 } // namespace lpo::verify
 

@@ -240,10 +240,13 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
     {
         LPO_TRACE_SPAN(span, "encode", "sat");
         telemetry::ScopedTimer timer(encodeHistogram());
-        bool encoded = encodeRefinementQuery(builder, src, tgt, &args);
-        assert(encoded && "caller checked canEncode");
-        (void)encoded;
+        QueryEncoding encoding =
+            encodeRefinementQuery(builder, src, tgt, &args);
+        assert(encoding != QueryEncoding::Unencodable &&
+               "caller checked canEncode");
         work.encode_ns = timer.stopNanos();
+        work.sat_queries = 1;
+        work.term_decided = encoding == QueryEncoding::DecidedByTerms;
     }
     work.circuit_nodes = builder.numNodes();
     work.circuit_emitted = builder.numEmitted();

@@ -78,6 +78,10 @@ struct VerifyWork
     uint64_t circuit_merges = 0;
     uint64_t window_checks = 0;
     uint64_t failed_checks = 0;
+    /** Queries the SAT backend encoded, and those of them decided over
+     *  word-level terms, before any circuit was built. */
+    uint64_t sat_queries = 0;
+    uint64_t term_decided = 0;
     /** Wall time spent encoding the query and in the solver: real
      *  time, reported by --profile, never compared for determinism. */
     uint64_t encode_ns = 0;

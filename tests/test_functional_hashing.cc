@@ -210,7 +210,8 @@ solveQuery(const std::string &src, const std::string &tgt)
         return {0, 0, smt::SatResult::Unknown};
     smt::SatSolver sat;
     CircuitBuilder cb(sat);
-    EXPECT_TRUE(verify::encodeRefinementQuery(cb, **s, **t));
+    EXPECT_NE(verify::encodeRefinementQuery(cb, **s, **t),
+              verify::QueryEncoding::Unencodable);
     smt::SatResult result = sat.solve();
     return {sat.conflicts(), cb.numNodes(), result};
 }
@@ -234,17 +235,28 @@ TEST(FunctionalHashing, AddAndOrProvesWithoutSearch)
     }
 }
 
+// Equal words the term rules do not see: only window merges meet them.
+const char *kOrMinusAndSrc = "define T @src(T %x, T %y) {\n"
+                             "  %o = or T %x, %y\n"
+                             "  %a = and T %x, %y\n"
+                             "  %r = sub T %o, %a\n"
+                             "  ret T %r\n}\n";
+const char *kXorTgt = "define T @tgt(T %x, T %y) {\n"
+                      "  %r = xor T %x, %y\n"
+                      "  ret T %r\n}\n";
+
 TEST(FunctionalHashing, FoldedMiterEmitsNothing)
 {
     // The builder folds this miter to false while building it, so the
     // solver gets one empty clause and none of the circuit.
     ir::Context ctx;
-    auto s = ir::parseFunction(ctx, atWidth(kAddAndOrSrc, 64));
-    auto t = ir::parseFunction(ctx, atWidth(kAddAndOrTgt, 64));
+    auto s = ir::parseFunction(ctx, atWidth(kOrMinusAndSrc, 64));
+    auto t = ir::parseFunction(ctx, atWidth(kXorTgt, 64));
     ASSERT_TRUE(s.ok() && t.ok());
     smt::SatSolver sat;
     CircuitBuilder cb(sat);
-    ASSERT_TRUE(verify::encodeRefinementQuery(cb, **s, **t));
+    ASSERT_EQ(verify::encodeRefinementQuery(cb, **s, **t),
+              verify::QueryEncoding::Blasted);
     EXPECT_GT(cb.numNodes(), 128);
     EXPECT_EQ(cb.numEmitted(), 0);
     EXPECT_EQ(sat.numVars(), 0);
@@ -267,7 +279,8 @@ TEST(FunctionalHashing, TrueMiterEmitsTheArguments)
     smt::SatSolver sat;
     CircuitBuilder cb(sat);
     std::vector<verify::ValueEnc> args;
-    ASSERT_TRUE(verify::encodeRefinementQuery(cb, **s, **t, &args));
+    ASSERT_EQ(verify::encodeRefinementQuery(cb, **s, **t, &args),
+              verify::QueryEncoding::Blasted);
     EXPECT_EQ(cb.numNodes(), 8);
     EXPECT_EQ(cb.numEmitted(), 8);
     ASSERT_EQ(sat.solve(), smt::SatResult::Sat);
@@ -295,8 +308,8 @@ TEST(FunctionalHashing, SquareParityBuildsOneBit)
 TEST(FunctionalHashing, VerifyWorkReportsTheBuilder)
 {
     ir::Context ctx;
-    auto s = ir::parseFunction(ctx, atWidth(kAddAndOrSrc, 64));
-    auto t = ir::parseFunction(ctx, atWidth(kAddAndOrTgt, 64));
+    auto s = ir::parseFunction(ctx, atWidth(kOrMinusAndSrc, 64));
+    auto t = ir::parseFunction(ctx, atWidth(kXorTgt, 64));
     ASSERT_TRUE(s.ok() && t.ok());
     verify::RefinementResult r = verify::checkRefinement(**s, **t);
     EXPECT_EQ(r.verdict, verify::Verdict::Correct);

@@ -46,13 +46,15 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # builder's unique and signature tables, its window proofs, and the
 # encoder's word-level term table and demanded widths, and
 # test_verifier_fuzz drives all of them on fuzzed pairs. test_function
-# prints cross-context clones after their source Context is gone, and
-# test_pipeline runs every case on such a clone.
+# prints cross-context clones after their source Context is gone,
+# test_pipeline runs cases on such clones (made on first need), and
+# test_dce erases dead instructions in one compaction per block.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_bitblast test_encoder test_word_rules \
-    test_functional_hashing test_function test_pipeline test_verifier_fuzz
+    test_functional_hashing test_function test_pipeline test_verifier_fuzz \
+    test_dce
 ./build-sanitize/test_sat
 ./build-sanitize/test_bitblast
 ./build-sanitize/test_encoder
@@ -65,6 +67,7 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_function
 ./build-sanitize/test_pipeline
 ./build-sanitize/test_verifier_fuzz
+./build-sanitize/test_dce
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
@@ -308,6 +311,24 @@ for counter in unique_sequences patched_rewrites cycles_after; do
             printf "FAIL: module pipeline %s %s, the committed " \
                    "baseline is %s%s\n", n, c,
                    n == "cycles_after" ? "at most " : "exactly ", b
+            exit 1
+        }
+        printf "module pipeline %s %s vs baseline %s: OK\n", n, c, b
+    }'
+done
+
+# The verifier's work on the same deterministic stream: circuit nodes
+# built and SAT conflicts spent must not grow past the committed
+# baseline.
+for counter in circuit_nodes sat_conflicts; do
+    baseline=$(grep -o "\"${counter}\": [0-9]*" \
+        bench/BENCH_module.baseline.json | awk '{print $2}')
+    current=$(grep -o "\"${counter}\": [0-9]*" \
+        BENCH_module.json | awk '{print $2}')
+    awk -v c="$current" -v b="$baseline" -v n="$counter" 'BEGIN {
+        if (c == "" || b == "" || c + 0 > b + 0) {
+            printf "FAIL: module pipeline %s %s, the committed " \
+                   "baseline is at most %s\n", n, c, b
             exit 1
         }
         printf "module pipeline %s %s vs baseline %s: OK\n", n, c, b
