@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "support/failpoint.h"
@@ -1299,9 +1299,9 @@ class Encoder
     }
 
     TermDag &t_;
-    std::map<const Value *, TermValue> env_;
+    std::unordered_map<const Value *, TermValue> env_;
     /** Low bits of each instruction's value that some use reads. */
-    std::map<const Instruction *, unsigned> demand_;
+    std::unordered_map<const Instruction *, unsigned> demand_;
     TermId ub_ = kNoTerm;
 };
 
