@@ -656,9 +656,10 @@ usage()
         "  --profile                  print the per-phase wall-time\n"
         "                             table (share of the run plus\n"
         "                             per-invocation percentiles, with\n"
-        "                             verify split into encode and\n"
-        "                             solve rows), the scheduler\n"
-        "                             counters, the solver work line\n"
+        "                             verify split into cache key,\n"
+        "                             encode and solve rows), the\n"
+        "                             scheduler counters, the solver\n"
+        "                             work line\n"
         "                             (sat: solves / decisions /\n"
         "                             conflicts / propagations /\n"
         "                             restarts), the circuit builder\n"

@@ -221,9 +221,9 @@ profileSummary(const PipelineStats &stats,
         addRow(phase.name, phase.total_ns, phase.histogram);
         if (std::string(phase.name) != "verify")
             continue;
-        // Inside verify: the SAT backend's encoding and solving, whose
-        // totals only their histograms hold.
-        for (const char *part : {"encode", "solve"}) {
+        // Inside verify: the cache key, and the SAT backend's encoding
+        // and solving, whose totals only their histograms hold.
+        for (const char *part : {"key", "encode", "solve"}) {
             const std::string name = std::string("verify.") + part + "_ns";
             const telemetry::HistogramSnapshot *hist =
                 metrics.histogram(name);

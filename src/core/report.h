@@ -74,7 +74,9 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * verify, patch, dce) with its total wall time from
  * PipelineStats::timings, its share of the optimize run, and the
  * p50/p90/p99 per-invocation latency from the matching `phase.*_ns`
- * histogram in @p metrics. Under verify, an `encode` and a `solve`
+ * histogram in @p metrics. Under verify, a `key` row gives the
+ * verification cache's key building (two canonical prints per call
+ * with a cache, from `verify.key_ns`), and an `encode` and a `solve`
  * row split out the SAT backend's share, totals and percentiles both
  * from the `verify.encode_ns` / `verify.solve_ns` histograms (encode
  * counts every SAT query, solve every solver run; queries decided

@@ -27,6 +27,8 @@ constexpr uint64_t kLeafTables[kWindowLeaves] = {
 /** Cone nodes a window may open; past that it is evaluated as it
  *  stands. */
 constexpr size_t kWindowExpansions = 16;
+/** Slots a hash table starts with. */
+constexpr size_t kMinTableSlots = 1024;
 
 int
 varOf(CLit lit)
@@ -95,9 +97,10 @@ CircuitBuilder::reserveSigSlot()
     // and signatures are distinct, so each keeps its node.
     if (2 * (sig_entries_ + 1) <= sig_table_.size())
         return;
-    std::vector<CLit> old(std::max<size_t>(1024, sig_table_.size() * 2), 0);
-    old.swap(sig_table_);
-    for (CLit held : old)
+    const size_t slots = std::max(kMinTableSlots, sig_table_.size() * 2);
+    sig_rehash_.swap(sig_table_);
+    sig_table_.assign(slots, 0);
+    for (CLit held : sig_rehash_)
         if (held)
             sig_table_[sigSlot(sigOf(held))] = held;
 }
@@ -247,20 +250,74 @@ CircuitBuilder::windowEqual(uint8_t kind, CLit a, CLit b, CLit cand)
     return apply(kind, value(a), value(b)) == value(cand);
 }
 
+void
+CircuitBuilder::reset()
+{
+    divisions_.clear();
+    node_table_.clear();
+    node_entries_ = 0;
+    unique_hits_ = 0;
+    gates_.resize(1);
+    sigs_.resize(1);
+    emitted_ = 0;
+    sig_table_.clear();
+    sig_entries_ = 0;
+    pending_slot_ = kNoSlot;
+    pending_flip_ = false;
+    merges_ = 0;
+    window_checks_ = 0;
+    failed_checks_ = 0;
+}
+
+size_t
+CircuitBuilder::nodeSlot(const NodeKey &key) const
+{
+    // FNV-1a over the four fields, folded so the high bits reach the
+    // mask.
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t v : {uint64_t(key.kind), uint64_t(uint32_t(key.a)),
+                       uint64_t(uint32_t(key.b)), uint64_t(uint32_t(key.c))}) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    }
+    const size_t mask = node_table_.size() - 1;
+    for (size_t slot = (h ^ (h >> 32)) & mask;; slot = (slot + 1) & mask) {
+        const NodeSlot &held = node_table_[slot];
+        if (held.out == 0 || held.key == key)
+            return slot;
+    }
+}
+
 CLit
 CircuitBuilder::lookupNode(const NodeKey &key)
 {
-    auto it = unique_.find(key);
-    if (it == unique_.end())
+    if (node_table_.empty())
         return 0;
-    ++unique_hits_;
-    return it->second;
+    CLit out = node_table_[nodeSlot(key)].out;
+    if (out)
+        ++unique_hits_;
+    return out;
 }
 
 void
 CircuitBuilder::insertNode(const NodeKey &key, CLit out)
 {
-    unique_.emplace(key, out);
+    // Keep the load at most one half; keys are distinct, so a rehash
+    // re-enters each entry in a slot of its own.
+    if (2 * (node_entries_ + 1) > node_table_.size()) {
+        const size_t slots =
+            std::max(kMinTableSlots, node_table_.size() * 2);
+        node_rehash_.swap(node_table_);
+        node_table_.assign(slots, NodeSlot{});
+        for (const NodeSlot &held : node_rehash_)
+            if (held.out)
+                node_table_[nodeSlot(held.key)] = held;
+    }
+    NodeSlot &slot = node_table_[nodeSlot(key)];
+    if (slot.out)
+        return; // already present: the first node stays
+    slot = NodeSlot{key, out};
+    ++node_entries_;
 }
 
 CLit

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/sat.h"
@@ -56,6 +55,12 @@ using BitVec = std::vector<CLit>;
  * equal to it by exhaustive evaluation over a window of at most six
  * leaves, then answered with that node's literal. See DESIGN.md,
  * "Structural hashing in the circuit builder" for the invariants.
+ *
+ * Both hash tables are flat open-addressed arrays that grow through a
+ * member scratch buffer, and reset() empties every table and arena
+ * without giving back capacity, so a builder reused across queries
+ * (with its solver, see DESIGN.md, "Verifier workspace") allocates
+ * nothing for its circuit once it has seen its largest query.
  */
 class CircuitBuilder
 {
@@ -67,10 +72,19 @@ class CircuitBuilder
 
     SatSolver &solver() { return solver_; }
 
+    /**
+     * Forget every node, table entry, memoized division and statistic:
+     * the builder behaves exactly as a newly constructed one over the
+     * same solver, but keeps the capacity of its arenas and tables. It
+     * leaves the solver alone; a fresh circuit needs a fresh solver
+     * too, so reset both (SatSolver::reset).
+     */
+    void reset();
+
     /** Gate constructions answered from the unique table. */
     uint64_t uniqueTableHits() const { return unique_hits_; }
     /** Distinct hashed nodes created so far. */
-    uint64_t uniqueTableSize() const { return unique_.size(); }
+    uint64_t uniqueTableSize() const { return node_entries_; }
     /** Gates answered with an existing node or constant proved equal. */
     uint64_t merges() const { return merges_; }
     /** Window proofs attempted, and those that found no equality. */
@@ -207,25 +221,19 @@ class CircuitBuilder
             return kind == o.kind && a == o.a && b == o.b && c == o.c;
         }
     };
-    struct NodeKeyHash
+    /** One unique-table slot; out == 0 marks it empty. */
+    struct NodeSlot
     {
-        size_t operator()(const NodeKey &k) const
-        {
-            // FNV-1a over the four fields.
-            uint64_t h = 0xcbf29ce484222325ull;
-            for (uint64_t v : {uint64_t(k.kind), uint64_t(uint32_t(k.a)),
-                               uint64_t(uint32_t(k.b)),
-                               uint64_t(uint32_t(k.c))}) {
-                h ^= v;
-                h *= 0x100000001b3ull;
-            }
-            return static_cast<size_t>(h);
-        }
+        NodeKey key{};
+        CLit out = 0;
     };
 
     /** Table lookup; returns 0 (never a valid CLit) on miss. */
     CLit lookupNode(const NodeKey &key);
     void insertNode(const NodeKey &key, CLit out);
+    /** The unique-table slot holding @p key, or the empty slot where it
+     *  would go. The table must not be empty. */
+    size_t nodeSlot(const NodeKey &key) const;
 
     /** Simulation values of a literal under 256 input patterns. */
     using Sig = std::array<uint64_t, 4>;
@@ -273,7 +281,9 @@ class CircuitBuilder
 
     SatSolver &solver_;
     std::map<DivKey, Division> divisions_;
-    std::unordered_map<NodeKey, CLit, NodeKeyHash> unique_;
+    /** Open-addressed unique table, kept at most half full. */
+    std::vector<NodeSlot> node_table_;
+    size_t node_entries_ = 0;
     uint64_t unique_hits_ = 0;
     /** Indexed by variable; slot 0 is unused (variables are 1-based,
      *  like the solver's). */
@@ -284,6 +294,10 @@ class CircuitBuilder
      *  -> the first node with it, as the literal carrying that phase. */
     std::vector<CLit> sig_table_;
     size_t sig_entries_ = 0;
+    /** The previous arrays of both tables while they grow: swapped
+     *  with the live one, so growth reuses capacity. */
+    std::vector<NodeSlot> node_rehash_;
+    std::vector<CLit> sig_rehash_;
     static constexpr size_t kNoSlot = ~size_t(0);
     size_t pending_slot_ = kNoSlot; ///< set by a sweep that found none
     bool pending_flip_ = false;

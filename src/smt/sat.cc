@@ -33,18 +33,62 @@ lubyTerm(uint64_t x)
 
 } // namespace
 
+void
+SatSolver::reset()
+{
+    // Watch lists past the live variables are already empty (the
+    // invariant this loop keeps), so only live ones need clearing; the
+    // outer vector keeps its size and every list its capacity.
+    for (size_t i = 0; i < static_cast<size_t>(num_vars_ + 1) * 2 &&
+                       i < watches_.size();
+         ++i)
+        watches_[i].clear();
+    num_vars_ = 0;
+    clauses_.clear();
+    pool_.clear();
+    // Variables are 1-based; slot 0 (literals 0 and 1) is a dummy.
+    values_.assign(2, Assign::Unassigned);
+    model_.clear();
+    levels_.assign(1, 0);
+    reasons_.assign(1, -1);
+    activities_.assign(1, 0.0);
+    polarity_.assign(1, 0);
+    order_heap_.clear();
+    heap_pos_.assign(1, -1);
+    trail_.clear();
+    trail_limits_.clear();
+    propagate_head_ = 0;
+    var_inc_ = 1.0;
+    cla_inc_ = 1.0;
+    num_learnts_ = 0;
+    reduce_limit_ = kReduceLimit;
+    restart_unit_ = kRestartUnit;
+    unsat_ = false;
+    interrupt_ = {};
+    seen_.assign(1, 0);
+    conflicts_ = 0;
+    decisions_ = 0;
+    propagations_ = 0;
+    restarts_ = 0;
+    clauses_added_ = 0;
+    learnts_removed_ = 0;
+}
+
 int
 SatSolver::newVar()
 {
     ++num_vars_;
-    assigns_.push_back(Assign::Unassigned);
+    values_.push_back(Assign::Unassigned);
+    values_.push_back(Assign::Unassigned);
     levels_.push_back(0);
     reasons_.push_back(-1);
     activities_.push_back(0.0);
-    polarity_.push_back(false);
+    polarity_.push_back(0);
     heap_pos_.push_back(-1);
     seen_.push_back(0);
-    watches_.resize((num_vars_ + 1) * 2);
+    const size_t lists = static_cast<size_t>(num_vars_ + 1) * 2;
+    if (watches_.size() < lists)
+        watches_.resize(lists);
     heapInsert(num_vars_);
     return num_vars_;
 }
@@ -53,44 +97,52 @@ SatSolver::newVar()
 // Decision-order heap
 // ---------------------------------------------------------------------
 
-void
-SatSolver::heapSwap(size_t i, size_t j)
-{
-    std::swap(order_heap_[i], order_heap_[j]);
-    heap_pos_[order_heap_[i]] = static_cast<int>(i);
-    heap_pos_[order_heap_[j]] = static_cast<int>(j);
-}
+// Both sifts move a hole instead of swapping (Een and Soerensson,
+// "An Extensible SAT-solver", SAT 2003): the moving variable is written
+// once, where the hole stops. heapLess is a strict total order (ties go
+// to the lower index), so the minimum of a node and its children is
+// unique and a hole sift leaves every variable exactly where a
+// swap-based sift would.
 
 void
 SatSolver::heapUp(size_t i)
 {
+    int *heap = order_heap_.data();
+    const int var = heap[i];
     while (i > 0) {
         size_t parent = (i - 1) / 2;
-        if (!heapLess(order_heap_[i], order_heap_[parent]))
+        if (!heapLess(var, heap[parent]))
             break;
-        heapSwap(i, parent);
+        heap[i] = heap[parent];
+        heap_pos_[heap[i]] = static_cast<int>(i);
         i = parent;
     }
+    heap[i] = var;
+    heap_pos_[var] = static_cast<int>(i);
 }
 
 void
 SatSolver::heapDown(size_t i)
 {
+    int *heap = order_heap_.data();
+    const size_t size = order_heap_.size();
+    if (i >= size)
+        return;
+    const int var = heap[i];
     for (;;) {
-        size_t left = 2 * i + 1;
-        size_t right = 2 * i + 2;
-        size_t best = i;
-        if (left < order_heap_.size() &&
-            heapLess(order_heap_[left], order_heap_[best]))
-            best = left;
-        if (right < order_heap_.size() &&
-            heapLess(order_heap_[right], order_heap_[best]))
-            best = right;
-        if (best == i)
+        size_t child = 2 * i + 1;
+        if (child >= size)
             break;
-        heapSwap(i, best);
-        i = best;
+        if (child + 1 < size && heapLess(heap[child + 1], heap[child]))
+            ++child;
+        if (!heapLess(heap[child], var))
+            break;
+        heap[i] = heap[child];
+        heap_pos_[heap[i]] = static_cast<int>(i);
+        i = child;
     }
+    heap[i] = var;
+    heap_pos_[var] = static_cast<int>(i);
 }
 
 void
@@ -104,16 +156,16 @@ SatSolver::heapInsert(int var)
 }
 
 int
-SatSolver::storeClause(const std::vector<int> &lits, bool learnt,
+SatSolver::storeClause(const int *lits, size_t count, bool learnt,
                        uint32_t lbd, double activity)
 {
     Clause clause;
     clause.offset = static_cast<uint32_t>(pool_.size());
-    clause.size = static_cast<uint32_t>(lits.size());
+    clause.size = static_cast<uint32_t>(count);
     clause.learnt = learnt;
     clause.lbd = lbd;
     clause.activity = activity;
-    pool_.insert(pool_.end(), lits.begin(), lits.end());
+    pool_.insert(pool_.end(), lits, lits + count);
     clauses_.push_back(clause);
     return static_cast<int>(clauses_.size()) - 1;
 }
@@ -134,42 +186,44 @@ SatSolver::attachClause(int index)
 }
 
 bool
-SatSolver::addClause(std::vector<Lit> lits)
+SatSolver::addClause(const Lit *lits, size_t count)
 {
     if (unsat_)
         return false;
-    assert(!lits.empty());
+    assert(count > 0);
     assert(trail_limits_.empty() &&
            "clauses may only be added at decision level 0");
-    // Encode, dedup, and drop tautologies.
-    std::vector<int> enc;
-    enc.reserve(lits.size());
-    for (Lit lit : lits) {
-        assert(lit != 0 && std::abs(lit) <= num_vars_);
-        enc.push_back(encode(lit));
+    // Encode, dedup, and drop tautologies, all in the member scratch.
+    std::vector<int> &enc = clause_scratch_;
+    enc.clear();
+    for (size_t i = 0; i < count; ++i) {
+        assert(lits[i] != 0 && std::abs(lits[i]) <= num_vars_);
+        enc.push_back(encode(lits[i]));
     }
     std::sort(enc.begin(), enc.end());
     enc.erase(std::unique(enc.begin(), enc.end()), enc.end());
     for (size_t i = 0; i + 1 < enc.size(); ++i)
         if (litVar(enc[i]) == litVar(enc[i + 1]))
             return true; // tautology: v OR !v
-    // Remove literals already false at level 0; satisfied => drop.
-    std::vector<int> pruned;
+    // Remove literals already false at level 0 (in place: the kept
+    // prefix never overtakes the read position); satisfied => drop.
+    size_t kept = 0;
     for (int e : enc) {
         Assign value = valueOf(e);
         if (value == Assign::True && levels_[litVar(e)] == 0)
             return true;
         if (value == Assign::False && levels_[litVar(e)] == 0)
             continue;
-        pruned.push_back(e);
+        enc[kept++] = e;
     }
-    if (pruned.empty()) {
+    enc.resize(kept);
+    if (enc.empty()) {
         unsat_ = true;
         return false;
     }
-    if (pruned.size() == 1) {
+    if (enc.size() == 1) {
         ++clauses_added_;
-        if (!enqueue(pruned[0], -1)) {
+        if (!enqueue(enc[0], -1)) {
             unsat_ = true;
             return false;
         }
@@ -180,7 +234,7 @@ SatSolver::addClause(std::vector<Lit> lits)
         return true;
     }
     ++clauses_added_;
-    int ci = storeClause(pruned, false, 0, 0.0);
+    int ci = storeClause(enc.data(), enc.size(), false, 0, 0.0);
     attachClause(ci);
     return true;
 }
@@ -201,7 +255,8 @@ SatSolver::enqueue(int enc, int reason)
     if (value != Assign::Unassigned)
         return value == Assign::True;
     int var = litVar(enc);
-    assigns_[var] = (enc & 1) ? Assign::False : Assign::True;
+    values_[enc] = Assign::True;
+    values_[litNeg(enc)] = Assign::False;
     levels_[var] = static_cast<int>(trail_limits_.size());
     reasons_[var] = reason;
     polarity_[var] = !(enc & 1);
@@ -212,20 +267,28 @@ SatSolver::enqueue(int enc, int reason)
 int
 SatSolver::propagate()
 {
+    // Raw-pointer walk over each watch list: i reads, j writes back the
+    // watchers that stay. Pushes during the walk go to other literals'
+    // lists (a new watch is never the falsified literal), and the outer
+    // vector never resizes here, so both pointers stay valid.
+    const Assign *values = values_.data();
     while (propagate_head_ < trail_.size()) {
         int enc = trail_[propagate_head_++];
         ++propagations_;
+        const int falsified = litNeg(enc);
         std::vector<Watcher> &watch_list = watches_[enc];
-        size_t keep = 0;
-        for (size_t wi = 0; wi < watch_list.size(); ++wi) {
-            Watcher w = watch_list[wi];
-            int falsified = litNeg(enc);
+        Watcher *const begin = watch_list.data();
+        Watcher *const end = begin + watch_list.size();
+        Watcher *i = begin;
+        Watcher *j = begin;
+        while (i != end) {
+            const Watcher w = *i++;
             if (w.blocker != -1) {
                 // Binary fast path: the watcher already names the only
                 // other literal, so satisfied and propagating clauses
                 // are handled without dereferencing the clause.
-                Assign value = valueOf(w.blocker);
-                watch_list[keep++] = w;
+                Assign value = values[w.blocker];
+                *j++ = w;
                 if (value == Assign::True)
                     continue;
                 if (value == Assign::Unassigned) {
@@ -236,31 +299,29 @@ SatSolver::propagate()
                 // first, falsified literal second) exactly as the
                 // general path would have left it, so conflict
                 // analysis sees the same literal order either way.
-                Clause &clause = clauses_[w.clause];
-                int *lits = clauseLits(clause);
+                int *lits = clauseLits(clauses_[w.clause]);
                 if (lits[0] == falsified)
                     std::swap(lits[0], lits[1]);
-                for (size_t rest = wi + 1; rest < watch_list.size();
-                     ++rest)
-                    watch_list[keep++] = watch_list[rest];
-                watch_list.resize(keep);
+                while (i != end)
+                    *j++ = *i++;
+                watch_list.resize(static_cast<size_t>(j - begin));
                 propagate_head_ = trail_.size();
                 return w.clause;
             }
-            Clause &clause = clauses_[w.clause];
+            const Clause &clause = clauses_[w.clause];
             int *lits = clauseLits(clause);
             // Normalize: watched literals are lits[0] and lits[1];
             // the falsified one must be lits[1].
             if (lits[0] == falsified)
                 std::swap(lits[0], lits[1]);
-            if (valueOf(lits[0]) == Assign::True) {
-                watch_list[keep++] = w;
+            if (values[lits[0]] == Assign::True) {
+                *j++ = w;
                 continue;
             }
             // Find a new watch.
             bool moved = false;
             for (uint32_t k = 2; k < clause.size; ++k) {
-                if (valueOf(lits[k]) != Assign::False) {
+                if (values[lits[k]] != Assign::False) {
                     std::swap(lits[1], lits[k]);
                     watches_[litNeg(lits[1])].push_back(
                         Watcher{w.clause, -1});
@@ -271,18 +332,17 @@ SatSolver::propagate()
             if (moved)
                 continue;
             // Unit or conflict.
-            watch_list[keep++] = w;
+            *j++ = w;
             if (!enqueue(lits[0], w.clause)) {
                 // Conflict: keep remaining watches and report.
-                for (size_t rest = wi + 1; rest < watch_list.size();
-                     ++rest)
-                    watch_list[keep++] = watch_list[rest];
-                watch_list.resize(keep);
+                while (i != end)
+                    *j++ = *i++;
+                watch_list.resize(static_cast<size_t>(j - begin));
                 propagate_head_ = trail_.size();
                 return w.clause;
             }
         }
-        watch_list.resize(keep);
+        watch_list.resize(static_cast<size_t>(j - begin));
     }
     return -1;
 }
@@ -478,8 +538,10 @@ SatSolver::backtrack(int level)
         return;
     size_t limit = trail_limits_[level];
     for (size_t i = trail_.size(); i > limit; --i) {
-        int var = litVar(trail_[i - 1]);
-        assigns_[var] = Assign::Unassigned;
+        int enc = trail_[i - 1];
+        int var = litVar(enc);
+        values_[enc] = Assign::Unassigned;
+        values_[litNeg(enc)] = Assign::Unassigned;
         reasons_[var] = -1;
         heapInsert(var);
     }
@@ -496,11 +558,15 @@ SatSolver::pickBranchVar()
     // them).
     while (!order_heap_.empty()) {
         int var = order_heap_[0];
-        heapSwap(0, order_heap_.size() - 1);
+        int last = order_heap_.back();
         order_heap_.pop_back();
         heap_pos_[var] = -1;
-        heapDown(0);
-        if (assigns_[var] == Assign::Unassigned)
+        if (!order_heap_.empty()) {
+            order_heap_[0] = last;
+            heap_pos_[last] = 0;
+            heapDown(0);
+        }
+        if (varValue(var) == Assign::Unassigned)
             return var;
     }
     return -1;
@@ -509,8 +575,8 @@ SatSolver::pickBranchVar()
 void
 SatSolver::rebuildWatches()
 {
-    for (std::vector<Watcher> &watch_list : watches_)
-        watch_list.clear();
+    for (size_t i = 0; i < static_cast<size_t>(num_vars_ + 1) * 2; ++i)
+        watches_[i].clear();
     for (size_t i = 0; i < clauses_.size(); ++i)
         attachClause(static_cast<int>(i));
 }
@@ -531,7 +597,8 @@ SatSolver::reduceLearnts()
     // high-value, and glue clauses (LBD <= 2) bridge almost-adjacent
     // decision levels and keep proving useful across incremental
     // calls, so neither is ever dropped.
-    std::vector<int> candidates;
+    std::vector<int> &candidates = reduce_candidates_;
+    candidates.clear();
     for (size_t i = 0; i < clauses_.size(); ++i)
         if (clauses_[i].learnt && clauses_[i].size > 2 &&
             clauses_[i].lbd > 2)
@@ -543,28 +610,29 @@ SatSolver::reduceLearnts()
             return clauses_[a].activity > clauses_[b].activity;
         return a < b;
     });
-    std::vector<bool> drop(clauses_.size(), false);
     for (size_t i = candidates.size() / 2; i < candidates.size(); ++i)
-        drop[candidates[i]] = true;
+        clauses_[candidates[i]].dropped = true;
 
-    // Compact headers and the literal arena together.
-    std::vector<Clause> kept;
-    kept.reserve(clauses_.size());
-    std::vector<int> new_pool;
-    new_pool.reserve(pool_.size());
+    // Compact headers and the literal arena together, in place: kept
+    // clauses keep their order and only ever move toward the front
+    // (std::copy allows a destination before its source range).
+    size_t kept = 0;
+    uint32_t pool_end = 0;
     for (size_t i = 0; i < clauses_.size(); ++i) {
-        if (drop[i])
-            continue;
         Clause clause = clauses_[i];
-        const int *lits = clauseLits(clause);
-        uint32_t offset = static_cast<uint32_t>(new_pool.size());
-        new_pool.insert(new_pool.end(), lits, lits + clause.size);
-        clause.offset = offset;
-        kept.push_back(clause);
+        if (clause.dropped)
+            continue;
+        if (clause.offset != pool_end)
+            std::copy(pool_.begin() + clause.offset,
+                      pool_.begin() + clause.offset + clause.size,
+                      pool_.begin() + pool_end);
+        clause.offset = pool_end;
+        pool_end += clause.size;
+        clauses_[kept++] = clause;
     }
-    uint64_t removed = clauses_.size() - kept.size();
-    clauses_ = std::move(kept);
-    pool_ = std::move(new_pool);
+    uint64_t removed = clauses_.size() - kept;
+    clauses_.resize(kept);
+    pool_.resize(pool_end);
     learnts_removed_ += removed;
     num_learnts_ -= removed;
 
@@ -575,7 +643,7 @@ SatSolver::reduceLearnts()
 void
 SatSolver::snapshotModel()
 {
-    model_ = assigns_;
+    model_ = values_;
 }
 
 SatResult
@@ -632,7 +700,8 @@ SatSolver::solve(uint64_t conflict_budget)
                     return SatResult::Unsat;
                 }
             } else {
-                int ci = storeClause(learnt_scratch_, true, lbd,
+                int ci = storeClause(learnt_scratch_.data(),
+                                     learnt_scratch_.size(), true, lbd,
                                      cla_inc_);
                 ++num_learnts_;
                 attachClause(ci);
@@ -673,9 +742,9 @@ bool
 SatSolver::modelValue(int var) const
 {
     assert(var >= 1 && var <= num_vars_);
-    assert(static_cast<size_t>(var) < model_.size() &&
+    assert(static_cast<size_t>(var) * 2 < model_.size() &&
            "modelValue requires a preceding Sat answer");
-    return model_[var] == Assign::True;
+    return model_[var * 2] == Assign::True;
 }
 
 } // namespace lpo::smt

@@ -20,10 +20,21 @@
  * Storage layout: clause literals live in one flat arena (`pool_`)
  * indexed by small fixed-size headers, and each watch entry carries a
  * blocker slot so binary clauses propagate without touching clause
- * memory at all. Both are pure representation changes — the search
- * trajectory (decisions, conflicts, learnt clauses, models) is
- * bit-identical to the boxed-vector layout, which is what keeps
- * verdicts and counterexamples stable across releases.
+ * memory at all. Assignments are indexed by literal, not variable, so
+ * reading a literal's value is one byte load with no sign arithmetic;
+ * saved phases are one byte per variable. Clause intake sorts, dedups
+ * and prunes in a member scratch buffer, so adding a clause allocates
+ * only when the arena or a watch list grows.
+ *
+ * reset() restores the freshly constructed state while keeping every
+ * buffer's capacity, so a solver reused across queries (the verifier
+ * keeps one per thread, see DESIGN.md, "Verifier workspace") stops
+ * allocating once it has seen its largest query.
+ *
+ * All of this is representation only: the search trajectory
+ * (decisions, conflicts, learnt clauses, models) is bit-identical to
+ * the boxed-vector layout, which is what keeps verdicts and
+ * counterexamples stable across releases.
  */
 #ifndef LPO_SMT_SAT_H
 #define LPO_SMT_SAT_H
@@ -51,17 +62,15 @@ enum class SatResult { Sat, Unsat, Unknown };
 class SatSolver
 {
   public:
-    SatSolver()
-    {
-        // Variables are 1-based; reserve the dummy slot 0.
-        assigns_.push_back(Assign::Unassigned);
-        levels_.push_back(0);
-        reasons_.push_back(-1);
-        activities_.push_back(0.0);
-        polarity_.push_back(false);
-        heap_pos_.push_back(-1);
-        seen_.push_back(0);
-    }
+    SatSolver() { reset(); }
+
+    /**
+     * Forget every variable, clause, assignment, statistic and setting
+     * (interrupt flags, reduce limit, restart unit): the solver answers
+     * exactly as a newly constructed one would, but keeps the capacity
+     * of every buffer it has grown.
+     */
+    void reset();
 
     /** Allocate and return a fresh variable (1-based). */
     int newVar();
@@ -71,10 +80,22 @@ class SatSolver
      * Add a clause (non-empty literals over existing vars).
      * Returns false if the formula is already trivially unsat.
      */
-    bool addClause(std::vector<Lit> lits);
-    bool addUnit(Lit a) { return addClause({a}); }
-    bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
-    bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+    bool addClause(const Lit *lits, size_t count);
+    bool addClause(const std::vector<Lit> &lits)
+    {
+        return addClause(lits.data(), lits.size());
+    }
+    bool addUnit(Lit a) { return addClause(&a, 1); }
+    bool addBinary(Lit a, Lit b)
+    {
+        const Lit lits[] = {a, b};
+        return addClause(lits, 2);
+    }
+    bool addTernary(Lit a, Lit b, Lit c)
+    {
+        const Lit lits[] = {a, b, c};
+        return addClause(lits, 3);
+    }
     /**
      * Add the empty clause: the formula becomes unsatisfiable (latched,
      * see inconsistent()) without a variable or a propagation. Counted
@@ -154,6 +175,7 @@ class SatSolver
         uint32_t offset = 0;
         uint32_t size = 0;
         bool learnt = false;
+        bool dropped = false; ///< marked by reduceLearnts, then erased
         uint32_t lbd = 0; ///< literal-block distance at learning time
         double activity = 0.0;
     };
@@ -173,14 +195,8 @@ class SatSolver
 
     enum class Assign : int8_t { Unassigned = -1, False = 0, True = 1 };
 
-    Assign valueOf(int enc) const
-    {
-        Assign a = assigns_[litVar(enc)];
-        if (a == Assign::Unassigned)
-            return a;
-        bool val = (a == Assign::True) != (enc & 1);
-        return val ? Assign::True : Assign::False;
-    }
+    Assign valueOf(int enc) const { return values_[enc]; }
+    Assign varValue(int var) const { return values_[var * 2]; }
 
     int *clauseLits(const Clause &c) { return pool_.data() + c.offset; }
     const int *clauseLits(const Clause &c) const
@@ -198,7 +214,7 @@ class SatSolver
     void bumpClause(Clause &clause);
     void decayActivities();
     int pickBranchVar();
-    int storeClause(const std::vector<int> &lits, bool learnt,
+    int storeClause(const int *lits, size_t count, bool learnt,
                     uint32_t lbd, double activity);
     void attachClause(int index);
     void reduceLearnts();
@@ -217,7 +233,6 @@ class SatSolver
         return activities_[a] > activities_[b] ||
                (activities_[a] == activities_[b] && a < b);
     }
-    void heapSwap(size_t i, size_t j);
     void heapUp(size_t i);
     void heapDown(size_t i);
     void heapInsert(int var);
@@ -226,12 +241,12 @@ class SatSolver
     std::vector<Clause> clauses_;
     std::vector<int> pool_;                  // all clause literals
     std::vector<std::vector<Watcher>> watches_; // enc-lit -> watchers
-    std::vector<Assign> assigns_;           // per var
-    std::vector<Assign> model_;             // snapshot of the last Sat
+    std::vector<Assign> values_;            // per encoded literal
+    std::vector<Assign> model_;             // values_ at the last Sat
     std::vector<int> levels_;               // per var
     std::vector<int> reasons_;              // per var, clause index or -1
     std::vector<double> activities_;        // per var
-    std::vector<bool> polarity_;            // per var, phase saving
+    std::vector<uint8_t> polarity_;         // per var, phase saving
     std::vector<int> order_heap_;           // vars, heap-ordered
     std::vector<int> heap_pos_;             // var -> index or -1
     std::vector<int> trail_;                // encoded lits
@@ -240,8 +255,10 @@ class SatSolver
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
     uint64_t num_learnts_ = 0;
-    uint64_t reduce_limit_ = 2000;
-    uint64_t restart_unit_ = 100;
+    static constexpr uint64_t kReduceLimit = 2000;
+    static constexpr uint64_t kRestartUnit = 100;
+    uint64_t reduce_limit_ = kReduceLimit;
+    uint64_t restart_unit_ = kRestartUnit;
     bool unsat_ = false;
     std::array<const std::atomic<bool> *, 2> interrupt_{};
 
@@ -255,6 +272,8 @@ class SatSolver
     std::vector<int> learnt_scratch_;
     std::vector<int> minimize_clear_;
     std::vector<int> lbd_levels_;
+    std::vector<int> clause_scratch_;       // addClause's encoded lits
+    std::vector<int> reduce_candidates_;    // reduceLearnts' ranking
 
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;

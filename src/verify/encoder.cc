@@ -1913,6 +1913,16 @@ encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
 {
     if (!canEncode(src) || !canEncode(tgt))
         return QueryEncoding::Unencodable;
+    return encodeEncodableQuery(builder, src, tgt, shared_args_out);
+}
+
+QueryEncoding
+encodeEncodableQuery(smt::CircuitBuilder &builder, const ir::Function &src,
+                     const ir::Function &tgt,
+                     std::vector<ValueEnc> *shared_args_out)
+{
+    assert(canEncode(src) && canEncode(tgt) &&
+           "the caller checked canEncode");
 
     // One DAG for both sides over the same argument leaves, so they
     // meet in the same nodes.

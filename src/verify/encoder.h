@@ -88,6 +88,17 @@ encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
                       const ir::Function &tgt,
                       std::vector<ValueEnc> *shared_args_out = nullptr);
 
+/**
+ * encodeRefinementQuery for a pair already known to be in the
+ * encodable fragment: canEncode(src) and canEncode(tgt) must hold
+ * (asserted), as the SAT backend's dispatch (usesSatBackend) has
+ * checked, so they are not checked again. Never answers Unencodable.
+ */
+QueryEncoding
+encodeEncodableQuery(smt::CircuitBuilder &builder, const ir::Function &src,
+                     const ir::Function &tgt,
+                     std::vector<ValueEnc> *shared_args_out = nullptr);
+
 } // namespace lpo::verify
 
 #endif // LPO_VERIFY_ENCODER_H

@@ -164,6 +164,15 @@ solveHistogram()
     return h;
 }
 
+/** Cache-key latency: the canonical prints of both functions. */
+telemetry::Histogram
+keyHistogram()
+{
+    static const telemetry::Histogram h =
+        telemetry::histogram("verify.key_ns");
+    return h;
+}
+
 /** Conflicts spent by one solve call (one budget-ladder tier). */
 telemetry::Histogram
 conflictsPerSolveHistogram()
@@ -224,62 +233,127 @@ degradeToTesting(const ir::Function &src, const ir::Function &tgt,
     return result;
 }
 
+/**
+ * The solver and circuit builder one thread's SAT queries reuse (see
+ * DESIGN.md, "Verifier workspace"). Each query resets both first, so it
+ * runs exactly as on a newly constructed pair, while every buffer keeps
+ * the capacity of the largest query the thread has seen.
+ */
+struct SatWorkspace
+{
+    SatSolver solver;
+    CircuitBuilder builder{solver};
+    bool in_use = false;
+};
+
+/**
+ * The calling thread's workspace, reset and held for one query. Nothing
+ * may re-enter it while held (asserted): checkWithSat releases it
+ * before anything that can run other work on this thread, such as the
+ * concrete fallback's task scope.
+ */
+class WorkspaceClaim
+{
+  public:
+    WorkspaceClaim() : ws_(workspace())
+    {
+        assert(!ws_.in_use && "the SAT workspace was re-entered");
+        ws_.in_use = true;
+        ws_.solver.reset();
+        ws_.builder.reset();
+    }
+    ~WorkspaceClaim() { ws_.in_use = false; }
+    WorkspaceClaim(const WorkspaceClaim &) = delete;
+    WorkspaceClaim &operator=(const WorkspaceClaim &) = delete;
+
+    SatSolver &solver() { return ws_.solver; }
+    CircuitBuilder &builder() { return ws_.builder; }
+
+  private:
+    static SatWorkspace &workspace()
+    {
+        thread_local SatWorkspace ws;
+        return ws;
+    }
+
+    SatWorkspace &ws_;
+};
+
 RefinementResult
 checkWithSat(const ir::Function &src, const ir::Function &tgt,
              const RefineOptions &options, CachedVerdict *cached)
 {
     RefinementResult result;
     result.backend = "sat";
-
-    SatSolver solver;
-    solver.setInterrupt(options.interrupt, options.scope_interrupt);
-    CircuitBuilder builder(solver);
-
     VerifyWork &work = result.work;
-    std::vector<ValueEnc> args;
-    {
-        LPO_TRACE_SPAN(span, "encode", "sat");
-        telemetry::ScopedTimer timer(encodeHistogram());
-        QueryEncoding encoding =
-            encodeRefinementQuery(builder, src, tgt, &args);
-        assert(encoding != QueryEncoding::Unencodable &&
-               "caller checked canEncode");
-        work.encode_ns = timer.stopNanos();
-        work.sat_queries = 1;
-        work.term_decided = encoding == QueryEncoding::DecidedByTerms;
-    }
-    work.circuit_nodes = builder.numNodes();
-    work.circuit_emitted = builder.numEmitted();
-    work.circuit_merges = builder.merges();
-    work.window_checks = builder.windowChecks();
-    work.failed_checks = builder.failedChecks();
-
-    const std::vector<uint64_t> tiers = budgetLadder(options);
     SatResult sat = SatResult::Unknown;
-    for (uint64_t tier_budget : tiers) {
-        if (work.solves > 0)
-            ++work.escalations;
-        uint64_t conflicts_before = solver.conflicts();
+    ExecutionInput input; // the model's violating input, after Sat
+    {
+        WorkspaceClaim claim;
+        SatSolver &solver = claim.solver();
+        CircuitBuilder &builder = claim.builder();
+        solver.setInterrupt(options.interrupt, options.scope_interrupt);
+
+        std::vector<ValueEnc> args;
         {
-            LPO_TRACE_SPAN(span, "solve", "sat");
-            telemetry::ScopedTimer timer(solveHistogram());
-            sat = solver.solve(tier_budget);
-            work.solve_ns += timer.stopNanos();
-            if (span.active())
-                span.arg("conflicts",
-                         solver.conflicts() - conflicts_before);
+            LPO_TRACE_SPAN(span, "encode", "sat");
+            telemetry::ScopedTimer timer(encodeHistogram());
+            QueryEncoding encoding =
+                encodeEncodableQuery(builder, src, tgt, &args);
+            assert(encoding != QueryEncoding::Unencodable &&
+                   "caller checked canEncode");
+            work.encode_ns = timer.stopNanos();
+            work.sat_queries = 1;
+            work.term_decided = encoding == QueryEncoding::DecidedByTerms;
         }
-        conflictsPerSolveHistogram().record(solver.conflicts() -
-                                            conflicts_before);
-        ++work.solves;
-        if (sat != SatResult::Unknown || options.interrupted())
-            break;
+        work.circuit_nodes = builder.numNodes();
+        work.circuit_emitted = builder.numEmitted();
+        work.circuit_merges = builder.merges();
+        work.window_checks = builder.windowChecks();
+        work.failed_checks = builder.failedChecks();
+
+        const std::vector<uint64_t> tiers = budgetLadder(options);
+        for (uint64_t tier_budget : tiers) {
+            if (work.solves > 0)
+                ++work.escalations;
+            uint64_t conflicts_before = solver.conflicts();
+            {
+                LPO_TRACE_SPAN(span, "solve", "sat");
+                telemetry::ScopedTimer timer(solveHistogram());
+                sat = solver.solve(tier_budget);
+                work.solve_ns += timer.stopNanos();
+                if (span.active())
+                    span.arg("conflicts",
+                             solver.conflicts() - conflicts_before);
+            }
+            conflictsPerSolveHistogram().record(solver.conflicts() -
+                                                conflicts_before);
+            ++work.solves;
+            if (sat != SatResult::Unknown || options.interrupted())
+                break;
+        }
+        // The solver's lifetime counters already span every tier.
+        work.decisions = solver.decisions();
+        work.conflicts = solver.conflicts();
+        work.propagations = solver.propagations();
+        work.restarts = solver.restarts();
+
+        if (sat == SatResult::Sat) {
+            // Extract the violating input from the model, recording the
+            // raw lane words so a cache hit can rebuild the identical
+            // input.
+            cached->replay = CachedVerdict::Replay::SatArgs;
+            for (unsigned i = 0; i < src.numArgs(); ++i) {
+                RtValue value;
+                for (const LaneEnc &lane : args[i]) {
+                    APInt word = builder.modelBV(lane.bits);
+                    cached->arg_lane_words.push_back(word.zext());
+                    value.lanes.push_back(LaneValue::ofInt(word));
+                }
+                input.args.push_back(value);
+            }
+        }
     }
-    // The solver's lifetime counters already span every tier.
-    work.decisions = solver.decisions();
-    work.conflicts = solver.conflicts();
-    work.propagations = solver.propagations();
-    work.restarts = solver.restarts();
     if (sat == SatResult::Unknown && options.interrupted()) {
         // The caller gave up on this query: answer at once, without
         // escalating or falling back. checkRefinement keeps the
@@ -301,20 +375,6 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         result.detail = "proved by bit-blasting";
         recordVerdict(cached, result);
         return result;
-    }
-
-    // Extract the violating input from the model, recording the raw
-    // lane words so a cache hit can rebuild the identical input.
-    ExecutionInput input;
-    cached->replay = CachedVerdict::Replay::SatArgs;
-    for (unsigned i = 0; i < src.numArgs(); ++i) {
-        RtValue value;
-        for (const LaneEnc &lane : args[i]) {
-            APInt word = builder.modelBV(lane.bits);
-            cached->arg_lane_words.push_back(word.zext());
-            value.lanes.push_back(LaneValue::ofInt(word));
-        }
-        input.args.push_back(value);
     }
     fillCounterexample(result, src, tgt, std::move(input));
     recordVerdict(cached, result);
@@ -758,7 +818,11 @@ checkRefinement(const ir::Function &src, const ir::Function &tgt,
     // Cache path: key on the alpha-renamed pair + verdict-affecting
     // options; compute at most once per key, re-derive the
     // counterexample on hits (see verify/cache.h).
-    std::string key = cacheKey(src, tgt, options);
+    std::string key;
+    {
+        telemetry::ScopedTimer timer(keyHistogram());
+        key = cacheKey(src, tgt, options);
+    }
     return options.cache->lookupOrCompute(
         key,
         [&] {

@@ -41,7 +41,9 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # test_exec_plan drive the verifier's concrete sweep on the task scope
 # at 1/2/8 threads, and the i64 overflow predicates under UBSan.
 # test_sat covers the solver's clause arena, watch-list rebuilds and
-# learnt-clause reduction; test_bitblast, test_encoder,
+# learnt-clause reduction, test_sat_workspace the reset of one solver
+# and builder from every state a query can leave them in;
+# test_bitblast, test_encoder,
 # test_word_rules and test_functional_hashing cover the circuit
 # builder's unique and signature tables, its window proofs, and the
 # encoder's word-level term table and demanded widths, and
@@ -52,10 +54,11 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
-    test_sat test_bitblast test_encoder test_word_rules \
+    test_sat test_sat_workspace test_bitblast test_encoder test_word_rules \
     test_functional_hashing test_function test_pipeline test_verifier_fuzz \
     test_dce
 ./build-sanitize/test_sat
+./build-sanitize/test_sat_workspace
 ./build-sanitize/test_bitblast
 ./build-sanitize/test_encoder
 ./build-sanitize/test_word_rules
@@ -81,19 +84,23 @@ echo "=== ThreadSanitizer job: task scope and the pipeline's reorder drain ==="
 # The task scope's owner/worker handshake, cancellation, exception
 # capture and nested-scope slot hand-back, and the pipeline's in-order
 # reorder drain (done flags, the single-committer handoff, stats
-# folding and patch-back from whichever worker commits) run under
-# -fsanitize=thread. A report makes the test binary exit nonzero.
+# folding and patch-back from whichever worker commits), and the
+# verifier's per-thread SAT workspaces under concurrent queries, run
+# under -fsanitize=thread. A report makes the test binary exit nonzero.
 # GCC does not instrument atomic_thread_fence under TSan (it warns at
 # build time), so this job checks the scope and drain code, not the
 # Chase-Lev deque's fences; the ASan job above stays for those.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "${jobs}" \
-    --target test_task_graph test_exec_plan test_pipeline test_module_opt
+    --target test_task_graph test_exec_plan test_pipeline test_module_opt \
+    test_refine test_sat_workspace
 ./build-tsan/test_task_graph
 ./build-tsan/test_exec_plan --gtest_filter='DeterministicParallelism.*'
 ./build-tsan/test_pipeline
 ./build-tsan/test_module_opt
+./build-tsan/test_refine
+./build-tsan/test_sat_workspace
 
 echo "=== Chaos sweep: every failpoint site, one at a time (Release) ==="
 # Each site is forced to fire on every hit while the end-to-end module
@@ -268,6 +275,45 @@ awk -v c="$current" -v b="$baseline" 'BEGIN {
     }
     printf "verify cache hits %d vs baseline %d: OK\n", c, b
 }'
+
+echo "=== SAT-core layer benchmark (Release) ==="
+# Every blasted query of the corpus and of the profile workload's
+# module, encoded and solved on one reused solver and builder. Prints
+# per-CNF wall-clock and allocations with the machine fingerprint;
+# only the deterministic search counters are gated.
+(cd build-release && ./bench_sat_core)
+cp build-release/BENCH_sat.json .
+echo "BENCH_sat.json:"
+cat BENCH_sat.json
+
+# Regression gate, per CNF: the solver's decisions, conflicts and
+# propagations must not grow past that CNF's committed baseline, and
+# every baseline CNF must still be in the suite.
+python3 - bench/BENCH_sat.baseline.json BENCH_sat.json <<'EOF'
+import json
+import sys
+
+baseline = {q["name"]: q for q in json.load(open(sys.argv[1]))["benchmarks"]}
+current = {q["name"]: q for q in json.load(open(sys.argv[2]))["benchmarks"]}
+failures = 0
+for name in sorted(set(baseline) | set(current)):
+    base, cnf = baseline.get(name), current.get(name)
+    if base is None or cnf is None:
+        print("FAIL: SAT-core CNF %s is %s" % (
+            name, "new (no committed baseline)" if base is None
+            else "missing from the suite"))
+        failures += 1
+        continue
+    for counter in ("decisions", "conflicts", "propagations"):
+        if cnf[counter] > base[counter]:
+            print("FAIL: SAT-core CNF %s %s %d grew past the committed "
+                  "baseline %d" % (name, counter, cnf[counter],
+                                   base[counter]))
+            failures += 1
+print("SAT-core per-CNF gate: %d CNFs x 3 counters, %d failures"
+      % (len(current), failures))
+sys.exit(1 if failures else 0)
+EOF
 
 echo "=== Module pipeline benchmark (Release) ==="
 # Exits nonzero itself if nothing is patched, mca cycles fail to
