@@ -17,8 +17,9 @@
  *
  * Emits BENCH_module.json; tools/ci.sh gates sequences_per_sec and
  * patched_rewrites against the committed baseline (>20% regression
- * fails), and the verifier's deterministic work counters
- * (circuit_nodes built, sat_conflicts spent) at or below it. The binary itself fails on broken invariants: no patches,
+ * fails), the verifier's deterministic work counters
+ * (circuit_nodes built, sat_conflicts spent) at or below it, and the
+ * queries decided by word-level terms (term_decided) at or above it. The binary itself fails on broken invariants: no patches,
  * non-decreasing mca cycles, patch failures, invalid patched IR, or a
  * cold cache across duplicate modules.
  */
@@ -61,6 +62,7 @@ struct RepTotals
     uint64_t steals = 0;
     uint64_t circuit_nodes = 0;
     uint64_t sat_conflicts = 0;
+    uint64_t term_decided = 0;
 };
 
 RepTotals
@@ -105,6 +107,7 @@ runOnce()
     totals.steals = optimizer.pipelineStats().scheduler.steals;
     totals.circuit_nodes = optimizer.pipelineStats().circuit_nodes;
     totals.sat_conflicts = optimizer.pipelineStats().sat_conflicts;
+    totals.term_decided = optimizer.pipelineStats().term_decided;
     auto snapshot = telemetry::MetricsRegistry::instance().snapshot();
     if (const auto *latency = snapshot.histogram("module.latency_ns"))
         totals.p99_module_latency_ms = latency->p99() / 1e6;
@@ -165,6 +168,7 @@ main()
     json.field("steals", best.steals);
     json.field("circuit_nodes", best.circuit_nodes);
     json.field("sat_conflicts", best.sat_conflicts);
+    json.field("term_decided", best.term_decided);
     json.endObject();
     std::ofstream out("BENCH_module.json");
     out << json.str() << "\n";

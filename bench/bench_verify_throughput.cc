@@ -12,8 +12,9 @@
  * Also records, for every SAT-fragment pair, the circuit the builder
  * made (its variables), the query the solver got (variables and
  * clauses; none of the circuit when the miter folds to false),
- * unique-table hits, and the conflicts one solve of it takes under the
- * default budget. Query sizes, conflicts and cache hits are
+ * unique-table hits, whether the word-level terms decided it, and the
+ * conflicts one solve of it takes under the default budget. Query
+ * sizes, conflicts, term-decided queries and cache hits are
  * deterministic work counters: tools/ci.sh gates each query's against
  * bench/BENCH_verify.baseline.json, which also keeps the numbers of
  * the retired unhashed encoder as history. Emits BENCH_verify.json.
@@ -55,6 +56,7 @@ secondsSince(Clock::time_point start)
 
 struct QuerySize
 {
+    bool term_decided = false;
     int nodes = 0;
     int vars = 0;
     uint64_t clauses = 0;
@@ -70,10 +72,12 @@ encodeQuery(const ir::Function &src, const ir::Function &tgt,
 {
     smt::SatSolver solver;
     smt::CircuitBuilder builder(solver);
-    if (verify::encodeRefinementQuery(builder, src, tgt) ==
-        verify::QueryEncoding::Unencodable)
+    const verify::QueryEncoding encoding =
+        verify::encodeRefinementQuery(builder, src, tgt);
+    if (encoding == verify::QueryEncoding::Unencodable)
         return {};
-    QuerySize size{builder.numNodes(), solver.numVars(),
+    QuerySize size{encoding == verify::QueryEncoding::DecidedByTerms,
+                   builder.numNodes(), solver.numVars(),
                    solver.clausesAdded(), builder.uniqueTableHits()};
     solver.solve(budget);
     size.conflicts = solver.conflicts();
@@ -143,6 +147,7 @@ main()
     double total_seconds = 0;
     uint64_t sat_queries = 0, sat_vars_total = 0, sat_clauses_total = 0;
     uint64_t sat_conflicts_total = 0, circuit_nodes_total = 0;
+    uint64_t term_decided = 0;
     const uint64_t budget = verify::RefineOptions{}.conflict_budget;
     for (size_t i = 0; i < catalog.size(); ++i) {
         // Query-size and search accounting for the SAT fragment.
@@ -153,6 +158,7 @@ main()
             sat_vars_total += results[i].size.vars;
             sat_clauses_total += results[i].size.clauses;
             sat_conflicts_total += results[i].size.conflicts;
+            term_decided += results[i].size.term_decided;
         }
         total_seconds += results[i].seconds;
     }
@@ -182,6 +188,7 @@ main()
         json.field("sat_clauses", r.size.clauses);
         json.field("unique_table_hits", r.size.unique_hits);
         json.field("sat_conflicts", r.size.conflicts);
+        json.field("term_decided", r.size.term_decided);
         json.endObject();
     }
     json.endArray();
@@ -194,9 +201,10 @@ main()
     std::printf("verify cache: %s\n",
                 core::cacheSummary(cache_stats.hits, cache_stats.misses)
                     .c_str());
-    std::printf("SAT queries: %llu, %llu circuit nodes, %llu vars, "
-                "%llu clauses, %llu conflicts\n",
+    std::printf("SAT queries: %llu (%llu decided by terms), %llu circuit "
+                "nodes, %llu vars, %llu clauses, %llu conflicts\n",
                 static_cast<unsigned long long>(sat_queries),
+                static_cast<unsigned long long>(term_decided),
                 static_cast<unsigned long long>(circuit_nodes_total),
                 static_cast<unsigned long long>(sat_vars_total),
                 static_cast<unsigned long long>(sat_clauses_total),
@@ -208,6 +216,7 @@ main()
     json.field("cache_misses", cache_stats.misses);
     json.field("cache_hit_rate", hit_rate, 4);
     json.field("sat_queries", sat_queries);
+    json.field("term_decided", term_decided);
     json.field("circuit_nodes_total", circuit_nodes_total);
     json.field("sat_vars_total", sat_vars_total);
     json.field("sat_clauses_total", sat_clauses_total);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -133,10 +134,41 @@ using Refs = std::vector<Ref>;
  *   zero dividend divides to 0; the instruction keeps its
  *   divide-by-zero (and INT_MIN / -1) UB term, so every input on which
  *   the rule's value is wrong is UB;
+ * - division by a power of two 2^k is a shift and a mask: x udiv 2^k
+ *   is x >>u k and x urem 2^k is zext(trunc(x, k)); below k = w - 1,
+ *   x sdiv 2^k is (x >>s k) + (x <s 0 && trunc(x, k) != 0) and
+ *   x srem 2^k is trunc(x, k) with the sign's borrow above it, so an
+ *   exact division's remainder test and an exact shift's round trip
+ *   ((x >> k) << k == x) are both !(trunc(x, k) != 0);
+ * - a select with a constant arm commutes with trunc and zext, and
+ *   with a min/max against a constant that maps the arm to itself,
+ *   when the select it leaves folds; so the clamp
+ *   select(x <s 0, 0, trunc(umin(x, C))) is trunc(umin(smax(x, 0), C));
+ * - constant chains fold: uadd.sat(uadd.sat(x, C1), C2) is
+ *   uadd.sat(x, C1 + C2) (all ones once the sum overflows), likewise
+ *   usub.sat (0 once it overflows), and umax(umax(x, C1) << k, C2) is
+ *   umax(x << k, C2) when C1 << k does not wrap and is at most C2;
+ *   (v << k) >>u k == v is v <u 2^(w-k), and umax(x, C1) <u D is
+ *   x <u D when C1 <u D;
  * - truncation and extension compose (trunc(zext(x)) = x at x's
  *   width); x & (2^k - 1) is zext(trunc(x, k)); and, or and eq of two
  *   zexts from one width act on the narrow words, zext(a) == C on a,
- *   a 1-bit word == 1 is the word, and (x >> k) == 0 is x <u 2^k.
+ *   a 1-bit word == 1 is the word, and (x >> k) == 0 is x <u 2^k;
+ * - equality cancels shared add leaves: x == y is d == 0 when x - y
+ *   is the single leaf +-d; zext(a) != 0 is a != 0, and or absorbs
+ *   and (x | (x & y) = x) and the reverse; select(c, a, b) != 0 is
+ *   c ? a != 0 : b != 0 when one arm's test folds; a nuw (nsw) trunc
+ *   to n bits of zext(a) or of umin(x, C) cannot overflow when a or C
+ *   fits in n (n - 1) bits;
+ * - constants fold wherever two meet (add and xor leaves, min/max
+ *   operands, shifts, saturating adds), and a zext's range [0, M]
+ *   decides a compare against a constant it lies on one side of and
+ *   drops the constant or the zext from a signed min/max as from an
+ *   unsigned one;
+ * - 1-bit predicates (poison, UB, the miter) absorb what they imply:
+ *   p | q is q and p & q is p when p implies q, and p & q is false
+ *   when p is !u and q implies u (seen through a few levels of and,
+ *   or, not and select arms).
  *
  * Every rule is an identity on values alone: it holds for all operand
  * values. Flags never enter a value term; they live in the poison
@@ -159,7 +191,20 @@ class TermDag
     {
         nodes_.reserve(64);
         refs_.reserve(128);
-        table_.assign(128, kNoTerm);
+        reset();
+    }
+
+    /** Forget every term, keeping the buffers' capacity. */
+    void reset()
+    {
+        nodes_.clear();
+        refs_.clear();
+        table_.assign(kInitialSlots, kNoTerm);
+        roots_.clear();
+        depth_ = 0;
+        b_ = nullptr;
+        args_.clear();
+        bits_.clear();
     }
 
     unsigned width(TermId t) const { return nodes_[t].width; }
@@ -267,8 +312,17 @@ class TermDag
     TermId boolean(bool b) { return constant(APInt(1, b)); }
 
     /** Look the node up; on a miss, add it. @p fresh says which. */
-    TermId intern(Op op, unsigned width, const Refs &refs, uint8_t flags = 0,
-                  uint64_t payload = 0, bool *fresh = nullptr);
+    TermId intern(Op op, unsigned width, std::span<const Ref> refs,
+                  uint8_t flags = 0, uint64_t payload = 0,
+                  bool *fresh = nullptr);
+    /** intern() of a fixed operand list, without a vector. */
+    TermId intern(Op op, unsigned width, std::initializer_list<Ref> refs,
+                  uint8_t flags = 0, uint64_t payload = 0,
+                  bool *fresh = nullptr)
+    {
+        return intern(op, width, std::span<const Ref>(refs.begin(), refs.size()),
+                      flags, payload, fresh);
+    }
     size_t hashOf(Op op, unsigned width, const Ref *refs, size_t count,
                   uint8_t flags, uint64_t payload) const;
     void grow();
@@ -291,6 +345,40 @@ class TermDag
         return nodes_[x].op == Op::ZExt && nodes_[y].op == Op::ZExt &&
                width(arg0(x)) == width(arg0(y));
     }
+    /** True if @p t is an @p op node with @p x among its operands. */
+    bool hasOperand(Op op, TermId t, TermId x) const
+    {
+        return nodes_[t].op == op && (arg0(t) == x || arg1(t) == x);
+    }
+    /**
+     * True if 1-bit @p a implies 1-bit @p b, as seen through at most
+     * @p depth levels of and, or, not and select (false when unsure).
+     */
+    bool implies(TermId a, TermId b, unsigned depth) const;
+    /** True if 1-bit @p a and @p b are never both true: one is !u
+     *  and the other implies u. */
+    bool excludes(TermId a, TermId b) const
+    {
+        return (nodes_[a].op == Op::Not &&
+                implies(b, arg0(a), kImplicationDepth)) ||
+               (nodes_[b].op == Op::Not &&
+                implies(a, arg0(b), kImplicationDepth));
+    }
+    static constexpr unsigned kImplicationDepth = 3;
+    /** Min/max set (or two-operand node) @p t less its constant
+     *  operand, which goes to @p c; kNoTerm when @p t has none. */
+    TermId withoutConstant(TermId t, TermId *c);
+    /** k if @p s is v << k for a constant 0 < k < width (the shl node
+     *  or, for k = 1, the chain v + v), with v in @p v; else 0. */
+    unsigned shiftedLeft(TermId s, TermId *v) const;
+    /** x << k in the encoder's own form: x + x for k = 1. */
+    TermId shlConst(TermId x, unsigned k);
+    /** select(sel, t, f) with its constant arm pushed below a trunc,
+     *  zext or min/max of the other arm, or kNoTerm unless the select
+     *  this leaves folds. */
+    TermId hoistConstantArm(TermId sel, TermId t, TermId f);
+    /** Division of @p x by the power of two @p y, or kNoTerm. */
+    TermId divPowerOfTwo(bool is_signed, bool remainder, TermId x, TermId y);
 
     const BitVec &blast(TermId t);
     BitVec build(TermId t);
@@ -301,7 +389,9 @@ class TermDag
 
     std::vector<Node> nodes_;
     std::vector<Ref> refs_;
+    static constexpr size_t kInitialSlots = 128;
     std::vector<TermId> table_; ///< open-addressed, kNoTerm when empty
+    std::vector<TermId> spare_; ///< grow()'s scratch, swapped with table_
     std::vector<TermId> roots_;
     unsigned depth_ = 0;
 
@@ -331,10 +421,10 @@ TermDag::hashOf(Op op, unsigned width, const Ref *refs, size_t count,
 void
 TermDag::grow()
 {
-    std::vector<TermId> old = std::move(table_);
-    table_.assign(old.size() * 2, kNoTerm);
+    spare_.swap(table_);
+    table_.assign(spare_.size() * 2, kNoTerm);
     const size_t mask = table_.size() - 1;
-    for (TermId t : old) {
+    for (TermId t : spare_) {
         if (t == kNoTerm)
             continue;
         const Node &n = nodes_[t];
@@ -347,8 +437,8 @@ TermDag::grow()
 }
 
 TermId
-TermDag::intern(Op op, unsigned width, const Refs &refs, uint8_t flags,
-                uint64_t payload, bool *fresh)
+TermDag::intern(Op op, unsigned width, std::span<const Ref> refs,
+                uint8_t flags, uint64_t payload, bool *fresh)
 {
     const size_t mask = table_.size() - 1;
     size_t slot =
@@ -441,6 +531,24 @@ TermDag::chain(Op op, TermId x, TermId y, bool negate_y)
     Refs kept = combine(op, x, y, negate_y);
     if (op == Op::Add)
         kept = splitAndOr(std::move(kept));
+    // Two or more constant leaves fold into one.
+    if (std::count_if(kept.begin(), kept.end(), [&](const Ref &r) {
+            return isConst(r.id);
+        }) > 1) {
+        APInt folded = APInt::zero(width(x));
+        Refs rest;
+        for (const Ref &r : kept) {
+            if (!isConst(r.id))
+                rest.push_back(r);
+            else if (op == Op::Xor)
+                folded = folded.xorOp(value(r.id));
+            else
+                folded = r.neg ? folded.sub(value(r.id))
+                               : folded.add(value(r.id));
+        }
+        rest.push_back(Ref{constant(folded)});
+        kept = normalize(op, std::move(rest));
+    }
     if (kept.empty())
         return top(constant(APInt::zero(width(x))));
     if (kept.size() == 1 && !kept[0].neg)
@@ -556,25 +664,76 @@ TermDag::minMax(Op op, TermId x, TermId y)
     Refs kept = operandsOf(op, x);
     Refs more = operandsOf(op, y);
     kept.insert(kept.end(), more.begin(), more.end());
+    // Constant operands fold into their extreme.
+    std::optional<APInt> extreme;
+    Refs rest;
+    for (const Ref &r : kept) {
+        if (!isConst(r.id)) {
+            rest.push_back(r);
+            continue;
+        }
+        const APInt c = value(r.id);
+        extreme = !extreme ? c
+                  : op == Op::UMin ? extreme->umin(c)
+                  : op == Op::UMax ? extreme->umax(c)
+                  : op == Op::SMin ? extreme->smin(c)
+                                   : extreme->smax(c);
+    }
+    if (extreme)
+        rest.push_back(Ref{constant(*extreme)});
+    kept = std::move(rest);
     std::sort(kept.begin(), kept.end());
     kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
     for (const Ref &r : kept)
         if (isConst(r.id, absorbing))
             return top(r.id);
-    // A zero-extended operand never exceeds its source's maximum, so a
-    // constant at or above it is never below it: umin drops the
-    // constant, umax the extension.
-    if (!is_signed) {
+    // umax(umax(v, C1) << k, C2) = umax(v << k, C2) when C1 << k does
+    // not wrap and is at most C2: where v <u C1, v << k <u C1 << k
+    // <= C2 (no wrap either), so both sides are C2.
+    const auto c2 = std::find_if(kept.begin(), kept.end(),
+                                 [&](const Ref &r) { return isConst(r.id); });
+    if (op == Op::UMax && c2 != kept.end()) {
+        const APInt bound = value(c2->id);
+        for (Ref &r : kept) {
+            TermId inner = kNoTerm, c1 = kNoTerm;
+            const unsigned k = shiftedLeft(r.id, &inner);
+            if (k == 0 || nodes_[inner].op != Op::UMax)
+                continue;
+            const TermId v = withoutConstant(inner, &c1);
+            if (v == kNoTerm)
+                continue;
+            const APInt shifted = value(c1).shl(k);
+            if (shifted.lshr(k) == value(c1) && shifted.ule(bound))
+                r = Ref{shlConst(v, k)};
+        }
+        std::sort(kept.begin(), kept.end());
+        kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    }
+    // A zero-extended operand lies in [0, M], M its source's maximum
+    // (signed too: it comes from fewer bits). A constant at or above M
+    // is never below it: a min drops the constant, a max the
+    // extension; a constant at or below 0 the other way round.
+    {
+        auto ordered = [&](const APInt &a, const APInt &b) {
+            return is_signed ? a.sle(b) : a.ule(b);
+        };
+        // True if zext @p z is never above constant @p c.
         auto below = [&](const Ref &z, const Ref &c) {
             return nodes_[z.id].op == Op::ZExt && isConst(c.id) &&
-                   APInt::allOnes(width(arg0(z.id))).zextTo(w).ule(
-                       value(c.id));
+                   ordered(APInt::allOnes(width(arg0(z.id))).zextTo(w),
+                           value(c.id));
+        };
+        // True if constant @p c is never above zext @p z.
+        auto above = [&](const Ref &z, const Ref &c) {
+            return nodes_[z.id].op == Op::ZExt && isConst(c.id) &&
+                   ordered(value(c.id), APInt::zero(w));
         };
         Refs rest;
         for (const Ref &r : kept) {
             bool dominated = std::any_of(
                 kept.begin(), kept.end(), [&](const Ref &other) {
-                    return is_min ? below(other, r) : below(r, other);
+                    return is_min ? below(other, r) || above(r, other)
+                                  : below(r, other) || above(other, r);
                 });
             if (!dominated)
                 rest.push_back(r);
@@ -619,6 +778,43 @@ TermDag::compare(Op op, TermId x, TermId y)
     if (isConst(x) && isConst(y))
         return top(boolean(op == Op::ULt ? value(x).ult(value(y))
                                          : value(x).slt(value(y))));
+    // Against a constant, a zero-extended word's range [0, M] may
+    // decide the comparison; nothing is below 0 or above all ones.
+    const bool is_signed = op == Op::SLt;
+    auto ordered = [&](const APInt &a, const APInt &b) {
+        return is_signed ? a.slt(b) : a.ult(b);
+    };
+    for (unsigned side = 0; side < 2; ++side) {
+        const TermId z = side ? y : x, c = side ? x : y;
+        if (!isConst(c))
+            continue;
+        const APInt low = is_signed ? APInt::signedMin(width(c))
+                                    : APInt::zero(width(c));
+        const APInt high = is_signed ? APInt::signedMax(width(c))
+                                     : APInt::allOnes(width(c));
+        if (value(c) == (side ? high : low))
+            return top(boolean(false));
+        if (nodes_[z].op != Op::ZExt)
+            continue;
+        const APInt zero = APInt::zero(width(c));
+        const APInt zmax = APInt::allOnes(width(arg0(z))).zextTo(width(c));
+        // z < C: true when M < C, false when C <= 0.
+        // C < z: true when C < 0, false when M <= C.
+        const APInt &lo = side ? value(c) : zmax;
+        const APInt &hi = side ? zero : value(c);
+        if (ordered(lo, hi))
+            return top(boolean(true));
+        if (side ? !ordered(value(c), zmax) : !ordered(zero, value(c)))
+            return top(boolean(false));
+    }
+    // umax(v, C) <u D is v <u D when C <u D, and false otherwise.
+    if (op == Op::ULt && isConst(y) && nodes_[x].op == Op::UMax) {
+        TermId c = kNoTerm;
+        const TermId v = withoutConstant(x, &c);
+        if (v != kNoTerm)
+            return top(value(c).ult(value(y)) ? compare(op, v, y)
+                                              : boolean(false));
+    }
     bool fresh = false;
     const TermId t = intern(op, 1, {Ref{x}, Ref{y}}, 0, 0, &fresh);
     // x <s y is blasted from x - y, an add chain, so it cancels shared
@@ -645,8 +841,14 @@ TermDag::select(TermId sel, TermId t, TermId f)
             std::swap(tv, fv);
         }
     }
+    // Past every rule below: a constant arm may still fold once it
+    // moves under the other arm's trunc, zext or min/max.
+    auto otherwise = [&] {
+        const TermId h = hoistConstantArm(sel, t, f);
+        return h != kNoTerm ? h : mux(sel, t, f);
+    };
     if (cmp == kNoTerm)
-        return top(mux(sel, t, f));
+        return top(otherwise());
     const TermId p = arg0(cmp);
     const TermId q = arg1(cmp);
     // select(p < q, p, q) = min(p, q); select(p < q, q, p) = max(p, q).
@@ -665,7 +867,20 @@ TermDag::select(TermId sel, TermId t, TermId f)
         if ((isConst(p, 0) || isAllOnes(p)) && tv == q &&
             isNegationOf(fv, q))
             return top(abs(q));
-        return top(mux(sel, t, f));
+        // The same tests against the arm 0 clamp at 0 (the arms agree
+        // at x = 0): x <s 1 ? 0 : x is smax(x, 0), -1 <s x ? 0 : x is
+        // smin(x, 0), and the swapped arms the other way round.
+        const bool below = isConst(q, 0) || (isConst(q, 1) && width(q) > 1);
+        const bool above = isConst(p, 0) || isAllOnes(p);
+        const TermId x = below ? p : q;
+        if ((below || above) && (isConst(tv, 0) || isConst(fv, 0)) &&
+            (tv == x || fv == x)) {
+            const bool zero_when_true = isConst(tv, 0);
+            const TermId zero = zero_when_true ? tv : fv;
+            return top(minMax(zero_when_true == below ? Op::SMax : Op::SMin,
+                              x, zero));
+        }
+        return top(otherwise());
     }
     auto leavesOf = [&](TermId v) {
         return normalize(Op::Add, operandsOf(Op::Add, v));
@@ -683,13 +898,24 @@ TermDag::select(TermId sel, TermId t, TermId f)
         if (r.size() == 1 && !r[0].neg)
             return top(uaddSat(q, r[0].id));
     }
-    return top(mux(sel, t, f));
+    return top(otherwise());
 }
 
 TermId
 TermDag::usubSat(TermId x, TermId y)
 {
     Top top(*this);
+    if (isConst(x) && isConst(y))
+        return top(value(x).ult(value(y)) ? constant(APInt::zero(width(x)))
+                                          : constant(value(x).sub(value(y))));
+    // usub.sat(usub.sat(v, C1), C2) takes C1 + C2 off v at once, and
+    // leaves 0 when that sum overflows.
+    if (isConst(y) && nodes_[x].op == Op::USubSat && isConst(arg1(x))) {
+        const APInt c1 = value(arg1(x)), c2 = value(y);
+        return top(c1.addOverflowsUnsigned(c2)
+                       ? constant(APInt::zero(width(x)))
+                       : usubSat(arg0(x), constant(c1.add(c2))));
+    }
     bool fresh = false;
     const TermId t =
         intern(Op::USubSat, width(x), {Ref{x}, Ref{y}}, 0, 0, &fresh);
@@ -724,6 +950,24 @@ TermId
 TermDag::uaddSat(TermId x, TermId y)
 {
     Top top(*this);
+    if (isConst(x))
+        std::swap(x, y);
+    if (isConst(x))
+        return top(value(x).addOverflowsUnsigned(value(y))
+                       ? constant(APInt::allOnes(width(x)))
+                       : constant(value(x).add(value(y))));
+    // uadd.sat(uadd.sat(v, C1), C2) adds C1 + C2 at once, and saturates
+    // to all ones when that sum overflows (the result is at least it).
+    TermId c1 = kNoTerm;
+    if (isConst(y) && nodes_[x].op == Op::UAddSat) {
+        const TermId v = withoutConstant(x, &c1);
+        if (v != kNoTerm) {
+            const APInt a = value(c1), b = value(y);
+            return top(a.addOverflowsUnsigned(b)
+                           ? constant(APInt::allOnes(width(x)))
+                           : uaddSat(v, constant(a.add(b))));
+        }
+    }
     return top(commutative(Op::UAddSat, x, y));
 }
 
@@ -739,8 +983,160 @@ TermDag::divRem(bool is_signed, bool remainder, TermId x, TermId y,
         return top(constant(APInt(w, remainder ? 0 : 1)));
     if (isConst(x, 0))
         return top(x);
+    if (TermId p = divPowerOfTwo(is_signed, remainder, x, y); p != kNoTerm)
+        return top(p);
     uint8_t flags = (is_signed ? kSigned : 0) | (remainder ? kRemainder : 0);
     return top(intern(Op::Div, w, {Ref{x}, Ref{y}, Ref{guard}}, flags));
+}
+
+TermId
+TermDag::divPowerOfTwo(bool is_signed, bool remainder, TermId x, TermId y)
+{
+    const unsigned w = width(x);
+    if (!isConst(y) || !value(y).isPowerOf2())
+        return kNoTerm;
+    const unsigned k = value(y).countTrailingZeros();
+    // 2^(w-1) is INT_MIN to a signed division: no shift.
+    if (is_signed && k + 1 >= w)
+        return kNoTerm;
+    if (k == 0)
+        return remainder ? constant(APInt::zero(w)) : x;
+    const TermId amount = constant(APInt(w, k));
+    if (!is_signed)
+        return remainder ? andOf(x, constant(APInt::allOnes(k).zextTo(w)))
+                         : opaque(Op::LShr, {x, amount});
+    // Signed division truncates toward zero: a negative dividend with
+    // low bits set rounds up from x >>s k, and its remainder is the
+    // low bits less 2^k (the low bits with every bit above them set).
+    const TermId low = trunc(x, k);
+    const TermId round_up = andOf(signBit(x), nonZero(low));
+    if (!remainder)
+        return chain(Op::Add, opaque(Op::AShr, {x, amount}),
+                     zext(round_up, w));
+    const TermId rem = zext(low, w);
+    return mux(round_up, orOf(rem, constant(APInt::allOnes(w).shl(k))), rem);
+}
+
+TermId
+TermDag::withoutConstant(TermId t, TermId *c)
+{
+    const Node n = nodes_[t];
+    *c = kNoTerm;
+    for (uint32_t i = 0; i < n.count && *c == kNoTerm; ++i)
+        if (isConst(refs_[n.first + i].id))
+            *c = refs_[n.first + i].id;
+    if (*c == kNoTerm)
+        return kNoTerm;
+    TermId rest = kNoTerm;
+    for (uint32_t i = 0; i < n.count; ++i) {
+        const TermId o = refs_[n.first + i].id;
+        if (o != *c)
+            rest = rest == kNoTerm ? o : minMax(n.op, rest, o);
+    }
+    return rest;
+}
+
+bool
+TermDag::implies(TermId a, TermId b, unsigned depth) const
+{
+    if (a == b || isConst(a, 0) || isConst(b, 1))
+        return true;
+    if (depth-- == 0)
+        return false;
+    const Op pa = nodes_[a].op, pb = nodes_[b].op;
+    auto both = [&](TermId p, TermId q, TermId c) {
+        return implies(p, c, depth) && implies(q, c, depth);
+    };
+    if (pa == Op::And && (implies(arg0(a), b, depth) ||
+                          implies(arg1(a), b, depth)))
+        return true;
+    if (pa == Op::Or && both(arg0(a), arg1(a), b))
+        return true;
+    // A select implies what both its arms imply.
+    if (pa == Op::Select && both(operand(a, 1).id, operand(a, 2).id, b))
+        return true;
+    if (pb == Op::Or &&
+        (implies(a, arg0(b), depth) || implies(a, arg1(b), depth)))
+        return true;
+    if (pb == Op::And && implies(a, arg0(b), depth) &&
+        implies(a, arg1(b), depth))
+        return true;
+    return pa == Op::Not && pb == Op::Not && implies(arg0(b), arg0(a), depth);
+}
+
+unsigned
+TermDag::shiftedLeft(TermId s, TermId *v) const
+{
+    const Node &n = nodes_[s];
+    if (n.op == Op::Shl && isConst(arg1(s)) && nodes_[arg1(s)].payload > 0 &&
+        nodes_[arg1(s)].payload < n.width) {
+        *v = arg0(s);
+        return static_cast<unsigned>(nodes_[arg1(s)].payload);
+    }
+    if (n.op == Op::Add && n.count == 2 && n.width > 1 &&
+        operand(s, 0) == operand(s, 1) && !operand(s, 0).neg) {
+        *v = arg0(s);
+        return 1;
+    }
+    return 0;
+}
+
+TermId
+TermDag::shlConst(TermId x, unsigned k)
+{
+    if (k == 1)
+        return chain(Op::Add, x, x);
+    return opaque(Op::Shl, {x, constant(APInt(width(x), k))});
+}
+
+TermId
+TermDag::hoistConstantArm(TermId sel, TermId t, TermId f)
+{
+    const bool const_t = isConst(t);
+    if (const_t == isConst(f))
+        return kNoTerm;
+    const TermId k = const_t ? t : f;
+    const TermId v = const_t ? f : t;
+    const unsigned w = width(v);
+    // The select with the arm moved down, if some rule folds it.
+    auto folded = [&](TermId k2, TermId v2) {
+        const TermId s = const_t ? select(sel, k2, v2) : select(sel, v2, k2);
+        return nodes_[s].op == Op::Select ? kNoTerm : s;
+    };
+    const Op op = nodes_[v].op;
+    TermId s = kNoTerm;
+    if (op == Op::Trunc) {
+        // select(c, K, trunc(a)) = trunc(select(c, zext(K), a)).
+        const TermId a = arg0(v);
+        s = folded(constant(value(k).zextTo(width(a))), a);
+        return s == kNoTerm ? kNoTerm : trunc(s, w);
+    }
+    if (op == Op::ZExt) {
+        // select(c, K, zext(a)) = zext(select(c, trunc(K), a)) when K
+        // is a zero extension itself.
+        const TermId a = arg0(v);
+        const APInt narrow = value(k).truncTo(width(a));
+        if (narrow.zextTo(w) != value(k))
+            return kNoTerm;
+        s = folded(constant(narrow), a);
+        return s == kNoTerm ? kNoTerm : zext(s, w);
+    }
+    if (op != Op::UMin && op != Op::UMax && op != Op::SMin && op != Op::SMax)
+        return kNoTerm;
+    // select(c, K, op(a, C)) = op(select(c, K, a), C) when op(K, C) = K.
+    TermId c = kNoTerm;
+    const TermId a = withoutConstant(v, &c);
+    if (a == kNoTerm)
+        return kNoTerm;
+    const APInt kv = value(k), cv = value(c);
+    const APInt mapped = op == Op::UMin   ? kv.umin(cv)
+                         : op == Op::UMax ? kv.umax(cv)
+                         : op == Op::SMin ? kv.smin(cv)
+                                          : kv.smax(cv);
+    if (mapped != kv)
+        return kNoTerm;
+    s = folded(k, a);
+    return s == kNoTerm ? kNoTerm : minMax(op, s, c);
 }
 
 TermId
@@ -764,7 +1160,7 @@ TermDag::overflow(Op op, uint8_t flag, TermId x, TermId y)
     }
     // Add and mul overflow are symmetric; the circuit keeps the
     // operand order of the instruction that created the node.
-    Refs key{Ref{x}, Ref{y}};
+    Ref key[] = {Ref{x}, Ref{y}};
     if (op != Op::Sub && y < x)
         std::swap(key[0], key[1]);
     bool fresh = false;
@@ -786,6 +1182,18 @@ TermDag::truncOverflow(uint8_t flag, TermId x, unsigned dst)
         const APInt back = flag == kNuw ? v.truncTo(dst).zextTo(v.width())
                                         : v.truncTo(dst).sextTo(v.width());
         return top(boolean(back.ne(v)));
+    }
+    // A value known to fit in dst bits (dst - 1 for nsw) survives the
+    // round trip: zext of a narrow enough word, or a umin with a small
+    // enough constant.
+    const unsigned fits = flag == kNuw ? dst : dst - 1;
+    const Node &n = nodes_[x];
+    if (n.op == Op::ZExt && width(arg0(x)) <= fits)
+        return top(boolean(false));
+    for (uint32_t i = 0; n.op == Op::UMin && i < n.count; ++i) {
+        const TermId c = operand(x, i).id;
+        if (isConst(c) && width(x) - value(c).countLeadingZeros() <= fits)
+            return top(boolean(false));
     }
     return top(intern(Op::Overflow, 1, {Ref{x}}, flag,
                       static_cast<uint64_t>(Op::Trunc) | uint64_t(dst) << 8));
@@ -820,6 +1228,28 @@ TermDag::andOf(TermId x, TermId y)
     if (w == 1 && ((nodes_[x].op == Op::Not && arg0(x) == y) ||
                    (nodes_[y].op == Op::Not && arg0(y) == x)))
         return top(boolean(false));
+    // Absorption: x & (x | y) = x.
+    if (hasOperand(Op::Or, y, x) || hasOperand(Op::Or, x, y))
+        return top(hasOperand(Op::Or, y, x) ? x : y);
+    if (w == 1) {
+        // Predicates: p & q is p when p implies q, false when they
+        // exclude each other, and p & (q | r) is p & r when p excludes q.
+        if (implies(x, y, kImplicationDepth))
+            return top(x);
+        if (implies(y, x, kImplicationDepth))
+            return top(y);
+        if (excludes(x, y))
+            return top(boolean(false));
+        for (unsigned side = 0; side < 2; ++side) {
+            const TermId p = side ? y : x, o = side ? x : y;
+            if (nodes_[o].op != Op::Or)
+                continue;
+            if (excludes(p, arg0(o)))
+                return top(andOf(p, arg1(o)));
+            if (excludes(p, arg1(o)))
+                return top(andOf(p, arg0(o)));
+        }
+    }
     return top(commutative(Op::And, x, y));
 }
 
@@ -841,6 +1271,14 @@ TermDag::orOf(TermId x, TermId y)
     if (w == 1 && ((nodes_[x].op == Op::Not && arg0(x) == y) ||
                    (nodes_[y].op == Op::Not && arg0(y) == x)))
         return top(boolean(true));
+    // Absorption: x | (x & y) = x; for predicates, p | q is q when p
+    // implies q.
+    if (hasOperand(Op::And, y, x) || hasOperand(Op::And, x, y))
+        return top(hasOperand(Op::And, y, x) ? x : y);
+    if (w == 1 && implies(x, y, kImplicationDepth))
+        return top(y);
+    if (w == 1 && implies(y, x, kImplicationDepth))
+        return top(x);
     return top(commutative(Op::Or, x, y));
 }
 
@@ -866,10 +1304,36 @@ TermDag::eq(TermId x, TermId y)
         return top(boolean(false));
     if (sameExtension(x, y))
         return top(eq(arg0(x), arg0(y)));
+    const unsigned w = width(x);
+    // Addition is a bijection: x == y is d == 0 when x - y is +-d.
+    if (!isConst(x, 0) && !isConst(y, 0)) {
+        const Refs d = combine(Op::Add, x, y, true);
+        if (d.empty())
+            return top(boolean(true));
+        if (d.size() == 1)
+            return top(eq(d[0].id, constant(APInt::zero(w))));
+    }
+    // Shift round trips. (x >> k) << k == x asks that x's low k bits
+    // be 0; (v << k) >>u k == v asks that v's high k bits be 0.
+    for (unsigned side = 0; side < 2; ++side) {
+        const TermId round = side ? y : x, other = side ? x : y;
+        TermId v = kNoTerm;
+        const unsigned k = shiftedLeft(round, &v);
+        if (k && (nodes_[v].op == Op::LShr || nodes_[v].op == Op::AShr) &&
+            arg0(v) == other && isConst(arg1(v), k))
+            return top(notOf(nonZero(trunc(other, k))));
+        if (nodes_[round].op != Op::LShr || !isConst(arg1(round)))
+            continue;
+        const uint64_t amount = nodes_[arg1(round)].payload;
+        if (amount > 0 && shiftedLeft(arg0(round), &v) == amount &&
+            v == other)
+            return top(compare(Op::ULt, other,
+                               constant(APInt::one(w).shl(
+                                   w - static_cast<unsigned>(amount)))));
+    }
     if (isConst(x))
         std::swap(x, y);
     if (isConst(y)) {
-        const unsigned w = width(x);
         const APInt c = value(y);
         // A 1-bit word is its own test for 1.
         if (w == 1)
@@ -889,6 +1353,10 @@ TermDag::eq(TermId x, TermId y)
                 Op::ULt, arg0(x),
                 constant(APInt::one(w).shl(
                     static_cast<unsigned>(nodes_[arg1(x)].payload)))));
+        // x == 0 is !(x != 0), the same gates, and nonZero's rules
+        // apply.
+        if (c.isZero())
+            return top(notOf(nonZero(x)));
     }
     if (y < x)
         std::swap(x, y);
@@ -901,6 +1369,22 @@ TermDag::nonZero(TermId x)
     Top top(*this);
     if (isConst(x))
         return top(boolean(!isConst(x, 0)));
+    const Op op = nodes_[x].op;
+    if (op == Op::ZExt)
+        return top(nonZero(arg0(x)));
+    // orOf drops a zero operand, so a constant one is nonzero.
+    if (op == Op::Or && (isConst(arg0(x)) || isConst(arg1(x))))
+        return top(boolean(true));
+    // select(c, a, b) != 0 is c ? a != 0 : b != 0; kept as a mux of
+    // words unless one arm's test folds to a constant.
+    if (op == Op::Select) {
+        const TermId c = arg0(x), a = operand(x, 1).id, b = operand(x, 2).id;
+        const TermId na = nonZero(a), nb = nonZero(b);
+        if (isConst(na))
+            return top(isConst(na, 0) ? andOf(notOf(c), nb) : orOf(c, nb));
+        if (isConst(nb))
+            return top(isConst(nb, 0) ? andOf(c, na) : orOf(notOf(c), na));
+    }
     return top(intern(Op::NonZero, 1, {Ref{x}}));
 }
 
@@ -980,7 +1464,17 @@ TermDag::opaque(Op op, std::initializer_list<TermId> args)
     Refs refs;
     for (TermId a : args)
         refs.push_back(Ref{a});
-    return top(intern(op, width(refs[0].id), refs));
+    const TermId x = refs[0].id;
+    // A constant shifted by a constant amount below its width folds.
+    if ((op == Op::Shl || op == Op::LShr || op == Op::AShr) &&
+        isConst(x) && isConst(refs[1].id) &&
+        nodes_[refs[1].id].payload < width(x)) {
+        const unsigned k = static_cast<unsigned>(nodes_[refs[1].id].payload);
+        return top(constant(op == Op::Shl    ? value(x).shl(k)
+                            : op == Op::LShr ? value(x).lshr(k)
+                                             : value(x).ashr(k)));
+    }
+    return top(intern(op, width(x), refs));
 }
 
 // ---------------------------------------------------------------------
@@ -1128,8 +1622,8 @@ TermDag::build(TermId t)
             bits = minMax2(n.op, acc, kept[i].second);
             if (i + 1 == kept.size())
                 break;
-            Refs prefix{Ref{acc}, Ref{kept[i].second}};
-            std::sort(prefix.begin(), prefix.end());
+            Ref prefix[] = {Ref{acc}, Ref{kept[i].second}};
+            std::sort(std::begin(prefix), std::end(prefix));
             acc = intern(n.op, w, prefix);
             bits_.resize(nodes_.size());
             if (bits_[acc].empty())
@@ -1347,7 +1841,8 @@ maskBits(const Value *v)
  * widest its uses read. add, sub, mul, and, or and xor without flags
  * read only their own demand of their operands (low result bits depend
  * on low operand bits alone), and of that, `and` with a constant reads
- * no operand bit above the mask's highest set bit. trunc without flags
+ * no operand bit above the mask's highest set bit; urem by 2^k reads k
+ * bits of its dividend, as the mask 2^k - 1 does. trunc without flags
  * and select arms pass their demand through. Everything else — ret,
  * icmp, shifts, division, casts, intrinsics, select conditions and any
  * flagged operation (whose poison reads every bit) — reads its
@@ -1384,6 +1879,18 @@ Encoder::computeDemand(const ir::Function &fn)
                 break;
             need(inst->operand(0), d);
             continue;
+          case Opcode::URem: {
+            // x urem 2^k is x's low k bits: a mask.
+            const Value *divisor = inst->operand(1);
+            if (divisor->kind() != Value::Kind::ConstInt)
+                break;
+            const APInt &c =
+                static_cast<const ir::ConstantInt *>(divisor)->value();
+            if (!c.isPowerOf2())
+                break;
+            need(inst->operand(0), std::min(d, c.countTrailingZeros()));
+            continue;
+          }
           case Opcode::Select:
             need(inst->operand(0), 1);
             need(inst->operand(1), d);
@@ -1845,6 +2352,14 @@ blastValue(TermDag &terms, const TermValue &value)
 
 } // namespace
 
+struct TermWorkspace::Impl
+{
+    TermDag dag;
+};
+
+TermWorkspace::TermWorkspace() : impl_(std::make_unique<Impl>()) {}
+TermWorkspace::~TermWorkspace() = default;
+
 bool
 canEncode(const ir::Function &fn)
 {
@@ -1913,12 +2428,13 @@ encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
 {
     if (!canEncode(src) || !canEncode(tgt))
         return QueryEncoding::Unencodable;
-    return encodeEncodableQuery(builder, src, tgt, shared_args_out);
+    TermWorkspace terms;
+    return encodeEncodableQuery(terms, builder, src, tgt, shared_args_out);
 }
 
 QueryEncoding
-encodeEncodableQuery(smt::CircuitBuilder &builder, const ir::Function &src,
-                     const ir::Function &tgt,
+encodeEncodableQuery(TermWorkspace &workspace, smt::CircuitBuilder &builder,
+                     const ir::Function &src, const ir::Function &tgt,
                      std::vector<ValueEnc> *shared_args_out)
 {
     assert(canEncode(src) && canEncode(tgt) &&
@@ -1926,7 +2442,8 @@ encodeEncodableQuery(smt::CircuitBuilder &builder, const ir::Function &src,
 
     // One DAG for both sides over the same argument leaves, so they
     // meet in the same nodes.
-    TermDag terms;
+    TermDag &terms = workspace.impl().dag;
+    terms.reset();
     std::vector<TermValue> args = argumentTerms(terms, src);
     TermFunction s = encodeTerms(terms, src, args);
     TermFunction t = encodeTerms(terms, tgt, args);

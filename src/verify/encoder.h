@@ -16,6 +16,7 @@
 #ifndef LPO_VERIFY_ENCODER_H
 #define LPO_VERIFY_ENCODER_H
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,6 +67,29 @@ enum class QueryEncoding {
 };
 
 /**
+ * A query's word-level term DAG, kept between queries (DESIGN.md,
+ * "Verifier workspace"). encodeEncodableQuery resets it before it
+ * builds a query's terms in it, so every query encodes as in a new
+ * one, while the DAG's buffers keep the capacity of the largest query
+ * encoded in it. One thread uses it at a time. Impl is defined in
+ * encoder.cc.
+ */
+class TermWorkspace
+{
+  public:
+    TermWorkspace();
+    ~TermWorkspace();
+    TermWorkspace(const TermWorkspace &) = delete;
+    TermWorkspace &operator=(const TermWorkspace &) = delete;
+
+    struct Impl;
+    Impl &impl() { return *impl_; }
+
+  private:
+    std::unique_ptr<Impl> impl_;
+};
+
+/**
  * Build the complete refinement-violation query for (src, tgt) into
  * @p builder: shared non-poison arguments, both encodings over them,
  * and the asserted miter
@@ -90,13 +114,14 @@ encodeRefinementQuery(smt::CircuitBuilder &builder, const ir::Function &src,
 
 /**
  * encodeRefinementQuery for a pair already known to be in the
- * encodable fragment: canEncode(src) and canEncode(tgt) must hold
- * (asserted), as the SAT backend's dispatch (usesSatBackend) has
- * checked, so they are not checked again. Never answers Unencodable.
+ * encodable fragment, with its terms built in @p terms (reset first):
+ * canEncode(src) and canEncode(tgt) must hold (asserted), as the SAT
+ * backend's dispatch (usesSatBackend) has checked, so they are not
+ * checked again. Never answers Unencodable.
  */
 QueryEncoding
-encodeEncodableQuery(smt::CircuitBuilder &builder, const ir::Function &src,
-                     const ir::Function &tgt,
+encodeEncodableQuery(TermWorkspace &terms, smt::CircuitBuilder &builder,
+                     const ir::Function &src, const ir::Function &tgt,
                      std::vector<ValueEnc> *shared_args_out = nullptr);
 
 } // namespace lpo::verify

@@ -234,15 +234,16 @@ degradeToTesting(const ir::Function &src, const ir::Function &tgt,
 }
 
 /**
- * The solver and circuit builder one thread's SAT queries reuse (see
- * DESIGN.md, "Verifier workspace"). Each query resets both first, so it
- * runs exactly as on a newly constructed pair, while every buffer keeps
- * the capacity of the largest query the thread has seen.
+ * The solver, circuit builder and term DAG one thread's SAT queries
+ * reuse (see DESIGN.md, "Verifier workspace"). Each query resets all
+ * three first, so it runs exactly as on new ones, while every buffer
+ * keeps the capacity of the largest query the thread has seen.
  */
 struct SatWorkspace
 {
     SatSolver solver;
     CircuitBuilder builder{solver};
+    TermWorkspace terms;
     bool in_use = false;
 };
 
@@ -268,6 +269,8 @@ class WorkspaceClaim
 
     SatSolver &solver() { return ws_.solver; }
     CircuitBuilder &builder() { return ws_.builder; }
+    /** Reset by the encoder, which builds the query in it. */
+    TermWorkspace &terms() { return ws_.terms; }
 
   private:
     static SatWorkspace &workspace()
@@ -299,7 +302,8 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
             LPO_TRACE_SPAN(span, "encode", "sat");
             telemetry::ScopedTimer timer(encodeHistogram());
             QueryEncoding encoding =
-                encodeEncodableQuery(builder, src, tgt, &args);
+                encodeEncodableQuery(claim.terms(), builder, src, tgt,
+                                     &args);
             assert(encoding != QueryEncoding::Unencodable &&
                    "caller checked canEncode");
             work.encode_ns = timer.stopNanos();

@@ -1,7 +1,7 @@
-// The verifier's per-thread SAT workspace: a solver and circuit builder
-// reused across queries must answer every query exactly as a newly
-// constructed pair does, whatever state the previous query left them
-// in.
+// The verifier's per-thread SAT workspace: a solver, circuit builder
+// and term DAG reused across queries must answer every query exactly
+// as newly constructed ones do, whatever state the previous query left
+// them in.
 
 #include <gtest/gtest.h>
 
@@ -200,23 +200,62 @@ TEST_F(WorkspaceSequence, ConcurrentThreadsKeepSeparateWorkspaces)
             EXPECT_EQ(answers[t][k], fresh[(k + t * 7) % queries_.size()]);
 }
 
+TEST_F(WorkspaceSequence, MixesTermDecidedAndBlastedQueries)
+{
+    // The sequences above exercise both ends of a query: answered in
+    // the reused term DAG alone, and bit-blasted through the reused
+    // builder and solver.
+    unsigned decided = 0, blasted = 0;
+    for (const Query &query : queries_) {
+        const RefinementResult r =
+            checkRefinement(*query.src, *query.tgt, query.options);
+        decided += r.work.term_decided;
+        blasted += r.work.sat_queries && !r.work.term_decided;
+    }
+    EXPECT_GE(decided, 20u);
+    EXPECT_GE(blasted, 5u);
+}
+
 TEST_F(WorkspaceSequence, FailpointMidQueryLeavesNoTrace)
 {
-    // The bit-blaster throws with the workspace held, after the solver
-    // and builder were reset for the query. The claim is released on
-    // the way out (a leaked claim asserts on the next query in Debug
-    // builds), and the next queries answer as on a fresh pair.
+    // The encoder throws with the workspace held, after the solver and
+    // builder were reset and the source's terms built in the reused
+    // term DAG. The claim is released on the way out (a leaked claim
+    // asserts on the next query in Debug builds), and the next queries,
+    // in order and shuffled, answer as on a fresh workspace. One victim
+    // would be decided by terms, the other blasted.
     const std::vector<std::string> fresh = freshAnswers();
-    ASSERT_TRUE(FailPoints::instance().configure("bitblast.throw=nth:2"));
-    const Query &victim = queries_.front();
-    EXPECT_THROW(checkRefinement(*victim.src, *victim.tgt, victim.options),
-                 FailPointError);
-    FailPoints::instance().clear();
-    for (size_t i = 0; i < queries_.size(); ++i) {
+    std::vector<size_t> victims;
+    for (size_t i = 0; i < queries_.size() && victims.size() < 2; ++i) {
         const Query &query = queries_[i];
-        EXPECT_EQ(fingerprint(query, checkRefinement(*query.src, *query.tgt,
-                                                     query.options)),
-                  fresh[i]);
+        const bool decided =
+            checkRefinement(*query.src, *query.tgt, query.options)
+                .work.term_decided;
+        if (decided == victims.empty())
+            victims.push_back(i);
+    }
+    ASSERT_EQ(victims.size(), 2u);
+    std::vector<size_t> order(queries_.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::mt19937 shuffle_rng(11);
+    for (size_t v : victims) {
+        ASSERT_TRUE(
+            FailPoints::instance().configure("bitblast.throw=nth:2"));
+        const Query &victim = queries_[v];
+        EXPECT_THROW(checkRefinement(*victim.src, *victim.tgt,
+                                     victim.options),
+                     FailPointError)
+            << victim.name;
+        FailPoints::instance().clear();
+        for (size_t i : order) {
+            const Query &query = queries_[i];
+            EXPECT_EQ(fingerprint(query, checkRefinement(*query.src,
+                                                         *query.tgt,
+                                                         query.options)),
+                      fresh[i]);
+        }
+        std::shuffle(order.begin(), order.end(), shuffle_rng);
     }
 }
 

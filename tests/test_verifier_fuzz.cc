@@ -11,6 +11,12 @@
 // kind must be exercised. A Timeout is undecided: reported, bounded to 1% of the pairs, never
 // counted as agreement.
 //
+// Besides the mutants, some pairs plant a word-level rule's shape
+// (division by a power of two, a clamp select, a constant chain) at the
+// end of a generated function, against its canonical form (the rule
+// must fire: the pair is decided by terms) or against a near miss that
+// breaks the rule's side condition (it must be refuted).
+//
 // ctest runs a fixed-seed slice of 2,000 pairs with multiplication and
 // division at most i8 wide; LPO_VERIFIER_FUZZ=<pairs>[,<seed>] runs
 // another budget with them at every width (tools/ci.sh passes a ten
@@ -465,6 +471,201 @@ mutate(Rng &rng, Mutation kind, ir::Function &src, ir::Function &tgt)
 }
 
 // ---------------------------------------------------------------------
+// Planted rule shapes: a rule's source shape against its canonical
+// form, or against the form the rule would give without its side
+// condition (a near miss), appended to one generated function
+// ---------------------------------------------------------------------
+
+/** The word-level rules a planted pair exercises. */
+enum Plant {
+    kPlantSdivExact,
+    kPlantUnsignedDiv,
+    kPlantClamp,
+    kPlantUMaxShl,
+    kPlantSatChain,
+    kNumPlants
+};
+
+const char *const kPlantNames[kNumPlants] = {
+    "sdiv exact by 2^k", "udiv/urem by 2^k", "clamp select",
+    "umax/shl chain", "saturating chain"};
+
+/** The side condition a near miss breaks. */
+enum NearMiss {
+    kNotPowerOfTwo,
+    kSignedMinDivisor,
+    kShiftWraps,
+    kShiftExceeds,
+    kArmNotFixed,
+    kSumSaturates,
+    kNumNearMisses,
+    kNoNearMiss = kNumNearMisses
+};
+
+const char *const kNearMissNames[kNumNearMisses] = {
+    "divisor not a power of two", "sdiv by 2^(w-1)", "C1 << k wraps",
+    "C1 << k exceeds C2", "select arm not fixed by the op",
+    "constant sum saturates"};
+
+/** A uniform value in [lo, hi]. */
+uint64_t
+between(Rng &rng, uint64_t lo, uint64_t hi)
+{
+    return lo + rng.nextBelow(hi - lo + 1);
+}
+
+/**
+ * Replace the ret of @p src and of @p tgt, clones of one generated
+ * function, by @p kind's shape over one value (the returned value or
+ * an argument, the same on both sides): the rule's source shape in
+ * @p src, and in @p tgt its canonical form or, for a near miss, the
+ * form the rule would give if it ignored its side condition. Near
+ * misses that need a divider are drawn only up to @p max_hard_width.
+ * Returns the side condition broken, or kNoNearMiss.
+ */
+NearMiss
+plant(Rng &rng, Plant kind, unsigned max_hard_width, ir::Function &src,
+      ir::Function &tgt)
+{
+    ir::Context &ctx = src.context();
+    const ir::Type *type = src.returnType();
+    const unsigned w = type->intWidth();
+    const uint64_t ones = (uint64_t(1) << w) - 1;
+    const bool miss = rng.chance(0.5);
+    const int arg =
+        rng.chance(0.5) ? static_cast<int>(rng.nextBelow(src.numArgs())) : -1;
+    auto open = [&](ir::Function &fn) {
+        ir::BasicBlock &block = *fn.entry();
+        Value *v = arg >= 0 ? fn.arg(arg) : block.terminator()->operand(0);
+        block.erase(block.terminator());
+        return v;
+    };
+    Value *sv = open(src);
+    Value *tv = open(tgt);
+    ir::Builder s(src, src.entry());
+    ir::Builder t(tgt, tgt.entry());
+    auto k = [&](uint64_t c) { return ctx.getInt(w, c & ones); };
+    ir::InstFlags exact;
+    exact.exact = true;
+    NearMiss broken = kNoNearMiss;
+    Value *sr = nullptr, *tr = nullptr;
+    switch (kind) {
+      case kPlantSdivExact: {
+        // sdiv exact v, 2^k  ->  ashr exact v, k  (k <= w - 2).
+        unsigned shift = static_cast<unsigned>(between(rng, 1, w - 2));
+        uint64_t divisor = uint64_t(1) << shift;
+        if (miss && w <= max_hard_width) {
+            broken = rng.chance(0.5) ? kNotPowerOfTwo : kSignedMinDivisor;
+            if (broken == kSignedMinDivisor)
+                divisor = uint64_t(1) << (shift = w - 1);
+            else
+                divisor = uint64_t(3) << (shift - 1);
+        }
+        sr = s.binary(Opcode::SDiv, sv, k(divisor), exact);
+        tr = t.binary(Opcode::AShr, tv, k(shift), exact);
+        break;
+      }
+      case kPlantUnsignedDiv: {
+        // udiv v, 2^k  ->  lshr v, k;  urem v, 2^k  ->  and v, 2^k - 1.
+        unsigned shift = static_cast<unsigned>(between(rng, 1, w - 1));
+        uint64_t divisor = uint64_t(1) << shift;
+        if (miss && w <= max_hard_width) {
+            broken = kNotPowerOfTwo;
+            shift = std::max(shift, 2u);
+            divisor = uint64_t(3) << (shift - 2);
+        }
+        ir::InstFlags flags;
+        flags.exact = rng.chance(0.5);
+        if (rng.chance(0.5)) {
+            sr = s.binary(Opcode::UDiv, sv, k(divisor), flags);
+            tr = t.binary(Opcode::LShr, tv, k(shift), flags);
+        } else {
+            sr = s.binary(Opcode::URem, sv, k(divisor));
+            tr = t.andOp(tv, k((uint64_t(1) << shift) - 1));
+        }
+        break;
+      }
+      case kPlantClamp: {
+        // zext(select(v <s 0, 0, trunc(umin(v, C))))
+        //   ->  zext(trunc(umin(smax(v, 0), C)))   with C < 2^n.
+        const unsigned n = static_cast<unsigned>(between(rng, 2, w - 1));
+        const ir::Type *narrow = ctx.types().intTy(n);
+        const uint64_t limit = between(rng, 0, (uint64_t(1) << n) - 2);
+        uint64_t arm = 0;
+        if (miss) {
+            broken = kArmNotFixed;
+            arm = between(rng, limit + 1, (uint64_t(1) << n) - 1);
+        }
+        ir::InstFlags nuw;
+        nuw.nuw = rng.chance(0.5);
+        Value *c = s.icmp(ir::ICmpPred::SLT, sv, k(0));
+        Value *m = s.umin(sv, k(limit));
+        Value *sel = s.select(c, ctx.getInt(n, arm),
+                              s.cast(Opcode::Trunc, m, narrow, nuw));
+        sr = s.zext(sel, type);
+        // The near miss moves the arm under umin(_, C) although C maps
+        // it to C.
+        Value *clamped = miss ? t.select(t.icmp(ir::ICmpPred::SLT, tv, k(0)),
+                                         k(arm), tv)
+                              : t.smax(tv, k(0));
+        tr = t.zext(t.cast(Opcode::Trunc, t.umin(clamped, k(limit)), narrow,
+                           nuw),
+                    type);
+        break;
+      }
+      case kPlantUMaxShl: {
+        // umax(shl (umax(v, C1), k), C2)  ->  umax(shl v, k, C2)  with
+        // C1 << k neither wrapping nor above C2.
+        const unsigned shift = static_cast<unsigned>(between(rng, 1, w - 1));
+        uint64_t c1 = between(rng, 0, (ones >> shift));
+        uint64_t c2 = between(rng, c1 << shift, ones);
+        ir::InstFlags flags;
+        flags.nuw = rng.chance(0.5);
+        if (miss && rng.chance(0.5)) {
+            // A wrapped C1 << k would make every nuw shift poison.
+            broken = kShiftWraps;
+            c1 = between(rng, (ones >> shift) + 1, ones);
+            c2 = (c1 << shift) & ones;
+            flags.nuw = false;
+        } else if (miss) {
+            broken = kShiftExceeds;
+            c1 = between(rng, 1, ones >> shift);
+            c2 = between(rng, 0, (c1 << shift) - 1);
+        }
+        sr = s.umax(s.shl(s.umax(sv, k(c1)), k(shift), flags), k(c2));
+        tr = t.umax(t.shl(tv, k(shift), flags), k(c2));
+        break;
+      }
+      case kPlantSatChain: {
+        // uadd.sat(uadd.sat(v, C1), C2)  ->  uadd.sat(v, C1 + C2), and
+        // usub.sat likewise, while C1 + C2 does not overflow.
+        uint64_t c1 = between(rng, 0, ones);
+        uint64_t c2 = between(rng, 0, ones - c1);
+        Intrinsic op = rng.chance(0.5) ? Intrinsic::UAddSat
+                                       : Intrinsic::USubSat;
+        if (miss && c1 > 0) {
+            broken = kSumSaturates;
+            op = Intrinsic::UAddSat;
+            c2 = between(rng, ones - c1 + 1, ones);
+        }
+        sr = s.intrinsic(op, {s.intrinsic(op, {sv, k(c1)}), k(c2)});
+        tr = t.intrinsic(op, {tv, k(c1 + c2)});
+        break;
+      }
+      case kNumPlants:
+        break;
+    }
+    s.ret(sr);
+    t.ret(tr);
+    // These builders numbered their values from 0 again; let
+    // numberValues() name every value once.
+    for (ir::Function *fn : {&src, &tgt})
+        for (const auto &inst : fn->entry()->instructions())
+            inst->setName("");
+    return broken;
+}
+
+// ---------------------------------------------------------------------
 // The exhaustive oracle and one fuzzed pair
 // ---------------------------------------------------------------------
 
@@ -491,9 +692,14 @@ violates(const interp::PlanResult &s, const interp::PlanResult &t)
     return false;
 }
 
+/** Pair kinds: the mutations, then the planted rule shapes. */
+constexpr unsigned kNumKinds = unsigned(kNumMutations) + kNumPlants;
+
 struct PairResult
 {
-    Mutation kind = kNumMutations;
+    Mutation kind = kNumMutations; ///< kNumMutations for a planted pair
+    Plant plant = kNumPlants;      ///< kNumPlants for a mutation
+    NearMiss near_miss = kNoNearMiss;
     std::string src_text;
     std::string tgt_text;
     std::string error; ///< a pair the harness itself could not run
@@ -508,13 +714,21 @@ runPair(uint64_t seed, uint64_t index, unsigned max_hard_width,
 {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + index);
     PairResult out;
-    out.kind = static_cast<Mutation>(index % kNumMutations);
+    const unsigned kind = index % kNumKinds;
     ir::Context ctx;
     std::unique_ptr<ir::Function> src, tgt;
-    do {
+    if (kind >= kNumMutations) {
+        out.plant = static_cast<Plant>(kind - kNumMutations);
         src = generate(ctx, rng, max_hard_width);
         tgt = src->clone("tgt");
-    } while (!mutate(rng, out.kind, *src, *tgt));
+        out.near_miss = plant(rng, out.plant, max_hard_width, *src, *tgt);
+    } else {
+        out.kind = static_cast<Mutation>(kind);
+        do {
+            src = generate(ctx, rng, max_hard_width);
+            tgt = src->clone("tgt");
+        } while (!mutate(rng, out.kind, *src, *tgt));
+    }
     src->numberValues();
     tgt->numberValues();
     out.src_text = ir::printFunction(*src);
@@ -589,11 +803,20 @@ TEST(VerifierFuzz, SatAgreesWithExhaustiveExecPlan)
     uint64_t correct = 0, incorrect = 0, undecided = 0;
     uint64_t folded = 0, merged = 0, solved = 0;
     uint64_t verdicts[kNumMutations][2] = {}; ///< [kind][proved]
+    uint64_t planted_valid[kNumPlants] = {};
+    uint64_t fired[kNumPlants] = {}; ///< of those, decided by terms
+    uint64_t refuted[kNumNearMisses] = {};
     for (uint64_t i = 0; i < budget.pairs; ++i) {
         const PairResult &r = results[i];
-        const std::string pair = "pair " + std::to_string(i) + " (" +
-                                 kMutationNames[r.kind] + ")\n" +
-                                 r.src_text + r.tgt_text;
+        const bool planted = r.plant != kNumPlants;
+        const std::string name =
+            !planted ? kMutationNames[r.kind]
+            : r.near_miss == kNoNearMiss
+                ? std::string(kPlantNames[r.plant])
+                : std::string(kPlantNames[r.plant]) + ", " +
+                      kNearMissNames[r.near_miss];
+        const std::string pair = "pair " + std::to_string(i) + " (" + name +
+                                 ")\n" + r.src_text + r.tgt_text;
         ASSERT_TRUE(r.error.empty()) << r.error << ": " << pair;
         if (r.sat.verdict == verify::Verdict::Timeout) {
             ++undecided;
@@ -611,7 +834,17 @@ TEST(VerifierFuzz, SatAgreesWithExhaustiveExecPlan)
             << r.sat.counterexample->source_value << ", target "
             << r.sat.counterexample->target_value << "): " << pair;
         (proved ? correct : incorrect) += 1;
-        ++verdicts[r.kind][proved];
+        if (planted && r.near_miss == kNoNearMiss) {
+            // A rule instance holds; it fired if its canonical form met
+            // it in the term DAG (a degenerate prefix, e.g. a value the
+            // terms cannot bound, may leave it to the solver).
+            ++planted_valid[r.plant];
+            fired[r.plant] += r.sat.work.term_decided;
+        } else if (planted) {
+            refuted[r.near_miss] += !proved;
+        } else {
+            ++verdicts[r.kind][proved];
+        }
         folded += proved && r.sat.work.circuit_emitted == 0;
         merged += r.sat.work.circuit_merges > 0;
         solved += r.sat.work.conflicts > 0;
@@ -636,4 +869,17 @@ TEST(VerifierFuzz, SatAgreesWithExhaustiveExecPlan)
             << kMutationNames[k]
             << (proved ? " never proved" : " never refuted");
     }
+    // Every planted rule fires, and every side condition's near miss
+    // is refuted, at least once.
+    for (unsigned k = 0; k < kNumPlants; ++k)
+        EXPECT_GT(fired[k], 0u) << kPlantNames[k] << " never fired";
+    for (unsigned k = 0; k < kNumNearMisses; ++k)
+        EXPECT_GT(refuted[k], 0u) << kNearMissNames[k] << " never refuted";
+    std::cout << "planted rules fired:";
+    for (unsigned k = 0; k < kNumPlants; ++k)
+        std::cout << " " << fired[k] << "/" << planted_valid[k];
+    std::cout << "; near misses refuted:";
+    for (unsigned k = 0; k < kNumNearMisses; ++k)
+        std::cout << " " << refuted[k];
+    std::cout << "\n";
 }

@@ -13,10 +13,12 @@
 //    nodes, so their refinement query is Unsat with zero conflicts.
 //  - Identity proofs at i64: each identity, as a miter built directly
 //    from CircuitBuilder primitives, is Unsat. No rule takes part, so
-//    no rule discharges its own proof. Products and division are the
-//    exception: their i64 miters are beyond the solver, so those rules
-//    rest on the exhaustive sweep, and near misses that differ only in
-//    flags or UB must stay refuted (WordRuleDecision).
+//    no rule discharges its own proof. Products and division by a
+//    variable are the exception: their i64 miters are beyond the
+//    solver, so those rules rest on the exhaustive sweep, and near
+//    misses that differ only in flags or UB must stay refuted
+//    (WordRuleDecision). Division by a constant power of two is proved
+//    at i64 like the rest.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include <string>
 #include <thread>
 
+#include "corpus/benchmarks.h"
 #include "interp/exec_plan.h"
 #include "ir/parser.h"
 #include "smt/bitblast.h"
@@ -493,6 +496,212 @@ const Shape kShapes[] = {
      "  %m = add T %a, %b\n"
      "  %t = trunc nsw T %m to i1\n"
      "  %r = select i1 %t, T %a, T %b\n", 2},
+    // Division by a power of two. Swept over every width, the divisor
+    // 4 is also 0 (i2, UB) and INT_MIN (i3, which no signed rule may
+    // take for a shift), and 2 is INT_MIN at i2; 6 is no power of two.
+    {"udiv_pow2", 2,
+     "  %q = udiv T %a, 4\n"
+     "  %r = add T %q, %b\n"},
+    {"udiv_exact_pow2", 2,
+     "  %r = udiv exact T %a, 4\n"},
+    {"urem_pow2", 2,
+     "  %r = urem T %a, 4\n"},
+    {"sdiv_pow2", 2,
+     "  %r = sdiv T %a, 4\n"},
+    {"sdiv_exact_pow2", 2,
+     "  %r = sdiv exact T %a, 2\n"},
+    {"sdiv_exact_one", 2,
+     "  %r = sdiv exact T %b, 1\n"},
+    {"srem_pow2", 2,
+     "  %r = srem T %a, 4\n"},
+    {"srem_pow2_test", 2,
+     "  %m = srem T %a, 2\n"
+     "  %c = icmp ne T %m, 0\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"udiv_not_pow2_near_miss", 2,
+     "  %r = udiv exact T %a, 6\n", 4},
+    {"sdiv_not_pow2_near_miss", 2,
+     "  %r = sdiv exact T %a, 6\n", 4},
+    {"srem_not_pow2_near_miss", 2,
+     "  %r = srem T %a, -6\n", 4},
+    {"ashr_exact", 2,
+     "  %r = ashr exact T %a, 2\n"},
+    {"lshr_exact", 2,
+     "  %r = lshr exact T %a, 1\n"},
+    {"shl_nuw", 2,
+     "  %r = shl nuw T %a, 2\n"},
+    {"shl_nuw_one", 2,
+     "  %r = shl nuw T %a, 1\n"},
+    // Clamp selects: the constant arm moves under trunc, zext and a
+    // min/max that maps it to itself.
+    {"clamp_trunc_umin", 2,
+     "  %c = icmp slt T %a, 0\n"
+     "  %m = call T @llvm.umin.T(T %a, T 3)\n"
+     "  %t = trunc nuw T %m to i2\n"
+     "  %s = select i1 %c, i2 0, i2 %t\n"
+     "  %r = zext i2 %s to T\n", 3},
+    {"clamp_zext_trunc_umin", 2,
+     "  %c = icmp slt T %a, 0\n"
+     "  %m = call T @llvm.umin.T(T %a, T 3)\n"
+     "  %t = trunc T %m to i2\n"
+     "  %z = zext i2 %t to T\n"
+     "  %r = select i1 %c, T 0, T %z\n", 3},
+    {"clamp_smin", 2,
+     "  %c = icmp sgt T %a, -1\n"
+     "  %m = call T @llvm.smin.T(T %a, T 1)\n"
+     "  %r = select i1 %c, T %m, T 0\n", 2},
+    {"clamp_slt_one", 2,
+     "  %c = icmp slt T %a, 1\n"
+     "  %r = select i1 %c, T 0, T %a\n"},
+    {"clamp_sle_zero_min", 2,
+     "  %c = icmp sle T %a, 0\n"
+     "  %r = select i1 %c, T %a, T 0\n"},
+    {"clamp_sgt_zero_min", 2,
+     "  %c = icmp sgt T %a, 0\n"
+     "  %r = select i1 %c, T 0, T %a\n"},
+    {"clamp_sge_zero", 2,
+     "  %c = icmp sge T %a, 0\n"
+     "  %r = select i1 %c, T %a, T 0\n"},
+    {"clamp_trunc_nsw_umin", 2,
+     "  %m = call T @llvm.umin.T(T %a, T 1)\n"
+     "  %t = trunc nsw T %m to i2\n"
+     "  %r = sext i2 %t to T\n", 3},
+    // Near misses: umin(5, 3) is not 5; umin(a, 5) does not fit i2.
+    {"clamp_arm_not_fixed_near_miss", 2,
+     "  %c = icmp slt T %a, 0\n"
+     "  %m = call T @llvm.umin.T(T %a, T 3)\n"
+     "  %r = select i1 %c, T 5, T %m\n", 4},
+    {"clamp_trunc_overflow_near_miss", 2,
+     "  %m = call T @llvm.umin.T(T %a, T 5)\n"
+     "  %t = trunc nuw T %m to i2\n"
+     "  %r = zext i2 %t to T\n", 4},
+    {"clamp_foreign_condition_near_miss", 2,
+     "  %c = icmp slt T %b, 0\n"
+     "  %m = call T @llvm.umin.T(T %a, T 3)\n"
+     "  %t = trunc T %m to i2\n"
+     "  %s = select i1 %c, i2 0, i2 %t\n"
+     "  %r = zext i2 %s to T\n", 3},
+    // Constant chains.
+    {"umax_shl_chain", 2,
+     "  %m = call T @llvm.umax.T(T %a, T 1)\n"
+     "  %s = shl nuw T %m, 1\n"
+     "  %r = call T @llvm.umax.T(T %s, T 3)\n", 3},
+    {"umax_shl_chain_by_two", 2,
+     "  %m = call T @llvm.umax.T(T 1, T %a)\n"
+     "  %s = shl T %m, 2\n"
+     "  %r = call T @llvm.umax.T(T 4, T %s)\n", 4},
+    // Near misses: -2 << 1 wraps; 3 << 2 exceeds 4.
+    {"umax_shl_wraps_near_miss", 2,
+     "  %m = call T @llvm.umax.T(T %a, T -2)\n"
+     "  %s = shl T %m, 1\n"
+     "  %r = call T @llvm.umax.T(T %s, T 3)\n", 3},
+    {"umax_shl_exceeds_near_miss", 2,
+     "  %m = call T @llvm.umax.T(T %a, T 3)\n"
+     "  %s = shl nuw T %m, 2\n"
+     "  %r = call T @llvm.umax.T(T %s, T 4)\n", 5},
+    {"uadd_sat_chain", 2,
+     "  %s = call T @llvm.uadd.sat.T(T %a, T 2)\n"
+     "  %r = call T @llvm.uadd.sat.T(T 1, T %s)\n", 3},
+    {"uadd_sat_chain_saturates", 2,
+     "  %s = call T @llvm.uadd.sat.T(T %a, T -2)\n"
+     "  %r = call T @llvm.uadd.sat.T(T %s, T 3)\n", 3},
+    {"usub_sat_chain", 2,
+     "  %s = call T @llvm.usub.sat.T(T %a, T 2)\n"
+     "  %r = call T @llvm.usub.sat.T(T %s, T 1)\n", 3},
+    {"usub_sat_chain_overflows", 2,
+     "  %s = call T @llvm.usub.sat.T(T %b, T -2)\n"
+     "  %r = call T @llvm.usub.sat.T(T %s, T 3)\n", 3},
+    {"umax_constant_below_bound", 2,
+     "  %m = call T @llvm.umax.T(T %a, T 2)\n"
+     "  %c = icmp ult T %m, 5\n"
+     "  %r = select i1 %c, T %a, T %b\n", 4},
+    {"umax_constant_above_bound", 2,
+     "  %m = call T @llvm.umax.T(T %a, T 5)\n"
+     "  %c = icmp ugt T 3, %m\n"
+     "  %r = select i1 %c, T %a, T %b\n", 4},
+    // Equality cancels a shared add leaf; or and and absorb.
+    {"eq_cancels_leaf", 2,
+     "  %s = add T %a, %b\n"
+     "  %c = icmp eq T %s, %a\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"ne_cancels_negated_leaf", 2,
+     "  %s = sub T %a, %b\n"
+     "  %c = icmp ne T %a, %s\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"eq_two_leaves_near_miss", 2,
+     "  %s = add T %a, %b\n"
+     "  %t = add T %a, %a\n"
+     "  %c = icmp eq T %s, %t\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    // Constants fold: chain leaves, min/max operands, shifts.
+    {"chain_constants_fold", 2,
+     "  %s = add T %a, 3\n"
+     "  %t = sub T %s, 5\n"
+     "  %r = add T %t, %b\n"},
+    {"xor_constants_fold", 2,
+     "  %s = xor T %a, 3\n"
+     "  %r = xor T %s, 6\n"},
+    {"min_max_constants_fold", 2,
+     "  %m = call T @llvm.umin.T(T %a, T 5)\n"
+     "  %n = call T @llvm.umin.T(T 3, T %m)\n"
+     "  %s = call T @llvm.smax.T(T %b, T -2)\n"
+     "  %t = call T @llvm.smax.T(T %s, T 1)\n"
+     "  %r = add T %n, %t\n", 3},
+    {"constant_shifts_fold", 2,
+     "  %s = lshr T -1, 1\n"
+     "  %t = ashr T -2, 1\n"
+     "  %u = shl T 3, 1\n"
+     "  %v = add T %s, %t\n"
+     "  %w = xor T %u, %v\n"
+     "  %r = and T %w, %a\n", 3},
+    {"uadd_usub_sat_constants_fold", 2,
+     "  %s = call T @llvm.uadd.sat.T(T 3, T -2)\n"
+     "  %t = call T @llvm.usub.sat.T(T 2, T 3)\n"
+     "  %u = call T @llvm.usub.sat.T(T 3, T 1)\n"
+     "  %v = add T %s, %t\n"
+     "  %w = add T %v, %u\n"
+     "  %r = xor T %w, %a\n", 3},
+    // A zero-extended word lies in [0, M].
+    {"compare_zext_range", 2,
+     "  %z = and T %a, 3\n"
+     "  %c = icmp slt T %z, 0\n"
+     "  %d = icmp ult T %z, 4\n"
+     "  %e = icmp sgt T %z, -1\n"
+     "  %f = and i1 %c, %d\n"
+     "  %g = or i1 %f, %e\n"
+     "  %r = select i1 %g, T %a, T %b\n", 4},
+    {"compare_zext_range_near_miss", 2,
+     "  %z = and T %a, 3\n"
+     "  %c = icmp ult T %z, 3\n"
+     "  %r = select i1 %c, T %a, T %b\n", 3},
+    {"compare_bounds", 2,
+     "  %c = icmp ult T %a, 0\n"
+     "  %d = icmp sgt T %b, 2147483647\n"
+     "  %e = or i1 %c, %d\n"
+     "  %r = select i1 %e, T %a, T %b\n"},
+    {"signed_min_max_of_zext", 2,
+     "  %z = and T %a, 3\n"
+     "  %m = call T @llvm.smax.T(T %z, T 0)\n"
+     "  %n = call T @llvm.smin.T(T %z, T -1)\n"
+     "  %r = add T %m, %n\n", 3},
+    {"urem_pow2_demand", 2,
+     "  %s = add T %a, %b\n"
+     "  %r = urem T %s, 4\n"},
+    // Predicates: a poison term implied by another folds into it.
+    {"poisoned_exact_division", 2,
+     "  %p = add nsw T %a, %b\n"
+     "  %r = sdiv exact T %p, 2\n"},
+    {"poisoned_clamp", 2,
+     "  %p = add nuw T %a, %b\n"
+     "  %c = icmp slt T %p, 0\n"
+     "  %m = call T @llvm.umin.T(T %p, T 3)\n"
+     "  %r = select i1 %c, T 0, T %m\n", 3},
+    {"or_absorbs_and", 2,
+     "  %n = and T %b, %a\n"
+     "  %r = or T %n, %a\n"},
+    {"and_absorbs_or", 2,
+     "  %o = or T %a, %b\n"
+     "  %r = and T %a, %o\n"},
 };
 
 std::string
@@ -800,6 +1009,227 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+// The division, clamp and constant-chain rules at i64: each shape meets
+// its canonical form before any circuit node exists.
+const Firing kFoldings[] = {
+    {"sdiv_exact_is_ashr_exact",
+     "  %r = sdiv exact T %a, 8\n",
+     "  %r = ashr exact T %a, 3\n"},
+    {"udiv_exact_is_lshr_exact",
+     "  %r = udiv exact T %a, 16\n",
+     "  %r = lshr exact T %a, 4\n"},
+    {"udiv_is_lshr",
+     "  %r = udiv T %a, 4096\n",
+     "  %r = lshr T %a, 12\n"},
+    {"urem_is_mask",
+     "  %r = urem T %b, 16\n",
+     "  %r = and T %b, 15\n"},
+    {"srem_test_is_mask_test",
+     "  %m = srem T %a, 8\n"
+     "  %c = icmp eq T %m, 0\n"
+     "  %r = select i1 %c, T %a, T %b\n",
+     "  %m = and T %a, 7\n"
+     "  %c = icmp eq T %m, 0\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"sdiv_by_one",
+     "  %r = sdiv exact T %a, 1\n",
+     "  %r = add T %a, 0\n"},
+    {"clamp_trunc_umin",
+     "  %c = icmp slt T %a, 0\n"
+     "  %m = call T @llvm.umin.T(T %a, T 255)\n"
+     "  %t = trunc nuw T %m to i8\n"
+     "  %s = select i1 %c, i8 0, i8 %t\n"
+     "  %r = zext i8 %s to T\n",
+     "  %x = call T @llvm.smax.T(T %a, T 0)\n"
+     "  %m = call T @llvm.umin.T(T %x, T 255)\n"
+     "  %t = trunc nuw T %m to i8\n"
+     "  %r = zext i8 %t to T\n"},
+    {"clamp_select_umin",
+     "  %c = icmp sgt T %a, -1\n"
+     "  %m = call T @llvm.umin.T(T %a, T 1000)\n"
+     "  %r = select i1 %c, T %m, T 0\n",
+     "  %x = call T @llvm.smax.T(T 0, T %a)\n"
+     "  %r = call T @llvm.umin.T(T 1000, T %x)\n"},
+    {"umax_shl_chain",
+     "  %m = call T @llvm.umax.T(T %a, T 1)\n"
+     "  %s = shl nuw T %m, 1\n"
+     "  %r = call T @llvm.umax.T(T %s, T 16)\n",
+     "  %s = shl nuw T %a, 1\n"
+     "  %r = call T @llvm.umax.T(T %s, T 16)\n"},
+    {"umax_shl_chain_by_three",
+     "  %m = call T @llvm.umax.T(T %a, T 1)\n"
+     "  %s = shl nuw T %m, 3\n"
+     "  %r = call T @llvm.umax.T(T %s, T 256)\n",
+     "  %s = shl nuw T %a, 3\n"
+     "  %r = call T @llvm.umax.T(T %s, T 256)\n"},
+    {"uadd_sat_chain",
+     "  %s = call T @llvm.uadd.sat.T(T %a, T 10)\n"
+     "  %r = call T @llvm.uadd.sat.T(T %s, T 20)\n",
+     "  %r = call T @llvm.uadd.sat.T(T 30, T %a)\n"},
+    {"uadd_sat_chain_saturates",
+     "  %s = call T @llvm.uadd.sat.T(T %a, T -10)\n"
+     "  %r = call T @llvm.uadd.sat.T(T %s, T 20)\n",
+     "  %r = add T -1, 0\n"},
+    {"usub_sat_chain",
+     "  %s = call T @llvm.usub.sat.T(T %a, T 10)\n"
+     "  %r = call T @llvm.usub.sat.T(T %s, T 20)\n",
+     "  %r = call T @llvm.usub.sat.T(T %a, T 30)\n"},
+    {"eq_cancels_leaf",
+     "  %s = add T %a, %b\n"
+     "  %c = icmp eq T %s, %a\n"
+     "  %r = select i1 %c, T %a, T %b\n",
+     "  %c = icmp eq T %b, 0\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    {"umax_constant_below_bound",
+     "  %m = call T @llvm.umax.T(T %a, T 2)\n"
+     "  %c = icmp ult T %m, 100\n"
+     "  %r = select i1 %c, T %a, T %b\n",
+     "  %c = icmp ult T %a, 100\n"
+     "  %r = select i1 %c, T %a, T %b\n"},
+    // Poison from the operand the rule reads meets on both sides.
+    {"poisoned_sdiv_exact",
+     "  %p = add nsw T %a, %b\n"
+     "  %r = sdiv exact T %p, 8\n",
+     "  %p = add nsw T %a, %b\n"
+     "  %r = ashr exact T %p, 3\n"},
+    {"poisoned_clamp",
+     "  %p = mul nuw T %a, %b\n"
+     "  %c = icmp slt T %p, 0\n"
+     "  %m = call T @llvm.umin.T(T %p, T 255)\n"
+     "  %t = trunc nuw T %m to i8\n"
+     "  %s = select i1 %c, i8 0, i8 %t\n"
+     "  %r = zext i8 %s to T\n",
+     "  %p = mul nuw T %a, %b\n"
+     "  %x = call T @llvm.smax.T(T %p, T 0)\n"
+     "  %m = call T @llvm.umin.T(T %x, T 255)\n"
+     "  %t = trunc nuw T %m to i8\n"
+     "  %r = zext i8 %t to T\n"},
+    {"clamp_of_masked_value",
+     "  %v = and T %a, 255\n"
+     "  %c = icmp slt T %v, 0\n"
+     "  %m = call T @llvm.umin.T(T %v, T 1000)\n"
+     "  %r = select i1 %c, T 0, T %m\n",
+     "  %r = and T %a, 255\n"},
+    {"urem_is_mask_under_demand",
+     "  %s = add T %a, %b\n"
+     "  %r = urem T %s, 16\n",
+     "  %s = add T %b, %a\n"
+     "  %r = and T %s, 15\n"},
+    {"constant_leaves_fold",
+     "  %s = add T %a, 3\n"
+     "  %r = sub T %s, 5\n",
+     "  %r = add T %a, -2\n"},
+};
+
+class WordRuleFolding : public testing::TestWithParam<Firing>
+{
+};
+
+TEST_P(WordRuleFolding, DecidedWithoutACircuit)
+{
+    const Firing &firing = GetParam();
+    auto text = [](const char *body) {
+        return atWidth(std::string("define T @f(T %a, T %b) {\n") + body +
+                           "  ret T %r\n}\n",
+                       64);
+    };
+    ir::Context ctx;
+    auto src = parse(ctx, text(firing.src));
+    auto tgt = parse(ctx, text(firing.tgt));
+    ASSERT_TRUE(src && tgt);
+    smt::SatSolver sat;
+    CircuitBuilder cb(sat);
+    EXPECT_EQ(encodeRefinementQuery(cb, *src, *tgt),
+              QueryEncoding::DecidedByTerms);
+    EXPECT_EQ(cb.numNodes(), 0);
+    EXPECT_EQ(sat.solve(), smt::SatResult::Unsat);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, WordRuleFolding, testing::ValuesIn(kFoldings),
+    [](const testing::TestParamInfo<Firing> &info) {
+        return std::string(info.param.name);
+    });
+
+// Every corpus pair of the families these rules were written for is
+// decided by terms, at its own widths and constants (vector lanes
+// included).
+TEST(WordRuleDecision, DivisionClampAndChainFamiliesFoldOnTerms)
+{
+    std::vector<corpus::MissedOptBenchmark> pairs = corpus::rq1Benchmarks();
+    for (const auto &bench : corpus::rq2Benchmarks())
+        pairs.push_back(bench);
+    const std::string families[] = {"sdiv_exact", "clamp_umin",
+                                    "clamp_umin_vec", "umax_shl",
+                                    "sat_chain"};
+    unsigned checked = 0;
+    for (const auto &bench : pairs) {
+        if (std::find(std::begin(families), std::end(families),
+                      bench.family) == std::end(families))
+            continue;
+        ir::Context ctx;
+        auto src = parse(ctx, bench.src_text);
+        auto tgt = parse(ctx, bench.tgt_text);
+        ASSERT_TRUE(src && tgt);
+        smt::SatSolver sat;
+        CircuitBuilder cb(sat);
+        EXPECT_EQ(encodeRefinementQuery(cb, *src, *tgt),
+                  QueryEncoding::DecidedByTerms)
+            << bench.issue_id;
+        EXPECT_EQ(cb.numNodes(), 0) << bench.issue_id;
+        ++checked;
+    }
+    EXPECT_EQ(checked, 16u);
+}
+
+// Near misses of the new rules' side conditions stay refuted.
+TEST(WordRuleDecision, SideConditionNearMissesAreRefuted)
+{
+    const std::pair<const char *, const char *> pairs[] = {
+        // 6 is no power of two.
+        {"  %r = sdiv exact i8 %a, 6\n", "  %r = ashr exact i8 %a, 2\n"},
+        // sdiv by 2^(w-1) divides by INT_MIN.
+        {"  %r = sdiv exact i8 %a, -128\n",
+         "  %r = ashr exact i8 %a, 7\n"},
+        // Truncation rounds toward zero, ashr toward -inf.
+        {"  %r = sdiv i8 %a, 4\n", "  %r = ashr i8 %a, 2\n"},
+        // -2 << 1 wraps; 3 << 2 exceeds 8.
+        {"  %m = call i8 @llvm.umax.i8(i8 %a, i8 -2)\n"
+         "  %s = shl i8 %m, 1\n"
+         "  %r = call i8 @llvm.umax.i8(i8 %s, i8 16)\n",
+         "  %s = shl i8 %a, 1\n"
+         "  %r = call i8 @llvm.umax.i8(i8 %s, i8 16)\n"},
+        {"  %m = call i8 @llvm.umax.i8(i8 %a, i8 3)\n"
+         "  %s = shl nuw i8 %m, 2\n"
+         "  %r = call i8 @llvm.umax.i8(i8 %s, i8 8)\n",
+         "  %s = shl nuw i8 %a, 2\n"
+         "  %r = call i8 @llvm.umax.i8(i8 %s, i8 8)\n"},
+        // umin(7, 3) is 3, not the arm 7.
+        {"  %c = icmp slt i8 %a, 0\n"
+         "  %m = call i8 @llvm.umin.i8(i8 %a, i8 3)\n"
+         "  %r = select i1 %c, i8 7, i8 %m\n",
+         "  %x = call i8 @llvm.smax.i8(i8 %a, i8 7)\n"
+         "  %r = call i8 @llvm.umin.i8(i8 %x, i8 3)\n"},
+        // 200 + 100 saturates; the wrapped sum 44 does not.
+        {"  %s = call i8 @llvm.uadd.sat.i8(i8 %a, i8 200)\n"
+         "  %r = call i8 @llvm.uadd.sat.i8(i8 %s, i8 100)\n",
+         "  %r = call i8 @llvm.uadd.sat.i8(i8 %a, i8 44)\n"},
+    };
+    for (const auto &[src_body, tgt_body] : pairs) {
+        auto text = [](const char *body) {
+            return std::string("define i8 @f(i8 %a) {\n") + body +
+                   "  ret i8 %r\n}\n";
+        };
+        ir::Context ctx;
+        auto src = parse(ctx, text(src_body));
+        auto tgt = parse(ctx, text(tgt_body));
+        ASSERT_TRUE(src && tgt);
+        RefinementResult r = checkRefinement(*src, *tgt);
+        EXPECT_EQ(r.verdict, Verdict::Incorrect) << src_body;
+        EXPECT_EQ(r.backend, "sat") << src_body;
+    }
+}
+
 // Pairs the bit-level encoding left to the solver (65,878 conflicts
 // for the first, the others undecided) meet as terms: no circuit.
 TEST(WordRuleDecision, ReassociatedProductsAndSelfRemaindersMeet)
@@ -922,6 +1352,24 @@ struct Words
         BitVec sum = b.bvAdd(p, q, &carry);
         return b.bvMux(carry, CircuitBuilder::constBV(APInt::allOnes(64)),
                        sum);
+    }
+    static BitVec k(uint64_t v) { return CircuitBuilder::constBV(APInt(64, v)); }
+    BitVec quotient(bool is_signed, const BitVec &p, const BitVec &q)
+    {
+        BitVec quot, rem;
+        b.bvDivRem(is_signed, p, q, CircuitBuilder::kTrue, &quot, &rem);
+        return quot;
+    }
+    BitVec remainder(bool is_signed, const BitVec &p, const BitVec &q)
+    {
+        BitVec quot, rem;
+        b.bvDivRem(is_signed, p, q, CircuitBuilder::kTrue, &quot, &rem);
+        return rem;
+    }
+    /** trunc(p, 3) != 0, the shared inexactness predicate. */
+    CLit lowBitsSet(const BitVec &p)
+    {
+        return b.bvNonZero(CircuitBuilder::bvTrunc(p, 3));
     }
 };
 
@@ -1092,6 +1540,113 @@ const Identity kIdentities[] = {
          return std::make_pair(
              w.b.bvAnd(w.a, CircuitBuilder::constBV(APInt(64, 255))),
              CircuitBuilder::bvZext(CircuitBuilder::bvTrunc(w.a, 8), 64));
+     }},
+    {"udiv_pow2_is_lshr",
+     [](Words &w) {
+         return std::make_pair(w.quotient(false, w.a, Words::k(8)),
+                               w.b.bvLShr(w.a, Words::k(3)));
+     }},
+    {"urem_pow2_is_mask",
+     [](Words &w) {
+         return std::make_pair(w.remainder(false, w.a, Words::k(8)),
+                               w.b.bvAnd(w.a, Words::k(7)));
+     }},
+    {"sdiv_pow2_rounds_ashr_toward_zero",
+     [](Words &w) {
+         CLit up = w.b.andGate(w.a.back(), w.lowBitsSet(w.a));
+         BitVec bump = CircuitBuilder::bvZext(BitVec{up}, 64);
+         return std::make_pair(
+             w.quotient(true, w.a, Words::k(8)),
+             w.b.bvAdd(w.b.bvAShr(w.a, Words::k(3)), bump));
+     }},
+    {"srem_pow2_is_low_bits_with_borrow",
+     [](Words &w) {
+         CLit up = w.b.andGate(w.a.back(), w.lowBitsSet(w.a));
+         BitVec low = CircuitBuilder::bvZext(
+             CircuitBuilder::bvTrunc(w.a, 3), 64);
+         return std::make_pair(
+             w.remainder(true, w.a, Words::k(8)),
+             w.b.bvMux(up, w.b.bvOr(low, Words::k(~uint64_t(7))), low));
+     }},
+    {"exact_shift_round_trip_tests_low_bits",
+     [](Words &w) {
+         BitVec back = w.b.bvShl(w.b.bvAShr(w.a, Words::k(3)), Words::k(3));
+         return std::make_pair(BitVec{w.b.bvEq(back, w.a)},
+                               BitVec{-w.lowBitsSet(w.a)});
+     }},
+    {"shl_round_trip_tests_high_bits",
+     [](Words &w) {
+         BitVec back = w.b.bvLShr(w.b.bvShl(w.a, Words::k(3)), Words::k(3));
+         return std::make_pair(
+             BitVec{w.b.bvEq(back, w.a)},
+             BitVec{w.b.bvULt(w.a, Words::k(uint64_t(1) << 61))});
+     }},
+    {"clamp_select_is_smax_umin",
+     [](Words &w) {
+         BitVec clamped = CircuitBuilder::bvTrunc(w.umin(w.a, Words::k(255)), 8);
+         BitVec zero = CircuitBuilder::constBV(APInt::zero(8));
+         BitVec lhs = w.b.bvMux(w.a.back(), zero, clamped);
+         BitVec rhs = CircuitBuilder::bvTrunc(
+             w.umin(w.smax(w.a, Words::k(0)), Words::k(255)), 8);
+         return std::make_pair(lhs, rhs);
+     }},
+    {"umax_shl_chain_drops_inner_umax",
+     [](Words &w) {
+         BitVec inner = w.b.bvShl(w.umax(w.a, Words::k(1)), Words::k(3));
+         return std::make_pair(
+             w.umax(inner, Words::k(256)),
+             w.umax(w.b.bvShl(w.a, Words::k(3)), Words::k(256)));
+     }},
+    {"uadd_sat_chain_adds_constants",
+     [](Words &w) {
+         return std::make_pair(
+             w.uaddSat(w.uaddSat(w.a, Words::k(10)), Words::k(20)),
+             w.uaddSat(w.a, Words::k(30)));
+     }},
+    {"uadd_sat_chain_saturates",
+     [](Words &w) {
+         return std::make_pair(
+             w.uaddSat(w.uaddSat(w.a, Words::k(~uint64_t(9))), Words::k(20)),
+             CircuitBuilder::constBV(APInt::allOnes(64)));
+     }},
+    {"usub_sat_chain_adds_constants",
+     [](Words &w) {
+         return std::make_pair(
+             w.usubSat(w.usubSat(w.a, Words::k(10)), Words::k(20)),
+             w.usubSat(w.a, Words::k(30)));
+     }},
+    {"eq_cancels_shared_leaf",
+     [](Words &w) {
+         return std::make_pair(
+             BitVec{w.b.bvEq(w.b.bvAdd(w.a, w.x), w.a)},
+             BitVec{-w.b.bvNonZero(w.x)});
+     }},
+    {"ult_sees_through_umax_constant",
+     [](Words &w) {
+         return std::make_pair(
+             BitVec{w.b.bvULt(w.umax(w.a, Words::k(2)), Words::k(100))},
+             BitVec{w.b.bvULt(w.a, Words::k(100))});
+     }},
+    {"zext_is_below_its_range",
+     [](Words &w) {
+         BitVec z = CircuitBuilder::bvZext(CircuitBuilder::bvTrunc(w.a, 8), 64);
+         CLit in_range = w.b.andGate(w.b.bvULt(z, Words::k(256)),
+                                     -w.b.bvSLt(z, Words::k(0)));
+         return std::make_pair(BitVec{in_range},
+                               BitVec{CircuitBuilder::kTrue});
+     }},
+    {"smax_zext_zero_is_zext",
+     [](Words &w) {
+         BitVec z = CircuitBuilder::bvZext(CircuitBuilder::bvTrunc(w.a, 8), 64);
+         return std::make_pair(w.smax(z, Words::k(0)), z);
+     }},
+    {"urem_pow2_reads_low_bits",
+     [](Words &w) {
+         BitVec low = CircuitBuilder::bvZext(
+             CircuitBuilder::bvTrunc(w.b.bvAdd(w.a, w.x), 4), 64);
+         return std::make_pair(
+             w.remainder(false, w.b.bvAdd(w.a, w.x), Words::k(16)),
+             w.remainder(false, low, Words::k(16)));
      }},
     {"xor_reassociates_and_cancels",
      [](Words &w) {

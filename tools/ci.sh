@@ -275,12 +275,29 @@ awk -v c="$current" -v b="$baseline" 'BEGIN {
     }
     printf "verify cache hits %d vs baseline %d: OK\n", c, b
 }'
+# The corpus queries the word-level terms decide without a circuit
+# must not fall below the committed count (the last top-level
+# term_decided field; each query carries its own too).
+baseline=$(grep -o '"term_decided": [0-9]*' \
+    bench/BENCH_verify.baseline.json | tail -1 | awk '{print $2}')
+current=$(grep -o '"term_decided": [0-9]*' \
+    BENCH_verify.json | tail -1 | awk '{print $2}')
+awk -v c="$current" -v b="$baseline" 'BEGIN {
+    if (c == "" || b == "" || c + 0 < b + 0) {
+        printf "FAIL: %s corpus queries decided by terms, the committed " \
+               "baseline is at least %s\n", c, b
+        exit 1
+    }
+    printf "verify queries decided by terms %d vs baseline %d: OK\n", c, b
+}'
 
 echo "=== SAT-core layer benchmark (Release) ==="
-# Every blasted query of the corpus and of the profile workload's
-# module, encoded and solved on one reused solver and builder. Prints
-# per-CNF wall-clock and allocations with the machine fingerprint;
-# only the deterministic search counters are gated.
+# The fixed CNF suite in bench/sat_cnfs/ (the queries of the corpus and
+# of the profile workload's module that once reached the solver),
+# each loaded into and solved on one reused solver. Prints per-CNF
+# wall-clock and allocations with the machine fingerprint, and which
+# pairs the live encoder now decides by terms; only the deterministic
+# search counters are gated.
 (cd build-release && ./bench_sat_core)
 cp build-release/BENCH_sat.json .
 echo "BENCH_sat.json:"
@@ -365,7 +382,19 @@ done
 
 # The verifier's work on the same deterministic stream: circuit nodes
 # built and SAT conflicts spent must not grow past the committed
-# baseline.
+# baseline, and the queries decided by terms must not fall below it.
+baseline=$(grep -o '"term_decided": [0-9]*' \
+    bench/BENCH_module.baseline.json | awk '{print $2}')
+current=$(grep -o '"term_decided": [0-9]*' \
+    BENCH_module.json | awk '{print $2}')
+awk -v c="$current" -v b="$baseline" 'BEGIN {
+    if (c == "" || b == "" || c + 0 < b + 0) {
+        printf "FAIL: module pipeline term_decided %s, the committed " \
+               "baseline is at least %s\n", c, b
+        exit 1
+    }
+    printf "module pipeline term_decided %s vs baseline %s: OK\n", c, b
+}'
 for counter in circuit_nodes sat_conflicts; do
     baseline=$(grep -o "\"${counter}\": [0-9]*" \
         bench/BENCH_module.baseline.json | awk '{print $2}')
