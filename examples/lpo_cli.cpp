@@ -664,10 +664,9 @@ usage()
         "                             conflicts / propagations /\n"
         "                             restarts), the circuit builder\n"
         "                             line (circuit: nodes built\n"
-        "                             (emitted to the solver) / merges\n"
-        "                             / window checks / failed checks /\n"
-        "                             queries decided by word-level\n"
-        "                             terms without a circuit) and the\n"
+        "                             (emitted to the solver) / queries\n"
+        "                             decided by word-level terms\n"
+        "                             without a circuit) and the\n"
         "                             degradation line (budget-ladder\n"
         "                             escalations, concrete fallbacks,\n"
         "                             degraded verdicts, contained\n"

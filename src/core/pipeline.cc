@@ -38,9 +38,6 @@ addVerifyWork(PipelineStats &stats, const verify::VerifyWork &work)
     stats.degraded_verdicts += work.degraded;
     stats.circuit_nodes += work.circuit_nodes;
     stats.circuit_emitted += work.circuit_emitted;
-    stats.circuit_merges += work.circuit_merges;
-    stats.window_checks += work.window_checks;
-    stats.failed_checks += work.failed_checks;
     stats.sat_queries += work.sat_queries;
     stats.term_decided += work.term_decided;
 }
@@ -711,9 +708,6 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.sat_restarts += delta.sat_restarts;
     stats_.circuit_nodes += delta.circuit_nodes;
     stats_.circuit_emitted += delta.circuit_emitted;
-    stats_.circuit_merges += delta.circuit_merges;
-    stats_.window_checks += delta.window_checks;
-    stats_.failed_checks += delta.failed_checks;
     stats_.sat_queries += delta.sat_queries;
     stats_.term_decided += delta.term_decided;
     stats_.sat_escalations += delta.sat_escalations;

@@ -197,14 +197,10 @@ struct PipelineStats
     uint64_t sat_conflicts = 0;
     uint64_t sat_propagations = 0;
     uint64_t sat_restarts = 0;
-    /** Circuit builder work behind the same verdicts (variables built
-     *  and emitted to the solver, functional hashing merges, window
-     *  proofs, failed window proofs). */
+    /** Circuit builder work behind the same verdicts (variables built,
+     *  and those emitted to the solver). */
     uint64_t circuit_nodes = 0;
     uint64_t circuit_emitted = 0;
-    uint64_t circuit_merges = 0;
-    uint64_t window_checks = 0;
-    uint64_t failed_checks = 0;
     /** SAT-backend queries, and those decided over word-level terms
      *  without building a circuit. */
     uint64_t sat_queries = 0;

@@ -93,22 +93,17 @@ satStatsLine(const PipelineStats &stats)
     return line;
 }
 
-/** "circuit: ..." — the circuit builder's size and functional-hashing
- *  work, and how many queries the word-level terms decided without
- *  any circuit. */
+/** "circuit: ..." — the circuit builder's size, and how many queries
+ *  the word-level terms decided without any circuit. */
 std::string
 circuitStatsLine(const PipelineStats &stats)
 {
-    char line[288];
+    char line[192];
     std::snprintf(line, sizeof(line),
-                  "circuit: %llu nodes (%llu emitted), %llu merges, "
-                  "%llu window checks, %llu failed checks, %llu of %llu "
+                  "circuit: %llu nodes (%llu emitted), %llu of %llu "
                   "queries decided by terms\n",
                   static_cast<unsigned long long>(stats.circuit_nodes),
                   static_cast<unsigned long long>(stats.circuit_emitted),
-                  static_cast<unsigned long long>(stats.circuit_merges),
-                  static_cast<unsigned long long>(stats.window_checks),
-                  static_cast<unsigned long long>(stats.failed_checks),
                   static_cast<unsigned long long>(stats.term_decided),
                   static_cast<unsigned long long>(stats.sat_queries));
     return line;

@@ -88,9 +88,9 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * scheduler counters, the one-line solver work summary ("sat:
  * solves / decisions / conflicts / propagations / restarts" across
  * every SAT verification performed), the circuit builder's line
- * ("circuit: nodes (emitted) / merges / window checks / failed
- * checks, K of Q queries decided by terms" — the K SAT queries whose
- * miter folded over word-level terms, building no circuit) and
+ * ("circuit: N nodes (M emitted), K of Q queries decided by terms" —
+ * the K SAT queries whose miter folded over word-level terms,
+ * building no circuit) and
  * degradationStatsLine, all printed even when all-zero.
  * Purely additive — never part of moduleSummary's default output, so
  * existing pinned summaries stay byte-identical.

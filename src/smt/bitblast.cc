@@ -7,27 +7,7 @@ namespace lpo::smt {
 
 namespace {
 
-/** Pattern word @p k of free variable @p var: splitmix64 of the pair,
- *  so signatures depend on variable numbering alone. */
-uint64_t
-inputPattern(int var, unsigned k)
-{
-    uint64_t z = ((uint64_t(var) << 2) | k) + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-/** Window leaves, and the truth table of each over all 64 rows. */
-constexpr size_t kWindowLeaves = 6;
-constexpr uint64_t kLeafTables[kWindowLeaves] = {
-    0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
-    0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
-};
-/** Cone nodes a window may open; past that it is evaluated as it
- *  stands. */
-constexpr size_t kWindowExpansions = 16;
-/** Slots a hash table starts with. */
+/** Slots the unique table starts with. */
 constexpr size_t kMinTableSlots = 1024;
 
 int
@@ -44,210 +24,11 @@ isConst(CLit lit)
 
 } // namespace
 
-CircuitBuilder::Sig
-CircuitBuilder::sigOf(CLit lit) const
+CLit
+CircuitBuilder::newGate(uint8_t kind, CLit a, CLit b)
 {
-    Sig sig = sigs_[varOf(lit)];
-    if (lit < 0)
-        for (uint64_t &word : sig)
-            word = ~word;
-    return sig;
-}
-
-bool
-CircuitBuilder::normalize(Sig &sig)
-{
-    bool flip = sig[0] & 1;
-    if (flip)
-        for (uint64_t &word : sig)
-            word = ~word;
-    return flip;
-}
-
-bool
-CircuitBuilder::simulatesConst(CLit lit) const
-{
-    const Sig &sig = sigs_[varOf(lit)];
-    return sig == Sig{} || sig == Sig{~0ull, ~0ull, ~0ull, ~0ull};
-}
-
-size_t
-CircuitBuilder::sigSlot(const Sig &norm) const
-{
-    size_t mask = sig_table_.size() - 1;
-    uint64_t h = norm[0] * 0x9e3779b97f4a7c15ull;
-    for (size_t i = 1; i < norm.size(); ++i)
-        h = (h ^ (h >> 29) ^ norm[i]) * 0xbf58476d1ce4e5b9ull;
-    for (size_t slot = (h >> 20) & mask;; slot = (slot + 1) & mask) {
-        CLit held = sig_table_[slot];
-        if (held == 0)
-            return slot;
-        const Sig &sig = sigs_[varOf(held)];
-        uint64_t phase = held < 0 ? ~uint64_t(0) : 0;
-        if ((sig[0] ^ phase) == norm[0] && (sig[1] ^ phase) == norm[1] &&
-            (sig[2] ^ phase) == norm[2] && (sig[3] ^ phase) == norm[3])
-            return slot;
-    }
-}
-
-void
-CircuitBuilder::reserveSigSlot()
-{
-    // Keep the load at most one half. A rehash re-enters every holder,
-    // and signatures are distinct, so each keeps its node.
-    if (2 * (sig_entries_ + 1) <= sig_table_.size())
-        return;
-    const size_t slots = std::max(kMinTableSlots, sig_table_.size() * 2);
-    sig_rehash_.swap(sig_table_);
-    sig_table_.assign(slots, 0);
-    for (CLit held : sig_rehash_)
-        if (held)
-            sig_table_[sigSlot(sigOf(held))] = held;
-}
-
-void
-CircuitBuilder::addToSigTable(CLit lit)
-{
-    reserveSigSlot();
-    Sig sig = sigOf(lit);
-    if (normalize(sig))
-        lit = -lit;
-    size_t slot = sigSlot(sig);
-    if (sig_table_[slot] == 0) {
-        sig_table_[slot] = lit;
-        ++sig_entries_;
-    }
-}
-
-int
-CircuitBuilder::newVar(const Gate &gate, const Sig &sig)
-{
-    gates_.push_back(gate);
-    sigs_.push_back(sig);
+    gates_.push_back(Gate{kind, a, b});
     return numNodes();
-}
-
-CLit
-CircuitBuilder::newGate(uint8_t kind, CLit a, CLit b, const Sig &sig)
-{
-    int var = newVar(Gate{kind, a, b}, sig);
-    // The slot the failed sweep found free for this signature.
-    if (pending_slot_ != kNoSlot) {
-        sig_table_[pending_slot_] = pending_flip_ ? -var : var;
-        ++sig_entries_;
-    }
-    return var;
-}
-
-CLit
-CircuitBuilder::sweep(uint8_t kind, CLit a, CLit b, const Sig &sig)
-{
-    pending_slot_ = kNoSlot;
-    Sig norm = sig;
-    bool flip = normalize(norm);
-    CLit cand = kFalse;
-    if (norm != Sig{}) {
-        reserveSigSlot();
-        size_t slot = sigSlot(norm);
-        cand = sig_table_[slot];
-        if (cand == 0) {
-            pending_slot_ = slot;
-            pending_flip_ = flip;
-            return 0;
-        }
-    }
-    // An operand that simulates as a constant but is not one failed its
-    // own proof (or its window was too small). A gate over it that
-    // simulates as a constant, or an xor over it, only shadows that
-    // operand and almost never proves; skip those. An and over it can
-    // still equal its other operand (when that one implies it), so that
-    // candidate is checked.
-    if ((kind == kXor || norm == Sig{}) &&
-        (simulatesConst(a) || simulatesConst(b)))
-        return 0;
-    if (flip)
-        cand = -cand;
-    ++window_checks_;
-    if (windowEqual(kind, a, b, cand)) {
-        ++merges_;
-        return cand;
-    }
-    ++failed_checks_;
-    return 0;
-}
-
-bool
-CircuitBuilder::windowEqual(uint8_t kind, CLit a, CLit b, CLit cand)
-{
-    // The window is a cut under both roots: the leaves start as the
-    // operands and the candidate, then the highest-numbered gate leaf
-    // whose operands still fit is opened, until none fits. Leaves are
-    // evaluated as free inputs, so agreement on all 2^6 rows proves the
-    // roots equal for every value the leaves can take.
-    std::array<int, kWindowLeaves> leaves{};
-    size_t num_leaves = 0;
-    std::array<int, kWindowExpansions> opened{};
-    size_t num_opened = 0;
-    auto isLeaf = [&](int var) {
-        return std::find(leaves.begin(), leaves.begin() + num_leaves, var) !=
-               leaves.begin() + num_leaves;
-    };
-    for (CLit root : {a, b, cand}) {
-        if (isConst(root) || isLeaf(varOf(root)))
-            continue;
-        leaves[num_leaves++] = varOf(root);
-    }
-    while (num_opened < kWindowExpansions) {
-        size_t best = num_leaves;
-        for (size_t i = 0; i < num_leaves; ++i) {
-            const Gate &g = gates_[leaves[i]];
-            if (g.kind == kFree ||
-                (best < num_leaves && leaves[i] < leaves[best]))
-                continue;
-            size_t grown = num_leaves - 1 + !isLeaf(varOf(g.a)) +
-                           (varOf(g.b) != varOf(g.a) && !isLeaf(varOf(g.b)));
-            if (grown <= kWindowLeaves)
-                best = i;
-        }
-        if (best == num_leaves)
-            break;
-        const Gate &g = gates_[leaves[best]];
-        opened[num_opened++] = leaves[best];
-        leaves[best] = leaves[--num_leaves];
-        for (CLit child : {g.a, g.b})
-            if (!isLeaf(varOf(child)))
-                leaves[num_leaves++] = varOf(child);
-    }
-
-    // Opened nodes in variable order are in topological order: a
-    // gate's operands exist before it.
-    std::sort(opened.begin(), opened.begin() + num_opened);
-    std::array<uint64_t, kWindowExpansions> tables{};
-    auto value = [&](CLit lit) -> uint64_t {
-        if (isConst(lit))
-            return lit == kTrue ? ~uint64_t(0) : 0;
-        int var = varOf(lit);
-        uint64_t t = 0;
-        auto leaf = std::find(leaves.begin(), leaves.begin() + num_leaves,
-                              var);
-        if (leaf != leaves.begin() + num_leaves) {
-            t = kLeafTables[leaf - leaves.begin()];
-        } else {
-            auto at = std::lower_bound(opened.begin(),
-                                       opened.begin() + num_opened, var);
-            assert(at != opened.begin() + num_opened && *at == var);
-            t = tables[at - opened.begin()];
-        }
-        return lit < 0 ? ~t : t;
-    };
-    auto apply = [](uint8_t op, uint64_t x, uint64_t y) {
-        return op == kAnd ? x & y : x ^ y;
-    };
-    for (size_t i = 0; i < num_opened; ++i) {
-        const Gate &g = gates_[opened[i]];
-        tables[i] = apply(g.kind, value(g.a), value(g.b));
-    }
-    return apply(kind, value(a), value(b)) == value(cand);
 }
 
 void
@@ -258,15 +39,7 @@ CircuitBuilder::reset()
     node_entries_ = 0;
     unique_hits_ = 0;
     gates_.resize(1);
-    sigs_.resize(1);
     emitted_ = 0;
-    sig_table_.clear();
-    sig_entries_ = 0;
-    pending_slot_ = kNoSlot;
-    pending_flip_ = false;
-    merges_ = 0;
-    window_checks_ = 0;
-    failed_checks_ = 0;
 }
 
 size_t
@@ -323,11 +96,7 @@ CircuitBuilder::insertNode(const NodeKey &key, CLit out)
 CLit
 CircuitBuilder::freshLit()
 {
-    int var = numNodes() + 1;
-    newVar(Gate{}, {inputPattern(var, 0), inputPattern(var, 1),
-                    inputPattern(var, 2), inputPattern(var, 3)});
-    addToSigTable(var);
-    return var;
+    return newGate(kFree, 0, 0);
 }
 
 BitVec
@@ -369,13 +138,7 @@ CircuitBuilder::andGate(CLit a, CLit b)
     NodeKey key{0, a, b, 0};
     if (CLit hit = lookupNode(key))
         return hit;
-    Sig sig = sigOf(a);
-    Sig sig_b = sigOf(b);
-    for (size_t i = 0; i < sig.size(); ++i)
-        sig[i] &= sig_b[i];
-    CLit out = sweep(kAnd, a, b, sig);
-    if (!out)
-        out = newGate(kAnd, a, b, sig);
+    CLit out = newGate(kAnd, a, b);
     insertNode(key, out);
     return out;
 }
@@ -417,13 +180,7 @@ CircuitBuilder::xorGate(CLit a, CLit b)
     NodeKey key{1, a, b, 0};
     CLit out = lookupNode(key);
     if (!out) {
-        Sig sig = sigOf(a);
-        Sig sig_b = sigOf(b);
-        for (size_t i = 0; i < sig.size(); ++i)
-            sig[i] ^= sig_b[i];
-        out = sweep(kXor, a, b, sig);
-        if (!out)
-            out = newGate(kXor, a, b, sig);
+        out = newGate(kXor, a, b);
         insertNode(key, out);
     }
     return negate ? -out : out;

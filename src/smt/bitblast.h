@@ -12,7 +12,6 @@
 #ifndef LPO_SMT_BITBLAST_H
 #define LPO_SMT_BITBLAST_H
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -48,16 +47,14 @@ using BitVec = std::vector<CLit>;
  * subcircuit built twice — e.g. the re-encoded source function shared
  * by every candidate of one extraction site, or the shared prefix of a
  * src/tgt pair — costs one variable and one clause set, not two.
+ * That is the builder's only sharing: it proves nothing, so two gates
+ * of one function but different structure stay two variables. Word
+ * identities are decided above it, on the encoder's term DAG, and what
+ * the terms leave open goes to the solver. See DESIGN.md, "Structural
+ * hashing in the circuit builder" for the invariants.
  *
- * Gates are also functionally hashed: every variable carries a
- * 256-pattern simulation signature, and a gate that misses the unique
- * table but simulates like an existing node (or a constant) is proved
- * equal to it by exhaustive evaluation over a window of at most six
- * leaves, then answered with that node's literal. See DESIGN.md,
- * "Structural hashing in the circuit builder" for the invariants.
- *
- * Both hash tables are flat open-addressed arrays that grow through a
- * member scratch buffer, and reset() empties every table and arena
+ * The unique table is a flat open-addressed array that grows through
+ * a member scratch buffer, and reset() empties it and every arena
  * without giving back capacity, so a builder reused across queries
  * (with its solver, see DESIGN.md, "Verifier workspace") allocates
  * nothing for its circuit once it has seen its largest query.
@@ -85,11 +82,6 @@ class CircuitBuilder
     uint64_t uniqueTableHits() const { return unique_hits_; }
     /** Distinct hashed nodes created so far. */
     uint64_t uniqueTableSize() const { return node_entries_; }
-    /** Gates answered with an existing node or constant proved equal. */
-    uint64_t merges() const { return merges_; }
-    /** Window proofs attempted, and those that found no equality. */
-    uint64_t windowChecks() const { return window_checks_; }
-    uint64_t failedChecks() const { return failed_checks_; }
     /** Variables (free inputs and gates) built so far. */
     int numNodes() const { return static_cast<int>(gates_.size()) - 1; }
     /** Variables already handed to the solver by emit(). */
@@ -235,8 +227,6 @@ class CircuitBuilder
      *  would go. The table must not be empty. */
     size_t nodeSlot(const NodeKey &key) const;
 
-    /** Simulation values of a literal under 256 input patterns. */
-    using Sig = std::array<uint64_t, 4>;
     /** A variable's definition: a free input, or a gate over two
      *  literals (xor operands are positive). */
     struct Gate
@@ -247,37 +237,11 @@ class CircuitBuilder
     };
     static constexpr uint8_t kFree = 0, kAnd = 1, kXor = 2;
 
-    Sig sigOf(CLit lit) const;
-    /** Invert @p sig if pattern 0 is true, so a node and its complement
-     *  share one key; returns whether it inverted. */
-    static bool normalize(Sig &sig);
-    /** True if @p lit's signature is all 0s or all 1s. */
-    bool simulatesConst(CLit lit) const;
-    /**
-     * Functional hashing for a gate that missed the unique table: the
-     * literal of an existing node or constant that simulates like
-     * @p kind(@p a, @p b) under @p sig and is proved equal to it over
-     * a window, or 0. On 0, newGate enters the gate under @p sig if no
-     * node holds that signature yet.
-     */
-    CLit sweep(uint8_t kind, CLit a, CLit b, const Sig &sig);
-    /** True if @p kind(@p a, @p b) equals @p cand on every assignment
-     *  of a cut of at most six leaves under both cones. */
-    bool windowEqual(uint8_t kind, CLit a, CLit b, CLit cand);
-    /** A fresh variable defined as @p gate, simulating as @p sig. */
-    int newVar(const Gate &gate, const Sig &sig);
-    /** A fresh gate variable defined as @p kind(@p a, @p b). */
-    CLit newGate(uint8_t kind, CLit a, CLit b, const Sig &sig);
+    /** A fresh variable defined as @p kind(@p a, @p b); kFree makes
+     *  a free input. */
+    CLit newGate(uint8_t kind, CLit a, CLit b);
     /** The carry out of one full-adder bit, given a ^ b. */
     CLit carryGate(CLit a, CLit b, CLit axb, CLit carry);
-    /** The signature table slot holding phase-normalised @p norm, or
-     *  the empty slot where it would go. */
-    size_t sigSlot(const Sig &norm) const;
-    /** Grow the signature table so one more entry keeps it half empty. */
-    void reserveSigSlot();
-    /** Enter @p lit under its phase-normalised signature unless a node
-     *  already holds that signature. */
-    void addToSigTable(CLit lit);
 
     SatSolver &solver_;
     std::map<DivKey, Division> divisions_;
@@ -288,22 +252,10 @@ class CircuitBuilder
     /** Indexed by variable; slot 0 is unused (variables are 1-based,
      *  like the solver's). */
     std::vector<Gate> gates_ = std::vector<Gate>(1);
-    std::vector<Sig> sigs_ = std::vector<Sig>(1); ///< indexed by variable
     int emitted_ = 0; ///< variables 1..emitted_ are in the solver
-    /** Open-addressed: phase-normalised signature (pattern 0 false)
-     *  -> the first node with it, as the literal carrying that phase. */
-    std::vector<CLit> sig_table_;
-    size_t sig_entries_ = 0;
-    /** The previous arrays of both tables while they grow: swapped
-     *  with the live one, so growth reuses capacity. */
+    /** The unique table's previous array while it grows: swapped with
+     *  the live one, so growth reuses capacity. */
     std::vector<NodeSlot> node_rehash_;
-    std::vector<CLit> sig_rehash_;
-    static constexpr size_t kNoSlot = ~size_t(0);
-    size_t pending_slot_ = kNoSlot; ///< set by a sweep that found none
-    bool pending_flip_ = false;
-    uint64_t merges_ = 0;
-    uint64_t window_checks_ = 0;
-    uint64_t failed_checks_ = 0;
 };
 
 } // namespace lpo::smt

@@ -106,7 +106,7 @@ using Refs = std::vector<Ref>;
  *   x + x) with +x/-x pairs and zeros dropped, and xor chains to a
  *   multiset with x ^ x pairs and zeros dropped, so any reassociation
  *   or cancellation of one chain is one node; leaves x & y and x | y
- *   of one sign become x and y;
+ *   of one sign become x and y, and x | y less x & y is x ^ y;
  * - mul flattens to a multiset of factors with the constant factors
  *   folded into one: (x * x) * c = x * (x * c), x * 1 = x, x * 0 = 0;
  *   a 1-bit product is an and;
@@ -337,8 +337,9 @@ class TermDag
     /** True if @p v is 0 - @p x. */
     bool isNegationOf(TermId v, TermId x) const;
     TermId commutative(Op op, TermId x, TermId y);
-    /** Replace each pair of leaves +(x & y), +(x | y) by +x, +y. */
-    Refs splitAndOr(Refs leaves) const;
+    /** Replace each pair of leaves +(x & y), +(x | y) by +x, +y, and
+     *  each pair -(x & y), +(x | y) by +(x ^ y) (negated pairs alike). */
+    Refs splitAndOr(Refs leaves);
     /** True if @p x and @p y zero-extend words of one width. */
     bool sameExtension(TermId x, TermId y) const
     {
@@ -576,28 +577,33 @@ TermDag::chain(Op op, TermId x, TermId y, bool negate_y)
 }
 
 Refs
-TermDag::splitAndOr(Refs leaves) const
+TermDag::splitAndOr(Refs leaves)
 {
-    // (x & y) + (x | y) = x + y: each bit position adds x_i & y_i and
-    // x_i | y_i, which sum to x_i + y_i.
+    // Each bit position adds x_i & y_i and x_i | y_i, which sum to
+    // x_i + y_i and differ by x_i ^ y_i: so (x & y) + (x | y) = x + y
+    // and (x | y) - (x & y) = x ^ y.
     for (size_t i = 0; i < leaves.size(); ++i) {
-        const Node &a = nodes_[leaves[i].id];
-        if (a.op != Op::And)
+        if (nodes_[leaves[i].id].op != Op::And)
             continue;
+        const TermId x = arg0(leaves[i].id), y = arg1(leaves[i].id);
         for (size_t j = 0; j < leaves.size(); ++j) {
-            const Node &o = nodes_[leaves[j].id];
-            if (o.op != Op::Or || leaves[j].neg != leaves[i].neg ||
-                !std::equal(refs_.begin() + a.first,
-                            refs_.begin() + a.first + 2,
-                            refs_.begin() + o.first))
+            const TermId o = leaves[j].id;
+            if (nodes_[o].op != Op::Or || arg0(o) != x || arg1(o) != y)
                 continue;
-            const bool neg = leaves[i].neg;
+            const bool neg = leaves[j].neg;
             Refs rest;
             for (size_t k = 0; k < leaves.size(); ++k)
                 if (k != i && k != j)
                     rest.push_back(leaves[k]);
-            rest.push_back(Ref{refs_[a.first].id, neg});
-            rest.push_back(Ref{refs_[a.first + 1].id, neg});
+            if (leaves[i].neg == neg) {
+                rest.push_back(Ref{x, neg});
+                rest.push_back(Ref{y, neg});
+            } else {
+                for (Ref leaf : operandsOf(Op::Add, chain(Op::Xor, x, y))) {
+                    leaf.neg = leaf.neg != neg;
+                    rest.push_back(leaf);
+                }
+            }
             return splitAndOr(normalize(Op::Add, std::move(rest)));
         }
     }

@@ -312,9 +312,6 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         }
         work.circuit_nodes = builder.numNodes();
         work.circuit_emitted = builder.numEmitted();
-        work.circuit_merges = builder.merges();
-        work.window_checks = builder.windowChecks();
-        work.failed_checks = builder.failedChecks();
 
         const std::vector<uint64_t> tiers = budgetLadder(options);
         for (uint64_t tier_budget : tiers) {

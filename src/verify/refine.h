@@ -69,15 +69,10 @@ struct VerifyWork
                                      ///< enumeration)
     uint64_t degraded = 0;           ///< queries ending in Degraded
     /** Circuit builder work (smt::CircuitBuilder): variables built,
-     *  those emitted to the solver (none when the miter folds to
-     *  false), gates answered by an existing node proved equal over a
-     *  window, window proofs attempted, and those that found no
-     *  equality. */
+     *  and those emitted to the solver (none when the miter folds to
+     *  false). */
     uint64_t circuit_nodes = 0;
     uint64_t circuit_emitted = 0;
-    uint64_t circuit_merges = 0;
-    uint64_t window_checks = 0;
-    uint64_t failed_checks = 0;
     /** Queries the SAT backend encoded, and those of them decided over
      *  word-level terms, before any circuit was built. */
     uint64_t sat_queries = 0;

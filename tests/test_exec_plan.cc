@@ -762,9 +762,6 @@ expectSamePipelineRun(const PipelineRun &a, const PipelineRun &b,
     EXPECT_EQ(x.sat_restarts, y.sat_restarts);
     EXPECT_EQ(x.circuit_nodes, y.circuit_nodes);
     EXPECT_EQ(x.circuit_emitted, y.circuit_emitted);
-    EXPECT_EQ(x.circuit_merges, y.circuit_merges);
-    EXPECT_EQ(x.window_checks, y.window_checks);
-    EXPECT_EQ(x.failed_checks, y.failed_checks);
     EXPECT_EQ(x.sat_escalations, y.sat_escalations);
     EXPECT_EQ(x.concrete_fallbacks, y.concrete_fallbacks);
     EXPECT_EQ(x.exhaustive_rescues, y.exhaustive_rescues);

@@ -1,13 +1,15 @@
-// Functional hashing in the circuit builder (smt/bitblast.cc) and the
-// encoder's demanded width (verify/encoder.cc).
+// Hashing in the circuit builder (smt/bitblast.cc) and the encoder's
+// demanded width (verify/encoder.cc).
 //
 //  - Soundness: seeded random and/or/xor/mux circuits over at most 12
-//    inputs, rich in equalities the builder can merge. Every literal
-//    the builder returns must agree, on every input, with a plain
-//    recursive evaluator of the expression it was built from.
-//  - Firing: shapes that used to need SAT search or a full multiplier
-//    now prove with zero conflicts, and a query reports the builder's
-//    work in VerifyWork.
+//    inputs, rich in repeated gates the unique table answers and in
+//    equalities of different structure it leaves apart. Every
+//    literal the builder returns must agree, on every input, with a
+//    plain recursive evaluator of the expression it was built from.
+//  - Firing: shapes that would need SAT search or a full multiplier
+//    prove with zero conflicts, a miter that folds while it is built
+//    emits nothing, and a query reports the builder's work in
+//    VerifyWork.
 //
 // The demanded-width rules are checked exhaustively against ExecPlan
 // with the other encoder rules in tests/test_word_rules.cc.
@@ -61,8 +63,9 @@ evaluate(const std::vector<Expr> &exprs, uint64_t assignment)
  * A random DAG over @p inputs inputs. Besides random gates it builds
  * identities in roundabout forms ((x & y) | (x & !y) = x,
  * (x | y) ^ (x & y) = x ^ y, ...) over random operands, after or
- * before their plain forms, so that the builder meets nodes it can
- * merge, and near misses of them that it must not.
+ * before their plain forms, and near misses of them, so that the
+ * builder meets repeated gates, gates its canonical forms fold, and
+ * equal functions of different structure.
  */
 std::vector<Expr>
 randomCircuit(Rng &rng, unsigned inputs, unsigned gates)
@@ -122,9 +125,9 @@ randomCircuit(Rng &rng, unsigned inputs, unsigned gates)
     return exprs;
 }
 
-TEST(FunctionalHashing, RandomCircuitsMatchReferenceEvaluator)
+TEST(CircuitHashing, RandomCircuitsMatchReferenceEvaluator)
 {
-    uint64_t merges = 0, failed = 0;
+    uint64_t hits = 0;
     for (uint64_t seed = 1; seed <= 24; ++seed) {
         Rng rng(seed * 7919);
         const unsigned inputs = 3 + seed % 10; // 3..12
@@ -151,8 +154,7 @@ TEST(FunctionalHashing, RandomCircuitsMatchReferenceEvaluator)
                 break;
             }
         }
-        merges += cb.merges();
-        failed += cb.failedChecks();
+        hits += cb.uniqueTableHits();
 
         // Fix the inputs by unit clauses and read every node back from
         // the model: the clauses define each literal's function.
@@ -178,9 +180,8 @@ TEST(FunctionalHashing, RandomCircuitsMatchReferenceEvaluator)
             }
         }
     }
-    // The generator must exercise both outcomes of a window proof.
-    EXPECT_GT(merges, 0u);
-    EXPECT_GT(failed, 0u);
+    // The generator must exercise the unique table.
+    EXPECT_GT(hits, 0u);
 }
 
 std::string
@@ -225,7 +226,7 @@ const char *kAddAndOrTgt = "define T @tgt(T %x, T %y) {\n"
                            "  %r = add T %x, %y\n"
                            "  ret T %r\n}\n";
 
-TEST(FunctionalHashing, AddAndOrProvesWithoutSearch)
+TEST(CircuitHashing, AddAndOrProvesWithoutSearch)
 {
     for (unsigned width : {16u, 32u, 64u}) {
         Query q = solveQuery(atWidth(kAddAndOrSrc, width),
@@ -235,29 +236,29 @@ TEST(FunctionalHashing, AddAndOrProvesWithoutSearch)
     }
 }
 
-// Equal words the term rules do not see: only window merges meet them.
-const char *kOrMinusAndSrc = "define T @src(T %x, T %y) {\n"
-                             "  %o = or T %x, %y\n"
-                             "  %a = and T %x, %y\n"
-                             "  %r = sub T %o, %a\n"
-                             "  ret T %r\n}\n";
-const char *kXorTgt = "define T @tgt(T %x, T %y) {\n"
-                      "  %r = xor T %x, %y\n"
-                      "  ret T %r\n}\n";
+// Adding the sign bit flips it: the terms leave the pair apart, and
+// the builder folds its adder against the constant to the xor's gates
+// (corpus query 163110).
+const char *kAddSignBitSrc = "define i64 @src(i64 %x) {\n"
+                             "  %r = add i64 %x, -9223372036854775808\n"
+                             "  ret i64 %r\n}\n";
+const char *kXorSignBitTgt = "define i64 @tgt(i64 %x) {\n"
+                             "  %r = xor i64 %x, -9223372036854775808\n"
+                             "  ret i64 %r\n}\n";
 
-TEST(FunctionalHashing, FoldedMiterEmitsNothing)
+TEST(CircuitHashing, FoldedMiterEmitsNothing)
 {
-    // The builder folds this miter to false while building it, so the
-    // solver gets one empty clause and none of the circuit.
+    // Structural hashing folds this miter to false while building it,
+    // so the solver gets one empty clause and none of the circuit.
     ir::Context ctx;
-    auto s = ir::parseFunction(ctx, atWidth(kOrMinusAndSrc, 64));
-    auto t = ir::parseFunction(ctx, atWidth(kXorTgt, 64));
+    auto s = ir::parseFunction(ctx, kAddSignBitSrc);
+    auto t = ir::parseFunction(ctx, kXorSignBitTgt);
     ASSERT_TRUE(s.ok() && t.ok());
     smt::SatSolver sat;
     CircuitBuilder cb(sat);
     ASSERT_EQ(verify::encodeRefinementQuery(cb, **s, **t),
               verify::QueryEncoding::Blasted);
-    EXPECT_GT(cb.numNodes(), 128);
+    EXPECT_EQ(cb.numNodes(), 64);
     EXPECT_EQ(cb.numEmitted(), 0);
     EXPECT_EQ(sat.numVars(), 0);
     EXPECT_EQ(sat.clausesAdded(), 1u);
@@ -265,7 +266,7 @@ TEST(FunctionalHashing, FoldedMiterEmitsNothing)
     EXPECT_EQ(sat.propagations(), 0u);
 }
 
-TEST(FunctionalHashing, TrueMiterEmitsTheArguments)
+TEST(CircuitHashing, TrueMiterEmitsTheArguments)
 {
     // Every input violates refinement, so the miter folds to true and
     // constrains nothing; the counterexample is still read from the
@@ -287,7 +288,7 @@ TEST(FunctionalHashing, TrueMiterEmitsTheArguments)
     EXPECT_EQ(cb.modelBV(args[0][0].bits).zext(), 0u);
 }
 
-TEST(FunctionalHashing, SquareParityBuildsOneBit)
+TEST(CircuitHashing, SquareParityBuildsOneBit)
 {
     // (x * x) & 1 reads bit 0 of the product, which is x0 & x0: the
     // demanded width builds no 64x64 multiplier.
@@ -305,19 +306,20 @@ TEST(FunctionalHashing, SquareParityBuildsOneBit)
     EXPECT_LT(q.nodes, 200);
 }
 
-TEST(FunctionalHashing, VerifyWorkReportsTheBuilder)
+TEST(CircuitHashing, VerifyWorkReportsTheBuilder)
 {
     ir::Context ctx;
-    auto s = ir::parseFunction(ctx, atWidth(kOrMinusAndSrc, 64));
-    auto t = ir::parseFunction(ctx, atWidth(kXorTgt, 64));
+    auto s = ir::parseFunction(ctx, kAddSignBitSrc);
+    auto t = ir::parseFunction(ctx, kXorSignBitTgt);
     ASSERT_TRUE(s.ok() && t.ok());
     verify::RefinementResult r = verify::checkRefinement(**s, **t);
     EXPECT_EQ(r.verdict, verify::Verdict::Correct);
     EXPECT_EQ(r.backend, "sat");
     EXPECT_EQ(r.work.conflicts, 0u);
-    EXPECT_GT(r.work.circuit_merges, 0u);
-    EXPECT_EQ(r.work.window_checks,
-              r.work.circuit_merges + r.work.failed_checks);
+    EXPECT_EQ(r.work.sat_queries, 1u);
+    EXPECT_EQ(r.work.term_decided, 0u);
+    EXPECT_EQ(r.work.circuit_nodes, 64u);
+    EXPECT_EQ(r.work.circuit_emitted, 0u);
 }
 
 } // namespace

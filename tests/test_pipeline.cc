@@ -240,8 +240,7 @@ expectSameDeterministicStats(const core::PipelineStats &a,
           &S::verify_cache_hits, &S::verify_cache_misses,
           &S::verify_cache_evictions, &S::sat_solves, &S::sat_decisions,
           &S::sat_conflicts, &S::sat_propagations, &S::sat_restarts,
-          &S::circuit_nodes, &S::circuit_emitted, &S::circuit_merges,
-          &S::window_checks, &S::failed_checks, &S::session_reuses,
+          &S::circuit_nodes, &S::circuit_emitted, &S::session_reuses,
           &S::egraph_consults, &S::egraph_proposals, &S::found_by_llm,
           &S::found_by_egraph, &S::hybrid_fallbacks, &S::catalog_consults,
           &S::catalog_proposals, &S::found_by_catalog, &S::miss_replays,

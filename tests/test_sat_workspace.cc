@@ -65,8 +65,8 @@ fingerprint(const Query &query, const RefinementResult &r)
     for (uint64_t counter :
          {w.solves, w.decisions, w.conflicts, w.propagations, w.restarts,
           w.escalations, w.concrete_fallbacks, w.exhaustive_rescues,
-          w.degraded, w.circuit_nodes, w.circuit_emitted, w.circuit_merges,
-          w.window_checks, w.failed_checks, w.sat_queries, w.term_decided})
+          w.degraded, w.circuit_nodes, w.circuit_emitted, w.sat_queries,
+          w.term_decided})
         out += " " + std::to_string(counter);
     if (r.counterexample) {
         out += " input=" + interp::describeInput(*query.src,
@@ -430,8 +430,7 @@ TEST(CircuitReset, BuilderAndSolverResetBuildTheFreshCircuit)
         std::string out = std::to_string(builder.numNodes());
         for (uint64_t counter :
              {builder.uniqueTableHits(), builder.uniqueTableSize(),
-              builder.merges(), builder.windowChecks(),
-              builder.failedChecks(), solver.clausesAdded()})
+              solver.clausesAdded()})
             out += " " + std::to_string(counter);
         return out + " " + solveTrace(solver);
     };

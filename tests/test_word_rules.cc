@@ -299,10 +299,24 @@ const Shape kShapes[] = {
      "  %y = or T %a, %b\n"
      "  %s = add T %x, %y\n"
      "  %r = sub T %c, %s\n"},
-    // Near miss: and minus or is no sum.
+    // Near miss: and minus or is no sum (it is -(a ^ b)).
     {"and_minus_or_near_miss", 2,
      "  %x = and T %a, %b\n"
      "  %y = or T %a, %b\n"
+     "  %r = sub T %x, %y\n"},
+    {"or_minus_and_is_xor", 2,
+     "  %x = or T %b, %a\n"
+     "  %y = and T %a, %b\n"
+     "  %r = sub T %x, %y\n"},
+    {"or_minus_and_in_chain", 3,
+     "  %x = or T %a, %b\n"
+     "  %y = and T %b, %a\n"
+     "  %s = sub T %c, %y\n"
+     "  %r = add T %s, %x\n"},
+    // Near miss: the and and the or share one operand only.
+    {"or_minus_other_and_near_miss", 3,
+     "  %x = or T %a, %b\n"
+     "  %y = and T %a, %c\n"
      "  %r = sub T %x, %y\n"},
     {"lshr_eq_zero_is_ult", 2,
      "  %s = lshr T %a, 1\n"
@@ -917,6 +931,17 @@ const Firing kFirings[] = {
      "  %y = or T %a, %b\n"
      "  %r = add T %x, %y\n",
      "  %r = add T %b, %a\n"},
+    {"or_minus_and_is_xor",
+     "  %x = or T %a, %b\n"
+     "  %y = and T %b, %a\n"
+     "  %r = sub T %x, %y\n",
+     "  %r = xor T %b, %a\n"},
+    {"and_minus_or_is_minus_xor",
+     "  %x = and T %a, %b\n"
+     "  %y = or T %a, %b\n"
+     "  %r = sub T %x, %y\n",
+     "  %x = xor T %a, %b\n"
+     "  %r = sub T 0, %x\n"},
     {"lshr_eq_zero_is_ult",
      "  %s = lshr T %a, 8\n"
      "  %c = icmp eq T %s, 0\n"
@@ -1230,6 +1255,28 @@ TEST(WordRuleDecision, SideConditionNearMissesAreRefuted)
     }
 }
 
+// (x | y) - (x & z) is no xor: only (x | y) - (x & y) is.
+TEST(WordRuleDecision, OrMinusOtherAndIsRefuted)
+{
+    for (unsigned width : {8u, 64u}) {
+        ir::Context ctx;
+        auto src = parse(ctx, atWidth("define T @f(T %a, T %b, T %c) {\n"
+                                      "  %x = or T %a, %b\n"
+                                      "  %y = and T %a, %c\n"
+                                      "  %r = sub T %x, %y\n"
+                                      "  ret T %r\n}\n",
+                                      width));
+        auto tgt = parse(ctx, atWidth("define T @f(T %a, T %b, T %c) {\n"
+                                      "  %r = xor T %a, %b\n"
+                                      "  ret T %r\n}\n",
+                                      width));
+        ASSERT_TRUE(src && tgt);
+        RefinementResult r = checkRefinement(*src, *tgt);
+        EXPECT_EQ(r.verdict, Verdict::Incorrect) << "i" << width;
+        EXPECT_EQ(r.backend, "sat") << "i" << width;
+    }
+}
+
 // Pairs the bit-level encoding left to the solver (65,878 conflicts
 // for the first, the others undecided) meet as terms: no circuit.
 TEST(WordRuleDecision, ReassociatedProductsAndSelfRemaindersMeet)
@@ -1524,6 +1571,12 @@ const Identity kIdentities[] = {
          return std::make_pair(
              w.b.bvAdd(w.b.bvAnd(w.a, w.x), w.b.bvOr(w.a, w.x)),
              w.b.bvAdd(w.a, w.x));
+     }},
+    {"or_minus_and_is_xor",
+     [](Words &w) {
+         return std::make_pair(
+             w.b.bvSub(w.b.bvOr(w.a, w.x), w.b.bvAnd(w.a, w.x)),
+             w.b.bvXor(w.a, w.x));
      }},
     {"lshr_is_zero_is_ult",
      [](Words &w) {

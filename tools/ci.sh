@@ -45,8 +45,8 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # and builder from every state a query can leave them in;
 # test_bitblast, test_encoder,
 # test_word_rules and test_functional_hashing cover the circuit
-# builder's unique and signature tables, its window proofs, and the
-# encoder's word-level term table and demanded widths, and
+# builder's unique table, and the encoder's word-level term table and
+# demanded widths, and
 # test_verifier_fuzz drives all of them on fuzzed pairs. test_function
 # prints cross-context clones after their source Context is gone,
 # test_pipeline runs cases on such clones (made on first need), and
@@ -134,7 +134,8 @@ echo "=== Observability: traced module run (Release) ==="
 # must carry the solver-work (sat:), circuit builder (circuit:) and
 # degradation lines and the slowest-verify-calls table, and — the hard invariant — the emitted
 # module must be byte-identical with and without observability,
-# serial and threaded.
+# serial and threaded. Those three lines are work totals, which the
+# determinism contract covers too: they must match at 1 and 8 threads.
 obs_dir=build-release/observability
 rm -rf "${obs_dir}" && mkdir -p "${obs_dir}"
 ./build-release/lpo_cli gen-module > "${obs_dir}/module.ll"
@@ -188,6 +189,14 @@ for threads in 1 8; do
     }
 done
 echo "observability: --profile reports sat:, circuit:, degradation: and the slowest verify calls at 1 and 8 threads"
+for line in sat circuit degradation; do
+    diff <(grep "^${line}: " "${obs_dir}/profile_t1.txt") \
+         <(grep "^${line}: " "${obs_dir}/profile_t8.txt") || {
+        echo "FAIL: --profile ${line}: line differs between 1 and 8 threads"
+        exit 1
+    }
+done
+echo "observability: sat:, circuit: and degradation: lines identical at 1 and 8 threads"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/traced_t1.ll"
 cmp "${obs_dir}/plain_t8.ll" "${obs_dir}/traced_t8.ll"
 cmp "${obs_dir}/plain_t1.ll" "${obs_dir}/plain_t8.ll"
