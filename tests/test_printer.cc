@@ -5,6 +5,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "ir_text_corpus.h"
 
 using namespace lpo::ir;
 using lpo::APInt;
@@ -177,4 +178,47 @@ TEST(PrinterTest, CanonicalAlphaRenaming)
         "  ret i8 %res\n}\n");
     ASSERT_TRUE(e.ok() && f.ok());
     EXPECT_EQ(printFunctionCanonical(**e), printFunctionCanonical(**f));
+}
+
+TEST(PrinterPinTest, DigestsOfThePinnedSet)
+{
+    // FNV-1a over every printFunction and printFunctionCanonical text
+    // of each group, taken at the rewrite's parent. Both prints are
+    // persisted keys and values (verify store, catalog), the serve
+    // response and the LLM's prompt, so they must not change by a
+    // byte.
+    struct Pinned
+    {
+        const char *group;
+        size_t functions;
+        uint64_t print;
+        uint64_t canonical;
+    };
+    const Pinned table[] = {
+        {"rq_src", 87, 0xcefd8c2bf4beee31ull, 0x1b7ed8c113d1c7faull},
+        {"rq_tgt", 87, 0xd402abc17e659b53ull, 0xe7f7891bd1cb6758ull},
+        {"module", 200, 0xa6a2e44321eef947ull, 0xcbe30f3e8b3ae009ull},
+        {"sequences", 311, 0x90b39890190461e6ull, 0x5ebfabf98afb2552ull},
+        {"rewrite_library", 163, 0x193716edec822a5bull, 0xa755ba9f500f4b3aull},
+        // The algebraic rules fire on none of these inputs (opt has
+        // already folded their shapes); the empty group pins that.
+        {"algebraic_rules", 0, 0xcbf29ce484222325ull, 0xcbf29ce484222325ull},
+    };
+    Context ctx;
+    lpo::text_corpus::Corpus corpus = lpo::text_corpus::build(ctx);
+    ASSERT_EQ(corpus.groups.size(), std::size(table));
+    for (size_t i = 0; i < std::size(table); ++i) {
+        const auto &group = corpus.groups[i];
+        uint64_t print = lpo::text_corpus::kFnvBasis;
+        uint64_t canonical = lpo::text_corpus::kFnvBasis;
+        for (const Function *fn : group.functions) {
+            print = lpo::text_corpus::fnvFold(print, printFunction(*fn));
+            canonical = lpo::text_corpus::fnvFold(canonical,
+                                                  printFunctionCanonical(*fn));
+        }
+        EXPECT_EQ(group.name, table[i].group);
+        EXPECT_EQ(group.functions.size(), table[i].functions) << group.name;
+        EXPECT_EQ(print, table[i].print) << group.name;
+        EXPECT_EQ(canonical, table[i].canonical) << group.name;
+    }
 }
