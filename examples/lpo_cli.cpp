@@ -655,9 +655,12 @@ usage()
         "                             metrics.lpo.json)\n"
         "  --profile                  print the per-phase wall-time\n"
         "                             table (share of the run plus\n"
-        "                             per-invocation percentiles, with\n"
-        "                             verify split into cache key,\n"
-        "                             encode and solve rows), the\n"
+        "                             per-invocation percentiles; opt\n"
+        "                             is each candidate's parse, IR\n"
+        "                             verifier and passes, case the\n"
+        "                             rest of each case, and verify is\n"
+        "                             split into cache key, encode and\n"
+        "                             solve rows), the\n"
         "                             scheduler counters, the solver\n"
         "                             work line\n"
         "                             (sat: solves / decisions /\n"

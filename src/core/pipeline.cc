@@ -300,8 +300,14 @@ Pipeline::runAttemptLoop(Proposer &proposer, const ir::Function &seq,
         outcome.cost_usd += proposal->cost_usd;
 
         // Step 3: opt — syntax check + canonicalize/optimize further.
-        ir::Context &context = seq.context();
-        opt::OptResult opted = opt::runOpt(context, proposal->text);
+        opt::OptResult opted;
+        {
+            static const telemetry::Histogram opt_hist =
+                telemetry::histogram("phase.opt_ns");
+            telemetry::ScopedTimer timer(opt_hist);
+            opted = opt::runOpt(seq.context(), proposal->text);
+            stats.timings.opt_ns += timer.stopNanos();
+        }
         if (opted.failed) {
             ++stats.syntax_errors;
             ++counter;
@@ -489,6 +495,17 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
 {
     ++stats.cases;
     LPO_TRACE_SPAN(case_span, "case", "pipeline");
+    // The case row of --profile: this case's wall time less what its
+    // legs spent in the propose, opt and verify rows.
+    static const telemetry::Histogram case_hist =
+        telemetry::histogram("phase.case_ns");
+    const uint64_t case_start = case_hist.active() ? telemetry::nowNanos()
+                                                   : 0;
+    auto legs_ns = [&stats] {
+        return stats.timings.propose_ns + stats.timings.opt_ns +
+               stats.timings.verify_ns;
+    };
+    const uint64_t legs_before = legs_ns();
 
     // A leg that parses a candidate (runOpt) parses it into the
     // sequence's Context, which other cases share, so such a leg runs
@@ -573,6 +590,13 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
 
     stats.total_seconds += outcome.total_seconds;
     stats.total_cost_usd += outcome.cost_usd;
+    if (case_start) {
+        uint64_t elapsed = telemetry::nowNanos() - case_start;
+        uint64_t legs = legs_ns() - legs_before;
+        uint64_t self = elapsed > legs ? elapsed - legs : 0;
+        stats.timings.case_ns += self;
+        case_hist.record(self);
+    }
     return outcome;
 }
 
@@ -718,7 +742,9 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.total_seconds += delta.total_seconds;
     stats_.total_cost_usd += delta.total_cost_usd;
     stats_.timings.propose_ns += delta.timings.propose_ns;
+    stats_.timings.opt_ns += delta.timings.opt_ns;
     stats_.timings.verify_ns += delta.timings.verify_ns;
+    stats_.timings.case_ns += delta.timings.case_ns;
     for (const StageTimings::VerifyCall &call :
          delta.timings.slowest_verifies)
         stats_.timings.noteVerifyCall(call);

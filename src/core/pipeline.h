@@ -130,10 +130,10 @@ struct CaseOutcome
  * count; determinism tests must never compare them (and none do —
  * the byte-identity contract covers outcomes and work counters).
  * All zero when telemetry is disabled: the accumulation is fed by
- * telemetry::ScopedTimer, which is inert then. propose/verify fold
- * per case in sequence order with the other per-case deltas;
- * extract/patch/dce/total are folded in by ModuleOptimizer via
- * Pipeline::addStageTimings().
+ * telemetry::ScopedTimer, which is inert then. propose/opt/verify/
+ * case fold per case in sequence order with the other per-case
+ * deltas; extract/patch/dce/total are folded in by ModuleOptimizer
+ * via Pipeline::addStageTimings().
  */
 struct StageTimings
 {
@@ -154,7 +154,13 @@ struct StageTimings
 
     uint64_t extract_ns = 0;
     uint64_t propose_ns = 0;
+    /** opt::runOpt on each candidate: parse, IR verifier, passes. */
+    uint64_t opt_ns = 0;
     uint64_t verify_ns = 0;
+    /** The rest of each case: the private clone, the sequence's
+     *  prints, catalog and miss lookups, the interestingness gate
+     *  (a case's wall time minus its propose, opt and verify). */
+    uint64_t case_ns = 0;
     uint64_t patch_ns = 0;
     uint64_t dce_ns = 0;
     uint64_t total_ns = 0;

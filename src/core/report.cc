@@ -174,7 +174,9 @@ profileSummary(const PipelineStats &stats,
     const Phase phases[] = {
         {"extract", t.extract_ns, "phase.extract_ns"},
         {"propose", t.propose_ns, "phase.propose_ns"},
+        {"opt", t.opt_ns, "phase.opt_ns"},
         {"verify", t.verify_ns, "phase.verify_ns"},
+        {"case", t.case_ns, "phase.case_ns"},
         {"patch", t.patch_ns, "phase.patch_ns"},
         {"dce", t.dce_ns, "phase.dce_ns"},
     };

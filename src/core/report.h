@@ -70,8 +70,8 @@ std::string degradationStatsLine(const PipelineStats &stats);
 
 /**
  * The report backing `lpo run --profile`. First the per-phase
- * wall-time table: one row per pipeline phase (extract, propose,
- * verify, patch, dce) with its total wall time from
+ * wall-time table: one row per pipeline phase (extract, propose, opt,
+ * verify, case, patch, dce) with its total wall time from
  * PipelineStats::timings, its share of the optimize run, and the
  * p50/p90/p99 per-invocation latency from the matching `phase.*_ns`
  * histogram in @p metrics. Under verify, a `key` row gives the
@@ -82,9 +82,14 @@ std::string degradationStatsLine(const PipelineStats &stats);
  * counts every SAT query, solve every solver run; queries decided
  * over terms encode in microseconds and solve nothing); the closing
  * total row carries the
- * per-module latency percentiles (module.latency_ns). propose/verify
- * fold per-case times across every worker thread (CPU time, not
- * wall), so their share can exceed 100% on threaded runs. Then the
+ * per-module latency percentiles (module.latency_ns). opt is
+ * opt::runOpt on each candidate (parse, IR verifier, passes); case is
+ * the rest of each case (the private clone, the sequence's prints,
+ * catalog and miss lookups, the interestingness gate). What no row
+ * holds is the module run's own glue (the reorder drain, stats
+ * folding, scheduling). propose/opt/verify/case fold per-case times
+ * across every worker thread (CPU time, not wall), so their share can
+ * exceed 100% on threaded runs. Then the
  * scheduler counters, the one-line solver work summary ("sat:
  * solves / decisions / conflicts / propagations / restarts" across
  * every SAT verification performed), the circuit builder's line

@@ -1,9 +1,10 @@
 #include "ir/parser.h"
 
-#include <cassert>
-#include <cctype>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
-#include <map>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -12,6 +13,39 @@
 
 namespace lpo::ir {
 namespace {
+
+// ---------------------------------------------------------------------
+// Lexing. Every token is a view into the caller's text; nothing is
+// copied until it becomes part of the IR (a name, a label).
+// ---------------------------------------------------------------------
+
+enum : uint8_t { kSpace = 1, kWord = 2 };
+
+/** Byte classes: C-locale whitespace, and the word class
+ *  [A-Za-z0-9._+-] shared by keywords, names and numbers. */
+constexpr std::array<uint8_t, 256> kCharClass = [] {
+    std::array<uint8_t, 256> table{};
+    for (char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+        table[static_cast<unsigned char>(c)] = kSpace;
+    for (int c = 0; c < 256; ++c)
+        if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+            (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-' ||
+            c == '+')
+            table[c] = kWord;
+    return table;
+}();
+
+bool
+isSpace(char c)
+{
+    return kCharClass[static_cast<unsigned char>(c)] == kSpace;
+}
+
+bool
+isWord(char c)
+{
+    return kCharClass[static_cast<unsigned char>(c)] == kWord;
+}
 
 /** A whitespace-insensitive cursor over one line of IR text. */
 class LineCursor
@@ -22,21 +56,6 @@ class LineCursor
     {}
 
     int lineNo() const { return line_; }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    atEnd()
-    {
-        skipSpace();
-        return pos_ >= text_.size();
-    }
 
     char
     peekChar()
@@ -57,32 +76,16 @@ class LineCursor
         return false;
     }
 
-    /**
-     * Read a word: identifier characters plus '.', '_', '-'. Also used
-     * for numbers (the caller classifies).
-     */
-    std::string
+    /** The next word (possibly empty); numbers are words too, and the
+     *  caller classifies them. */
+    std::string_view
     word()
     {
         skipSpace();
         size_t start = pos_;
-        auto is_word = [](char c) {
-            return std::isalnum(static_cast<unsigned char>(c)) ||
-                   c == '.' || c == '_' || c == '-' || c == '+';
-        };
-        while (pos_ < text_.size() && is_word(text_[pos_]))
+        while (pos_ < text_.size() && isWord(text_[pos_]))
             ++pos_;
-        return std::string(text_.substr(start, pos_ - start));
-    }
-
-    /** Peek the next word without consuming it. */
-    std::string
-    peekWord()
-    {
-        size_t saved = pos_;
-        std::string w = word();
-        pos_ = saved;
-        return w;
+        return text_.substr(start, pos_ - start);
     }
 
     /** Consume a specific keyword if present. */
@@ -96,8 +99,29 @@ class LineCursor
         return false;
     }
 
-    /** Read a local identifier after '%'. */
-    std::optional<std::string>
+    /** Consume words while they are in @p keywords, calling @p take on
+     *  each; stop before the first that is not. */
+    template <typename Take>
+    void
+    consumeWhile(std::initializer_list<std::string_view> keywords,
+                 Take take)
+    {
+        for (;;) {
+            size_t saved = pos_;
+            std::string_view w = word();
+            bool known = false;
+            for (std::string_view keyword : keywords)
+                known = known || w == keyword;
+            if (!known) {
+                pos_ = saved;
+                return;
+            }
+            take(w);
+        }
+    }
+
+    /** A local identifier after '%'. */
+    std::optional<std::string_view>
     localName()
     {
         skipSpace();
@@ -107,50 +131,304 @@ class LineCursor
         return word();
     }
 
-    std::string_view rest() const { return text_.substr(pos_); }
-
   private:
+    void
+    skipSpace()
+    {
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
+            ++pos_;
+    }
+
     std::string_view text_;
     size_t pos_ = 0;
     int line_;
 };
 
-bool
-isIntegerLiteral(const std::string &w)
+/**
+ * The non-blank lines of a text, each cut at its first ';' (comments),
+ * with their 1-based line numbers. Lines are views into the text.
+ */
+class LineReader
 {
-    if (w.empty())
+  public:
+    explicit LineReader(std::string_view text) : text_(text) {}
+
+    /** Advance to the next non-blank line; false at the end. */
+    bool
+    next()
+    {
+        while (pos_ <= text_.size()) {
+            size_t end = text_.find('\n', pos_);
+            if (end == std::string_view::npos)
+                end = text_.size();
+            std::string_view line = text_.substr(pos_, end - pos_);
+            pos_ = end + 1;
+            ++number_;
+            line = line.substr(0, line.find(';'));
+            if (!trim(line).empty()) {
+                line_ = line;
+                last_number_ = number_;
+                return true;
+            }
+        }
         return false;
-    size_t i = (w[0] == '-') ? 1 : 0;
+    }
+
+    std::string_view line() const { return line_; }
+    int number() const { return last_number_; }
+
+  private:
+    std::string_view text_;
+    size_t pos_ = 0;
+    int number_ = 0;
+    std::string_view line_;
+    int last_number_ = 0;
+};
+
+bool
+isIntegerLiteral(std::string_view w)
+{
+    size_t i = !w.empty() && w[0] == '-' ? 1 : 0;
     if (i == w.size())
         return false;
     for (; i < w.size(); ++i)
-        if (!std::isdigit(static_cast<unsigned char>(w[i])))
+        if (w[i] < '0' || w[i] > '9')
             return false;
     return true;
 }
 
-bool
-isFloatLiteral(const std::string &w)
+/** The value of an integer literal as strtoll reads it: clamped to
+ *  the int64 range. */
+int64_t
+integerValue(std::string_view w)
 {
-    if (w.empty())
-        return false;
-    bool has_dot = false;
-    for (char c : w)
-        if (c == '.' || c == 'e' || c == 'E')
-            has_dot = true;
-    if (!has_dot)
-        return false;
-    char *end = nullptr;
-    std::strtod(w.c_str(), &end);
-    return end && *end == '\0';
+    int64_t value = 0;
+    auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), value);
+    if (ec == std::errc::result_out_of_range)
+        return w[0] == '-' ? INT64_MIN : INT64_MAX;
+    return value;
 }
+
+/** The value of an integer literal as strtoul reads it (a '-'
+ *  negates modulo 2^64); nullopt when the magnitude overflows. */
+std::optional<uint64_t>
+unsignedValue(std::string_view w)
+{
+    bool negative = w[0] == '-';
+    uint64_t value = 0;
+    auto [end, ec] = std::from_chars(w.data() + negative,
+                                     w.data() + w.size(), value);
+    if (ec != std::errc())
+        return std::nullopt;
+    return negative ? 0 - value : value;
+}
+
+/** A whole-word floating-point literal (it has a '.', 'e' or 'E', and
+ *  strtod consumes all of it). */
+std::optional<double>
+floatValue(std::string_view w)
+{
+    if (w.find_first_of(".eE") == std::string_view::npos)
+        return std::nullopt;
+    std::string text(w);
+    char *end = nullptr;
+    double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size())
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * A fixed keyword table that looks up views without allocating: open
+ * addressing on (length, first byte, last byte), then one compare.
+ */
+template <typename T>
+class KeywordMap
+{
+  public:
+    constexpr KeywordMap(
+        std::initializer_list<std::pair<std::string_view, T>> entries)
+    {
+        for (const auto &[key, value] : entries) {
+            size_t i = slot(key);
+            while (!slots_[i].key.empty())
+                i = (i + 1) & kMask;
+            slots_[i] = {key, value};
+        }
+    }
+
+    const T *
+    find(std::string_view w) const
+    {
+        if (w.empty())
+            return nullptr;
+        for (size_t i = slot(w); !slots_[i].key.empty(); i = (i + 1) & kMask)
+            if (slots_[i].key == w)
+                return &slots_[i].value;
+        return nullptr;
+    }
+
+  private:
+    static constexpr size_t kMask = 63;
+
+    static constexpr size_t
+    slot(std::string_view w)
+    {
+        return (w.size() * 131 + static_cast<unsigned char>(w.front()) * 31 +
+                static_cast<unsigned char>(w.back())) &
+               kMask;
+    }
+
+    struct Slot
+    {
+        std::string_view key;
+        T value{};
+    };
+    std::array<Slot, kMask + 1> slots_{};
+};
+
+/** Instruction keywords; "tail" and "call" both map to Call. */
+constexpr KeywordMap<Opcode> kOpcodes = {
+    {"add", Opcode::Add},     {"sub", Opcode::Sub},
+    {"mul", Opcode::Mul},     {"udiv", Opcode::UDiv},
+    {"sdiv", Opcode::SDiv},   {"urem", Opcode::URem},
+    {"srem", Opcode::SRem},   {"shl", Opcode::Shl},
+    {"lshr", Opcode::LShr},   {"ashr", Opcode::AShr},
+    {"and", Opcode::And},     {"or", Opcode::Or},
+    {"xor", Opcode::Xor},     {"fadd", Opcode::FAdd},
+    {"fsub", Opcode::FSub},   {"fmul", Opcode::FMul},
+    {"fdiv", Opcode::FDiv},   {"icmp", Opcode::ICmp},
+    {"fcmp", Opcode::FCmp},   {"select", Opcode::Select},
+    {"trunc", Opcode::Trunc}, {"zext", Opcode::ZExt},
+    {"sext", Opcode::SExt},   {"freeze", Opcode::Freeze},
+    {"tail", Opcode::Call},   {"call", Opcode::Call},
+    {"load", Opcode::Load},   {"store", Opcode::Store},
+    {"getelementptr", Opcode::Gep},
+    {"phi", Opcode::Phi},     {"br", Opcode::Br},
+    {"ret", Opcode::Ret},
+};
+
+constexpr KeywordMap<ICmpPred> kICmpPreds = {
+    {"eq", ICmpPred::EQ},   {"ne", ICmpPred::NE},
+    {"ugt", ICmpPred::UGT}, {"uge", ICmpPred::UGE},
+    {"ult", ICmpPred::ULT}, {"ule", ICmpPred::ULE},
+    {"sgt", ICmpPred::SGT}, {"sge", ICmpPred::SGE},
+    {"slt", ICmpPred::SLT}, {"sle", ICmpPred::SLE},
+};
+
+constexpr KeywordMap<FCmpPred> kFCmpPreds = {
+    {"false", FCmpPred::False}, {"oeq", FCmpPred::OEQ},
+    {"ogt", FCmpPred::OGT},     {"oge", FCmpPred::OGE},
+    {"olt", FCmpPred::OLT},     {"ole", FCmpPred::OLE},
+    {"one", FCmpPred::ONE},     {"ord", FCmpPred::ORD},
+    {"ueq", FCmpPred::UEQ},     {"ugt", FCmpPred::UGT},
+    {"uge", FCmpPred::UGE},     {"ult", FCmpPred::ULT},
+    {"ule", FCmpPred::ULE},     {"une", FCmpPred::UNE},
+    {"uno", FCmpPred::UNO},     {"true", FCmpPred::True},
+};
+
+std::optional<Intrinsic>
+intrinsicFromSymbol(std::string_view symbol)
+{
+    static constexpr std::pair<std::string_view, Intrinsic> kPrefixes[] = {
+        {"llvm.umin.", Intrinsic::UMin},
+        {"llvm.umax.", Intrinsic::UMax},
+        {"llvm.smin.", Intrinsic::SMin},
+        {"llvm.smax.", Intrinsic::SMax},
+        {"llvm.abs.", Intrinsic::Abs},
+        {"llvm.ctpop.", Intrinsic::CtPop},
+        {"llvm.ctlz.", Intrinsic::CtLz},
+        {"llvm.cttz.", Intrinsic::CtTz},
+        {"llvm.fabs.", Intrinsic::FAbs},
+        {"llvm.usub.sat.", Intrinsic::USubSat},
+        {"llvm.uadd.sat.", Intrinsic::UAddSat},
+        {"llvm.ssub.sat.", Intrinsic::SSubSat},
+        {"llvm.sadd.sat.", Intrinsic::SAddSat},
+    };
+    for (const auto &[prefix, intr] : kPrefixes)
+        if (symbol.starts_with(prefix))
+            return intr;
+    return std::nullopt;
+}
+
+/**
+ * The local names of one function: open addressing over views into
+ * the parsed text (or into argument names the function owns). The
+ * first 32 slots live in the table itself, so a typical function's
+ * names cost no allocation.
+ */
+class NameTable
+{
+  public:
+    NameTable() = default;
+    NameTable(const NameTable &) = delete;
+    NameTable &operator=(const NameTable &) = delete;
+
+    Value *
+    find(std::string_view name) const
+    {
+        const Slot &slot = slots_[probe(name)];
+        return slot.value;
+    }
+
+    /** Bind @p name; false (and no change) if it is already bound. */
+    bool
+    bind(std::string_view name, Value *value)
+    {
+        Slot &slot = slots_[probe(name)];
+        if (slot.value)
+            return false;
+        slot = {name, value};
+        if (2 * ++size_ > capacity_)
+            grow();
+        return true;
+    }
+
+  private:
+    struct Slot
+    {
+        std::string_view name;
+        Value *value = nullptr;
+    };
+
+    /** The slot holding @p name, or the empty slot where it goes. */
+    size_t
+    probe(std::string_view name) const
+    {
+        uint64_t hash = 0xcbf29ce484222325ull;
+        for (char c : name)
+            hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+        size_t i = hash & (capacity_ - 1);
+        while (slots_[i].value && slots_[i].name != name)
+            i = (i + 1) & (capacity_ - 1);
+        return i;
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_, slots_ + capacity_);
+        heap_.assign(2 * capacity_, Slot{});
+        slots_ = heap_.data();
+        capacity_ = heap_.size();
+        for (const Slot &slot : old)
+            if (slot.value)
+                slots_[probe(slot.name)] = slot;
+    }
+
+    std::array<Slot, 32> inline_{};
+    std::vector<Slot> heap_;
+    Slot *slots_ = inline_.data();
+    size_t capacity_ = inline_.size();
+    size_t size_ = 0;
+};
 
 /** A use of a not-yet-defined local (phi back-edges). */
 struct Fixup
 {
     Instruction *inst;
     unsigned operand_index;
-    std::string name;
+    std::string_view name;
     int line;
 };
 
@@ -160,8 +438,9 @@ class FunctionParser
   public:
     FunctionParser(Context &context) : context_(context) {}
 
-    Result<std::unique_ptr<Function>>
-    run(const std::vector<std::pair<int, std::string>> &lines, size_t &index);
+    /** Parse the function whose "define" line is @p lines' current
+     *  line; on success @p lines is left on its closing "}". */
+    Result<std::unique_ptr<Function>> run(LineReader &lines);
 
   private:
     Error err(int line, std::string message)
@@ -176,28 +455,25 @@ class FunctionParser
                                            BasicBlock *block);
     Result<bool> resolveFixups();
 
-    Value *
-    lookup(const std::string &name)
-    {
-        auto it = values_.find(name);
-        return it == values_.end() ? nullptr : it->second;
-    }
-
     Context &context_;
     std::unique_ptr<Function> fn_;
-    std::map<std::string, Value *> values_;
+    NameTable values_;
     std::vector<Fixup> fixups_;
     // Operand slots of the instruction currently being parsed that
     // reference still-undefined names.
-    std::vector<std::pair<unsigned, std::string>> pending_;
+    std::vector<std::pair<unsigned, std::string_view>> pending_;
     unsigned current_operand_index_ = 0;
+    // The last scalar type word and its type: most type words repeat.
+    std::string_view last_type_word_;
+    const Type *last_type_ = nullptr;
 };
 
 Result<const Type *>
 FunctionParser::parseType(LineCursor &cur)
 {
+    TypeContext &types = context_.types();
     if (cur.consume('<')) {
-        std::string count = cur.word();
+        std::string_view count = cur.word();
         if (!isIntegerLiteral(count) || count[0] == '-')
             return err(cur.lineNo(), "expected vector lane count");
         if (!cur.consumeWord("x"))
@@ -207,39 +483,49 @@ FunctionParser::parseType(LineCursor &cur)
             return elem;
         if (!cur.consume('>'))
             return err(cur.lineNo(), "expected '>' to close vector type");
-        unsigned lanes = std::stoul(count);
-        if (lanes < 2 || lanes > 64)
+        std::optional<uint64_t> lanes = unsignedValue(count);
+        if (!lanes || *lanes < 2 || *lanes > 64)
             return err(cur.lineNo(), "unsupported vector lane count");
         if (!(*elem)->isInt() && !(*elem)->isFloat())
             return err(cur.lineNo(), "invalid vector element type");
-        return context_.types().vectorTy(*elem, lanes);
+        return types.vectorTy(*elem, static_cast<unsigned>(*lanes));
     }
-    std::string w = cur.word();
-    if (w == "void")
-        return context_.types().voidTy();
-    if (w == "ptr")
-        return context_.types().ptrTy();
-    if (w == "double" || w == "float")
-        return context_.types().floatTy();
+    std::string_view w = cur.word();
+    if (w == last_type_word_ && !w.empty())
+        return last_type_;
+    const Type *type = nullptr;
     if (w.size() >= 2 && w[0] == 'i' && isIntegerLiteral(w.substr(1))) {
-        unsigned width = std::stoul(w.substr(1));
-        if (width < 1 || width > 64)
-            return err(cur.lineNo(),
-                       "unsupported integer width 'i" + w.substr(1) + "'");
-        return context_.types().intTy(width);
+        std::optional<uint64_t> width = unsignedValue(w.substr(1));
+        if (!width || *width < 1 || *width > 64)
+            return err(cur.lineNo(), "unsupported integer width '" +
+                                         std::string(w) + "'");
+        type = types.intTy(static_cast<unsigned>(*width));
+    } else if (w == "void") {
+        type = types.voidTy();
+    } else if (w == "ptr") {
+        type = types.ptrTy();
+    } else if (w == "double" || w == "float") {
+        type = types.floatTy();
     }
-    return err(cur.lineNo(), "expected type, found '" + w + "'");
+    if (type) {
+        last_type_word_ = w;
+        last_type_ = type;
+        return type;
+    }
+    return err(cur.lineNo(), "expected type, found '" + std::string(w) + "'");
 }
 
 Result<Value *>
 FunctionParser::parseValueRef(LineCursor &cur, const Type *type)
 {
     int line = cur.lineNo();
-    if (cur.peekChar() == '%') {
-        std::string name = *cur.localName();
-        if (Value *v = lookup(name)) {
+    char next = cur.peekChar();
+    if (next == '%') {
+        std::string_view name = *cur.localName();
+        if (Value *v = values_.find(name)) {
             if (v->type() != type) {
-                return err(line, "'%" + name + "' defined with type '" +
+                return err(line, "'%" + std::string(name) +
+                                     "' defined with type '" +
                                      v->type()->toString() +
                                      "' but expected '" + type->toString() +
                                      "'");
@@ -251,12 +537,13 @@ FunctionParser::parseValueRef(LineCursor &cur, const Type *type)
         pending_.emplace_back(current_operand_index_, name);
         return static_cast<Value *>(context_.getPoison(type));
     }
-    if (cur.peekChar() == '<') {
+    if (next == '<') {
         // Literal vector: < i32 1, i32 2, ... >
         if (!type->isVector())
             return err(line, "vector constant for non-vector type");
         cur.consume('<');
         std::vector<const Value *> elems;
+        elems.reserve(type->lanes());
         for (unsigned i = 0; i < type->lanes(); ++i) {
             if (i && !cur.consume(','))
                 return err(line, "expected ',' in vector constant");
@@ -272,9 +559,17 @@ FunctionParser::parseValueRef(LineCursor &cur, const Type *type)
         }
         if (!cur.consume('>'))
             return err(line, "expected '>' to close vector constant");
-        return static_cast<Value *>(context_.getVector(type, elems));
+        return static_cast<Value *>(
+            context_.getVector(type, std::move(elems)));
     }
-    std::string w = cur.word();
+    std::string_view w = cur.word();
+    if (isIntegerLiteral(w)) {
+        if (!type->isInt())
+            return err(line, "integer constant for non-integer type '" +
+                                 type->toString() + "'");
+        return static_cast<Value *>(context_.getInt(
+            type, APInt::fromSigned(type->intWidth(), integerValue(w))));
+    }
     if (w == "zeroinitializer") {
         if (!type->isVector())
             return err(line, "zeroinitializer requires a vector type");
@@ -304,22 +599,14 @@ FunctionParser::parseValueRef(LineCursor &cur, const Type *type)
             return err(line, "boolean constant for non-i1 type");
         return static_cast<Value *>(context_.getBool(w == "true"));
     }
-    if (isIntegerLiteral(w)) {
-        if (!type->isInt())
-            return err(line, "integer constant for non-integer type '" +
-                                 type->toString() + "'");
-        int64_t v = std::strtoll(w.c_str(), nullptr, 10);
-        return static_cast<Value *>(
-            context_.getInt(type, APInt::fromSigned(type->intWidth(), v)));
-    }
-    if (isFloatLiteral(w)) {
+    if (std::optional<double> fp = floatValue(w)) {
         if (!type->isFloat())
             return err(line, "floating-point constant for non-float type");
-        return static_cast<Value *>(context_.getFP(std::atof(w.c_str())));
+        return static_cast<Value *>(context_.getFP(*fp));
     }
     if (w.empty())
         return err(line, "expected value");
-    return err(line, "expected value, found '" + w + "'");
+    return err(line, "expected value, found '" + std::string(w) + "'");
 }
 
 Result<Value *>
@@ -333,88 +620,18 @@ FunctionParser::parseTypedValue(LineCursor &cur, const Type **type_out)
     return parseValueRef(cur, *type);
 }
 
-namespace {
-
-std::optional<Opcode>
-binaryOpcodeFromName(const std::string &w)
+/** ", align N" after a load or store; a non-integer N is ignored, as
+ *  is one whose magnitude does not fit 64 bits. */
+void
+parseAlign(LineCursor &cur, Instruction *inst)
 {
-    static const std::map<std::string, Opcode> table = {
-        {"add", Opcode::Add},   {"sub", Opcode::Sub},
-        {"mul", Opcode::Mul},   {"udiv", Opcode::UDiv},
-        {"sdiv", Opcode::SDiv}, {"urem", Opcode::URem},
-        {"srem", Opcode::SRem}, {"shl", Opcode::Shl},
-        {"lshr", Opcode::LShr}, {"ashr", Opcode::AShr},
-        {"and", Opcode::And},   {"or", Opcode::Or},
-        {"xor", Opcode::Xor},   {"fadd", Opcode::FAdd},
-        {"fsub", Opcode::FSub}, {"fmul", Opcode::FMul},
-        {"fdiv", Opcode::FDiv},
-    };
-    auto it = table.find(w);
-    if (it == table.end())
-        return std::nullopt;
-    return it->second;
+    if (cur.consume(',') && cur.consumeWord("align")) {
+        std::string_view a = cur.word();
+        if (isIntegerLiteral(a))
+            if (std::optional<uint64_t> align = unsignedValue(a))
+                inst->setAlign(static_cast<unsigned>(*align));
+    }
 }
-
-std::optional<ICmpPred>
-icmpPredFromName(const std::string &w)
-{
-    static const std::map<std::string, ICmpPred> table = {
-        {"eq", ICmpPred::EQ},   {"ne", ICmpPred::NE},
-        {"ugt", ICmpPred::UGT}, {"uge", ICmpPred::UGE},
-        {"ult", ICmpPred::ULT}, {"ule", ICmpPred::ULE},
-        {"sgt", ICmpPred::SGT}, {"sge", ICmpPred::SGE},
-        {"slt", ICmpPred::SLT}, {"sle", ICmpPred::SLE},
-    };
-    auto it = table.find(w);
-    if (it == table.end())
-        return std::nullopt;
-    return it->second;
-}
-
-std::optional<FCmpPred>
-fcmpPredFromName(const std::string &w)
-{
-    static const std::map<std::string, FCmpPred> table = {
-        {"false", FCmpPred::False}, {"oeq", FCmpPred::OEQ},
-        {"ogt", FCmpPred::OGT},     {"oge", FCmpPred::OGE},
-        {"olt", FCmpPred::OLT},     {"ole", FCmpPred::OLE},
-        {"one", FCmpPred::ONE},     {"ord", FCmpPred::ORD},
-        {"ueq", FCmpPred::UEQ},     {"ugt", FCmpPred::UGT},
-        {"uge", FCmpPred::UGE},     {"ult", FCmpPred::ULT},
-        {"ule", FCmpPred::ULE},     {"une", FCmpPred::UNE},
-        {"uno", FCmpPred::UNO},     {"true", FCmpPred::True},
-    };
-    auto it = table.find(w);
-    if (it == table.end())
-        return std::nullopt;
-    return it->second;
-}
-
-std::optional<Intrinsic>
-intrinsicFromSymbol(const std::string &symbol)
-{
-    static const std::vector<std::pair<std::string, Intrinsic>> table = {
-        {"llvm.umin.", Intrinsic::UMin},
-        {"llvm.umax.", Intrinsic::UMax},
-        {"llvm.smin.", Intrinsic::SMin},
-        {"llvm.smax.", Intrinsic::SMax},
-        {"llvm.abs.", Intrinsic::Abs},
-        {"llvm.ctpop.", Intrinsic::CtPop},
-        {"llvm.ctlz.", Intrinsic::CtLz},
-        {"llvm.cttz.", Intrinsic::CtTz},
-        {"llvm.fabs.", Intrinsic::FAbs},
-        {"llvm.usub.sat.", Intrinsic::USubSat},
-        {"llvm.uadd.sat.", Intrinsic::UAddSat},
-        {"llvm.ssub.sat.", Intrinsic::SSubSat},
-        {"llvm.sadd.sat.", Intrinsic::SAddSat},
-    };
-    for (const auto &[prefix, intr] : table)
-        if (startsWith(symbol, prefix))
-            return intr;
-    return std::nullopt;
-}
-
-} // namespace
 
 Result<Instruction *>
 FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
@@ -422,22 +639,29 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
     int line = cur.lineNo();
     pending_.clear();
 
-    std::string result_name;
+    std::string_view result_name;
     bool has_result = false;
-    {
+    if (cur.peekChar() == '%') {
         // Look ahead for "%name =".
         LineCursor probe = cur;
-        if (probe.peekChar() == '%') {
-            std::string name = *probe.localName();
-            if (probe.consume('=')) {
-                result_name = name;
-                has_result = true;
-                cur = probe;
-            }
+        std::string_view name = *probe.localName();
+        if (probe.consume('=')) {
+            result_name = name;
+            has_result = true;
+            cur = probe;
         }
     }
 
-    std::string op = cur.word();
+    std::string_view op_word = cur.word();
+    const Opcode *opcode = kOpcodes.find(op_word);
+    if (!opcode) {
+        // This is the message LLVM's parser produces for a bogus
+        // opcode; the LLM feedback loop depends on its wording (paper
+        // Fig. 3c).
+        return err(line,
+                   "expected instruction opcode\n" + std::string(op_word));
+    }
+    const Opcode op = *opcode;
     InstFlags flags;
 
     auto finish = [&](std::unique_ptr<Instruction> inst)
@@ -446,34 +670,36 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         if (has_result) {
             if (inst->type()->isVoid())
                 return err(line, "cannot name a void instruction");
-            inst->setName(result_name);
+            inst->setName(std::string(result_name));
         } else if (!inst->type()->isVoid() && !inst->isTerminator()) {
             return err(line, "instruction result must be named");
         }
         Instruction *placed = block->append(std::move(inst));
-        if (has_result) {
-            if (values_.count(result_name))
-                return err(line, "multiple definition of local value '%" +
-                                     result_name + "'");
-            values_[result_name] = placed;
-        }
+        if (has_result && !values_.bind(result_name, placed))
+            return err(line, "multiple definition of local value '%" +
+                                 std::string(result_name) + "'");
         for (const auto &[index, name] : pending_)
             fixups_.push_back(Fixup{placed, index, name, line});
         return placed;
     };
 
-    // Binary operators (with optional wrap/exact/disjoint flags).
-    if (auto bin_op = binaryOpcodeFromName(op)) {
-        for (;;) {
-            if (cur.consumeWord("nuw")) { flags.nuw = true; continue; }
-            if (cur.consumeWord("nsw")) { flags.nsw = true; continue; }
-            if (cur.consumeWord("exact")) { flags.exact = true; continue; }
-            if (cur.consumeWord("disjoint")) {
-                flags.disjoint = true;
-                continue;
-            }
-            break;
-        }
+    switch (op) {
+      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+      case Opcode::UDiv: case Opcode::SDiv: case Opcode::URem:
+      case Opcode::SRem: case Opcode::Shl: case Opcode::LShr:
+      case Opcode::AShr: case Opcode::And: case Opcode::Or:
+      case Opcode::Xor: case Opcode::FAdd: case Opcode::FSub:
+      case Opcode::FMul: case Opcode::FDiv: {
+        // Any binary operator takes any of the wrap/exact/disjoint
+        // flags here; the IR verifier and the printer decide which
+        // ones mean something.
+        cur.consumeWhile({"nuw", "nsw", "exact", "disjoint"},
+                         [&](std::string_view w) {
+                             flags.nuw |= w == "nuw";
+                             flags.nsw |= w == "nsw";
+                             flags.exact |= w == "exact";
+                             flags.disjoint |= w == "disjoint";
+                         });
         const Type *type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> lhs = parseTypedValue(cur, &type);
@@ -485,19 +711,19 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         Result<Value *> rhs = parseValueRef(cur, type);
         if (!rhs)
             return rhs.error();
-        bool is_fp = *bin_op >= Opcode::FAdd && *bin_op <= Opcode::FDiv;
+        bool is_fp = op >= Opcode::FAdd && op <= Opcode::FDiv;
         if (is_fp && !type->isFPOrFPVector())
             return err(line, "floating-point operation on non-float type");
         if (!is_fp && !type->isIntOrIntVector())
             return err(line, "integer operation on non-integer type");
         auto inst = std::make_unique<Instruction>(
-            *bin_op, type, std::vector<Value *>{*lhs, *rhs});
+            op, type, std::vector<Value *>{*lhs, *rhs});
         inst->flags() = flags;
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "icmp" || op == "fcmp") {
-        std::string pred_word = cur.word();
+      case Opcode::ICmp: case Opcode::FCmp: {
+        std::string_view pred_word = cur.word();
         const Type *type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> lhs = parseTypedValue(cur, &type);
@@ -514,29 +740,28 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
                                         type->lanes())
             : context_.types().boolTy();
         auto inst = std::make_unique<Instruction>(
-            op == "icmp" ? Opcode::ICmp : Opcode::FCmp, result,
-            std::vector<Value *>{*lhs, *rhs});
-        if (op == "icmp") {
-            auto pred = icmpPredFromName(pred_word);
+            op, result, std::vector<Value *>{*lhs, *rhs});
+        if (op == Opcode::ICmp) {
+            const ICmpPred *pred = kICmpPreds.find(pred_word);
             if (!pred)
-                return err(line, "invalid icmp predicate '" + pred_word +
-                                     "'");
+                return err(line, "invalid icmp predicate '" +
+                                     std::string(pred_word) + "'");
             if (!type->isIntOrIntVector() && !type->isPtr())
                 return err(line, "icmp requires integer operands");
             inst->setICmpPred(*pred);
         } else {
-            auto pred = fcmpPredFromName(pred_word);
+            const FCmpPred *pred = kFCmpPreds.find(pred_word);
             if (!pred)
-                return err(line, "invalid fcmp predicate '" + pred_word +
-                                     "'");
+                return err(line, "invalid fcmp predicate '" +
+                                     std::string(pred_word) + "'");
             if (!type->isFPOrFPVector())
                 return err(line, "fcmp requires floating-point operands");
             inst->setFCmpPred(*pred);
         }
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "select") {
+      case Opcode::Select: {
         const Type *cond_type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> cond = parseTypedValue(cur, &cond_type);
@@ -569,24 +794,17 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             Opcode::Select, val_type,
             std::vector<Value *>{*cond, *tval, *fval});
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "trunc" || op == "zext" || op == "sext") {
-        for (;;) {
-            if (op == "trunc" && cur.consumeWord("nuw")) {
-                flags.nuw = true;
-                continue;
-            }
-            if (op == "trunc" && cur.consumeWord("nsw")) {
-                flags.nsw = true;
-                continue;
-            }
-            if (op == "zext" && cur.consumeWord("nneg")) {
-                flags.nneg = true;
-                continue;
-            }
-            break;
-        }
+      case Opcode::Trunc: case Opcode::ZExt: case Opcode::SExt: {
+        if (op == Opcode::Trunc)
+            cur.consumeWhile({"nuw", "nsw"}, [&](std::string_view w) {
+                flags.nuw |= w == "nuw";
+                flags.nsw |= w == "nsw";
+            });
+        else if (op == Opcode::ZExt)
+            cur.consumeWhile({"nneg"},
+                             [&](std::string_view) { flags.nneg = true; });
         const Type *src_type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> src = parseTypedValue(cur, &src_type);
@@ -606,20 +824,17 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         }
         unsigned src_w = src_type->scalarType()->intWidth();
         unsigned dst_w = (*dst)->scalarType()->intWidth();
-        if (op == "trunc" && dst_w >= src_w)
+        if (op == Opcode::Trunc && dst_w >= src_w)
             return err(line, "trunc must narrow the type");
-        if (op != "trunc" && dst_w <= src_w)
+        if (op != Opcode::Trunc && dst_w <= src_w)
             return err(line, "extension must widen the type");
-        Opcode opcode = op == "trunc"
-            ? Opcode::Trunc
-            : (op == "zext" ? Opcode::ZExt : Opcode::SExt);
         auto inst = std::make_unique<Instruction>(
-            opcode, *dst, std::vector<Value *>{*src});
+            op, *dst, std::vector<Value *>{*src});
         inst->flags() = flags;
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "freeze") {
+      case Opcode::Freeze: {
         const Type *type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> val = parseTypedValue(cur, &type);
@@ -628,10 +843,10 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         auto inst = std::make_unique<Instruction>(
             Opcode::Freeze, type, std::vector<Value *>{*val});
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "tail" || op == "call") {
-        if (op == "tail") {
+      case Opcode::Call: {
+        if (op_word == "tail") {
             flags.tail = true;
             if (!cur.consumeWord("call"))
                 return err(line, "expected 'call' after 'tail'");
@@ -641,11 +856,11 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             return ret_type.error();
         if (!cur.consume('@'))
             return err(line, "expected callee name");
-        std::string symbol = cur.word();
+        std::string_view symbol = cur.word();
         auto intr = intrinsicFromSymbol(symbol);
         if (!intr)
-            return err(line, "unknown or unsupported callee '@" + symbol +
-                             "'");
+            return err(line, "unknown or unsupported callee '@" +
+                                 std::string(symbol) + "'");
         if (!cur.consume('('))
             return err(line, "expected '(' in call");
         std::vector<Value *> args;
@@ -664,7 +879,8 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         }
         // Arity / type checks per intrinsic.
         auto bad_signature = [&]() {
-            return err(line, "invalid signature for '@" + symbol + "'");
+            return err(line, "invalid signature for '@" +
+                                 std::string(symbol) + "'");
         };
         switch (*intr) {
           case Intrinsic::UMin: case Intrinsic::UMax:
@@ -706,9 +922,9 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         inst->setIntrinsic(*intr);
         inst->flags().tail = flags.tail;
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "load") {
+      case Opcode::Load: {
         Result<const Type *> type = parseType(cur);
         if (!type)
             return type.error();
@@ -724,15 +940,11 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         auto inst = std::make_unique<Instruction>(
             Opcode::Load, *type, std::vector<Value *>{*ptr});
         inst->setAccessType(*type);
-        if (cur.consume(',') && cur.consumeWord("align")) {
-            std::string a = cur.word();
-            if (isIntegerLiteral(a))
-                inst->setAlign(std::stoul(a));
-        }
+        parseAlign(cur, inst.get());
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "store") {
+      case Opcode::Store: {
         const Type *val_type = nullptr;
         current_operand_index_ = 0;
         Result<Value *> val = parseTypedValue(cur, &val_type);
@@ -751,24 +963,17 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             Opcode::Store, context_.types().voidTy(),
             std::vector<Value *>{*val, *ptr});
         inst->setAccessType(val_type);
-        if (cur.consume(',') && cur.consumeWord("align")) {
-            std::string a = cur.word();
-            if (isIntegerLiteral(a))
-                inst->setAlign(std::stoul(a));
-        }
+        parseAlign(cur, inst.get());
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "getelementptr") {
-        for (;;) {
-            if (cur.consumeWord("inbounds")) {
-                flags.inbounds = true;
-                continue;
-            }
-            if (cur.consumeWord("nuw")) { flags.nuw = true; continue; }
-            if (cur.consumeWord("nusw")) { continue; } // accepted, ignored
-            break;
-        }
+      case Opcode::Gep: {
+        // nusw is accepted and ignored.
+        cur.consumeWhile({"inbounds", "nuw", "nusw"},
+                         [&](std::string_view w) {
+                             flags.inbounds |= w == "inbounds";
+                             flags.nuw |= w == "nuw";
+                         });
         Result<const Type *> elem = parseType(cur);
         if (!elem)
             return elem.error();
@@ -791,9 +996,9 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
         inst->setAccessType(*elem);
         inst->flags() = flags;
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "phi") {
+      case Opcode::Phi: {
         Result<const Type *> type = parseType(cur);
         if (!type)
             return type.error();
@@ -812,7 +1017,7 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             auto label = cur.localName();
             if (!label)
                 return err(line, "expected predecessor label in phi");
-            labels.push_back(*label);
+            labels.emplace_back(*label);
             if (!cur.consume(']'))
                 return err(line, "expected ']' in phi");
             if (!cur.consume(','))
@@ -822,9 +1027,9 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             Opcode::Phi, *type, std::move(incoming));
         inst->setPhiLabels(std::move(labels));
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "br") {
+      case Opcode::Br: {
         if (cur.consumeWord("label")) {
             auto label = cur.localName();
             if (!label)
@@ -832,7 +1037,7 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             auto inst = std::make_unique<Instruction>(
                 Opcode::Br, context_.types().voidTy(),
                 std::vector<Value *>{});
-            inst->setBrLabels({*label});
+            inst->setBrLabels({std::string(*label)});
             return finish(std::move(inst));
         }
         const Type *cond_type = nullptr;
@@ -851,16 +1056,16 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             auto label = cur.localName();
             if (!label)
                 return err(line, "expected label in br");
-            labels.push_back(*label);
+            labels.emplace_back(*label);
         }
         auto inst = std::make_unique<Instruction>(
             Opcode::Br, context_.types().voidTy(),
             std::vector<Value *>{*cond});
         inst->setBrLabels(std::move(labels));
         return finish(std::move(inst));
-    }
+      }
 
-    if (op == "ret") {
+      case Opcode::Ret: {
         if (cur.consumeWord("void")) {
             auto inst = std::make_unique<Instruction>(
                 Opcode::Ret, context_.types().voidTy(),
@@ -875,20 +1080,19 @@ FunctionParser::parseInstruction(LineCursor &cur, BasicBlock *block)
             Opcode::Ret, context_.types().voidTy(),
             std::vector<Value *>{*val});
         return finish(std::move(inst));
+      }
     }
-
-    // This is the message LLVM's parser produces for a bogus opcode;
-    // the LLM feedback loop depends on its wording (paper Fig. 3c).
-    return err(line, "expected instruction opcode\n" + std::string(op));
+    return err(line, "expected instruction opcode\n" + std::string(op_word));
 }
 
 Result<bool>
 FunctionParser::resolveFixups()
 {
     for (const Fixup &fixup : fixups_) {
-        Value *v = lookup(fixup.name);
+        Value *v = values_.find(fixup.name);
         if (!v) {
-            return Error{"use of undefined value '%" + fixup.name + "'",
+            return Error{"use of undefined value '%" +
+                             std::string(fixup.name) + "'",
                          fixup.line, 0};
         }
         fixup.inst->setOperand(fixup.operand_index, v);
@@ -898,48 +1102,40 @@ FunctionParser::resolveFixups()
 }
 
 Result<std::unique_ptr<Function>>
-FunctionParser::run(const std::vector<std::pair<int, std::string>> &lines,
-                    size_t &index)
+FunctionParser::run(LineReader &lines)
 {
-    // Parse the "define" header.
-    LineCursor header(lines[index].second, lines[index].first);
+    // Parse the "define" header. Anything after its '{' is ignored.
+    LineCursor header(lines.line(), lines.number());
     if (!header.consumeWord("define"))
         return err(header.lineNo(), "expected 'define'");
     // Skip common attribute keywords between define and the type.
-    while (header.consumeWord("internal") || header.consumeWord("dso_local")
-           || header.consumeWord("noundef") || header.consumeWord("hidden"))
-        ;
+    header.consumeWhile({"internal", "dso_local", "noundef", "hidden"},
+                        [](std::string_view) {});
     Result<const Type *> ret_type = parseType(header);
     if (!ret_type)
         return ret_type.error();
     if (!header.consume('@'))
         return err(header.lineNo(), "expected function name");
-    std::string fn_name = header.word();
+    std::string_view fn_name = header.word();
     if (!header.consume('('))
         return err(header.lineNo(), "expected '(' in function header");
 
-    fn_ = std::make_unique<Function>(context_, fn_name, *ret_type);
+    fn_ = std::make_unique<Function>(context_, std::string(fn_name),
+                                     *ret_type);
     if (!header.consume(')')) {
         for (;;) {
             Result<const Type *> arg_type = parseType(header);
             if (!arg_type)
                 return arg_type.error();
             // Skip parameter attributes.
-            while (header.consumeWord("noundef") ||
-                   header.consumeWord("nonnull") ||
-                   header.consumeWord("readonly") ||
-                   header.consumeWord("nocapture") ||
-                   header.consumeWord("writeonly"))
-                ;
-            auto arg_name = header.localName();
-            std::string name = arg_name ? *arg_name : std::string();
-            Argument *arg = fn_->addArg(*arg_type, name);
-            if (!name.empty()) {
-                if (values_.count(name))
-                    return err(header.lineNo(),
-                               "duplicate argument name '%" + name + "'");
-                values_[name] = arg;
-            }
+            header.consumeWhile({"noundef", "nonnull", "readonly",
+                                 "nocapture", "writeonly"},
+                                [](std::string_view) {});
+            std::string_view name = header.localName().value_or("");
+            Argument *arg = fn_->addArg(*arg_type, std::string(name));
+            if (!name.empty() && !values_.bind(name, arg))
+                return err(header.lineNo(), "duplicate argument name '%" +
+                                                std::string(name) + "'");
             if (header.consume(')'))
                 break;
             if (!header.consume(','))
@@ -950,24 +1146,15 @@ FunctionParser::run(const std::vector<std::pair<int, std::string>> &lines,
     fn_->numberValues();
     // Register auto-assigned numeric argument names.
     for (const auto &arg : fn_->args())
-        if (!values_.count(arg->name()))
-            values_[arg->name()] = arg.get();
+        values_.bind(arg->name(), arg.get());
     if (!header.consume('{'))
         return err(header.lineNo(), "expected '{' to begin function body");
-    ++index;
 
     BasicBlock *block = nullptr;
-    auto ensure_block = [&]() {
-        if (!block)
-            block = fn_->addBlock("entry");
-        return block;
-    };
-
-    for (; index < lines.size(); ++index) {
-        const auto &[line_no, text] = lines[index];
-        std::string_view body = trim(text);
+    while (lines.next()) {
+        int line_no = lines.number();
+        std::string_view body = trim(lines.line());
         if (body == "}") {
-            ++index;
             if (!fn_->blocks().empty() && fn_->entry()->terminator() ==
                 nullptr && fn_->blocks().size() == 1 &&
                 fn_->entry()->empty()) {
@@ -988,37 +1175,25 @@ FunctionParser::run(const std::vector<std::pair<int, std::string>> &lines,
             return std::move(fn_);
         }
         // Label line: "name:".
-        if (!body.empty() && body.back() == ':' &&
-            body.find(' ') == std::string_view::npos) {
-            std::string label(body.substr(0, body.size() - 1));
-            block = fn_->addBlock(label);
+        if (body.back() == ':' && body.find(' ') == std::string_view::npos) {
+            block = fn_->addBlock(std::string(body.substr(0, body.size() - 1)));
             continue;
         }
-        LineCursor cur(text, line_no);
-        Result<Instruction *> inst = parseInstruction(cur, ensure_block());
+        if (!block)
+            block = fn_->addBlock("entry");
+        LineCursor cur(lines.line(), line_no);
+        Result<Instruction *> inst = parseInstruction(cur, block);
         if (!inst)
             return inst.error();
     }
-    return err(lines.back().first, "expected '}' to close function body");
+    return err(lines.number(), "expected '}' to close function body");
 }
 
-/** Strip comments/blank lines; keep (original line number, text). */
-std::vector<std::pair<int, std::string>>
-preprocess(std::string_view text)
+/** True when @p line, trimmed, starts a function definition. */
+bool
+isDefineLine(std::string_view line)
 {
-    std::vector<std::pair<int, std::string>> lines;
-    int line_no = 0;
-    for (const std::string &raw : split(text, '\n')) {
-        ++line_no;
-        std::string stripped = raw;
-        size_t comment = stripped.find(';');
-        if (comment != std::string::npos)
-            stripped = stripped.substr(0, comment);
-        if (trim(stripped).empty())
-            continue;
-        lines.emplace_back(line_no, stripped);
-    }
-    return lines;
+    return startsWith(trim(line), "define");
 }
 
 } // namespace
@@ -1032,16 +1207,14 @@ parseModule(Context &context, std::string_view text, std::string module_name)
         return Error{"injected parse failure (failpoint parser.fail)",
                      0, 0};
     auto module = std::make_unique<Module>(context, std::move(module_name));
-    auto lines = preprocess(text);
-    size_t index = 0;
-    while (index < lines.size()) {
-        std::string_view body = trim(lines[index].second);
-        if (!startsWith(body, "define")) {
-            ++index; // tolerate declarations/attributes/metadata
+    LineReader lines(text);
+    // Declarations, attributes and metadata between definitions are
+    // tolerated and skipped.
+    while (lines.next()) {
+        if (!isDefineLine(lines.line()))
             continue;
-        }
         FunctionParser fp(context);
-        Result<std::unique_ptr<Function>> fn = fp.run(lines, index);
+        Result<std::unique_ptr<Function>> fn = fp.run(lines);
         if (!fn)
             return fn.error();
         module->addFunction(fn.take());
@@ -1057,11 +1230,11 @@ parseFunction(Context &context, std::string_view text)
     if (LPO_FAILPOINT("parser.fail"))
         return Error{"injected parse failure (failpoint parser.fail)",
                      0, 0};
-    auto lines = preprocess(text);
-    for (size_t index = 0; index < lines.size(); ++index) {
-        if (startsWith(trim(lines[index].second), "define")) {
+    LineReader lines(text);
+    while (lines.next()) {
+        if (isDefineLine(lines.line())) {
             FunctionParser fp(context);
-            return fp.run(lines, index);
+            return fp.run(lines);
         }
     }
     return Error{"no function definition found", 0, 0};

@@ -1,33 +1,96 @@
 #include "ir/printer.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <map>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace lpo::ir {
 namespace {
 
 /**
- * Optional renaming applied while printing. When null, values and
- * labels print under their own names (the default, parser-stable
- * syntax); printFunctionCanonical supplies maps that alpha-rename
- * values to %0,%1,... and labels to b0,b1,... so structurally
- * identical functions print identically.
+ * The renaming printFunctionCanonical applies: values (arguments,
+ * then named results in block order) print as %0, %1, ..., labels as
+ * b0, b1, ... by block position, and the function as @f. Value numbers
+ * sit in one vector, open-addressed by the value's address; one
+ * instance per thread is reused across prints.
  */
-struct PrintNames
+class CanonicalNames
 {
-    std::map<const Value *, std::string> values;
-    std::map<std::string, std::string> labels;
-    std::string function_name;
-};
+  public:
+    void
+    assign(const Function &fn)
+    {
+        size_t count = fn.numArgs();
+        for (const auto &bb : fn.blocks())
+            count += bb->size();
+        shift_ = 60;
+        while ((size_t(1) << (64 - shift_)) < 2 * count)
+            --shift_;
+        slots_.assign(size_t(1) << (64 - shift_), Slot{});
+        labels_.clear();
+        unsigned next = 0;
+        for (unsigned i = 0; i < fn.numArgs(); ++i)
+            insert(fn.arg(i), next++);
+        for (const auto &bb : fn.blocks()) {
+            labels_.push_back(bb->label());
+            for (const auto &inst : bb->instructions())
+                if (!inst->type()->isVoid() && !inst->isTerminator())
+                    insert(inst.get(), next++);
+        }
+    }
 
-std::string
-formatDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%e", value);
-    return buffer;
-}
+    /** The number of @p v, or -1 for a value of another function. */
+    long
+    numberOf(const Value *v) const
+    {
+        const Slot &slot = slots_[probe(v)];
+        return slot.value ? long(slot.number) : -1;
+    }
+
+    /** The position of the first block labelled @p label, or -1. */
+    long
+    blockOf(std::string_view label) const
+    {
+        auto it = std::find(labels_.begin(), labels_.end(), label);
+        return it != labels_.end() ? long(it - labels_.begin()) : -1;
+    }
+
+  private:
+    struct Slot
+    {
+        const Value *value = nullptr;
+        unsigned number = 0;
+    };
+
+    /** The slot holding @p v, or the empty slot where it goes. */
+    size_t
+    probe(const Value *v) const
+    {
+        size_t mask = slots_.size() - 1;
+        size_t i = (reinterpret_cast<uintptr_t>(v) * 0x9e3779b97f4a7c15ull) >>
+                   shift_;
+        while (slots_[i].value && slots_[i].value != v)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    void
+    insert(const Value *v, unsigned number)
+    {
+        Slot &slot = slots_[probe(v)];
+        if (!slot.value)
+            slot = {v, number};
+    }
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 60;
+    std::vector<std::string_view> labels_;
+};
 
 bool
 isZeroConstant(const Value *v)
@@ -50,258 +113,351 @@ isZeroConstant(const Value *v)
     }
 }
 
-std::string valueRefImpl(const Value *v, const PrintNames *names);
-
-/** "i32 255" for a splat payload or vector element. */
-std::string
-typedRef(const Value *v, const PrintNames *names)
+/** Appends IR text to one buffer, under canonical names when given. */
+class Printer
 {
-    return v->type()->toString() + " " + valueRefImpl(v, names);
-}
+  public:
+    Printer(std::string &out, const CanonicalNames *names)
+        : out_(out), names_(names)
+    {}
 
-std::string
-intrinsicSuffix(const Type *type)
-{
-    if (type->isVector()) {
-        return ".v" + std::to_string(type->lanes()) +
-               type->scalarType()->toString();
-    }
-    if (type->isFloat())
-        return ".f64";
-    return "." + type->toString();
-}
-
-std::string
-labelRef(const std::string &label, const PrintNames *names)
-{
-    if (names) {
-        auto it = names->labels.find(label);
-        assert(it != names->labels.end());
-        return it->second;
-    }
-    return label;
-}
-
-std::string
-valueRefImpl(const Value *v, const PrintNames *names)
-{
-    switch (v->kind()) {
-      case Value::Kind::Argument:
-      case Value::Kind::Instruction: {
-        if (names) {
-            auto it = names->values.find(v);
-            assert(it != names->values.end());
-            return "%" + it->second;
-        }
-        return "%" + v->name();
-      }
-      case Value::Kind::ConstInt: {
-        const auto *ci = static_cast<const ConstantInt *>(v);
-        if (ci->type()->isBool())
-            return ci->value().isZero() ? "false" : "true";
-        return ci->value().toString();
-      }
-      case Value::Kind::ConstFP:
-        return formatDouble(static_cast<const ConstantFP *>(v)->value());
-      case Value::Kind::Poison:
-        return "poison";
-      case Value::Kind::ConstVector: {
-        const auto *cv = static_cast<const ConstantVector *>(v);
-        if (isZeroConstant(cv))
-            return "zeroinitializer";
-        if (cv->isSplat())
-            return "splat (" + typedRef(cv->splatValue(), names) + ")";
-        std::string out = "<";
-        for (size_t i = 0; i < cv->elements().size(); ++i) {
+    void
+    function(const Function &fn)
+    {
+        out_ += "define ";
+        out_ += fn.returnType()->toString();
+        out_ += " @";
+        out_ += names_ ? std::string_view("f") : std::string_view(fn.name());
+        out_ += '(';
+        for (unsigned i = 0; i < fn.numArgs(); ++i) {
             if (i)
-                out += ", ";
-            out += typedRef(cv->elements()[i], names);
+                out_ += ", ";
+            typedRef(fn.arg(i));
         }
-        return out + ">";
-      }
+        out_ += ") {\n";
+        bool first = true;
+        for (const auto &bb : fn.blocks()) {
+            if (!first || fn.blocks().size() > 1) {
+                label(bb->label());
+                out_ += ":\n";
+            }
+            first = false;
+            for (const auto &inst : bb->instructions()) {
+                out_ += "  ";
+                instruction(inst.get());
+                out_ += '\n';
+            }
+        }
+        out_ += "}\n";
     }
-    return "?";
-}
 
-std::string
-instructionImpl(const Instruction *inst, const PrintNames *names)
+    void
+    instruction(const Instruction *inst)
+    {
+        if (!inst->type()->isVoid() && !inst->isTerminator()) {
+            valueRef(inst);
+            out_ += " = ";
+        }
+        const InstFlags &flags = inst->flags();
+        switch (inst->op()) {
+          case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+          case Opcode::Shl:
+            out_ += opcodeName(inst->op());
+            flag(flags.nuw, " nuw");
+            flag(flags.nsw, " nsw");
+            binaryOperands(inst);
+            return;
+          case Opcode::UDiv: case Opcode::SDiv:
+          case Opcode::LShr: case Opcode::AShr:
+            out_ += opcodeName(inst->op());
+            flag(flags.exact, " exact");
+            binaryOperands(inst);
+            return;
+          case Opcode::URem: case Opcode::SRem:
+          case Opcode::And: case Opcode::Xor:
+          case Opcode::FAdd: case Opcode::FSub:
+          case Opcode::FMul: case Opcode::FDiv:
+            out_ += opcodeName(inst->op());
+            binaryOperands(inst);
+            return;
+          case Opcode::Or:
+            out_ += "or";
+            flag(flags.disjoint, " disjoint");
+            binaryOperands(inst);
+            return;
+          case Opcode::ICmp:
+            out_ += "icmp ";
+            out_ += icmpPredName(inst->icmpPred());
+            binaryOperands(inst);
+            return;
+          case Opcode::FCmp:
+            out_ += "fcmp ";
+            out_ += fcmpPredName(inst->fcmpPred());
+            binaryOperands(inst);
+            return;
+          case Opcode::Select:
+            out_ += "select ";
+            typedRef(inst->operand(0));
+            out_ += ", ";
+            typedRef(inst->operand(1));
+            out_ += ", ";
+            typedRef(inst->operand(2));
+            return;
+          case Opcode::Trunc:
+            out_ += "trunc";
+            flag(flags.nuw, " nuw");
+            flag(flags.nsw, " nsw");
+            castOperand(inst);
+            return;
+          case Opcode::ZExt:
+            out_ += "zext";
+            flag(flags.nneg, " nneg");
+            castOperand(inst);
+            return;
+          case Opcode::SExt:
+            out_ += "sext";
+            castOperand(inst);
+            return;
+          case Opcode::Freeze:
+            out_ += "freeze ";
+            typedRef(inst->operand(0));
+            return;
+          case Opcode::Call:
+            flag(flags.tail, "tail ");
+            out_ += "call ";
+            out_ += inst->type()->toString();
+            out_ += " @";
+            out_ += intrinsicName(inst->intrinsic());
+            // The type suffix follows the leading argument's type (fabs
+            // is keyed on the return type, same thing for our fragment).
+            intrinsicSuffix(inst->operand(0)->type());
+            out_ += '(';
+            for (unsigned i = 0; i < inst->numOperands(); ++i) {
+                if (i)
+                    out_ += ", ";
+                typedRef(inst->operand(i));
+            }
+            out_ += ')';
+            return;
+          case Opcode::Load:
+            out_ += "load ";
+            out_ += inst->type()->toString();
+            out_ += ", ";
+            typedRef(inst->operand(0));
+            align(inst);
+            return;
+          case Opcode::Store:
+            out_ += "store ";
+            typedRef(inst->operand(0));
+            out_ += ", ";
+            typedRef(inst->operand(1));
+            align(inst);
+            return;
+          case Opcode::Gep:
+            out_ += "getelementptr";
+            flag(flags.inbounds, " inbounds");
+            flag(flags.nuw, " nuw");
+            out_ += ' ';
+            out_ += inst->accessType()->toString();
+            for (unsigned i = 0; i < inst->numOperands(); ++i) {
+                out_ += ", ";
+                typedRef(inst->operand(i));
+            }
+            return;
+          case Opcode::Phi:
+            out_ += "phi ";
+            out_ += inst->type()->toString();
+            out_ += ' ';
+            for (unsigned i = 0; i < inst->numOperands(); ++i) {
+                if (i)
+                    out_ += ", ";
+                out_ += "[ ";
+                valueRef(inst->operand(i));
+                out_ += ", %";
+                label(inst->phiLabels()[i]);
+                out_ += " ]";
+            }
+            return;
+          case Opcode::Br:
+            if (inst->numOperands() == 0) {
+                out_ += "br label %";
+                label(inst->brLabels()[0]);
+                return;
+            }
+            out_ += "br ";
+            typedRef(inst->operand(0));
+            out_ += ", label %";
+            label(inst->brLabels()[0]);
+            out_ += ", label %";
+            label(inst->brLabels()[1]);
+            return;
+          case Opcode::Ret:
+            if (inst->numOperands() == 0) {
+                out_ += "ret void";
+                return;
+            }
+            out_ += "ret ";
+            typedRef(inst->operand(0));
+            return;
+        }
+        assert(false && "unhandled opcode in printer");
+    }
+
+    /** A value without its type: a name, or a constant's spelling. */
+    void
+    valueRef(const Value *v)
+    {
+        switch (v->kind()) {
+          case Value::Kind::Argument:
+          case Value::Kind::Instruction: {
+            out_ += '%';
+            long number = names_ ? names_->numberOf(v) : -1;
+            assert((!names_ || number >= 0) && "value of another function");
+            if (number >= 0)
+                decimal(static_cast<uint64_t>(number));
+            else
+                out_ += v->name();
+            return;
+          }
+          case Value::Kind::ConstInt: {
+            const APInt &value = static_cast<const ConstantInt *>(v)->value();
+            if (v->type()->isBool())
+                out_ += value.isZero() ? "false" : "true";
+            else if (value.width() > 1 && value.isSignBitSet())
+                decimal(value.sext());
+            else
+                decimal(value.zext());
+            return;
+          }
+          case Value::Kind::ConstFP: {
+            char buffer[64];
+            int n = std::snprintf(buffer, sizeof(buffer), "%e",
+                                  static_cast<const ConstantFP *>(v)->value());
+            out_.append(buffer, n);
+            return;
+          }
+          case Value::Kind::Poison:
+            out_ += "poison";
+            return;
+          case Value::Kind::ConstVector: {
+            const auto *cv = static_cast<const ConstantVector *>(v);
+            if (isZeroConstant(cv)) {
+                out_ += "zeroinitializer";
+                return;
+            }
+            if (cv->isSplat()) {
+                out_ += "splat (";
+                typedRef(cv->splatValue());
+                out_ += ')';
+                return;
+            }
+            out_ += '<';
+            for (size_t i = 0; i < cv->elements().size(); ++i) {
+                if (i)
+                    out_ += ", ";
+                typedRef(cv->elements()[i]);
+            }
+            out_ += '>';
+            return;
+          }
+        }
+        out_ += '?';
+    }
+
+  private:
+    /** "i32 255": a value with its type. */
+    void
+    typedRef(const Value *v)
+    {
+        out_ += v->type()->toString();
+        out_ += ' ';
+        valueRef(v);
+    }
+
+    /** " <ty> a, b": the operands of a binary operator or compare. */
+    void
+    binaryOperands(const Instruction *inst)
+    {
+        out_ += ' ';
+        typedRef(inst->operand(0));
+        out_ += ", ";
+        valueRef(inst->operand(1));
+    }
+
+    void
+    castOperand(const Instruction *inst)
+    {
+        out_ += ' ';
+        typedRef(inst->operand(0));
+        out_ += " to ";
+        out_ += inst->type()->toString();
+    }
+
+    void
+    align(const Instruction *inst)
+    {
+        if (inst->align()) {
+            out_ += ", align ";
+            decimal(inst->align());
+        }
+    }
+
+    void
+    flag(bool set, std::string_view text)
+    {
+        if (set)
+            out_ += text;
+    }
+
+    void
+    intrinsicSuffix(const Type *type)
+    {
+        if (type->isVector()) {
+            out_ += ".v";
+            decimal(type->lanes());
+            out_ += type->scalarType()->toString();
+        } else if (type->isFloat()) {
+            out_ += ".f64";
+        } else {
+            out_ += '.';
+            out_ += type->toString();
+        }
+    }
+
+    void
+    label(const std::string &name)
+    {
+        long block = names_ ? names_->blockOf(name) : -1;
+        assert((!names_ || block >= 0) && "label of no block");
+        if (block < 0) {
+            out_ += name;
+            return;
+        }
+        out_ += 'b';
+        decimal(static_cast<uint64_t>(block));
+    }
+
+    template <typename Int>
+    void
+    decimal(Int value)
+    {
+        char buffer[24];
+        auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+        out_.append(buffer, end);
+    }
+
+    std::string &out_;
+    const CanonicalNames *names_;
+};
+
+/** A capacity guess for @p fn's text, so printing rarely regrows. */
+size_t
+textSizeHint(const Function &fn)
 {
-    std::string out;
-    if (!inst->type()->isVoid() && !inst->isTerminator())
-        out += valueRefImpl(inst, names) + " = ";
-
-    const InstFlags &flags = inst->flags();
-    auto operand_ref = [&](unsigned i) {
-        return valueRefImpl(inst->operand(i), names);
-    };
-    auto typed_operand = [&](unsigned i) {
-        return inst->operand(i)->type()->toString() + " " + operand_ref(i);
-    };
-
-    switch (inst->op()) {
-      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
-      case Opcode::Shl: {
-        out += opcodeName(inst->op());
-        if (flags.nuw)
-            out += " nuw";
-        if (flags.nsw)
-            out += " nsw";
-        out += " " + typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::UDiv: case Opcode::SDiv:
-      case Opcode::LShr: case Opcode::AShr: {
-        out += opcodeName(inst->op());
-        if (flags.exact)
-            out += " exact";
-        out += " " + typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::URem: case Opcode::SRem:
-      case Opcode::And: case Opcode::Xor:
-      case Opcode::FAdd: case Opcode::FSub:
-      case Opcode::FMul: case Opcode::FDiv: {
-        out += std::string(opcodeName(inst->op())) + " " +
-               typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::Or: {
-        out += "or";
-        if (flags.disjoint)
-            out += " disjoint";
-        out += " " + typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::ICmp: {
-        out += std::string("icmp ") + icmpPredName(inst->icmpPred()) + " " +
-               typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::FCmp: {
-        out += std::string("fcmp ") + fcmpPredName(inst->fcmpPred()) + " " +
-               typed_operand(0) + ", " + operand_ref(1);
-        return out;
-      }
-      case Opcode::Select: {
-        out += "select " + typed_operand(0) + ", " + typed_operand(1) +
-               ", " + typed_operand(2);
-        return out;
-      }
-      case Opcode::Trunc: {
-        out += "trunc";
-        if (flags.nuw)
-            out += " nuw";
-        if (flags.nsw)
-            out += " nsw";
-        out += " " + typed_operand(0) + " to " + inst->type()->toString();
-        return out;
-      }
-      case Opcode::ZExt: {
-        out += "zext";
-        if (flags.nneg)
-            out += " nneg";
-        out += " " + typed_operand(0) + " to " + inst->type()->toString();
-        return out;
-      }
-      case Opcode::SExt: {
-        out += "sext " + typed_operand(0) + " to " +
-               inst->type()->toString();
-        return out;
-      }
-      case Opcode::Freeze: {
-        out += "freeze " + typed_operand(0);
-        return out;
-      }
-      case Opcode::Call: {
-        if (flags.tail)
-            out += "tail ";
-        out += "call " + inst->type()->toString() + " @";
-        out += intrinsicName(inst->intrinsic());
-        // The type suffix follows the leading argument's type (fabs is
-        // keyed on the return type, same thing for our fragment).
-        out += intrinsicSuffix(inst->operand(0)->type());
-        out += "(";
-        for (unsigned i = 0; i < inst->numOperands(); ++i) {
-            if (i)
-                out += ", ";
-            out += typed_operand(i);
-        }
-        out += ")";
-        return out;
-      }
-      case Opcode::Load: {
-        out += "load " + inst->type()->toString() + ", " + typed_operand(0);
-        if (inst->align())
-            out += ", align " + std::to_string(inst->align());
-        return out;
-      }
-      case Opcode::Store: {
-        out += "store " + typed_operand(0) + ", " + typed_operand(1);
-        if (inst->align())
-            out += ", align " + std::to_string(inst->align());
-        return out;
-      }
-      case Opcode::Gep: {
-        out += "getelementptr";
-        if (flags.inbounds)
-            out += " inbounds";
-        if (flags.nuw)
-            out += " nuw";
-        out += " " + inst->accessType()->toString();
-        for (unsigned i = 0; i < inst->numOperands(); ++i)
-            out += ", " + typed_operand(i);
-        return out;
-      }
-      case Opcode::Phi: {
-        out += "phi " + inst->type()->toString() + " ";
-        for (unsigned i = 0; i < inst->numOperands(); ++i) {
-            if (i)
-                out += ", ";
-            out += "[ " + operand_ref(i) + ", %" +
-                   labelRef(inst->phiLabels()[i], names) + " ]";
-        }
-        return out;
-      }
-      case Opcode::Br: {
-        if (inst->numOperands() == 0)
-            return "br label %" + labelRef(inst->brLabels()[0], names);
-        return "br " + typed_operand(0) + ", label %" +
-               labelRef(inst->brLabels()[0], names) + ", label %" +
-               labelRef(inst->brLabels()[1], names);
-      }
-      case Opcode::Ret: {
-        if (inst->numOperands() == 0)
-            return "ret void";
-        return "ret " + typed_operand(0);
-      }
-    }
-    assert(false && "unhandled opcode in printer");
-    return out;
-}
-
-std::string
-functionImpl(const Function &fn, const PrintNames *names)
-{
-    std::string fn_name = names ? names->function_name : fn.name();
-    std::string out = "define " + fn.returnType()->toString() + " @" +
-                      fn_name + "(";
-    for (unsigned i = 0; i < fn.numArgs(); ++i) {
-        if (i)
-            out += ", ";
-        out += fn.arg(i)->type()->toString() + " " +
-               valueRefImpl(fn.arg(i), names);
-    }
-    out += ") {\n";
-    bool first = true;
-    for (const auto &bb : fn.blocks()) {
-        if (!first || fn.blocks().size() > 1)
-            out += labelRef(bb->label(), names) + ":\n";
-        first = false;
-        for (const auto &inst : bb->instructions())
-            out += "  " + instructionImpl(inst.get(), names) + "\n";
-    }
-    out += "}\n";
-    return out;
+    size_t insts = 0;
+    for (const auto &bb : fn.blocks())
+        insts += bb->size() + 1;
+    return 32 + 16 * fn.numArgs() + 40 * insts;
 }
 
 } // namespace
@@ -309,49 +465,47 @@ functionImpl(const Function &fn, const PrintNames *names)
 std::string
 printValueRef(const Value *v)
 {
-    return valueRefImpl(v, nullptr);
+    std::string out;
+    Printer(out, nullptr).valueRef(v);
+    return out;
 }
 
 std::string
 printInstruction(const Instruction *inst)
 {
-    return instructionImpl(inst, nullptr);
+    std::string out;
+    Printer(out, nullptr).instruction(inst);
+    return out;
 }
 
 std::string
 printFunction(const Function &fn)
 {
-    return functionImpl(fn, nullptr);
+    std::string out;
+    out.reserve(textSizeHint(fn));
+    Printer(out, nullptr).function(fn);
+    return out;
 }
 
 std::string
 printFunctionCanonical(const Function &fn)
 {
-    PrintNames names;
-    names.function_name = "f";
-    unsigned next_value = 0;
-    for (unsigned i = 0; i < fn.numArgs(); ++i)
-        names.values.emplace(fn.arg(i), std::to_string(next_value++));
-    unsigned next_label = 0;
-    for (const auto &bb : fn.blocks()) {
-        names.labels.emplace(bb->label(), "b" + std::to_string(next_label++));
-        for (const auto &inst : bb->instructions()) {
-            if (!inst->type()->isVoid() && !inst->isTerminator())
-                names.values.emplace(inst.get(),
-                                     std::to_string(next_value++));
-        }
-    }
-    return functionImpl(fn, &names);
+    thread_local CanonicalNames names;
+    names.assign(fn);
+    std::string out;
+    out.reserve(textSizeHint(fn));
+    Printer(out, &names).function(fn);
+    return out;
 }
 
 std::string
 printModule(const Module &module)
 {
-    std::string out;
-    out += "; ModuleID = '" + module.name() + "'\n";
+    std::string out = "; ModuleID = '" + module.name() + "'\n";
     for (const auto &fn : module.functions()) {
-        out += "\n";
-        out += printFunction(*fn);
+        out += '\n';
+        out.reserve(out.size() + textSizeHint(*fn));
+        Printer(out, nullptr).function(*fn);
     }
     return out;
 }

@@ -34,23 +34,19 @@ Type::storeSizeBytes() const
     return 0;
 }
 
-std::string
-Type::toString() const
+Type::Type(Kind kind, unsigned width, unsigned lanes, const Type *elem)
+    : kind_(kind), width_(width), lanes_(lanes), elem_(elem)
 {
     switch (kind_) {
-      case Kind::Void:
-        return "void";
-      case Kind::Int:
-        return "i" + std::to_string(width_);
-      case Kind::Float:
-        return "double";
-      case Kind::Ptr:
-        return "ptr";
+      case Kind::Void: name_ = "void"; break;
+      case Kind::Int: name_ = "i" + std::to_string(width_); break;
+      case Kind::Float: name_ = "double"; break;
+      case Kind::Ptr: name_ = "ptr"; break;
       case Kind::Vector:
-        return "<" + std::to_string(lanes_) + " x " + elem_->toString() +
-               ">";
+        name_ = "<" + std::to_string(lanes_) + " x " + elem_->toString() +
+                ">";
+        break;
     }
-    return "?";
 }
 
 TypeContext::TypeContext()
@@ -68,12 +64,11 @@ const Type *
 TypeContext::intTy(unsigned width)
 {
     assert(width >= 1 && width <= 64 && "unsupported integer width");
-    auto it = ints_.find(width);
-    if (it != ints_.end())
-        return it->second;
-    pool_.emplace_back(new Type(Type::Kind::Int, width, 0, nullptr));
-    const Type *ty = pool_.back().get();
-    ints_[width] = ty;
+    const Type *&ty = ints_[width];
+    if (!ty) {
+        pool_.emplace_back(new Type(Type::Kind::Int, width, 0, nullptr));
+        ty = pool_.back().get();
+    }
     return ty;
 }
 

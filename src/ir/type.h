@@ -10,6 +10,7 @@
 #ifndef LPO_IR_TYPE_H
 #define LPO_IR_TYPE_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,19 +52,19 @@ class Type
     /** Byte size used by load/store/gep (vectors are packed). */
     unsigned storeSizeBytes() const;
 
-    /** LLVM-style spelling, e.g. "i32", "<4 x i8>", "ptr". */
-    std::string toString() const;
+    /** LLVM-style spelling, e.g. "i32", "<4 x i8>", "ptr"; spelled
+     *  once, when the type is interned. */
+    const std::string &toString() const { return name_; }
 
   private:
     friend class TypeContext;
-    Type(Kind kind, unsigned width, unsigned lanes, const Type *elem)
-        : kind_(kind), width_(width), lanes_(lanes), elem_(elem)
-    {}
+    Type(Kind kind, unsigned width, unsigned lanes, const Type *elem);
 
     Kind kind_;
     unsigned width_;      // int bit width (scalar only)
     unsigned lanes_;      // vector lane count
     const Type *elem_;    // vector element type
+    std::string name_;
 };
 
 /** Owner and intern table for Type instances. */
@@ -88,7 +89,7 @@ class TypeContext
     const Type *void_;
     const Type *float_;
     const Type *ptr_;
-    std::map<unsigned, const Type *> ints_;
+    std::array<const Type *, 65> ints_{}; ///< by width; null until used
     std::map<std::pair<const Type *, unsigned>, const Type *> vectors_;
 };
 

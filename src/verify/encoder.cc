@@ -746,6 +746,29 @@ TermDag::minMax(Op op, TermId x, TermId y)
         }
         kept = std::move(rest);
     }
+    // An and never exceeds its operand and an or never falls below it,
+    // so umin(x, x & y) = x & y and umax(x, x | y) = x | y for any y
+    // (poison too: x & y is poison exactly when x or y is). A low mask
+    // of x is zext(trunc(x)) here, an and all the same. Each drop is
+    // justified by an operand still in the set.
+    if (!is_signed) {
+        const Op bound = is_min ? Op::And : Op::Or;
+        auto lowBitsOf = [&](TermId t, TermId x) {
+            return is_min && nodes_[t].op == Op::ZExt &&
+                   nodes_[arg0(t)].op == Op::Trunc && arg0(arg0(t)) == x;
+        };
+        for (size_t i = 0; i < kept.size();) {
+            const TermId x = kept[i].id;
+            const bool bounded =
+                std::any_of(kept.begin(), kept.end(), [&](const Ref &r) {
+                    return hasOperand(bound, r.id, x) || lowBitsOf(r.id, x);
+                });
+            if (bounded)
+                kept.erase(kept.begin() + i);
+            else
+                ++i;
+        }
+    }
     // Absorption: drop an operand that is the dual of operands one of
     // which is still in the set, since that one is on its side of it
     // (umin(a, umax(a, b)) = a). Each drop is justified by an operand

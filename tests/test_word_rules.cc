@@ -110,6 +110,28 @@ const Shape kShapes[] = {
     {"smax_absorbs_smin", 2,
      "  %m = call T @llvm.smin.T(T %a, T %b)\n"
      "  %r = call T @llvm.smax.T(T %m, T %b)\n"},
+    // An and is never above its operand, an or never below it.
+    {"umin_of_and_operand", 2,
+     "  %x = and T %a, %b\n"
+     "  %r = call T @llvm.umin.T(T %a, T %x)\n"},
+    {"umax_of_or_operand", 2,
+     "  %x = or T %b, %a\n"
+     "  %r = call T @llvm.umax.T(T %x, T %a)\n"},
+    {"umin_of_low_mask", 2,
+     "  %x = and T %a, 3\n"
+     "  %r = call T @llvm.umin.T(T %x, T %a)\n", 2},
+    {"umin_of_and_operand_chain", 3,
+     "  %x = and T %a, %b\n"
+     "  %m = call T @llvm.umin.T(T %c, T %a)\n"
+     "  %r = call T @llvm.umin.T(T %x, T %m)\n"},
+    // Near misses: a signed min may pick the operand (x & y is negative
+    // where x is not), and a max of the and is the operand, not it.
+    {"smin_of_and_operand_near_miss", 2,
+     "  %x = and T %a, %b\n"
+     "  %r = call T @llvm.smin.T(T %a, T %x)\n"},
+    {"umax_of_and_operand_near_miss", 2,
+     "  %x = and T %a, %b\n"
+     "  %r = call T @llvm.umax.T(T %a, T %x)\n"},
     // Near miss: the dual's operands are not in the set.
     {"umin_of_foreign_umax", 3,
      "  %m = call T @llvm.umax.T(T %b, T %c)\n"
@@ -860,6 +882,18 @@ const Firing kFirings[] = {
      "  %m = call T @llvm.umax.T(T %a, T %b)\n"
      "  %r = call T @llvm.umin.T(T %m, T %a)\n",
      "  %r = add T %a, 0\n"},
+    {"umin_of_and_operand",
+     "  %x = and T %a, %b\n"
+     "  %r = call T @llvm.umin.T(T %a, T %x)\n",
+     "  %r = and T %b, %a\n"},
+    {"umax_of_or_operand",
+     "  %x = or T %b, %a\n"
+     "  %r = call T @llvm.umax.T(T %x, T %a)\n",
+     "  %r = or T %a, %b\n"},
+    {"umin_of_low_mask",
+     "  %x = and T %a, 3\n"
+     "  %r = call T @llvm.umin.T(T %a, T %x)\n",
+     "  %r = and T %a, 3\n"},
     {"smax_reassociated",
      "  %m = call T @llvm.smax.T(T %a, T %b)\n"
      "  %n = call T @llvm.smax.T(T %m, T %a)\n"
@@ -1268,6 +1302,28 @@ TEST(WordRuleDecision, OrMinusOtherAndIsRefuted)
                                       width));
         auto tgt = parse(ctx, atWidth("define T @f(T %a, T %b, T %c) {\n"
                                       "  %r = xor T %a, %b\n"
+                                      "  ret T %r\n}\n",
+                                      width));
+        ASSERT_TRUE(src && tgt);
+        RefinementResult r = checkRefinement(*src, *tgt);
+        EXPECT_EQ(r.verdict, Verdict::Incorrect) << "i" << width;
+        EXPECT_EQ(r.backend, "sat") << "i" << width;
+    }
+}
+
+// smin(x, x & y) is no x & y: where x is negative and y is not, x & y
+// is non-negative, so smin picks x.
+TEST(WordRuleDecision, SignedMinOfAndIsRefuted)
+{
+    for (unsigned width : {8u, 64u}) {
+        ir::Context ctx;
+        auto src = parse(ctx, atWidth("define T @f(T %a, T %b) {\n"
+                                      "  %x = and T %a, %b\n"
+                                      "  %r = call T @llvm.smin.T(T %a, T %x)\n"
+                                      "  ret T %r\n}\n",
+                                      width));
+        auto tgt = parse(ctx, atWidth("define T @f(T %a, T %b) {\n"
+                                      "  %r = and T %a, %b\n"
                                       "  ret T %r\n}\n",
                                       width));
         ASSERT_TRUE(src && tgt);

@@ -49,14 +49,16 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # demanded widths, and
 # test_verifier_fuzz drives all of them on fuzzed pairs. test_function
 # prints cross-context clones after their source Context is gone,
-# test_pipeline runs cases on such clones (made on first need), and
-# test_dce erases dead instructions in one compaction per block.
+# test_pipeline runs cases on such clones (made on first need),
+# test_dce erases dead instructions in one compaction per block, and
+# test_parser and test_printer drive the IR text layer's lexer, which
+# reads raw views into the input, over 10,000 mutated texts.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_sat_workspace test_bitblast test_encoder test_word_rules \
     test_functional_hashing test_function test_pipeline test_verifier_fuzz \
-    test_dce
+    test_dce test_parser test_printer
 ./build-sanitize/test_sat
 ./build-sanitize/test_sat_workspace
 ./build-sanitize/test_bitblast
@@ -71,6 +73,8 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_pipeline
 ./build-sanitize/test_verifier_fuzz
 ./build-sanitize/test_dce
+./build-sanitize/test_parser
+./build-sanitize/test_printer
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
@@ -337,6 +341,50 @@ for name in sorted(set(baseline) | set(current)):
                                    base[counter]))
             failures += 1
 print("SAT-core per-CNF gate: %d CNFs x 3 counters, %d failures"
+      % (len(current), failures))
+sys.exit(1 if failures else 0)
+EOF
+
+echo "=== IR text-layer benchmark (Release) ==="
+# parseFunction, printFunction and printFunctionCanonical over the
+# pinned function set of tests/ir_text_corpus.h. Prints min-of-5
+# microseconds per call with the machine fingerprint (not gated), and
+# gates what is deterministic: each operation's allocations must not
+# grow past the committed baseline, and each output digest must equal
+# it (the text is a persisted key and value, so it must not change by
+# a byte).
+(cd build-release && ./bench_ir_text)
+cp build-release/BENCH_text.json .
+echo "BENCH_text.json:"
+cat BENCH_text.json
+python3 - bench/BENCH_text.baseline.json BENCH_text.json <<'EOF'
+import json
+import sys
+
+baseline = {q["name"]: q for q in json.load(open(sys.argv[1]))["benchmarks"]}
+current = {q["name"]: q for q in json.load(open(sys.argv[2]))["benchmarks"]}
+failures = 0
+for name in sorted(set(baseline) | set(current)):
+    base, op = baseline.get(name), current.get(name)
+    if base is None or op is None:
+        print("FAIL: text-layer operation %s is %s" % (
+            name, "new (no committed baseline)" if base is None
+            else "missing from the bench"))
+        failures += 1
+        continue
+    if op["calls"] != base["calls"]:
+        print("FAIL: text-layer %s ran %d calls, the baseline %d"
+              % (name, op["calls"], base["calls"]))
+        failures += 1
+    if op["allocations"] > base["allocations"]:
+        print("FAIL: text-layer %s allocations %d grew past the committed "
+              "baseline %d" % (name, op["allocations"], base["allocations"]))
+        failures += 1
+    if op["digest"] != base["digest"]:
+        print("FAIL: text-layer %s output digest %s differs from the "
+              "committed %s" % (name, op["digest"], base["digest"]))
+        failures += 1
+print("text-layer gate: %d operations x allocations and digest, %d failures"
       % (len(current), failures))
 sys.exit(1 if failures else 0)
 EOF
