@@ -98,23 +98,25 @@ struct OpResult
 };
 
 /**
- * Run @p sweep (one call per function; its argument is the rep)
- * kReps times; keep the fastest sweep, and count the allocations of
- * the last one (by then every per-thread buffer and interned constant
- * exists).
+ * Run @p sweep (one call per function) kReps times, each after an
+ * untimed @p reset; keep the fastest sweep, and count the allocations
+ * of the last one (by then every per-thread buffer and interned
+ * constant exists).
  */
 OpResult
 measure(const std::string &name, size_t calls,
-        const std::function<void(unsigned)> &sweep)
+        const std::function<void()> &sweep,
+        const std::function<void()> &reset)
 {
     OpResult result;
     result.name = name;
     result.calls = calls;
     double best_us = 0;
     for (unsigned rep = 0; rep < kReps; ++rep) {
+        reset();
         uint64_t before = g_allocations.load(std::memory_order_relaxed);
         auto start = Clock::now();
-        sweep(rep);
+        sweep();
         double us = std::chrono::duration<double, std::micro>(
                         Clock::now() - start)
                         .count();
@@ -169,41 +171,56 @@ main()
         texts.push_back(ir::printFunction(*fn));
     const size_t n = functions.size();
 
-    // Each sweep writes into slots that already exist, and parsed
-    // functions live until the end, so no sweep pays for freeing the
-    // previous one's outputs.
-    std::vector<std::vector<std::unique_ptr<ir::Function>>> parsed(kReps);
-    for (auto &rep : parsed)
-        rep.resize(n);
+    // Each sweep writes into slots that already exist; the previous
+    // sweep's outputs are freed before the timer starts.
+    std::vector<std::unique_ptr<ir::Function>> parsed(n);
     std::vector<std::string> printed(n), canonical(n);
     bool parse_failed = false;
 
     std::vector<OpResult> results;
-    results.push_back(measure("parse", n, [&](unsigned rep) {
-        for (size_t i = 0; i < n; ++i) {
-            auto fn = ir::parseFunction(context, texts[i]);
-            if (!fn.ok()) {
-                parse_failed = true;
-                continue;
+    results.push_back(measure(
+        "parse", n,
+        [&] {
+            for (size_t i = 0; i < n; ++i) {
+                auto fn = ir::parseFunction(context, texts[i]);
+                if (!fn.ok()) {
+                    parse_failed = true;
+                    continue;
+                }
+                parsed[i] = fn.take();
             }
-            parsed[rep][i] = fn.take();
-        }
-    }));
-    results.push_back(measure("print", n, [&](unsigned) {
-        for (size_t i = 0; i < n; ++i)
-            printed[i] = ir::printFunction(*functions[i]);
-    }));
-    results.push_back(measure("print_canonical", n, [&](unsigned) {
-        for (size_t i = 0; i < n; ++i)
-            canonical[i] = ir::printFunctionCanonical(*functions[i]);
-    }));
+        },
+        [&] {
+            for (auto &fn : parsed)
+                fn.reset();
+        }));
+    results.push_back(measure(
+        "print", n,
+        [&] {
+            for (size_t i = 0; i < n; ++i)
+                printed[i] = ir::printFunction(*functions[i]);
+        },
+        [&] {
+            for (std::string &text : printed)
+                std::string().swap(text);
+        }));
+    results.push_back(measure(
+        "print_canonical", n,
+        [&] {
+            for (size_t i = 0; i < n; ++i)
+                canonical[i] = ir::printFunctionCanonical(*functions[i]);
+        },
+        [&] {
+            for (std::string &text : canonical)
+                std::string().swap(text);
+        }));
     if (parse_failed) {
         std::fprintf(stderr, "FAIL: a printed function did not re-parse\n");
         return 1;
     }
     for (size_t i = 0; i < n; ++i) {
         results[0].digest = text_corpus::fnvFold(
-            results[0].digest, ir::printFunction(*parsed.back()[i]));
+            results[0].digest, ir::printFunction(*parsed[i]));
         results[1].digest = text_corpus::fnvFold(results[1].digest,
                                                  printed[i]);
         results[2].digest = text_corpus::fnvFold(results[2].digest,

@@ -5,20 +5,6 @@
 
 namespace lpo {
 
-std::vector<std::string>
-split(std::string_view text, char sep)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    for (size_t i = 0; i <= text.size(); ++i) {
-        if (i == text.size() || text[i] == sep) {
-            out.emplace_back(text.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
 std::string_view
 trim(std::string_view text)
 {

@@ -12,9 +12,6 @@
 
 namespace lpo {
 
-/** Split @p text on @p sep, keeping empty fields. */
-std::vector<std::string> split(std::string_view text, char sep);
-
 /** Strip leading and trailing ASCII whitespace. */
 std::string_view trim(std::string_view text);
 

@@ -362,8 +362,8 @@ TEST(CliTest, TracedRunIsByteIdenticalAndEmitsArtifacts)
     EXPECT_NE(traced.output.find("profile (wall time per phase):"),
               std::string::npos)
         << traced.output;
-    for (const char *row : {"\nextract", "\npropose", "\nverify",
-                            "\npatch", "\ndce", "\ntotal"})
+    for (const char *row : {"\nextract", "\npropose", "\nopt", "\nverify",
+                            "\ncase", "\npatch", "\ndce", "\ntotal"})
         EXPECT_NE(traced.output.find(row), std::string::npos)
             << "missing profile row " << (row + 1);
 

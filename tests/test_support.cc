@@ -70,15 +70,6 @@ TEST(RngTest, ChanceExtremes)
     EXPECT_NEAR(hits / 10000.0, 0.25, 0.03);
 }
 
-TEST(StringUtilsTest, Split)
-{
-    auto parts = split("a,b,,c", ',');
-    ASSERT_EQ(parts.size(), 4u);
-    EXPECT_EQ(parts[0], "a");
-    EXPECT_EQ(parts[2], "");
-    EXPECT_EQ(split("", ',').size(), 1u);
-}
-
 TEST(StringUtilsTest, Trim)
 {
     EXPECT_EQ(trim("  x y  "), "x y");

@@ -490,6 +490,7 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
             EXPECT_GT(timings.total_ns, 0u);
             EXPECT_GT(timings.extract_ns, 0u);
             EXPECT_GT(timings.verify_ns, 0u);
+            EXPECT_GT(timings.case_ns, 0u);
             // The slowest verifier calls, each timed around its own
             // encode and solve.
             ASSERT_FALSE(timings.slowest_verifies.empty());
@@ -508,7 +509,9 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
             EXPECT_EQ(timings.total_ns, 0u);
             EXPECT_EQ(timings.extract_ns, 0u);
             EXPECT_EQ(timings.propose_ns, 0u);
+            EXPECT_EQ(timings.opt_ns, 0u);
             EXPECT_EQ(timings.verify_ns, 0u);
+            EXPECT_EQ(timings.case_ns, 0u);
             EXPECT_EQ(timings.patch_ns, 0u);
             EXPECT_EQ(timings.dce_ns, 0u);
         }
