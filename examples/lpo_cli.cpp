@@ -31,6 +31,7 @@
 #include "core/report.h"
 #include "corpus/generator.h"
 #include "extract/extractor.h"
+#include "ir/ir_verifier.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "llm/mock_model.h"
@@ -87,6 +88,18 @@ cmdVerify(const char *src_path, const char *tgt_path)
                      (!src ? src.error() : tgt.error())
                          .toString().c_str());
         return 1;
+    }
+    // The parser accepts forward references and unknown labels (phis
+    // and branches may name what comes later); the checker needs
+    // well-formed IR.
+    for (auto [path, fn] : {std::pair{src_path, &**src},
+                            std::pair{tgt_path, &**tgt}}) {
+        std::vector<ir::VerifierIssue> issues = ir::verifyFunction(*fn);
+        if (!issues.empty()) {
+            std::fprintf(stderr, "error: %s: %s\n", path,
+                         issues.front().message.c_str());
+            return 1;
+        }
     }
     auto verdict = verify::checkRefinement(**src, **tgt);
     if (verdict.correct()) {

@@ -1,6 +1,5 @@
 #include "core/proposer.h"
 
-#include "egraph/extract.h"
 #include "support/failpoint.h"
 #include "ir/ir_verifier.h"
 #include "ir/printer.h"
@@ -85,13 +84,7 @@ EGraphProposer::propose(const ir::Function &seq, const std::string &,
     if (!egraph::EGraph::supports(seq))
         return std::nullopt;
 
-    egraph::EGraph graph(seq.context());
-    std::optional<egraph::ClassId> root = graph.addFunction(seq);
-    if (!root)
-        return std::nullopt;
-    egraph::saturate(graph, *root, seq, limits_);
-    std::unique_ptr<ir::Function> best =
-        egraph::extractFunction(graph, *root, seq);
+    std::unique_ptr<ir::Function> best = egraph::bestEquivalent(seq, limits_);
     if (!best || !ir::isValid(*best))
         return std::nullopt;
 

@@ -1,7 +1,6 @@
 #include "egraph/egraph.h"
 
 #include <algorithm>
-#include <map>
 
 #include "support/string_utils.h"
 
@@ -23,8 +22,8 @@ ENode::operator==(const ENode &other) const
            children == other.children;
 }
 
-size_t
-EGraph::ENodeHash::operator()(const ENode &node) const
+uint32_t
+EGraph::hashNode(const ENode &node)
 {
     uint64_t h = hashCombine(static_cast<uint64_t>(node.tag),
                              reinterpret_cast<uintptr_t>(node.type));
@@ -44,7 +43,72 @@ EGraph::ENodeHash::operator()(const ENode &node) const
     h = hashCombine(h, reinterpret_cast<uintptr_t>(node.constant));
     for (ClassId child : node.children)
         h = hashCombine(h, child);
-    return static_cast<size_t>(h);
+    // The table indexes by the low bits: mix the high ones down.
+    return static_cast<uint32_t>((h * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+ClassId *
+EGraph::uniqueFind(const ENode &node, uint32_t hash)
+{
+    if (unique_slots_.empty())
+        return nullptr;
+    size_t mask = unique_slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const UniqueSlot &slot = unique_slots_[i];
+        if (slot.epoch != unique_epoch_)
+            return nullptr;
+        if (slot.hash == hash) {
+            UniqueEntry &entry = unique_entries_[slot.entry];
+            if (entry.node == node)
+                return &entry.cls;
+        }
+    }
+}
+
+void
+EGraph::uniqueInsert(const ENode &node, ClassId cls, uint32_t hash)
+{
+    if ((unique_entries_.size() + 1) * 2 > unique_slots_.size())
+        uniqueGrow();
+    size_t mask = unique_slots_.size() - 1;
+    size_t i = hash & mask;
+    while (unique_slots_[i].epoch == unique_epoch_)
+        i = (i + 1) & mask;
+    unique_slots_[i] = {hash, static_cast<uint32_t>(unique_entries_.size()),
+                        unique_epoch_};
+    unique_entries_.push_back({node, cls, hash});
+}
+
+void
+EGraph::uniqueGrow()
+{
+    size_t size = std::max<size_t>(64, unique_slots_.size() * 2);
+    unique_slots_.assign(size, UniqueSlot{});
+    unique_epoch_ = 1;
+    size_t mask = size - 1;
+    for (size_t e = 0; e < unique_entries_.size(); ++e) {
+        size_t i = unique_entries_[e].hash & mask;
+        while (unique_slots_[i].epoch == unique_epoch_)
+            i = (i + 1) & mask;
+        unique_slots_[i] = {unique_entries_[e].hash,
+                            static_cast<uint32_t>(e), unique_epoch_};
+    }
+}
+
+void
+EGraph::reset(ir::Context &context)
+{
+    context_ = &context;
+    parent_.clear();
+    unique_entries_.clear();
+    if (++unique_epoch_ == 0) { // wrapped: no slot may look live
+        std::fill(unique_slots_.begin(), unique_slots_.end(), UniqueSlot{});
+        unique_epoch_ = 1;
+    }
+    rebuild_worklist_.clear();
+    nodes_created_ = 0;
+    merge_count_ = 0;
+    unique_hits_ = 0;
 }
 
 bool
@@ -134,17 +198,19 @@ EGraph::foldNode(const ENode &node) const
     if (node.tag != ENode::Tag::Inst)
         return nullptr;
     // Integer scalar/splat operands only; everything else is opaque.
-    std::vector<APInt> ops;
-    ops.reserve(node.children.size());
-    for (ClassId child : node.children) {
-        const Value *c = constantOf(child);
+    // Every folded operator takes one or two operands.
+    if (node.children.empty() || node.children.size() > 2)
+        return nullptr;
+    APInt ops[2];
+    for (size_t i = 0; i < node.children.size(); ++i) {
+        const Value *c = constantOf(node.children[i]);
         const ir::ConstantInt *ci = c ? ir::asConstIntOrSplat(c) : nullptr;
         if (!ci)
             return nullptr;
-        ops.push_back(ci->value());
+        ops[i] = ci->value();
     }
     auto materialize = [&](const APInt &value) -> const Value * {
-        return ir::typedConst(context_, node.type, value);
+        return ir::typedConst(*context_, node.type, value);
     };
     // Folds ignore poison flags: the folded constant only ever makes
     // the value more defined, and extraction always prefers the
@@ -219,14 +285,16 @@ EGraph::foldNode(const ENode &node) const
 ClassId
 EGraph::freshClass(const ENode &node)
 {
-    ClassId id = static_cast<ClassId>(classes_.size());
+    ClassId id = static_cast<ClassId>(parent_.size());
     parent_.push_back(id);
-    EClass cls;
+    if (classes_.size() <= id)
+        classes_.emplace_back();
+    EClass &cls = classes_[id];
+    cls.nodes.clear();
+    cls.parents.clear();
     cls.nodes.push_back(node);
     cls.type = node.type;
-    if (node.tag == ENode::Tag::Const)
-        cls.constant = node.constant;
-    classes_.push_back(std::move(cls));
+    cls.constant = node.tag == ENode::Tag::Const ? node.constant : nullptr;
     for (ClassId child : node.children)
         classes_[child].parents.push_back({node, id});
     ++nodes_created_;
@@ -237,20 +305,20 @@ ClassId
 EGraph::add(ENode node)
 {
     canonicalize(node);
-    auto it = unique_.find(node);
-    if (it != unique_.end()) {
+    uint32_t hash = hashNode(node);
+    if (ClassId *hit = uniqueFind(node, hash)) {
         ++unique_hits_;
-        return find(it->second);
+        return find(*hit);
     }
     if (node.tag == ENode::Tag::Inst) {
         if (const Value *folded = foldNode(node)) {
             ClassId cc = addConstant(folded);
-            unique_.emplace(std::move(node), cc);
+            uniqueInsert(node, cc, hash);
             return cc;
         }
     }
     ClassId id = freshClass(node);
-    unique_.emplace(std::move(node), id);
+    uniqueInsert(node, id, hash);
     return id;
 }
 
@@ -279,26 +347,29 @@ EGraph::addFunction(const ir::Function &fn)
 {
     if (!supports(fn))
         return std::nullopt;
-    std::map<const Value *, ClassId> memo;
+    // Sequences are short (the extractor caps them at a few dozen
+    // instructions), so a backward scan beats a map here.
+    std::vector<std::pair<const Value *, ClassId>> &memo = value_classes_;
+    memo.clear();
     for (unsigned i = 0; i < fn.numArgs(); ++i)
-        memo[fn.arg(i)] = addArg(i, fn.arg(i)->type());
+        memo.push_back({fn.arg(i), addArg(i, fn.arg(i)->type())});
 
-    auto operandClass = [&](Value *v) -> std::optional<ClassId> {
-        auto it = memo.find(v);
-        if (it != memo.end())
-            return it->second;
+    auto operandClass = [&](const Value *v) -> std::optional<ClassId> {
+        for (auto it = memo.rbegin(); it != memo.rend(); ++it)
+            if (it->first == v)
+                return it->second;
         if (v->isConstant()) {
             ClassId id = addConstant(v);
-            memo[v] = id;
+            memo.push_back({v, id});
             return id;
         }
         return std::nullopt; // use before def: malformed input
     };
 
+    ENode node;
     for (const auto &inst : fn.entry()->instructions()) {
         if (inst->isTerminator())
             break;
-        ENode node;
         node.tag = ENode::Tag::Inst;
         node.type = inst->type();
         node.op = inst->op();
@@ -308,14 +379,15 @@ EGraph::addFunction(const ir::Function &fn)
         node.intrinsic = inst->intrinsic();
         node.access_type = inst->accessType();
         node.align = inst->align();
-        node.children.reserve(inst->numOperands());
+        node.children = {};
         for (Value *operand : inst->operands()) {
             auto child = operandClass(operand);
             if (!child)
                 return std::nullopt;
             node.children.push_back(*child);
         }
-        memo[inst.get()] = add(std::move(node));
+        ClassId id = add(node);
+        memo.push_back({inst.get(), id});
     }
     return operandClass(fn.entry()->terminator()->operand(0));
 }
@@ -333,15 +405,16 @@ EGraph::merge(ClassId a, ClassId b)
     parent_[child] = root;
     EClass &rc = classes_[root];
     EClass &cc = classes_[child];
-    rc.nodes.insert(rc.nodes.end(),
-                    std::make_move_iterator(cc.nodes.begin()),
-                    std::make_move_iterator(cc.nodes.end()));
-    rc.parents.insert(rc.parents.end(),
-                      std::make_move_iterator(cc.parents.begin()),
-                      std::make_move_iterator(cc.parents.end()));
+    rc.nodes.insert(rc.nodes.end(), cc.nodes.begin(), cc.nodes.end());
+    rc.parents.insert(rc.parents.end(), cc.parents.begin(),
+                      cc.parents.end());
     if (!rc.constant)
         rc.constant = cc.constant;
-    cc = EClass{};
+    // Empty the absorbed class but keep its lists' capacity.
+    cc.nodes.clear();
+    cc.parents.clear();
+    cc.constant = nullptr;
+    cc.type = nullptr;
     rebuild_worklist_.push_back(root);
     ++merge_count_;
     return root;
@@ -350,9 +423,11 @@ EGraph::merge(ClassId a, ClassId b)
 void
 EGraph::rebuild()
 {
+    std::vector<ClassId> &todo = rebuild_todo_;
+    std::vector<std::pair<ENode, ClassId>> &parents = rebuild_parents_;
+    std::vector<std::pair<ENode, ClassId>> &repaired = rebuild_repaired_;
     while (!rebuild_worklist_.empty()) {
-        std::vector<ClassId> todo;
-        todo.reserve(rebuild_worklist_.size());
+        todo.clear();
         for (ClassId id : rebuild_worklist_)
             todo.push_back(find(id));
         rebuild_worklist_.clear();
@@ -361,21 +436,20 @@ EGraph::rebuild()
 
         for (ClassId id : todo) {
             ClassId c = find(id);
-            auto parents = std::move(classes_[c].parents);
-            classes_[c].parents.clear();
-            std::vector<std::pair<ENode, ClassId>> repaired;
-            repaired.reserve(parents.size());
+            parents.clear();
+            parents.swap(classes_[c].parents);
+            repaired.clear();
             for (auto &[pnode, pclass] : parents) {
                 canonicalize(pnode);
+                uint32_t hash = hashNode(pnode);
                 ClassId pc = find(pclass);
-                auto it = unique_.find(pnode);
-                if (it != unique_.end()) {
-                    ClassId existing = find(it->second);
+                if (ClassId *hit = uniqueFind(pnode, hash)) {
+                    ClassId existing = find(*hit);
                     if (existing != pc)
                         pc = merge(existing, pc); // congruence
-                    it->second = pc;
+                    *hit = pc;
                 } else {
-                    unique_.emplace(pnode, pc);
+                    uniqueInsert(pnode, pc, hash);
                 }
                 // Children may have just become constant.
                 if (!classes_[find(pc)].constant) {
@@ -384,32 +458,29 @@ EGraph::rebuild()
                         pc = merge(cc, pc);
                     }
                 }
-                repaired.push_back({std::move(pnode), find(pc)});
+                repaired.push_back({pnode, find(pc)});
             }
             EClass &home = classes_[find(c)];
-            home.parents.insert(
-                home.parents.end(),
-                std::make_move_iterator(repaired.begin()),
-                std::make_move_iterator(repaired.end()));
+            home.parents.insert(home.parents.end(), repaired.begin(),
+                                repaired.end());
         }
     }
 }
 
-std::vector<ClassId>
-EGraph::canonicalClasses() const
+void
+EGraph::canonicalClasses(std::vector<ClassId> &out) const
 {
-    std::vector<ClassId> out;
-    for (ClassId id = 0; id < classes_.size(); ++id)
+    out.clear();
+    for (ClassId id = 0; id < parent_.size(); ++id)
         if (find(id) == id)
             out.push_back(id);
-    return out;
 }
 
 size_t
 EGraph::numClasses() const
 {
     size_t n = 0;
-    for (ClassId id = 0; id < classes_.size(); ++id)
+    for (ClassId id = 0; id < parent_.size(); ++id)
         if (find(id) == id)
             ++n;
     return n;

@@ -14,9 +14,10 @@
 #ifndef LPO_EGRAPH_EGRAPH_H
 #define LPO_EGRAPH_EGRAPH_H
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -25,6 +26,60 @@ namespace lpo::egraph {
 
 /** Identifier of an e-class (stable; resolve via EGraph::find). */
 using ClassId = uint32_t;
+
+/**
+ * An e-node's child classes, stored inline up to kInline (every binary
+ * and ternary operator) and in a spill vector past that, so copying a
+ * node into a class, a parent list or the unique table allocates
+ * nothing.
+ */
+class ChildList
+{
+  public:
+    static constexpr size_t kInline = 4;
+
+    ChildList() = default;
+    ChildList(std::initializer_list<ClassId> ids)
+    {
+        for (ClassId id : ids)
+            push_back(id);
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    ClassId *begin() { return size_ <= kInline ? inline_ : spill_.data(); }
+    ClassId *end() { return begin() + size_; }
+    const ClassId *begin() const
+    {
+        return size_ <= kInline ? inline_ : spill_.data();
+    }
+    const ClassId *end() const { return begin() + size_; }
+    ClassId &operator[](size_t i) { return begin()[i]; }
+    ClassId operator[](size_t i) const { return begin()[i]; }
+    ClassId front() const { return begin()[0]; }
+
+    void push_back(ClassId id)
+    {
+        if (size_ < kInline) {
+            inline_[size_++] = id;
+            return;
+        }
+        if (size_ == kInline)
+            spill_.assign(inline_, inline_ + kInline);
+        spill_.push_back(id);
+        ++size_;
+    }
+
+    bool operator==(const ChildList &other) const
+    {
+        return std::equal(begin(), end(), other.begin(), other.end());
+    }
+
+  private:
+    size_t size_ = 0;
+    ClassId inline_[kInline] = {};
+    std::vector<ClassId> spill_; ///< all children, once past kInline
+};
 
 /**
  * One operator application over e-class children.
@@ -50,7 +105,7 @@ struct ENode
     ir::Intrinsic intrinsic = ir::Intrinsic::None;
     const ir::Type *access_type = nullptr;
     unsigned align = 0;
-    std::vector<ClassId> children;
+    ChildList children;
 
     // Tag::Arg payload.
     unsigned arg_index = 0;
@@ -82,15 +137,24 @@ struct EClass
  *
  * Determinism contract: class ids are assigned in insertion order,
  * merges pick the smaller root, and no operation's result depends on
- * unordered-container iteration order — so identical add/merge
- * sequences produce identical graphs across runs and processes.
+ * hash-table layout — so identical add/merge sequences produce
+ * identical graphs across runs and processes.
+ *
+ * Storage is kept for reuse: reset() empties the graph but keeps every
+ * buffer (class slots with their node and parent lists, the unique
+ * table, the rebuild and insertion scratch), so a graph reused for one
+ * function after another stops allocating once it has seen the largest.
  */
 class EGraph
 {
   public:
-    explicit EGraph(ir::Context &context) : context_(context) {}
+    explicit EGraph(ir::Context &context) : context_(&context) {}
 
-    ir::Context &context() const { return context_; }
+    /** Empty the graph for a new function in @p context, keeping the
+     *  capacity of every buffer. */
+    void reset(ir::Context &context);
+
+    ir::Context &context() const { return *context_; }
 
     /**
      * True if @p fn is representable: a single block ending in a
@@ -131,8 +195,11 @@ class EGraph
     /** Canonical representative of @p id. */
     ClassId find(ClassId id) const;
 
-    /** Canonical class ids in ascending order (deterministic). */
-    std::vector<ClassId> canonicalClasses() const;
+    /** Every class id ever assigned is below this bound. */
+    size_t classIdBound() const { return parent_.size(); }
+    /** Fill @p out with the canonical class ids in ascending order
+     *  (deterministic). */
+    void canonicalClasses(std::vector<ClassId> &out) const;
 
     const EClass &cls(ClassId id) const { return classes_[find(id)]; }
     /** Constant the class is known to equal, or nullptr. */
@@ -156,10 +223,26 @@ class EGraph
     static size_t insertionUpperBound(const ir::Function &fn);
 
   private:
-    struct ENodeHash
+    /** One open-addressing slot: live when its epoch is the table's. */
+    struct UniqueSlot
     {
-        size_t operator()(const ENode &node) const;
+        uint32_t hash = 0;
+        uint32_t entry = 0;
+        uint32_t epoch = 0;
     };
+    struct UniqueEntry
+    {
+        ENode node;
+        ClassId cls;
+        uint32_t hash;
+    };
+
+    static uint32_t hashNode(const ENode &node);
+    /** The class the unique table maps @p node to, or nullptr. The
+     *  pointer is valid until the next insertion. */
+    ClassId *uniqueFind(const ENode &node, uint32_t hash);
+    void uniqueInsert(const ENode &node, ClassId cls, uint32_t hash);
+    void uniqueGrow();
 
     /** Resolve children through the union-find and apply the
      *  commutative / icmp-mirror normalizations. */
@@ -168,11 +251,20 @@ class EGraph
     const ir::Value *foldNode(const ENode &node) const;
     ClassId freshClass(const ENode &node);
 
-    ir::Context &context_;
+    ir::Context *context_;
+    /** Class slots; those at or past parent_.size() are spare, kept
+     *  for their lists' capacity. */
     std::vector<EClass> classes_;
     std::vector<ClassId> parent_;          // union-find
-    std::unordered_map<ENode, ClassId, ENodeHash> unique_;
+    std::vector<UniqueSlot> unique_slots_; // power-of-two size
+    std::vector<UniqueEntry> unique_entries_;
+    uint32_t unique_epoch_ = 1;
     std::vector<ClassId> rebuild_worklist_;
+    std::vector<ClassId> rebuild_todo_;
+    std::vector<std::pair<ENode, ClassId>> rebuild_parents_;
+    std::vector<std::pair<ENode, ClassId>> rebuild_repaired_;
+    /** addFunction's value-to-class map, in definition order. */
+    std::vector<std::pair<const ir::Value *, ClassId>> value_classes_;
     size_t nodes_created_ = 0;
     uint64_t merge_count_ = 0;
     uint64_t unique_hits_ = 0;

@@ -1,9 +1,5 @@
 #include "egraph/extract.h"
 
-#include <functional>
-#include <map>
-#include <string>
-
 #include "ir/builder.h"
 #include "ir/printer.h"
 
@@ -11,27 +7,45 @@ namespace lpo::egraph {
 
 namespace {
 
-/** One class's current cheapest representative. */
-struct Best
+// Term-key operand words: the kind in the top two bits.
+constexpr uint64_t kArgWord = 1ull << 62;
+constexpr uint64_t kConstWord = 2ull << 62;
+constexpr uint64_t kInstWord = 3ull << 62;
+
+uint64_t
+flagBits(const ir::InstFlags &f)
 {
-    bool valid = false;
-    mca::IncrementalCost cost;
-    double total_cycles = 0.0;
-    ENode node;
-    /** Cached nodeOrderKey(node); tie-breaks are common in a
-     *  saturated graph, so don't re-render it per comparison. */
-    std::string order_key;
-};
+    return (uint64_t(f.nuw) << 0) | (uint64_t(f.nsw) << 1) |
+           (uint64_t(f.exact) << 2) | (uint64_t(f.disjoint) << 3) |
+           (uint64_t(f.nneg) << 4) | (uint64_t(f.inbounds) << 5) |
+           (uint64_t(f.tail) << 6);
+}
+
+/** The words of one instruction before its operands. */
+void
+pushHeader(TermKey &key, ir::Opcode op, ir::Intrinsic intrinsic,
+           ir::ICmpPred icmp, ir::FCmpPred fcmp, const ir::InstFlags &flags,
+           size_t operands, const ir::Type *type,
+           const ir::Type *access_type, unsigned align)
+{
+    key.push_back(uint64_t(op) | (uint64_t(intrinsic) << 8) |
+                  (uint64_t(icmp) << 16) | (uint64_t(fcmp) << 24) |
+                  (flagBits(flags) << 32) | (uint64_t(operands) << 40));
+    key.push_back(reinterpret_cast<uintptr_t>(type));
+    key.push_back(reinterpret_cast<uintptr_t>(access_type));
+    key.push_back(align);
+}
 
 /**
  * Address-free deterministic total order over candidate nodes — the
  * final extraction tie-break, so equal-cost classes pick the same
- * representative in every run and process.
+ * representative in every run and process. Children are rendered
+ * canonical, in decimal: the order is the string order ("10" < "9").
  */
-std::string
-nodeOrderKey(const ENode &node)
+void
+nodeOrderKey(const EGraph &graph, const ENode &node, std::string &key)
 {
-    std::string key;
+    key.clear();
     key += std::to_string(static_cast<int>(node.tag));
     key += '|';
     key += ir::opcodeName(node.op);
@@ -59,20 +73,101 @@ nodeOrderKey(const ENode &node)
         key += ir::printValueRef(node.constant);
     for (ClassId child : node.children) {
         key += ',';
-        key += std::to_string(child);
+        key += std::to_string(graph.find(child));
     }
-    return key;
 }
 
 } // namespace
 
-std::unique_ptr<ir::Function>
-extractFunction(const EGraph &graph, ClassId root,
-                const ir::Function &signature, const mca::CpuModel &cpu)
+void
+functionKey(const ir::Function &fn, TermKey &key)
 {
-    root = graph.find(root);
-    std::vector<ClassId> class_ids = graph.canonicalClasses();
-    std::map<ClassId, Best> best;
+    key.clear();
+    if (fn.blocks().size() != 1)
+        return;
+    const ir::BasicBlock &block = *fn.entry();
+    auto operandWord = [&](const ir::Value *v, size_t before) -> uint64_t {
+        if (v->kind() == ir::Value::Kind::Argument) {
+            unsigned index = static_cast<const ir::Argument *>(v)->index();
+            return index < fn.numArgs() && fn.arg(index) == v
+                       ? kArgWord | index
+                       : 0;
+        }
+        if (v->isConstant())
+            return kConstWord | reinterpret_cast<uintptr_t>(v);
+        for (size_t j = before; j-- > 0;)
+            if (block.at(j) == v)
+                return kInstWord | j;
+        return 0; // not defined above: no key
+    };
+    for (size_t i = 0; i < block.size(); ++i) {
+        const ir::Instruction *inst = block.at(i);
+        if (inst->isTerminator()) {
+            uint64_t word = 0;
+            if (inst->op() == ir::Opcode::Ret && inst->numOperands() == 1 &&
+                i + 1 == block.size())
+                word = operandWord(inst->operand(0), i);
+            if (word)
+                key.push_back(word);
+            else
+                key.clear();
+            return;
+        }
+        switch (inst->op()) {
+          case ir::Opcode::Store:
+          case ir::Opcode::Phi:
+            key.clear();
+            return;
+          default:
+            break;
+        }
+        pushHeader(key, inst->op(), inst->intrinsic(), inst->icmpPred(),
+                   inst->fcmpPred(), inst->flags(), inst->numOperands(),
+                   inst->type(), inst->accessType(), inst->align());
+        for (const ir::Value *operand : inst->operands()) {
+            uint64_t word = operandWord(operand, i);
+            if (!word) {
+                key.clear();
+                return;
+            }
+            key.push_back(word);
+        }
+    }
+    key.clear(); // no terminator
+}
+
+bool
+Extraction::run(const EGraph &graph, ClassId root, const mca::CpuModel &cpu)
+{
+    graph_ = &graph;
+    root_ = graph.find(root);
+    graph.canonicalClasses(classes_);
+    best_.assign(graph.classIdBound(), Best{});
+    first_node_.resize(graph.classIdBound());
+    latency_.clear();
+    for (ClassId id : classes_) {
+        first_node_[id] = static_cast<uint32_t>(latency_.size());
+        for (const ENode &node : graph.cls(id).nodes) {
+            double latency = 0.0;
+            if (node.tag == ENode::Tag::Inst) {
+                const ir::Type *operand_type =
+                    node.children.empty()
+                        ? nullptr
+                        : graph.typeOf(node.children.front());
+                latency = mca::operationLatency(node.op, node.intrinsic,
+                                                node.type, operand_type, cpu);
+            }
+            latency_.push_back(latency);
+        }
+    }
+    if (keys_.size() < latency_.size()) {
+        keys_.resize(latency_.size());
+        key_run_.resize(latency_.size(), 0);
+    }
+    if (++run_ == 0) {
+        std::fill(key_run_.begin(), key_run_.end(), 0);
+        run_ = 1;
+    }
 
     // Bellman-style relaxation to a fixpoint. Candidate costs are
     // recomputed from the children's current bests each pass, so
@@ -81,133 +176,189 @@ extractFunction(const EGraph &graph, ClassId root,
     bool changed = true;
     while (changed) {
         changed = false;
-        for (ClassId id : class_ids) {
-            for (const ENode &raw : graph.cls(id).nodes) {
-                ENode node = raw;
-                for (ClassId &child : node.children)
-                    child = graph.find(child);
-
+        for (ClassId id : classes_) {
+            const std::vector<ENode> &nodes = graph.cls(id).nodes;
+            for (uint32_t index = 0; index < nodes.size(); ++index) {
+                const ENode &node = nodes[index];
                 mca::IncrementalCost cost;
                 bool ready = true;
                 for (ClassId child : node.children) {
-                    auto it = best.find(child);
-                    if (it == best.end() || !it->second.valid) {
+                    const Best &b = best_[graph.find(child)];
+                    if (!b.valid) {
                         ready = false;
                         break;
                     }
-                    cost.addOperand(it->second.cost);
+                    cost.addOperand(b.cost);
                 }
                 if (!ready)
                     continue;
-                if (node.tag == ENode::Tag::Inst) {
-                    const ir::Type *operand_type =
-                        node.children.empty()
-                            ? nullptr
-                            : graph.typeOf(node.children.front());
-                    cost.addOperation(mca::operationLatency(
-                        node.op, node.intrinsic, node.type, operand_type,
-                        cpu));
-                }
+                if (node.tag == ENode::Tag::Inst)
+                    cost.addOperation(latency_[first_node_[id] + index]);
                 double total = cost.totalCycles(cpu);
 
-                Best &cur = best[id];
+                Best &cur = best_[id];
                 bool better;
-                std::string key; // computed only on a cost tie
-                if (!cur.valid) {
+                if (!cur.valid)
                     better = true;
-                } else if (total != cur.total_cycles) {
+                else if (total != cur.total_cycles)
                     better = total < cur.total_cycles;
-                } else if (cost.instruction_count !=
-                           cur.cost.instruction_count) {
+                else if (cost.instruction_count !=
+                         cur.cost.instruction_count)
                     better = cost.instruction_count <
                              cur.cost.instruction_count;
-                } else {
-                    key = nodeOrderKey(node);
-                    better = key < cur.order_key;
-                }
+                else
+                    better = index != cur.node &&
+                             orderKey(id, index) < orderKey(id, cur.node);
                 if (better) {
                     cur.valid = true;
                     cur.cost = cost;
                     cur.total_cycles = total;
-                    cur.order_key =
-                        key.empty() ? nodeOrderKey(node) : std::move(key);
-                    cur.node = std::move(node);
+                    cur.node = index;
                     changed = true;
                 }
             }
         }
     }
+    return best_[root_].valid;
+}
 
-    auto root_it = best.find(root);
-    if (root_it == best.end() || !root_it->second.valid)
-        return nullptr;
+const ENode &
+Extraction::chosen(ClassId id) const
+{
+    return graph_->cls(id).nodes[best_[id].node];
+}
 
+const std::string &
+Extraction::orderKey(ClassId id, uint32_t index)
+{
+    uint32_t flat = first_node_[id] + index;
+    if (key_run_[flat] != run_) {
+        nodeOrderKey(*graph_, graph_->cls(id).nodes[index], keys_[flat]);
+        key_run_[flat] = run_;
+    }
+    return keys_[flat];
+}
+
+void
+Extraction::termKey(TermKey &key)
+{
+    key.clear();
+    words_.assign(graph_->classIdBound(), 0);
+    next_name_ = 0;
+    key.push_back(keyTerm(root_, key));
+}
+
+/** The operand word of class @p id, appending its instructions (in
+ *  materialize()'s emission order) to @p key on first use. */
+uint64_t
+Extraction::keyTerm(ClassId id, TermKey &key)
+{
+    id = graph_->find(id);
+    if (words_[id])
+        return words_[id];
+    const ENode &node = chosen(id);
+    uint64_t word = 0;
+    switch (node.tag) {
+      case ENode::Tag::Arg:
+        word = kArgWord | node.arg_index;
+        break;
+      case ENode::Tag::Const:
+        word = kConstWord | reinterpret_cast<uintptr_t>(node.constant);
+        break;
+      case ENode::Tag::Inst:
+        for (ClassId child : node.children)
+            keyTerm(child, key);
+        pushHeader(key, node.op, node.intrinsic, node.icmp_pred,
+                   node.fcmp_pred, node.flags, node.children.size(),
+                   node.type, node.access_type, node.align);
+        for (ClassId child : node.children)
+            key.push_back(keyTerm(child, key));
+        word = kInstWord | next_name_++;
+        break;
+    }
+    words_[id] = word;
+    return word;
+}
+
+std::unique_ptr<ir::Function>
+Extraction::materialize(const ir::Function &signature)
+{
     auto out = std::make_unique<ir::Function>(
-        graph.context(), signature.name(), signature.returnType());
+        graph_->context(), signature.name(), signature.returnType());
     for (const auto &arg : signature.args())
         out->addArg(arg->type(), arg->name());
     ir::BasicBlock *block = out->addBlock("entry");
 
-    // Materialize best choices; shared classes are emitted once.
-    std::map<ClassId, ir::Value *> emitted;
-    unsigned next_name = 0;
-    bool failed = false;
-    std::function<ir::Value *(ClassId)> emit =
-        [&](ClassId id) -> ir::Value * {
-        id = graph.find(id);
-        auto hit = emitted.find(id);
-        if (hit != emitted.end())
-            return hit->second;
-        const Best &b = best.at(id);
-        ir::Value *value = nullptr;
-        switch (b.node.tag) {
-          case ENode::Tag::Arg:
-            if (b.node.arg_index >= out->numArgs()) {
-                failed = true;
-                return nullptr;
-            }
-            value = out->arg(b.node.arg_index);
-            break;
-          case ENode::Tag::Const:
-            // Constants are interned and immutable; operand lists
-            // just carry them non-const.
-            value = const_cast<ir::Value *>(b.node.constant);
-            break;
-          case ENode::Tag::Inst: {
-            std::vector<ir::Value *> operands;
-            operands.reserve(b.node.children.size());
-            for (ClassId child : b.node.children) {
-                ir::Value *operand = emit(child);
-                if (!operand) {
-                    failed = true;
-                    return nullptr;
-                }
-                operands.push_back(operand);
-            }
-            auto inst = std::make_unique<ir::Instruction>(
-                b.node.op, b.node.type, std::move(operands));
-            inst->flags() = b.node.flags;
-            inst->setICmpPred(b.node.icmp_pred);
-            inst->setFCmpPred(b.node.fcmp_pred);
-            inst->setIntrinsic(b.node.intrinsic);
-            inst->setAccessType(b.node.access_type);
-            inst->setAlign(b.node.align);
-            inst->setName("e" + std::to_string(next_name++));
-            value = block->append(std::move(inst));
-            break;
-          }
-        }
-        emitted[id] = value;
-        return value;
-    };
-
-    ir::Value *result = emit(root);
-    if (failed || !result || result->type() != signature.returnType())
+    emitted_.assign(graph_->classIdBound(), nullptr);
+    next_name_ = 0;
+    failed_ = false;
+    ir::Value *result = emit(root_, *out, *block);
+    if (failed_ || !result || result->type() != signature.returnType())
         return nullptr;
     ir::Builder builder(*out, block);
     builder.ret(result);
     out->numberValues();
     return out;
+}
+
+/** Materialize class @p id's chosen term; shared classes emit once. */
+ir::Value *
+Extraction::emit(ClassId id, ir::Function &out, ir::BasicBlock &block)
+{
+    id = graph_->find(id);
+    if (emitted_[id])
+        return emitted_[id];
+    const ENode &node = chosen(id);
+    ir::Value *value = nullptr;
+    switch (node.tag) {
+      case ENode::Tag::Arg:
+        if (node.arg_index >= out.numArgs()) {
+            failed_ = true;
+            return nullptr;
+        }
+        value = out.arg(node.arg_index);
+        break;
+      case ENode::Tag::Const:
+        // Constants are interned and immutable; operand lists just
+        // carry them non-const.
+        value = const_cast<ir::Value *>(node.constant);
+        break;
+      case ENode::Tag::Inst: {
+        std::vector<ir::Value *> operands;
+        operands.reserve(node.children.size());
+        for (ClassId child : node.children) {
+            ir::Value *operand = emit(child, out, block);
+            if (!operand) {
+                failed_ = true;
+                return nullptr;
+            }
+            operands.push_back(operand);
+        }
+        auto inst = std::make_unique<ir::Instruction>(node.op, node.type,
+                                                      std::move(operands));
+        inst->flags() = node.flags;
+        inst->setICmpPred(node.icmp_pred);
+        inst->setFCmpPred(node.fcmp_pred);
+        inst->setIntrinsic(node.intrinsic);
+        inst->setAccessType(node.access_type);
+        inst->setAlign(node.align);
+        inst->setName("e" + std::to_string(next_name_++));
+        value = block.append(std::move(inst));
+        break;
+      }
+    }
+    emitted_[id] = value;
+    return value;
+}
+
+std::unique_ptr<ir::Function>
+extractFunction(const EGraph &graph, ClassId root,
+                const ir::Function &signature, const mca::CpuModel &cpu)
+{
+    Extraction extraction;
+    if (!extraction.run(graph, root, cpu))
+        return nullptr;
+    return extraction.materialize(signature);
 }
 
 } // namespace lpo::egraph

@@ -1,7 +1,6 @@
 #include "egraph/rules.h"
 
-#include <functional>
-#include <map>
+#include <algorithm>
 #include <optional>
 
 #include "egraph/extract.h"
@@ -85,12 +84,74 @@ binNode(Opcode op, const Type *type, ClassId a, ClassId b,
 // Native rewrites, matched directly on e-nodes
 // ---------------------------------------------------------------
 
-/** One pending rewrite: union @p cls with the class @p rhs builds. */
+/**
+ * One pending rewrite: union @p cls with the class its right-hand
+ * side builds. A plain record rather than a closure, so a batch of
+ * matches allocates nothing past the reused pending list.
+ */
 struct Pending
 {
+    enum class Rhs : uint8_t {
+        Class,      ///< the existing class x
+        Const,      ///< the constant value of type
+        AddConst,   ///< add(x, value)
+        ShlConst,   ///< shl flags (x, k)
+        NegSub,     ///< sub(0, x)
+        Trunc,      ///< trunc x to type
+        AssocLeft,  ///< op(x, op(y, z))
+        AssocRight, ///< op(op(x, y), z)
+    };
+
     ClassId cls;
-    std::function<std::optional<ClassId>(EGraph &)> rhs;
+    Rhs rhs;
+    Opcode op = Opcode::Add;
+    const Type *type = nullptr;
+    InstFlags flags;
+    ClassId x = 0, y = 0, z = 0;
+    APInt value;
 };
+
+/** Build @p p's right-hand side in @p graph and return its class. */
+ClassId
+buildRhs(EGraph &graph, const Pending &p)
+{
+    switch (p.rhs) {
+      case Pending::Rhs::Class:
+        return p.x;
+      case Pending::Rhs::Const:
+        return typedConstClass(graph, p.type, p.value);
+      case Pending::Rhs::AddConst: {
+        ClassId cc = typedConstClass(graph, p.type, p.value);
+        return graph.add(binNode(Opcode::Add, p.type, p.x, cc));
+      }
+      case Pending::Rhs::ShlConst: {
+        ClassId kc = typedConstClass(graph, p.type, p.value);
+        return graph.add(binNode(Opcode::Shl, p.type, p.x, kc, p.flags));
+      }
+      case Pending::Rhs::NegSub: {
+        ClassId zc = typedConstClass(
+            graph, p.type, APInt::zero(p.type->scalarType()->intWidth()));
+        return graph.add(binNode(Opcode::Sub, p.type, zc, p.x));
+      }
+      case Pending::Rhs::Trunc: {
+        ENode t;
+        t.tag = ENode::Tag::Inst;
+        t.op = Opcode::Trunc;
+        t.type = p.type;
+        t.children = {p.x};
+        return graph.add(std::move(t));
+      }
+      case Pending::Rhs::AssocLeft: {
+        ClassId yz = graph.add(binNode(p.op, p.type, p.y, p.z));
+        return graph.add(binNode(p.op, p.type, p.x, yz));
+      }
+      case Pending::Rhs::AssocRight: {
+        ClassId xy = graph.add(binNode(p.op, p.type, p.x, p.y));
+        return graph.add(binNode(p.op, p.type, xy, p.z));
+      }
+    }
+    return p.x;
+}
 
 /** Largest number of e-nodes a native rewrite's RHS can create. */
 constexpr size_t kNativeRhsSlack = 4;
@@ -101,16 +162,15 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
 {
     if (node.tag != ENode::Tag::Inst)
         return;
-    auto emit = [&](std::function<std::optional<ClassId>(EGraph &)> rhs) {
-        out.push_back({c, std::move(rhs)});
+    auto emit = [&](Pending::Rhs rhs) -> Pending & {
+        out.push_back({c, rhs});
+        return out.back();
     };
-    auto emitClass = [&](ClassId rhs) {
-        emit([rhs](EGraph &) { return rhs; });
-    };
+    auto emitClass = [&](ClassId rhs) { emit(Pending::Rhs::Class).x = rhs; };
     auto emitConst = [&](const Type *type, APInt value) {
-        emit([type, value](EGraph &g) {
-            return typedConstClass(g, type, value);
-        });
+        Pending &p = emit(Pending::Rhs::Const);
+        p.type = type;
+        p.value = value;
     };
 
     const Type *type = node.type;
@@ -153,11 +213,10 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
         // nsw/nuw do not translate).
         if (flagless(node)) {
             if (const ir::ConstantInt *ci = classInt(graph, b)) {
-                APInt negated = ci->value().neg();
-                emit([type, a, negated](EGraph &g) {
-                    ClassId cc = typedConstClass(g, type, negated);
-                    return g.add(binNode(Opcode::Add, type, a, cc));
-                });
+                Pending &p = emit(Pending::Rhs::AddConst);
+                p.type = type;
+                p.x = a;
+                p.value = ci->value().neg();
             }
         }
         break;
@@ -186,23 +245,18 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
                 InstFlags flags = node.flags;
                 if (cv.isSignedMin())
                     flags.nsw = false;
-                emit([type, x, k, flags](EGraph &g) {
-                    ClassId kc = typedConstClass(
-                        g, type,
-                        APInt(type->scalarType()->intWidth(), k));
-                    return g.add(
-                        binNode(Opcode::Shl, type, x, kc, flags));
-                });
+                Pending &p = emit(Pending::Rhs::ShlConst);
+                p.type = type;
+                p.x = x;
+                p.flags = flags;
+                p.value = APInt(type->scalarType()->intWidth(), k);
             }
             // x * -1 = 0 - x (flagless; the overflow cases differ
             // under nuw).
             if (cv.isAllOnes() && flagless(node)) {
-                emit([type, x](EGraph &g) {
-                    ClassId zc = typedConstClass(
-                        g, type,
-                        APInt::zero(type->scalarType()->intWidth()));
-                    return g.add(binNode(Opcode::Sub, type, zc, x));
-                });
+                Pending &p = emit(Pending::Rhs::NegSub);
+                p.type = type;
+                p.x = x;
             }
         }
         break;
@@ -370,15 +424,9 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
                 emitClass(m.children[0]);
             // trunc(trunc(x)) = trunc(x) straight to the final width.
             if (m.op == Opcode::Trunc && flagless(m)) {
-                ClassId inner = m.children[0];
-                emit([type, inner](EGraph &g) {
-                    ENode t;
-                    t.tag = ENode::Tag::Inst;
-                    t.op = Opcode::Trunc;
-                    t.type = type;
-                    t.children = {inner};
-                    return g.add(std::move(t));
-                });
+                Pending &p = emit(Pending::Rhs::Trunc);
+                p.type = type;
+                p.x = m.children[0];
             }
         }
         break;
@@ -397,49 +445,53 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
         for (const ENode &m : graph.cls(a).nodes) {
             if (m.tag != ENode::Tag::Inst || m.op != op || !flagless(m))
                 continue;
-            ClassId x = m.children[0], y = m.children[1];
-            emit([op, type, x, y, b](EGraph &g) {
-                ClassId yb = g.add(binNode(op, type, y, b));
-                return g.add(binNode(op, type, x, yb));
-            });
+            Pending &p = emit(Pending::Rhs::AssocLeft);
+            p.op = op;
+            p.type = type;
+            p.x = m.children[0];
+            p.y = m.children[1];
+            p.z = b;
         }
         for (const ENode &m : graph.cls(b).nodes) {
             if (m.tag != ENode::Tag::Inst || m.op != op || !flagless(m))
                 continue;
-            ClassId x = m.children[0], y = m.children[1];
-            emit([op, type, a, x, y](EGraph &g) {
-                ClassId ax = g.add(binNode(op, type, a, x));
-                return g.add(binNode(op, type, ax, y));
-            });
+            Pending &p = emit(Pending::Rhs::AssocRight);
+            p.op = op;
+            p.type = type;
+            p.x = a;
+            p.y = m.children[0];
+            p.z = m.children[1];
         }
     }
 }
 
-/** One batch: match everywhere, then apply under the node budget. */
+/** One batch: match everywhere, then apply under the node budget.
+ *  @p classes and @p pending are scratch buffers. */
 void
 applyNativeRules(EGraph &graph, const SaturationLimits &limits,
-                 SaturationStats &stats)
+                 SaturationStats &stats, std::vector<ClassId> &classes,
+                 std::vector<Pending> &pending)
 {
-    std::vector<Pending> pending;
-    for (ClassId c : graph.canonicalClasses()) {
-        // Snapshot: applying rewrites invalidates node iterators.
-        std::vector<ENode> nodes = graph.cls(c).nodes;
-        for (ENode &node : nodes) {
-            for (ClassId &child : node.children)
+    pending.clear();
+    graph.canonicalClasses(classes);
+    ENode canonical;
+    for (ClassId c : classes) {
+        // Matching only reads the graph, so no snapshot is needed.
+        for (const ENode &node : graph.cls(c).nodes) {
+            canonical = node;
+            for (ClassId &child : canonical.children)
                 child = graph.find(child);
-            matchNode(graph, c, node, pending);
+            matchNode(graph, c, canonical, pending);
         }
     }
-    for (Pending &p : pending) {
+    for (const Pending &p : pending) {
         if (graph.numNodes() + kNativeRhsSlack > limits.max_nodes) {
             stats.node_budget_hit = true;
             break;
         }
-        std::optional<ClassId> rhs = p.rhs(graph);
-        if (!rhs)
-            continue;
-        if (graph.find(p.cls) != graph.find(*rhs)) {
-            graph.merge(p.cls, *rhs);
+        ClassId rhs = buildRhs(graph, p);
+        if (graph.find(p.cls) != graph.find(rhs)) {
+            graph.merge(p.cls, rhs);
             ++stats.native_applications;
         }
     }
@@ -639,13 +691,16 @@ sameSignature(const ir::Function &a, const ir::Function &b)
 
 /** Apply every directed rule (algebraic set + rewrite library) to
  *  @p fn and union each parseable same-signature result with the
- *  root. Skips insertions that would exceed the node budget. */
+ *  root. Skips insertions that would exceed the node budget. Sets
+ *  @p max_bound to the largest insertionUpperBound of those results
+ *  (0 when there were none). */
 unsigned
 replayDirectedRules(EGraph &graph, ClassId root, const ir::Function &fn,
                     const SaturationLimits &limits,
-                    SaturationStats &stats)
+                    SaturationStats &stats, size_t &max_bound)
 {
     unsigned applied = 0;
+    max_bound = 0;
     auto tryRule = [&](const llm::RewriteRule &rule) {
         std::optional<std::string> text = rule.apply(fn);
         if (!text)
@@ -656,8 +711,9 @@ replayDirectedRules(EGraph &graph, ClassId root, const ir::Function &fn,
         const ir::Function &candidate = **parsed;
         if (!sameSignature(candidate, fn))
             return;
-        if (graph.numNodes() + EGraph::insertionUpperBound(candidate) >
-            limits.max_nodes) {
+        size_t bound = EGraph::insertionUpperBound(candidate);
+        max_bound = std::max(max_bound, bound);
+        if (graph.numNodes() + bound > limits.max_nodes) {
             stats.node_budget_hit = true;
             return;
         }
@@ -674,7 +730,39 @@ replayDirectedRules(EGraph &graph, ClassId root, const ir::Function &fn,
     for (const llm::RewriteRule &rule : llm::rewriteLibrary())
         tryRule(rule);
     graph.rebuild();
+    ++stats.replays;
     return applied;
+}
+
+/** Nodes plus merges: both monotone, so equal values mean the graph
+ *  (every class's node list and the union-find) has not changed. */
+uint64_t
+graphVersion(const EGraph &graph)
+{
+    return graph.mergeCount() + graph.numNodes();
+}
+
+/**
+ * The saturation loop's buffers, kept per thread so a consult after
+ * the first allocates only what its rules and its answer need.
+ * saturate() is never re-entered on a thread: the directed rules it
+ * calls do not saturate.
+ */
+struct SaturationWorkspace
+{
+    std::optional<EGraph> graph; ///< bestEquivalent's graph
+    Extraction extraction;
+    std::vector<ClassId> classes;
+    std::vector<Pending> pending;
+    TermKey replayed_key;
+    TermKey best_key;
+};
+
+SaturationWorkspace &
+workspace()
+{
+    thread_local SaturationWorkspace ws;
+    return ws;
 }
 
 } // namespace
@@ -697,23 +785,55 @@ algebraicRules()
 
 SaturationStats
 saturate(EGraph &graph, ClassId root, const ir::Function &seq,
-         const SaturationLimits &limits)
+         const SaturationLimits &limits, std::unique_ptr<ir::Function> *best)
 {
+    SaturationWorkspace &ws = workspace();
     SaturationStats stats;
+    // The function replayed last: its term key, the function itself
+    // (null while it is seq) and its results' largest insertion bound.
+    TermKey &replayed_key = ws.replayed_key;
+    std::unique_ptr<ir::Function> replayed;
+    size_t replayed_bound = 0;
+
     // Pass 0: replay the directed rules against the verbatim input,
     // so library patterns match the source's exact spelling before
     // any canonicalization reshapes it.
-    stats.replay_applications +=
-        replayDirectedRules(graph, root, seq, limits, stats);
+    functionKey(seq, replayed_key);
+    stats.replay_applications += replayDirectedRules(
+        graph, root, seq, limits, stats, replayed_bound);
 
+    // The graph version the last extraction read, and whether its
+    // best was the replayed function.
+    std::optional<uint64_t> extracted_at;
+    bool best_is_replayed = false;
     for (unsigned iter = 1; iter <= limits.max_iterations; ++iter) {
         stats.iterations = iter;
-        uint64_t before = graph.mergeCount() + graph.numNodes();
-        applyNativeRules(graph, limits, stats);
-        if (auto best = extractFunction(graph, root, seq))
-            stats.replay_applications +=
-                replayDirectedRules(graph, root, *best, limits, stats);
-        uint64_t after = graph.mergeCount() + graph.numNodes();
+        uint64_t before = graphVersion(graph);
+        applyNativeRules(graph, limits, stats, ws.classes, ws.pending);
+
+        extracted_at = graphVersion(graph);
+        best_is_replayed = false;
+        ++stats.extractions;
+        if (ws.extraction.run(graph, root)) {
+            ws.extraction.termKey(ws.best_key);
+            if (ws.best_key == replayed_key) {
+                // Replaying the same function again adds no node and
+                // no merge; only its budget check can still fire, as
+                // the graph has grown since.
+                best_is_replayed = true;
+                if (replayed_bound &&
+                    graph.numNodes() + replayed_bound > limits.max_nodes)
+                    stats.node_budget_hit = true;
+            } else if (auto fn = ws.extraction.materialize(seq)) {
+                stats.replay_applications += replayDirectedRules(
+                    graph, root, *fn, limits, stats, replayed_bound);
+                replayed = std::move(fn);
+                replayed_key.swap(ws.best_key);
+                best_is_replayed = true;
+            }
+        }
+
+        uint64_t after = graphVersion(graph);
         if (after == before) {
             stats.saturated = !stats.node_budget_hit;
             break;
@@ -721,7 +841,46 @@ saturate(EGraph &graph, ClassId root, const ir::Function &seq,
         if (stats.node_budget_hit)
             break;
     }
+
+    if (best) {
+        best->reset();
+        if (extracted_at != graphVersion(graph)) {
+            // A budget or iteration-cap exit after the replay changed
+            // the graph (or no iteration ran): extract once more.
+            ++stats.extractions;
+            if (ws.extraction.run(graph, root)) {
+                ws.extraction.termKey(ws.best_key);
+                if (ws.best_key == replayed_key)
+                    *best = std::move(replayed);
+                else
+                    *best = ws.extraction.materialize(seq);
+            }
+        } else if (best_is_replayed) {
+            *best = std::move(replayed);
+        }
+    }
+    stats.nodes = graph.numNodes();
+    stats.merges = graph.mergeCount();
     return stats;
+}
+
+std::unique_ptr<ir::Function>
+bestEquivalent(const ir::Function &seq, const SaturationLimits &limits,
+               SaturationStats *stats)
+{
+    std::optional<EGraph> &graph = workspace().graph;
+    if (graph)
+        graph->reset(seq.context());
+    else
+        graph.emplace(seq.context());
+    std::optional<ClassId> root = graph->addFunction(seq);
+    if (!root)
+        return nullptr;
+    std::unique_ptr<ir::Function> best;
+    SaturationStats done = saturate(*graph, *root, seq, limits, &best);
+    if (stats)
+        *stats = done;
+    return best;
 }
 
 } // namespace lpo::egraph

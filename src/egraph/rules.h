@@ -20,6 +20,8 @@
 #ifndef LPO_EGRAPH_RULES_H
 #define LPO_EGRAPH_RULES_H
 
+#include <memory>
+
 #include "egraph/egraph.h"
 #include "llm/rewrite_library.h"
 
@@ -42,8 +44,12 @@ struct SaturationLimits
 struct SaturationStats
 {
     unsigned iterations = 0;
+    unsigned extractions = 0;           ///< best-cost relaxations run
+    unsigned replays = 0;               ///< directed-rule replays run
     uint64_t native_applications = 0;   ///< native rewrites applied
     uint64_t replay_applications = 0;   ///< directed rewrites unioned
+    size_t nodes = 0;                   ///< EGraph::numNodes() at the end
+    uint64_t merges = 0;                ///< EGraph::mergeCount() at the end
     bool node_budget_hit = false;       ///< a rewrite was skipped
     bool saturated = false;             ///< fixpoint before budgets
 };
@@ -60,11 +66,30 @@ const std::vector<llm::RewriteRule> &algebraicRules();
  * Saturate @p graph around @p root (the class of @p seq's returned
  * value) under @p limits. @p seq is the original sequence: directed
  * rules are replayed against it verbatim on the first pass, then
- * against the best extraction on later passes.
+ * against the best extraction on later passes — each distinct best
+ * once: an iteration whose best is the function replayed last (up to
+ * value names) skips the replay, which could add nothing.
+ *
+ * When @p best is given, it receives the cheapest function computing
+ * @p root at the end, named and typed like @p seq — taken from the
+ * last iteration's extraction when the graph has not changed since —
+ * or nullptr when that function is @p seq itself up to value names
+ * (nothing cheaper was found) or has no finite-cost term.
  */
 SaturationStats saturate(EGraph &graph, ClassId root,
                          const ir::Function &seq,
-                         const SaturationLimits &limits = {});
+                         const SaturationLimits &limits = {},
+                         std::unique_ptr<ir::Function> *best = nullptr);
+
+/**
+ * The e-graph proposer's consult: insert @p seq into this thread's
+ * reused graph, saturate under @p limits and return saturate()'s best
+ * (nullptr when @p seq is unsupported or nothing cheaper was found).
+ * @p stats, when given, receives what the saturation loop did.
+ */
+std::unique_ptr<ir::Function>
+bestEquivalent(const ir::Function &seq, const SaturationLimits &limits,
+               SaturationStats *stats = nullptr);
 
 } // namespace lpo::egraph
 

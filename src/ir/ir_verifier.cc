@@ -1,6 +1,8 @@
 #include "ir/ir_verifier.h"
 
-#include <set>
+#include <algorithm>
+#include <optional>
+#include <string_view>
 
 namespace lpo::ir {
 namespace {
@@ -120,43 +122,67 @@ std::vector<VerifierIssue>
 verifyFunction(const Function &fn)
 {
     std::vector<VerifierIssue> issues;
-    std::set<const Value *> defined;
-    for (const auto &arg : fn.args())
-        defined.insert(arg.get());
-
     if (fn.blocks().empty()) {
         issues.push_back({"function has no basic blocks", nullptr});
         return issues;
     }
 
-    // First pass: collect all definitions (phis may refer forward).
-    std::set<const Value *> all_defs = defined;
+    // Every definition with its place in program order: arguments,
+    // then each block's instructions. A non-phi operand must come
+    // earlier in that order; a phi operand (phis may refer forward)
+    // anywhere in it.
+    std::vector<std::pair<const Value *, size_t>> defs;
+    for (const auto &arg : fn.args())
+        defs.push_back({arg.get(), defs.size()});
     for (const auto &bb : fn.blocks())
         for (const auto &inst : bb->instructions())
-            all_defs.insert(inst.get());
+            defs.push_back({inst.get(), defs.size()});
+    std::sort(defs.begin(), defs.end());
+    auto placeOf = [&](const Value *v) -> std::optional<size_t> {
+        auto it = std::lower_bound(
+            defs.begin(), defs.end(), std::pair<const Value *, size_t>{v, 0});
+        if (it == defs.end() || it->first != v)
+            return std::nullopt;
+        return it->second;
+    };
+    std::vector<std::string_view> labels;
+    for (const auto &bb : fn.blocks())
+        labels.push_back(bb->label());
+    std::sort(labels.begin(), labels.end());
+    auto checkLabels = [&](const Instruction *inst,
+                           const std::vector<std::string> &targets) {
+        for (const std::string &label : targets)
+            if (!std::binary_search(labels.begin(), labels.end(),
+                                    std::string_view(label)))
+                issues.push_back(
+                    {"unknown label '%" + label + "'", inst});
+    };
 
+    size_t place = fn.numArgs();
     for (const auto &bb : fn.blocks()) {
         if (!bb->terminator())
             issues.push_back({"block '" + bb->label() +
                               "' lacks a terminator", nullptr});
-        for (size_t i = 0; i < bb->size(); ++i) {
+        for (size_t i = 0; i < bb->size(); ++i, ++place) {
             const Instruction *inst = bb->at(i);
             if (inst->isTerminator() && i + 1 != bb->size())
                 issues.push_back({"terminator not at end of block", inst});
             checkTypes(inst, issues);
+            checkLabels(inst, inst->phiLabels());
+            checkLabels(inst, inst->brLabels());
             for (const Value *operand : inst->operands()) {
                 if (operand->kind() == Value::Kind::Instruction ||
                     operand->kind() == Value::Kind::Argument) {
-                    const std::set<const Value *> &scope =
-                        inst->op() == Opcode::Phi ? all_defs : defined;
-                    if (!scope.count(operand)) {
+                    std::optional<size_t> at = placeOf(operand);
+                    bool defined = at && (inst->op() == Opcode::Phi ||
+                                          *at < place);
+                    if (!defined) {
                         issues.push_back(
                             {"use of value '%" + operand->name() +
                              "' before definition", inst});
                     }
                 }
             }
-            defined.insert(inst);
         }
     }
 

@@ -87,6 +87,40 @@ TEST(CliTest, MalformedModuleFailsWithDiagnostic)
     }
 }
 
+TEST(CliTest, VerifyRejectsMalformedIrOnEitherSide)
+{
+    // Both parse (forward references and labels resolve late), but the
+    // refinement checker needs well-formed IR: a diagnostic and exit 1,
+    // never a crash.
+    std::string forward_use = fixture(
+        "forward_use", "define i8 @f(i8 %x, i1 %c) {\n"
+                       "  %y = add i8 %z, 1\n"
+                       "  %z = add i8 %x, 1\n"
+                       "  ret i8 %y\n}\n");
+    std::string unknown_label = fixture(
+        "unknown_label", "define i8 @f(i8 %x, i1 %c) {\n"
+                         "entry:\n"
+                         "  br i1 %c, label %a, label %nowhere\n"
+                         "a:\n"
+                         "  ret i8 %x\n}\n");
+    std::string identity = fixture(
+        "identity", "define i8 @f(i8 %x, i1 %c) {\n  ret i8 %x\n}\n");
+    for (const auto &[bad, message] :
+         {std::pair{forward_use, "use of value '%z' before definition"},
+          std::pair{unknown_label, "unknown label '%nowhere'"}}) {
+        for (const std::string &args :
+             {bad + " " + identity, identity + " " + bad}) {
+            CommandResult result = run("verify " + args);
+            EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;
+            EXPECT_NE(result.output.find("error: " + bad + ": " + message),
+                      std::string::npos)
+                << args << "\n" << result.output;
+        }
+    }
+    CommandResult same = run("verify " + identity + " " + identity);
+    EXPECT_EQ(same.exit_code, 0) << same.output;
+}
+
 TEST(CliTest, TruncatedAndEmptyModules)
 {
     std::string truncated =

@@ -219,6 +219,110 @@ TEST(EGraphTest, SaturatesToFixpointWithDefaultBudget)
     EXPECT_FALSE(stats.node_budget_hit);
 }
 
+TEST(EGraphTest, FixpointConsultExtractsOncePerIteration)
+{
+    // At a fixpoint the graph is the one the last in-loop extraction
+    // read, so the best a consult returns is that extraction's: one
+    // extraction per iteration, none after the loop.
+    unsigned fixpoints = 0;
+    for (const auto &bench : fullCorpus()) {
+        ir::Context ctx;
+        auto fn = parse(ctx, bench.src_text);
+        egraph::SaturationStats stats;
+        egraph::bestEquivalent(*fn, {}, &stats);
+        if (!stats.saturated)
+            continue;
+        ++fixpoints;
+        EXPECT_EQ(stats.extractions, stats.iterations) << bench.issue_id;
+    }
+    EXPECT_GT(fixpoints, fullCorpus().size() / 2);
+}
+
+TEST(EGraphTest, BestEqualToTheReplayedFunctionIsNotReplayed)
+{
+    // Nothing rewrites a lone add: the first extraction is the input
+    // itself, already replayed on pass 0, so it is not replayed again
+    // and there is no cheaper function to return.
+    ir::Context ctx;
+    auto fn = parse(ctx,
+        "define i8 @f(i8 %x, i8 %y) {\n"
+        "  %a = add i8 %x, %y\n"
+        "  ret i8 %a\n}\n");
+    EGraph graph(ctx);
+    auto root = graph.addFunction(*fn);
+    ASSERT_TRUE(root.has_value());
+    std::unique_ptr<ir::Function> best;
+    auto stats = egraph::saturate(graph, *root, *fn, {}, &best);
+    EXPECT_TRUE(stats.saturated);
+    EXPECT_EQ(stats.iterations, 1u);
+    EXPECT_EQ(stats.extractions, 1u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(best, nullptr);
+}
+
+TEST(EGraphTest, EqualCostTieFollowsDecimalKeyOrder)
+{
+    // freeze(%a9) and freeze(%a10) cost the same; the node-order key
+    // renders child ids in decimal and compares strings, so ",10"
+    // sorts before ",9" and the freeze of argument 10 wins.
+    ir::Context ctx;
+    std::string text = "define i8 @f(";
+    for (int i = 0; i <= 10; ++i)
+        text += (i ? ", i8 %a" : "i8 %a") + std::to_string(i);
+    text += ") {\n  ret i8 %a0\n}\n";
+    auto signature = parse(ctx, text);
+    const ir::Type *i8 = ctx.types().intTy(8);
+    EGraph graph(ctx);
+    for (unsigned i = 0; i <= 10; ++i)
+        ASSERT_EQ(graph.addArg(i, i8), i);
+    auto freezeOf = [&](ClassId arg) {
+        ENode node;
+        node.tag = ENode::Tag::Inst;
+        node.op = ir::Opcode::Freeze;
+        node.type = i8;
+        node.children = {arg};
+        return graph.add(std::move(node));
+    };
+    ClassId root = graph.merge(freezeOf(9), freezeOf(10));
+    graph.rebuild();
+    auto best = egraph::extractFunction(graph, root, *signature);
+    ASSERT_NE(best, nullptr);
+    EXPECT_NE(ir::printFunction(*best).find("freeze i8 %a10"),
+              std::string::npos)
+        << ir::printFunction(*best);
+}
+
+TEST(EGraphTest, ReusedWorkspaceMatchesFreshGraphs)
+{
+    // bestEquivalent reuses one graph and one set of buffers per
+    // thread. Back-to-back consults over different Contexts (each
+    // gone before the next) must answer exactly what a fresh graph
+    // does; the reused pass runs in reverse order so every consult
+    // follows a different one than in the fresh pass.
+    const auto corpus = fullCorpus();
+    std::vector<std::string> reused(corpus.size()), fresh(corpus.size());
+    auto text = [](const std::unique_ptr<ir::Function> &fn) {
+        return fn ? ir::printFunction(*fn) : std::string("-");
+    };
+    for (size_t i = corpus.size(); i-- > 0;) {
+        ir::Context ctx;
+        auto fn = parse(ctx, corpus[i].src_text);
+        reused[i] = text(egraph::bestEquivalent(*fn, {}));
+    }
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        ir::Context ctx;
+        auto fn = parse(ctx, corpus[i].src_text);
+        EGraph graph(ctx);
+        auto root = graph.addFunction(*fn);
+        std::unique_ptr<ir::Function> best;
+        if (root)
+            egraph::saturate(graph, *root, *fn, {}, &best);
+        fresh[i] = text(best);
+    }
+    for (size_t i = 0; i < corpus.size(); ++i)
+        EXPECT_EQ(reused[i], fresh[i]) << corpus[i].issue_id;
+}
+
 TEST(EGraphTest, ProposerDeterministicAcrossRepeatedRuns)
 {
     for (const auto &bench : fullCorpus()) {

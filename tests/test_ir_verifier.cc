@@ -83,3 +83,48 @@ TEST(IrVerifierTest, RejectsEmptyFunction)
     Function fn(ctx, "f", ctx.types().voidTy());
     EXPECT_FALSE(verifyFunction(fn).empty());
 }
+
+TEST(IrVerifierTest, RejectsForwardUseInStraightLineCode)
+{
+    // The parser accepts forward references (phis need them), so a
+    // straight-line use before the definition reaches the verifier.
+    Context ctx;
+    auto fn = parseFunction(ctx,
+        "define i8 @f(i8 %x) {\n"
+        "  %y = add i8 %z, 1\n"
+        "  %z = add i8 %x, 1\n"
+        "  ret i8 %y\n}\n");
+    ASSERT_TRUE(fn.ok());
+    auto issues = verifyFunction(**fn);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message, "use of value '%z' before definition");
+}
+
+TEST(IrVerifierTest, RejectsUnknownBranchAndPhiLabels)
+{
+    Context ctx;
+    auto br = parseFunction(ctx,
+        "define i8 @f(i8 %x, i1 %c) {\n"
+        "entry:\n"
+        "  br i1 %c, label %a, label %nowhere\n"
+        "a:\n"
+        "  ret i8 %x\n}\n");
+    ASSERT_TRUE(br.ok());
+    auto issues = verifyFunction(**br);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message, "unknown label '%nowhere'");
+
+    auto phi = parseFunction(ctx,
+        "define i8 @f(i8 %x, i1 %c) {\n"
+        "entry:\n"
+        "  br i1 %c, label %a, label %b\n"
+        "a:\n"
+        "  br label %b\n"
+        "b:\n"
+        "  %p = phi i8 [ %x, %entry ], [ 0, %elsewhere ]\n"
+        "  ret i8 %p\n}\n");
+    ASSERT_TRUE(phi.ok());
+    issues = verifyFunction(**phi);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].message, "unknown label '%elsewhere'");
+}

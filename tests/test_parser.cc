@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "ir/ir_verifier.h"
 #include "ir/parser.h"
 #include "ir/pattern.h"
 #include "ir/printer.h"
@@ -582,8 +583,9 @@ mutate(const std::string &text, lpo::Rng &rng)
 }
 
 /** True when no two values share a name, no two blocks a label, and
- *  every br/phi label names a block: what printFunction needs to
- *  re-parse and printFunctionCanonical needs to rename labels. */
+ *  the IR verifier finds every br/phi label naming a block: what
+ *  printFunction needs to re-parse and printFunctionCanonical needs to
+ *  rename labels. */
 bool
 printable(const Function &fn)
 {
@@ -598,15 +600,9 @@ printable(const Function &fn)
             if (!inst->name().empty() && !values.insert(inst->name()).second)
                 return false;
     }
-    for (const auto &bb : fn.blocks())
-        for (const auto &inst : bb->instructions()) {
-            for (const std::string &label : inst->phiLabels())
-                if (!labels.count(label))
-                    return false;
-            for (const std::string &label : inst->brLabels())
-                if (!labels.count(label))
-                    return false;
-        }
+    for (const VerifierIssue &issue : verifyFunction(fn))
+        if (issue.message.rfind("unknown label", 0) == 0)
+            return false;
     return true;
 }
 

@@ -53,12 +53,15 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # test_dce erases dead instructions in one compaction per block, and
 # test_parser and test_printer drive the IR text layer's lexer, which
 # reads raw views into the input, over 10,000 mutated texts.
+# test_egraph covers the e-graph's inline child lists, its
+# open-addressing unique table and the per-thread graph reused across
+# Contexts.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_sat_workspace test_bitblast test_encoder test_word_rules \
     test_functional_hashing test_function test_pipeline test_verifier_fuzz \
-    test_dce test_parser test_printer
+    test_dce test_parser test_printer test_egraph
 ./build-sanitize/test_sat
 ./build-sanitize/test_sat_workspace
 ./build-sanitize/test_bitblast
@@ -75,6 +78,7 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_dce
 ./build-sanitize/test_parser
 ./build-sanitize/test_printer
+./build-sanitize/test_egraph
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
@@ -386,6 +390,48 @@ for name in sorted(set(baseline) | set(current)):
         failures += 1
 print("text-layer gate: %d operations x allocations and digest, %d failures"
       % (len(current), failures))
+sys.exit(1 if failures else 0)
+EOF
+
+echo "=== E-graph layer benchmark (Release) ==="
+# The e-graph proposer's consult over the profile sequences, the RQ
+# sources and perfbench's module-cold seed-1 draw. Prints min-of-5
+# sweep times with the machine fingerprint (not gated), and gates what
+# is deterministic: each input's proposal digest and saturation
+# counters must equal the committed baseline, and its allocations must
+# not grow past it.
+(cd build-release && ./bench_egraph)
+cp build-release/BENCH_egraph.json .
+echo "BENCH_egraph.json:"
+cat BENCH_egraph.json
+python3 - bench/BENCH_egraph.baseline.json BENCH_egraph.json <<'EOF'
+import json
+import sys
+
+baseline = {q["name"]: q for q in json.load(open(sys.argv[1]))["inputs"]}
+current = {q["name"]: q for q in json.load(open(sys.argv[2]))["inputs"]}
+failures = 0
+for name in sorted(set(baseline) | set(current)):
+    base, run = baseline.get(name), current.get(name)
+    if base is None or run is None:
+        print("FAIL: e-graph input %s is %s" % (
+            name, "new (no committed baseline)" if base is None
+            else "missing from the bench"))
+        failures += 1
+        continue
+    for counter in ("consults", "proposals", "nodes", "merges", "iterations",
+                    "extractions", "replays", "native_applications",
+                    "replay_applications", "digest"):
+        if run[counter] != base[counter]:
+            print("FAIL: e-graph %s %s is %s, the baseline %s"
+                  % (name, counter, run[counter], base[counter]))
+            failures += 1
+    if run["allocations"] > base["allocations"]:
+        print("FAIL: e-graph %s allocations %d grew past the committed "
+              "baseline %d" % (name, run["allocations"], base["allocations"]))
+        failures += 1
+print("e-graph gate: %d inputs x counters, digest and allocations, "
+      "%d failures" % (len(current), failures))
 sys.exit(1 if failures else 0)
 EOF
 
