@@ -260,6 +260,30 @@ TEST(EGraphTest, BestEqualToTheReplayedFunctionIsNotReplayed)
     EXPECT_EQ(best, nullptr);
 }
 
+TEST(EGraphTest, SkippedReplayKeepsItsBudgetCheck)
+{
+    // A directed rule fires on pass 0 and fits the budget, the first
+    // extraction is the input again, and replaying it a second time
+    // would no longer fit: the skipped replay must still report the
+    // budget hit (a full replay sets it in its insertion check).
+    ir::Context ctx;
+    auto fn = parse(ctx,
+        "define i8 @src(i8 %x) {\n"
+        "  %r = add i8 %x, -128\n"
+        "  ret i8 %r\n}\n");
+    EGraph graph(ctx);
+    auto root = graph.addFunction(*fn);
+    ASSERT_TRUE(root.has_value());
+    egraph::SaturationLimits limits;
+    limits.max_nodes = graph.numNodes() + 6;
+    auto stats = egraph::saturate(graph, *root, *fn, limits);
+    EXPECT_EQ(stats.iterations, 1u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_TRUE(stats.node_budget_hit);
+    EXPECT_FALSE(stats.saturated);
+    EXPECT_LE(graph.numNodes(), limits.max_nodes);
+}
+
 TEST(EGraphTest, EqualCostTieFollowsDecimalKeyOrder)
 {
     // freeze(%a9) and freeze(%a10) cost the same; the node-order key
