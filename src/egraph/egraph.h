@@ -233,8 +233,8 @@ class EGraph
     struct UniqueEntry
     {
         ENode node;
-        ClassId cls;
-        uint32_t hash;
+        ClassId cls = 0;
+        uint32_t hash = 0;
     };
 
     static uint32_t hashNode(const ENode &node);

@@ -102,8 +102,8 @@ struct Pending
         AssocRight, ///< op(op(x, y), z)
     };
 
-    ClassId cls;
-    Rhs rhs;
+    ClassId cls = 0;
+    Rhs rhs = Rhs::Class;
     Opcode op = Opcode::Add;
     const Type *type = nullptr;
     InstFlags flags;
@@ -163,8 +163,10 @@ matchNode(const EGraph &graph, ClassId c, const ENode &node,
     if (node.tag != ENode::Tag::Inst)
         return;
     auto emit = [&](Pending::Rhs rhs) -> Pending & {
-        out.push_back({c, rhs});
-        return out.back();
+        Pending &p = out.emplace_back();
+        p.cls = c;
+        p.rhs = rhs;
+        return p;
     };
     auto emitClass = [&](ClassId rhs) { emit(Pending::Rhs::Class).x = rhs; };
     auto emitConst = [&](const Type *type, APInt value) {

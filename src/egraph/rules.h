@@ -66,9 +66,9 @@ const std::vector<llm::RewriteRule> &algebraicRules();
  * Saturate @p graph around @p root (the class of @p seq's returned
  * value) under @p limits. @p seq is the original sequence: directed
  * rules are replayed against it verbatim on the first pass, then
- * against the best extraction on later passes — each distinct best
- * once: an iteration whose best is the function replayed last (up to
- * value names) skips the replay, which could add nothing.
+ * against the best extraction on later passes. An iteration whose
+ * best is the function replayed last (up to value names) skips the
+ * replay, which could add nothing, but keeps its budget check.
  *
  * When @p best is given, it receives the cheapest function computing
  * @p root at the end, named and typed like @p seq — taken from the
@@ -84,7 +84,7 @@ SaturationStats saturate(EGraph &graph, ClassId root,
 /**
  * The e-graph proposer's consult: insert @p seq into this thread's
  * reused graph, saturate under @p limits and return saturate()'s best
- * (nullptr when @p seq is unsupported or nothing cheaper was found).
+ * (nullptr when @p seq is unsupported or is its own best).
  * @p stats, when given, receives what the saturation loop did.
  */
 std::unique_ptr<ir::Function>
