@@ -104,22 +104,22 @@ ModuleOptimizer::applyRewrite(const extract::SequenceSite &site,
 
     // Clone the rewrite body at the anchor, remapping its arguments
     // back to the original outside-sequence operands.
-    std::map<const Value *, Value *> remap;
+    ir::ValueRemap remap;
     for (unsigned i = 0; i < tgt.numArgs(); ++i)
-        remap[tgt.arg(i)] = outside[i];
+        remap.insert(tgt.arg(i), outside[i]);
     for (const auto &inst : tgt.entry()->instructions()) {
         if (inst->isTerminator())
             continue;
         auto copy = ir::cloneInstruction(*inst, remap);
         copy->setName(fresh());
-        remap[inst.get()] = block->insert(anchor++, std::move(copy));
+        remap.insert(inst.get(), block->insert(anchor++, std::move(copy)));
     }
 
     // Redirect every user of the sequence tail to the new result; the
     // dead originals stay behind for the DCE sweep.
-    Value *ret_operand = ret->operand(0);
-    auto it = remap.find(ret_operand);
-    Value *new_result = it == remap.end() ? ret_operand : it->second;
+    Value *new_result = ret->operand(0);
+    if (Value *const *mapped = remap.find(new_result))
+        new_result = *mapped;
     fn->replaceAllUses(tail, new_result);
     return true;
 }

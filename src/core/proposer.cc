@@ -81,9 +81,9 @@ EGraphProposer::propose(const ir::Function &seq, const std::string &,
     // nothing different to say, so don't repeat the proposal.
     if (!feedback.empty())
         return std::nullopt;
-    if (!egraph::EGraph::supports(seq))
-        return std::nullopt;
 
+    // bestEquivalent returns nullptr for a sequence outside the
+    // e-graph's fragment (EGraph::addFunction checks supports()).
     std::unique_ptr<ir::Function> best = egraph::bestEquivalent(seq, limits_);
     if (!best || !ir::isValid(*best))
         return std::nullopt;

@@ -277,20 +277,21 @@ CorpusGenerator::largeModule(uint64_t seed, unsigned num_functions,
             // Stitch the pattern body: fresh function arguments stand
             // in for the prototype's, instructions are cloned.
             const ir::Function &proto = *prototypes[picks[j]];
-            std::map<const ir::Value *, Value *> remap;
+            ir::ValueRemap remap;
             for (const auto &arg : proto.args())
-                remap[arg.get()] = fn->addArg(
-                    arg->type(), "a" + std::to_string(fn->numArgs()));
+                remap.insert(arg.get(),
+                             fn->addArg(arg->type(),
+                                        "a" + std::to_string(fn->numArgs())));
             Value *tail = nullptr;
             for (const auto &inst : proto.entry()->instructions()) {
                 if (inst->isTerminator()) {
-                    Value *r = inst->operand(0);
-                    auto it = remap.find(r);
-                    tail = it == remap.end() ? r : it->second;
+                    tail = inst->operand(0);
+                    if (Value *const *mapped = remap.find(tail))
+                        tail = *mapped;
                     continue;
                 }
-                remap[inst.get()] =
-                    block->append(ir::cloneInstruction(*inst, remap));
+                remap.insert(inst.get(),
+                             block->append(ir::cloneInstruction(*inst, remap)));
             }
             pending.push_back(tail);
 

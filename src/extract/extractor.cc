@@ -1,6 +1,6 @@
 #include "extract/extractor.h"
 
-#include <set>
+#include <algorithm>
 
 #include "ir/pattern.h"
 #include "ir/printer.h"
@@ -53,48 +53,59 @@ std::vector<std::vector<const Instruction *>>
 Extractor::extractSeqsFromBB(const BasicBlock &bb,
                              const ExtractorOptions &options)
 {
+    // Each sequence collects its members tail first (the scan runs
+    // backwards) and is put in block order at the end.
     std::vector<std::vector<const Instruction *>> seq_set;
     for (size_t i = bb.size(); i > 0; --i) {
         const Instruction *inst = bb.at(i - 1);
         if (!extractable(inst, options))
             continue;
         bool added = false;
-        std::vector<std::vector<const Instruction *>> new_set;
-        for (std::vector<const Instruction *> &seq : seq_set) {
+        for (std::vector<const Instruction *> &seq : seq_set)
             if (dependsOn(seq, inst)) {
-                std::vector<const Instruction *> extended;
-                extended.push_back(inst);
-                extended.insert(extended.end(), seq.begin(), seq.end());
-                new_set.push_back(std::move(extended));
+                seq.push_back(inst);
                 added = true;
-            } else {
-                new_set.push_back(std::move(seq));
             }
-        }
         if (!added)
-            new_set.push_back({inst});
-        seq_set = std::move(new_set);
+            seq_set.push_back({inst});
     }
+    for (std::vector<const Instruction *> &seq : seq_set)
+        std::reverse(seq.begin(), seq.end());
     return seq_set;
 }
+
+namespace {
+
+/**
+ * Bind every member of @p seq in @p bound, then, in first-use order,
+ * every non-constant operand defined outside it, to what @p bind
+ * returns for that operand. The one definition of the argument order
+ * shared by wrapAsFunction and outsideOperands.
+ */
+template <typename V, typename Bind>
+void
+bindOutsideOperands(const std::vector<const Instruction *> &seq,
+                    ir::ValueMap<V> &bound, Bind bind)
+{
+    for (const Instruction *inst : seq)
+        bound.insert(inst, V{});
+    for (const Instruction *inst : seq)
+        for (Value *operand : inst->operands())
+            if (!operand->isConstant() && !bound.find(operand))
+                bound.insert(operand, bind(operand));
+}
+
+} // namespace
 
 std::vector<Value *>
 Extractor::outsideOperands(const std::vector<const Instruction *> &seq)
 {
     std::vector<Value *> outside;
-    std::set<const Value *> seen;
-    std::set<const Instruction *> members(seq.begin(), seq.end());
-    for (const Instruction *inst : seq) {
-        for (Value *operand : inst->operands()) {
-            if (operand->isConstant() || seen.count(operand))
-                continue;
-            if (operand->kind() == Value::Kind::Instruction &&
-                members.count(static_cast<const Instruction *>(operand)))
-                continue;
-            seen.insert(operand);
-            outside.push_back(operand);
-        }
-    }
+    ir::ValueMap<bool> bound;
+    bindOutsideOperands(seq, bound, [&](Value *operand) {
+        outside.push_back(operand);
+        return true;
+    });
     return outside;
 }
 
@@ -111,22 +122,24 @@ Extractor::wrapAsFunction(ir::Context &context,
 
     auto fn = std::make_unique<ir::Function>(context, name, last->type());
     ir::BasicBlock *block = fn->addBlock("entry");
+    block->reserve(seq.size() + 1);
 
-    // Arguments for every undefined operand, in use order.
-    std::map<const Value *, Value *> remap;
-    for (Value *operand : outsideOperands(seq)) {
-        ir::Argument *arg = fn->addArg(
-            operand->type(), "a" + std::to_string(fn->numArgs()));
-        remap[operand] = arg;
+    // Arguments for every undefined operand, in use order; each member
+    // is bound to its clone as it is made (a member's operands are
+    // earlier members, already cloned).
+    ir::ValueRemap remap;
+    bindOutsideOperands(seq, remap, [&](Value *operand) -> Value * {
+        return fn->addArg(operand->type(),
+                          "a" + std::to_string(fn->numArgs()));
+    });
+    Value *tail = nullptr;
+    for (const Instruction *inst : seq) {
+        tail = block->append(ir::cloneInstruction(*inst, remap));
+        remap.insert(inst, tail);
     }
 
-    // Clone the instructions through the shared primitive.
-    for (const Instruction *inst : seq)
-        remap[inst] = block->append(ir::cloneInstruction(*inst, remap));
-
     auto ret = std::make_unique<Instruction>(
-        Opcode::Ret, context.types().voidTy(),
-        std::vector<Value *>{remap[last]});
+        Opcode::Ret, context.types().voidTy(), std::vector<Value *>{tail});
     block->append(std::move(ret));
     fn->numberValues();
     return fn;
@@ -136,17 +149,15 @@ std::vector<ExtractedSequence>
 Extractor::extractDetailed(const ir::Module &module)
 {
     std::vector<ExtractedSequence> result;
-    // Canonical text -> index into `result`, for grouping this call's
-    // duplicate occurrences under their unique sequence.
-    std::map<std::string, size_t> local_index;
+    const uint64_t call = ++calls_;
     ir::Context &context = module.context();
     for (const auto &fn : module.functions()) {
         for (const auto &bb : fn->blocks()) {
             auto seq_set = extractSeqsFromBB(*bb, options_);
             for (const auto &seq : seq_set) {
                 ++stats_.sequences_considered;
-                if (seq.size() < options_.min_length ||
-                    seq.size() > options_.max_length) {
+                if (seq.size() < kMinSequenceLength ||
+                    seq.size() > kMaxSequenceLength) {
                     ++stats_.length_filtered;
                     continue;
                 }
@@ -164,18 +175,17 @@ Extractor::extractDetailed(const ir::Module &module)
                     ir::structuralHash(*wrapped) & options_.hash_mask;
                 std::string canonical =
                     ir::printFunctionCanonical(*wrapped);
-                std::vector<std::string> &bucket = dedup_[digest];
-                bool duplicate = false;
-                for (const std::string &entry : bucket)
-                    if (entry == canonical) {
-                        duplicate = true;
+                std::vector<Seen> &bucket = dedup_[digest];
+                const Seen *same = nullptr;
+                for (const Seen &entry : bucket)
+                    if (entry.canonical == canonical) {
+                        same = &entry;
                         break;
                     }
-                if (duplicate) {
+                if (same) {
                     ++stats_.duplicates_skipped;
-                    auto it = local_index.find(canonical);
-                    if (it != local_index.end())
-                        result[it->second].sites.push_back(
+                    if (same->call == call && same->index != kNotExtracted)
+                        result[same->index].sites.push_back(
                             SequenceSite{fn.get(), bb.get(), seq});
                     continue;
                 }
@@ -186,19 +196,24 @@ Extractor::extractDetailed(const ir::Module &module)
                 // the optimizer probe, so high-duplication module
                 // traffic pays the opt pipeline once per unique
                 // sequence (rejected sequences are remembered too, so
-                // their repeats skip the probe as well).
-                if (options_.reject_optimizable) {
-                    auto optimized = opt::optimizeFunction(*wrapped);
-                    if (!ir::structurallyEqual(*wrapped, *optimized)) {
-                        ++stats_.still_optimizable_skipped;
-                        bucket.push_back(std::move(canonical));
-                        continue;
-                    }
+                // their repeats skip the probe as well). The probe
+                // runs on a copy, so a pass that changed the function
+                // without reporting it can only let one more sequence
+                // through, never hand on a wrapped function that no
+                // longer matches its sites; the structural compare
+                // runs only when a pass reports a change.
+                auto probe = wrapped->clone(wrapped->name());
+                if (opt::runStandardPipeline(*probe) &&
+                    !ir::structurallyEqual(*wrapped, *probe)) {
+                    ++stats_.still_optimizable_skipped;
+                    bucket.push_back(
+                        Seen{std::move(canonical), call, kNotExtracted});
+                    continue;
                 }
                 ++next_id_;
                 ++stats_.extracted;
-                local_index[canonical] = result.size();
-                bucket.push_back(std::move(canonical));
+                bucket.push_back(
+                    Seen{std::move(canonical), call, result.size()});
                 result.push_back(ExtractedSequence{
                     std::move(wrapped),
                     {SequenceSite{fn.get(), bb.get(), seq}}});

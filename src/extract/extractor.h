@@ -20,9 +20,9 @@
 #define LPO_EXTRACT_EXTRACTOR_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/module.h"
@@ -45,7 +45,7 @@ namespace lpo::extract {
 struct ExtractionStats
 {
     uint64_t sequences_considered = 0;
-    /** Rejected by the min/max-length window. */
+    /** Outside [kMinSequenceLength, kMaxSequenceLength]. */
     uint64_t length_filtered = 0;
     /** wrapAsFunction declined (e.g. a void-typed tail). */
     uint64_t unwrappable_skipped = 0;
@@ -58,15 +58,14 @@ struct ExtractionStats
     uint64_t hash_collisions = 0;
 };
 
+/** Sequences shorter than this many instructions are skipped. */
+constexpr unsigned kMinSequenceLength = 2;
+/** Sequences longer than this many instructions are skipped. */
+constexpr unsigned kMaxSequenceLength = 24;
+
 /** Tunables. */
 struct ExtractorOptions
 {
-    /** Skip sequences shorter than this many instructions. */
-    unsigned min_length = 2;
-    /** Skip sequences longer than this many instructions. */
-    unsigned max_length = 24;
-    /** Check that opt cannot further optimize the wrapped function. */
-    bool reject_optimizable = true;
     /**
      * Admit load/gep instructions as sequence members. Off by
      * default: memory-touching wrapped sequences are outside the SAT
@@ -161,20 +160,31 @@ class Extractor
     const ExtractionStats &stats() const { return stats_; }
 
   private:
+    /** One distinct sequence seen by this extractor. */
+    struct Seen
+    {
+        std::string canonical;
+        /** The extractDetailed call that extracted it, and its index
+         *  in that call's result (kNotExtracted when rejected). */
+        uint64_t call = 0;
+        size_t index = 0;
+    };
+    static constexpr size_t kNotExtracted = ~size_t(0);
+
     ExtractorOptions options_;
     ExtractionStats stats_;
     /**
-     * hash -> canonical text of every distinct sequence seen with
-     * that hash (extracted AND rejected-as-optimizable, so repeats of
-     * either skip the optimizer probe). Keeping the full canonical
-     * text is what makes the collision confirmation sound; it costs
-     * on the order of the printed sequence per unique sequence, which
-     * is fine at module scale (the module optimizer runs one
-     * extractor per module) — a paper-scale 800k-unique extraction
-     * run that must bound memory should shard extractors per corpus
-     * slice.
+     * hash -> every distinct sequence seen with that hash (extracted
+     * AND rejected-as-optimizable, so repeats of either skip the
+     * optimizer probe). Keeping the full canonical text is what makes
+     * the collision confirmation sound; it costs on the order of the
+     * printed sequence per unique sequence, which is fine at module
+     * scale (the module optimizer runs one extractor per module) — a
+     * paper-scale 800k-unique extraction run that must bound memory
+     * should shard extractors per corpus slice.
      */
-    std::map<uint64_t, std::vector<std::string>> dedup_;
+    std::unordered_map<uint64_t, std::vector<Seen>> dedup_;
+    uint64_t calls_ = 0;
     uint64_t next_id_ = 0;
 };
 

@@ -683,8 +683,11 @@ ExecPlan::exec(ExecFrame &frame) const
                 L[inst.dest_off] = LaneValue::ofPoison();
                 break;
             }
-            int64_t offset = static_cast<int64_t>(b.bits.zext()) +
-                             idx.bits.sext() * inst.elem_size;
+            // Address arithmetic wraps (two's complement); signed
+            // overflow here would be undefined behaviour.
+            int64_t offset = static_cast<int64_t>(
+                b.bits.zext() + static_cast<uint64_t>(idx.bits.sext()) *
+                                    static_cast<uint64_t>(inst.elem_size));
             LaneValue lane = LaneValue::ofPtr(
                 b.object_id, static_cast<uint64_t>(offset));
             if (inst.flags.inbounds) {

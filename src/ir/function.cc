@@ -165,16 +165,14 @@ mapConstant(Context &into, const Value *c)
 } // namespace
 
 std::unique_ptr<Instruction>
-cloneInstruction(const Instruction &inst,
-                 const std::map<const Value *, Value *> &remap,
+cloneInstruction(const Instruction &inst, const ValueRemap &remap,
                  Context *into)
 {
     std::vector<Value *> operands;
     operands.reserve(inst.numOperands());
     for (Value *operand : inst.operands()) {
-        auto it = remap.find(operand);
-        if (it != remap.end())
-            operand = it->second;
+        if (Value *const *mapped = remap.find(operand))
+            operand = *mapped;
         else if (into && operand->isConstant())
             operand = mapConstant(*into, operand);
         operands.push_back(operand);
@@ -197,30 +195,34 @@ Function::clone(const std::string &new_name, Context *into) const
 {
     auto copy = std::make_unique<Function>(into ? *into : context_, new_name,
                                            mapType(into, return_type_));
-    std::map<const Value *, Value *> remap;
-    for (const auto &arg : args_) {
-        Argument *new_arg =
-            copy->addArg(mapType(into, arg->type()), arg->name());
-        remap[arg.get()] = new_arg;
-    }
-    // First pass: clone instructions with original operands so that
-    // phi back-edges (forward references) have something to map to.
+    size_t values = args_.size();
+    for (const auto &bb : blocks_)
+        values += bb->size();
+    ValueRemap remap(values);
+    copy->args_.reserve(args_.size());
+    for (const auto &arg : args_)
+        remap.insert(arg.get(),
+                     copy->addArg(mapType(into, arg->type()), arg->name()));
+    // First pass: clone through the values mapped so far; a phi
+    // back-edge (a forward reference) keeps its original operand.
+    copy->blocks_.reserve(blocks_.size());
     for (const auto &bb : blocks_) {
         BasicBlock *new_bb = copy->addBlock(bb->label());
+        new_bb->reserve(bb->size());
         for (const auto &inst : bb->instructions()) {
-            auto new_inst = cloneInstruction(*inst, {}, into);
+            auto new_inst = cloneInstruction(*inst, remap, into);
             new_inst->setName(inst->name());
-            remap[inst.get()] = new_bb->append(std::move(new_inst));
+            remap.insert(inst.get(), new_bb->append(std::move(new_inst)));
         }
     }
-    // Second pass: rewrite operands through the completed map.
+    // Second pass: rewrite those through the completed map. Operands
+    // already mapped are values of the copy, which the map never holds
+    // as keys.
     for (const auto &bb : copy->blocks()) {
         for (const auto &inst : bb->instructions()) {
-            for (unsigned i = 0; i < inst->numOperands(); ++i) {
-                auto it = remap.find(inst->operand(i));
-                if (it != remap.end())
-                    inst->setOperand(i, it->second);
-            }
+            for (unsigned i = 0; i < inst->numOperands(); ++i)
+                if (Value *const *mapped = remap.find(inst->operand(i)))
+                    inst->setOperand(i, *mapped);
         }
     }
     return copy;

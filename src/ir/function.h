@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ir/instruction.h"
+#include "ir/value_map.h"
 
 namespace lpo::ir {
 
@@ -55,6 +56,8 @@ class BasicBlock
     Instruction *at(size_t index) const { return instructions_[index].get(); }
     /** The terminator, or nullptr if the block is not yet terminated. */
     Instruction *terminator() const;
+    /** Make room for @p count instructions. */
+    void reserve(size_t count) { instructions_.reserve(count); }
 
   private:
     std::string label_;
@@ -132,8 +135,7 @@ class Function
  * patch-back; the copy is unnamed and not yet attached to a block.
  */
 std::unique_ptr<Instruction>
-cloneInstruction(const Instruction &inst,
-                 const std::map<const Value *, Value *> &remap,
+cloneInstruction(const Instruction &inst, const ValueRemap &remap,
                  Context *into = nullptr);
 
 } // namespace lpo::ir

@@ -1,7 +1,7 @@
 #include "ir/pattern.h"
 
+#include <array>
 #include <cstring>
-#include <map>
 
 #include "support/string_utils.h"
 
@@ -100,14 +100,28 @@ isAllOnesInt(const Value *v)
 
 namespace {
 
+/** fnv1a64 of @p op's name, computed once per opcode. */
+uint64_t
+opcodeHash(Opcode op)
+{
+    static const auto hashes = [] {
+        std::array<uint64_t, static_cast<size_t>(Opcode::Ret) + 1> table{};
+        for (size_t i = 0; i < table.size(); ++i)
+            table[i] = fnv1a64(opcodeName(static_cast<Opcode>(i)));
+        return table;
+    }();
+    return hashes[static_cast<size_t>(op)];
+}
+
+/** Argument and instruction -> position in the function. */
+using Numbering = ValueMap<uint64_t>;
+
 /** Hash a single operand reference relative to the numbering map. */
 uint64_t
-operandDigest(const Value *operand,
-              const std::map<const Value *, uint64_t> &numbering)
+operandDigest(const Value *operand, const Numbering &numbering)
 {
-    auto it = numbering.find(operand);
-    if (it != numbering.end())
-        return hashCombine(1, it->second);
+    if (const uint64_t *position = numbering.find(operand))
+        return hashCombine(1, *position);
     switch (operand->kind()) {
       case Value::Kind::ConstInt: {
         const auto *ci = static_cast<const ConstantInt *>(operand);
@@ -135,11 +149,10 @@ operandDigest(const Value *operand,
 }
 
 uint64_t
-instructionDigest(const Instruction *inst,
-                  const std::map<const Value *, uint64_t> &numbering)
+instructionDigest(const Instruction *inst, const Numbering &numbering)
 {
-    uint64_t h = fnv1a64(opcodeName(inst->op()));
-    h = hashCombine(h, fnv1a64(inst->type()->toString()));
+    uint64_t h = opcodeHash(inst->op());
+    h = hashCombine(h, inst->type()->nameHash());
     const InstFlags &flags = inst->flags();
     h = hashCombine(h, (uint64_t(flags.nuw) << 0) |
                            (uint64_t(flags.nsw) << 1) |
@@ -154,10 +167,20 @@ instructionDigest(const Instruction *inst,
     if (inst->op() == Opcode::Call)
         h = hashCombine(h, static_cast<uint64_t>(inst->intrinsic()));
     if (inst->accessType())
-        h = hashCombine(h, fnv1a64(inst->accessType()->toString()));
+        h = hashCombine(h, inst->accessType()->nameHash());
     for (const Value *operand : inst->operands())
         h = hashCombine(h, operandDigest(operand, numbering));
     return h;
+}
+
+/** Arguments plus instructions of @p fn. */
+size_t
+valueCount(const Function &fn)
+{
+    size_t count = fn.numArgs();
+    for (const auto &bb : fn.blocks())
+        count += bb->size();
+    return count;
 }
 
 } // namespace
@@ -165,23 +188,22 @@ instructionDigest(const Instruction *inst,
 uint64_t
 structuralHash(const Function &fn)
 {
-    std::map<const Value *, uint64_t> numbering;
+    Numbering numbering(valueCount(fn));
     uint64_t next = 0;
-    for (const auto &arg : fn.args()) {
-        numbering[arg.get()] = next++;
-    }
-    uint64_t h = fnv1a64(fn.returnType()->toString());
+    for (const auto &arg : fn.args())
+        numbering.insert(arg.get(), next++);
+    uint64_t h = fn.returnType()->nameHash();
     h = hashCombine(h, fn.numArgs());
     // Argument types must be part of the digest: operandDigest maps
     // an argument to its position only, so without this two chains
     // differing solely in argument width (zext i8 vs zext i32 of %0)
     // would collide systematically.
     for (const auto &arg : fn.args())
-        h = hashCombine(h, fnv1a64(arg->type()->toString()));
+        h = hashCombine(h, arg->type()->nameHash());
     for (const auto &bb : fn.blocks()) {
         for (const auto &inst : bb->instructions()) {
             h = hashCombine(h, instructionDigest(inst.get(), numbering));
-            numbering[inst.get()] = next++;
+            numbering.insert(inst.get(), next++);
         }
     }
     return h;
@@ -197,9 +219,9 @@ structurallyEqual(const Function &a, const Function &b)
         if (a.arg(i)->type() != b.arg(i)->type())
             return false;
 
-    std::map<const Value *, const Value *> map; // a-value -> b-value
+    ValueMap<const Value *> map(valueCount(a)); // a-value -> b-value
     for (unsigned i = 0; i < a.numArgs(); ++i)
-        map[a.arg(i)] = b.arg(i);
+        map.insert(a.arg(i), b.arg(i));
 
     // Pre-map instructions by position so phi back-edges (forward
     // references) resolve during the operand comparison below.
@@ -209,14 +231,12 @@ structurallyEqual(const Function &a, const Function &b)
         if (ba->size() != bb->size())
             return false;
         for (size_t i = 0; i < ba->size(); ++i)
-            map[ba->at(i)] = bb->at(i);
+            map.insert(ba->at(i), bb->at(i));
     }
 
     for (size_t bi = 0; bi < a.blocks().size(); ++bi) {
         const BasicBlock *ba = a.blocks()[bi].get();
         const BasicBlock *bb = b.blocks()[bi].get();
-        if (ba->size() != bb->size())
-            return false;
         for (size_t i = 0; i < ba->size(); ++i) {
             const Instruction *ia = ba->at(i);
             const Instruction *ib = bb->at(i);
@@ -233,9 +253,8 @@ structurallyEqual(const Function &a, const Function &b)
             for (unsigned oi = 0; oi < ia->numOperands(); ++oi) {
                 const Value *oa = ia->operand(oi);
                 const Value *ob = ib->operand(oi);
-                auto it = map.find(oa);
-                if (it != map.end()) {
-                    if (it->second != ob)
+                if (const Value *const *mapped = map.find(oa)) {
+                    if (*mapped != ob)
                         return false;
                 } else if (oa != ob) {
                     // Interned constants compare by identity.

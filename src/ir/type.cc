@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "support/string_utils.h"
+
 namespace lpo::ir {
 
 bool
@@ -47,6 +49,7 @@ Type::Type(Kind kind, unsigned width, unsigned lanes, const Type *elem)
                 ">";
         break;
     }
+    name_hash_ = fnv1a64(name_);
 }
 
 TypeContext::TypeContext()

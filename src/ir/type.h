@@ -55,6 +55,8 @@ class Type
     /** LLVM-style spelling, e.g. "i32", "<4 x i8>", "ptr"; spelled
      *  once, when the type is interned. */
     const std::string &toString() const { return name_; }
+    /** fnv1a64 of toString(), computed once. */
+    uint64_t nameHash() const { return name_hash_; }
 
   private:
     friend class TypeContext;
@@ -65,6 +67,7 @@ class Type
     unsigned lanes_;      // vector lane count
     const Type *elem_;    // vector element type
     std::string name_;
+    uint64_t name_hash_ = 0;
 };
 
 /** Owner and intern table for Type instances. */

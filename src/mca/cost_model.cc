@@ -1,7 +1,6 @@
 #include "mca/cost_model.h"
 
 #include <algorithm>
-#include <map>
 
 namespace lpo::mca {
 
@@ -142,8 +141,10 @@ CostSummary
 analyzeFunction(const ir::Function &fn, const CpuModel &cpu)
 {
     CostSummary summary;
-    std::map<const ir::Value *, double> ready_at;
-    double total_latency = 0.0;
+    size_t instructions = 0;
+    for (const auto &bb : fn.blocks())
+        instructions += bb->size();
+    ir::ValueMap<double> ready_at(instructions);
     double max_path = 0.0;
 
     for (const auto &bb : fn.blocks()) {
@@ -152,15 +153,11 @@ analyzeFunction(const ir::Function &fn, const CpuModel &cpu)
                 continue;
             ++summary.instruction_count;
             double start = 0.0;
-            for (const ir::Value *operand : inst->operands()) {
-                auto it = ready_at.find(operand);
-                if (it != ready_at.end())
-                    start = std::max(start, it->second);
-            }
-            double latency = instructionLatency(*inst, cpu);
-            total_latency += latency;
-            double done = start + latency;
-            ready_at[inst.get()] = done;
+            for (const ir::Value *operand : inst->operands())
+                if (const double *ready = ready_at.find(operand))
+                    start = std::max(start, *ready);
+            double done = start + instructionLatency(*inst, cpu);
+            ready_at.insert(inst.get(), done);
             max_path = std::max(max_path, done);
         }
     }

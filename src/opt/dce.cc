@@ -15,7 +15,11 @@ removeDeadInstructions(ir::Function &fn)
         unsigned uses;
         bool dead;
     };
+    size_t count = 0;
+    for (const auto &bb : fn.blocks())
+        count += bb->size();
     std::vector<Entry> table;
+    table.reserve(count);
     for (const auto &bb : fn.blocks())
         for (const auto &inst : bb->instructions())
             table.push_back(Entry{inst.get(), 0, false});

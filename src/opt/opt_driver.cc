@@ -6,6 +6,13 @@
 
 namespace lpo::opt {
 
+bool
+runStandardPipeline(ir::Function &fn)
+{
+    static const PassManager pipeline = PassManager::standardPipeline();
+    return pipeline.run(fn);
+}
+
 OptResult
 runOpt(ir::Context &context, const std::string &text)
 {
@@ -24,8 +31,7 @@ runOpt(ir::Context &context, const std::string &text)
         result.function.reset();
         return result;
     }
-    PassManager pipeline = PassManager::standardPipeline();
-    result.changed = pipeline.run(*result.function);
+    result.changed = runStandardPipeline(*result.function);
     result.function->numberValues();
     return result;
 }
@@ -34,7 +40,7 @@ std::unique_ptr<ir::Function>
 optimizeFunction(const ir::Function &fn)
 {
     std::unique_ptr<ir::Function> copy = fn.clone(fn.name());
-    PassManager::standardPipeline().run(*copy);
+    runStandardPipeline(*copy);
     copy->numberValues();
     return copy;
 }

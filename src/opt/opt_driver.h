@@ -32,6 +32,12 @@ struct OptResult
 /** Parse @p text as a single function and run the standard pipeline. */
 OptResult runOpt(ir::Context &context, const std::string &text);
 
+/**
+ * Run the standard pipeline on @p fn in place (built once per
+ * process); true if a pass reported a change.
+ */
+bool runStandardPipeline(ir::Function &fn);
+
 /** Run the standard pipeline on an already-parsed function (clones). */
 std::unique_ptr<ir::Function> optimizeFunction(const ir::Function &fn);
 

@@ -1,6 +1,5 @@
 #include "opt/pass_manager.h"
 
-#include "opt/dce.h"
 #include "opt/instcombine.h"
 
 namespace lpo::opt {
@@ -26,9 +25,6 @@ PassManager::standardPipeline()
     PassManager pm;
     pm.addPass({"instcombine",
                 [](ir::Function &fn) { return runInstCombine(fn); }});
-    pm.addPass({"dce", [](ir::Function &fn) {
-                    return removeDeadInstructions(fn) > 0;
-                }});
     return pm;
 }
 

@@ -34,7 +34,11 @@ class PassManager
      */
     bool run(ir::Function &fn, bool fixpoint = true) const;
 
-    /** The standard -O3-style pipeline: instcombine + dce. */
+    /**
+     * The standard -O3-style pipeline: instcombine, which sweeps dead
+     * code after every round of its own, so a dce pass after it would
+     * never find any.
+     */
     static PassManager standardPipeline();
 
   private:

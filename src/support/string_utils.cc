@@ -47,12 +47,6 @@ fnv1a64(std::string_view text)
     return hash;
 }
 
-uint64_t
-hashCombine(uint64_t seed, uint64_t value)
-{
-    return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 12) + (seed >> 4));
-}
-
 std::string
 formatFixed(double value, int decimals)
 {

@@ -26,7 +26,11 @@ std::string join(const std::vector<std::string> &parts,
 uint64_t fnv1a64(std::string_view text);
 
 /** Mix an additional 64-bit value into a running hash (boost-style). */
-uint64_t hashCombine(uint64_t seed, uint64_t value);
+inline uint64_t
+hashCombine(uint64_t seed, uint64_t value)
+{
+    return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 12) + (seed >> 4));
+}
 
 /** Format a double with fixed @p decimals digits. */
 std::string formatFixed(double value, int decimals);

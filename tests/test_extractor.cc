@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 #include "corpus/generator.h"
@@ -312,19 +311,18 @@ sliceValueFn(ir::Context &ctx, const ir::Function &src,
              const ir::Value *val)
 {
     auto fn = std::make_unique<ir::Function>(ctx, "slice", val->type());
-    std::map<const ir::Value *, ir::Value *> remap;
+    ir::ValueRemap remap;
     for (const auto &arg : src.args())
-        remap[arg.get()] = fn->addArg(arg->type(), arg->name());
+        remap.insert(arg.get(), fn->addArg(arg->type(), arg->name()));
     ir::BasicBlock *block = fn->addBlock("entry");
     for (const auto &inst : src.entry()->instructions()) {
         if (inst->isTerminator())
             continue;
-        remap[inst.get()] = block->append(ir::cloneInstruction(*inst,
-                                                               remap));
+        remap.insert(inst.get(),
+                     block->append(ir::cloneInstruction(*inst, remap)));
     }
-    auto it = remap.find(val);
-    ir::Value *ret_val =
-        it == remap.end() ? const_cast<ir::Value *>(val) : it->second;
+    ir::Value *const *mapped = remap.find(val);
+    ir::Value *ret_val = mapped ? *mapped : const_cast<ir::Value *>(val);
     block->append(std::make_unique<ir::Instruction>(
         ir::Opcode::Ret, ctx.types().voidTy(),
         std::vector<ir::Value *>{ret_val}));

@@ -258,6 +258,32 @@ TEST(FunctionTest, CloneIntoAnotherContextCoversTheCorpus)
     EXPECT_EQ(n, 311u);
 }
 
+TEST(ValueMapTest, GrowsPastItsInlineSlots)
+{
+    // 32 keys fit inline; inserting 300 rehashes three times, and a
+    // map sized up front starts on the heap. Every binding must
+    // survive both, and an overwrite must not add a key.
+    Context ctx;
+    Function fn(ctx, "f", ctx.types().intTy(8));
+    for (unsigned i = 0; i < 300; ++i)
+        fn.addArg(ctx.types().intTy(8), "a" + std::to_string(i));
+    ValueMap<unsigned> grown;
+    ValueMap<unsigned> sized(300);
+    for (unsigned i = 0; i < 300; ++i) {
+        grown.insert(fn.arg(i), i);
+        sized.insert(fn.arg(i), i);
+    }
+    grown.insert(fn.arg(7), 1000);
+    for (unsigned i = 0; i < 300; ++i) {
+        ASSERT_NE(grown.find(fn.arg(i)), nullptr);
+        ASSERT_NE(sized.find(fn.arg(i)), nullptr);
+        EXPECT_EQ(*grown.find(fn.arg(i)), i == 7 ? 1000u : i);
+        EXPECT_EQ(*sized.find(fn.arg(i)), i);
+    }
+    EXPECT_EQ(grown.find(ctx.getInt(8, 1)), nullptr);
+    EXPECT_EQ(sized.find(ctx.getInt(8, 1)), nullptr);
+}
+
 TEST(BasicBlockTest, InsertEraseTerminator)
 {
     Context ctx;

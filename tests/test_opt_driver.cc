@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/benchmarks.h"
+#include "corpus/generator.h"
+#include "ir/parser.h"
+#include "opt/dce.h"
 #include "opt/opt_driver.h"
 
 using namespace lpo;
@@ -68,4 +72,43 @@ TEST(OptDriverTest, OptimizeFunctionClones)
     auto copy = opt::optimizeFunction(*result.function);
     EXPECT_EQ(result.function->instructionCount(),
               copy->instructionCount());
+}
+
+TEST(OptDriverTest, PipelineLeavesNoDeadCode)
+{
+    // The standard pipeline has no dce pass of its own: instcombine
+    // sweeps dead code after every round. A sweep after the pipeline
+    // must find nothing, on a function with a dead chain, on every
+    // RQ source and target, and on every function of the profile
+    // module.
+    ir::Context ctx;
+    std::vector<std::unique_ptr<ir::Function>> fns;
+    auto parse = [&](const std::string &text) {
+        auto fn = ir::parseFunction(ctx, text);
+        ASSERT_TRUE(fn.ok()) << text;
+        fns.push_back(fn.take());
+    };
+    parse("define i8 @f(i8 %x, i8 %y) {\n"
+          "  %d = mul i8 %y, 3\n"
+          "  %e = add i8 %d, 1\n"
+          "  %a = add i8 %x, 0\n"
+          "  %b = or i8 %a, 0\n"
+          "  ret i8 %b\n}\n");
+    for (const auto *catalog :
+         {&corpus::rq1Benchmarks(), &corpus::rq2Benchmarks()})
+        for (const auto &bench : *catalog) {
+            parse(bench.src_text);
+            parse(bench.tgt_text);
+        }
+    corpus::CorpusGenerator generator(ctx);
+    auto module = generator.largeModule(7, 200, 3);
+    for (const auto &fn : module->functions())
+        fns.push_back(fn->clone(fn->name()));
+    for (const auto &fn : fns) {
+        EXPECT_EQ(opt::removeDeadInstructions(*opt::optimizeFunction(*fn)),
+                  0u)
+            << fn->name();
+    }
+    EXPECT_TRUE(opt::runStandardPipeline(*fns.front()));
+    EXPECT_EQ(fns.front()->instructionCount(), 0u);
 }

@@ -56,12 +56,17 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # test_egraph covers the e-graph's inline child lists, its
 # open-addressing unique table and the per-thread graph reused across
 # Contexts.
+# test_pattern, test_mca, test_opt_driver, test_corpus, test_extractor
+# and test_extraction_pin run the flat value maps behind cloning,
+# sequence wrapping, structural hashing and equality, and the mca
+# cost model.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
     --target test_task_graph test_refine test_exec_plan test_chaos \
     test_sat test_sat_workspace test_bitblast test_encoder test_word_rules \
     test_functional_hashing test_function test_pipeline test_verifier_fuzz \
-    test_dce test_parser test_printer test_egraph
+    test_dce test_parser test_printer test_egraph test_pattern test_mca \
+    test_opt_driver test_corpus test_extractor test_extraction_pin
 ./build-sanitize/test_sat
 ./build-sanitize/test_sat_workspace
 ./build-sanitize/test_bitblast
@@ -79,6 +84,12 @@ cmake --build build-sanitize -j "${jobs}" \
 ./build-sanitize/test_parser
 ./build-sanitize/test_printer
 ./build-sanitize/test_egraph
+./build-sanitize/test_pattern
+./build-sanitize/test_mca
+./build-sanitize/test_opt_driver
+./build-sanitize/test_corpus
+./build-sanitize/test_extractor
+./build-sanitize/test_extraction_pin
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
 for site in $(./build-release/lpo_cli failpoints | awk '{print $1}'); do
@@ -431,6 +442,49 @@ for name in sorted(set(baseline) | set(current)):
               "baseline %d" % (name, run["allocations"], base["allocations"]))
         failures += 1
 print("e-graph gate: %d inputs x counters, digest and allocations, "
+      "%d failures" % (len(current), failures))
+sys.exit(1 if failures else 0)
+EOF
+
+echo "=== Extraction layer benchmark (Release) ==="
+# The module optimizer's extract phase (savings analysis plus a fresh
+# extractor's extractDetailed) over the profile module and perfbench's
+# module-cold seed-1 draw. Prints min-of-5 sweep times with the machine
+# fingerprint (not gated), and gates what is deterministic: each
+# input's extraction digest and ExtractionStats counters must equal the
+# committed baseline, and its allocations must not grow past it.
+(cd build-release && ./bench_extract)
+cp build-release/BENCH_extract.json .
+echo "BENCH_extract.json:"
+cat BENCH_extract.json
+python3 - bench/BENCH_extract.baseline.json BENCH_extract.json <<'EOF'
+import json
+import sys
+
+baseline = {q["name"]: q for q in json.load(open(sys.argv[1]))["inputs"]}
+current = {q["name"]: q for q in json.load(open(sys.argv[2]))["inputs"]}
+failures = 0
+for name in sorted(set(baseline) | set(current)):
+    base, run = baseline.get(name), current.get(name)
+    if base is None or run is None:
+        print("FAIL: extraction input %s is %s" % (
+            name, "new (no committed baseline)" if base is None
+            else "missing from the bench"))
+        failures += 1
+        continue
+    for counter in ("modules", "sequences_considered", "length_filtered",
+                    "unwrappable_skipped", "duplicates_skipped",
+                    "still_optimizable_skipped", "extracted",
+                    "hash_collisions", "digest"):
+        if run[counter] != base[counter]:
+            print("FAIL: extraction %s %s is %s, the baseline %s"
+                  % (name, counter, run[counter], base[counter]))
+            failures += 1
+    if run["allocations"] > base["allocations"]:
+        print("FAIL: extraction %s allocations %d grew past the committed "
+              "baseline %d" % (name, run["allocations"], base["allocations"]))
+        failures += 1
+print("extraction gate: %d inputs x counters, digest and allocations, "
       "%d failures" % (len(current), failures))
 sys.exit(1 if failures else 0)
 EOF
